@@ -4,10 +4,13 @@ Times :func:`repro.crypto.modes.ctr_transform` under both engines at
 several payload sizes (the secret part of a P3 photo is CTR-shaped),
 verifies fast-vs-scalar *byte identity* on every measured payload —
 the run fails hard on any mismatch — and measures the end-to-end
-effect: upload (encrypt) and download (open + reconstruct) images/sec
-through :class:`~repro.core.encryptor.P3Encryptor` /
-:class:`~repro.core.decryptor.P3Decryptor` with ``fast_crypto`` on vs
-off.  Results land in ``BENCH_crypto_throughput.json``.
+effect: upload (split + encode + seal) and download (open +
+reconstruct) images/sec through the
+:class:`~repro.core.encryptor.P3Encryptor` split and the
+:class:`~repro.core.decryptor.P3Decryptor` reconstruction, with the
+envelope sealed and opened by ``seal_envelope``/``open_envelope``
+under ``fast=True`` vs ``fast=False``.  Results land in
+``BENCH_crypto_throughput.json``.
 
 The scalar engine is only timed up to ``--reference-max-bytes``
 (default 1 MiB ≈ a few seconds; 8 MiB would take the better part of a
@@ -103,7 +106,9 @@ def bench_ctr(
 
 
 def bench_end_to_end(count: int, size: int, quality: int) -> tuple[dict, int]:
-    from repro.core import P3Config, P3Decryptor, P3Encryptor
+    from repro.core import P3Decryptor, P3Encryptor
+    from repro.core.serialization import deserialize_secret, serialize_secret
+    from repro.crypto.envelope import open_envelope, seal_envelope
     from repro.datasets import iter_corpus_jpegs
 
     key = _KEY[:16]
@@ -115,35 +120,53 @@ def bench_end_to_end(count: int, size: int, quality: int) -> tuple[dict, int]:
         "image_size": size,
         "quality": quality,
     }
+    encryptor = P3Encryptor(key)
+    decryptor = P3Decryptor(key)
+
+    def upload(jpeg: bytes, fast: bool) -> tuple[bytes, bytes]:
+        # P3Encryptor.encrypt_jpeg, with the AES engine chosen at the
+        # envelope instead of the encryptor's default.
+        split = encryptor.split_jpeg(jpeg)
+        container = serialize_secret(split.secret, split.threshold)
+        return (
+            encryptor.public_jpeg_bytes(split),
+            seal_envelope(key, container, fast=fast),
+        )
+
+    def download(public_jpeg: bytes, envelope: bytes, fast: bool):
+        secret_part = deserialize_secret(
+            open_envelope(key, envelope, fast=fast)
+        )
+        return decryptor.reconstruct(public_jpeg, secret_part)
+
+    # One untimed round trip, so one-time costs (codec kernel load,
+    # lazy imports) land in neither engine's timing.
+    download(*upload(corpus[0], True), True)
     mismatches = 0
     photos = {}
-    for fast_crypto in (True, False):
-        label = "fast" if fast_crypto else "scalar"
-        config = P3Config(fast_crypto=fast_crypto)
-        encryptor = P3Encryptor(key, config)
+    for fast in (True, False):
+        label = "fast" if fast else "scalar"
         start = time.perf_counter()
-        photos[label] = [encryptor.encrypt_jpeg(jpeg) for jpeg in corpus]
+        photos[label] = [upload(jpeg, fast) for jpeg in corpus]
         elapsed = time.perf_counter() - start
         result[f"upload_{label}_img_per_s"] = len(corpus) / elapsed
-        decryptor = P3Decryptor(key, fast_crypto=fast_crypto)
         start = time.perf_counter()
         pixel_sets = [
-            decryptor.decrypt(photo.public_jpeg, photo.secret_envelope)
-            for photo in photos[label]
+            download(public_jpeg, envelope, fast)
+            for public_jpeg, envelope in photos[label]
         ]
         elapsed = time.perf_counter() - start
         result[f"download_{label}_img_per_s"] = len(corpus) / elapsed
-        if fast_crypto:
+        if fast:
             reference_pixels = pixel_sets
         else:
             # Cross-engine reconstruction must be pixel-identical: open
             # the scalar-sealed envelopes with the fast engine and
             # compare against the fast run's output.
-            cross = P3Decryptor(key, fast_crypto=True)
-            for photo, expected in zip(photos[label], reference_pixels):
-                pixels = cross.decrypt(
-                    photo.public_jpeg, photo.secret_envelope
-                )
+            for (public_jpeg, envelope), expected in zip(
+                photos[label], reference_pixels
+            ):
+                pixels = download(public_jpeg, envelope, True)
                 if not np.array_equal(pixels, expected):
                     mismatches += 1
     result["upload_speedup"] = (
@@ -210,7 +233,8 @@ def main() -> None:
         "description": (
             "AES-CTR throughput, vectorized batch engine vs scalar "
             "FIPS-197 reference, plus end-to-end P3 upload/download "
-            "images/sec with fast_crypto on vs off"
+            "images/sec with the envelope sealed and opened under "
+            "fast=True vs fast=False"
         ),
         "ctr": ctr_entries,
         "end_to_end": end_to_end,

@@ -24,8 +24,7 @@ import numpy as np
 from repro.core.config import P3Config
 from repro.core.decryptor import P3Decryptor
 from repro.core.encryptor import EncryptedPhoto, P3Encryptor
-from repro.jpeg.codec import decode_coefficients
-from repro.jpeg.decoder import coefficients_to_pixels
+from repro.core.serialization import SecretPart
 from repro.serve.reconstruct import reconstruct_served
 from repro.system.reverse import TransformEstimate
 
@@ -77,9 +76,6 @@ class DecryptTask:
     resolution: int | None = None
     crop_box: tuple[int, int, int, int] | None = None
     transform_estimate: "TransformEstimate | None" = None
-    fast: bool = True
-    fast_crypto: bool = True
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.secret_envelope is not None and self.key is None:
@@ -88,24 +84,13 @@ class DecryptTask:
 
 def run_decrypt_task(task: DecryptTask) -> np.ndarray:  # taint: sanitizer
     """Reconstruct one served photo (safe to run in any process)."""
-    if task.secret_envelope is None:
-        return coefficients_to_pixels(
-            decode_coefficients(
-                task.public_jpeg, fast=task.fast, engine=task.engine
-            )
-        )
-    secret_part = P3Decryptor(
-        task.key,
-        fast=task.fast,
-        fast_crypto=task.fast_crypto,
-        engine=task.engine,
-    ).open_secret(task.secret_envelope)
+    secret_part: SecretPart | None = None
+    if task.secret_envelope is not None:
+        secret_part = P3Decryptor(task.key).open_secret(task.secret_envelope)
     return reconstruct_served(
         task.public_jpeg,
         secret_part,
         resolution=task.resolution,
         crop_box=task.crop_box,
         transform_estimate=task.transform_estimate,
-        fast=task.fast,
-        engine=task.engine,
     )

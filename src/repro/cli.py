@@ -16,16 +16,12 @@ Inputs may be JPEG (decoded by the built-in codec) or netpbm (P5/P6).
 Reconstructed outputs are written as netpbm, which anything can read.
 The batch commands fan the per-photo work out over the
 :mod:`repro.api` executors (``--executor process`` by default) and
-keep going past per-file failures.  ``--codec-engine`` picks the
-entropy engine — ``native`` (the cffi-compiled C kernel, the default),
-``numpy`` (the vectorized engine) or ``scalar`` (the T.81 reference) —
-all byte-identical, so diffing any two isolates codec bugs; the
-``engines`` subcommand reports which kernel actually loaded.
-``--scalar-codec`` is a deprecated alias for ``--codec-engine scalar``.
-``--scalar-crypto`` is the matching switch for the AES engine that
-seals/opens the secret part, and ``--verbose`` on encrypt/decrypt
-prints per-stage wall-clock times (codec vs crypto vs split) so you
-can see where a photo's time actually goes.
+keep going past per-file failures.  Every command runs the best
+available entropy engine (the cffi-compiled C kernel, else numpy;
+``REPRO_NATIVE=0`` forces numpy) and the ``engines`` subcommand
+reports which kernel actually loaded.  ``--verbose`` on
+encrypt/decrypt prints per-stage wall-clock times (codec vs crypto vs
+split) so you can see where a photo's time actually goes.
 """
 
 from __future__ import annotations
@@ -72,45 +68,20 @@ def _load_pixels(path: pathlib.Path):
         )
 
 
-def _load_jpeg(
-    path: pathlib.Path, quality: int, engine: str | None = None
-) -> bytes:
+def _load_jpeg(path: pathlib.Path, quality: int) -> bytes:
     """Read a file as JPEG bytes, transcoding netpbm inputs."""
     data = path.read_bytes()
     if data[:2] == b"\xff\xd8":
         return data
     pixels = _load_pixels(path)
     if pixels.ndim == 2:
-        return encode_gray(pixels.astype(float), quality=quality, engine=engine)
-    return encode_rgb(pixels, quality=quality, engine=engine)
-
-
-def _codec_engine_from(args) -> str:
-    """The entropy engine the command should use.
-
-    ``--scalar-codec`` is the pre-engine spelling of
-    ``--codec-engine scalar``; it keeps working (differential-debugging
-    scripts depend on it) but warns, and loses to an explicit
-    ``--codec-engine`` only when both name the same thing anyway.
-    """
-    if getattr(args, "scalar_codec", False):
-        print(
-            "warning: --scalar-codec is deprecated; "
-            "use --codec-engine scalar",
-            file=sys.stderr,
-        )
-        return "scalar"
-    return args.codec_engine
+        return encode_gray(pixels.astype(float), quality=quality)
+    return encode_rgb(pixels, quality=quality)
 
 
 def _config_from(args) -> P3Config:
     """Build the P3Config shared by the single and batch commands."""
-    return P3Config(
-        threshold=args.threshold,
-        quality=args.quality,
-        codec_engine=_codec_engine_from(args),
-        fast_crypto=not args.scalar_crypto,
-    )
+    return P3Config(threshold=args.threshold, quality=args.quality)
 
 
 class _StageClock:
@@ -144,11 +115,7 @@ def _cmd_genkey(args) -> int:
 def _cmd_encrypt(args) -> int:
     key = pathlib.Path(args.key).read_bytes()
     config = _config_from(args)
-    jpeg = _load_jpeg(
-        pathlib.Path(args.input),
-        args.quality,
-        engine=config.effective_codec_engine,
-    )
+    jpeg = _load_jpeg(pathlib.Path(args.input), args.quality)
     encryptor = P3Encryptor(key, config)
     clock = _StageClock()
     split = encryptor.split_jpeg(jpeg)
@@ -176,13 +143,7 @@ def _cmd_decrypt(args) -> int:
     key = pathlib.Path(args.key).read_bytes()
     public = pathlib.Path(args.public).read_bytes()
     secret = pathlib.Path(args.secret).read_bytes()
-    engine = _codec_engine_from(args)
-    decryptor = P3Decryptor(
-        key,
-        fast=engine != "scalar",
-        fast_crypto=not args.scalar_crypto,
-        engine=engine,
-    )
+    decryptor = P3Decryptor(key)
     clock = _StageClock()
     secret_part = decryptor.open_secret(secret)
     clock.lap("open secret (crypto)")
@@ -313,17 +274,12 @@ def _cmd_batch_decrypt(args) -> int:
     output_dir = pathlib.Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
-    engine = _codec_engine_from(args)
-
     def build_task(path: pathlib.Path) -> DecryptTask:
         secret_path = path.with_name(f"{_batch_stem(path)}{SECRET_SUFFIX}")
         return DecryptTask(
             key=key,
             public_jpeg=path.read_bytes(),
             secret_envelope=secret_path.read_bytes(),
-            fast=engine != "scalar",
-            fast_crypto=not args.scalar_crypto,
-            engine=engine,
         )
 
     def write_result(stem, pixels, report) -> str:
@@ -374,13 +330,7 @@ def _cmd_publish(args) -> int:
     loadable = []
     for path in paths:
         try:
-            corpus.append(
-                _load_jpeg(
-                    path,
-                    args.quality,
-                    engine=config.effective_codec_engine,
-                )
-            )
+            corpus.append(_load_jpeg(path, args.quality))
         except (OSError, SystemExit) as error:
             print(f"FAILED {path}: {error}", file=sys.stderr)
             continue
@@ -469,7 +419,6 @@ def _cmd_serve_bench(args) -> int:
 
     config = P3Config(
         quality=args.quality,
-        codec_engine=args.codec_engine,
         variant_cache=args.variant_cache,
         variant_ttl_s=args.variant_ttl,
         serve_executor=args.serve_executor,
@@ -782,34 +731,6 @@ def _add_codec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quality", type=int, default=_DEFAULTS.quality)
 
 
-def _add_codec_engine_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--codec-engine",
-        choices=("scalar", "numpy", "native"),
-        default=_DEFAULTS.codec_engine,
-        help="entropy codec engine: 'native' (C kernel, default; falls "
-        "back to numpy if no compiler), 'numpy' (vectorized), or "
-        "'scalar' (T.81 reference, ~50x slower; for differential "
-        "debugging) — all byte-identical",
-    )
-
-
-def _add_scalar_codec_flag(parser: argparse.ArgumentParser) -> None:
-    _add_codec_engine_option(parser)
-    parser.add_argument(
-        "--scalar-codec",
-        action="store_true",
-        help="deprecated alias for --codec-engine scalar",
-    )
-    parser.add_argument(
-        "--scalar-crypto",
-        action="store_true",
-        help="use the scalar reference AES engine for the secret "
-        "envelope (byte-identical output, much slower; for "
-        "differential debugging)",
-    )
-
-
 def _add_verbose_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verbose",
@@ -856,7 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     encrypt.add_argument("--public", required=True, help="public JPEG out")
     encrypt.add_argument("--secret", required=True, help="secret envelope out")
     _add_codec_options(encrypt)
-    _add_scalar_codec_flag(encrypt)
     _add_verbose_flag(encrypt)
     encrypt.set_defaults(handler=_cmd_encrypt)
 
@@ -867,7 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
     decrypt.add_argument("secret", help="secret envelope")
     decrypt.add_argument("--key", required=True)
     decrypt.add_argument("--output", required=True, help="netpbm out")
-    _add_scalar_codec_flag(decrypt)
     _add_verbose_flag(decrypt)
     decrypt.set_defaults(handler=_cmd_decrypt)
 
@@ -883,7 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"writes <stem>{PUBLIC_SUFFIX} + <stem>{SECRET_SUFFIX} here",
     )
     _add_codec_options(batch_encrypt)
-    _add_scalar_codec_flag(batch_encrypt)
     _add_executor_options(batch_encrypt)
     batch_encrypt.set_defaults(handler=_cmd_batch_encrypt)
 
@@ -900,7 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_decrypt.add_argument(
         "--output-dir", required=True, help="netpbm outputs land here"
     )
-    _add_scalar_codec_flag(batch_decrypt)
     _add_executor_options(batch_decrypt)
     batch_decrypt.set_defaults(handler=_cmd_batch_decrypt)
 
@@ -937,7 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: serial)",
     )
     _add_codec_options(publish)
-    _add_scalar_codec_flag(publish)
     _add_executor_options(publish)
     _add_verbose_flag(publish)
     publish.set_defaults(handler=_cmd_publish)
@@ -986,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="where cold reconstructions run: inline ('serial') or on "
         "a persistent worker pool shared by concurrent requests",
     )
-    _add_codec_engine_option(serve_bench)
     serve_bench.add_argument(
         "--serve-workers",
         type=int,

@@ -29,24 +29,11 @@ class P3Config:
     reports that splitting *decreases* entropy in both parts, "resulting
     in better compressibility").
 
-    ``fast_codec`` selects the vectorized entropy-coding engine for the
-    proxies' encode/decode hot path; the scalar reference engine
-    (``False``) produces byte-identical output ~50x slower and exists
-    for differential testing.
-
-    ``codec_engine`` picks the concrete fast engine when ``fast_codec``
-    is on: ``"native"`` (the default — the cffi-compiled C kernel,
-    falling back automatically to numpy when no compiler is available
-    or ``REPRO_NATIVE=0`` is set), ``"numpy"`` (the vectorized engine),
-    or ``"scalar"`` (force the reference engine even with
-    ``fast_codec=True``).  All engines produce byte-identical streams;
-    :attr:`effective_codec_engine` is what the proxies actually pass to
-    the codec.
-
-    ``fast_crypto`` is the same switch for the AES engine that seals
-    and opens the secret part: the vectorized batch engine
-    (:mod:`repro.crypto.fastaes`) versus the scalar FIPS-197 reference,
-    byte-identical output either way.
+    Engines are not configuration: the codec always runs the best
+    available entropy engine (see :mod:`repro.jpeg`) and the envelope
+    the vectorized AES engine.  The scalar references behind both stay
+    as test oracles (``engine="scalar"`` on the codec, ``fast=False``
+    on :mod:`repro.crypto.modes`).
 
     ``executor`` / ``workers`` choose the default execution strategy for
     the batch pipeline (:meth:`repro.api.session.P3Session.batch_upload`
@@ -119,9 +106,6 @@ class P3Config:
     quality: int = 85
     subsampling: str = "4:4:4"
     optimize_huffman: bool = True
-    fast_codec: bool = True
-    codec_engine: str = "native"
-    fast_crypto: bool = True
     executor: str = "serial"
     workers: int = 0
     psps: tuple[str, ...] = ()
@@ -155,11 +139,6 @@ class P3Config:
         if self.subsampling not in ("4:4:4", "4:2:2", "4:2:0"):
             raise ValueError(
                 f"unknown subsampling mode {self.subsampling!r}"
-            )
-        if self.codec_engine not in ("scalar", "numpy", "native"):
-            raise ValueError(
-                f"unknown codec_engine {self.codec_engine!r}; expected "
-                "'scalar', 'numpy' or 'native'"
             )
         if self.executor not in ("serial", "thread", "process", "async"):
             raise ValueError(
@@ -256,14 +235,3 @@ class P3Config:
     def in_recommended_range(self) -> bool:
         low, high = RECOMMENDED_THRESHOLD_RANGE
         return low <= self.threshold <= high
-
-    @property
-    def effective_codec_engine(self) -> str:
-        """The engine name the proxies pass to the codec.
-
-        ``fast_codec=False`` forces the scalar reference regardless of
-        ``codec_engine`` (backward-compatible semantics of the old
-        two-engine switch); availability fallback (native -> numpy)
-        happens inside :func:`repro.jpeg.engines.resolve_engine`.
-        """
-        return self.codec_engine if self.fast_codec else "scalar"

@@ -1,6 +1,8 @@
 """Recipient-side P3 operation: decrypt, recombine, render.
 
-Handles both cases of paper Section 3.3:
+Handles both cases of paper Section 3.3 through
+:func:`repro.serve.reconstruct.reconstruct_served`, the one
+reconstruction path every download takes:
 
 * the PSP stored the public part unchanged -> exact coefficient-domain
   recombination (Eq. 1);
@@ -12,52 +14,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.linear import (
-    planes_to_image,
-    reconstruct_transformed_planes,
-)
-from repro.core.reconstruction import recombine
 from repro.core.serialization import SecretPart, deserialize_secret
 from repro.crypto.envelope import open_envelope
-from repro.jpeg.codec import decode_coefficients
-from repro.jpeg.decoder import coefficients_to_pixels, coefficients_to_planes
-from repro.jpeg.structures import CoefficientImage
 from repro.transforms.operators import LinearOperator
-from repro.transforms.resize import Resize
 
 
 class P3Decryptor:
-    """Applies P3 recipient-side decryption with a shared album key.
+    """Applies P3 recipient-side decryption with a shared album key."""
 
-    ``fast`` selects the vectorized entropy decoder for the served
-    public part (the recipient-side hot path); the scalar reference
-    engine decodes identically, ~50x slower.  ``engine`` picks the
-    concrete codec engine (``"scalar"``/``"numpy"``/``"native"``;
-    ``None`` = best available, honoring ``fast``).  ``fast_crypto`` is
-    the matching switch for the AES engine that opens the secret
-    envelope.
-    """
-
-    def __init__(
-        self,
-        key: bytes,
-        fast: bool = True,
-        fast_crypto: bool = True,
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, key: bytes) -> None:
         self._key = key
-        self.fast = fast
-        self.fast_crypto = fast_crypto
-        self.engine = engine
 
     def open_secret(  # taint: source(secret)
         self, secret_envelope: bytes
     ) -> SecretPart:
         """Authenticate, decrypt and parse the secret container."""
-        container = open_envelope(
-            self._key, secret_envelope, fast=self.fast_crypto
-        )
-        return deserialize_secret(container)
+        return deserialize_secret(open_envelope(self._key, secret_envelope))
 
     def decrypt(
         self,
@@ -87,37 +59,9 @@ class P3Decryptor:
         """The codec half of :meth:`decrypt`: decode + recombine an
         already-opened secret part (lets callers time or cache the
         crypto stage separately)."""
-        public = decode_coefficients(
-            public_jpeg, fast=self.fast, engine=self.engine
-        )
-        if public.same_geometry(secret_part.image) and public.same_quantization(
-            secret_part.image
-        ):
-            combined = recombine(
-                public, secret_part.image, secret_part.threshold
-            )
-            return coefficients_to_pixels(combined)
-        return self._decrypt_transformed(public, secret_part, operator)
+        # Imported here: repro.serve builds on this module (its engine
+        # opens envelopes with P3Decryptor), so a top-level import
+        # would close the cycle.
+        from repro.serve.reconstruct import reconstruct_served
 
-    def _decrypt_transformed(
-        self,
-        public: CoefficientImage,
-        secret_part: SecretPart,
-        operator: LinearOperator | None,
-    ) -> np.ndarray:
-        if public.num_components != secret_part.image.num_components:
-            raise ValueError(
-                "served public part and secret part disagree on color "
-                f"layout ({public.num_components} vs "
-                f"{secret_part.image.num_components} components)"
-            )
-        if operator is None:
-            operator = Resize(public.height, public.width, kernel="bilinear")
-        public_planes = coefficients_to_planes(public, level_shift=True)
-        reconstructed = reconstruct_transformed_planes(
-            public_planes,
-            secret_part.image,
-            secret_part.threshold,
-            operator,
-        )
-        return planes_to_image(reconstructed)
+        return reconstruct_served(public_jpeg, secret_part, operator=operator)

@@ -68,11 +68,7 @@ class P3Encryptor:
 
     def split_jpeg(self, jpeg_bytes: bytes) -> SplitResult:
         """Split an existing JPEG file losslessly (transcode path)."""
-        coefficients = decode_coefficients(
-            jpeg_bytes,
-            fast=self.config.fast_codec,
-            engine=self.config.effective_codec_engine,
-        )
+        coefficients = decode_coefficients(jpeg_bytes)
         return split_image(coefficients, self.config.threshold)
 
     # -- full sender-side operation --
@@ -91,8 +87,6 @@ class P3Encryptor:
             split.public,
             progressive=False,
             optimize_huffman=self.config.optimize_huffman,
-            fast=self.config.fast_codec,
-            engine=self.config.effective_codec_engine,
         )
 
     def _pixels_to_coefficients(
@@ -113,9 +107,7 @@ class P3Encryptor:
     def seal_secret(self, split: SplitResult) -> bytes:  # taint: sanitizer
         """Serialize the secret half and seal it in the AES envelope."""
         container = serialize_secret(split.secret, split.threshold)
-        return seal_envelope(
-            self._key, container, fast=self.config.fast_crypto
-        )
+        return seal_envelope(self._key, container)
 
     def _finish(self, split: SplitResult) -> EncryptedPhoto:
         return EncryptedPhoto(

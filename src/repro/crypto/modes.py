@@ -9,9 +9,10 @@ Every mode takes ``fast=True``: the vectorized engine from
 instead of one block per Python call.  ``fast=False`` runs the scalar
 FIPS-197 reference — byte-identical output, ~2 orders of magnitude
 slower — so the two can be diffed to isolate crypto bugs, exactly like
-the codec's ``fast`` switch.  CBC *encryption* is inherently serial
-(each block's input XORs the previous ciphertext block) and always
-runs the scalar engine.
+the codec's ``engine="scalar"`` oracle.  ``fast`` is AES's only engine
+selector; outside tests and benchmarks nothing passes ``False``.  CBC
+*encryption* is inherently serial (each block's input XORs the
+previous ciphertext block) and always runs the scalar engine.
 
 Counter semantics
 -----------------

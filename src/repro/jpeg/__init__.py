@@ -33,13 +33,14 @@ serving as the differential oracle for the next:
 
 All three produce byte-identical encodes and coefficient-identical
 decodes.  Selection: every codec entry point takes
-``engine={"scalar","numpy","native"}`` (``None`` = best available fast
-engine, honoring the legacy ``fast`` flag).  The native kernel needs a
-C compiler (``cc``/``gcc``) and ``cffi`` at first use; the compiled
-artifact is cached under ``build/`` keyed by a source digest.  When the
-kernel cannot compile or load — or ``REPRO_NATIVE=0`` is set — engine
-resolution silently degrades ``native`` to ``numpy``; import never
-fails.  :func:`engine_info` reports which engine actually loaded (and
+``engine={"scalar","numpy","native"}``, its only engine selector.
+``None`` (the default, and what every library caller uses) means the
+best available engine; ``"scalar"`` is the test oracle.  The native
+kernel needs a C compiler (``cc``/``gcc``) and ``cffi`` at first use;
+the compiled artifact is cached under ``build/`` keyed by a source
+digest.  When the kernel cannot compile or load — or
+``REPRO_NATIVE=0`` is set — engine resolution silently degrades
+``native`` to ``numpy``; import never fails.  :func:`engine_info` reports which engine actually loaded (and
 the build error, if any) for deployment verification.
 """
 

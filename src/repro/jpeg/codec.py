@@ -107,7 +107,6 @@ def encode_rgb(
     subsampling: str = "4:4:4",
     progressive: bool = False,
     optimize_huffman: bool = True,
-    fast: bool = True,
     engine: str | None = None,
 ) -> bytes:
     """Encode an ``(h, w, 3)`` uint8 RGB image to JPEG bytes."""
@@ -116,7 +115,6 @@ def encode_rgb(
         image,
         progressive=progressive,
         optimize_huffman=optimize_huffman,
-        fast=fast,
         engine=engine,
     )
 
@@ -126,7 +124,6 @@ def encode_gray(
     quality: int = 85,
     progressive: bool = False,
     optimize_huffman: bool = True,
-    fast: bool = True,
     engine: str | None = None,
 ) -> bytes:
     """Encode an ``(h, w)`` grayscale image to JPEG bytes."""
@@ -135,7 +132,6 @@ def encode_gray(
         image,
         progressive=progressive,
         optimize_huffman=optimize_huffman,
-        fast=fast,
         engine=engine,
     )
 
@@ -145,7 +141,6 @@ def encode_coefficients(
     progressive: bool | str | None = None,
     optimize_huffman: bool = True,
     restart_interval: int = 0,
-    fast: bool = True,
     engine: str | None = None,
 ) -> bytes:
     """Entropy-encode a coefficient image (lossless transcoding step).
@@ -155,35 +150,32 @@ def encode_coefficients(
     selection) or ``"sa"`` (progressive with successive approximation,
     the full libjpeg-style script).  ``restart_interval`` applies to
     baseline output only.  ``engine`` picks the entropy engine
-    (``"scalar"`` / ``"numpy"`` / ``"native"``); with ``None`` the
-    legacy ``fast`` flag chooses between the best available fast engine
-    (default) and the scalar reference — output is byte-identical
-    either way.
+    (``"scalar"`` / ``"numpy"`` / ``"native"``; ``None`` = the best
+    available) — output is byte-identical either way.
     """
     if progressive is None:
         progressive = image.progressive
     if progressive == "sa":
-        return encode_progressive_sa(image, fast=fast, engine=engine)
+        return encode_progressive_sa(image, engine=engine)
     if progressive:
-        return encode_progressive(image, fast=fast, engine=engine)
+        return encode_progressive(image, engine=engine)
     return encode_baseline(
         image,
         optimize_huffman=optimize_huffman,
         restart_interval=restart_interval,
-        fast=fast,
         engine=engine,
     )
 
 
 def decode_coefficients(
-    data: bytes, fast: bool = True, engine: str | None = None
+    data: bytes, engine: str | None = None
 ) -> CoefficientImage:
     """Decode JPEG bytes to quantized DCT coefficients (no pixel work)."""
-    return decode_to_coefficients(data, fast=fast, engine=engine)
+    return decode_to_coefficients(data, engine=engine)
 
 
 def decode(
-    data: bytes, fast: bool = True, engine: str | None = None
+    data: bytes, engine: str | None = None
 ) -> np.ndarray:
     """Decode JPEG bytes to pixels.
 
@@ -191,19 +183,19 @@ def decode(
     float64 luma for grayscale files.
     """
     return coefficients_to_pixels(
-        decode_to_coefficients(data, fast=fast, engine=engine)
+        decode_to_coefficients(data, engine=engine)
     )
 
 
 def decode_gray(
-    data: bytes, fast: bool = True, engine: str | None = None
+    data: bytes, engine: str | None = None
 ) -> np.ndarray:
     """Decode JPEG bytes and return the luma plane as float64.
 
     Color images are converted by decoding fully and re-deriving luma;
     grayscale images decode directly.
     """
-    image = decode_to_coefficients(data, fast=fast, engine=engine)
+    image = decode_to_coefficients(data, engine=engine)
     pixels = coefficients_to_pixels(image)
     if pixels.ndim == 2:
         return pixels

@@ -996,21 +996,19 @@ def _decode_progressive_ac_scan_native(
 
 
 def decode_to_coefficients(
-    data: bytes, fast: bool = True, engine: str | None = None
+    data: bytes, engine: str | None = None
 ) -> CoefficientImage:
     """Decode a JPEG byte stream to quantized coefficients.
 
     This is the ``jpegio``-style entry point used by the P3 splitter and
     reconstructor: no dequantization or IDCT is performed.  ``engine``
-    picks the entropy engine explicitly (``"scalar"`` / ``"numpy"`` /
-    ``"native"``); when ``None`` the legacy ``fast`` flag chooses
-    between the best available fast engine (default) and the scalar
-    T.81 reference implementation.  All engines produce bit-identical
-    results.
+    picks the entropy engine (``"scalar"`` — the T.81 reference —
+    ``"numpy"`` or ``"native"``; ``None`` = the best available).  All
+    engines produce bit-identical results.
     """
     from repro.jpeg.engines import resolve_engine
 
-    engine = resolve_engine(engine, fast)
+    engine = resolve_engine(engine)
     state = _DecoderState()
     segments = markers.parse_segments(data)
     for segment in segments:

@@ -672,21 +672,19 @@ def encode_baseline(
     image: CoefficientImage,
     optimize_huffman: bool = True,
     restart_interval: int = 0,
-    fast: bool = True,
     engine: str | None = None,
 ) -> bytes:
     """Encode a coefficient image as a baseline sequential JPEG.
 
     ``restart_interval`` > 0 emits a DRI segment and RSTn markers every
     that many MCUs (resilience against corrupt scans, at a small size
-    cost).  ``engine`` selects the entropy engine explicitly; when
-    ``None`` the legacy ``fast`` flag chooses between the best
-    available fast engine (default) and the scalar reference encoder —
-    all engines produce byte-identical streams.
+    cost).  ``engine`` selects the entropy engine (``None`` = the best
+    available, ``"scalar"`` = the reference encoder) — all engines
+    produce byte-identical streams.
     """
     from repro.jpeg.engines import resolve_engine
 
-    engine = resolve_engine(engine, fast)
+    engine = resolve_engine(engine)
     if restart_interval < 0 or restart_interval > 0xFFFF:
         raise ValueError(f"invalid restart interval {restart_interval}")
     quant_tables, quant_ids = _assign_quant_tables(image)
@@ -770,20 +768,19 @@ def encode_baseline(
 def encode_progressive_sa(
     image: CoefficientImage,
     script=None,
-    fast: bool = True,
     engine: str | None = None,
 ) -> bytes:
     """Progressive encoding with successive approximation (T.81 G.1.2).
 
     ``script`` is a list of :class:`repro.jpeg.scans.ScanSpec`; the
     default is the libjpeg-style two-level script of
-    :func:`repro.jpeg.scans.default_sa_script`.  ``engine``/``fast``
-    select the entropy engine as in :func:`encode_baseline`.
+    :func:`repro.jpeg.scans.default_sa_script`.  ``engine`` selects
+    the entropy engine as in :func:`encode_baseline`.
     """
     from repro.jpeg.engines import resolve_engine
     from repro.jpeg.scans import default_sa_script, run_scan
 
-    engine = resolve_engine(engine, fast)
+    engine = resolve_engine(engine)
     if script is None:
         script = default_sa_script(len(image.components))
     quant_tables, quant_ids = _assign_quant_tables(image)
@@ -822,7 +819,6 @@ def encode_progressive_sa(
             padded_blocks,
             samplings,
             mcus,
-            fast=engine != "scalar",
             engine=engine,
         )
         if table is not None:
@@ -849,20 +845,18 @@ def encode_progressive_sa(
 def encode_progressive(
     image: CoefficientImage,
     bands: tuple[tuple[int, int], ...] = DEFAULT_PROGRESSIVE_BANDS,
-    fast: bool = True,
     engine: str | None = None,
 ) -> bytes:
     """Encode as a progressive JPEG: one DC scan, then AC band scans.
 
     AC scans are emitted per band, per component (progressive AC scans
     are never interleaved).  Huffman tables are optimized per scan group,
-    matching libjpeg behaviour for progressive files.  ``engine``/
-    ``fast`` select the entropy engine (byte-identical streams either
-    way).
+    matching libjpeg behaviour for progressive files.  ``engine``
+    selects the entropy engine (byte-identical streams either way).
     """
     from repro.jpeg.engines import resolve_engine
 
-    engine = resolve_engine(engine, fast)
+    engine = resolve_engine(engine)
     for start, end in bands:
         if not 1 <= start <= end <= 63:
             raise ValueError(f"invalid spectral band ({start}, {end})")

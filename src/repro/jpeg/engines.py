@@ -27,16 +27,16 @@ def default_engine() -> str:
     return "native" if native_available() else "numpy"
 
 
-def resolve_engine(engine: str | None = None, fast: bool = True) -> str:
+def resolve_engine(engine: str | None = None) -> str:
     """Resolve a user-facing engine request to a concrete engine.
 
-    ``None`` means "pick for me": the best fast engine when ``fast``,
-    the scalar oracle otherwise.  An explicit ``native`` request
-    degrades to ``numpy`` when the kernel is unavailable — results are
-    identical, only throughput differs.
+    ``None`` means "pick for me": the best fast engine.  ``"scalar"``
+    is the T.81 oracle.  An explicit ``native`` request degrades to
+    ``numpy`` when the kernel is unavailable — results are identical,
+    only throughput differs.
     """
     if engine is None:
-        return default_engine() if fast else "scalar"
+        return default_engine()
     if engine not in ENGINES:
         raise ValueError(
             f"unknown codec engine {engine!r}; expected one of {ENGINES}"

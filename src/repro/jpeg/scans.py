@@ -308,18 +308,19 @@ def run_scan(
     padded_blocks: list[np.ndarray],
     samplings: list[tuple[int, int]],
     mcus: tuple[int, int],
-    fast: bool = True,
     engine: str | None = None,
 ):
     """Encode one scan; returns (huffman_table | None, entropy_bytes).
 
     ``blocks_per_component`` are the true (unpadded) zigzag arrays used
     for AC scans; ``padded_blocks`` the MCU-padded ones for DC scans.
-    DC refinement scans carry no Huffman table (raw bits only).  With
-    ``fast`` every scan type — DC/AC first passes, DC refinement and
-    AC refinement — runs on the batch engine, byte-identical to the
-    scalar encoders below (which remain the differential reference).
+    DC refinement scans carry no Huffman table (raw bits only).  Unless
+    ``engine`` is ``"scalar"`` every scan type — DC/AC first passes, DC
+    refinement and AC refinement — runs on the batch engine,
+    byte-identical to the scalar encoders below (which remain the
+    differential reference).
     """
+    fast = engine != "scalar"
     if spec.is_dc and spec.is_refinement:
         if fast:
             return None, _run_dc_refinement_fast(

@@ -62,12 +62,11 @@ from repro.serve.keys import key_digest, secret_blob_key
 from repro.serve.reconstruct import reconstruct_served
 from repro.serve.singleflight import SingleFlight
 from repro.serve.trace import percentile as nearest_rank_percentile
-from repro.jpeg.codec import decode_coefficients
-from repro.jpeg.decoder import coefficients_to_pixels
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only: importing the
     # system package here would close an import cycle back onto the
     # proxy module, which builds on this engine.
+    from repro.api.pipeline import DecryptTask
     from repro.system.reverse import TransformEstimate
 
 #: Default bound on the secret-part cache (tier 2).
@@ -253,9 +252,6 @@ class ServingEngine:
         storage: BlobStore,
         *,
         transform_estimate: TransformEstimate | None = None,
-        fast: bool = True,
-        fast_crypto: bool = True,
-        codec_engine: str | None = None,
         secret_cache_limit: int | None = DEFAULT_SECRET_CACHE_LIMIT,
         variant_cache_limit: int | None = DEFAULT_VARIANT_CACHE_LIMIT,
         variant_ttl_s: float | None = DEFAULT_VARIANT_TTL_S,
@@ -269,9 +265,6 @@ class ServingEngine:
         self.psp = psp
         self.storage = storage
         self.transform_estimate = transform_estimate
-        self.fast = fast
-        self.fast_crypto = fast_crypto
-        self.codec_engine = codec_engine
         self.coalesce = coalesce
         self.timing_hook = timing_hook
         # The cold-reconstruction executor: None reconstructs inline on
@@ -343,9 +336,6 @@ class ServingEngine:
             psp,
             storage,
             transform_estimate=transform_estimate,
-            fast=config.fast_codec,
-            fast_crypto=config.fast_crypto,
-            codec_engine=config.effective_codec_engine,
             secret_cache_limit=secret_cache_limit,
             variant_cache_limit=config.variant_cache,
             variant_ttl_s=config.variant_ttl_s,
@@ -509,30 +499,13 @@ class ServingEngine:
         applies.  A caller that already ran :meth:`check_access` for
         this request passes ``preauthorized=True``.
         """
-        from repro.api.pipeline import DecryptTask
-
         if not preauthorized:
             self._check_access(request)
         public_jpeg = self._fetch_public(request)
-        if request.public_only:
-            return DecryptTask(
-                key=None,
-                public_jpeg=public_jpeg,
-                fast=self.fast,
-                engine=self.codec_engine,
-            )
-        envelope, _ = self._fetch_envelope(request)
-        return DecryptTask(
-            key=request.key,
-            public_jpeg=public_jpeg,
-            secret_envelope=envelope,
-            resolution=request.resolution,
-            crop_box=request.crop_box,
-            transform_estimate=self.transform_estimate,
-            fast=self.fast,
-            fast_crypto=self.fast_crypto,
-            engine=self.codec_engine,
-        )
+        envelope: bytes | None = None
+        if not request.public_only:
+            envelope, _ = self._fetch_envelope(request)
+        return self._decrypt_task(request, public_jpeg, envelope)
 
     # -- internals ------------------------------------------------------------
 
@@ -594,23 +567,17 @@ class ServingEngine:
         t0 = clock()
         public_jpeg = self._fetch_public(request)
         timing.fetch_public_s = clock() - t0
-        secret_hit = False
         if self.executor is not None:
             pixels, secret_hit = self._pooled_reconstruct(
                 request, public_jpeg, timing
             )
-        elif request.public_only:
-            t0 = clock()
-            pixels = coefficients_to_pixels(
-                decode_coefficients(
-                    public_jpeg, fast=self.fast, engine=self.codec_engine
-                )
-            )
-            timing.reconstruct_s = clock() - t0
         else:
-            t0 = clock()
-            secret_part, secret_hit = self._fetch_secret(request)
-            timing.fetch_secret_s = clock() - t0
+            secret_part: SecretPart | None = None
+            secret_hit = False
+            if not request.public_only:
+                t0 = clock()
+                secret_part, secret_hit = self._fetch_secret(request)
+                timing.fetch_secret_s = clock() - t0
             t0 = clock()
             pixels = reconstruct_served(
                 public_jpeg,
@@ -618,8 +585,6 @@ class ServingEngine:
                 resolution=request.resolution,
                 crop_box=request.crop_box,
                 transform_estimate=self.transform_estimate,
-                fast=self.fast,
-                engine=self.codec_engine,
             )
             timing.reconstruct_s = clock() - t0
         pixels.setflags(write=False)
@@ -646,36 +611,36 @@ class ServingEngine:
         kilobytes, noise next to the entropy decode the pool exists to
         parallelize.
         """
-        from repro.api.pipeline import DecryptTask, run_decrypt_task
+        from repro.api.pipeline import run_decrypt_task
 
         clock = time.perf_counter
+        envelope: bytes | None = None
         secret_hit = False
-        if request.public_only:
-            task = DecryptTask(
-                key=None,
-                public_jpeg=public_jpeg,
-                fast=self.fast,
-                engine=self.codec_engine,
-            )
-        else:
+        if not request.public_only:
             t0 = clock()
             envelope, secret_hit = self._fetch_envelope(request)
             timing.fetch_secret_s = clock() - t0
-            task = DecryptTask(
-                key=request.key,
-                public_jpeg=public_jpeg,
-                secret_envelope=envelope,
-                resolution=request.resolution,
-                crop_box=request.crop_box,
-                transform_estimate=self.transform_estimate,
-                fast=self.fast,
-                fast_crypto=self.fast_crypto,
-                engine=self.codec_engine,
-            )
+        task = self._decrypt_task(request, public_jpeg, envelope)
         t0 = clock()
         pixels = self.executor.run_one(run_decrypt_task, task)
         timing.reconstruct_s = clock() - t0
         return pixels, secret_hit
+
+    def _decrypt_task(
+        self, request: ServeRequest, public_jpeg: bytes, envelope: bytes | None
+    ) -> DecryptTask:
+        """The one place a request becomes a picklable ``DecryptTask``
+        (``envelope=None`` for a key-less request)."""
+        from repro.api.pipeline import DecryptTask
+
+        return DecryptTask(
+            key=request.key,
+            public_jpeg=public_jpeg,
+            secret_envelope=envelope,
+            resolution=request.resolution,
+            crop_box=request.crop_box,
+            transform_estimate=self.transform_estimate,
+        )
 
     def _fetch_secret(
         self, request: ServeRequest
@@ -695,12 +660,7 @@ class ServingEngine:
 
         def fetch() -> SecretPart:
             envelope, _ = self._fetch_envelope(request)
-            secret_part = P3Decryptor(
-                request.key,
-                fast=self.fast,
-                fast_crypto=self.fast_crypto,
-                engine=self.codec_engine,
-            ).open_secret(envelope)
+            secret_part = P3Decryptor(request.key).open_secret(envelope)
             self.secret_cache.put(key, secret_part)
             return secret_part
 
@@ -739,16 +699,15 @@ class ServingEngine:
         breakdowns (tenant-key digest for the variant/secret tiers,
         album for the envelope tier), so a gateway's ``/stats`` shows
         exactly which tenant is hot and who is getting evicted.  The
-        ``codec`` key reports the configured entropy engine alongside
-        :func:`repro.jpeg.engine_info`, so deployments can verify which
-        kernel actually loaded (native vs numpy fallback, and the build
-        error text if compilation failed).
+        ``codec`` key is :func:`repro.jpeg.engine_info`, so deployments
+        can verify which kernel actually loaded (native vs numpy
+        fallback, and the build error text if compilation failed).
         """
         from repro.jpeg.engines import engine_info
 
         return {
             "serving": self.stats.snapshot(),
-            "codec": {"configured": self.codec_engine, **engine_info()},
+            "codec": engine_info(),
             "variant_cache": self.variant_cache.stats.snapshot(),
             "secret_cache": self.secret_cache.stats.snapshot(),
             "envelope_cache": self.envelope_cache.stats.snapshot(),

@@ -2,9 +2,11 @@
 
 This is the *single* reconstruction path in the codebase.  The
 recipient proxy, the session layer, the batch pipeline's
-:class:`~repro.api.pipeline.DecryptTask` and the serving engine all
-call :func:`reconstruct_served`, so every download — interposed,
-batched, or gateway-served — is byte-for-byte identical.
+:class:`~repro.api.pipeline.DecryptTask`, the serving engine and
+:class:`~repro.core.decryptor.P3Decryptor` all call
+:func:`reconstruct_served` — key-less previews included — so every
+download, interposed, batched, gateway-served or library-level, is
+byte-for-byte identical.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from repro.core.reconstruction import recombine
 from repro.core.serialization import SecretPart
 from repro.jpeg.codec import decode_coefficients
 from repro.jpeg.decoder import coefficients_to_pixels, coefficients_to_planes
-from repro.transforms.resize import Resize
+from repro.transforms.crop import Crop
+from repro.transforms.operators import Compose, LinearOperator
+from repro.transforms.resize import Resize, fit_within
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only: importing the
     # system package here would close an import cycle back onto the
@@ -40,10 +44,6 @@ def build_served_operator(
     URL, so the proxy is able to determine those parameters"
     (Section 4.1) — here they arrive as the request arguments.
     """
-    from repro.transforms.crop import Crop
-    from repro.transforms.operators import Compose
-    from repro.transforms.resize import fit_within
-
     if crop_box is None:
         resize_h, resize_w = public.height, public.width
     else:
@@ -66,31 +66,45 @@ def build_served_operator(
 
 def reconstruct_served(  # taint: sanitizer
     public_jpeg: bytes,
-    secret_part: SecretPart,
+    secret_part: SecretPart | None,
     *,
     resolution: int | None = None,
     crop_box: tuple[int, int, int, int] | None = None,
     transform_estimate: TransformEstimate | None = None,
-    fast: bool = True,
-    engine: str | None = None,
+    operator: LinearOperator | None = None,
 ) -> np.ndarray:
     """Reconstruct a photo from its served public part + secret part.
 
-    Exact coefficient-domain recombination (Eq. 1) when the PSP left
-    the public part untouched, the pixel-domain Eq. 2 path otherwise.
+    ``secret_part=None`` is the key-less viewer: the public part alone
+    is decoded.  Otherwise exact coefficient-domain recombination
+    (Eq. 1) when the PSP left the public part untouched, the
+    pixel-domain Eq. 2 path when it transformed it.  Eq. 2 applies
+    ``operator`` when the caller knows the PSP's transform, else the
+    one :func:`build_served_operator` derives from the request.
     """
-    public = decode_coefficients(public_jpeg, fast=fast, engine=engine)
-    untouched = public.same_geometry(
-        secret_part.image
-    ) and public.same_quantization(secret_part.image)
-    if untouched and crop_box is None:
-        combined = recombine(public, secret_part.image, secret_part.threshold)
+    public = decode_coefficients(public_jpeg)
+    if secret_part is None:
+        return coefficients_to_pixels(public)
+    secret = secret_part.image
+    if public.num_components != secret.num_components:
+        raise ValueError(
+            "served public part and secret part disagree on color "
+            f"layout ({public.num_components} vs "
+            f"{secret.num_components} components)"
+        )
+    if (
+        crop_box is None
+        and public.same_geometry(secret)
+        and public.same_quantization(secret)
+    ):
+        combined = recombine(public, secret, secret_part.threshold)
         return coefficients_to_pixels(combined)
-    operator = build_served_operator(
-        public, secret_part.image, resolution, crop_box, transform_estimate
-    )
+    if operator is None:
+        operator = build_served_operator(
+            public, secret, resolution, crop_box, transform_estimate
+        )
     public_planes = coefficients_to_planes(public, level_shift=True)
     planes = reconstruct_transformed_planes(
-        public_planes, secret_part.image, secret_part.threshold, operator
+        public_planes, secret, secret_part.threshold, operator
     )
     return planes_to_image(planes)

@@ -172,8 +172,6 @@ class RecipientProxy:
         psp: PSPBackend,
         storage: BlobStore,
         transform_estimate: TransformEstimate | None = None,
-        fast: bool = True,
-        fast_crypto: bool = True,
         cache_limit: int | None = DEFAULT_SECRET_CACHE_LIMIT,
         engine: ServingEngine | None = None,
     ) -> None:
@@ -189,8 +187,6 @@ class RecipientProxy:
                 psp,
                 storage,
                 transform_estimate=transform_estimate,
-                fast=fast,
-                fast_crypto=fast_crypto,
                 secret_cache_limit=cache_limit,
                 variant_cache_limit=0,
             )
@@ -208,8 +204,6 @@ class RecipientProxy:
         self.psp = engine.psp
         self.storage = engine.storage
         self.transform_estimate = engine.transform_estimate
-        self.fast = engine.fast  # vectorized entropy decode on the hot path
-        self.fast_crypto = engine.fast_crypto  # vectorized AES
 
     # -- cache surface (delegates to the engine's tier-2 cache) ---------------
 

@@ -241,13 +241,13 @@ class TestEncoderEquivalence:
                         image,
                         optimize_huffman=optimize,
                         restart_interval=interval,
-                        fast=True,
+                        engine=None,
                     )
                     scalar = encode_baseline(
                         image,
                         optimize_huffman=optimize,
                         restart_interval=interval,
-                        fast=False,
+                        engine="scalar",
                     )
                     assert fast == scalar
 
@@ -257,8 +257,8 @@ class TestEncoderEquivalence:
         for image in _coefficient_images(
             gray_image, rgb_image, odd_gray_image
         ):
-            assert encode_progressive(image, fast=True) == encode_progressive(
-                image, fast=False
+            assert encode_progressive(image, engine=None) == encode_progressive(
+                image, engine="scalar"
             )
 
     def test_progressive_sa_byte_identical(
@@ -267,8 +267,8 @@ class TestEncoderEquivalence:
         for image in _coefficient_images(
             gray_image, rgb_image, odd_gray_image
         ):
-            fast = encode_progressive_sa(image, fast=True)
-            scalar = encode_progressive_sa(image, fast=False)
+            fast = encode_progressive_sa(image, engine=None)
+            scalar = encode_progressive_sa(image, engine="scalar")
             assert fast == scalar
 
     def test_stuffed_ff_bytes_present(self):
@@ -277,7 +277,7 @@ class TestEncoderEquivalence:
         rng = np.random.default_rng(11)
         noisy = np.clip(rng.normal(128, 64, (48, 40)), 0, 255)
         image = gray_to_coefficients(noisy, quality=95)
-        data = encode_baseline(image, fast=True)
+        data = encode_baseline(image, engine=None)
         assert b"\xff\x00" in data
 
 
@@ -291,8 +291,8 @@ class TestDecoderEquivalence:
             for interval in (0, 3):
                 data = encode_baseline(image, restart_interval=interval)
                 _assert_same_coefficients(
-                    decode_to_coefficients(data, fast=True),
-                    decode_to_coefficients(data, fast=False),
+                    decode_to_coefficients(data, engine=None),
+                    decode_to_coefficients(data, engine="scalar"),
                 )
 
     def test_progressive_decodes_identical(
@@ -303,8 +303,8 @@ class TestDecoderEquivalence:
         ):
             data = encode_progressive(image)
             _assert_same_coefficients(
-                decode_to_coefficients(data, fast=True),
-                decode_to_coefficients(data, fast=False),
+                decode_to_coefficients(data, engine=None),
+                decode_to_coefficients(data, engine="scalar"),
             )
 
     def test_progressive_sa_decodes_identical(
@@ -315,8 +315,8 @@ class TestDecoderEquivalence:
         ):
             data = encode_progressive_sa(image)
             _assert_same_coefficients(
-                decode_to_coefficients(data, fast=True),
-                decode_to_coefficients(data, fast=False),
+                decode_to_coefficients(data, engine=None),
+                decode_to_coefficients(data, engine="scalar"),
             )
 
     def test_single_component_dc_scans_decode_identical(self, rgb_image):
@@ -340,15 +340,15 @@ class TestDecoderEquivalence:
                     ScanSpec((index,), 1, 63, approx_high, approx_low)
                 )
         data = encode_progressive_sa(image, script=script)
-        decoded_fast = decode_to_coefficients(data, fast=True)
-        decoded_scalar = decode_to_coefficients(data, fast=False)
+        decoded_fast = decode_to_coefficients(data, engine=None)
+        decoded_scalar = decode_to_coefficients(data, engine="scalar")
         _assert_same_coefficients(decoded_fast, decoded_scalar)
         for a, b in zip(decoded_fast.components, image.components):
             assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_round_trip_through_fast_engine(self, gray_image):
         image = gray_to_coefficients(gray_image, quality=75)
-        decoded = decode_to_coefficients(encode_baseline(image, fast=True))
+        decoded = decode_to_coefficients(encode_baseline(image, engine=None))
         _assert_same_coefficients(image, decoded)
 
     def test_corrupt_streams_fail_cleanly_in_both_engines(self, gray_image):
@@ -360,9 +360,9 @@ class TestDecoderEquivalence:
             position = int(rng.integers(2, len(data)))
             original = data[position]
             data[position] ^= int(rng.integers(1, 256))
-            for fast in (True, False):
+            for engine in (None, "scalar"):
                 try:
-                    decode_to_coefficients(bytes(data), fast=fast)
+                    decode_to_coefficients(bytes(data), engine=engine)
                 except (JpegFormatError, ValueError):
                     pass
             data[position] = original
@@ -371,7 +371,7 @@ class TestDecoderEquivalence:
         data = encode_baseline(gray_to_coefficients(gray_image[:32, :32]))
         for cut in range(2, len(data), max(1, len(data) // 40)):
             try:
-                decode_to_coefficients(data[:cut], fast=True)
+                decode_to_coefficients(data[:cut], engine=None)
             except (JpegFormatError, ValueError):
                 pass
 
@@ -388,8 +388,8 @@ class TestDecoderEquivalence:
             spec = ScanSpec((0,), ss, se, al + 1, al)
             shaped = blocks64.reshape(blocks64.shape[0], 1, 64)
             args = ([shaped], [shaped], [(1, 1)], (blocks64.shape[0], 1))
-            table_fast, fast = run_scan(spec, *args, fast=True)
-            table_scalar, scalar = run_scan(spec, *args, fast=False)
+            table_fast, fast = run_scan(spec, *args, engine=None)
+            table_scalar, scalar = run_scan(spec, *args, engine="scalar")
             assert table_fast.bits == table_scalar.bits
             assert table_fast.values == table_scalar.values
             assert fast == scalar
@@ -441,10 +441,10 @@ class TestDecoderEquivalence:
             position = int(rng.integers(2, len(mutated)))
             mutated[position] ^= int(rng.integers(1, 256))
             outcomes = []
-            for fast in (True, False):
+            for engine in (None, "scalar"):
                 try:
                     decoded = decode_to_coefficients(
-                        bytes(mutated), fast=fast
+                        bytes(mutated), engine=engine
                     )
                     outcomes.append(
                         tuple(

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import P3Encryptor
 from repro.jpeg.bitstream import BitWriter, pack_entropy_bits
 from repro.jpeg.codec import gray_to_coefficients, rgb_to_coefficients
 from repro.jpeg.decoder import decode_to_coefficients
@@ -54,6 +55,13 @@ def _rgb(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
     return rng.integers(0, 256, size=(height, width, 3)).astype(np.uint8)
 
 
+def _with_p3_parts(image):
+    """``image`` plus the public and secret halves P3 splits it into
+    (:meth:`P3Encryptor.split_jpeg`), which must code identically too."""
+    split = P3Encryptor(bytes(16)).split_jpeg(encode_baseline(image))
+    return [image, split.public, split.secret]
+
+
 def _assert_same_coefficients(jpeg: bytes) -> None:
     """Decode ``jpeg`` with every engine; coefficients must agree."""
     decoded = {
@@ -71,20 +79,22 @@ def _assert_same_coefficients(jpeg: bytes) -> None:
 
 @needs_native
 class TestDifferentialEncodeDecode:
-    """All five scan types, three engines, byte/coefficient identity."""
+    """All five scan types, three engines, byte/coefficient identity,
+    for each input and the P3 public/secret parts split from it."""
 
     @pytest.mark.parametrize("restart_interval", [0, 2, 5])
     def test_baseline_gray(self, restart_interval):
         rng = np.random.default_rng(11)
         image = gray_to_coefficients(_gray(rng, 40, 56), quality=70)
-        streams = {
-            engine: encode_baseline(
-                image, restart_interval=restart_interval, engine=engine
-            )
-            for engine in ENGINES
-        }
-        assert streams["scalar"] == streams["numpy"] == streams["native"]
-        _assert_same_coefficients(streams["native"])
+        for part in _with_p3_parts(image):
+            streams = {
+                engine: encode_baseline(
+                    part, restart_interval=restart_interval, engine=engine
+                )
+                for engine in ENGINES
+            }
+            assert streams["scalar"] == streams["numpy"] == streams["native"]
+            _assert_same_coefficients(streams["native"])
 
     @pytest.mark.parametrize("subsampling", ["4:4:4", "4:2:0"])
     def test_baseline_rgb(self, subsampling):
@@ -92,23 +102,25 @@ class TestDifferentialEncodeDecode:
         image = rgb_to_coefficients(
             _rgb(rng, 32, 48), quality=80, subsampling=subsampling
         )
-        streams = {
-            engine: encode_baseline(image, engine=engine)
-            for engine in ENGINES
-        }
-        assert streams["scalar"] == streams["numpy"] == streams["native"]
-        _assert_same_coefficients(streams["native"])
+        for part in _with_p3_parts(image):
+            streams = {
+                engine: encode_baseline(part, engine=engine)
+                for engine in ENGINES
+            }
+            assert streams["scalar"] == streams["numpy"] == streams["native"]
+            _assert_same_coefficients(streams["native"])
 
     def test_progressive_spectral_selection(self):
         # DC-first scan + AC-first scans with EOB runs.
         rng = np.random.default_rng(13)
         image = gray_to_coefficients(_gray(rng, 48, 48), quality=60)
-        streams = {
-            engine: encode_progressive(image, engine=engine)
-            for engine in ENGINES
-        }
-        assert streams["scalar"] == streams["numpy"] == streams["native"]
-        _assert_same_coefficients(streams["native"])
+        for part in _with_p3_parts(image):
+            streams = {
+                engine: encode_progressive(part, engine=engine)
+                for engine in ENGINES
+            }
+            assert streams["scalar"] == streams["numpy"] == streams["native"]
+            _assert_same_coefficients(streams["native"])
 
     @pytest.mark.parametrize("channels", ["gray", "rgb"])
     def test_progressive_successive_approximation(self, channels):
@@ -120,12 +132,13 @@ class TestDifferentialEncodeDecode:
             image = rgb_to_coefficients(
                 _rgb(rng, 32, 32), quality=75, subsampling="4:2:0"
             )
-        streams = {
-            engine: encode_progressive_sa(image, engine=engine)
-            for engine in ENGINES
-        }
-        assert streams["scalar"] == streams["numpy"] == streams["native"]
-        _assert_same_coefficients(streams["native"])
+        for part in _with_p3_parts(image):
+            streams = {
+                engine: encode_progressive_sa(part, engine=engine)
+                for engine in ENGINES
+            }
+            assert streams["scalar"] == streams["numpy"] == streams["native"]
+            _assert_same_coefficients(streams["native"])
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -134,19 +147,20 @@ class TestDifferentialEncodeDecode:
         rng = np.random.default_rng(seed)
         pixels = rng.integers(0, 256, size=(24, 24)).astype(float)
         image = gray_to_coefficients(pixels, quality=50)
-        for encode in (
-            lambda eng: encode_baseline(image, engine=eng),
-            lambda eng: encode_baseline(
-                image, restart_interval=3, engine=eng
-            ),
-            lambda eng: encode_progressive(image, engine=eng),
-            lambda eng: encode_progressive_sa(image, engine=eng),
-        ):
-            streams = {engine: encode(engine) for engine in ENGINES}
-            assert (
-                streams["scalar"] == streams["numpy"] == streams["native"]
-            )
-            _assert_same_coefficients(streams["native"])
+        for part in _with_p3_parts(image):
+            for encode in (
+                lambda eng: encode_baseline(part, engine=eng),
+                lambda eng: encode_baseline(
+                    part, restart_interval=3, engine=eng
+                ),
+                lambda eng: encode_progressive(part, engine=eng),
+                lambda eng: encode_progressive_sa(part, engine=eng),
+            ):
+                streams = {engine: encode(engine) for engine in ENGINES}
+                assert (
+                    streams["scalar"] == streams["numpy"] == streams["native"]
+                )
+                _assert_same_coefficients(streams["native"])
 
 
 @needs_native
@@ -321,8 +335,7 @@ class TestForcedFallback:
 
     def test_resolution_degrades_to_numpy(self, native_disabled):
         assert resolve_engine("native") == "numpy"
-        assert resolve_engine(None, fast=True) == "numpy"
-        assert resolve_engine(None, fast=False) == "scalar"
+        assert resolve_engine(None) == "numpy"
 
     def test_engine_info_reports_disabled(self, native_disabled):
         info = engine_info()

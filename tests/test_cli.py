@@ -139,37 +139,6 @@ class TestCli:
         assert batch.quality == config.quality
         assert batch.threshold == config.threshold
 
-    def test_scalar_codec_flag_is_byte_identical(self, tmp_path, photo_file):
-        key_path = tmp_path / "k.key"
-        main(["genkey", "--output", str(key_path)])
-        outputs = {}
-        for tag, extra in (("fast", []), ("scalar", ["--scalar-codec"])):
-            public = tmp_path / f"pub-{tag}.jpg"
-            secret = tmp_path / f"sec-{tag}.p3s"
-            assert main(
-                [
-                    "encrypt", str(photo_file),
-                    "--key", str(key_path),
-                    "--public", str(public),
-                    "--secret", str(secret),
-                ]
-                + extra
-            ) == 0
-            recon = tmp_path / f"recon-{tag}.ppm"
-            assert main(
-                [
-                    "decrypt", str(public), str(secret),
-                    "--key", str(key_path),
-                    "--output", str(recon),
-                ]
-                + extra
-            ) == 0
-            outputs[tag] = (public.read_bytes(), recon.read_bytes())
-        # The scalar reference engine and the fast engine must agree on
-        # the public JPEG bytes and the reconstruction exactly.
-        assert outputs["fast"][0] == outputs["scalar"][0]
-        assert outputs["fast"][1] == outputs["scalar"][1]
-
 
 class TestBatchCli:
     @pytest.fixture()
