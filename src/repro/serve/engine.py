@@ -88,7 +88,8 @@ class ServeRequest:
     ``key=None`` is the key-less viewer: only the public part is
     decoded (``album`` may then be omitted).  ``provider`` pins the
     public-part fetch to one named provider of a
-    :class:`~repro.api.fanout.FanoutPSP` (no failover).
+    :class:`~repro.api.fanout.FanoutPSP` (no failover).  ``resolution``
+    must be at least 1 when given.
     """
 
     photo_id: str
@@ -104,6 +105,10 @@ class ServeRequest:
     def __post_init__(self) -> None:
         if self.key is not None and self.album is None:
             raise ValueError("a keyed request must name its album")
+        if self.resolution is not None and self.resolution < 1:
+            raise ValueError(
+                f"resolution must be at least 1, got {self.resolution}"
+            )
 
     @property
     def public_only(self) -> bool:

@@ -10,6 +10,13 @@ PSP pipelines (Section 4.1, [28]).
 
 Because the operation is literally a pair of matrix multiplies it is
 manifestly linear, which the P3 Eq. 2 reconstruction relies on.
+
+At equal size the box, bilinear and bicubic kernels sample at integer
+offsets, where they are exactly 1 at the centre tap and 0 elsewhere, so
+both weight matrices are exactly the identity and the multiplies are
+skipped: the plane comes back as a float64 copy.  Lanczos keeps the
+multiplies above 1x1, because its kernel at nonzero integers is ~3e-17
+(``sin(pi)`` in floating point), not 0.
 """
 
 from __future__ import annotations
@@ -88,15 +95,31 @@ def _weight_matrix(
     return weights
 
 
+@lru_cache(maxsize=256)
+def _is_identity(size: int, kernel_name: str) -> bool:
+    """Whether the same-size weight matrix is exactly the identity."""
+    return np.array_equal(_weight_matrix(size, size, kernel_name), np.eye(size))
+
+
 def resize_plane(
     plane: np.ndarray, out_height: int, out_width: int, kernel: str = "bilinear"
 ) -> np.ndarray:
-    """Resize a 2-D float plane with the named kernel."""
+    """Resize a 2-D float plane with the named kernel.
+
+    Always returns a new float64 array; a same-size resize whose weight
+    matrices are exactly the identity returns a copy of the plane.
+    """
     if plane.ndim != 2:
         raise ValueError(f"expected 2-D plane, got shape {plane.shape}")
     if out_height < 1 or out_width < 1:
         raise ValueError(f"invalid output size {out_height}x{out_width}")
     in_height, in_width = plane.shape
+    if (
+        (in_height, in_width) == (out_height, out_width)
+        and _is_identity(in_height, kernel)
+        and _is_identity(in_width, kernel)
+    ):
+        return plane.astype(np.float64)
     weights_rows = _weight_matrix(in_height, out_height, kernel)
     weights_cols = _weight_matrix(in_width, out_width, kernel)
     return weights_rows @ plane.astype(np.float64) @ weights_cols.T

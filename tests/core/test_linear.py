@@ -8,8 +8,14 @@ from repro.core.linear import (
     reconstruct_transformed_planes,
     secret_difference_planes,
 )
+from repro.core.reconstruction import correction_image
 from repro.core.splitting import split_image
-from repro.jpeg.codec import decode_coefficients, encode_gray
+from repro.jpeg.codec import (
+    decode_coefficients,
+    encode_gray,
+    gray_to_coefficients,
+    rgb_to_coefficients,
+)
 from repro.jpeg.decoder import coefficients_to_planes
 from repro.transforms.crop import Crop
 from repro.transforms.operators import Compose, FunctionOperator, Identity
@@ -132,3 +138,43 @@ class TestSecretDifferencePlanes:
         out = planes_to_image([original_planes[0]])
         assert out.ndim == 2
         assert out.min() >= 0.0 and out.max() <= 255.0
+
+
+def _two_render_difference(secret, threshold):
+    """Oracle: the secret and correction images rendered separately."""
+    secret_planes = coefficients_to_planes(secret, level_shift=False)
+    correction = correction_image(secret, threshold)
+    correction_planes = coefficients_to_planes(correction, level_shift=False)
+    return [s + c for s, c in zip(secret_planes, correction_planes)]
+
+
+class TestOneRenderDifference:
+    """One render of the integer sum equals the two renders, summed."""
+
+    @pytest.fixture(params=["gray", "4:4:4", "4:2:0"])
+    def image(self, request, odd_gray_image, rgb_image):
+        if request.param == "gray":
+            return gray_to_coefficients(odd_gray_image, quality=90)
+        # Odd sizes exercise the padded block grid and chroma crop.
+        return rgb_to_coefficients(
+            rgb_image[:93, :77], quality=90, subsampling=request.param
+        )
+
+    @pytest.mark.parametrize("threshold", [1, 15, 50])
+    def test_matches_two_render_sum(self, image, threshold):
+        secret = split_image(image, threshold).secret
+        expected = _two_render_difference(secret, threshold)
+        planes = secret_difference_planes(secret, threshold)
+        assert len(planes) == len(expected) == image.num_components
+        for plane, oracle in zip(planes, expected):
+            assert plane.shape == oracle.shape == (image.height, image.width)
+            np.testing.assert_allclose(plane, oracle, rtol=0, atol=1e-9)
+
+    def test_secret_part_left_unchanged(self, image):
+        secret = split_image(image, 15).secret
+        before = secret.copy()
+        secret_difference_planes(secret, 15)
+        for component, original in zip(secret.components, before.components):
+            np.testing.assert_array_equal(
+                component.coefficients, original.coefficients
+            )

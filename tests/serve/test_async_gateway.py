@@ -220,6 +220,30 @@ class TestAsyncViews:
         )
         assert front.handle_sync(get_request("alice", "/albums")).status == 404
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_non_positive_size_is_400_before_any_work(
+        self, async_gateway, monkeypatch, size
+    ):
+        front, photo_id = async_gateway
+        downloads = []
+        real_download = front.gateway.psp.download
+
+        def counting_download(*args, **kwargs):
+            downloads.append(args)
+            return real_download(*args, **kwargs)
+
+        monkeypatch.setattr(front.gateway.psp, "download", counting_download)
+        cached = len(front.engine.variant_cache)
+        response = front.handle_sync(
+            get_request(
+                "alice", f"/photos/{photo_id}", {"album": "trip", "size": size}
+            )
+        )
+        assert response.status == 400
+        assert b"resolution" in response.body
+        assert downloads == []
+        assert len(front.engine.variant_cache) == cached
+
 
 class TestOverload:
     def overloaded_front(self, jpeg, photos=4, **config_overrides):

@@ -424,6 +424,14 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="album"):
             ServeRequest(photo_id="x", key=b"\x00" * 16)
 
+    @pytest.mark.parametrize("resolution", [0, -5])
+    def test_non_positive_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            ServeRequest(photo_id="x", resolution=resolution)
+
+    def test_positive_resolution_accepted(self):
+        assert ServeRequest(photo_id="x", resolution=1).resolution == 1
+
 
 class TestPooledReconstruction:
     def test_from_config_builds_persistent_pool(self, world):

@@ -8,9 +8,12 @@ are the recipient side's verdicts.
 import numpy as np
 import pytest
 
+import repro.core.reconstruction
+import repro.jpeg.decoder
+import repro.serve.reconstruct
 from repro.api.pipeline import DecryptTask, run_decrypt_task
 from repro.core import P3Config, P3Decryptor, P3Encryptor
-from repro.jpeg.codec import decode
+from repro.jpeg.codec import decode, decode_coefficients, encode_rgb
 from repro.serve.reconstruct import reconstruct_served
 
 
@@ -73,3 +76,39 @@ def test_without_secret_part_decodes_public_only(photos):
     np.testing.assert_array_equal(
         reconstruct_served(public_jpeg, None), decode(public_jpeg)
     )
+
+
+def test_full_size_eq2_renders_two_images(photos, album_key, monkeypatch):
+    """A same-size Eq. 2 view costs one IDCT pass per image: the served
+    public part and the secret-side difference, not a third pass for the
+    sign correction, and no coefficient-domain recombine."""
+    public_jpeg = photos["rgb"].public_jpeg
+    # The provider re-encoded the public part at another quality, so the
+    # tables differ and Eq. 1 does not apply.
+    served = encode_rgb(decode(public_jpeg), quality=70)
+    secret_part = P3Decryptor(album_key).open_secret(
+        photos["rgb"].secret_envelope
+    )
+    image_blocks = sum(
+        c.coefficients.size // 64 for c in secret_part.image.components
+    )
+    assert image_blocks == sum(
+        c.coefficients.size // 64
+        for c in decode_coefficients(served).components
+    )
+    blocks = []
+    real_inverse_dct = repro.jpeg.decoder.inverse_dct
+
+    def counting_inverse_dct(coefficients, *args, **kwargs):
+        blocks.append(coefficients.size // 64)
+        return real_inverse_dct(coefficients, *args, **kwargs)
+
+    def no_recombine(*args, **kwargs):
+        raise AssertionError("recombine called on an Eq. 2 view")
+
+    monkeypatch.setattr(repro.jpeg.decoder, "inverse_dct", counting_inverse_dct)
+    monkeypatch.setattr(repro.serve.reconstruct, "recombine", no_recombine)
+    monkeypatch.setattr(repro.core.reconstruction, "recombine", no_recombine)
+    pixels = reconstruct_served(served, secret_part)
+    assert pixels.shape == (128, 128, 3)
+    assert sum(blocks) == 2 * image_blocks

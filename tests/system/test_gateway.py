@@ -126,6 +126,32 @@ class TestHttpSurface:
         )
         assert response.status == 400
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_non_positive_size_is_400_before_any_work(
+        self, gateway, jpeg, monkeypatch, size
+    ):
+        alice = PhotoSharingClient.for_gateway(gateway, "alice")
+        receipt = alice.upload_photo(jpeg, "trip")
+        downloads = []
+        real_download = gateway.psp.download
+
+        def counting_download(*args, **kwargs):
+            downloads.append(args)
+            return real_download(*args, **kwargs)
+
+        monkeypatch.setattr(gateway.psp, "download", counting_download)
+        cached = len(gateway.engine.variant_cache)
+        response = get(
+            gateway,
+            "alice",
+            f"/photos/{receipt.photo_id}",
+            {"album": "trip", "size": size},
+        )
+        assert response.status == 400
+        assert b"resolution" in response.body
+        assert downloads == []
+        assert len(gateway.engine.variant_cache) == cached
+
     def test_unknown_route_is_404(self, gateway):
         gateway.add_user("alice")
         assert get(gateway, "alice", "/albums").status == 404

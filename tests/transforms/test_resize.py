@@ -7,6 +7,7 @@ from repro.transforms.operators import check_linearity
 from repro.transforms.resize import (
     KERNELS,
     Resize,
+    _weight_matrix,
     fit_within,
     resize_plane,
     resize_rgb,
@@ -65,6 +66,54 @@ class TestResizePlane:
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             resize_plane(np.zeros((8, 8, 3)), 4, 4)
+
+
+def _dense(plane, out_height, out_width, kernel):
+    """Oracle: the plain weight-matrix product, no shortcut."""
+    rows = _weight_matrix(plane.shape[0], out_height, kernel)
+    cols = _weight_matrix(plane.shape[1], out_width, kernel)
+    return rows @ plane.astype(np.float64) @ cols.T
+
+
+class TestEqualSize:
+    """Same-size resizes skip the multiplies only where they are exact."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (75, 75), (64, 48), (512, 512)])
+    @pytest.mark.parametrize("kernel", ["box", "bilinear", "bicubic"])
+    def test_identity_kernels_bitwise_equal_dense(self, kernel, shape):
+        plane = np.random.default_rng(5).uniform(-255.0, 255.0, shape)
+        out = resize_plane(plane, *shape, kernel)
+        assert out.dtype == np.float64
+        assert out.tobytes() == _dense(plane, *shape, kernel).tobytes()
+
+    @pytest.mark.parametrize("shape", [(75, 75), (64, 48)])
+    def test_lanczos_keeps_the_dense_product(self, shape):
+        plane = np.random.default_rng(6).uniform(-255.0, 255.0, shape)
+        out = resize_plane(plane, *shape, "lanczos")
+        assert out.tobytes() == _dense(plane, *shape, "lanczos").tobytes()
+        # The off-diagonal ~3e-17 weights make it differ from a copy.
+        assert not np.array_equal(out, plane)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_returns_a_new_array(self, kernel):
+        plane = np.random.default_rng(7).uniform(0.0, 255.0, (16, 24))
+        original = plane.copy()
+        out = resize_plane(plane, 16, 24, kernel)
+        assert out is not plane
+        out[...] = -1.0
+        np.testing.assert_array_equal(plane, original)
+
+    def test_uint8_input_comes_back_float64(self):
+        plane = np.arange(48, dtype=np.uint8).reshape(6, 8)
+        out = resize_plane(plane, 6, 8, "bilinear")
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, plane)
+        out[0, 0] = 300.0
+        assert plane[0, 0] == 0
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            resize_plane(np.zeros((8, 8)), 8, 8, "nearest-ish")
 
 
 class TestResizeRgb:
