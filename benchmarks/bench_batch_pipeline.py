@@ -2,7 +2,7 @@
 
 Uploads a synthetic camera-roll corpus with :meth:`P3Session.batch_upload`
 and downloads it back with :meth:`P3Session.batch_download` under each
-executor strategy, records throughput into
+executor kind, records throughput into
 ``BENCH_batch_pipeline.json``, and verifies that every executor
 produces *byte-identical* public JPEGs and reconstructions (the
 pipeline must never trade correctness for parallelism — the run fails
@@ -163,7 +163,7 @@ def run(
         "benchmark": "batch_pipeline",
         "description": (
             "P3Session corpus batch upload/download throughput per "
-            "executor strategy; speedups are against SerialExecutor on "
+            "executor kind; speedups are against the serial kind on "
             "this machine (cpu_count below)"
         ),
         "cpu_count": os.cpu_count(),

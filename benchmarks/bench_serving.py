@@ -15,7 +15,7 @@ Four measurements, one JSON artifact (``BENCH_serving.json``):
    warm >= 5x faster than cold).
 3. **Cold-serve throughput** — concurrent client threads serve
    distinct cold variants (no cache hits, no coalescing) against an
-   inline-serial engine and against persistent worker pools of each
+   inline-serial engine and against shared worker pools of each
    requested width (``--serve-workers``, repeatable); reports img/s
    per configuration and the widest-vs-1-worker scaling ratio
    (acceptance on the 4-vCPU CI box: >= 2x).
@@ -44,17 +44,16 @@ import sys
 import threading
 import time
 
-from repro.api.executors import ThreadExecutor
+from repro.api.executors import Executor
 from repro.api.fanout import FanoutPSP
 from repro.api.pipeline import DecryptTask, run_decrypt_task
 from repro.api.registry import DEFAULT_REGISTRY
 from repro.core.config import P3Config
 from repro.core.encryptor import P3Encryptor
-from repro.crypto.keyring import Keyring
 from repro.datasets import iter_corpus_jpegs
 from repro.serve.engine import ServeRequest, ServingEngine
 from repro.serve.keys import secret_blob_key
-from repro.serve.trace import percentile_ms, zipf_trace
+from repro.serve.trace import percentile, zipf_trace
 from repro.system.client import PhotoSharingClient
 from repro.system.gateway import USER_HEADER, P3Gateway
 from repro.system.http import HttpRequest, build_url
@@ -120,7 +119,7 @@ def bench_ingest(corpus: list[bytes], quality: int) -> dict:
         LatencyPSP(DEFAULT_REGISTRY.create_psp(PROVIDER_POOL[0]), INGEST_RTT_S)
     )
     serial3_s = publish_all(fleet(None))
-    threaded = fleet(ThreadExecutor(len(PROVIDER_POOL)))
+    threaded = fleet(Executor("thread", len(PROVIDER_POOL)))
     threaded3_s = publish_all(threaded)
     ratio = threaded3_s / single_s
     print(
@@ -201,8 +200,8 @@ def bench_serving(
         f"serving: {len(trace)} requests over {len(receipts)} photos "
         f"(zipf s={zipf_s}), hit rate "
         f"{snapshot['variant_cache']['hit_rate']:.2f}, "
-        f"p50 {percentile_ms(latencies, 50):.1f} ms, "
-        f"p99 {percentile_ms(latencies, 99):.1f} ms, "
+        f"p50 {percentile(latencies, 50) * 1000:.1f} ms, "
+        f"p99 {percentile(latencies, 99) * 1000:.1f} ms, "
         f"cold {cold_ms:.1f} ms vs warm {warm_ms:.2f} ms "
         f"({speedup:.0f}x; target >= 5x)"
     )
@@ -212,8 +211,8 @@ def bench_serving(
             "photos": len(receipts),
             "zipf_s": zipf_s,
             "hit_rate": snapshot["variant_cache"]["hit_rate"],
-            "p50_ms": round(percentile_ms(latencies, 50), 3),
-            "p99_ms": round(percentile_ms(latencies, 99), 3),
+            "p50_ms": round(percentile(latencies, 50) * 1000, 3),
+            "p99_ms": round(percentile(latencies, 99) * 1000, 3),
             "cold_mean_ms": round(cold_ms, 3),
             "warm_mean_ms": round(warm_ms, 3),
             "warm_speedup": round(speedup, 1),
@@ -320,7 +319,7 @@ def bench_cold_serves(
     serve_executor: str,
     workers_list: list[int],
 ) -> tuple[dict, int]:
-    """Cold-serve throughput: inline serial vs a persistent worker pool.
+    """Cold-serve throughput: inline serial vs a shared worker pool.
 
     Concurrent client threads each serve *distinct* cold variants (no
     coalescing, no cache hits), so the wall clock measures how many

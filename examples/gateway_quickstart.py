@@ -23,7 +23,7 @@ with a protected per-partition quota
 every other tenant's working set; ``engine.snapshot()["partitions"]``
 — also on the gateway's ``/stats`` endpoint — breaks hits, misses and
 evictions down per partition.  Cold reconstructions can also be
-pushed onto a persistent worker pool
+pushed onto a shared worker pool
 (``P3Config(serve_executor="process", serve_workers=4)``) so
 concurrent cache misses scale across cores; release it with
 ``gateway.close()``.

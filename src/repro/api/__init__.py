@@ -27,11 +27,11 @@ Corpus-scale traffic goes through the batch pipeline::
     ).results
 
 ``batch_*`` fan the CPU-bound encode/split/seal and decode/reconstruct
-stages out over a :class:`SerialExecutor`, :class:`ThreadExecutor`,
-:class:`ProcessExecutor` or :class:`AsyncExecutor` (selected per call
-or by ``P3Config.executor``) and capture failures per item in a
-:class:`BatchReport` instead of aborting the batch.  Outputs are
-byte-identical across executors.
+stages out over an :class:`Executor` of one of the
+:data:`EXECUTOR_KINDS` — ``"serial"``, ``"thread"`` or ``"process"``
+(selected per call or by ``P3Config.executor``) — and capture failures
+per item in a :class:`BatchReport` instead of aborting the batch.
+Outputs are byte-identical across kinds.
 
 Multi-backend fleets compose behind the same protocols::
 
@@ -86,13 +86,8 @@ _EXPORTS = {
     "register_storage": "repro.api.registry",
     # executors
     "Executor": "repro.api.executors",
-    "SerialExecutor": "repro.api.executors",
-    "ThreadExecutor": "repro.api.executors",
-    "ProcessExecutor": "repro.api.executors",
-    "AsyncExecutor": "repro.api.executors",
     "TaskOutcome": "repro.api.executors",
     "EXECUTOR_KINDS": "repro.api.executors",
-    "make_executor": "repro.api.executors",
     # picklable pipeline tasks
     "EncryptTask": "repro.api.pipeline",
     "DecryptTask": "repro.api.pipeline",

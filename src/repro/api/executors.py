@@ -1,35 +1,33 @@
-"""Execution strategies for the batch pipeline.
+"""Where the P3 proxy's CPU-heavy work runs.
 
-An :class:`Executor` maps a task function over a list of work items and
-returns one :class:`TaskOutcome` per item, in input order, with any
-exception captured per item instead of aborting the batch.  Four
-strategies share that contract:
+One :class:`Executor` class covers the three kinds in
+:data:`EXECUTOR_KINDS`:
 
-* :class:`SerialExecutor` — in-process loop, the reference behaviour;
-* :class:`ThreadExecutor` — ``concurrent.futures`` thread pool (useful
-  when the work releases the GIL or waits on I/O);
-* :class:`ProcessExecutor` — process pool for the CPU-bound
-  encode/split/decode hot path.  Task functions and items must be
-  picklable (the :mod:`repro.api.pipeline` tasks are built for this);
-* :class:`AsyncExecutor` — an :mod:`asyncio` event loop with the
-  blocking task functions offloaded to threads, for network-bound
-  backends (fan-out uploads, replicated blob-store I/O) where the
-  win is overlapping wait time, not CPU.
+* ``"serial"`` — the calling thread, one item at a time: the reference
+  behaviour and the default;
+* ``"thread"`` — a ``concurrent.futures`` thread pool, for work that
+  releases the GIL or waits on I/O (fan-out ingest, replica puts, the
+  async gateway's offloaded serves);
+* ``"process"`` — a process pool for the CPU-bound encode/split/decode
+  hot path.  Task functions and items must be picklable (the
+  :mod:`repro.api.pipeline` tasks are built for this).
 
-The strategy is selected by :class:`~repro.core.config.P3Config`'s
-``executor``/``workers`` fields via :func:`make_executor`.
+Every kind keeps the same contracts.  :meth:`Executor.map` applies a
+function to a batch and returns one :class:`TaskOutcome` per item, in
+input order, with each item's exception captured instead of aborting
+the batch.  :meth:`Executor.run_one` (blocking) and
+:meth:`Executor.offload` (awaitable) run a single call and let its
+exception propagate.
 
-By default the pooled strategies build their pool per
-:meth:`Executor.map` call — a deliberate simplicity/lifecycle
-tradeoff: executors stay stateless (nothing to shut down, safe to
-share), and batches are corpus-sized, so pool startup is amortized
-over many items.  The serving tier is the workload that tradeoff does
-not fit — many *single* cold reconstructions arriving from concurrent
-request threads — so the pooled strategies also support
-``persistent=True``: the pool is created lazily on first use, shared
-by every :meth:`Executor.run_one`/:meth:`Executor.map` call (that is
-what lets independent requests batch across the same workers), and
-lives until :meth:`Executor.shutdown`.
+The pool's lifetime follows the call.  ``map`` builds a pool for its
+batch and tears it down before returning: batches are corpus-sized, so
+pool startup is amortized, and a batch executor holds nothing between
+calls.  ``run_one`` and ``offload`` serve the opposite workload, many
+single cold reconstructions from concurrent request threads or
+coroutines, so they share one pool that starts on first use and lives
+until :meth:`Executor.shutdown`.  Shutting down is safe to repeat, and
+the next call starts a new pool.  The serial kind runs every call
+inline and never has a pool.
 """
 
 from __future__ import annotations
@@ -37,11 +35,17 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
-from typing import Any, Callable, Coroutine, Sequence
+from functools import partial
+from typing import Any, Callable, Coroutine, Iterable, Sequence
 
-EXECUTOR_KINDS = ("serial", "thread", "process", "async")
+EXECUTOR_KINDS = ("serial", "thread", "process")
+
+_POOL_CLASSES: dict[str, Callable[..., futures.Executor]] = {
+    "thread": futures.ThreadPoolExecutor,
+    "process": futures.ProcessPoolExecutor,
+}
 
 
 def run_async(coro: Coroutine[Any, Any, Any]) -> Any:
@@ -60,7 +64,7 @@ def run_async(coro: Coroutine[Any, Any, Any]) -> Any:
         asyncio.get_running_loop()
     except RuntimeError:
         return asyncio.run(coro)
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with futures.ThreadPoolExecutor(max_workers=1) as pool:
         return pool.submit(asyncio.run, coro).result()
 
 
@@ -86,6 +90,17 @@ def _call(thunk: Callable[[], Any]) -> Any:
     return thunk()
 
 
+def _outcomes(thunks: Iterable[Callable[[], Any]]) -> list[TaskOutcome]:
+    """Call each thunk in order, capturing its value or its error."""
+    outcomes: list[TaskOutcome] = []
+    for index, thunk in enumerate(thunks):
+        try:
+            outcomes.append(TaskOutcome(index, value=thunk()))
+        except Exception as error:
+            outcomes.append(TaskOutcome(index, error=describe_error(error)))
+    return outcomes
+
+
 def run_calls(
     executor: "Executor", thunks: Sequence[Callable[[], Any]]
 ) -> list[TaskOutcome]:
@@ -95,266 +110,87 @@ def run_calls(
     list of *heterogeneous* calls rather than one function over many
     items; this adapter keeps those call sites on the same ordered,
     per-item-error-capturing :class:`TaskOutcome` contract.  Closures
-    do not pickle, so pair it with serial/thread/async executors —
-    which is what ingest wants anyway: backend mutations must happen
-    in this process.
+    do not pickle, so pair it with the serial or thread kind — which
+    is what ingest wants anyway: backend mutations must happen in this
+    process.
     """
     return executor.map(_call, thunks)
 
 
 class Executor:
-    """Base class: subclasses provide :meth:`_run_all`."""
+    """Runs task functions inline (``"serial"``) or on a pool.
 
-    kind = "abstract"
+    ``workers=None`` (or 0) means one worker per CPU for the pooled
+    kinds; the serial kind always has exactly one, whatever was asked.
+    """
 
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = max(1, workers or os.cpu_count() or 1)
+    _GUARDED_BY = {"_pool": "_pool_lock"}
+
+    def __init__(self, kind: str = "serial", workers: int | None = None) -> None:
+        if kind not in EXECUTOR_KINDS:
+            raise ValueError(
+                f"unknown executor kind {kind!r}; expected one of "
+                f"{EXECUTOR_KINDS}"
+            )
+        self.kind = kind
+        self.workers = (
+            1 if kind == "serial" else max(1, workers or os.cpu_count() or 1)
+        )
+        self._pool: futures.Executor | None = None
+        self._pool_lock = threading.Lock()
 
     def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
+        self, fn: Callable[[Any], Any], items: Iterable[Any]
     ) -> list[TaskOutcome]:
-        """Apply ``fn`` to every item, capturing per-item failures."""
+        """Apply ``fn`` to every item, capturing per-item failures.
+
+        The pooled kinds run the batch on a pool of their own, started
+        and shut down inside this call.
+        """
         items = list(items)
-        if not items:
-            return []
-        return self._run_all(fn, items)
+        if self.kind == "serial" or not items:
+            return _outcomes(partial(fn, item) for item in items)
+        with _POOL_CLASSES[self.kind](max_workers=self.workers) as pool:
+            return _outcomes([pool.submit(fn, item).result for item in items])
 
     def run_one(self, fn: Callable[[Any], Any], item: Any) -> Any:
-        """Run a single task on this strategy; exceptions propagate.
+        """Run one task on the shared pool and return its value.
 
-        This is the serving tier's entry point: one cold
-        reconstruction per call, with concurrent callers sharing a
-        persistent pool (where the strategy has one) so independent
+        The serving tier's entry point: one cold reconstruction per
+        call, with concurrent callers sharing the pool so independent
         requests batch across the same workers.  Unlike :meth:`map`,
         errors are *not* captured — a failed serve must raise to its
         requester.
         """
-        return fn(item)
-
-    def shutdown(self) -> None:
-        """Release any persistent pool (no-op for stateless strategies)."""
-
-    def _run_all(self, fn, items) -> list[TaskOutcome]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class SerialExecutor(Executor):
-    """One item at a time on the calling thread.
-
-    ``workers=`` is accepted — so the strategies stay interchangeable
-    drop-ins behind :func:`make_executor` — but deliberately *ignored*:
-    a serial executor always runs exactly one worker, whatever the
-    config or caller asked for.
-    """
-
-    kind = "serial"
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(1)
-
-    def _run_all(self, fn, items) -> list[TaskOutcome]:
-        outcomes = []
-        for index, item in enumerate(items):
-            try:
-                outcomes.append(TaskOutcome(index, value=fn(item)))
-            except Exception as error:
-                outcomes.append(
-                    TaskOutcome(index, error=describe_error(error))
-                )
-        return outcomes
-
-
-class _PoolExecutor(Executor):
-    """Shared futures-pool driving logic for thread/process strategies.
-
-    ``persistent=True`` keeps one lazily-created pool alive across
-    calls (created on first use, released by :meth:`shutdown`); the
-    default builds a pool per :meth:`map` call and keeps the executor
-    stateless.
-    """
-
-    _pool_class: type
-
-    _GUARDED_BY = {"_pool": "_pool_lock"}
-
-    def __init__(
-        self, workers: int | None = None, *, persistent: bool = False
-    ) -> None:
-        super().__init__(workers)
-        self.persistent = persistent
-        self._pool = None
-        self._pool_lock = threading.Lock()
-
-    def _live_pool(self):
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = self._pool_class(max_workers=self.workers)
-            return self._pool
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def run_one(self, fn, item) -> Any:
-        if not self.persistent:
-            # A per-call pool would pay full startup for one task;
-            # without a persistent pool the inline path is strictly
-            # better (and what SerialExecutor does anyway).
+        if self.kind == "serial":
             return fn(item)
-        return self._live_pool().submit(fn, item).result()
-
-    def _collect(self, futures) -> list[TaskOutcome]:
-        outcomes: list[TaskOutcome] = []
-        for index, future in enumerate(futures):
-            try:
-                outcomes.append(TaskOutcome(index, value=future.result()))
-            except Exception as error:
-                outcomes.append(
-                    TaskOutcome(index, error=describe_error(error))
-                )
-        return outcomes
-
-    def _run_all(self, fn, items) -> list[TaskOutcome]:
-        if self.persistent:
-            pool = self._live_pool()
-            return self._collect([pool.submit(fn, item) for item in items])
-        with self._pool_class(max_workers=self.workers) as pool:
-            return self._collect([pool.submit(fn, item) for item in items])
-
-
-class ThreadExecutor(_PoolExecutor):
-    """``ThreadPoolExecutor``-backed strategy."""
-
-    kind = "thread"
-    _pool_class = ThreadPoolExecutor
-
-
-class ProcessExecutor(_PoolExecutor):
-    """``ProcessPoolExecutor``-backed strategy (picklable tasks only)."""
-
-    kind = "process"
-    _pool_class = ProcessPoolExecutor
-
-
-class AsyncExecutor(Executor):
-    """``asyncio``-driven strategy with thread offload.
-
-    Each item's (synchronous) task function runs in a thread via
-    ``loop.run_in_executor`` and the event loop awaits them all
-    concurrently — the natural home for network-bound backends, where
-    the time goes to waiting on sockets rather than the CPU.  The map
-    contract is identical to the other strategies: ordered
-    :class:`TaskOutcome` per item, per-item error capture.  Entering
-    from a thread that already runs an event loop is safe: the work is
-    driven through :func:`run_async`, the codebase-wide loop-ownership
-    seam.
-
-    Because the work is assumed to wait rather than compute, the
-    default worker count is I/O-sized (``min(32, cpus + 4)``, the
-    stdlib thread-pool heuristic) instead of one per CPU — a 1-core
-    box still overlaps its waits.
-
-    ``persistent=True`` makes the executor an *offload seam* for async
-    front ends: one lazily-created thread pool is shared by
-    :meth:`map`, :meth:`run_one` and the awaitable :meth:`offload`
-    until :meth:`shutdown` — the async gateway parks its blocking
-    serve calls here without spinning a pool per request.
-    """
-
-    kind = "async"
-
-    _GUARDED_BY = {"_pool": "_pool_lock"}
-
-    def __init__(
-        self, workers: int | None = None, *, persistent: bool = False
-    ) -> None:
-        super().__init__(workers or min(32, (os.cpu_count() or 1) + 4))
-        self.persistent = persistent
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _live_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            return self._pool
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def run_one(self, fn: Callable[[Any], Any], item: Any) -> Any:
-        if not self.persistent:
-            return fn(item)
-        return self._live_pool().submit(fn, item).result()
+        return self._shared_pool().submit(fn, item).result()
 
     async def offload(self, fn: Callable[[Any], Any], item: Any) -> Any:
-        """Await one blocking call on the shared offload pool.
+        """Await one blocking call on the shared pool.
 
-        The coroutine-side entry point: an async caller (the gateway's
-        event loop) ships ``fn(item)`` to the persistent pool and
+        The coroutine-side twin of :meth:`run_one`: an async caller
+        (the gateway's event loop) ships ``fn(item)`` to the pool and
         yields until it lands, without blocking the loop.  Exceptions
         propagate unchanged.
         """
+        if self.kind == "serial":
+            return fn(item)
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._live_pool(), fn, item)
+        return await loop.run_in_executor(self._shared_pool(), fn, item)
 
-    def _run_all(self, fn, items) -> list[TaskOutcome]:
-        return run_async(self._gather(fn, items))
+    def shutdown(self) -> None:
+        """Stop the shared pool, if one is running (safe to repeat)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
-    async def _gather(self, fn, items) -> list[TaskOutcome]:
-        loop = asyncio.get_running_loop()
-        if self.persistent:
-            pool = self._live_pool()
-            results = await asyncio.gather(
-                *[loop.run_in_executor(pool, fn, item) for item in items],
-                return_exceptions=True,
-            )
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = await asyncio.gather(
-                    *[loop.run_in_executor(pool, fn, item) for item in items],
-                    return_exceptions=True,
-                )
-        outcomes = []
-        for index, result in enumerate(results):
-            if isinstance(result, BaseException):
-                outcomes.append(
-                    TaskOutcome(index, error=describe_error(result))
-                )
-            else:
-                outcomes.append(TaskOutcome(index, value=result))
-        return outcomes
+    def _shared_pool(self) -> futures.Executor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = _POOL_CLASSES[self.kind](max_workers=self.workers)
+            return self._pool
 
-
-def make_executor(
-    kind: str, workers: int | None = None, *, persistent: bool = False
-) -> Executor:
-    """Build an executor from config-level settings.
-
-    ``kind`` is one of ``"serial"``, ``"thread"``, ``"process"``,
-    ``"async"``; ``workers=None`` (or 0) means one worker per CPU for
-    the pooled strategies.  ``persistent=True`` gives the
-    thread/process/async strategies a long-lived pool (see
-    :class:`_PoolExecutor` and :class:`AsyncExecutor`); the serial
-    strategy is stateless and ignores it.
-    """
-    normalized = kind.lower().strip()
-    if normalized == "serial":
-        return SerialExecutor()
-    if normalized == "thread":
-        return ThreadExecutor(workers, persistent=persistent)
-    if normalized == "process":
-        return ProcessExecutor(workers, persistent=persistent)
-    if normalized == "async":
-        return AsyncExecutor(workers, persistent=persistent)
-    raise ValueError(
-        f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
-    )
+    def __repr__(self) -> str:
+        return f"Executor({self.kind!r}, workers={self.workers})"

@@ -30,15 +30,10 @@ import time
 from typing import Iterable, Sequence
 
 from repro.api.backends import BlobStore, PSPBackend, best_effort_delete
-from repro.api.executors import (
-    Executor,
-    SerialExecutor,
-    describe_error,
-    run_calls,
-)
+from repro.api.executors import Executor, describe_error, run_calls
 
-#: Stateless in-process fallback for composites built without an executor.
-_SERIAL_FALLBACK = SerialExecutor()
+#: In-process fallback for composites built without an executor.
+_SERIAL_FALLBACK = Executor()
 
 
 class FanoutError(RuntimeError):

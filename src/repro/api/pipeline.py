@@ -3,8 +3,9 @@
 The CPU-heavy halves of the P3 flows — JPEG encode + threshold split +
 envelope sealing on upload, entropy decode + decrypt + reconstruction
 on download — are pure functions of bytes and config.  These task
-dataclasses carry exactly that state, so a :class:`ProcessExecutor`
-can ship them to worker processes; the stateful ends (PSP ingest —
+dataclasses carry exactly that state, so a ``"process"``
+:class:`~repro.api.executors.Executor` can ship them to worker
+processes; the stateful ends (PSP ingest —
 including :class:`~repro.api.fanout.FanoutPSP` fan-out and failover —
 and blob-store puts/gets, replicated or not) stay in the parent where
 the backend objects live.

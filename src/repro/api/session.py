@@ -18,6 +18,7 @@ the single-backend protocols — the proxies never know the difference.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -25,7 +26,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.api.backends import BlobStore, PSPBackend
-from repro.api.executors import Executor, describe_error, make_executor
+from repro.api.executors import Executor, describe_error
 from repro.api.pipeline import (
     DecryptTask,
     EncryptTask,
@@ -189,14 +190,18 @@ def run_sparse_batch(
 def _ingest_executor(config: P3Config) -> "Executor | None":
     """The write-path executor the config asks for (None = serial).
 
-    One stateless executor instance is shared by the PSP fan-out and
-    the replicated store, so ``ingest_executor="thread"`` overlaps
-    per-provider uploads *and* per-replica puts.
+    One executor instance is shared by the PSP fan-out and the
+    replicated store, so ``ingest_executor="thread"`` overlaps
+    per-provider uploads *and* per-replica puts.  Those calls wait on
+    the network, not the CPU, so ``ingest_workers=0`` sizes the pool
+    like the stdlib's I/O default, ``min(32, cpus + 4)``, rather than
+    one per CPU: a 1-CPU host still overlaps a 3-provider publish.
     """
     if config.ingest_executor == "serial":
         return None
-    return make_executor(
-        config.ingest_executor, config.ingest_workers or None
+    return Executor(
+        config.ingest_executor,
+        config.ingest_workers or min(32, (os.cpu_count() or 1) + 4),
     )
 
 
@@ -362,9 +367,9 @@ class P3Session:
     def close(self) -> None:
         """Release the serving engine's pooled resources.
 
-        Only meaningful when ``config.serve_executor`` keeps a
-        persistent worker pool; safe to call repeatedly, and the
-        engine transparently rebuilds the pool if served again.
+        Only meaningful when ``config.serve_executor`` puts cold
+        serves on a worker pool; safe to call repeatedly, and the
+        engine starts a new pool if served again.
         Viewer sessions share the engine, so close once, from the
         session that owns it.
         """
@@ -551,11 +556,9 @@ class P3Session:
         self, executor: "Executor | str | None"
     ) -> Executor:
         if executor is None:
-            return make_executor(
-                self.config.executor, self.config.workers or None
-            )
+            executor = self.config.executor
         if isinstance(executor, str):
-            return make_executor(executor, self.config.workers or None)
+            return Executor(executor, self.config.workers or None)
         return executor
 
     def _ensure_album(self, album: str) -> None:

@@ -32,7 +32,7 @@ import pathlib
 import sys
 import time
 
-from repro.api.executors import EXECUTOR_KINDS, make_executor
+from repro.api.executors import EXECUTOR_KINDS, Executor
 from repro.api.pipeline import (
     DecryptTask,
     EncryptTask,
@@ -200,7 +200,7 @@ def _drive_batch(
     (which returns the per-item message), and prints the standard
     :class:`BatchReport` summary.  Exit code 0 iff nothing failed.
     """
-    executor = make_executor(args.executor, args.workers or None)
+    executor = Executor(args.executor, args.workers or None)
     paths = [pathlib.Path(name) for name in args.inputs]
     stems = _unique_stems(paths)
     report = BatchReport(
@@ -412,7 +412,7 @@ def _cmd_serve_bench(args) -> int:
     from repro.api.registry import DEFAULT_REGISTRY
     from repro.datasets import iter_corpus_jpegs
     from repro.serve.engine import ServeRequest, ServingEngine
-    from repro.serve.trace import percentile_ms, zipf_trace
+    from repro.serve.trace import percentile, zipf_trace
     from repro.system.client import PhotoSharingClient
     from repro.system.gateway import USER_HEADER, P3Gateway
     from repro.system.http import HttpRequest, build_url
@@ -535,8 +535,8 @@ def _cmd_serve_bench(args) -> int:
         f"{variant['misses']} misses (hit rate {variant['hit_rate']:.2f})"
     )
     print(
-        f"latency: p50 {percentile_ms(latencies, 50):.1f} ms, "
-        f"p99 {percentile_ms(latencies, 99):.1f} ms; "
+        f"latency: p50 {percentile(latencies, 50) * 1000:.1f} ms, "
+        f"p99 {percentile(latencies, 99) * 1000:.1f} ms; "
         f"cold ~{cold_ms:.1f} ms, warm ~{warm_ms:.1f} ms"
         + (
             f" ({cold_ms / warm_ms:.1f}x speedup)"
@@ -745,7 +745,7 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         "--executor",
         choices=EXECUTOR_KINDS,
         default="process",
-        help="batch execution strategy (default: process)",
+        help="executor kind for the batch (default: process)",
     )
     parser.add_argument(
         "--workers",
@@ -848,9 +848,10 @@ def build_parser() -> argparse.ArgumentParser:
     publish.add_argument("--album", default="cli")
     publish.add_argument(
         "--ingest-executor",
-        choices=("serial", "thread", "async"),
+        choices=("serial", "thread"),
         default=_DEFAULTS.ingest_executor,
-        help="overlap per-provider uploads and per-replica puts "
+        help="overlap per-provider uploads and per-replica puts on a "
+        "thread pool of --workers threads, 0 = min(32, CPUs + 4) "
         "(default: serial)",
     )
     _add_codec_options(publish)
@@ -897,10 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument(
         "--serve-executor",
-        choices=("serial", "thread", "process"),
+        choices=EXECUTOR_KINDS,
         default=_DEFAULTS.serve_executor,
         help="where cold reconstructions run: inline ('serial') or on "
-        "a persistent worker pool shared by concurrent requests",
+        "one worker pool shared by concurrent requests",
     )
     serve_bench.add_argument(
         "--serve-workers",

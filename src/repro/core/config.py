@@ -35,13 +35,13 @@ class P3Config:
     as test oracles (``engine="scalar"`` on the codec, ``fast=False``
     on :mod:`repro.crypto.modes`).
 
-    ``executor`` / ``workers`` choose the default execution strategy for
-    the batch pipeline (:meth:`repro.api.session.P3Session.batch_upload`
-    and friends): ``"serial"``, ``"thread"``, ``"process"`` or
-    ``"async"`` (an asyncio loop with thread offload, for network-bound
-    backends), with ``workers=0`` meaning one worker per CPU for the
-    pooled strategies.  The config stays a frozen, picklable value
-    object, so worker processes receive it verbatim.
+    ``executor`` / ``workers`` choose the default
+    :class:`~repro.api.executors.Executor` kind for the batch pipeline
+    (:meth:`repro.api.session.P3Session.batch_upload` and friends):
+    ``"serial"``, ``"thread"`` or ``"process"``, with ``workers=0``
+    meaning one worker per CPU for the pooled kinds.  The config stays
+    a frozen, picklable value object, so worker processes receive it
+    verbatim.
 
     ``variant_cache`` / ``variant_ttl_s`` size the serving tier's
     decoded-variant cache (:class:`~repro.serve.engine.ServingEngine`
@@ -63,7 +63,7 @@ class P3Config:
 
     ``serve_executor`` / ``serve_workers`` put *cold* serves on a pool:
     cache-miss reconstructions (CPU-bound entropy decode + inverse
-    transform) are shipped to a persistent ``"process"`` (or
+    transform) are shipped to one shared ``"process"`` (or
     ``"thread"``) pool as picklable
     :class:`~repro.api.pipeline.DecryptTask` units, so concurrent
     requests from many viewers batch across cores instead of
@@ -73,9 +73,11 @@ class P3Config:
     ``ingest_executor`` / ``ingest_workers`` make the *write* path
     concurrent: multi-provider fan-out uploads and replicated
     secret-part puts overlap per-provider/per-replica network waits on
-    a ``"thread"`` or ``"async"`` executor (``"serial"``, the default,
-    preserves one-at-a-time ingest).  ``"process"`` is deliberately
-    not allowed here — backend state lives in this process.
+    a ``"thread"`` executor (``"serial"``, the default, preserves
+    one-at-a-time ingest).  Those calls wait rather than compute, so
+    ``ingest_workers=0`` sizes the pool at ``min(32, cpus + 4)``
+    threads, not one per CPU.  ``"process"`` is deliberately not
+    allowed here — backend state lives in this process.
 
     ``max_inflight`` / ``tenant_rps`` / ``queue_deadline_ms`` /
     ``degrade_mode`` tune the async front end's overload protection
@@ -140,11 +142,12 @@ class P3Config:
             raise ValueError(
                 f"unknown subsampling mode {self.subsampling!r}"
             )
-        if self.executor not in ("serial", "thread", "process", "async"):
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected 'serial', "
-                "'thread', 'process' or 'async'"
-            )
+        for name in ("executor", "serve_executor"):
+            if getattr(self, name) not in ("serial", "thread", "process"):
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r}; expected "
+                    "'serial', 'thread' or 'process'"
+                )
         if self.workers < 0:
             raise ValueError(
                 f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
@@ -188,22 +191,16 @@ class P3Config:
                 f"of a cache one tenant may hold; 1.0 = no isolation), "
                 f"got {self.cache_partition_quota}"
             )
-        if self.serve_executor not in ("serial", "thread", "process"):
-            raise ValueError(
-                f"unknown serve_executor {self.serve_executor!r}; "
-                "expected 'serial', 'thread' or 'process' (reconstruction "
-                "is CPU-bound — 'async' would only add overhead)"
-            )
         if self.serve_workers < 0:
             raise ValueError(
                 f"serve_workers must be >= 0 (0 = one per CPU), "
                 f"got {self.serve_workers}"
             )
-        if self.ingest_executor not in ("serial", "thread", "async"):
+        if self.ingest_executor not in ("serial", "thread"):
             raise ValueError(
                 f"unknown ingest_executor {self.ingest_executor!r}; "
-                "expected 'serial', 'thread' or 'async' (backend state "
-                "lives in-process, so 'process' cannot apply)"
+                "expected 'serial' or 'thread' (backend state lives "
+                "in-process, so 'process' cannot apply)"
             )
         if self.ingest_workers < 0:
             raise ValueError(

@@ -8,9 +8,9 @@ Everything a download needs lives here, shared by every caller:
 * :class:`ServingEngine` — the request path: a three-tier cache,
   single-flight coalescing of concurrent identical requests,
   per-request stage timings, PSP access enforcement on cache hits and
-  batch fetches, and optional pooled cold reconstruction (a
-  persistent process/thread pool that concurrent cache-miss serves
-  batch across, configured via ``P3Config.serve_executor``);
+  batch fetches, and optional pooled cold reconstruction (one
+  process/thread pool that concurrent cache-miss serves share,
+  configured via ``P3Config.serve_executor``);
 * :mod:`repro.serve.keys` — the tier's identity space:
   :func:`secret_blob_key` (where an envelope lives in storage) and
   :func:`key_digest` (the album-key fingerprint that namespaces and

@@ -39,7 +39,7 @@ import time
 from collections import deque
 from typing import Any, Callable
 
-from repro.serve.trace import percentile as nearest_rank_percentile
+from repro.serve.trace import percentile
 
 #: Queue capacity as a multiple of ``max_inflight``: the waiting room
 #: is bounded at four times the number of reconstruction slots, so
@@ -461,14 +461,6 @@ class FrontendStats:
         with self._lock:
             return sum(self._shed.values())
 
-    def percentile_ms(self, p: float) -> float:
-        """Admitted-path latency percentile in milliseconds."""
-        with self._lock:
-            window = list(self._latencies)
-        if not window:
-            return 0.0
-        return nearest_rank_percentile(window, p) * 1000.0
-
     def snapshot(self) -> dict[str, Any]:
         """One consistent view (single lock acquisition), mirroring
         :meth:`~repro.serve.engine.ServingStats.snapshot`."""
@@ -481,12 +473,6 @@ class FrontendStats:
             depth_max = self.queue_depth_max
             latencies = list(self._latencies)
             degraded_latencies = list(self._degraded_latencies)
-
-        def pct(window: list[float], p: float) -> float:
-            if not window:
-                return 0.0
-            return round(nearest_rank_percentile(window, p) * 1000, 3)
-
         return {
             "admitted": admitted,
             "loop_hits": loop_hits,
@@ -495,8 +481,10 @@ class FrontendStats:
             "degraded": degraded,
             "rejected": rejected,
             "queue_depth_max": depth_max,
-            "p50_ms": pct(latencies, 50),
-            "p99_ms": pct(latencies, 99),
-            "p999_ms": pct(latencies, 99.9),
-            "degraded_p99_ms": pct(degraded_latencies, 99),
+            "p50_ms": round(percentile(latencies, 50) * 1000, 3),
+            "p99_ms": round(percentile(latencies, 99) * 1000, 3),
+            "p999_ms": round(percentile(latencies, 99.9) * 1000, 3),
+            "degraded_p99_ms": round(
+                percentile(degraded_latencies, 99) * 1000, 3
+            ),
         }

@@ -9,8 +9,8 @@ ServingEngine`:
   access check plus an array copy
   (:meth:`~repro.serve.engine.ServingEngine.serve_cached`), so it is
   answered inline, no thread handoff;
-* **cold serves are offloaded** — reconstructions run on a persistent
-  thread pool (:meth:`~repro.api.executors.AsyncExecutor.offload`);
+* **cold serves are offloaded** — reconstructions run on a shared
+  thread pool (:meth:`~repro.api.executors.Executor.offload`);
   because they execute in real threads, the engine's single-flight
   coalescing works across coroutines exactly as it does across
   request threads, and a pooled ``serve_executor`` still batches the
@@ -53,9 +53,9 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any
+from typing import Any, Callable
 
-from repro.api.executors import AsyncExecutor, run_async
+from repro.api.executors import Executor, run_async
 from repro.core.config import P3Config
 from repro.serve.admission import (
     SHED_DEADLINE,
@@ -120,9 +120,8 @@ class AsyncGateway:
             queue_deadline_s=self.config.queue_deadline_ms / 1000.0,
         )
         self.frontend = FrontendStats()
-        self.offload = AsyncExecutor(
-            self.controller.max_inflight + OFFLOAD_HEADROOM,
-            persistent=True,
+        self.offload = Executor(
+            "thread", self.controller.max_inflight + OFFLOAD_HEADROOM
         )
 
     def close(self) -> None:
@@ -179,27 +178,43 @@ class AsyncGateway:
                 time.perf_counter() - arrival, on_loop=True
             )
             return pixel_response(cached)
+        reason = await self._admit(request)
+        if reason is not None:
+            return await self._shed(serve_request, reason, arrival)
+        result: ServeResult = await self._run_admitted(
+            self.engine.serve, serve_request, arrival
+        )
+        return pixel_response(result)
+
+    async def _admit(self, request: HttpRequest) -> str | None:
+        """Win a reconstruction slot for this request's tenant.
+
+        Returns ``None`` once the request holds a slot (the caller
+        must hand it back through :meth:`_run_admitted`), or the shed
+        reason when the rate limit, a full queue or the queue deadline
+        turned it away.
+        """
         tenant = request.headers.get(USER_HEADER, "")
         verdict, ticket = self.controller.try_admit(tenant)
-        if verdict == "queued":
-            assert ticket is not None
-            self.frontend.observe_queue_depth(self.controller.queue_depth())
-            if not await self._await_grant(ticket):
-                return await self._shed(
-                    serve_request, SHED_DEADLINE, arrival
-                )
-        elif verdict != "admitted":
-            return await self._shed(
-                serve_request, verdict[len("shed-") :], arrival
-            )
+        if verdict == "admitted":
+            return None
+        if verdict != "queued":
+            return verdict[len("shed-") :]
+        assert ticket is not None
+        self.frontend.observe_queue_depth(self.controller.queue_depth())
+        return None if await self._await_grant(ticket) else SHED_DEADLINE
+
+    async def _run_admitted(
+        self, fn: Callable[[Any], Any], item: Any, arrival: float
+    ) -> Any:
+        """Run an admitted request's blocking call on the offload pool,
+        free its slot, and record its latency if it succeeded."""
         try:
-            result: ServeResult = await self.offload.offload(
-                self.engine.serve, serve_request
-            )
+            result = await self.offload.offload(fn, item)
         finally:
             self._release()
         self.frontend.record_admitted(time.perf_counter() - arrival)
-        return pixel_response(result)
+        return result
 
     async def _await_grant(self, ticket: Ticket) -> bool:
         """Wait for a freed slot until the ticket's deadline.
@@ -283,25 +298,13 @@ class AsyncGateway:
         """
         arrival = time.perf_counter()
         self.gateway.authenticate(request)  # 401 before spending budget
-        tenant = request.headers.get(USER_HEADER, "")
-        verdict, ticket = self.controller.try_admit(tenant)
-        if verdict == "queued":
-            assert ticket is not None
-            self.frontend.observe_queue_depth(self.controller.queue_depth())
-            if not await self._await_grant(ticket):
-                self.frontend.record_shed(SHED_DEADLINE, degraded=False)
-                return _unavailable(SHED_DEADLINE)
-        elif verdict != "admitted":
-            reason = verdict[len("shed-") :]
+        reason = await self._admit(request)
+        if reason is not None:
             self.frontend.record_shed(reason, degraded=False)
             return _unavailable(reason)
-        try:
-            response: HttpResponse = await self.offload.offload(
-                self.gateway.handle, request
-            )
-        finally:
-            self._release()
-        self.frontend.record_admitted(time.perf_counter() - arrival)
+        response: HttpResponse = await self._run_admitted(
+            self.gateway.handle, request, arrival
+        )
         return response
 
     # -- observability --------------------------------------------------------

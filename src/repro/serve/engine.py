@@ -25,8 +25,8 @@ The engine owns everything between "a viewer asked for photo X" and
   on different variants of one photo share a single secret fetch);
 * **pooled cold reconstruction** — with a ``serve_executor``
   configured, cache-miss reconstructions are packaged as picklable
-  :class:`~repro.api.pipeline.DecryptTask` units and dispatched to a
-  persistent process (or thread) pool, so concurrent cold requests
+  :class:`~repro.api.pipeline.DecryptTask` units and dispatched to
+  one shared process (or thread) pool, so concurrent cold requests
   from many viewers batch across cores instead of serializing on
   request threads — byte-identical to the inline path;
 * **per-request timing** — every serve returns a
@@ -54,14 +54,14 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.api.backends import BlobStore, PSPBackend
-from repro.api.executors import Executor, make_executor
+from repro.api.executors import Executor
 from repro.core.decryptor import P3Decryptor
 from repro.core.serialization import SecretPart
 from repro.serve.cache import CacheStats, PartitionedLRUCache
 from repro.serve.keys import key_digest, secret_blob_key
 from repro.serve.reconstruct import reconstruct_served
 from repro.serve.singleflight import SingleFlight
-from repro.serve.trace import percentile as nearest_rank_percentile
+from repro.serve.trace import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only: importing the
     # system package here would close an import cycle back onto the
@@ -199,18 +199,6 @@ class ServingStats:
                 self.reconstructions += 1
             self._latencies.append(result.timing.total_s)
 
-    def percentile(self, p: float) -> float:
-        """Latency percentile (seconds) over the rolling window.
-
-        An empty window reports 0.0 — explicitly, not by leaning on
-        the shared nearest-rank helper's edge behavior.
-        """
-        with self._lock:
-            snapshot = list(self._latencies)
-        if not snapshot:
-            return 0.0
-        return nearest_rank_percentile(snapshot, p)
-
     def snapshot(self) -> dict[str, Any]:
         """One *consistent* view: counters and percentiles are read
         under a single lock acquisition, so the reported p50/p99 come
@@ -223,15 +211,13 @@ class ServingStats:
             coalesced = self.coalesced
             variant_hits = self.variant_hits
             latencies = list(self._latencies)
-        p50 = nearest_rank_percentile(latencies, 50) if latencies else 0.0
-        p99 = nearest_rank_percentile(latencies, 99) if latencies else 0.0
         return {
             "requests": requests,
             "reconstructions": reconstructions,
             "coalesced": coalesced,
             "variant_hits": variant_hits,
-            "p50_ms": round(p50 * 1000, 3),
-            "p99_ms": round(p99 * 1000, 3),
+            "p50_ms": round(percentile(latencies, 50) * 1000, 3),
+            "p99_ms": round(percentile(latencies, 99) * 1000, 3),
         }
 
 
@@ -273,8 +259,8 @@ class ServingEngine:
         self.coalesce = coalesce
         self.timing_hook = timing_hook
         # The cold-reconstruction executor: None reconstructs inline on
-        # the request thread; a (persistent) thread/process executor
-        # batches concurrent cold serves across its workers.
+        # the request thread; a thread/process executor batches
+        # concurrent cold serves across its shared pool.
         self.executor = executor
         # Tier partitioning: variant and secret-part keys carry the
         # album-key digest (one partition per tenant key); the envelope
@@ -326,16 +312,14 @@ class ServingEngine:
     ) -> "ServingEngine":
         """Build an engine from a :class:`~repro.core.config.P3Config`.
 
-        ``config.serve_executor``/``serve_workers`` select the cold-
-        reconstruction strategy: ``"serial"`` reconstructs inline,
-        ``"thread"``/``"process"`` build a *persistent* pool that every
-        cold serve dispatches to (release it with :meth:`close`).
+        ``config.serve_executor``/``serve_workers`` select where cold
+        reconstructions run: ``"serial"`` reconstructs inline,
+        ``"thread"``/``"process"`` give every cold serve one shared
+        pool (release it with :meth:`close`).
         """
         if "executor" not in overrides and config.serve_executor != "serial":
-            overrides["executor"] = make_executor(
-                config.serve_executor,
-                config.serve_workers or None,
-                persistent=True,
+            overrides["executor"] = Executor(
+                config.serve_executor, config.serve_workers or None
             )
         return cls(
             psp,
@@ -353,8 +337,7 @@ class ServingEngine:
         """Release the cold-serve pool, if one is configured.
 
         Safe to call repeatedly; the engine keeps working afterwards
-        (the pooled strategies lazily rebuild their pool on the next
-        cold serve)."""
+        (the executor starts a new pool on the next cold serve)."""
         if self.executor is not None:
             self.executor.shutdown()
 

@@ -30,6 +30,7 @@ sorted by arrival time, ready for the replayers in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -207,13 +208,14 @@ def zipf_trace(
     return rng.choice(count, size=requests, p=zipf_weights(count, s)).tolist()
 
 
-def percentile(values, p: float) -> float:
+def percentile(values: Iterable[float], p: float) -> float:
     """Nearest-rank percentile in the input's own units (0 if empty).
 
     The single percentile definition for the serving tier: the
-    engine's rolling :class:`~repro.serve.engine.ServingStats` and the
-    benchmark/CLI trace replays all report through this, so their
-    figures are directly comparable.
+    engine's rolling :class:`~repro.serve.engine.ServingStats`, the
+    async front end's :class:`~repro.serve.admission.FrontendStats`
+    and the benchmark/CLI trace replays all report through this, so
+    their figures are directly comparable.
     """
     values = list(values)
     if not values:
@@ -221,8 +223,3 @@ def percentile(values, p: float) -> float:
     ordered = sorted(values)
     index = min(len(ordered) - 1, int(round(p / 100 * (len(ordered) - 1))))
     return ordered[index]
-
-
-def percentile_ms(latencies_s: list[float], p: float) -> float:
-    """A latency percentile in milliseconds (0 for an empty trace)."""
-    return percentile(latencies_s, p) * 1000.0

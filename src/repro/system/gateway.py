@@ -147,8 +147,8 @@ class P3Gateway:
         self._lock = threading.Lock()
 
     def close(self) -> None:
-        """Release the engine's pooled resources (persistent serve
-        executor, if configured).  Safe to call repeatedly."""
+        """Release the engine's pooled resources (the cold-serve
+        pool, if configured).  Safe to call repeatedly."""
         self.engine.close()
 
     # -- tenancy --------------------------------------------------------------

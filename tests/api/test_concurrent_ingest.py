@@ -1,12 +1,13 @@
 """Tests for the concurrent write path: fan-out ingest, replica puts,
 and thread-safety of the shared backends under hammering."""
 
+import os
 import threading
 import time
 
 import pytest
 
-from repro.api.executors import SerialExecutor, ThreadExecutor
+from repro.api.executors import Executor
 from repro.api.fanout import (
     FanoutPSP,
     FanoutUploadError,
@@ -74,7 +75,7 @@ class TestConcurrentFanoutUpload:
         """3 slow providers on threads ~= 1 provider's wall clock."""
         delay = 0.08
         providers = [SlowPSP(f"p{i}", delay_s=delay) for i in range(3)]
-        fan = FanoutPSP(providers, executor=ThreadExecutor(3))
+        fan = FanoutPSP(providers, executor=Executor("thread", 3))
         start = time.perf_counter()
         photo_id = fan.upload(b"jpeg-bytes", owner="alice")
         elapsed = time.perf_counter() - start
@@ -90,7 +91,7 @@ class TestConcurrentFanoutUpload:
         serial = FanoutPSP([SlowPSP(f"p{i}", 0.0) for i in range(3)])
         threaded = FanoutPSP(
             [SlowPSP(f"p{i}", 0.0) for i in range(3)],
-            executor=ThreadExecutor(3),
+            executor=Executor("thread", 3),
         )
         serial_id = serial.upload(payload, owner="a")
         threaded_id = threaded.upload(payload, owner="a")
@@ -106,7 +107,7 @@ class TestConcurrentFanoutUpload:
             SlowPSP("dead", 0.01, fail=True),
             SlowPSP("ok2", 0.01),
         ]
-        fan = FanoutPSP(providers, executor=ThreadExecutor(3))
+        fan = FanoutPSP(providers, executor=Executor("thread", 3))
         with pytest.raises(FanoutUploadError, match="2/3"):
             fan.upload(b"data", owner="alice")
         assert providers[0].deletes and providers[2].deletes
@@ -119,7 +120,7 @@ class TestConcurrentFanoutUpload:
             SlowPSP("dead", 0.01, fail=True),
         ]
         fan = FanoutPSP(
-            providers, min_success=1, executor=ThreadExecutor(2)
+            providers, min_success=1, executor=Executor("thread", 2)
         )
         photo_id = fan.upload(b"data", owner="alice")
         assert list(fan.provider_ids(photo_id)) == ["ok"]
@@ -145,7 +146,7 @@ class TestConcurrentFanoutUpload:
     def test_ingest_seconds_accumulate(self):
         fan = FanoutPSP(
             [SlowPSP("a", 0.01), SlowPSP("b", 0.01)],
-            executor=ThreadExecutor(2),
+            executor=Executor("thread", 2),
         )
         fan.upload(b"x", owner="u")
         fan.upload(b"y", owner="u")
@@ -159,7 +160,7 @@ class TestConcurrentReplicaPuts:
     def test_replicas_land_on_ring_prefix(self):
         stores = [CloudStorage(f"s{i}") for i in range(4)]
         replicated = ReplicatedBlobStore(
-            stores, replicas=3, executor=ThreadExecutor(3)
+            stores, replicas=3, executor=Executor("thread", 3)
         )
         replicated.put("key", b"blob")
         expected = replicated.replica_indices("key")
@@ -171,7 +172,7 @@ class TestConcurrentReplicaPuts:
 
     def test_dead_store_degrades_concurrently_like_serially(self):
         stores = [CloudStorage("s0"), FlakyStore(), CloudStorage("s2")]
-        for executor in (None, ThreadExecutor(3)):
+        for executor in (None, Executor("thread", 3)):
             replicated = ReplicatedBlobStore(
                 stores, replicas=3, executor=executor
             )
@@ -184,7 +185,7 @@ class TestConcurrentReplicaPuts:
         replicated = ReplicatedBlobStore(
             [FlakyStore(), FlakyStore()],
             replicas=2,
-            executor=ThreadExecutor(2),
+            executor=Executor("thread", 2),
         )
         with pytest.raises(Exception, match="no store accepted"):
             replicated.put("key", b"blob")
@@ -192,7 +193,7 @@ class TestConcurrentReplicaPuts:
     def test_counters_exact_under_concurrent_puts(self):
         stores = [CloudStorage("s0"), FlakyStore(), CloudStorage("s2")]
         replicated = ReplicatedBlobStore(
-            stores, replicas=3, executor=ThreadExecutor(3)
+            stores, replicas=3, executor=Executor("thread", 3)
         )
         threads = [
             threading.Thread(
@@ -217,10 +218,25 @@ class TestSessionWiring:
             ingest_workers=3,
         )
         session = P3Session.create(user="alice", config=config)
-        assert isinstance(session.psp.executor, ThreadExecutor)
-        assert isinstance(session.storage.executor, ThreadExecutor)
-        # One stateless executor instance is shared by both roles.
+        assert session.psp.executor.kind == "thread"
+        assert session.psp.executor.workers == 3
+        # One executor instance is shared by both roles.
         assert session.psp.executor is session.storage.executor
+
+    def test_automatic_ingest_pool_is_io_sized(self):
+        """ingest_workers=0 sizes the shared thread pool for network
+        waits, min(32, cpus + 4), so even a 1-CPU host overlaps a
+        3-provider publish."""
+        config = P3Config(
+            psps=("facebook", "flickr", "photobucket"),
+            replication=2,
+            ingest_executor="thread",
+        )
+        session = P3Session.create(user="alice", config=config)
+        executor = session.psp.executor
+        assert executor is session.storage.executor
+        assert executor.kind == "thread"
+        assert executor.workers == min(32, (os.cpu_count() or 1) + 4)
 
     def test_serial_config_leaves_composites_serial(self):
         config = P3Config(psps=("facebook", "flickr"), replication=2)

@@ -1,18 +1,19 @@
-"""Tests for the batch execution strategies."""
+"""Tests for the executor: one class, three kinds."""
+
+import asyncio
+import os
+import threading
+import time
 
 import pytest
 
-from repro.api.executors import (
-    EXECUTOR_KINDS,
-    AsyncExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-    run_async,
-)
+from repro.api.executors import EXECUTOR_KINDS, Executor, run_async
 
-ALL_EXECUTORS = [SerialExecutor, ThreadExecutor, ProcessExecutor, AsyncExecutor]
+# The per-kind ids keep the names these tests had when each kind was a
+# class of its own, so test results line up across the history.
+KINDS = [
+    pytest.param(kind, id=f"{kind.title()}Executor") for kind in EXECUTOR_KINDS
+]
 
 
 def _square(value):  # module-level: picklable for the process pool
@@ -26,22 +27,22 @@ def _explode_on_three(value):
 
 
 class TestMapContract:
-    @pytest.mark.parametrize("executor_class", ALL_EXECUTORS)
-    def test_results_in_input_order(self, executor_class):
-        executor = executor_class(workers=2)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_results_in_input_order(self, kind):
+        executor = Executor(kind, workers=2)
         outcomes = executor.map(_square, [3, 1, 4, 1, 5])
         assert [o.value for o in outcomes] == [9, 1, 16, 1, 25]
         assert [o.index for o in outcomes] == [0, 1, 2, 3, 4]
         assert all(o.ok for o in outcomes)
 
-    @pytest.mark.parametrize("executor_class", ALL_EXECUTORS)
-    def test_empty_input(self, executor_class):
-        assert executor_class(workers=2).map(_square, []) == []
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_input(self, kind):
+        assert Executor(kind, workers=2).map(_square, []) == []
 
-    @pytest.mark.parametrize("executor_class", ALL_EXECUTORS)
-    def test_per_item_error_capture(self, executor_class):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_per_item_error_capture(self, kind):
         """One failing item must not poison the rest of the batch."""
-        executor = executor_class(workers=2)
+        executor = Executor(kind, workers=2)
         outcomes = executor.map(_explode_on_three, [1, 3, 5])
         assert [o.ok for o in outcomes] == [True, False, True]
         assert [o.value for o in outcomes] == [11, None, 15]
@@ -49,21 +50,20 @@ class TestMapContract:
         assert outcomes[1].error.startswith("ValueError")
 
     def test_generator_input_accepted(self):
-        outcomes = SerialExecutor().map(_square, (v for v in range(3)))
-        assert [o.value for o in outcomes] == [0, 1, 4]
+        for kind in EXECUTOR_KINDS:
+            outcomes = Executor(kind, 2).map(_square, (v for v in range(3)))
+            assert [o.value for o in outcomes] == [0, 1, 4], kind
 
 
-class TestAsyncExecutor:
-    def test_runs_without_an_existing_loop(self):
-        outcomes = AsyncExecutor(workers=2).map(_square, [2, 3, 4])
-        assert [o.value for o in outcomes] == [4, 9, 16]
+class TestThreadKind:
+    """What the thread kind does for I/O-bound batches (fan-out
+    ingest, replica puts)."""
 
     def test_runs_inside_a_running_loop(self):
         """A caller already inside asyncio must not hit nested-run errors."""
-        import asyncio
 
         async def driver():
-            return AsyncExecutor(workers=2).map(_square, [2, 3])
+            return Executor("thread", workers=2).map(_square, [2, 3])
 
         outcomes = asyncio.run(driver())
         assert [o.value for o in outcomes] == [4, 9]
@@ -71,10 +71,8 @@ class TestAsyncExecutor:
 
     def test_overlaps_waiting_tasks(self):
         """N sleepers on N workers take ~one sleep, not N sleeps."""
-        import time
-
         start = time.perf_counter()
-        outcomes = AsyncExecutor(workers=4).map(
+        outcomes = Executor("thread", workers=4).map(
             lambda _: time.sleep(0.05), range(4)
         )
         elapsed = time.perf_counter() - start
@@ -83,8 +81,8 @@ class TestAsyncExecutor:
 
 
 class TestRunAsync:
-    """The loop-ownership seam shared by AsyncExecutor and the async
-    gateway's sync entry points."""
+    """The loop-ownership seam behind the async gateway's sync entry
+    points."""
 
     def test_runs_without_a_loop(self):
         async def answer():
@@ -95,7 +93,6 @@ class TestRunAsync:
     def test_nested_inside_a_running_loop(self):
         """run_async from coroutine-called sync code must not trip
         'asyncio.run() cannot be called from a running event loop'."""
-        import asyncio
 
         def sync_bridge():
             # Sync code (deep inside a library) re-entering async land
@@ -119,8 +116,6 @@ class TestRunAsync:
             run_async(boom())
 
     def test_exceptions_propagate_nested(self):
-        import asyncio
-
         async def boom():
             raise RuntimeError("kaput")
 
@@ -133,30 +128,21 @@ class TestRunAsync:
 
 
 class TestAsyncOffloadSeam:
-    """The persistent offload pool the async gateway parks blocking
-    serves on."""
+    """The shared pool the async gateway parks blocking serves on."""
 
     def test_persistent_pool_lazy_reuse_and_shutdown(self):
-        executor = AsyncExecutor(workers=2, persistent=True)
+        executor = Executor("thread", workers=2)
         assert executor._pool is None
-        assert executor.run_one(_square, 7) == 49
+        assert asyncio.run(executor.offload(_square, 7)) == 49
         pool = executor._pool
         assert pool is not None
-        outcomes = executor.map(_square, [1, 2])
-        assert [o.value for o in outcomes] == [1, 4]
-        assert executor._pool is pool  # map shares the same pool
+        assert executor.run_one(_square, 3) == 9
+        assert executor._pool is pool  # offload and run_one share it
         executor.shutdown()
         assert executor._pool is None
 
-    def test_nonpersistent_run_one_is_inline(self):
-        executor = AsyncExecutor(workers=2)
-        assert executor.run_one(_square, 5) == 25
-        assert executor._pool is None
-
     def test_offload_awaitable(self):
-        import asyncio
-
-        executor = AsyncExecutor(workers=2, persistent=True)
+        executor = Executor("thread", workers=2)
 
         async def driver():
             values = await asyncio.gather(
@@ -170,9 +156,7 @@ class TestAsyncOffloadSeam:
             executor.shutdown()
 
     def test_offload_propagates_exceptions(self):
-        import asyncio
-
-        executor = AsyncExecutor(workers=1, persistent=True)
+        executor = Executor("thread", workers=1)
 
         async def driver():
             await executor.offload(_explode_on_three, 3)
@@ -183,87 +167,97 @@ class TestAsyncOffloadSeam:
         finally:
             executor.shutdown()
 
-    def test_make_executor_passes_persistent_to_async(self):
-        executor = make_executor("async", 2, persistent=True)
-        assert isinstance(executor, AsyncExecutor)
-        assert executor.persistent
-
 
 class TestConstruction:
     def test_serial_is_always_one_worker(self):
-        assert SerialExecutor(workers=8).workers == 1
+        assert Executor("serial", workers=8).workers == 1
 
     def test_serial_ignores_workers_everywhere(self):
-        """workers= is documented as accepted-and-ignored for serial."""
-        assert make_executor("serial", workers=8).workers == 1
-        assert SerialExecutor().workers == 1
+        """The default is serial, and workers= is accepted but ignored."""
+        assert Executor().kind == "serial"
+        assert Executor().workers == 1
+        assert Executor("serial", 0).workers == 1
 
     def test_pool_workers_default_to_cpu_count(self):
-        assert ThreadExecutor().workers >= 1
-        assert ProcessExecutor(workers=3).workers == 3
+        cpus = os.cpu_count() or 1
+        assert Executor("thread").workers == cpus
+        assert Executor("process", None).workers == cpus
+        assert Executor("thread", 0).workers == cpus
+        assert Executor("process", workers=3).workers == 3
 
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_make_executor_kinds(self, kind):
-        executor = make_executor(kind, workers=2)
-        assert executor.kind == kind
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kind_is_kept(self, kind):
+        assert Executor(kind, workers=2).kind == kind
 
-    def test_make_executor_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("gpu")
+    def test_rejects_unknown_kinds(self):
+        for kind in ("async", "gpu"):
+            with pytest.raises(ValueError, match="unknown executor") as raised:
+                Executor(kind)
+            assert all(name in str(raised.value) for name in EXECUTOR_KINDS)
 
-    def test_make_executor_none_workers(self):
-        assert make_executor("process", None).workers >= 1
+    def test_serial_kind_never_starts_a_pool(self):
+        """map, run_one and offload all run on the calling thread."""
+        executor = Executor("serial")
+        caller = threading.get_ident()
+
+        def where(_):
+            return threading.get_ident()
+
+        assert [o.value for o in executor.map(where, [0, 1])] == [caller] * 2
+        assert executor.run_one(where, 0) == caller
+
+        async def driver():
+            return await executor.offload(where, 0)
+
+        assert asyncio.run(driver()) == caller
+        assert executor._pool is None
 
 
 class TestPersistentPools:
-    """The serving tier's pool lifecycle: lazy creation, reuse across
-    run_one calls, shutdown, transparent rebuild."""
+    """The serving tier's shared pool: lazy start, reuse across
+    run_one calls, shutdown, restart on the next call."""
 
     def test_run_one_propagates_errors(self):
         # Unlike map(), run_one must raise — a failed serve propagates
         # to its requester rather than being captured per item.
-        for executor in (SerialExecutor(), ThreadExecutor(2)):
-            with pytest.raises(ValueError, match="three"):
-                executor.run_one(_explode_on_three, 3)
-
-    def test_nonpersistent_run_one_is_inline(self):
-        executor = ThreadExecutor(2)
-        assert executor.run_one(_square, 7) == 49
-        assert executor._pool is None  # no pool was built
+        for kind in EXECUTOR_KINDS:
+            executor = Executor(kind, 1)
+            try:
+                with pytest.raises(ValueError, match="three"):
+                    executor.run_one(_explode_on_three, 3)
+            finally:
+                executor.shutdown()
 
     def test_persistent_pool_created_lazily_and_reused(self):
-        executor = ThreadExecutor(2, persistent=True)
-        assert executor._pool is None
+        executor = Executor("thread", 2)
+        outcomes = executor.map(_square, [1, 2, 3])
+        assert [outcome.value for outcome in outcomes] == [1, 4, 9]
+        assert executor._pool is None  # map brings its own pool
         assert executor.run_one(_square, 7) == 49
         pool = executor._pool
         assert pool is not None
         assert executor.run_one(_square, 8) == 64
         assert executor._pool is pool  # same pool, not one per call
-        outcomes = executor.map(_square, [1, 2, 3])
-        assert [outcome.value for outcome in outcomes] == [1, 4, 9]
-        assert executor._pool is pool  # map shares it too
+        executor.map(_square, [4])
+        assert executor._pool is pool  # map leaves the shared pool be
         executor.shutdown()
         assert executor._pool is None
 
     def test_shutdown_is_idempotent_and_pool_rebuilds(self):
-        executor = ThreadExecutor(2, persistent=True)
+        executor = Executor("thread", 2)
         executor.run_one(_square, 3)
         executor.shutdown()
         executor.shutdown()  # second shutdown is a no-op
-        assert executor.run_one(_square, 4) == 16  # lazily rebuilt
+        assert executor.run_one(_square, 4) == 16  # a new pool starts
+        assert executor._pool is not None
         executor.shutdown()
 
     def test_persistent_process_pool_round_trips(self):
-        executor = ProcessExecutor(1, persistent=True)
+        executor = Executor("process", 1)
         try:
             assert executor.run_one(_square, 6) == 36
+            pool = executor._pool
             assert executor.run_one(_square, 7) == 49
+            assert executor._pool is pool
         finally:
             executor.shutdown()
-
-    def test_make_executor_passes_persistent(self):
-        executor = make_executor("thread", 2, persistent=True)
-        assert executor.persistent
-        assert not make_executor("thread", 2).persistent
-        # Stateless strategies simply ignore the flag.
-        assert make_executor("serial", persistent=True).kind == "serial"

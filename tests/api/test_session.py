@@ -284,7 +284,7 @@ class TestBatchPipeline:
         assert report.workers == 2
 
     def test_process_executor_output_byte_identical(self, jpegs):
-        """Acceptance: ProcessExecutor == SerialExecutor, byte for byte."""
+        """Acceptance: the process kind matches serial, byte for byte."""
         worlds = {}
         for kind in ("serial", "process"):
             session = P3Session.create(

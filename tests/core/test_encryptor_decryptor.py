@@ -32,14 +32,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             P3Config(subsampling="4:4:0")
 
+    def test_async_executor_kind_rejected(self):
+        with pytest.raises(ValueError, match="executor"):
+            P3Config(executor="async")
+        with pytest.raises(ValueError, match="ingest_executor"):
+            P3Config(ingest_executor="async")
+
     def test_serving_tier_knobs_validated(self):
         with pytest.raises(ValueError, match="envelope_cache"):
             P3Config(envelope_cache=-1)
         for bad_quota in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="cache_partition_quota"):
                 P3Config(cache_partition_quota=bad_quota)
-        # async is valid for the batch pipeline but rejected for cold
-        # serves (reconstruction is CPU-bound).
         with pytest.raises(ValueError, match="serve_executor"):
             P3Config(serve_executor="async")
         with pytest.raises(ValueError, match="serve_workers"):

@@ -15,6 +15,7 @@ from repro.serve.admission import (
     Ticket,
     TokenBucket,
 )
+from repro.serve.trace import percentile
 
 
 class FakeClock:
@@ -298,10 +299,16 @@ class TestFrontendStats:
         snap = FrontendStats().snapshot()
         assert snap["p50_ms"] == 0.0
         assert snap["p999_ms"] == 0.0
-        assert FrontendStats().percentile_ms(99) == 0.0
+        assert snap["p99_ms"] == 0.0
+        assert snap["degraded_p99_ms"] == 0.0
 
     def test_percentile_ms_matches_snapshot(self):
+        """The snapshot's latencies are the shared nearest-rank
+        percentile of the window, in milliseconds."""
         stats = FrontendStats()
-        for value in range(1, 101):
-            stats.record_admitted(value / 1000.0)
-        assert stats.percentile_ms(50) == stats.snapshot()["p50_ms"]
+        latencies = [value / 1000.0 for value in range(1, 101)]
+        for latency in latencies:
+            stats.record_admitted(latency)
+        snap = stats.snapshot()
+        for key, p in (("p50_ms", 50), ("p99_ms", 99), ("p999_ms", 99.9)):
+            assert snap[key] == round(percentile(latencies, p) * 1000, 3)

@@ -10,7 +10,11 @@ import pytest
 from repro.core.config import P3Config
 from repro.jpeg.codec import encode_rgb
 from repro.serve.admission import AdmissionController
-from repro.serve.async_gateway import DEGRADED_HEADER, AsyncGateway
+from repro.serve.async_gateway import (
+    DEGRADED_HEADER,
+    OFFLOAD_HEADROOM,
+    AsyncGateway,
+)
 from repro.serve.engine import ServeRequest, ServingEngine
 from repro.system.client import PhotoSharingClient
 from repro.system.gateway import (
@@ -219,6 +223,24 @@ class TestAsyncViews:
             == 400
         )
         assert front.handle_sync(get_request("alice", "/albums")).status == 404
+
+    def test_failed_admitted_serve_frees_its_slot(
+        self, async_gateway, monkeypatch
+    ):
+        """A cold serve that raises on the offload pool still hands its
+        slot back, maps to a 502, and records no admitted latency."""
+        front, photo_id = async_gateway
+
+        def dead_download(*args, **kwargs):
+            raise OSError("provider down")
+
+        monkeypatch.setattr(front.gateway.psp, "download", dead_download)
+        response = front.handle_sync(
+            get_request("alice", f"/photos/{photo_id}", {"album": "trip"})
+        )
+        assert response.status == 502
+        assert front.controller.inflight == 0
+        assert front.frontend.snapshot()["admitted"] == 0
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_non_positive_size_is_400_before_any_work(
@@ -505,3 +527,17 @@ class TestStats:
             assert front.stats_payload()["admission"]["max_inflight"] == 3
         finally:
             front.offload.shutdown()  # gateway closed by its fixture
+
+    def test_offload_pool_has_headroom_past_max_inflight(
+        self, gateway_and_photo
+    ):
+        gateway, _ = gateway_and_photo
+        controller = AdmissionController(
+            max_inflight=3, queue_deadline_s=0.5
+        )
+        front = AsyncGateway(gateway, controller=controller)
+        try:
+            assert front.offload.kind == "thread"
+            assert front.offload.workers == 3 + OFFLOAD_HEADROOM
+        finally:
+            front.offload.shutdown()

@@ -10,7 +10,7 @@ import pytest
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.jpeg.codec import encode_rgb
-from repro.api.executors import make_executor
+from repro.api.executors import Executor
 from repro.serve.engine import (
     ServeRequest,
     ServeResult,
@@ -18,6 +18,7 @@ from repro.serve.engine import (
     ServingStats,
 )
 from repro.serve.keys import key_digest
+from repro.serve.trace import percentile
 from repro.system.proxy import SenderProxy
 from repro.system.psp import AccessDeniedError, FacebookPSP
 from repro.system.storage import CloudStorage
@@ -332,7 +333,7 @@ class TestTimingHooks:
         assert snapshot["serving"]["reconstructions"] == 1
         assert snapshot["serving"]["p50_ms"] >= 0
         assert snapshot["variant_cache"]["hits"] == 4
-        assert engine.stats.percentile(99) >= engine.stats.percentile(50)
+        assert snapshot["serving"]["p99_ms"] >= snapshot["serving"]["p50_ms"]
 
     def test_snapshot_reports_codec_engine(self, world):
         """/stats must say which entropy engine serves are using —
@@ -442,12 +443,37 @@ class TestPooledReconstruction:
         try:
             assert engine.executor is not None
             assert engine.executor.kind == "thread"
-            assert engine.executor.persistent
             assert engine.executor.workers == 2
         finally:
             engine.close()
         serial = ServingEngine.from_config(psp, storage, P3Config())
         assert serial.executor is None  # default stays inline
+
+    def test_thread_executor_reconstructs_off_the_request_thread(
+        self, world, monkeypatch
+    ):
+        """An executor handed straight to the engine pools cold serves:
+        the reconstruction task runs on a pool thread, not on the
+        thread that called serve()."""
+        from repro.api import pipeline
+
+        psp, storage, keys, photo_id = world
+        real_task = pipeline.run_decrypt_task
+        task_threads = []
+
+        def spy(task):
+            task_threads.append(threading.current_thread().name)
+            return real_task(task)
+
+        monkeypatch.setattr(pipeline, "run_decrypt_task", spy)
+        engine = ServingEngine(psp, storage, executor=Executor("thread", 2))
+        try:
+            result = engine.serve(request_for(keys, photo_id, resolution=130))
+        finally:
+            engine.close()
+        assert result.source == "reconstructed"
+        assert len(task_threads) == 1
+        assert task_threads[0] != threading.current_thread().name
 
     def test_thread_pool_serves_byte_identical(self, world):
         psp, storage, keys, photo_id = world
@@ -455,7 +481,7 @@ class TestPooledReconstruction:
         pooled = ServingEngine(
             psp,
             storage,
-            executor=make_executor("thread", 2, persistent=True),
+            executor=Executor("thread", 2),
         )
         request = request_for(keys, photo_id, resolution=130)
         try:
@@ -474,7 +500,7 @@ class TestPooledReconstruction:
         pooled = ServingEngine(
             psp,
             storage,
-            executor=make_executor("process", 1, persistent=True),
+            executor=Executor("process", 1),
         )
         keyed = request_for(keys, photo_id, resolution=130)
         public = ServeRequest(
@@ -497,7 +523,7 @@ class TestPooledReconstruction:
         engine = ServingEngine(
             psp,
             storage,
-            executor=make_executor("thread", 2, persistent=True),
+            executor=Executor("thread", 2),
         )
         request = request_for(keys, photo_id, resolution=75)
         first = engine.serve(request).pixels.tobytes()
@@ -506,20 +532,30 @@ class TestPooledReconstruction:
         engine.variant_cache.clear()
         engine.secret_cache.clear()
         engine.envelope_cache.clear()
-        # The pool lazily rebuilds: serving after close still works.
+        # A new pool starts: serving after close still works.
         assert engine.serve(request).pixels.tobytes() == first
         engine.close()
 
 
 class TestServingStatsSnapshot:
     def test_empty_window_percentile_is_zero(self):
-        stats = ServingStats()
-        assert stats.percentile(50) == 0.0
-        assert stats.percentile(99) == 0.0
-        snapshot = stats.snapshot()
+        snapshot = ServingStats().snapshot()
         assert snapshot["p50_ms"] == 0.0
         assert snapshot["p99_ms"] == 0.0
         assert snapshot["requests"] == 0
+
+    def test_snapshot_percentiles_use_the_shared_percentile(self):
+        stats = ServingStats()
+        latencies = [ms / 1000.0 for ms in (5, 1, 4, 2, 3, 100)]
+        for latency in latencies:
+            result = ServeResult(
+                pixels=np.zeros((1, 1, 3), dtype=np.uint8), photo_id="x"
+            )
+            result.timing.total_s = latency
+            stats.record(result)
+        snapshot = stats.snapshot()
+        assert snapshot["p50_ms"] == round(percentile(latencies, 50) * 1000, 3)
+        assert snapshot["p99_ms"] == 100.0
 
     def test_snapshot_is_internally_consistent_under_load(self):
         """Counters and percentiles must describe the same instant:

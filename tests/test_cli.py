@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.executors import EXECUTOR_KINDS
 from repro.cli import build_parser, main
 from repro.core import P3Config
 from repro.imageio import NetpbmError, read_image, write_image
@@ -180,6 +181,38 @@ class TestBatchCli:
             )
             assert np.array_equal(recon, decode(original.read_bytes()))
 
+    def test_every_executor_kind_writes_identical_outputs(
+        self, tmp_path, photo_files
+    ):
+        """batch-encrypt then batch-decrypt under each kind: public
+        parts and reconstructions match the serial run byte for byte.
+        (Secret envelopes differ by their random nonces; decrypting
+        them is what produces the compared reconstructions.)"""
+        key_path = tmp_path / "k.key"
+        main(["genkey", "--output", str(key_path)])
+        outputs = {}
+        for kind in EXECUTOR_KINDS:
+            out_dir = tmp_path / kind / "out"
+            recon_dir = tmp_path / kind / "recon"
+            options = ["--key", str(key_path), "--executor", kind,
+                       "--workers", "2"]
+            assert main(
+                ["batch-encrypt", *map(str, photo_files),
+                 "--output-dir", str(out_dir), *options]
+            ) == 0
+            publics = sorted(out_dir.glob("*.public.jpg"))
+            assert main(
+                ["batch-decrypt", *map(str, publics),
+                 "--output-dir", str(recon_dir), *options]
+            ) == 0
+            outputs[kind] = {
+                path.name: path.read_bytes()
+                for path in [*publics, *sorted(recon_dir.iterdir())]
+            }
+        assert len(outputs["serial"]) == 2 * len(photo_files)
+        assert outputs["thread"] == outputs["serial"]
+        assert outputs["process"] == outputs["serial"]
+
     def test_duplicate_basenames_do_not_overwrite(self, tmp_path, scene_corpus):
         """Same filename from two directories must yield two outputs."""
         for sub in ("a", "b"):
@@ -254,6 +287,21 @@ class TestPublishCommand:
             path.write_bytes(encode_rgb(image, quality=85))
             paths.append(path)
         return paths
+
+    def test_async_executor_is_not_a_choice(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["publish", "x.jpg", "--ingest-executor", "thread"]
+        )
+        assert args.ingest_executor == "thread"
+        for argv in (
+            ["publish", "x.jpg", "--ingest-executor", "async"],
+            ["batch-encrypt", "x.jpg", "--key", "k", "--output-dir", "o",
+             "--executor", "async"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        assert "invalid choice: 'async'" in capsys.readouterr().err
 
     def test_single_provider_publish(self, photo_files, capsys):
         assert main(

@@ -69,11 +69,7 @@ for _type in (
     "BlobStore", "CloudStorage", "ReplicatedBlobStore", "ShardedBlobStore",
 ):
     BLOCKING_METHODS[_type] = _STORE_METHODS
-for _type in (
-    "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
-    "AsyncExecutor", "_PoolExecutor", "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-):
+for _type in ("Executor", "ThreadPoolExecutor", "ProcessPoolExecutor"):
     BLOCKING_METHODS[_type] = _EXECUTOR_METHODS
 BLOCKING_METHODS["SingleFlight"] = frozenset({"do"})
 BLOCKING_METHODS["Event"] = frozenset({"wait"})
