@@ -1,7 +1,8 @@
 """Codec throughput trajectory: seed (scalar) -> numpy -> native.
 
 Times encode and decode (coefficient-level, the P3 hot path) for
-baseline and progressive streams at several image sizes, once per
+baseline, progressive (spectral selection) and progressive-sa
+(successive approximation) streams at several image sizes, once per
 available engine, and writes ``BENCH_codec_throughput.json`` with the
 full engine trajectory: per-engine seconds/images-per-sec plus the
 speedup of each engine over the previous tier (numpy vs scalar,
@@ -35,6 +36,7 @@ from repro.jpeg.codec import gray_to_coefficients
 from repro.jpeg.decoder import decode_to_coefficients
 from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.engines import engine_info, native_available
+from repro.jpeg.scans import default_sa_script
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -55,6 +57,11 @@ def _time_call(function, repeats: int) -> float:
         function()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _encode_sa(image, engine=None) -> bytes:
+    script = default_sa_script(len(image.components))
+    return encode_progressive(image, script, engine=engine)
 
 
 def _coefficient_bytes(image) -> tuple[bytes, ...]:
@@ -78,6 +85,7 @@ def run(
         for mode, encode in (
             ("baseline", encode_baseline),
             ("progressive", encode_progressive),
+            ("progressive-sa", _encode_sa),
         ):
             # The scalar seed's stream is the identity oracle even at
             # sizes where it is too slow to *time* repeatedly.
@@ -159,7 +167,7 @@ def run(
                     if key.startswith("decode_speedup_vs_")
                 ]
                 print(
-                    f"{size:5d}px {mode:11s} {engine:7s} "
+                    f"{size:5d}px {mode:14s} {engine:7s} "
                     f"encode {1.0 / timings['encode_s']:8.1f} img/s  "
                     f"decode {1.0 / timings['decode_s']:8.1f} img/s"
                     + (f"  ({', '.join(extras)})" if extras else "")

@@ -5,8 +5,9 @@ This subpackage is the substrate the P3 algorithm is inserted into
 pipeline after the quantization step").  It implements:
 
 * baseline sequential DCT encoding and decoding (ITU-T T.81),
-* progressive encoding/decoding with spectral selection and successive
-  approximation (the mode Facebook transcodes uploads into),
+* progressive encoding/decoding (the mode Facebook transcodes uploads
+  into).  One encoder runs any scan script (:mod:`repro.jpeg.scans`):
+  spectral selection by default, or successive approximation,
 * direct access to quantized DCT coefficients without pixel decoding
   (the equivalent of ``jpegio``), which is what the P3 splitter uses.
 

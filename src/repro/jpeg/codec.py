@@ -22,16 +22,13 @@ from repro.jpeg.blocks import plane_to_blocks
 from repro.jpeg.color import rgb_to_ycbcr, subsample_plane
 from repro.jpeg.dct import forward_dct
 from repro.jpeg.decoder import coefficients_to_pixels, decode_to_coefficients
-from repro.jpeg.encoder import (
-    encode_baseline,
-    encode_progressive,
-    encode_progressive_sa,
-)
+from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.quantization import (
     chrominance_table,
     luminance_table,
     quantize,
 )
+from repro.jpeg.scans import default_sa_script
 from repro.jpeg.structures import CoefficientImage, ComponentInfo
 
 #: Subsampling mode -> (h, v) sampling factors of the luma component.
@@ -147,16 +144,20 @@ def encode_coefficients(
 
     ``progressive`` may be ``None`` (keep the mode recorded on the
     image), ``False`` (baseline), ``True`` (progressive with spectral
-    selection) or ``"sa"`` (progressive with successive approximation,
-    the full libjpeg-style script).  ``restart_interval`` applies to
-    baseline output only.  ``engine`` picks the entropy engine
-    (``"scalar"`` / ``"numpy"`` / ``"native"``; ``None`` = the best
-    available) — output is byte-identical either way.
+    selection: a DC scan, then AC bands 1-5 and 6-63 at full
+    precision, the layout the simulated Facebook stores) or ``"sa"``
+    (progressive with successive approximation, libjpeg's default
+    script).  Every mode keeps the image's APPn and COM segments.
+    ``restart_interval`` applies to baseline output only.  ``engine``
+    picks the entropy engine (``"scalar"`` / ``"numpy"`` /
+    ``"native"``; ``None`` = the best available) — output is
+    byte-identical either way.
     """
     if progressive is None:
         progressive = image.progressive
     if progressive == "sa":
-        return encode_progressive_sa(image, engine=engine)
+        script = default_sa_script(len(image.components))
+        return encode_progressive(image, script, engine=engine)
     if progressive:
         return encode_progressive(image, engine=engine)
     return encode_baseline(

@@ -126,20 +126,29 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
         raise JpegFormatError("truncated SOF payload")
     if precision != 8:
         raise JpegFormatError(f"unsupported sample precision {precision}")
+    # T.81 B.2.2: Nf >= 1, and H and V in 1-4 (they size the MCU grid).
+    if num_components == 0:
+        raise JpegFormatError("invalid frame header: no components")
     state.height = height
     state.width = width
     state.progressive = segment.marker == markers.SOF2
     position = 6
     for _ in range(num_components):
         identifier = payload[position]
-        sampling = payload[position + 1]
+        h_sampling = payload[position + 1] >> 4
+        v_sampling = payload[position + 1] & 0x0F
         quant_table_id = payload[position + 2]
         position += 3
+        if not (1 <= h_sampling <= 4 and 1 <= v_sampling <= 4):
+            raise JpegFormatError(
+                f"invalid frame header: component {identifier} sampling "
+                f"{h_sampling}x{v_sampling} outside 1-4"
+            )
         state.components.append(
             _FrameComponent(
                 identifier=identifier,
-                h_sampling=sampling >> 4,
-                v_sampling=sampling & 0x0F,
+                h_sampling=h_sampling,
+                v_sampling=v_sampling,
                 quant_table_id=quant_table_id,
             )
         )

@@ -4,10 +4,14 @@ Turns a :class:`~repro.jpeg.structures.CoefficientImage` into a compliant
 JPEG byte stream.  Supports:
 
 * baseline sequential (SOF0) with interleaved MCUs and arbitrary
-  sampling factors (4:4:4, 4:2:2, 4:2:0),
-* progressive (SOF2) with a DC scan followed by per-component spectral-
-  selection AC scans (the layout Facebook transcodes uploads into),
-* optional two-pass Huffman optimization (libjpeg's ``optimize_coding``).
+  sampling factors (4:4:4, 4:2:2, 4:2:0), and optional two-pass
+  Huffman optimization (libjpeg's ``optimize_coding``);
+* progressive (SOF2) driven by a scan script
+  (:mod:`repro.jpeg.scans`): spectral selection by default (the layout
+  Facebook transcodes uploads into), or successive approximation.
+
+Both start with the same frame header, so every mode keeps the image's
+APPn and COM segments.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from repro.jpeg.huffman import (
     STANDARD_DC_LUMINANCE,
     build_optimized_table,
     codes_for_symbols,
-    dc_scan_token_bundles,
-    encode_ac_first_scan,
     encode_block_symbols,
     encode_dc_symbols,
     encode_magnitude_bits,
@@ -42,46 +44,22 @@ from repro.jpeg.huffman import (
     interleaved_visit_arrays,
     magnitude_category,
     merge_frequencies,
-    pack_dc_scan_tokens,
 )
 from repro.jpeg.markers import Segment
+from repro.jpeg.scans import (
+    ScanSpec,
+    _CountingSink,
+    _WritingSink,
+    run_scan,
+    spectral_selection_script,
+)
 from repro.jpeg.structures import CoefficientImage
 from repro.jpeg.zigzag import ZIGZAG_ORDER
-
-#: Default spectral bands for progressive AC scans (after the DC scan).
-DEFAULT_PROGRESSIVE_BANDS: tuple[tuple[int, int], ...] = ((1, 5), (6, 63))
-
-
-class _CountingSink:
-    """Records symbol frequencies; used by the Huffman-optimizing pass."""
-
-    def __init__(self, frequencies: dict[int, int]) -> None:
-        self._frequencies = frequencies
-
-    def symbol(self, value: int) -> None:
-        self._frequencies[value] = self._frequencies.get(value, 0) + 1
-
-    def bits(self, value: int, num_bits: int) -> None:
-        pass  # bit payloads do not affect table optimization
-
-
-class _WritingSink:
-    """Writes Huffman codes and raw bits to a :class:`BitWriter`."""
-
-    def __init__(self, writer: BitWriter, encoder: HuffmanEncoder) -> None:
-        self._writer = writer
-        self._encoder = encoder
-
-    def symbol(self, value: int) -> None:
-        self._encoder.encode(self._writer, value)
-
-    def bits(self, value: int, num_bits: int) -> None:
-        self._writer.write(value, num_bits)
 
 
 @dataclass
 class _ScanComponent:
-    """Per-component state used while encoding one scan."""
+    """Per-component state used while encoding one baseline scan."""
 
     zigzag_blocks: np.ndarray  # (by, bx, 64) int32, zigzag order
     h_sampling: int
@@ -189,124 +167,11 @@ def _encode_interleaved_scan(
                         _encode_block_sequential(block, component)
 
 
-def _encode_dc_scan_progressive(
-    components: list[_ScanComponent], mcus_y: int, mcus_x: int
-) -> None:
-    """Progressive first DC scan (Ss=Se=0, Ah=Al=0): DC diffs only."""
-    for mcu_y in range(mcus_y):
-        for mcu_x in range(mcus_x):
-            for component in components:
-                v = component.v_sampling
-                h = component.h_sampling
-                for dy in range(v):
-                    for dx in range(h):
-                        block = component.zigzag_blocks[
-                            mcu_y * v + dy, mcu_x * h + dx
-                        ]
-                        dc = int(block[0])
-                        diff = dc - component.prev_dc
-                        component.prev_dc = dc
-                        category = magnitude_category(diff)
-                        component.dc_sink.symbol(category)
-                        component.dc_sink.bits(
-                            encode_magnitude_bits(diff, category), category
-                        )
-
-
-class _EobRun:
-    """Tracks and flushes the progressive AC end-of-band run."""
-
-    def __init__(self, sink: object) -> None:
-        self._sink = sink
-        self.count = 0
-
-    def increment(self) -> None:
-        self.count += 1
-        if self.count == 0x7FFF:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.count == 0:
-            return
-        category = self.count.bit_length() - 1
-        self._sink.symbol(category << 4)
-        self._sink.bits(self.count - (1 << category), category)
-        self.count = 0
-
-
-def _encode_ac_scan_progressive(
-    component: _ScanComponent, spectral_start: int, spectral_end: int
-) -> None:
-    """Progressive AC scan (first pass, Ah=0) with EOB-run coding."""
-    blocks = component.zigzag_blocks
-    by, bx = blocks.shape[:2]
-    eob_run = _EobRun(component.ac_sink)
-    for y in range(by):
-        for x in range(bx):
-            band = blocks[y, x, spectral_start : spectral_end + 1]
-            nonzero = np.nonzero(band)[0]
-            if len(nonzero) == 0:
-                eob_run.increment()
-                continue
-            eob_run.flush()
-            last = int(nonzero[-1])
-            run = 0
-            for k in range(last + 1):
-                value = int(band[k])
-                if value == 0:
-                    run += 1
-                    continue
-                while run > 15:
-                    component.ac_sink.symbol(0xF0)
-                    run -= 16
-                category = magnitude_category(value)
-                component.ac_sink.symbol((run << 4) | category)
-                component.ac_sink.bits(
-                    encode_magnitude_bits(value, category), category
-                )
-                run = 0
-            if last < len(band) - 1:
-                eob_run.increment()
-    eob_run.flush()
-
-
-def _dqt_segments(
-    tables: list[np.ndarray],
-) -> list[Segment]:
-    """Build DQT segments, one 8-bit table per id, in zigzag order."""
-    segments = []
-    for table_id, table in enumerate(tables):
-        flat = table.reshape(64)[ZIGZAG_ORDER]
-        payload = bytes([table_id]) + bytes(int(v) for v in flat)
-        segments.append(Segment(marker=markers.DQT, payload=payload))
-    return segments
-
-
 def _dht_segment(table_class: int, table_id: int, table: HuffmanTable) -> Segment:
     payload = bytes([(table_class << 4) | table_id])
     payload += bytes(table.bits)
     payload += bytes(table.values)
     return Segment(marker=markers.DHT, payload=payload)
-
-
-def _sof_segment(
-    image: CoefficientImage,
-    quant_table_ids: list[int],
-    progressive: bool,
-) -> Segment:
-    marker = markers.SOF2 if progressive else markers.SOF0
-    payload = struct.pack(
-        ">BHHB", 8, image.height, image.width, len(image.components)
-    )
-    for component, table_id in zip(image.components, quant_table_ids):
-        payload += bytes(
-            [
-                component.identifier,
-                (component.h_sampling << 4) | component.v_sampling,
-                table_id,
-            ]
-        )
-    return Segment(marker=marker, payload=payload)
 
 
 def _sos_segment(
@@ -328,6 +193,33 @@ def _sos_segment(
         [spectral_start, spectral_end, (approx_high << 4) | approx_low]
     )
     return Segment(marker=markers.SOS, payload=payload, entropy_data=entropy_data)
+
+
+def _frame_header(image: CoefficientImage, progressive: bool) -> list[Segment]:
+    """The segments every encode starts with: SOI, JFIF APP0, the
+    image's APPn and COM, DQT (8-bit tables in zigzag order) and SOF."""
+    quant_tables, quant_ids = _assign_quant_tables(image)
+    segments = [
+        Segment(marker=markers.SOI),
+        Segment(marker=markers.APP0, payload=markers.jfif_app0_payload()),
+    ]
+    for app_marker, payload in image.app_segments:
+        segments.append(Segment(marker=app_marker, payload=payload))
+    if image.comment is not None:
+        segments.append(Segment(marker=markers.COM, payload=image.comment))
+    for table_id, table in enumerate(quant_tables):
+        flat = table.reshape(64)[ZIGZAG_ORDER]
+        payload = bytes([table_id]) + bytes(int(v) for v in flat)
+        segments.append(Segment(marker=markers.DQT, payload=payload))
+    sof = struct.pack(
+        ">BHHB", 8, image.height, image.width, len(image.components)
+    )
+    for component, table_id in zip(image.components, quant_ids):
+        sampling = (component.h_sampling << 4) | component.v_sampling
+        sof += bytes([component.identifier, sampling, table_id])
+    marker = markers.SOF2 if progressive else markers.SOF0
+    segments.append(Segment(marker=marker, payload=sof))
+    return segments
 
 
 def _assign_quant_tables(image: CoefficientImage) -> tuple[list[np.ndarray], list[int]]:
@@ -642,32 +534,6 @@ def _collect_frequencies_baseline(
     return dc_freqs, ac_freqs
 
 
-def _select_tables(
-    image: CoefficientImage, optimize: bool, restart_interval: int = 0
-) -> tuple[list[HuffmanTable], list[HuffmanTable]]:
-    """Choose the DC/AC tables (ids 0 and 1) for a baseline encode."""
-    if not optimize:
-        return (
-            [STANDARD_DC_LUMINANCE, STANDARD_DC_CHROMINANCE],
-            [STANDARD_AC_LUMINANCE, STANDARD_AC_CHROMINANCE],
-        )
-    dc_freqs, ac_freqs = _collect_frequencies_baseline(
-        image, restart_interval
-    )
-    dc_tables = []
-    ac_tables = []
-    for table_id in range(2):
-        if dc_freqs[table_id]:
-            dc_tables.append(build_optimized_table(dc_freqs[table_id]))
-        else:
-            dc_tables.append(STANDARD_DC_LUMINANCE)
-        if ac_freqs[table_id]:
-            ac_tables.append(build_optimized_table(ac_freqs[table_id]))
-        else:
-            ac_tables.append(STANDARD_AC_LUMINANCE)
-    return dc_tables, ac_tables
-
-
 def encode_baseline(
     image: CoefficientImage,
     optimize_huffman: bool = True,
@@ -687,27 +553,32 @@ def encode_baseline(
     engine = resolve_engine(engine)
     if restart_interval < 0 or restart_interval > 0xFFFF:
         raise ValueError(f"invalid restart interval {restart_interval}")
-    quant_tables, quant_ids = _assign_quant_tables(image)
+    segments = _frame_header(image, progressive=False)
     table_ids = _huffman_table_ids(len(image.components))
-    num_tables = max(table_ids) + 1
-
-    if engine != "scalar":
+    fast = engine != "scalar"
+    if fast:
         tokens, total_mcus = _baseline_component_tokens(
             image, restart_interval
         )
-        if optimize_huffman:
-            dc_freqs, ac_freqs = _frequencies_from_tokens(tokens, table_ids)
-            dc_tables = [
-                build_optimized_table(freq) if freq else STANDARD_DC_LUMINANCE
-                for freq in dc_freqs
-            ]
-            ac_tables = [
-                build_optimized_table(freq) if freq else STANDARD_AC_LUMINANCE
-                for freq in ac_freqs
-            ]
-        else:
-            dc_tables = [STANDARD_DC_LUMINANCE, STANDARD_DC_CHROMINANCE]
-            ac_tables = [STANDARD_AC_LUMINANCE, STANDARD_AC_CHROMINANCE]
+    if optimize_huffman:
+        dc_freqs, ac_freqs = (
+            _frequencies_from_tokens(tokens, table_ids)
+            if fast
+            else _collect_frequencies_baseline(image, restart_interval)
+        )
+        dc_tables = [
+            build_optimized_table(freq) if freq else STANDARD_DC_LUMINANCE
+            for freq in dc_freqs
+        ]
+        ac_tables = [
+            build_optimized_table(freq) if freq else STANDARD_AC_LUMINANCE
+            for freq in ac_freqs
+        ]
+    else:
+        dc_tables = [STANDARD_DC_LUMINANCE, STANDARD_DC_CHROMINANCE]
+        ac_tables = [STANDARD_AC_LUMINANCE, STANDARD_AC_CHROMINANCE]
+
+    if fast:
         entropy = _pack_baseline_tokens(
             tokens,
             dc_tables,
@@ -718,34 +589,21 @@ def encode_baseline(
             engine,
         )
     else:
-        dc_tables, ac_tables = _select_tables(
-            image, optimize_huffman, restart_interval
-        )
         writer = BitWriter()
-        dc_encoders = [
-            HuffmanEncoder(dc_tables[t]) for t in range(num_tables)
+        dc_sinks = [
+            _WritingSink(writer, HuffmanEncoder(dc_tables[t]))
+            for t in table_ids
         ]
-        ac_encoders = [
-            HuffmanEncoder(ac_tables[t]) for t in range(num_tables)
+        ac_sinks = [
+            _WritingSink(writer, HuffmanEncoder(ac_tables[t]))
+            for t in table_ids
         ]
-        dc_sinks = [_WritingSink(writer, dc_encoders[t]) for t in table_ids]
-        ac_sinks = [_WritingSink(writer, ac_encoders[t]) for t in table_ids]
         _run_baseline_scan(
             image, dc_sinks, ac_sinks, restart_interval, writer
         )
         writer.flush()
         entropy = writer.getvalue()
 
-    segments = [Segment(marker=markers.SOI)]
-    segments.append(
-        Segment(marker=markers.APP0, payload=markers.jfif_app0_payload())
-    )
-    for app_marker, payload in image.app_segments:
-        segments.append(Segment(marker=app_marker, payload=payload))
-    if image.comment is not None:
-        segments.append(Segment(marker=markers.COM, payload=image.comment))
-    segments.extend(_dqt_segments(quant_tables))
-    segments.append(_sof_segment(image, quant_ids, progressive=False))
     if restart_interval:
         segments.append(
             Segment(
@@ -753,237 +611,69 @@ def encode_baseline(
                 payload=struct.pack(">H", restart_interval),
             )
         )
-    for table_id in range(num_tables):
+    for table_id in range(max(table_ids) + 1):
         segments.append(_dht_segment(0, table_id, dc_tables[table_id]))
         segments.append(_dht_segment(1, table_id, ac_tables[table_id]))
     specs = [
-        (component.identifier, table_ids[index], table_ids[index])
-        for index, component in enumerate(image.components)
+        (component.identifier, table_id, table_id)
+        for component, table_id in zip(image.components, table_ids)
     ]
     segments.append(_sos_segment(specs, 0, 63, entropy))
     segments.append(Segment(marker=markers.EOI))
     return markers.serialize_segments(segments)
 
 
-def encode_progressive_sa(
+def encode_progressive(
     image: CoefficientImage,
-    script=None,
+    script: list[ScanSpec] | None = None,
     engine: str | None = None,
 ) -> bytes:
-    """Progressive encoding with successive approximation (T.81 G.1.2).
+    """Encode a coefficient image as a progressive JPEG (SOF2).
 
-    ``script`` is a list of :class:`repro.jpeg.scans.ScanSpec`; the
-    default is the libjpeg-style two-level script of
-    :func:`repro.jpeg.scans.default_sa_script`.  ``engine`` selects
-    the entropy engine as in :func:`encode_baseline`.
+    ``script`` lists the scans (:class:`repro.jpeg.scans.ScanSpec`).
+    The default, :func:`~repro.jpeg.scans.spectral_selection_script`,
+    sends every coefficient at full precision, one band per scan;
+    :func:`~repro.jpeg.scans.default_sa_script` adds successive
+    approximation.  Each scan's Huffman tables are optimized for it and
+    sent just before it (:func:`~repro.jpeg.scans.run_scan`).
+    ``engine`` selects the entropy engine as in :func:`encode_baseline`.
     """
     from repro.jpeg.engines import resolve_engine
-    from repro.jpeg.scans import default_sa_script, run_scan
 
     engine = resolve_engine(engine)
     if script is None:
-        script = default_sa_script(len(image.components))
-    quant_tables, quant_ids = _assign_quant_tables(image)
+        script = spectral_selection_script(len(image.components))
+    segments = _frame_header(image, progressive=True)
+    table_ids = _huffman_table_ids(len(image.components))
     mcus = _mcu_grid(image)
-    mcus_y, mcus_x = mcus
-
-    blocks_per_component = [
-        _zigzag_blocks(component.coefficients)
-        for component in image.components
+    zigzag = [_zigzag_blocks(c.coefficients) for c in image.components]
+    padded = [
+        _pad_blocks_to_mcu(blocks, *mcus, c.v_sampling, c.h_sampling)
+        for blocks, c in zip(zigzag, image.components)
     ]
-    padded_blocks = [
-        _pad_blocks_to_mcu(
-            blocks,
-            mcus_y,
-            mcus_x,
-            component.v_sampling,
-            component.h_sampling,
-        )
-        for blocks, component in zip(blocks_per_component, image.components)
-    ]
-    samplings = [
-        (component.h_sampling, component.v_sampling)
-        for component in image.components
-    ]
-
-    segments = [Segment(marker=markers.SOI)]
-    segments.append(
-        Segment(marker=markers.APP0, payload=markers.jfif_app0_payload())
-    )
-    segments.extend(_dqt_segments(quant_tables))
-    segments.append(_sof_segment(image, quant_ids, progressive=True))
+    samplings = [(c.h_sampling, c.v_sampling) for c in image.components]
     for spec in script:
-        table, entropy = run_scan(
-            spec,
-            blocks_per_component,
-            padded_blocks,
-            samplings,
-            mcus,
-            engine=engine,
+        tables, entropy = run_scan(
+            spec, zigzag, padded, samplings, mcus, table_ids, engine
         )
-        if table is not None:
-            table_class = 0 if spec.is_dc else 1
-            segments.append(_dht_segment(table_class, 0, table))
+        for table_id, table in tables.items():
+            segments.append(
+                _dht_segment(0 if spec.is_dc else 1, table_id, table)
+            )
+        # Only a DC first scan uses its DC table field; libjpeg writes 0
+        # in every field a scan does not use.
+        dc_first = spec.is_dc and not spec.is_refinement
         component_specs = [
-            (image.components[index].identifier, 0, 0)
+            (
+                image.components[index].identifier,
+                table_ids[index] if dc_first else 0,
+                0,
+            )
             for index in spec.component_indices
         ]
         segments.append(
             _sos_segment(
-                component_specs,
-                spec.ss,
-                spec.se,
-                entropy,
-                approx_high=spec.ah,
-                approx_low=spec.al,
-            )
-        )
-    segments.append(Segment(marker=markers.EOI))
-    return markers.serialize_segments(segments)
-
-
-def encode_progressive(
-    image: CoefficientImage,
-    bands: tuple[tuple[int, int], ...] = DEFAULT_PROGRESSIVE_BANDS,
-    engine: str | None = None,
-) -> bytes:
-    """Encode as a progressive JPEG: one DC scan, then AC band scans.
-
-    AC scans are emitted per band, per component (progressive AC scans
-    are never interleaved).  Huffman tables are optimized per scan group,
-    matching libjpeg behaviour for progressive files.  ``engine``
-    selects the entropy engine (byte-identical streams either way).
-    """
-    from repro.jpeg.engines import resolve_engine
-
-    engine = resolve_engine(engine)
-    for start, end in bands:
-        if not 1 <= start <= end <= 63:
-            raise ValueError(f"invalid spectral band ({start}, {end})")
-
-    quant_tables, quant_ids = _assign_quant_tables(image)
-    table_ids = _huffman_table_ids(len(image.components))
-    num_tables = max(table_ids) + 1
-    mcus_y, mcus_x = _mcu_grid(image)
-
-    if engine != "scalar":
-        samplings = [
-            (c.h_sampling, c.v_sampling) for c in image.components
-        ]
-        zigzag = [
-            _zigzag_blocks(c.coefficients) for c in image.components
-        ]
-        padded = [
-            _pad_blocks_to_mcu(
-                blocks, mcus_y, mcus_x, c.v_sampling, c.h_sampling
-            )
-            for blocks, c in zip(zigzag, image.components)
-        ]
-        bundles = dc_scan_token_bundles(padded, samplings, (mcus_y, mcus_x))
-        dc_freqs = [{} for _ in range(num_tables)]
-        for (_, categories, _), table_id in zip(bundles, table_ids):
-            merge_frequencies(dc_freqs[table_id], categories)
-        dc_tables = [
-            build_optimized_table(freq) if freq else STANDARD_DC_LUMINANCE
-            for freq in dc_freqs
-        ]
-        dc_entropy = pack_dc_scan_tokens(
-            bundles, [dc_tables[t] for t in table_ids], engine
-        )
-
-        unpadded = [blocks.reshape(-1, 64) for blocks in zigzag]
-        ac_scan_plans = []  # (component_index, band, table, entropy_bytes)
-        for band in bands:
-            for index in range(len(image.components)):
-                table, entropy = encode_ac_first_scan(
-                    unpadded[index], band[0], band[1], engine=engine
-                )
-                ac_scan_plans.append((index, band, table, entropy))
-    else:
-        # --- DC scan (interleaved, optimized table) ---
-        dc_freqs = [{} for _ in range(num_tables)]
-        counting = _build_scan_components(
-            image,
-            [_CountingSink(dc_freqs[t]) for t in table_ids],
-            [_CountingSink({}) for _ in table_ids],
-            pad_to_mcu=True,
-        )
-        _encode_dc_scan_progressive(counting, mcus_y, mcus_x)
-        dc_tables = [
-            build_optimized_table(freq) if freq else STANDARD_DC_LUMINANCE
-            for freq in dc_freqs
-        ]
-        dc_writer = BitWriter()
-        writing = _build_scan_components(
-            image,
-            [
-                _WritingSink(dc_writer, HuffmanEncoder(dc_tables[t]))
-                for t in table_ids
-            ],
-            [_CountingSink({}) for _ in table_ids],
-            pad_to_mcu=True,
-        )
-        _encode_dc_scan_progressive(writing, mcus_y, mcus_x)
-        dc_writer.flush()
-        dc_entropy = dc_writer.getvalue()
-
-        # --- AC scans: (band, component) -> own optimized table ---
-        ac_scan_plans = []
-        for band in bands:
-            for index, component in enumerate(image.components):
-                freq: dict[int, int] = {}
-                scan_component = _ScanComponent(
-                    zigzag_blocks=_zigzag_blocks(component.coefficients),
-                    h_sampling=component.h_sampling,
-                    v_sampling=component.v_sampling,
-                    dc_sink=_CountingSink({}),
-                    ac_sink=_CountingSink(freq),
-                )
-                _encode_ac_scan_progressive(scan_component, band[0], band[1])
-                table = (
-                    build_optimized_table(freq)
-                    if freq
-                    else STANDARD_AC_LUMINANCE
-                )
-                ac_writer = BitWriter()
-                scan_component = _ScanComponent(
-                    zigzag_blocks=scan_component.zigzag_blocks,
-                    h_sampling=component.h_sampling,
-                    v_sampling=component.v_sampling,
-                    dc_sink=_CountingSink({}),
-                    ac_sink=_WritingSink(ac_writer, HuffmanEncoder(table)),
-                )
-                _encode_ac_scan_progressive(scan_component, band[0], band[1])
-                ac_writer.flush()
-                ac_scan_plans.append(
-                    (index, band, table, ac_writer.getvalue())
-                )
-
-    # --- assemble segments ---
-    segments = [Segment(marker=markers.SOI)]
-    segments.append(
-        Segment(marker=markers.APP0, payload=markers.jfif_app0_payload())
-    )
-    for app_marker, payload in image.app_segments:
-        segments.append(Segment(marker=app_marker, payload=payload))
-    if image.comment is not None:
-        segments.append(Segment(marker=markers.COM, payload=image.comment))
-    segments.extend(_dqt_segments(quant_tables))
-    segments.append(_sof_segment(image, quant_ids, progressive=True))
-    for table_id in range(num_tables):
-        segments.append(_dht_segment(0, table_id, dc_tables[table_id]))
-    dc_specs = [
-        (component.identifier, table_ids[index], 0)
-        for index, component in enumerate(image.components)
-    ]
-    segments.append(_sos_segment(dc_specs, 0, 0, dc_entropy))
-    for index, band, table, entropy in ac_scan_plans:
-        # AC tables are re-sent before each scan under table id 0.
-        segments.append(_dht_segment(1, 0, table))
-        component = image.components[index]
-        segments.append(
-            _sos_segment(
-                [(component.identifier, 0, 0)], band[0], band[1], entropy
+                component_specs, spec.ss, spec.se, entropy, spec.ah, spec.al
             )
         )
     segments.append(Segment(marker=markers.EOI))

@@ -700,7 +700,8 @@ def progressive_ac_tokens(
     Empty bands join end-of-band runs; a block whose last nonzero falls
     short of ``spectral_end`` contributes its trailing EOB to the run;
     runs flush before the next non-empty block (or at scan end), split
-    at :data:`MAX_EOB_RUN` exactly like the scalar ``_EobRun``.
+    at :data:`MAX_EOB_RUN` exactly like the scalar ``_EobState``
+    (scans.py).
     Returns ``(g, rank, symbols, extras, extra_lengths)`` ready for
     :func:`pack_tokens_with_table`.
     """
@@ -761,10 +762,11 @@ def encode_ac_first_scan(
 ) -> tuple[HuffmanTable, bytes]:
     """Encode one progressive AC first scan with an optimized table.
 
-    The single recipe shared by ``encode_progressive`` (encoder.py) and
-    the SA ``run_scan`` driver (scans.py): batch the token stream, pick
-    the optimal table from its histogram (standard-luminance fallback
-    for an empty scan), and pack.  Returns ``(table, entropy_bytes)``.
+    The recipe ``run_scan`` (scans.py) uses for every AC first scan,
+    spectral selection (``al=0``) and successive approximation alike:
+    batch the token stream, pick the optimal table from its histogram
+    (standard-luminance fallback for an empty scan), and pack.  Returns
+    ``(table, entropy_bytes)``.
     """
     token_stream = progressive_ac_tokens(
         blocks, spectral_start, spectral_end, al

@@ -1,12 +1,22 @@
-"""Progressive scan scripts with successive approximation (T.81 G.1.2).
+"""Progressive scan scripts and the scan encoder (T.81 G.1.2).
 
-The spectral-selection-only progressive mode in
-:mod:`repro.jpeg.encoder` covers what the P3 pipeline needs; this
-module completes the codec with *successive approximation* (SA): DC
-and AC coefficients are sent most-significant-bits first across
-multiple scans, exactly like libjpeg's default progressive script.
+A progressive JPEG is a *script* of scans.  Each :class:`ScanSpec`
+names a coefficient band ``Ss..Se``, the components it codes (several
+interleaved for DC, exactly one for AC) and a point transform: ``Ah``
+and ``Al`` select which bits of each coefficient the scan sends.  Two
+scripts ship:
 
-Encoding follows jcphuff.c faithfully:
+* :func:`spectral_selection_script` — every scan at full precision
+  (``Al = 0``): one DC scan, then AC bands 1-5 and 6-63.  This is the
+  layout Facebook transcodes uploads into, and the default of
+  :func:`repro.jpeg.encoder.encode_progressive`;
+* :func:`default_sa_script` — successive approximation (SA), libjpeg's
+  default progressive script: DC and AC bits are sent
+  most-significant first across two passes.
+
+:func:`run_scan` encodes one scan of either script.  The scalar
+encoders below follow jcphuff.c and are the differential reference for
+the batch recipes in :mod:`repro.jpeg.huffman`:
 
 * DC first scan (Ah=0): difference-code ``dc >> Al``;
 * DC refinement (Ah>0): one raw bit per block — bit ``Al`` of the DC;
@@ -26,6 +36,7 @@ import numpy as np
 from repro.jpeg.bitstream import BitWriter, pack_entropy_bits
 from repro.jpeg.huffman import (
     HuffmanEncoder,
+    HuffmanTable,
     STANDARD_AC_LUMINANCE,
     STANDARD_DC_LUMINANCE,
     build_optimized_table,
@@ -76,6 +87,18 @@ class ScanSpec:
         return self.ah != 0
 
 
+def spectral_selection_script(num_components: int) -> list[ScanSpec]:
+    """Full-precision spectral selection: one DC scan over every
+    component, then AC bands 1-5 and 6-63, band by band and, within a
+    band, component by component."""
+    everyone = tuple(range(num_components))
+    return [ScanSpec(everyone, 0, 0, 0, 0)] + [
+        ScanSpec((index,), ss, se, 0, 0)
+        for ss, se in ((1, 5), (6, 63))
+        for index in range(num_components)
+    ]
+
+
 def default_sa_script(num_components: int) -> list[ScanSpec]:
     """A libjpeg-style successive-approximation script."""
     everyone = tuple(range(num_components))
@@ -98,13 +121,12 @@ def encode_dc_first(
     samplings: list[tuple[int, int]],
     mcus: tuple[int, int],
     al: int,
-    sink_factory,
+    sinks: list,
 ) -> None:
     """DC first scan: difference-code the point-transformed DCs.
 
     ``blocks_per_component`` holds MCU-padded (by, bx, 64) zigzag
-    arrays; ``sink_factory(component_index)`` returns the symbol/bit
-    sink for that component.
+    arrays; ``sinks[index]`` is the symbol/bit sink of that component.
     """
     mcus_y, mcus_x = mcus
     predictors = [0] * len(blocks_per_component)
@@ -112,7 +134,7 @@ def encode_dc_first(
         for mcu_x in range(mcus_x):
             for index, blocks in enumerate(blocks_per_component):
                 h, v = samplings[index]
-                sink = sink_factory(index)
+                sink = sinks[index]
                 for dy in range(v):
                     for dx in range(h):
                         dc = int(blocks[mcu_y * v + dy, mcu_x * h + dx, 0])
@@ -254,43 +276,45 @@ def encode_ac_refinement(
 
 
 def _run_dc_refinement_fast(
-    spec: ScanSpec,
-    padded_blocks: list[np.ndarray],
+    blocks_per_component: list[np.ndarray],
     samplings: list[tuple[int, int]],
     mcus: tuple[int, int],
+    al: int,
     engine: str | None = None,
 ) -> bytes:
     """Vectorized DC refinement: gather bit ``al`` of every DC in MCU
     visit order and pack them as raw 1-bit writes."""
-    visits = interleaved_visit_arrays(
-        [samplings[i] for i in spec.component_indices], mcus
-    )
+    visits = interleaved_visit_arrays(samplings, mcus)
     all_g = []
     all_bits = []
-    for (flat, g, _), index in zip(visits, spec.component_indices):
-        dc = padded_blocks[index].reshape(-1, 64)[flat, 0]
+    for (flat, g, _), blocks in zip(visits, blocks_per_component):
+        dc = blocks.reshape(-1, 64)[flat, 0]
         all_g.append(g)
-        all_bits.append((dc.astype(np.int64) >> spec.al) & 1)
+        all_bits.append((dc.astype(np.int64) >> al) & 1)
     order = np.argsort(np.concatenate(all_g), kind="stable")
     bits = np.concatenate(all_bits)[order]
     return pack_entropy_bits(bits, np.ones(bits.size, dtype=np.int64), engine)
 
 
-# -- scan-level drivers --------------------------------------------------------
+# -- scan-level driver --------------------------------------------------------
 
 
 class _CountingSink:
-    def __init__(self) -> None:
-        self.frequencies: dict[int, int] = {}
+    """Records symbol frequencies; used by the Huffman-optimizing pass."""
+
+    def __init__(self, frequencies: dict[int, int]) -> None:
+        self._frequencies = frequencies
 
     def symbol(self, value: int) -> None:
-        self.frequencies[value] = self.frequencies.get(value, 0) + 1
+        self._frequencies[value] = self._frequencies.get(value, 0) + 1
 
     def bits(self, value: int, num_bits: int) -> None:
-        pass
+        pass  # bit payloads do not affect table optimization
 
 
 class _WritingSink:
+    """Writes Huffman codes and raw bits to a :class:`BitWriter`."""
+
     def __init__(self, writer: BitWriter, encoder: HuffmanEncoder) -> None:
         self._writer = writer
         self._encoder = encoder
@@ -302,106 +326,90 @@ class _WritingSink:
         self._writer.write(value, num_bits)
 
 
+def _optimal_tables(
+    frequencies: dict[int, dict[int, int]], fallback: HuffmanTable
+) -> dict[int, HuffmanTable]:
+    """One optimized table per id; ``fallback`` for an id without
+    symbols."""
+    return {
+        table_id: build_optimized_table(counts) if counts else fallback
+        for table_id, counts in frequencies.items()
+    }
+
+
 def run_scan(
     spec: ScanSpec,
     blocks_per_component: list[np.ndarray],
     padded_blocks: list[np.ndarray],
     samplings: list[tuple[int, int]],
     mcus: tuple[int, int],
+    table_ids: list[int],
     engine: str | None = None,
-):
-    """Encode one scan; returns (huffman_table | None, entropy_bytes).
+) -> tuple[dict[int, HuffmanTable], bytes]:
+    """Encode one scan; returns ``({table_id: table}, entropy_bytes)``.
 
     ``blocks_per_component`` are the true (unpadded) zigzag arrays used
     for AC scans; ``padded_blocks`` the MCU-padded ones for DC scans.
-    DC refinement scans carry no Huffman table (raw bits only).  Unless
-    ``engine`` is ``"scalar"`` every scan type — DC/AC first passes, DC
-    refinement and AC refinement — runs on the batch engine,
-    byte-identical to the scalar encoders below (which remain the
+    Huffman tables are optimized per scan: a DC first scan codes each
+    component with the table of its ``table_ids`` entry, an AC scan
+    carries one table under id 0, and a DC refinement scan carries none
+    (raw bits only).  Unless ``engine`` is ``"scalar"`` every scan type
+    runs on the batch recipes of :mod:`repro.jpeg.huffman`,
+    byte-identical to the scalar encoders above (which remain the
     differential reference).
     """
     fast = engine != "scalar"
+    padded = [padded_blocks[i] for i in spec.component_indices]
+    scan_samplings = [samplings[i] for i in spec.component_indices]
+    blocks = blocks_per_component[spec.component_indices[0]]
     if spec.is_dc and spec.is_refinement:
         if fast:
-            return None, _run_dc_refinement_fast(
-                spec, padded_blocks, samplings, mcus, engine
+            return {}, _run_dc_refinement_fast(
+                padded, scan_samplings, mcus, spec.al, engine
             )
         writer = BitWriter()
-        encode_dc_refinement(
-            [padded_blocks[i] for i in spec.component_indices],
-            [samplings[i] for i in spec.component_indices],
-            mcus,
-            spec.al,
-            writer,
-        )
+        encode_dc_refinement(padded, scan_samplings, mcus, spec.al, writer)
         writer.flush()
-        return None, writer.getvalue()
+        return {}, writer.getvalue()
 
-    if fast and spec.is_dc:
-        bundles = dc_scan_token_bundles(
-            [padded_blocks[i] for i in spec.component_indices],
-            [samplings[i] for i in spec.component_indices],
-            mcus,
-            spec.al,
+    if fast and not spec.is_dc:
+        encode = (
+            encode_ac_refinement_scan
+            if spec.is_refinement
+            else encode_ac_first_scan
         )
-        frequencies: dict[int, int] = {}
-        for _, categories, _ in bundles:
-            merge_frequencies(frequencies, categories)
-        table = (
-            build_optimized_table(frequencies)
-            if frequencies
-            else STANDARD_DC_LUMINANCE
-        )
-        return table, pack_dc_scan_tokens(
-            bundles, [table] * len(bundles), engine
-        )
-
-    if fast:
-        blocks = blocks_per_component[spec.component_indices[0]]
-        if spec.is_refinement:
-            return encode_ac_refinement_scan(
-                blocks.reshape(-1, 64), spec.ss, spec.se, spec.al, engine
-            )
-        return encode_ac_first_scan(
+        table, entropy = encode(
             blocks.reshape(-1, 64), spec.ss, spec.se, spec.al, engine
         )
+        return {0: table}, entropy
 
-    def run_with(sink_or_factory):
+    ids = [table_ids[i] for i in spec.component_indices] if spec.is_dc else [0]
+    frequencies: dict[int, dict[int, int]] = {
+        table_id: {} for table_id in sorted(set(ids))
+    }
+    if fast:  # a DC first scan; every other fast scan returned above
+        bundles = dc_scan_token_bundles(padded, scan_samplings, mcus, spec.al)
+        for (_, categories, _), table_id in zip(bundles, ids):
+            merge_frequencies(frequencies[table_id], categories)
+        tables = _optimal_tables(frequencies, STANDARD_DC_LUMINANCE)
+        return tables, pack_dc_scan_tokens(
+            bundles, [tables[t] for t in ids], engine
+        )
+
+    def code(sinks: list) -> None:
         if spec.is_dc:
-            encode_dc_first(
-                [padded_blocks[i] for i in spec.component_indices],
-                [samplings[i] for i in spec.component_indices],
-                mcus,
-                spec.al,
-                sink_or_factory,
-            )
+            encode_dc_first(padded, scan_samplings, mcus, spec.al, sinks)
+        elif spec.is_refinement:
+            encode_ac_refinement(blocks, spec.ss, spec.se, spec.al, sinks[0])
         else:
-            blocks = blocks_per_component[spec.component_indices[0]]
-            if spec.is_refinement:
-                encode_ac_refinement(
-                    blocks, spec.ss, spec.se, spec.al, sink_or_factory
-                )
-            else:
-                encode_ac_first(
-                    blocks, spec.ss, spec.se, spec.al, sink_or_factory
-                )
+            encode_ac_first(blocks, spec.ss, spec.se, spec.al, sinks[0])
 
-    counting = _CountingSink()
-    if spec.is_dc:
-        run_with(lambda index: counting)
-    else:
-        run_with(counting)
-    fallback = STANDARD_DC_LUMINANCE if spec.is_dc else STANDARD_AC_LUMINANCE
-    table = (
-        build_optimized_table(counting.frequencies)
-        if counting.frequencies
-        else fallback
+    code([_CountingSink(frequencies[t]) for t in ids])
+    tables = _optimal_tables(
+        frequencies,
+        STANDARD_DC_LUMINANCE if spec.is_dc else STANDARD_AC_LUMINANCE,
     )
     writer = BitWriter()
-    writing = _WritingSink(writer, HuffmanEncoder(table))
-    if spec.is_dc:
-        run_with(lambda index: writing)
-    else:
-        run_with(writing)
+    code([_WritingSink(writer, HuffmanEncoder(tables[t])) for t in ids])
     writer.flush()
-    return table, writer.getvalue()
+    return tables, writer.getvalue()

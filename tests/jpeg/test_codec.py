@@ -133,6 +133,12 @@ class TestProgressive:
         )
 
 
+#: Baseline, spectral selection and successive approximation.
+every_mode = pytest.mark.parametrize(
+    "progressive", [False, True, "sa"], ids=["baseline", "progressive", "sa"]
+)
+
+
 class TestImageInfo:
     def test_dimensions(self, rgb_image):
         info = codec.image_info(codec.encode_rgb(rgb_image, quality=85))
@@ -140,23 +146,29 @@ class TestImageInfo:
         assert info.num_components == 3
         assert not info.progressive
 
-    def test_app_markers_listed(self, gray_image):
+    @every_mode
+    def test_app_markers_listed(self, gray_image, progressive):
         from repro.jpeg.codec import gray_to_coefficients
         from repro.jpeg import markers as m
 
         image = gray_to_coefficients(gray_image, quality=85)
         image.app_segments.append((m.APP0 + 4, b"Exif-ish"))
-        data = codec.encode_coefficients(image)
+        data = codec.encode_coefficients(image, progressive=progressive)
         info = codec.image_info(data)
         assert "APP4" in info.app_markers
+        decoded = codec.decode_coefficients(data)
+        assert decoded.app_segments == image.app_segments
 
-    def test_comment_flag(self, gray_image):
+    @every_mode
+    def test_comment_flag(self, gray_image, progressive):
         from repro.jpeg.codec import gray_to_coefficients
 
         image = gray_to_coefficients(gray_image, quality=85)
         image.comment = b"P3 was here"
-        info = codec.image_info(codec.encode_coefficients(image))
+        data = codec.encode_coefficients(image, progressive=progressive)
+        info = codec.image_info(data)
         assert info.has_comment
+        assert codec.decode_coefficients(data).comment == image.comment
 
 
 class TestStructures:

@@ -23,13 +23,13 @@ from repro.jpeg.bitstream import (
     pack_entropy_bits,
     split_restart_segments,
 )
-from repro.jpeg.codec import gray_to_coefficients, rgb_to_coefficients
-from repro.jpeg.decoder import decode_to_coefficients
-from repro.jpeg.encoder import (
-    encode_baseline,
-    encode_progressive,
-    encode_progressive_sa,
+from repro.jpeg.codec import (
+    encode_coefficients,
+    gray_to_coefficients,
+    rgb_to_coefficients,
 )
+from repro.jpeg.decoder import decode_to_coefficients
+from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.huffman import (
     HuffmanEncoder,
     STANDARD_AC_CHROMINANCE,
@@ -45,6 +45,7 @@ from repro.jpeg.huffman import (
     magnitude_category,
 )
 from repro.jpeg.markers import JpegFormatError
+from repro.jpeg.scans import ScanSpec, run_scan
 
 
 # -- bit-level primitives -----------------------------------------------------
@@ -218,6 +219,37 @@ def _coefficient_images(gray_image, rgb_image, odd_gray_image):
     ]
 
 
+def _spectral_script(num_components, bands):
+    everyone = tuple(range(num_components))
+    return [ScanSpec(everyone, 0, 0, 0, 0)] + [
+        ScanSpec((index,), ss, se, 0, 0)
+        for ss, se in bands
+        for index in everyone
+    ]
+
+
+def _per_component_sa_script(num_components):
+    """SA with one DC scan per component: on a subsampled image each
+    DC scan walks one component's MCU-padded grid alone, and a chroma
+    DC scan codes with the chroma table id."""
+    script = []
+    for approx_high, approx_low in ((0, 1), (1, 0)):
+        for index in range(num_components):
+            script.append(ScanSpec((index,), 0, 0, approx_high, approx_low))
+        for index in range(num_components):
+            script.append(ScanSpec((index,), 1, 63, approx_high, approx_low))
+    return script
+
+
+def _custom_scripts(num_components):
+    """Scripts beyond the two defaults, for the encoder equivalence."""
+    return [
+        _spectral_script(num_components, ((1, 1), (2, 63))),
+        _spectral_script(num_components, ((1, 63),)),
+        _per_component_sa_script(num_components),
+    ]
+
+
 def _assert_same_coefficients(first, second):
     assert first.width == second.width
     assert first.height == second.height
@@ -257,9 +289,10 @@ class TestEncoderEquivalence:
         for image in _coefficient_images(
             gray_image, rgb_image, odd_gray_image
         ):
-            assert encode_progressive(image, engine=None) == encode_progressive(
-                image, engine="scalar"
-            )
+            for script in [None] + _custom_scripts(len(image.components)):
+                fast = encode_progressive(image, script, engine=None)
+                scalar = encode_progressive(image, script, engine="scalar")
+                assert fast == scalar
 
     def test_progressive_sa_byte_identical(
         self, gray_image, rgb_image, odd_gray_image
@@ -267,8 +300,10 @@ class TestEncoderEquivalence:
         for image in _coefficient_images(
             gray_image, rgb_image, odd_gray_image
         ):
-            fast = encode_progressive_sa(image, engine=None)
-            scalar = encode_progressive_sa(image, engine="scalar")
+            fast = encode_coefficients(image, progressive="sa", engine=None)
+            scalar = encode_coefficients(
+                image, progressive="sa", engine="scalar"
+            )
             assert fast == scalar
 
     def test_stuffed_ff_bytes_present(self):
@@ -313,7 +348,7 @@ class TestDecoderEquivalence:
         for image in _coefficient_images(
             gray_image, rgb_image, odd_gray_image
         ):
-            data = encode_progressive_sa(image)
+            data = encode_coefficients(image, progressive="sa")
             _assert_same_coefficients(
                 decode_to_coefficients(data, engine=None),
                 decode_to_coefficients(data, engine="scalar"),
@@ -324,22 +359,10 @@ class TestDecoderEquivalence:
         # subsampled image the luma padded grid differs from its true
         # grid, so the fast decoder must walk the MCU-padded grid for
         # DC scans exactly like the scalar engine (regression test).
-        from repro.jpeg.scans import ScanSpec
-
         image = rgb_to_coefficients(
             rgb_image[:24, :24], quality=75, subsampling="4:2:0"
         )
-        script = []
-        for approx_high, approx_low in ((0, 1), (1, 0)):
-            for index in range(3):
-                script.append(
-                    ScanSpec((index,), 0, 0, approx_high, approx_low)
-                )
-            for index in range(3):
-                script.append(
-                    ScanSpec((index,), 1, 63, approx_high, approx_low)
-                )
-        data = encode_progressive_sa(image, script=script)
+        data = encode_progressive(image, _per_component_sa_script(3))
         decoded_fast = decode_to_coefficients(data, engine=None)
         decoded_scalar = decode_to_coefficients(data, engine="scalar")
         _assert_same_coefficients(decoded_fast, decoded_scalar)
@@ -382,16 +405,15 @@ class TestDecoderEquivalence:
         # across ZRLs, corr-only/all-zero blocks joining EOB runs, the
         # scalar _EobState's forced flushes (>900 buffered bits,
         # 0x7FFF-run split), and random stacks for good measure.
-        from repro.jpeg.scans import ScanSpec, run_scan
-
         def assert_identical(blocks64, ss, se, al):
             spec = ScanSpec((0,), ss, se, al + 1, al)
             shaped = blocks64.reshape(blocks64.shape[0], 1, 64)
-            args = ([shaped], [shaped], [(1, 1)], (blocks64.shape[0], 1))
-            table_fast, fast = run_scan(spec, *args, engine=None)
-            table_scalar, scalar = run_scan(spec, *args, engine="scalar")
-            assert table_fast.bits == table_scalar.bits
-            assert table_fast.values == table_scalar.values
+            args = ([shaped], [shaped], [(1, 1)], (blocks64.shape[0], 1), [0])
+            tables_fast, fast = run_scan(spec, *args, engine=None)
+            tables_scalar, scalar = run_scan(spec, *args, engine="scalar")
+            assert list(tables_fast) == list(tables_scalar) == [0]
+            assert tables_fast[0].bits == tables_scalar[0].bits
+            assert tables_fast[0].values == tables_scalar[0].values
             assert fast == scalar
 
         engineered = np.zeros((4, 64), dtype=np.int64)

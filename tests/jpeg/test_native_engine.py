@@ -23,13 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import P3Encryptor
 from repro.jpeg.bitstream import BitWriter, pack_entropy_bits
-from repro.jpeg.codec import gray_to_coefficients, rgb_to_coefficients
-from repro.jpeg.decoder import decode_to_coefficients
-from repro.jpeg.encoder import (
-    encode_baseline,
-    encode_progressive,
-    encode_progressive_sa,
+from repro.jpeg.codec import (
+    encode_coefficients,
+    gray_to_coefficients,
+    rgb_to_coefficients,
 )
+from repro.jpeg.decoder import decode_to_coefficients
+from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.engines import (
     ENGINES,
     engine_info,
@@ -134,7 +134,9 @@ class TestDifferentialEncodeDecode:
             )
         for part in _with_p3_parts(image):
             streams = {
-                engine: encode_progressive_sa(part, engine=engine)
+                engine: encode_coefficients(
+                    part, progressive="sa", engine=engine
+                )
                 for engine in ENGINES
             }
             assert streams["scalar"] == streams["numpy"] == streams["native"]
@@ -154,7 +156,9 @@ class TestDifferentialEncodeDecode:
                     part, restart_interval=3, engine=eng
                 ),
                 lambda eng: encode_progressive(part, engine=eng),
-                lambda eng: encode_progressive_sa(part, engine=eng),
+                lambda eng: encode_coefficients(
+                    part, progressive="sa", engine=eng
+                ),
             ):
                 streams = {engine: encode(engine) for engine in ENGINES}
                 assert (
@@ -211,7 +215,7 @@ class TestAdversarialBitstreams:
     def test_truncated_progressive_parity(self):
         rng = np.random.default_rng(22)
         image = gray_to_coefficients(_gray(rng, 32, 32), quality=65)
-        jpeg = encode_progressive_sa(image, engine="numpy")
+        jpeg = encode_coefficients(image, progressive="sa", engine="numpy")
         for cut in (len(jpeg) // 2, len(jpeg) - 30, len(jpeg) - 6):
             outcomes = {
                 engine: self._outcome(engine, jpeg[:cut])

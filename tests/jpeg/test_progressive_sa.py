@@ -5,11 +5,12 @@ import pytest
 
 from repro.jpeg.codec import (
     decode_coefficients,
+    encode_coefficients,
     gray_to_coefficients,
     image_info,
     rgb_to_coefficients,
 )
-from repro.jpeg.encoder import encode_baseline, encode_progressive_sa
+from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.scans import ScanSpec, default_sa_script
 
 
@@ -55,20 +56,20 @@ class TestScanSpec:
 
 class TestSuccessiveApproximation:
     def test_gray_coefficients_exact(self, gray_coefficients):
-        data = encode_progressive_sa(gray_coefficients)
+        data = encode_coefficients(gray_coefficients, progressive="sa")
         decoded = decode_coefficients(data)
         assert np.array_equal(
             decoded.luma.coefficients, gray_coefficients.luma.coefficients
         )
 
     def test_color_coefficients_exact(self, color_coefficients):
-        data = encode_progressive_sa(color_coefficients)
+        data = encode_coefficients(color_coefficients, progressive="sa")
         decoded = decode_coefficients(data)
         for a, b in zip(decoded.components, color_coefficients.components):
             assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_marked_progressive_with_many_scans(self, gray_coefficients):
-        data = encode_progressive_sa(gray_coefficients)
+        data = encode_coefficients(gray_coefficients, progressive="sa")
         info = image_info(data)
         assert info.progressive
         assert info.num_scans == len(default_sa_script(1))
@@ -83,7 +84,7 @@ class TestSuccessiveApproximation:
             ScanSpec((0,), 0, 0, 1, 0),
             ScanSpec((0,), 1, 63, 1, 0),
         ]
-        data = encode_progressive_sa(gray_coefficients, script)
+        data = encode_progressive(gray_coefficients, script)
         decoded = decode_coefficients(data)
         assert np.array_equal(
             decoded.luma.coefficients, gray_coefficients.luma.coefficients
@@ -91,7 +92,7 @@ class TestSuccessiveApproximation:
 
     def test_sa_size_comparable_to_baseline(self, gray_coefficients):
         baseline = encode_baseline(gray_coefficients)
-        progressive = encode_progressive_sa(gray_coefficients)
+        progressive = encode_coefficients(gray_coefficients, progressive="sa")
         assert len(progressive) < 2.0 * len(baseline)
 
     def test_extreme_coefficients(self):
@@ -115,7 +116,8 @@ class TestSuccessiveApproximation:
                 )
             ],
         )
-        decoded = decode_coefficients(encode_progressive_sa(image))
+        data = encode_coefficients(image, progressive="sa")
+        decoded = decode_coefficients(data)
         assert np.array_equal(decoded.luma.coefficients, coefficients)
 
 

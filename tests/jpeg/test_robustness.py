@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.jpeg.codec import decode_coefficients, encode_gray
+from repro.jpeg.codec import (
+    decode_coefficients,
+    encode_coefficients,
+    encode_gray,
+    rgb_to_coefficients,
+)
+from repro.jpeg.engines import ENGINES
 from repro.jpeg.markers import JpegFormatError
 
 
@@ -58,6 +64,47 @@ class TestMalformedInputs:
         data[index + 5] = 0
         data[index + 6] = 0
         _accept(bytes(data))
+
+
+def _mutate_frame_header(data: bytearray, marker: bytes, mutation: str):
+    """Apply one frame-header mutation in place (T.81 B.2.2 layout:
+    FF Cn, Lf, P, Y, X, Nf, then Ci, HiVi, Tqi per component)."""
+    nf = data.index(marker) + 9
+    luma_sampling = nf + 2
+    if mutation == "all_sampling_zero":
+        for index in range(data[nf]):
+            data[luma_sampling + 3 * index] = 0x00
+    elif mutation == "luma_h0":
+        data[luma_sampling] &= 0x0F
+    elif mutation == "luma_h5":
+        data[luma_sampling] = 0x50 | (data[luma_sampling] & 0x0F)
+    else:
+        data[nf] = 0
+
+
+class TestFrameHeaderValidation:
+    """T.81 B.2.2: Nf >= 1 and every H, V in 1-4.  The MCU grid is
+    sized from them, so each violation must be rejected by the frame
+    header check on every engine, before any scan is read."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "progressive", [False, True], ids=["baseline", "progressive"]
+    )
+    @pytest.mark.parametrize(
+        "mutation", ["all_sampling_zero", "luma_h0", "luma_h5", "nf0"]
+    )
+    def test_invalid_frame_header_is_a_format_error(
+        self, rgb_image, mutation, progressive, engine
+    ):
+        image = rgb_to_coefficients(
+            rgb_image[:32, :48], quality=75, subsampling="4:2:0"
+        )
+        data = bytearray(encode_coefficients(image, progressive=progressive))
+        marker = b"\xff\xc2" if progressive else b"\xff\xc0"
+        _mutate_frame_header(data, marker, mutation)
+        with pytest.raises(JpegFormatError, match="invalid frame header"):
+            decode_coefficients(bytes(data), engine=engine)
 
 
 class TestFuzzProperties:
