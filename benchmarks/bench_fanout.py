@@ -31,7 +31,7 @@ from repro.api import DownloadRequest, P3Session
 from repro.core import P3Config
 from repro.crypto.keyring import Keyring
 from repro.datasets import iter_corpus_jpegs
-from repro.system.proxy import secret_blob_key
+from repro.serve.keys import secret_blob_key
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 

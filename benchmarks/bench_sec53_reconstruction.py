@@ -9,10 +9,10 @@ import numpy as np
 from conftest import run_once
 
 from repro.analysis.report import Table, format_table
+from repro.api.session import P3Session
 from repro.core import P3Config, P3Decryptor, P3Encryptor
 from repro.jpeg.codec import decode, encode_gray, encode_rgb
 from repro.system.psp import FacebookPSP, FlickrPSP
-from repro.system.proxy import RecipientProxy, SenderProxy
 from repro.system.reverse import reverse_engineer
 from repro.system.storage import CloudStorage
 from repro.crypto.keyring import Keyring
@@ -42,12 +42,8 @@ def _known_transform_psnr(corpus, album_key=b"k" * 16):
 
 
 def _blackbox_psnr(psp_class, corpus, resolution):
-    """Upload through a proxy, reverse engineer, reconstruct."""
-    keys = Keyring("alice")
-    keys.create_album("album")
+    """Upload through a session, reverse engineer, reconstruct."""
     psp = psp_class()
-    storage = CloudStorage()
-    sender = SenderProxy(keys, psp, storage, P3Config(threshold=15, quality=88))
 
     # Calibration against a scratch instance of the same provider.
     calibration_psp = psp_class()
@@ -63,13 +59,19 @@ def _blackbox_psnr(psp_class, corpus, resolution):
         serveds.append(to_luma(served))
     estimate = reverse_engineer(originals, serveds)
 
-    recipient = RecipientProxy(keys, psp, storage, transform_estimate=estimate)
+    session = P3Session(
+        Keyring("alice"),
+        psp,
+        CloudStorage(),
+        P3Config(threshold=15, quality=88),
+        transform_estimate=estimate,
+    )
     values = []
     for image in corpus:
         jpeg = encode_rgb(image, quality=88)
-        receipt = sender.upload(jpeg, "album")
-        reconstructed = recipient.download(
-            receipt.photo_id, "album", resolution=resolution
+        record = session.upload(jpeg, album="album")
+        reconstructed = session.download(
+            record.photo_id, "album", resolution=resolution
         )
         # Reference: the same PSP serving a plain (non-P3) upload.
         reference_psp = psp_class()

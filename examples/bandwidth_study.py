@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import Table, format_table
+from repro.api.session import P3Session
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.datasets import inria_like
 from repro.jpeg.codec import encode_rgb
-from repro.system.proxy import RecipientProxy, SenderProxy
 from repro.system.psp import FacebookPSP
 from repro.system.storage import CloudStorage
 
@@ -28,28 +28,27 @@ RESOLUTIONS = (720, 130, 75)
 
 def measure_session(threshold: int, photos: list[np.ndarray]) -> dict:
     """One album-browsing session at a given threshold."""
-    keys = Keyring("user")
-    keys.create_album("album")
     storage = CloudStorage()
 
     # With P3.
     psp = FacebookPSP()
-    sender = SenderProxy(
-        keys, psp, storage, P3Config(threshold=threshold, quality=88)
+    session = P3Session(
+        Keyring("user"),
+        psp,
+        storage,
+        P3Config(threshold=threshold, quality=88),
     )
-    receipts = [
-        sender.upload(encode_rgb(photo, quality=88), "album")
+    records = [
+        session.upload(encode_rgb(photo, quality=88), album="album")
         for photo in photos
     ]
-    recipient = RecipientProxy(keys, psp, storage)
     psp.bytes_served = 0
-    secret_bytes = 0
     before = storage.get_count
-    for receipt in receipts:
+    for record in records:
         for resolution in RESOLUTIONS:
-            recipient.download(receipt.photo_id, "album", resolution=resolution)
+            session.download(record.photo_id, "album", resolution=resolution)
     secret_fetches = storage.get_count - before
-    secret_bytes = sum(r.secret_bytes for r in receipts)
+    secret_bytes = sum(r.secret_bytes for r in records)
     with_p3 = psp.bytes_served + secret_bytes
 
     # Without P3: same browsing pattern on plain uploads.

@@ -2,9 +2,10 @@
 
 Reproduces the paper's Figure 3/4 workflow end to end:
 
-* Alice's phone uploads a vacation photo; her local proxy transparently
-  splits it, sends the public part to the PSP and stashes the encrypted
-  secret part with a cloud storage provider.
+* Alice's phone uploads a vacation photo; her local proxy (a gateway
+  with one user) transparently splits it, sends the public part to the
+  PSP and stashes the encrypted secret part with a cloud storage
+  provider.
 * Bob (who has the album key) browses the album: thumbnail first, then
   the full-size photo — and his proxy reconstructs both, fetching the
   secret part only once.
@@ -23,7 +24,7 @@ from repro.crypto.keyring import Keyring
 from repro.datasets import caltech_faces_like
 from repro.jpeg.codec import decode, encode_rgb
 from repro.system.client import PhotoSharingClient
-from repro.system.proxy import RecipientProxy, SenderProxy
+from repro.system.gateway import P3Gateway
 from repro.system.psp import FacebookPSP
 from repro.system.storage import CloudStorage
 from repro.vision.facedetect import train_default_detector
@@ -36,24 +37,21 @@ def main() -> None:
     psp = FacebookPSP()
     dropbox = CloudStorage("dropbox")
 
+    def phone(keys: Keyring, config: P3Config | None = None):
+        """An unmodified app behind its device's one-user proxy."""
+        proxy = P3Gateway(psp, dropbox, config)
+        proxy.add_user(keys.owner, keys)
+        return PhotoSharingClient(keys.owner, proxy)
+
     alice_keys = Keyring("alice")
     alice_keys.create_album("vacation-2013")
     bob_keys = Keyring("bob")
     alice_keys.share_with(bob_keys, "vacation-2013")  # out of band
     carol_keys = Keyring("carol")  # carol never receives the key
 
-    alice = PhotoSharingClient(
-        "alice",
-        sender_proxy=SenderProxy(
-            alice_keys, psp, dropbox, P3Config(threshold=15, quality=88)
-        ),
-    )
-    bob = PhotoSharingClient(
-        "bob", recipient_proxy=RecipientProxy(bob_keys, psp, dropbox)
-    )
-    carol = PhotoSharingClient(
-        "carol", recipient_proxy=RecipientProxy(carol_keys, psp, dropbox)
-    )
+    alice = phone(alice_keys, P3Config(threshold=15, quality=88))
+    bob = phone(bob_keys)
+    carol = phone(carol_keys)
 
     # --- Alice uploads a photo with a face in it ------------------------
     photo = caltech_faces_like(count=1, subjects=1, size=128)[0].image
@@ -68,7 +66,7 @@ def main() -> None:
     # --- Bob browses: thumbnail, then full size -------------------------
     thumbnail = bob.view_photo(receipt.photo_id, "vacation-2013", resolution=75)
     full = bob.view_photo(receipt.photo_id, "vacation-2013", resolution=720)
-    stats = bob.recipient_proxy.cache_stats
+    stats = bob.gateway.engine.secret_cache.stats
     print(
         f"bob viewed {thumbnail.shape[1]}x{thumbnail.shape[0]} thumb and "
         f"{full.shape[1]}x{full.shape[0]} photo; secret fetched "

@@ -11,11 +11,11 @@ victim uses plain uploads versus P3.
 
 from __future__ import annotations
 
+from repro.api.session import P3Session
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.datasets import caltech_faces_like
 from repro.jpeg.codec import decode, encode_rgb
-from repro.system.proxy import SenderProxy
 from repro.system.psp import PhotoBucketPSP
 from repro.system.storage import CloudStorage
 from repro.vision.facedetect import train_default_detector
@@ -47,12 +47,13 @@ def main() -> None:
 
     # --- with P3 ---------------------------------------------------------
     p3_psp = PhotoBucketPSP()
-    keys = Keyring("victim")
-    keys.create_album("private")
-    sender = SenderProxy(
-        keys, p3_psp, CloudStorage(), P3Config(threshold=15, quality=88)
+    session = P3Session(
+        Keyring("victim"),
+        p3_psp,
+        CloudStorage(),
+        P3Config(threshold=15, quality=88),
     )
-    sender.upload(jpeg, "private")
+    session.upload(jpeg, album="private")
     leaked_public = p3_psp.download("img000001", "attacker")
     leaked_public_pixels = decode(leaked_public)
     print("WITH P3:")

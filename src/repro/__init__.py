@@ -14,7 +14,8 @@ The public API re-exports the most commonly used entry points:
   :class:`repro.core.P3Decryptor` — the P3 algorithm (paper Section 3).
 * :mod:`repro.jpeg` — a from-scratch baseline/progressive JPEG codec with
   quantized-coefficient access (the substrate P3 is inserted into).
-* :mod:`repro.system` — PSP simulators, proxies and storage (Section 4).
+* :mod:`repro.system` — PSP simulators, the HTTP gateway and app, and
+  storage (Section 4).
 * :mod:`repro.vision` — the attack suite used in the evaluation
   (Canny, Viola-Jones, SIFT, Eigenfaces) plus quality metrics.
 * :mod:`repro.datasets` — deterministic synthetic corpora standing in for

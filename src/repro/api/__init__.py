@@ -11,7 +11,9 @@ Quickstart (the whole workflow in five lines)::
 
 A :class:`P3Session` owns the keyring, the
 :class:`~repro.core.config.P3Config`, a photo-sharing provider and a
-blob store, wiring up the paper's sender/recipient proxies internally.
+blob store: it is the paper's trusted proxy in process, splitting
+uploads and reconstructing downloads through one serving engine
+(:class:`~repro.system.gateway.P3Gateway` is the same proxy over HTTP).
 The two remote roles are *pluggable*: any object satisfying the
 :class:`PSPBackend` / :class:`BlobStore` protocols works, and named
 backends resolve through the :class:`BackendRegistry` ("facebook",
@@ -53,7 +55,7 @@ wiped or dead store costs nothing.
 The package `__init__` resolves its exports lazily (PEP 562): the
 system layer imports :mod:`repro.api.backends` for the protocols, and
 an eager import of the session/pipeline modules here would close an
-import cycle back onto :mod:`repro.system.proxy`.
+import cycle back onto :mod:`repro.system`.
 """
 
 from importlib import import_module

@@ -2,7 +2,7 @@
 
 The paper's client already treats the PSP and the blob store as
 interchangeable black boxes; this module scales that from *one of each*
-to *fleets of both* without touching the proxies:
+to *fleets of both* without touching the trusted proxy:
 
 * :class:`FanoutPSP` is a composite :class:`~repro.api.backends.
   PSPBackend`: one upload fans out to every registered provider, the
@@ -18,8 +18,9 @@ to *fleets of both* without touching the proxies:
   replica.
 
 Both composites satisfy the same protocols the single backends do, so
-:class:`~repro.api.session.P3Session` (and the proxies underneath it)
-cannot tell one provider from five.
+:class:`~repro.api.session.P3Session` and
+:class:`~repro.system.gateway.P3Gateway` cannot tell one provider from
+five.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ and blob-store puts/gets, replicated or not) stay in the parent where
 the backend objects live.
 
 The reconstruction path is the same :func:`repro.serve.reconstruct.
-reconstruct_served` core the serving engine (and thus the recipient
-proxy and the gateway) uses, so batch downloads are bit-for-bit
-identical to the interposed single-photo path.
+reconstruct_served` core the serving engine (and thus the session and
+the gateway) uses, so batch downloads are bit-for-bit identical to the
+single-photo path.
 """
 
 from __future__ import annotations

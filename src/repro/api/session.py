@@ -2,18 +2,19 @@
 
 A session owns the four pieces every caller used to hand-wire — the
 keyring, the :class:`~repro.core.config.P3Config`, a PSP backend and a
-blob store — and exposes the paper's operations as methods.  Single
-photos go through the same trusted proxies as before (so behaviour is
-identical to the interposed path, secret-part cache included); corpora
-go through :meth:`batch_upload` / :meth:`batch_download`, which fan the
-CPU-bound work out over a pluggable :class:`~repro.api.executors.
-Executor` and report per-item failures instead of dying mid-batch.
+blob store — and exposes the paper's operations as methods.  It is the
+trusted proxy in process (:class:`~repro.system.gateway.P3Gateway` is
+the same proxy over HTTP).  Single photos run the pipeline's steps
+inline; corpora go through :meth:`batch_upload` /
+:meth:`batch_download`, which fan the CPU-bound work out over a
+pluggable :class:`~repro.api.executors.Executor` and report per-item
+failures instead of dying mid-batch.
 
 Either remote role may also be a *fleet*: :meth:`P3Session.create`
 accepts lists (or ``P3Config.psps``/``shards``/``replication``) and
 wires up a :class:`~repro.api.fanout.FanoutPSP` /
 :class:`~repro.api.fanout.ReplicatedBlobStore`, both of which satisfy
-the single-backend protocols — the proxies never know the difference.
+the single-backend protocols — the session never knows the difference.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from repro.api.registry import DEFAULT_REGISTRY, BackendRegistry
 from repro.core.config import P3Config
 from repro.core.encryptor import EncryptedPhoto
 from repro.crypto.keyring import Keyring
-from repro.serve.engine import ServeRequest, ServingEngine
-from repro.system.proxy import (
+from repro.serve.engine import (
     DEFAULT_SECRET_CACHE_LIMIT,
-    RecipientProxy,
-    SenderProxy,
-    publish_encrypted,
+    ServeRequest,
+    ServingEngine,
 )
+from repro.system.proxy import publish_encrypted
 from repro.system.reverse import TransformEstimate
 
 
@@ -74,7 +74,8 @@ class DownloadRequest:
 
     ``provider`` pins the fetch to one named provider of a
     :class:`~repro.api.fanout.FanoutPSP` (no failover) — ``None``
-    serves from whichever provider answers first.
+    serves from whichever provider answers first.  A ``public_only``
+    request looks up no key, so its ``album`` is unused.
     """
 
     photo_id: str
@@ -272,7 +273,8 @@ def _resolve_blob_store(
 
 
 class P3Session:
-    """Facade over keyring + config + PSP + storage + proxies."""
+    """The trusted proxy in process: keyring + config + PSP + storage,
+    with one serving engine for every read."""
 
     def __init__(
         self,
@@ -301,10 +303,6 @@ class P3Session:
             secret_cache_limit=cache_limit,
         )
         self.transform_estimate = self.engine.transform_estimate
-        self.sender = SenderProxy(keyring, psp, storage, self.config)
-        self.recipient = RecipientProxy(
-            keyring, psp, storage, engine=self.engine
-        )
 
     @classmethod
     def create(
@@ -390,7 +388,7 @@ class P3Session:
         )
         self.keyring.share_with(target, album)
 
-    # -- single-photo operations (the proxy path) -----------------------------
+    # -- single-photo operations ----------------------------------------------
 
     def upload(
         self,
@@ -398,24 +396,11 @@ class P3Session:
         album: str | None = None,
         viewers: Iterable[str] | None = None,
     ) -> PhotoRecord:
-        """Publish one photo; splits/encrypts via the sender proxy."""
+        """Publish one photo: :meth:`batch_upload`'s encrypt task and
+        publish step, run inline."""
         request = self._as_upload_request(item, album, viewers)
-        self._ensure_album(request.album)
-        view_set = set(request.viewers) if request.viewers else None
-        if request.jpeg is not None:
-            receipt = self.sender.upload(
-                request.jpeg, request.album, viewers=view_set
-            )
-        else:
-            receipt = self.sender.upload_pixels(
-                request.pixels, request.album, viewers=view_set
-            )
-        return PhotoRecord(
-            photo_id=receipt.photo_id,
-            album=request.album,
-            psp=self.psp.name,
-            public_bytes=receipt.public_bytes,
-            secret_bytes=receipt.secret_bytes,
+        return self._publish(
+            request, run_encrypt_task(self._encrypt_task(request))
         )
 
     def download(
@@ -442,8 +427,8 @@ class P3Session:
         self, photo_id: str, resolution: int | None = None
     ) -> np.ndarray:
         """What a viewer without the album key sees."""
-        return self.recipient.download_public_only(
-            photo_id, resolution=resolution
+        return self.download(
+            DownloadRequest(photo_id, "", resolution, public_only=True)
         )
 
     # -- batch operations (the executor path) ---------------------------------
@@ -472,17 +457,7 @@ class P3Session:
             workers=executor.workers,
         )
         start = time.perf_counter()
-        tasks = []
-        for request in requests:
-            self._ensure_album(request.album)
-            tasks.append(
-                EncryptTask(
-                    key=self.keyring.key_for(request.album),
-                    config=self.config,
-                    jpeg=request.jpeg,
-                    pixels=request.pixels,
-                )
-            )
+        tasks = [self._encrypt_task(request) for request in requests]
         outcomes = executor.map(run_encrypt_task, tasks)
         for request, outcome in zip(requests, outcomes):
             if not outcome.ok:
@@ -514,10 +489,11 @@ class P3Session:
     ) -> BatchReport:
         """Fetch a corpus: serial PSP/storage reads, parallel reconstruct.
 
-        Reconstruction uses the exact code path of the recipient proxy
-        — including the session's transform estimate, which pickles to
-        worker processes — so outputs are byte-identical to
-        one-at-a-time downloads and across executors.
+        Reconstruction uses the serving engine's core
+        (:func:`~repro.serve.reconstruct.reconstruct_served`) — including
+        the session's transform estimate, which pickles to worker
+        processes — so outputs are byte-identical to one-at-a-time
+        downloads and across executors.
         """
         executor = self._resolve_executor(executor)
         requests = [
@@ -561,9 +537,17 @@ class P3Session:
             return Executor(executor, self.config.workers or None)
         return executor
 
-    def _ensure_album(self, album: str) -> None:
-        if album not in self.keyring:
-            self.keyring.create_album(album)
+    def _encrypt_task(self, request: UploadRequest) -> EncryptTask:
+        """The encode/split/seal task for one upload; creates the album
+        key on first use."""
+        if request.album not in self.keyring:
+            self.keyring.create_album(request.album)
+        return EncryptTask(
+            key=self.keyring.key_for(request.album),
+            config=self.config,
+            jpeg=request.jpeg,
+            pixels=request.pixels,
+        )
 
     def _publish(
         self, request: UploadRequest, photo: EncryptedPhoto

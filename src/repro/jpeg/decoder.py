@@ -127,8 +127,14 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
     if precision != 8:
         raise JpegFormatError(f"unsupported sample precision {precision}")
     # T.81 B.2.2: Nf >= 1, and H and V in 1-4 (they size the MCU grid).
+    # Y = 0 is legal only with a DNL marker, which this decoder does
+    # not read, and X = 0 never is.
     if num_components == 0:
         raise JpegFormatError("invalid frame header: no components")
+    if height == 0 or width == 0:
+        raise JpegFormatError(
+            f"invalid frame header: dimensions {width}x{height}"
+        )
     state.height = height
     state.width = width
     state.progressive = segment.marker == markers.SOF2

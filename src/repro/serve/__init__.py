@@ -3,8 +3,8 @@
 Everything a download needs lives here, shared by every caller:
 
 * :mod:`repro.serve.reconstruct` — the single reconstruction core
-  (:func:`reconstruct_served`), used by the recipient proxy, the
-  session layer, the batch pipeline and the gateway alike;
+  (:func:`reconstruct_served`), used by the session layer, the batch
+  pipeline and the gateway alike;
 * :class:`ServingEngine` — the request path: a three-tier cache,
   single-flight coalescing of concurrent identical requests,
   per-request stage timings, PSP access enforcement on cache hits and

@@ -6,7 +6,7 @@ stale — the envelope is immutable once published), while the
 decoded-variant cache adds a TTL so a long-running gateway eventually
 re-fetches what the PSP serves (providers can reprocess stored
 photos).  All tiers share the :class:`CacheStats` shape, so hit rates
-are comparable across tiers and across proxies sharing one engine.
+are comparable across tiers and across front ends sharing one engine.
 
 :class:`PartitionedLRUCache` adds multi-tenant *eviction isolation*:
 entries are grouped into partitions (the engine partitions by
@@ -88,24 +88,16 @@ class LRUCache:
     * ``maxsize=None`` means unbounded; ``maxsize=0`` disables the
       cache entirely (every :meth:`get` misses, :meth:`put` is a
       no-op) — that is how "no variant cache" is expressed without a
-      second code path in the engine.
+      second code path in the engine.  The bound is fixed at
+      construction.
     * ``ttl`` (seconds) expires entries lazily: an expired entry is
       dropped — and counted as an expiration, not an eviction — the
       next time it is looked up.  ``ttl=None`` never expires.
     * ``clock`` is injectable (defaults to :func:`time.monotonic`) so
       TTL behaviour is testable without sleeping.
-
-    Shrinking :attr:`maxsize` on a live cache converges on the next
-    insert, mirroring the recipient proxy's historical ``cache_limit``
-    semantics.
     """
 
-    _GUARDED_BY = {
-        "_entries": "_lock",
-        # The setter mutates under the lock; the property getter and
-        # repr read the atomically-replaced value plain.
-        "_maxsize": "_lock:writes",
-    }
+    _GUARDED_BY = {"_entries": "_lock"}
 
     def __init__(
         self,
@@ -132,27 +124,6 @@ class LRUCache:
     def maxsize(self) -> int | None:
         return self._maxsize
 
-    @maxsize.setter
-    def maxsize(self, value: int | None) -> None:
-        if value is not None and value < 0:
-            raise ValueError(f"maxsize must be >= 0 or None, got {value}")
-        with self._lock:
-            # Both the new bound and the disable-drain must land inside
-            # one critical section: put() checks maxsize under the same
-            # lock, so a concurrent insert either happens before the
-            # drain (and is drained) or after (and sees 0, no-op).  A
-            # stale entry can never survive in a just-disabled cache.
-            self._maxsize = value
-            if value == 0:
-                # "Disabled" must take effect now: put() no-ops from
-                # here on, so there is no next insert to converge at,
-                # and stale entries would otherwise stay hittable
-                # forever.
-                while self._entries:
-                    victim = next(iter(self._entries))
-                    self._remove(victim)
-                    self._bump("evictions", victim)
-
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look up a key, refreshing its recency; counts hit/miss."""
         with self._lock:
@@ -173,9 +144,6 @@ class LRUCache:
         """Insert/refresh a key, trimming LRU entries past ``maxsize``."""
         with self._lock:
             if self._maxsize == 0:
-                # Checked under the lock: racing the maxsize setter's
-                # disable-drain outside it could land a stale entry in
-                # a just-disabled cache that stays hittable forever.
                 return
             self._store(key, value)
             while (
@@ -275,10 +243,7 @@ class PartitionedLRUCache(LRUCache):
     A single-partition workload therefore behaves exactly like
     :class:`LRUCache` (the lone partition is always the over-quota
     one), which is what keeps the paper's one-user-one-proxy deploy
-    unchanged.  The quota is computed from the *live* ``maxsize`` on
-    every eviction, so resizing a running cache (the recipient proxy's
-    ``cache_limit`` setter) rescales every partition's share with it.
-    ``quota_fraction=1.0`` disables isolation while keeping
+    unchanged.  ``quota_fraction=1.0`` disables isolation while keeping
     per-partition stats; an unbounded cache (``maxsize=None``) has no
     quota either.
 

@@ -34,8 +34,9 @@ The engine owns everything between "a viewer asked for photo X" and
   an optional ``timing_hook`` plus rolling :class:`ServingStats`
   (p50/p99) feed dashboards and benchmarks.
 
-The engine is shared state: one engine can sit behind many per-user
-proxies (see :class:`~repro.system.gateway.P3Gateway`).  Cache keys
+The engine is shared state: one engine serves every tenant of a
+:class:`~repro.system.gateway.P3Gateway` and every viewer session of
+a :class:`~repro.api.session.P3Session`.  Cache keys
 therefore include a digest of the album key — a viewer who presents a
 different (or no) key can never be served pixels reconstructed under
 someone else's — and, when the PSP exposes ``check_access``, the
@@ -65,7 +66,7 @@ from repro.serve.trace import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only: importing the
     # system package here would close an import cycle back onto the
-    # proxy module, which builds on this engine.
+    # gateway, which builds on this engine.
     from repro.api.pipeline import DecryptTask
     from repro.system.reverse import TransformEstimate
 
@@ -226,7 +227,7 @@ class ServingEngine:
 
     One engine fronts one (PSP, blob store) pair — single backends or
     fan-out/replicated composites alike — and may be shared by any
-    number of per-user proxies or gateway tenants.  All methods are
+    number of gateway tenants or viewer sessions.  All methods are
     thread-safe.
     """
 
@@ -353,7 +354,7 @@ class ServingEngine:
         ``check_access``, is enforced before the caches are consulted,
         so a cached variant never leaks to a viewer the provider would
         have refused.  A caller that already ran
-        :meth:`check_access` for this request (the proxy/session
+        :meth:`check_access` for this request (the session's
         check-before-key-lookup ordering) passes ``preauthorized=True``
         to avoid paying for the round trip twice.
         """

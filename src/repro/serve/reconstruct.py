@@ -1,11 +1,13 @@
 """The reconstruction core: served public part + secret part -> pixels.
 
 This is the *single* reconstruction path in the codebase.  The
-recipient proxy, the session layer, the batch pipeline's
-:class:`~repro.api.pipeline.DecryptTask`, the serving engine and
+serving engine (and so both forms of the trusted proxy,
+:class:`~repro.api.session.P3Session` and
+:class:`~repro.system.gateway.P3Gateway`), the batch pipeline's
+:class:`~repro.api.pipeline.DecryptTask` and
 :class:`~repro.core.decryptor.P3Decryptor` all call
 :func:`reconstruct_served` — key-less previews included — so every
-download, interposed, batched, gateway-served or library-level, is
+download, in-process, batched, gateway-served or library-level, is
 byte-for-byte identical.
 """
 
@@ -25,8 +27,8 @@ from repro.transforms.operators import Compose, LinearOperator
 from repro.transforms.resize import Resize, fit_within
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only: importing the
-    # system package here would close an import cycle back onto the
-    # proxy module, which re-exports this core.
+    # system package here would close an import cycle back onto its
+    # __init__, which imports this core from repro.serve.
     from repro.system.reverse import TransformEstimate
 
 

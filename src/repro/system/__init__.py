@@ -1,26 +1,23 @@
-"""The P3 system (paper Section 4): proxies, PSPs, storage.
+"""The P3 system (paper Section 4): the proxy, PSPs, storage.
 
 The architecture of Figure 3: browsers/apps talk HTTP to photo-sharing
-providers; a trusted local proxy interposes on both the sender and the
+providers; a trusted proxy interposes on both the sender and the
 recipient side, transparently splitting uploads and reconstructing
 downloads.  Nothing at the PSP changes.
 
-The proxies are written against the :mod:`repro.api.backends`
-protocols (re-exported here); the classes below are the reference
-backends that satisfy them.  :mod:`repro.api` builds the session and
-batch layers on top.
+Over HTTP the proxy is :class:`P3Gateway` (one user on the paper's
+one-device deployment, or many), and :class:`PhotoSharingClient` is
+the unmodified app in front of it; in process it is
+:class:`repro.api.P3Session`.  Both are written against the
+:mod:`repro.api.backends` protocols (re-exported here); the classes
+below are the reference backends that satisfy them.
 """
 
 from repro.api.backends import BlobStore, PSPBackend
+from repro.serve import reconstruct_served, secret_blob_key
 from repro.system.client import PhotoSharingClient
 from repro.system.gateway import P3Gateway, pixels_from_response
 from repro.system.http import HttpRequest, HttpResponse, build_url
-from repro.system.proxy import (
-    RecipientProxy,
-    SenderProxy,
-    reconstruct_served,
-    secret_blob_key,
-)
 from repro.system.psp import (
     AccessDeniedError,
     FacebookPSP,
@@ -37,8 +34,6 @@ __all__ = [
     "P3Gateway",
     "pixels_from_response",
     "build_url",
-    "SenderProxy",
-    "RecipientProxy",
     "PSPBackend",
     "BlobStore",
     "reconstruct_served",

@@ -1,91 +1,53 @@
-"""End-to-end photo-sharing client sessions.
+"""The unmodified photo-sharing app, talking HTTP through a P3 gateway.
 
-:class:`PhotoSharingClient` models the unmodified browser/app: it frames
-plain HTTP uploads and downloads; the configured local proxy interposes
-transparently, exactly as in the paper's architecture (Figure 3).  The
-app never sees keys, splitting, or reconstruction — it sends a JPEG and
-receives pixels.
-
-A client may be wired to per-user proxies (the paper's one-device
-deployment) *or* to a shared :class:`~repro.system.gateway.P3Gateway`
-(:meth:`PhotoSharingClient.for_gateway`) — in gateway mode the HTTP
-requests in :attr:`request_log` are not just a model of the traffic,
-they *are* the traffic: every operation round-trips through
-``gateway.handle`` and decodes the ``HttpResponse`` like a real app
-would.
+:class:`PhotoSharingClient` models the browser/app of the paper's
+architecture (Figure 3): it frames plain HTTP uploads and downloads,
+and the trusted proxy in front of it — a
+:class:`~repro.system.gateway.P3Gateway`, with one user for the
+paper's one-device deployment or many on a shared middlebox —
+interposes transparently.  The app never sees keys, splitting, or
+reconstruction: it sends a JPEG and receives pixels.  Every operation
+round-trips through ``gateway.handle`` and decodes the
+``HttpResponse`` like a real app would, and :attr:`request_log` holds
+the requests it sent.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
+from repro.system.gateway import USER_HEADER, P3Gateway, pixels_from_response
 from repro.system.http import HttpRequest, HttpResponse, build_url
-from repro.system.proxy import RecipientProxy, SenderProxy, UploadReceipt
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.api.session import P3Session
-    from repro.system.gateway import P3Gateway
+from repro.system.proxy import UploadReceipt
 
 
 class PhotoSharingClient:
-    """An application configured to route PSP traffic via local proxies.
+    """An application whose PSP traffic goes through a P3 gateway.
 
-    The proxies talk to whatever :class:`~repro.api.backends.PSPBackend`
-    and :class:`~repro.api.backends.BlobStore` they were wired with; the
-    client itself only ever sees HTTP-shaped requests and pixels.
+    The gateway talks to whatever :class:`~repro.api.backends.PSPBackend`
+    and :class:`~repro.api.backends.BlobStore` it was wired with; the
+    client itself only ever sees HTTP requests and pixels.
     """
 
-    def __init__(
-        self,
-        user: str,
-        sender_proxy: SenderProxy | None = None,
-        recipient_proxy: RecipientProxy | None = None,
-        gateway: "P3Gateway | None" = None,
-    ) -> None:
+    def __init__(self, user: str, gateway: P3Gateway) -> None:
         self.user = user
-        self.sender_proxy = sender_proxy
-        self.recipient_proxy = recipient_proxy
         self.gateway = gateway
         self.request_log: list[HttpRequest] = []
 
     @classmethod
-    def for_session(cls, session: "P3Session") -> "PhotoSharingClient":
-        """An app wired to a :class:`~repro.api.session.P3Session`'s proxies.
-
-        Models the unmodified-application story on top of the new
-        session layer: the app keeps speaking plain HTTP while the
-        session's proxies interpose.
-        """
-        return cls(
-            session.user,
-            sender_proxy=session.sender,
-            recipient_proxy=session.recipient,
-        )
-
-    @classmethod
     def for_gateway(
-        cls, gateway: "P3Gateway", user: str
+        cls, gateway: P3Gateway, user: str
     ) -> "PhotoSharingClient":
-        """An app whose traffic goes through a shared multi-user gateway.
+        """An app for ``user`` on ``gateway``.
 
         The user is registered with the gateway if they are not
-        already; all operations then run as real request/response
-        round trips against ``gateway.handle``.
+        already.
         """
         gateway.add_user(user)
-        return cls(user, gateway=gateway)
-
-    # -- gateway transport -----------------------------------------------------
-
-    def _gateway_base(self) -> str:
-        return f"https://{self.gateway.psp.name}.example"
+        return cls(user, gateway)
 
     def _send(self, request: HttpRequest) -> HttpResponse:
-        """One real round trip through the gateway."""
-        from repro.system.gateway import USER_HEADER
-
+        """One real round trip through the gateway; non-2xx raises."""
         request.headers.setdefault(USER_HEADER, self.user)
         self.request_log.append(request)
         response = self.gateway.handle(request)
@@ -97,6 +59,10 @@ class PhotoSharingClient:
             )
         return response
 
+    def _url(self, path: str, params: dict[str, str]) -> str:
+        base = f"https://{self.gateway.psp.name}.example"
+        return build_url(base, path, params)
+
     # -- the unmodified app's operations --------------------------------------
 
     def upload_photo(
@@ -105,40 +71,23 @@ class PhotoSharingClient:
         album: str,
         viewers: set[str] | None = None,
     ) -> UploadReceipt:
-        """POST a photo; the sender proxy (or gateway) interposes."""
-        if self.gateway is not None:
-            params = {"album": album}
-            if viewers:
-                params["viewers"] = ",".join(sorted(viewers))
-            response = self._send(
-                HttpRequest(
-                    method="POST",
-                    url=build_url(
-                        self._gateway_base(), "/photos/upload", params
-                    ),
-                    headers={"content-type": "image/jpeg"},
-                    body=jpeg_bytes,
-                )
+        """POST a photo; the gateway splits and publishes it."""
+        params = {"album": album}
+        if viewers:
+            params["viewers"] = ",".join(sorted(viewers))
+        response = self._send(
+            HttpRequest(
+                method="POST",
+                url=self._url("/photos/upload", params),
+                headers={"content-type": "image/jpeg"},
+                body=jpeg_bytes,
             )
-            return UploadReceipt(
-                photo_id=response.headers["x-photo-id"],
-                public_bytes=int(response.headers["x-public-bytes"]),
-                secret_bytes=int(response.headers["x-secret-bytes"]),
-            )
-        if self.sender_proxy is None:
-            raise RuntimeError(f"{self.user} has no sender proxy configured")
-        request = HttpRequest(
-            method="POST",
-            url=build_url(
-                f"https://{self.sender_proxy.psp.name}.example",
-                "/photos/upload",
-                {"album": album},
-            ),
-            headers={"content-type": "image/jpeg"},
-            body=jpeg_bytes,
         )
-        self.request_log.append(request)
-        return self.sender_proxy.upload(jpeg_bytes, album, viewers)
+        return UploadReceipt(
+            photo_id=response.headers["x-photo-id"],
+            public_bytes=int(response.headers["x-public-bytes"]),
+            secret_bytes=int(response.headers["x-secret-bytes"]),
+        )
 
     def view_photo(
         self,
@@ -147,79 +96,31 @@ class PhotoSharingClient:
         resolution: int | None = None,
         crop_box: tuple[int, int, int, int] | None = None,
     ) -> np.ndarray:
-        """GET a photo; the recipient proxy (or gateway) reconstructs.
+        """GET a photo; the gateway reconstructs it.
 
         The photo ID rides in the URL, which is how the proxy learns
         which secret part to fetch (Section 4.1).
         """
-        params = {"album": album} if self.gateway is not None else {
-            "id": photo_id
-        }
-        if resolution is not None:
-            params["size"] = str(resolution)
-        if crop_box is not None:
-            params["crop"] = ",".join(str(v) for v in crop_box)
-        if self.gateway is not None:
-            from repro.system.gateway import pixels_from_response
-
-            response = self._send(
-                HttpRequest(
-                    method="GET",
-                    url=build_url(
-                        self._gateway_base(), f"/photos/{photo_id}", params
-                    ),
-                )
-            )
-            return pixels_from_response(response)
-        if self.recipient_proxy is None:
-            raise RuntimeError(
-                f"{self.user} has no recipient proxy configured"
-            )
-        request = HttpRequest(
-            method="GET",
-            url=build_url(
-                f"https://{self.recipient_proxy.psp.name}.example",
-                f"/photos/{photo_id}",
-                params,
-            ),
-        )
-        self.request_log.append(request)
-        return self.recipient_proxy.download(
-            photo_id, album, resolution=resolution, crop_box=crop_box
-        )
+        return self._view(photo_id, {"album": album}, resolution, crop_box)
 
     def view_photo_without_key(
         self, photo_id: str, resolution: int | None = None
     ) -> np.ndarray:
         """What a recipient lacking the album key renders (public only)."""
-        if self.gateway is not None:
-            from repro.system.gateway import pixels_from_response
+        return self._view(photo_id, {}, resolution, None)
 
-            params = {}
-            if resolution is not None:
-                params["size"] = str(resolution)
-            response = self._send(
-                HttpRequest(
-                    method="GET",
-                    url=build_url(
-                        self._gateway_base(), f"/photos/{photo_id}", params
-                    ),
-                )
-            )
-            return pixels_from_response(response)
-        if self.recipient_proxy is None:
-            raise RuntimeError(
-                f"{self.user} has no recipient proxy configured"
-            )
-        return self.recipient_proxy.download_public_only(
-            photo_id, resolution=resolution
+    def _view(
+        self,
+        photo_id: str,
+        params: dict[str, str],
+        resolution: int | None,
+        crop_box: tuple[int, int, int, int] | None,
+    ) -> np.ndarray:
+        if resolution is not None:
+            params["size"] = str(resolution)
+        if crop_box is not None:
+            params["crop"] = ",".join(str(v) for v in crop_box)
+        url = self._url(f"/photos/{photo_id}", params)
+        return pixels_from_response(
+            self._send(HttpRequest(method="GET", url=url))
         )
-
-
-def respond_with_pixels(pixels: np.ndarray) -> HttpResponse:
-    """Wrap reconstructed pixels as the HTTP response the app receives."""
-    return HttpResponse(
-        status=200,
-        headers={"content-type": "image/raw"},
-        body=np.ascontiguousarray(pixels).tobytes(),
-    )

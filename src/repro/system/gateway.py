@@ -1,9 +1,11 @@
-"""`P3Gateway`: a multi-user serving front end over the trust boundary.
+"""`P3Gateway`: the trusted proxy over HTTP, for one user or many.
 
-The paper deploys one proxy per device; at PSP scale the same trusted
-logic also runs as a *shared* middlebox — a household router, an
-enterprise egress proxy, a campus appliance — serving many users at
-once.  The gateway is that deployment: it speaks the same
+The paper deploys one proxy per device; that is a gateway with one
+registered user.  At PSP scale the same trusted logic also runs as a
+*shared* middlebox — a household router, an enterprise egress proxy, a
+campus appliance — serving many users at once.  The gateway is both
+deployments (:class:`~repro.api.session.P3Session` is the same proxy
+in process): it speaks the same
 :class:`~repro.system.http.HttpRequest` / :class:`~repro.system.http.
 HttpResponse` shapes the unmodified apps use, keeps one keyring per
 registered user, and funnels every download through one shared
@@ -36,6 +38,7 @@ import numpy as np
 from repro.api.backends import BlobStore, PSPBackend
 from repro.core.config import P3Config
 from repro.core.encryptor import P3Encryptor
+from repro.crypto.envelope import EnvelopeError
 from repro.crypto.keyring import Keyring
 from repro.serve.engine import ServeRequest, ServeResult, ServingEngine
 from repro.system.http import HttpRequest, HttpResponse
@@ -69,12 +72,20 @@ def map_exception(error: Exception) -> HttpResponse:
     One mapping shared by every front end (the synchronous
     :class:`P3Gateway` and the async one built on top of it), so a
     given failure produces the identical status whichever door the
-    request came through: :class:`GatewayError` carries its own
-    response; the provider's :class:`AccessDeniedError` is 403;
-    unknown photos/users/albums (``KeyError``) are 404; rejected
-    uploads and malformed parameters are 400; anything else — backend
-    outages, dead blob stores — is a 502, because the contract is
-    "never raises".
+    request came through, checked in this order:
+
+    * :class:`GatewayError` — the response it carries;
+    * the provider's :class:`AccessDeniedError` — 403;
+    * unknown photos/users/albums (``KeyError``) — 404;
+    * rejected uploads (:class:`UploadRejectedError`) — 400;
+    * a tampered or malformed stored envelope
+      (:class:`~repro.crypto.envelope.EnvelopeError`) — 502: the
+      gateway seals envelopes itself and reads them back from storage,
+      never from the client, so a bad one is an upstream fault even
+      though ``EnvelopeError`` is a ``ValueError``;
+    * any other ``ValueError`` (malformed parameters) — 400;
+    * anything else — backend outages, dead blob stores — 502, because
+      the contract is "never raises".
     """
     if isinstance(error, GatewayError):
         return error.response
@@ -84,6 +95,8 @@ def map_exception(error: Exception) -> HttpResponse:
         return _error(404, str(error))
     if isinstance(error, UploadRejectedError):
         return _error(400, str(error))
+    if isinstance(error, EnvelopeError):
+        return _error(502, f"{type(error).__name__}: {error}")
     if isinstance(error, ValueError):
         return _error(400, str(error))
     return _error(502, f"{type(error).__name__}: {error}")
@@ -122,8 +135,9 @@ class P3Gateway:
     engine, and a keyring per registered user.  :meth:`handle` is the
     whole HTTP surface; :meth:`add_user` / :meth:`share_album` manage
     tenancy.  Uploads go through the same
-    :func:`~repro.system.proxy.publish_encrypted` path as the
-    single-user proxies (rollback on partial failure included).
+    :func:`~repro.system.proxy.publish_encrypted` path as
+    :class:`~repro.api.session.P3Session` (rollback on partial failure
+    included).
     """
 
     _GUARDED_BY = {"_keyrings": "_lock"}

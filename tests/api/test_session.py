@@ -14,7 +14,7 @@ from repro.api.session import (
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.jpeg.codec import encode_rgb
-from repro.system.proxy import RecipientProxy, SenderProxy, secret_blob_key
+from repro.serve.keys import secret_blob_key
 from repro.system.psp import FacebookPSP, FlickrPSP
 from repro.system.storage import CloudStorage
 
@@ -74,17 +74,7 @@ class TestCreate:
 
 
 class TestSinglePhotoParity:
-    """The session path must match the hand-wired proxy path exactly."""
-
-    def _hand_wired_world(self):
-        keys = Keyring("alice")
-        keys.add_key("trip", bytes(range(16)))
-        psp = FacebookPSP()
-        storage = CloudStorage()
-        config = P3Config(threshold=15, quality=85)
-        sender = SenderProxy(keys, psp, storage, config)
-        recipient = RecipientProxy(keys, psp, storage)
-        return sender, recipient
+    """Single, batch and configured-session reads agree exactly."""
 
     def _session_world(self):
         keys = Keyring("alice")
@@ -95,21 +85,6 @@ class TestSinglePhotoParity:
             CloudStorage(),
             config=P3Config(threshold=15, quality=85),
         )
-
-    def test_upload_download_matches_proxy_path(self, jpegs):
-        sender, recipient = self._hand_wired_world()
-        session = self._session_world()
-
-        receipt = sender.upload(jpegs[0], "trip")
-        record = session.upload(jpegs[0], album="trip")
-        assert record.photo_id == receipt.photo_id
-        assert record.public_bytes == receipt.public_bytes
-
-        via_proxy = recipient.download(receipt.photo_id, "trip", resolution=75)
-        via_session = session.download(
-            record.photo_id, album="trip", resolution=75
-        )
-        assert np.array_equal(via_proxy, via_session)
 
     def test_transform_estimate_threads_into_batch(self, jpegs):
         """batch_download must honor the session's transform estimate,
@@ -154,11 +129,12 @@ class TestSinglePhotoParity:
             psp="flickr", transform_estimate=estimate, cache_limit=7
         )
         bob = session.viewer("bob")
-        assert bob.recipient.transform_estimate is estimate
-        assert bob.recipient.cache_limit == 7
+        assert bob.engine is session.engine
+        assert bob.transform_estimate is estimate
+        assert bob.cache_limit == bob.engine.secret_cache.maxsize == 7
 
     def test_batch_download_matches_single_download(self, jpegs):
-        """The executor path reconstructs exactly like the proxy path."""
+        """The executor path reconstructs exactly like single downloads."""
         session = self._session_world()
         records = [
             session.upload(jpeg, album="trip") for jpeg in jpegs[:2]

@@ -3,16 +3,29 @@
 import numpy as np
 import pytest
 
+from repro.api.pipeline import DecryptTask, run_decrypt_task
+from repro.api.session import DownloadRequest, P3Session
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.jpeg.codec import decode, encode_rgb
+from repro.serve.keys import secret_blob_key
 from repro.system.client import PhotoSharingClient
-from repro.system.proxy import RecipientProxy, SenderProxy, secret_blob_key
+from repro.system.gateway import P3Gateway
 from repro.system.psp import FacebookPSP, FlickrPSP
 from repro.system.reverse import reverse_engineer
 from repro.system.storage import CloudStorage
 from repro.vision.kernels import to_luma
 from repro.vision.metrics import psnr, ssim
+
+
+def device(keys, psp, storage, config=None, transform_estimate=None):
+    """One user's app behind their own one-user gateway (the paper's
+    one-device deployment)."""
+    gateway = P3Gateway(
+        psp, storage, config, transform_estimate=transform_estimate
+    )
+    gateway.add_user(keys.owner, keys)
+    return PhotoSharingClient(keys.owner, gateway)
 
 
 @pytest.fixture(scope="module")
@@ -23,15 +36,10 @@ def shared_world(scene_corpus):
     alice_keys.share_with(bob_keys, "trip")
     psp = FacebookPSP()
     storage = CloudStorage()
-    alice = PhotoSharingClient(
-        "alice",
-        sender_proxy=SenderProxy(
-            alice_keys, psp, storage, P3Config(threshold=15, quality=88)
-        ),
+    alice = device(
+        alice_keys, psp, storage, P3Config(threshold=15, quality=88)
     )
-    bob = PhotoSharingClient(
-        "bob", recipient_proxy=RecipientProxy(bob_keys, psp, storage)
-    )
+    bob = device(bob_keys, psp, storage)
     jpeg = encode_rgb(scene_corpus[0], quality=88)
     receipt = alice.upload_photo(jpeg, "trip", viewers={"bob"})
     return alice, bob, psp, storage, jpeg, receipt
@@ -73,14 +81,11 @@ class TestReverseEngineeredPipeline:
         estimate = reverse_engineer(originals, serveds)
         assert estimate.score_db > 25.0
 
-        calibrated_bob = PhotoSharingClient(
-            "bob",
-            recipient_proxy=RecipientProxy(
-                bob.recipient_proxy.keyring,
-                psp,
-                storage,
-                transform_estimate=estimate,
-            ),
+        calibrated_bob = device(
+            bob.gateway.keyring_for("bob"),
+            psp,
+            storage,
+            transform_estimate=estimate,
         )
         reference_psp = FacebookPSP()
         ref_id = reference_psp.upload(jpeg, owner="x")
@@ -103,12 +108,8 @@ class TestCrossProviderPortability:
         keys.create_album("album1")
         psp = FlickrPSP()
         storage = CloudStorage()
-        carol = PhotoSharingClient(
-            "carol",
-            sender_proxy=SenderProxy(
-                keys, psp, storage, P3Config(threshold=10, quality=90)
-            ),
-            recipient_proxy=RecipientProxy(keys, psp, storage),
+        carol = device(
+            keys, psp, storage, P3Config(threshold=10, quality=90)
         )
         jpeg = encode_rgb(scene_corpus[1], quality=90)
         receipt = carol.upload_photo(jpeg, "album1")
@@ -149,18 +150,108 @@ class TestThreatModel:
             parse_segments(blob)
 
     def test_tampering_detected_not_silent(self, shared_world, scene_corpus):
+        """A tampered envelope fails the view with a 502 — the fault is
+        upstream storage, not the app's request."""
         alice, bob, psp, storage, jpeg, _ = shared_world
         receipt = alice.upload_photo(jpeg, "trip", viewers={"bob"})
         storage.tamper(
             secret_blob_key("trip", receipt.photo_id), offset=40, value=1
         )
-        from repro.crypto.envelope import EnvelopeError
+        with pytest.raises(RuntimeError, match="502.*EnvelopeError"):
+            bob.view_photo(receipt.photo_id, "trip", resolution=130)
 
-        fresh_bob = PhotoSharingClient(
-            "bob",
-            recipient_proxy=RecipientProxy(
-                bob.recipient_proxy.keyring, psp, storage
-            ),
+
+def session_door(kind):
+    """``P3Session.download`` (``kind=None``) or a one-item
+    ``batch_download`` on the ``kind`` executor."""
+
+    def view(keys, psp, storage, request):
+        session = P3Session(keys, psp, storage)
+        if kind is None:
+            return session.download(request)
+        report = session.batch_download([request], executor=kind)
+        assert report.ok, report.failures
+        return report.results[0]
+
+    return view
+
+
+def gateway_door(keys, psp, storage, request):
+    """The unmodified app behind a one-user gateway."""
+    app = device(keys, psp, storage)
+    if request.public_only:
+        return app.view_photo_without_key(
+            request.photo_id, resolution=request.resolution
         )
-        with pytest.raises(EnvelopeError):
-            fresh_bob.view_photo(receipt.photo_id, "trip", resolution=130)
+    return app.view_photo(
+        request.photo_id,
+        request.album,
+        resolution=request.resolution,
+        crop_box=request.crop_box,
+    )
+
+
+DOORS = {
+    "session": session_door(None),
+    "batch-serial": session_door("serial"),
+    "batch-process": session_door("process"),
+    "gateway": gateway_door,
+}
+
+#: (resolution, crop_box, public_only) per view.
+VIEWS = {
+    "full": (None, None, False),
+    "size130": (130, None, False),
+    "size128-crop": (128, (8, 8, 64, 64), False),
+    "public-only": (None, None, True),
+}
+
+
+class TestEveryDoorServesTheReference:
+    """Both forms of the trusted proxy — the in-process session (single
+    and batch reads) and a one-user gateway behind the unmodified app —
+    serve exactly the cache-free reference: ``run_decrypt_task`` over
+    the raw PSP and storage bytes."""
+
+    @pytest.fixture(scope="class")
+    def published(self, scene_corpus):
+        keys = Keyring("alice")
+        psp, storage = FacebookPSP(), CloudStorage()
+        record = P3Session(
+            keys, psp, storage, P3Config(threshold=15, quality=88)
+        ).upload(encode_rgb(scene_corpus[0], quality=88), album="trip")
+        return keys, psp, storage, record.photo_id
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("door", DOORS)
+    def test_door_matches_cache_free_reference(self, published, door, view):
+        keys, psp, storage, photo_id = published
+        resolution, crop_box, public_only = VIEWS[view]
+        reference = run_decrypt_task(
+            DecryptTask(
+                key=None if public_only else keys.key_for("trip"),
+                public_jpeg=psp.download(
+                    photo_id,
+                    requester=keys.owner,
+                    resolution=resolution,
+                    crop_box=crop_box,
+                ),
+                secret_envelope=(
+                    None
+                    if public_only
+                    else storage.get(secret_blob_key("trip", photo_id))
+                ),
+                resolution=resolution,
+                crop_box=crop_box,
+            )
+        )
+        request = DownloadRequest(
+            photo_id,
+            "trip",
+            resolution=resolution,
+            crop_box=crop_box,
+            public_only=public_only,
+        )
+        served = DOORS[door](keys, psp, storage, request)
+        assert served.shape == reference.shape
+        assert np.array_equal(served, reference)

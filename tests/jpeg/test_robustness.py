@@ -78,21 +78,34 @@ def _mutate_frame_header(data: bytearray, marker: bytes, mutation: str):
         data[luma_sampling] &= 0x0F
     elif mutation == "luma_h5":
         data[luma_sampling] = 0x50 | (data[luma_sampling] & 0x0F)
+    elif mutation == "height0":
+        data[nf - 4 : nf - 2] = b"\x00\x00"
+    elif mutation == "width0":
+        data[nf - 2 : nf] = b"\x00\x00"
     else:
         data[nf] = 0
 
 
 class TestFrameHeaderValidation:
-    """T.81 B.2.2: Nf >= 1 and every H, V in 1-4.  The MCU grid is
-    sized from them, so each violation must be rejected by the frame
-    header check on every engine, before any scan is read."""
+    """T.81 B.2.2: Nf >= 1, non-zero Y and X (no DNL support), and
+    every H, V in 1-4.  The MCU grid is sized from them, so each
+    violation must be rejected by the frame header check on every
+    engine, before any scan is read."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
         "progressive", [False, True], ids=["baseline", "progressive"]
     )
     @pytest.mark.parametrize(
-        "mutation", ["all_sampling_zero", "luma_h0", "luma_h5", "nf0"]
+        "mutation",
+        [
+            "all_sampling_zero",
+            "luma_h0",
+            "luma_h5",
+            "nf0",
+            "height0",
+            "width0",
+        ],
     )
     def test_invalid_frame_header_is_a_format_error(
         self, rgb_image, mutation, progressive, engine

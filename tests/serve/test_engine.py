@@ -11,6 +11,7 @@ from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.jpeg.codec import encode_rgb
 from repro.api.executors import Executor
+from repro.api.session import P3Session
 from repro.serve.engine import (
     ServeRequest,
     ServeResult,
@@ -19,7 +20,6 @@ from repro.serve.engine import (
 )
 from repro.serve.keys import key_digest
 from repro.serve.trace import percentile
-from repro.system.proxy import SenderProxy
 from repro.system.psp import AccessDeniedError, FacebookPSP
 from repro.system.storage import CloudStorage
 
@@ -68,10 +68,10 @@ def world(scene_corpus):
     keys.create_album("trip")
     psp = CountingPSP(FacebookPSP())
     storage = CloudStorage()
-    sender = SenderProxy(keys, psp, storage, P3Config(quality=85))
+    sender = P3Session(keys, psp, storage, P3Config(quality=85))
     jpeg = encode_rgb(scene_corpus[0], quality=85)
-    receipt = sender.upload(jpeg, "trip", viewers={"bob"})
-    return psp, storage, keys, receipt.photo_id
+    record = sender.upload(jpeg, album="trip", viewers={"bob"})
+    return psp, storage, keys, record.photo_id
 
 
 def request_for(keys, photo_id, **kwargs):
@@ -602,9 +602,9 @@ class TestPartitionIsolation:
         psp, storage, keys, photo_id = world
         carol_keys = Keyring("carol")
         carol_keys.create_album("other")
-        sender = SenderProxy(carol_keys, psp, storage, P3Config(quality=85))
+        sender = P3Session(carol_keys, psp, storage, P3Config(quality=85))
         hot_id = sender.upload(
-            encode_rgb(scene_corpus[0], quality=85), "other"
+            encode_rgb(scene_corpus[0], quality=85), album="other"
         ).photo_id
 
         engine = ServingEngine(

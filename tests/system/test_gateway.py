@@ -17,7 +17,6 @@ from repro.system.gateway import (
     pixels_from_response,
 )
 from repro.system.http import HttpRequest, build_url
-from repro.system.proxy import RecipientProxy, SenderProxy
 from repro.system.psp import FacebookPSP
 from repro.system.storage import CloudStorage
 
@@ -75,19 +74,6 @@ class TestHttpSurface:
         assert alice.request_log[0].method == "POST"
         assert alice.request_log[1].method == "GET"
         assert receipt.photo_id in alice.request_log[1].url
-
-    def test_gateway_serve_matches_dedicated_proxy(self, gateway, jpeg):
-        """Gateway-served pixels == the paper's per-device proxy path."""
-        alice = PhotoSharingClient.for_gateway(gateway, "alice")
-        receipt = alice.upload_photo(jpeg, "trip")
-        via_gateway = alice.view_photo(
-            receipt.photo_id, "trip", resolution=130
-        )
-        proxy = RecipientProxy(
-            gateway.keyring_for("alice"), gateway.psp, gateway.storage
-        )
-        via_proxy = proxy.download(receipt.photo_id, "trip", resolution=130)
-        assert via_gateway.tobytes() == via_proxy.tobytes()
 
     def test_missing_user_is_401(self, gateway, jpeg):
         response = get(gateway, None, "/photos/xyz")

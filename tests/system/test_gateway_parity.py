@@ -11,6 +11,7 @@ import pytest
 from repro.core.config import P3Config
 from repro.jpeg.codec import encode_rgb
 from repro.serve.async_gateway import AsyncGateway
+from repro.serve.keys import secret_blob_key
 from repro.system.client import PhotoSharingClient
 from repro.system.gateway import (
     USER_HEADER,
@@ -160,6 +161,13 @@ class TestErrorParity:
         ),
         ("no-route", lambda pid: get_request("alice", "/albums"), 404),
         ("empty-path", lambda pid: get_request("alice", "/photos/"), 404),
+        (
+            "tampered-envelope",
+            lambda pid: get_request(
+                "alice", f"/photos/{pid}", {"album": "trip"}
+            ),
+            502,
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -170,6 +178,10 @@ class TestErrorParity:
         gateway, front, photo_id = deployment
         if name == "denied-viewer":
             gateway.add_user("mallory")
+        if name == "tampered-envelope":
+            gateway.storage.tamper(
+                secret_blob_key("trip", photo_id), offset=40, value=1
+            )
         request = build(photo_id)
         sync_response, async_response = both(gateway, front, request)
         assert sync_response.status == expected

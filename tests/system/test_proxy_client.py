@@ -1,17 +1,36 @@
-"""Tests for the interposition proxies and client sessions."""
+"""Tests for the unmodified app talking to its device's trusted proxy.
 
-import numpy as np
+Each user runs the paper's one-device deployment: a
+:class:`~repro.system.gateway.P3Gateway` with one registered user, in
+front of a shared PSP and cloud storage.
+"""
+
 import pytest
 
+from repro.api.session import P3Session
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.jpeg.codec import decode, encode_rgb
+from repro.serve.engine import DEFAULT_SECRET_CACHE_LIMIT, ServingEngine
+from repro.serve.keys import secret_blob_key
 from repro.system.client import PhotoSharingClient
-from repro.system.proxy import RecipientProxy, SenderProxy, secret_blob_key
-from repro.system.psp import AccessDeniedError, FacebookPSP, FlickrPSP
+from repro.system.gateway import P3Gateway
+from repro.system.psp import FacebookPSP
 from repro.system.storage import CloudStorage
 from repro.vision.kernels import to_luma
 from repro.vision.metrics import psnr
+
+
+def device(keys, psp, storage, config=None, engine=None):
+    """One user's app behind their own one-user gateway."""
+    gateway = P3Gateway(psp, storage, config, engine=engine)
+    gateway.add_user(keys.owner, keys)
+    return PhotoSharingClient(keys.owner, gateway)
+
+
+def cached_secret_ids(client):
+    """Photo IDs in the device's decrypted secret-part tier."""
+    return {key[1] for key in client.gateway.engine.secret_cache.keys()}
 
 
 @pytest.fixture()
@@ -23,17 +42,29 @@ def world(scene_corpus):
     alice_keys.share_with(bob_keys, "trip")
     psp = FacebookPSP()
     storage = CloudStorage()
-    alice = PhotoSharingClient(
-        "alice",
-        sender_proxy=SenderProxy(
-            alice_keys, psp, storage, P3Config(threshold=15, quality=88)
-        ),
+    alice = device(
+        alice_keys, psp, storage, P3Config(threshold=15, quality=88)
     )
-    bob = PhotoSharingClient(
-        "bob", recipient_proxy=RecipientProxy(bob_keys, psp, storage)
-    )
+    bob = device(bob_keys, psp, storage)
     jpeg = encode_rgb(scene_corpus[0], quality=88)
     return alice, bob, psp, storage, jpeg
+
+
+def with_secret_cache_limit(client, limit):
+    """The same user on a device whose secret-part tier holds ``limit``
+    entries and whose variant tier is off, so every view reaches it."""
+    gateway = client.gateway
+    return device(
+        gateway.keyring_for(client.user),
+        gateway.psp,
+        gateway.storage,
+        engine=ServingEngine(
+            gateway.psp,
+            gateway.storage,
+            secret_cache_limit=limit,
+            variant_cache_limit=0,
+        ),
+    )
 
 
 class TestUploadPath:
@@ -104,28 +135,20 @@ class TestDownloadPath:
         bob.view_photo(receipt.photo_id, "trip", resolution=130)
         bob.view_photo(receipt.photo_id, "trip", resolution=720)
         assert storage.get_count == before + 1  # one secret fetch only
-        assert bob.recipient_proxy.cache_stats.hits == 2
+        assert bob.gateway.engine.secret_cache.stats.hits == 2
 
     def test_stranger_cannot_download(self, world):
         alice, _, psp, storage, jpeg = world
         receipt = alice.upload_photo(jpeg, "trip")  # no viewers
-        mallory_keys = Keyring("mallory")
-        mallory = PhotoSharingClient(
-            "mallory",
-            recipient_proxy=RecipientProxy(mallory_keys, psp, storage),
-        )
-        with pytest.raises(AccessDeniedError):
+        mallory = device(Keyring("mallory"), psp, storage)
+        with pytest.raises(RuntimeError, match="403"):
             mallory.view_photo(receipt.photo_id, "trip")
 
     def test_viewer_without_key_sees_degraded(self, world):
         """Access to the PSP but no album key (the Figure 4 scenario)."""
         alice, bob, psp, storage, jpeg = world
         receipt = alice.upload_photo(jpeg, "trip", viewers={"carol", "bob"})
-        carol_keys = Keyring("carol")  # never given the album key
-        carol = PhotoSharingClient(
-            "carol",
-            recipient_proxy=RecipientProxy(carol_keys, psp, storage),
-        )
+        carol = device(Keyring("carol"), psp, storage)  # never given the key
         degraded = carol.view_photo_without_key(
             receipt.photo_id, resolution=720
         )
@@ -145,23 +168,24 @@ class TestSecretCacheBound:
     def test_cache_is_lru_bounded(self, world):
         """Corpus-scale traffic must not grow the cache without bound."""
         alice, bob, psp, storage, jpeg = world
-        bob.recipient_proxy.cache_limit = 2
+        bob = with_secret_cache_limit(bob, 2)
+        stats = bob.gateway.engine.secret_cache.stats
         receipts = [
             alice.upload_photo(jpeg, "trip", viewers={"bob"})
             for _ in range(3)
         ]
         for receipt in receipts:
             bob.view_photo(receipt.photo_id, "trip", resolution=75)
-        assert len(bob.recipient_proxy._secret_cache) == 2
-        assert bob.recipient_proxy.cache_stats.evictions == 1
+        assert len(bob.gateway.engine.secret_cache) == 2
+        assert stats.evictions == 1
         # The oldest entry (receipts[0]) was evicted; re-viewing it is a miss.
-        before = bob.recipient_proxy.cache_stats.misses
+        before = stats.misses
         bob.view_photo(receipts[0].photo_id, "trip", resolution=75)
-        assert bob.recipient_proxy.cache_stats.misses == before + 1
+        assert stats.misses == before + 1
 
     def test_hit_refreshes_recency(self, world):
         alice, bob, _, _, jpeg = world
-        bob.recipient_proxy.cache_limit = 2
+        bob = with_secret_cache_limit(bob, 2)
         receipts = [
             alice.upload_photo(jpeg, "trip", viewers={"bob"})
             for _ in range(2)
@@ -171,36 +195,15 @@ class TestSecretCacheBound:
         bob.view_photo(receipts[0].photo_id, "trip", resolution=75)  # refresh
         third = alice.upload_photo(jpeg, "trip", viewers={"bob"})
         bob.view_photo(third.photo_id, "trip", resolution=75)  # evicts [1]
-        assert receipts[0].photo_id in bob.recipient_proxy._secret_cache
-        assert receipts[1].photo_id not in bob.recipient_proxy._secret_cache
+        assert receipts[0].photo_id in cached_secret_ids(bob)
+        assert receipts[1].photo_id not in cached_secret_ids(bob)
 
-    def test_shrinking_limit_drains_cache_to_bound(self, world):
-        """Lowering cache_limit on a live proxy converges on next insert."""
-        alice, bob, _, _, jpeg = world
-        receipts = [
-            alice.upload_photo(jpeg, "trip", viewers={"bob"})
-            for _ in range(4)
-        ]
-        for receipt in receipts[:3]:
-            bob.view_photo(receipt.photo_id, "trip", resolution=75)
-        assert len(bob.recipient_proxy._secret_cache) == 3
-        bob.recipient_proxy.cache_limit = 1
-        bob.view_photo(receipts[3].photo_id, "trip", resolution=75)
-        assert len(bob.recipient_proxy._secret_cache) == 1
-        assert bob.recipient_proxy.cache_stats.evictions == 3
-
-    def test_default_limit_and_validation(self, world):
-        _, bob, _, _, _ = world
-        assert bob.recipient_proxy.cache_limit == 128
-        from repro.system.proxy import RecipientProxy
-
-        with pytest.raises(ValueError, match="cache_limit"):
-            RecipientProxy(
-                bob.recipient_proxy.keyring,
-                bob.recipient_proxy.psp,
-                bob.recipient_proxy.storage,
-                cache_limit=0,
-            )
+    def test_default_limit(self, world):
+        _, bob, psp, storage, _ = world
+        session = P3Session(bob.gateway.keyring_for("bob"), psp, storage)
+        assert DEFAULT_SECRET_CACHE_LIMIT == 128
+        assert bob.gateway.engine.secret_cache.maxsize == 128
+        assert session.engine.secret_cache.maxsize == 128
 
 
 class TestSecretBlobKey:
@@ -234,9 +237,10 @@ class TestSecretBlobKey:
     def test_roundtrip_through_storage(self, world):
         """An upload to a hostile album name still round-trips."""
         alice, bob, _, storage, jpeg = world
-        alice.sender_proxy.keyring.create_album("evil/../album")
-        alice.sender_proxy.keyring.share_with(
-            bob.recipient_proxy.keyring, "evil/../album"
+        alice_keys = alice.gateway.keyring_for("alice")
+        alice_keys.create_album("evil/../album")
+        alice_keys.share_with(
+            bob.gateway.keyring_for("bob"), "evil/../album"
         )
         receipt = alice.upload_photo(
             jpeg, "evil/../album", viewers={"bob"}
@@ -245,15 +249,3 @@ class TestSecretBlobKey:
             receipt.photo_id, "evil/../album", resolution=75
         )
         assert pixels.ndim == 3
-
-
-class TestMissingProxies:
-    def test_upload_without_proxy(self, world):
-        _, bob, _, _, jpeg = world
-        with pytest.raises(RuntimeError):
-            bob.upload_photo(jpeg, "trip")
-
-    def test_view_without_proxy(self, world):
-        alice, _, _, _, jpeg = world
-        with pytest.raises(RuntimeError):
-            alice.view_photo("x", "trip")
