@@ -165,7 +165,6 @@ class Deployment:
                     digests[(photo_id, resolution, tier)] = hashlib.sha256(
                         pixels.tobytes()
                     ).hexdigest()
-        reference.close()
         return digests
 
     def resolution_for(self, event: TraceEvent) -> int | None:
@@ -407,7 +406,7 @@ def bench_flash_crowd(
 def bench_thundering_herd(
     corpus: list[bytes], quality: int, herd_size: int
 ) -> tuple[dict, int]:
-    """N viewers, one cold photo, one instant: coalesce or die."""
+    """N viewers, one cold photo, one instant: one reconstruction or die."""
     events = thundering_herd_trace(
         tenants=POPULATION, herd_size=herd_size, rank=0, seed=2
     )

@@ -1,7 +1,7 @@
 """Serving-tier benchmark: zipfian viewer traffic vs the three-tier
-cache, pooled cold reconstruction, and concurrent multi-provider ingest.
+cache, and concurrent multi-provider ingest.
 
-Four measurements, one JSON artifact (``BENCH_serving.json``):
+Three measurements, one JSON artifact (``BENCH_serving.json``):
 
 1. **Ingest overlap** — per-photo publish wall clock for one provider
    vs a 3-provider fan-out, serial vs threaded.  Provider ingest is
@@ -13,19 +13,12 @@ Four measurements, one JSON artifact (``BENCH_serving.json``):
    popularity trace through real HTTP round trips; reports cache hit
    rate, p50/p99 latency, and cold-vs-warm speedup (acceptance:
    warm >= 5x faster than cold).
-3. **Cold-serve throughput** — concurrent client threads serve
-   distinct cold variants (no cache hits, no coalescing) against an
-   inline-serial engine and against shared worker pools of each
-   requested width (``--serve-workers``, repeatable); reports img/s
-   per configuration and the widest-vs-1-worker scaling ratio
-   (acceptance on the 4-vCPU CI box: >= 2x).
-4. **Byte identity (hard-fails on mismatch)** — every photo served by
+3. **Byte identity (hard-fails on mismatch)** — every photo served by
    the cached engine is compared byte-for-byte against the
    pre-refactor single path (a hand-built
-   :class:`~repro.api.pipeline.DecryptTask` over raw fetches), a
-   burst of concurrent viewers must coalesce onto one reconstruction
-   while all seeing identical bytes, and every pooled cold serve must
-   match its serial counterpart.
+   :class:`~repro.api.pipeline.DecryptTask` over raw fetches), and a
+   burst of concurrent viewers must share one reconstruction while
+   all seeing identical bytes.
 
 Run standalone::
 
@@ -36,7 +29,6 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import pathlib
@@ -51,7 +43,7 @@ from repro.api.registry import DEFAULT_REGISTRY
 from repro.core.config import P3Config
 from repro.core.encryptor import P3Encryptor
 from repro.datasets import iter_corpus_jpegs
-from repro.serve.engine import ServeRequest, ServingEngine
+from repro.serve.engine import ServeRequest
 from repro.serve.keys import secret_blob_key
 from repro.serve.trace import percentile, zipf_trace
 from repro.system.client import PhotoSharingClient
@@ -261,7 +253,8 @@ def verify_byte_identity(gateway: P3Gateway, receipts: list) -> int:
 
 
 def bench_coalescing(gateway: P3Gateway, receipts: list) -> tuple[dict, int]:
-    """A burst of concurrent viewers of one cold photo must coalesce."""
+    """A burst of concurrent viewers of one cold photo must share one
+    reconstruction."""
     engine = gateway.engine
     engine.variant_cache.clear()
     engine.secret_cache.clear()
@@ -312,160 +305,12 @@ def bench_coalescing(gateway: P3Gateway, receipts: list) -> tuple[dict, int]:
     )
 
 
-def bench_cold_serves(
-    gateway: P3Gateway,
-    receipts: list,
-    quality: int,
-    serve_executor: str,
-    workers_list: list[int],
-) -> tuple[dict, int]:
-    """Cold-serve throughput: inline serial vs a shared worker pool.
-
-    Concurrent client threads each serve *distinct* cold variants (no
-    coalescing, no cache hits), so the wall clock measures how many
-    reconstructions the tier completes per second.  Serial is the
-    reference; each requested pool width runs the same workload on a
-    fresh engine.  Every pooled result is compared byte-for-byte
-    against the serial one — a mismatch is a hard failure.
-    """
-    keyring = gateway.keyring_for("owner")
-    key = keyring.key_for(ALBUM)
-    requests = [
-        ServeRequest(
-            photo_id=receipt.photo_id,
-            album=ALBUM,
-            key=key,
-            requester="owner",
-            resolution=resolution,
-        )
-        for receipt in receipts
-        for resolution in (None, 128)
-    ]
-
-    def run_cold(engine: ServingEngine, threads: int):
-        # One warm-up serve spins up pool workers, then the caches are
-        # dropped so the measured pass is all cold reconstructions.
-        engine.serve(requests[0])
-        engine.variant_cache.clear()
-        engine.secret_cache.clear()
-        engine.envelope_cache.clear()
-        results: dict[int, bytes] = {}
-        errors: list[Exception] = []
-        lock = threading.Lock()
-
-        def worker(chunk):
-            for index, request in chunk:
-                try:
-                    payload = engine.serve(request).pixels.tobytes()
-                    with lock:
-                        results[index] = payload
-                except Exception as error:  # pragma: no cover
-                    with lock:
-                        errors.append(error)
-
-        chunks = [
-            list(enumerate(requests))[i::threads] for i in range(threads)
-        ]
-        pool = [
-            threading.Thread(target=worker, args=(chunk,))
-            for chunk in chunks
-            if chunk
-        ]
-        start = time.perf_counter()
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(timeout=600)
-        elapsed = time.perf_counter() - start
-        return elapsed, results, errors
-
-    base = P3Config(quality=quality)
-    client_threads = max(4, *workers_list)
-
-    serial_engine = ServingEngine.from_config(
-        gateway.psp, gateway.storage, base
-    )
-    serial_s, serial_results, errors = run_cold(
-        serial_engine, client_threads
-    )
-    serial_rate = len(requests) / serial_s if serial_s else 0.0
-    print(
-        f"cold serves: {len(requests)} distinct variants, "
-        f"{client_threads} client threads; serial inline "
-        f"{serial_rate:.1f} img/s"
-    )
-
-    failures = len(errors)
-    pools: dict[str, dict] = {}
-    rates: dict[int, float] = {}
-    for workers in workers_list:
-        config = dataclasses.replace(
-            base, serve_executor=serve_executor, serve_workers=workers
-        )
-        engine = ServingEngine.from_config(
-            gateway.psp, gateway.storage, config
-        )
-        elapsed, results, errors = run_cold(engine, client_threads)
-        engine.close()
-        failures += len(errors)
-        mismatches = sum(
-            1
-            for index, payload in serial_results.items()
-            if results.get(index) != payload
-        )
-        if mismatches:
-            print(
-                f"BYTE MISMATCH pooled({serve_executor} x{workers}) vs "
-                f"serial: {mismatches} variant(s)",
-                file=sys.stderr,
-            )
-            failures += mismatches
-        rate = len(requests) / elapsed if elapsed else 0.0
-        rates[workers] = rate
-        pools[str(workers)] = {
-            "workers": workers,
-            "img_per_s": round(rate, 2),
-            "vs_serial": round(rate / serial_rate, 2) if serial_rate else 0.0,
-            "byte_identical": mismatches == 0,
-            "errors": len(errors),
-        }
-        print(
-            f"cold serves: {serve_executor} pool x{workers} "
-            f"{rate:.1f} img/s ({rate / serial_rate:.2f}x serial)"
-        )
-
-    scaling = None
-    if 1 in rates and max(workers_list) > 1 and rates[1] > 0:
-        widest = max(workers_list)
-        scaling = rates[widest] / rates[1]
-        print(
-            f"cold-serve scaling: x{widest} pool is {scaling:.2f}x the "
-            f"x1 pool (target >= 2x on a 4-vCPU box)"
-        )
-    return (
-        {
-            "executor": serve_executor,
-            "variants": len(requests),
-            "client_threads": client_threads,
-            "serial_img_per_s": round(serial_rate, 2),
-            "pools": pools,
-            "scaling_widest_vs_1": (
-                round(scaling, 2) if scaling is not None else None
-            ),
-            "cpu_count": os.cpu_count(),
-        },
-        failures,
-    )
-
-
 def run(
     count: int,
     size: int,
     quality: int,
     requests: int,
     zipf_s: float,
-    serve_executor: str = "process",
-    serve_workers: list[int] | None = None,
 ):
     corpus = list(iter_corpus_jpegs("usc", count, size=size, quality=quality))
     print(
@@ -480,14 +325,6 @@ def run(
     mismatches = verify_byte_identity(gateway, receipts)
     coalescing, failures = bench_coalescing(gateway, receipts)
     failures += mismatches
-    cold, cold_failures = bench_cold_serves(
-        gateway,
-        receipts,
-        quality,
-        serve_executor,
-        serve_workers or [1, os.cpu_count() or 1],
-    )
-    failures += cold_failures
     if failures:
         raise SystemExit(
             f"{failures} byte mismatch(es)/error(s) — the serving tier "
@@ -510,7 +347,6 @@ def run(
         "ingest": ingest,
         "serving": serving,
         "coalescing": coalescing,
-        "cold_serves": cold,
         "byte_identical": True,
     }
 
@@ -523,19 +359,6 @@ def main() -> None:
     parser.add_argument("--requests", type=int, default=64)
     parser.add_argument("--zipf", type=float, default=1.1)
     parser.add_argument(
-        "--serve-executor",
-        choices=("thread", "process"),
-        default="process",
-        help="pooled strategy for the cold-serve throughput section",
-    )
-    parser.add_argument(
-        "--serve-workers",
-        type=int,
-        action="append",
-        help="pool width to measure (repeatable; default: 1 and one "
-        "per CPU)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="small fast configuration for CI (still verifies identity)",
@@ -545,13 +368,7 @@ def main() -> None:
         args.count, args.size, args.requests = 4, 128, 32
 
     result = run(
-        args.count,
-        args.size,
-        args.quality,
-        args.requests,
-        args.zipf,
-        serve_executor=args.serve_executor,
-        serve_workers=args.serve_workers,
+        args.count, args.size, args.quality, args.requests, args.zipf
     )
     result["smoke"] = args.smoke
     OUTPUT_DIR.mkdir(exist_ok=True)

@@ -9,8 +9,8 @@ same trusted logic as a *shared* middlebox — a
 Alice publishes an album through the gateway; five viewers hit the
 same photo over plain HTTP round trips.  The first view reconstructs;
 every later view — whoever asks — is served from the shared cache in
-microseconds, concurrent viewers of a cold photo coalesce onto a
-single reconstruction, and a tenant who was never given the album key
+microseconds, concurrent viewers of a cold photo share a single
+reconstruction, and a tenant who was never given the album key
 still only ever sees the degraded public part.
 
 The shared engine stacks three cache tiers: decoded variants
@@ -22,11 +22,7 @@ with a protected per-partition quota
 (``P3Config.cache_partition_quota``), so one viral album cannot evict
 every other tenant's working set; ``engine.snapshot()["partitions"]``
 — also on the gateway's ``/stats`` endpoint — breaks hits, misses and
-evictions down per partition.  Cold reconstructions can also be
-pushed onto a shared worker pool
-(``P3Config(serve_executor="process", serve_workers=4)``) so
-concurrent cache misses scale across cores; release it with
-``gateway.close()``.
+evictions down per partition.
 """
 
 from __future__ import annotations
@@ -124,7 +120,6 @@ def main() -> None:
             f"  variant partition {partition}: {stats['entries']} entries, "
             f"{stats['hits']} hits, {stats['evictions']} evictions"
         )
-    gateway.close()
 
 
 if __name__ == "__main__":

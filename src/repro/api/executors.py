@@ -23,11 +23,11 @@ The pool's lifetime follows the call.  ``map`` builds a pool for its
 batch and tears it down before returning: batches are corpus-sized, so
 pool startup is amortized, and a batch executor holds nothing between
 calls.  ``run_one`` and ``offload`` serve the opposite workload, many
-single cold reconstructions from concurrent request threads or
-coroutines, so they share one pool that starts on first use and lives
-until :meth:`Executor.shutdown`.  Shutting down is safe to repeat, and
-the next call starts a new pool.  The serial kind runs every call
-inline and never has a pool.
+single calls from concurrent threads or coroutines (the async
+gateway's offloaded serves), so they share one pool that starts on
+first use and lives until :meth:`Executor.shutdown`.  Shutting down
+is safe to repeat, and the next call starts a new pool.  The serial
+kind runs every call inline and never has a pool.
 """
 
 from __future__ import annotations
@@ -156,11 +156,8 @@ class Executor:
     def run_one(self, fn: Callable[[Any], Any], item: Any) -> Any:
         """Run one task on the shared pool and return its value.
 
-        The serving tier's entry point: one cold reconstruction per
-        call, with concurrent callers sharing the pool so independent
-        requests batch across the same workers.  Unlike :meth:`map`,
-        errors are *not* captured — a failed serve must raise to its
-        requester.
+        Concurrent callers share the pool.  Unlike :meth:`map`, errors
+        are *not* captured — a failed call raises to its caller.
         """
         if self.kind == "serial":
             return fn(item)

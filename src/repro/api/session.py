@@ -349,7 +349,7 @@ class P3Session:
         """A recipient session on the same PSP/storage, empty keyring.
 
         Viewer sessions share this session's serving engine, so many
-        viewers coalesce onto one reconstruction and one cache — the
+        viewers share one reconstruction and one cache — the
         multi-tenant behaviour the gateway builds on.
         """
         return P3Session(
@@ -361,23 +361,6 @@ class P3Session:
             cache_limit=self.cache_limit,
             engine=self.engine,
         )
-
-    def close(self) -> None:
-        """Release the serving engine's pooled resources.
-
-        Only meaningful when ``config.serve_executor`` puts cold
-        serves on a worker pool; safe to call repeatedly, and the
-        engine starts a new pool if served again.
-        Viewer sessions share the engine, so close once, from the
-        session that owns it.
-        """
-        self.engine.close()
-
-    def __enter__(self) -> "P3Session":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def share(self, album: str, recipient: "P3Session | Keyring") -> None:
         """Hand the album key to another participant (out of band)."""

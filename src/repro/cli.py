@@ -22,6 +22,11 @@ available entropy engine (the cffi-compiled C kernel, else numpy;
 reports which kernel actually loaded.  ``--verbose`` on
 encrypt/decrypt prints per-stage wall-clock times (codec vs crypto vs
 split) so you can see where a photo's time actually goes.
+
+The serving tier is benchmarked by ``benchmarks/bench_serving.py``
+(zipfian trace, cache tiers, ingest overlap) and
+``benchmarks/bench_async_serving.py`` (async front end, admission
+control, trace scenarios), not from this CLI.
 """
 
 from __future__ import annotations
@@ -399,288 +404,6 @@ def _cmd_publish(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_serve_bench(args) -> int:
-    """In-process serving-tier benchmark: zipfian viewers vs the caches.
-
-    Spins up a multi-user :class:`~repro.system.gateway.P3Gateway`
-    over a simulated PSP, publishes a synthetic corpus, replays a
-    zipfian popularity trace through real gateway round trips, and
-    reports hit rate, p50/p99 latency and cold-vs-warm speedup.
-    Byte-identity of cached serves is verified against a cache-free
-    engine on the same backends.
-    """
-    from repro.api.registry import DEFAULT_REGISTRY
-    from repro.datasets import iter_corpus_jpegs
-    from repro.serve.engine import ServeRequest, ServingEngine
-    from repro.serve.trace import percentile, zipf_trace
-    from repro.system.client import PhotoSharingClient
-    from repro.system.gateway import USER_HEADER, P3Gateway
-    from repro.system.http import HttpRequest, build_url
-
-    config = P3Config(
-        quality=args.quality,
-        variant_cache=args.variant_cache,
-        variant_ttl_s=args.variant_ttl,
-        serve_executor=args.serve_executor,
-        serve_workers=args.serve_workers,
-    )
-    psp = DEFAULT_REGISTRY.create_psp(args.psp)
-    storage = DEFAULT_REGISTRY.create_storage("dropbox")
-    engine = ServingEngine.from_config(
-        psp, storage, config, coalesce=not args.no_coalesce
-    )
-    gateway = P3Gateway(psp, storage, config, engine=engine)
-
-    owner = PhotoSharingClient.for_gateway(gateway, "owner")
-    viewers = [
-        PhotoSharingClient.for_gateway(gateway, f"viewer{i}")
-        for i in range(args.viewers)
-    ]
-    corpus = list(
-        iter_corpus_jpegs(
-            "usc", args.photos, size=args.size, quality=args.quality
-        )
-    )
-    receipts = [
-        owner.upload_photo(
-            jpeg, "bench", viewers={v.user for v in viewers}
-        )
-        for jpeg in corpus
-    ]
-    gateway.share_album("owner", "bench", *[v.user for v in viewers])
-    pool = (
-        "inline"
-        if engine.executor is None
-        else f"{config.serve_executor} pool x{engine.executor.workers}"
-    )
-    print(
-        f"published {len(receipts)} photo(s) ({args.size}px q{args.quality}) "
-        f"to {psp.name}; replaying {args.requests} zipfian requests "
-        f"(s={args.zipf}) from {args.viewers} viewer(s); "
-        f"cold reconstruction: {pool}"
-    )
-
-    trace = zipf_trace(len(receipts), args.requests, s=args.zipf, seed=7)
-    latencies: list[float] = []
-    warm_flags: list[bool] = []
-    for turn, photo_index in enumerate(trace):
-        viewer = viewers[turn % len(viewers)]
-        request = HttpRequest(
-            method="GET",
-            url=build_url(
-                "https://gateway.example",
-                f"/photos/{receipts[photo_index].photo_id}",
-                {"album": "bench"},
-            ),
-            headers={USER_HEADER: viewer.user},
-        )
-        start = time.perf_counter()
-        response = gateway.handle(request)
-        latencies.append(time.perf_counter() - start)
-        if not response.ok:
-            raise SystemExit(
-                f"gateway returned {response.status}: {response.body!r}"
-            )
-        # The response says where it was served from — exact per-request
-        # provenance, robust to evictions and TTL expiry.
-        warm_flags.append(response.headers["x-cache"] == "variant-cache")
-
-    # Freeze the trace statistics before the identity checks below add
-    # their own (warm) serves to the engine's counters.
-    snapshot = engine.snapshot()
-
-    # Byte-identity: cached (and possibly pooled) serves vs a
-    # cache-free, inline reference engine on the same backends.  Every
-    # tier is disabled — the envelope cache too, or the "uncached" leg
-    # would quietly share bytes with the engine under test.
-    bare = ServingEngine.from_config(
-        psp,
-        storage,
-        dataclasses.replace(
-            config,
-            variant_cache=0,
-            envelope_cache=0,
-            serve_executor="serial",
-        ),
-        secret_cache_limit=0,
-    )
-    keyring = gateway.keyring_for("owner")
-    mismatches = 0
-    for receipt in receipts:
-        request = ServeRequest(
-            photo_id=receipt.photo_id,
-            album="bench",
-            key=keyring.key_for("bench"),
-            requester="owner",
-        )
-        if (
-            engine.serve(request).pixels.tobytes()
-            != bare.serve(request).pixels.tobytes()
-        ):
-            mismatches += 1
-            print(
-                f"BYTE MISMATCH cached vs uncached: {receipt.photo_id}",
-                file=sys.stderr,
-            )
-
-    variant = snapshot["variant_cache"]
-    miss_lat = [s for s, hit in zip(latencies, warm_flags) if not hit]
-    hit_lat = [s for s, hit in zip(latencies, warm_flags) if hit]
-    cold_ms = (
-        sum(miss_lat) / len(miss_lat) * 1000 if miss_lat else 0.0
-    )
-    warm_ms = sum(hit_lat) / len(hit_lat) * 1000 if hit_lat else 0.0
-    print(
-        f"variant cache: {variant['hits']} hits / "
-        f"{variant['misses']} misses (hit rate {variant['hit_rate']:.2f})"
-    )
-    print(
-        f"latency: p50 {percentile(latencies, 50) * 1000:.1f} ms, "
-        f"p99 {percentile(latencies, 99) * 1000:.1f} ms; "
-        f"cold ~{cold_ms:.1f} ms, warm ~{warm_ms:.1f} ms"
-        + (
-            f" ({cold_ms / warm_ms:.1f}x speedup)"
-            if warm_ms > 0 and cold_ms > 0
-            else ""
-        )
-    )
-    print(
-        f"byte-identity vs cache-free engine: "
-        f"{'OK' if mismatches == 0 else f'{mismatches} MISMATCH(ES)'}"
-    )
-    gateway.close()
-    return 0 if mismatches == 0 else 1
-
-
-def _cmd_serve_load(args) -> int:
-    """Replay a timed workload trace through the async front end.
-
-    Builds an in-process deployment (gateway + :class:`~repro.serve.
-    async_gateway.AsyncGateway`), generates the requested scenario
-    trace — a diurnal day curve, a flash-crowd spike, or a thundering
-    herd — registers every tenant the trace drew from its
-    million-user population, and replays it open-loop with real async
-    round trips.  Reports offered vs served RPS, shed/degraded
-    counts, latency percentiles and the admission snapshot; exits
-    nonzero if any request came back with an unexpected error status.
-    """
-    from repro.api.executors import run_async
-    from repro.api.registry import DEFAULT_REGISTRY
-    from repro.datasets import iter_corpus_jpegs
-    from repro.serve.async_gateway import AsyncGateway
-    from repro.serve.replay import replay_async, view_request
-    from repro.serve.trace import (
-        diurnal_trace,
-        flash_crowd_trace,
-        thundering_herd_trace,
-    )
-    from repro.system.client import PhotoSharingClient
-    from repro.system.gateway import P3Gateway
-
-    if args.scenario == "diurnal":
-        events = diurnal_trace(
-            tenants=args.population,
-            photos=args.photos,
-            duration_s=args.duration,
-            peak_rps=args.rate,
-            seed=args.seed,
-        )
-    elif args.scenario == "flash-crowd":
-        events = flash_crowd_trace(
-            tenants=args.population,
-            photos=args.photos,
-            duration_s=args.duration,
-            base_rps=args.rate,
-            spike_rps=args.spike_rps or args.rate * 6,
-            spike_start_s=args.duration / 4,
-            spike_duration_s=args.duration / 2,
-            seed=args.seed,
-        )
-    else:  # herd
-        events = thundering_herd_trace(
-            tenants=args.population, herd_size=args.herd, seed=args.seed
-        )
-    tenants = sorted({event.tenant for event in events})
-
-    config = P3Config(
-        quality=args.quality,
-        max_inflight=args.max_inflight,
-        tenant_rps=args.tenant_rps,
-        queue_deadline_ms=args.queue_deadline_ms,
-        degrade_mode=args.degrade_mode,
-    )
-    psp = DEFAULT_REGISTRY.create_psp(args.psp)
-    storage = DEFAULT_REGISTRY.create_storage("dropbox")
-    gateway = P3Gateway(psp, storage, config)
-    owner = PhotoSharingClient.for_gateway(gateway, "owner")
-    corpus = iter_corpus_jpegs(
-        "usc", args.photos, size=args.size, quality=args.quality
-    )
-    receipts = [
-        owner.upload_photo(jpeg, "bench", viewers=set(tenants))
-        for jpeg in corpus
-    ]
-    for name in tenants:
-        gateway.add_user(name)
-    gateway.share_album("owner", "bench", *tenants)
-    photo_ids = [receipt.photo_id for receipt in receipts]
-    front = AsyncGateway(gateway)
-    print(
-        f"serve-load: {args.scenario} trace, {len(events)} arrivals from "
-        f"{len(tenants)} tenants (population {args.population}) over "
-        f"{len(photo_ids)} photo(s); max_inflight={config.max_inflight}, "
-        f"queue_deadline={config.queue_deadline_ms:.0f} ms, "
-        f"degrade_mode={config.degrade_mode}"
-    )
-
-    report = run_async(
-        replay_async(
-            front.handle,
-            events,
-            lambda event: view_request(event, photo_ids, album="bench"),
-            client_rtt_s=args.client_rtt_ms / 1000.0,
-        )
-    )
-    report.scenario = args.scenario
-    frontend = front.frontend.snapshot()
-    admission = front.controller.snapshot()
-    front.close()
-
-    print(
-        f"offered {report.offered_rps:.1f} rps, served "
-        f"{len(report.served)} full ({report.served_rps:.1f} rps) + "
-        f"{len(report.degraded)} degraded preview(s), "
-        f"{len(report.rejected)} x 503, {len(report.errors)} error(s)"
-    )
-    print(
-        f"latency: p50 {report.latency_ms(50):.1f} ms, "
-        f"p99 {report.latency_ms(99):.1f} ms, "
-        f"p99.9 {report.latency_ms(99.9):.1f} ms (full serves); "
-        f"degraded p99 {frontend['degraded_p99_ms']:.1f} ms"
-    )
-    print(
-        f"admission: {frontend['admitted']} admitted "
-        f"({frontend['loop_hits']} on-loop cache hits), "
-        f"shed {frontend['shed_total']} {frontend['shed'] or '{}'}, "
-        f"queue max {frontend['queue_depth_max']}"
-        f"/{admission['queue_capacity']}"
-    )
-    if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "replay": report.summary(),
-                    "frontend": frontend,
-                    "admission": admission,
-                },
-                indent=2,
-            )
-        )
-    return 0 if not report.errors else 1
-
-
 def _cmd_engines(args) -> int:
     """Report which entropy codec engines this deployment can run.
 
@@ -858,128 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_executor_options(publish)
     _add_verbose_flag(publish)
     publish.set_defaults(handler=_cmd_publish)
-
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="benchmark the serving tier: zipfian viewer trace through "
-        "a multi-user gateway, cache hit rate + latency percentiles",
-    )
-    serve_bench.add_argument("--psp", default="facebook")
-    serve_bench.add_argument(
-        "--photos", type=int, default=6, help="corpus size"
-    )
-    serve_bench.add_argument(
-        "--requests", type=int, default=48, help="trace length"
-    )
-    serve_bench.add_argument(
-        "--viewers", type=int, default=4, help="gateway tenants"
-    )
-    serve_bench.add_argument(
-        "--zipf", type=float, default=1.1, help="popularity skew exponent"
-    )
-    serve_bench.add_argument("--size", type=int, default=192)
-    serve_bench.add_argument("--quality", type=int, default=_DEFAULTS.quality)
-    serve_bench.add_argument(
-        "--variant-cache",
-        type=int,
-        default=_DEFAULTS.variant_cache,
-        help="decoded-variant cache entries (0 disables the tier)",
-    )
-    serve_bench.add_argument(
-        "--variant-ttl",
-        type=float,
-        default=_DEFAULTS.variant_ttl_s,
-        help="decoded-variant TTL seconds (0 = no expiry)",
-    )
-    serve_bench.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable single-flight request coalescing",
-    )
-    serve_bench.add_argument(
-        "--serve-executor",
-        choices=EXECUTOR_KINDS,
-        default=_DEFAULTS.serve_executor,
-        help="where cold reconstructions run: inline ('serial') or on "
-        "one worker pool shared by concurrent requests",
-    )
-    serve_bench.add_argument(
-        "--serve-workers",
-        type=int,
-        default=_DEFAULTS.serve_workers,
-        help="pool width for --serve-executor (0 = one per CPU)",
-    )
-    serve_bench.set_defaults(handler=_cmd_serve_bench)
-
-    serve_load = commands.add_parser(
-        "serve-load",
-        help="replay a timed workload trace (diurnal, flash-crowd, "
-        "herd) through the async front end with admission control",
-    )
-    serve_load.add_argument(
-        "--scenario",
-        choices=("diurnal", "flash-crowd", "herd"),
-        default="flash-crowd",
-    )
-    serve_load.add_argument("--psp", default="facebook")
-    serve_load.add_argument(
-        "--photos", type=int, default=6, help="corpus size"
-    )
-    serve_load.add_argument("--size", type=int, default=160)
-    serve_load.add_argument("--quality", type=int, default=_DEFAULTS.quality)
-    serve_load.add_argument(
-        "--population",
-        type=int,
-        default=1_000_000,
-        help="tenant population the trace draws viewers from",
-    )
-    serve_load.add_argument(
-        "--duration", type=float, default=4.0, help="trace window seconds"
-    )
-    serve_load.add_argument(
-        "--rate",
-        type=float,
-        default=30.0,
-        help="peak rps (diurnal) or base rps (flash-crowd)",
-    )
-    serve_load.add_argument(
-        "--spike-rps",
-        type=float,
-        default=None,
-        help="flash-crowd spike rate (default: 6x --rate)",
-    )
-    serve_load.add_argument(
-        "--herd", type=int, default=64, help="herd scenario arrival count"
-    )
-    serve_load.add_argument(
-        "--client-rtt-ms",
-        type=float,
-        default=10.0,
-        help="simulated client link round trip",
-    )
-    serve_load.add_argument(
-        "--max-inflight", type=int, default=_DEFAULTS.max_inflight
-    )
-    serve_load.add_argument(
-        "--tenant-rps", type=float, default=_DEFAULTS.tenant_rps
-    )
-    serve_load.add_argument(
-        "--queue-deadline-ms",
-        type=float,
-        default=_DEFAULTS.queue_deadline_ms,
-    )
-    serve_load.add_argument(
-        "--degrade-mode",
-        choices=("preview", "reject"),
-        default=_DEFAULTS.degrade_mode,
-    )
-    serve_load.add_argument("--seed", type=int, default=7)
-    serve_load.add_argument(
-        "--json",
-        action="store_true",
-        help="also emit the full replay/frontend/admission snapshot",
-    )
-    serve_load.set_defaults(handler=_cmd_serve_load)
 
     engines = commands.add_parser(
         "engines",

@@ -61,15 +61,6 @@ class P3Config:
     ``1.0`` disables isolation (any tenant may fill a cache) while
     keeping per-partition stats.
 
-    ``serve_executor`` / ``serve_workers`` put *cold* serves on a pool:
-    cache-miss reconstructions (CPU-bound entropy decode + inverse
-    transform) are shipped to one shared ``"process"`` (or
-    ``"thread"``) pool as picklable
-    :class:`~repro.api.pipeline.DecryptTask` units, so concurrent
-    requests from many viewers batch across cores instead of
-    serializing on one request thread.  ``"serial"`` (the default)
-    reconstructs inline.  ``serve_workers=0`` means one per CPU.
-
     ``ingest_executor`` / ``ingest_workers`` make the *write* path
     concurrent: multi-provider fan-out uploads and replicated
     secret-part puts overlap per-provider/per-replica network waits on
@@ -117,8 +108,6 @@ class P3Config:
     variant_ttl_s: float = 300.0
     envelope_cache: int = 512
     cache_partition_quota: float = 0.5
-    serve_executor: str = "serial"
-    serve_workers: int = 0
     ingest_executor: str = "serial"
     ingest_workers: int = 0
     max_inflight: int = 64
@@ -142,12 +131,11 @@ class P3Config:
             raise ValueError(
                 f"unknown subsampling mode {self.subsampling!r}"
             )
-        for name in ("executor", "serve_executor"):
-            if getattr(self, name) not in ("serial", "thread", "process"):
-                raise ValueError(
-                    f"unknown {name} {getattr(self, name)!r}; expected "
-                    "'serial', 'thread' or 'process'"
-                )
+        if self.executor not in ("serial", "thread", "process"):
+            raise ValueError(
+                f"unknown executor {self.executor!r}; expected "
+                "'serial', 'thread' or 'process'"
+            )
         if self.workers < 0:
             raise ValueError(
                 f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
@@ -190,11 +178,6 @@ class P3Config:
                 f"cache_partition_quota must be in (0, 1] (the fraction "
                 f"of a cache one tenant may hold; 1.0 = no isolation), "
                 f"got {self.cache_partition_quota}"
-            )
-        if self.serve_workers < 0:
-            raise ValueError(
-                f"serve_workers must be >= 0 (0 = one per CPU), "
-                f"got {self.serve_workers}"
             )
         if self.ingest_executor not in ("serial", "thread"):
             raise ValueError(

@@ -8,9 +8,8 @@ Everything a download needs lives here, shared by every caller:
 * :class:`ServingEngine` — the request path: a three-tier cache,
   single-flight coalescing of concurrent identical requests,
   per-request stage timings, PSP access enforcement on cache hits and
-  batch fetches, and optional pooled cold reconstruction (one
-  process/thread pool that concurrent cache-miss serves share,
-  configured via ``P3Config.serve_executor``);
+  batch fetches, and one cold-serve path that reads the secret part
+  through tier 2 and reconstructs on the request's thread;
 * :mod:`repro.serve.keys` — the tier's identity space:
   :func:`secret_blob_key` (where an envelope lives in storage) and
   :func:`key_digest` (the album-key fingerprint that namespaces and
@@ -85,9 +84,8 @@ order:
 Every decision is visible through the gateway's ``/stats``:
 admitted/loop-hit/shed-by-reason/degraded counters, queue-depth
 high-water mark, and separate p50/p99/p999 for admitted serves vs
-degraded fallbacks.  ``repro serve-load`` replays a trace scenario
-against the whole stack from the command line, and
-``benchmarks/bench_async_serving.py`` is the acceptance harness
+degraded fallbacks.  ``benchmarks/bench_async_serving.py`` replays
+trace scenarios against the whole stack and is the acceptance harness
 (sync-vs-async throughput, flash-crowd tail bounds, herd coalescing
 — every admitted response byte-verified against a reference
 reconstruction).

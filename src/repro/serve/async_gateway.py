@@ -13,8 +13,7 @@ ServingEngine`:
   thread pool (:meth:`~repro.api.executors.Executor.offload`);
   because they execute in real threads, the engine's single-flight
   coalescing works across coroutines exactly as it does across
-  request threads, and a pooled ``serve_executor`` still batches the
-  CPU work across processes underneath;
+  request threads;
 * **overload protection** — per-tenant token buckets, an in-flight
   cap, and a bounded deadline queue
   (:class:`~repro.serve.admission.AdmissionController`) decide every
@@ -125,7 +124,7 @@ class AsyncGateway:
         )
 
     def close(self) -> None:
-        """Release the offload pool and the engine's pooled resources."""
+        """Release the offload pool and close the gateway."""
         self.offload.shutdown()
         self.gateway.close()
 

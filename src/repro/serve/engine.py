@@ -23,16 +23,16 @@ The engine owns everything between "a viewer asked for photo X" and
 * **single-flight coalescing** — N concurrent viewers of the same
   variant trigger exactly one reconstruction (and concurrent misses
   on different variants of one photo share a single secret fetch);
-* **pooled cold reconstruction** — with a ``serve_executor``
-  configured, cache-miss reconstructions are packaged as picklable
-  :class:`~repro.api.pipeline.DecryptTask` units and dispatched to
-  one shared process (or thread) pool, so concurrent cold requests
-  from many viewers batch across cores instead of serializing on
-  request threads — byte-identical to the inline path;
+* **one cold-serve path** — a cache miss fetches the public part,
+  reads the secret part through tier 2 (which fills tier 3), and runs
+  :func:`~repro.serve.reconstruct.reconstruct_served` on the two parts
+  on the request's own thread; concurrent viewers overlap on the
+  front end's threads (the async gateway's offload pool, or one
+  thread per request on the sync gateway);
 * **per-request timing** — every serve returns a
   :class:`ServeResult` with stage timings and cache provenance, and
-  an optional ``timing_hook`` plus rolling :class:`ServingStats`
-  (p50/p99) feed dashboards and benchmarks.
+  rolling :class:`ServingStats` (p50/p99) feed dashboards and
+  benchmarks.
 
 The engine is shared state: one engine serves every tenant of a
 :class:`~repro.system.gateway.P3Gateway` and every viewer session of
@@ -49,18 +49,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.api.backends import BlobStore, PSPBackend
-from repro.api.executors import Executor
 from repro.core.decryptor import P3Decryptor
 from repro.core.serialization import SecretPart
 from repro.serve.cache import CacheStats, PartitionedLRUCache
 from repro.serve.keys import key_digest, secret_blob_key
-from repro.serve.reconstruct import reconstruct_served
+from repro.serve.reconstruct import check_crop, reconstruct_served
 from repro.serve.singleflight import SingleFlight
 from repro.serve.trace import percentile
 
@@ -90,7 +89,10 @@ class ServeRequest:
     decoded (``album`` may then be omitted).  ``provider`` pins the
     public-part fetch to one named provider of a
     :class:`~repro.api.fanout.FanoutPSP` (no failover).  ``resolution``
-    must be at least 1 when given.
+    must be at least 1 when given.  ``crop_box`` is ``(top, left,
+    height, width)`` with a non-negative origin and a positive size,
+    and a keyed crop needs ``resolution``; the geometry is checked
+    here, before any backend call.
     """
 
     photo_id: str
@@ -110,6 +112,7 @@ class ServeRequest:
             raise ValueError(
                 f"resolution must be at least 1, got {self.resolution}"
             )
+        check_crop(self.crop_box, self.resolution, keyed=self.key is not None)
 
     @property
     def public_only(self) -> bool:
@@ -249,20 +252,11 @@ class ServingEngine:
         variant_ttl_s: float | None = DEFAULT_VARIANT_TTL_S,
         envelope_cache_limit: int | None = DEFAULT_ENVELOPE_CACHE_LIMIT,
         cache_partition_quota: float = DEFAULT_CACHE_PARTITION_QUOTA,
-        executor: Executor | None = None,
-        coalesce: bool = True,
         clock: Callable[[], float] = time.monotonic,
-        timing_hook: Callable[[ServeRequest, ServeResult], None] | None = None,
     ) -> None:
         self.psp = psp
         self.storage = storage
         self.transform_estimate = transform_estimate
-        self.coalesce = coalesce
-        self.timing_hook = timing_hook
-        # The cold-reconstruction executor: None reconstructs inline on
-        # the request thread; a thread/process executor batches
-        # concurrent cold serves across its shared pool.
-        self.executor = executor
         # Tier partitioning: variant and secret-part keys carry the
         # album-key digest (one partition per tenant key); the envelope
         # tier holds key-independent ciphertext and partitions by album.
@@ -309,19 +303,8 @@ class ServingEngine:
         *,
         transform_estimate: TransformEstimate | None = None,
         secret_cache_limit: int | None = DEFAULT_SECRET_CACHE_LIMIT,
-        **overrides,
     ) -> "ServingEngine":
-        """Build an engine from a :class:`~repro.core.config.P3Config`.
-
-        ``config.serve_executor``/``serve_workers`` select where cold
-        reconstructions run: ``"serial"`` reconstructs inline,
-        ``"thread"``/``"process"`` give every cold serve one shared
-        pool (release it with :meth:`close`).
-        """
-        if "executor" not in overrides and config.serve_executor != "serial":
-            overrides["executor"] = Executor(
-                config.serve_executor, config.serve_workers or None
-            )
+        """Build an engine from a :class:`~repro.core.config.P3Config`."""
         return cls(
             psp,
             storage,
@@ -331,16 +314,7 @@ class ServingEngine:
             variant_ttl_s=config.variant_ttl_s,
             envelope_cache_limit=config.envelope_cache,
             cache_partition_quota=config.cache_partition_quota,
-            **overrides,
         )
-
-    def close(self) -> None:
-        """Release the cold-serve pool, if one is configured.
-
-        Safe to call repeatedly; the engine keeps working afterwards
-        (the executor starts a new pool on the next cold serve)."""
-        if self.executor is not None:
-            self.executor.shutdown()
 
     # -- the serve path -------------------------------------------------------
 
@@ -363,45 +337,28 @@ class ServingEngine:
             self._check_access(request)
         variant_key = request.variant_key()
         cached = self.variant_cache.get(variant_key)
-        if cached is not None and not self._has_access_hook:
-            # The backend enforces access only inside download() (no
-            # check_access hook), so a cache hit must still make the
-            # provider round trip — the pre-refactor guarantee that
-            # *every* serve gets the PSP's verdict.  The reconstruction
-            # itself is still skipped, which is the dominant cost.
-            self._fetch_public(request)
         if cached is not None:
-            result = ServeResult(
-                pixels=cached.pixels.copy(),
-                photo_id=request.photo_id,
-                variant_hit=True,
-                secret_hit=cached.secret_hit,
-                public_only=request.public_only,
-            )
-        else:
-            if self.coalesce:
-                built, leader = self._variant_flights.do(
-                    variant_key, lambda: self._build_variant(request)
-                )
-            else:
-                built, leader = self._build_variant(request), True
-            result = ServeResult(
-                pixels=built.pixels.copy(),
-                photo_id=request.photo_id,
-                secret_hit=built.secret_hit,
-                coalesced=not leader,
-                public_only=request.public_only,
-                timing=ServeTiming(
-                    fetch_public_s=built.timing.fetch_public_s,
-                    fetch_secret_s=built.timing.fetch_secret_s,
-                    reconstruct_s=built.timing.reconstruct_s,
-                ),
-            )
-        result.timing.total_s = time.perf_counter() - start
-        self.stats.record(result)
-        if self.timing_hook is not None:
-            self.timing_hook(request, result)
-        return result
+            if not self._has_access_hook:
+                # The backend enforces access only inside download() (no
+                # check_access hook), so a cache hit must still make the
+                # provider round trip — the pre-refactor guarantee that
+                # *every* serve gets the PSP's verdict.  The
+                # reconstruction itself is still skipped, which is the
+                # dominant cost.
+                self._fetch_public(request)
+            return self._hit(request, cached, start)
+        built, leader = self._variant_flights.do(
+            variant_key, lambda: self._build_variant(request)
+        )
+        result = ServeResult(
+            pixels=built.pixels.copy(),
+            photo_id=request.photo_id,
+            secret_hit=built.secret_hit,
+            coalesced=not leader,
+            public_only=request.public_only,
+            timing=replace(built.timing),
+        )
+        return self._record(result, start)
 
     def serve_cached(
         self, request: ServeRequest, *, preauthorized: bool = False
@@ -418,8 +375,7 @@ class ServingEngine:
         :meth:`serve` preserves that guarantee.
 
         A hit is a full serve as far as accounting goes: it lands in
-        :class:`ServingStats` and fires the ``timing_hook`` exactly as
-        :meth:`serve` would.
+        :class:`ServingStats` exactly as :meth:`serve` would.
         """
         if not self._has_access_hook:
             return None
@@ -429,6 +385,12 @@ class ServingEngine:
         cached = self.variant_cache.get(request.variant_key())
         if cached is None:
             return None
+        return self._hit(request, cached, start)
+
+    def _hit(
+        self, request: ServeRequest, cached: ServeResult, start: float
+    ) -> ServeResult:
+        """A variant-cache hit as a finished, recorded serve."""
         result = ServeResult(
             pixels=cached.pixels.copy(),
             photo_id=request.photo_id,
@@ -436,45 +398,23 @@ class ServingEngine:
             secret_hit=cached.secret_hit,
             public_only=request.public_only,
         )
+        return self._record(result, start)
+
+    def _record(self, result: ServeResult, start: float) -> ServeResult:
         result.timing.total_s = time.perf_counter() - start
         self.stats.record(result)
-        if self.timing_hook is not None:
-            self.timing_hook(request, result)
         return result
-
-    def download(
-        self,
-        photo_id: str,
-        album: str | None = None,
-        key: bytes | None = None,
-        *,
-        requester: str = "anonymous",
-        resolution: int | None = None,
-        crop_box: tuple[int, int, int, int] | None = None,
-        provider: str | None = None,
-    ) -> np.ndarray:
-        """Pixels-only convenience over :meth:`serve`."""
-        return self.serve(
-            ServeRequest(
-                photo_id=photo_id,
-                album=album,
-                key=key,
-                requester=requester,
-                resolution=resolution,
-                crop_box=crop_box,
-                provider=provider,
-            )
-        ).pixels
 
     # -- the batch-pipeline seam ----------------------------------------------
 
     def fetch_task(
         self, request: ServeRequest, *, preauthorized: bool = False
-    ):
+    ) -> DecryptTask:
         """Fetch the raw served parts as a picklable ``DecryptTask``.
 
-        The batch pipeline reconstructs in worker processes, so it
-        needs bytes, not cached Python objects: the secret part is
+        The batch pipeline opens envelopes and reconstructs in worker
+        processes (that is the parallel work a batch exists for), so
+        it needs bytes, not cached Python objects: the secret part is
         taken from (and installed into) the shared *envelope* cache —
         the same tier interactive serves fill — so a batch over a warm
         working set skips the storage round trips, while a true miss
@@ -488,13 +428,22 @@ class ServingEngine:
         applies.  A caller that already ran :meth:`check_access` for
         this request passes ``preauthorized=True``.
         """
+        from repro.api.pipeline import DecryptTask
+
         if not preauthorized:
             self._check_access(request)
         public_jpeg = self._fetch_public(request)
         envelope: bytes | None = None
         if not request.public_only:
-            envelope, _ = self._fetch_envelope(request)
-        return self._decrypt_task(request, public_jpeg, envelope)
+            envelope = self._fetch_envelope(request)
+        return DecryptTask(
+            key=request.key,
+            public_jpeg=public_jpeg,
+            secret_envelope=envelope,
+            resolution=request.resolution,
+            crop_box=request.crop_box,
+            transform_estimate=self.transform_estimate,
+        )
 
     # -- internals ------------------------------------------------------------
 
@@ -539,14 +488,11 @@ class ServingEngine:
         )
 
     def _build_variant(self, request: ServeRequest) -> ServeResult:
-        """Cache miss: fetch, reconstruct, and install the variant.
+        """Cache miss: fetch both parts, reconstruct, install the variant.
 
-        With a cold-serve executor configured the reconstruction runs
-        as a :class:`~repro.api.pipeline.DecryptTask` on the shared
-        pool (concurrent cold serves from many request threads batch
-        across its workers); inline otherwise.  Either way the pixels
-        come out of :func:`~repro.api.pipeline.run_decrypt_task`'s
-        reconstruction core, byte-identical across strategies.
+        The secret part comes through tier 2 (:meth:`_fetch_secret`),
+        so a second size of a photo skips the storage fetch and the
+        envelope open.
 
         Returns the *master* result whose pixels live in the cache
         (frozen read-only); :meth:`serve` hands copies to callers.
@@ -556,26 +502,21 @@ class ServingEngine:
         t0 = clock()
         public_jpeg = self._fetch_public(request)
         timing.fetch_public_s = clock() - t0
-        if self.executor is not None:
-            pixels, secret_hit = self._pooled_reconstruct(
-                request, public_jpeg, timing
-            )
-        else:
-            secret_part: SecretPart | None = None
-            secret_hit = False
-            if not request.public_only:
-                t0 = clock()
-                secret_part, secret_hit = self._fetch_secret(request)
-                timing.fetch_secret_s = clock() - t0
+        secret_part: SecretPart | None = None
+        secret_hit = False
+        if not request.public_only:
             t0 = clock()
-            pixels = reconstruct_served(
-                public_jpeg,
-                secret_part,
-                resolution=request.resolution,
-                crop_box=request.crop_box,
-                transform_estimate=self.transform_estimate,
-            )
-            timing.reconstruct_s = clock() - t0
+            secret_part, secret_hit = self._fetch_secret(request)
+            timing.fetch_secret_s = clock() - t0
+        t0 = clock()
+        pixels = reconstruct_served(
+            public_jpeg,
+            secret_part,
+            resolution=request.resolution,
+            crop_box=request.crop_box,
+            transform_estimate=self.transform_estimate,
+        )
+        timing.reconstruct_s = clock() - t0
         pixels.setflags(write=False)
         result = ServeResult(
             pixels=pixels,
@@ -586,50 +527,6 @@ class ServingEngine:
         )
         self.variant_cache.put(request.variant_key(), result)
         return result
-
-    def _pooled_reconstruct(
-        self, request: ServeRequest, public_jpeg: bytes, timing: ServeTiming
-    ) -> tuple[np.ndarray, bool]:
-        """Ship one cold reconstruction to the serve executor.
-
-        The task carries raw bytes (the worker runs in another
-        process), so the secret part comes from the *envelope* tier
-        rather than the decrypted tier-2 — ``secret_hit`` then means
-        "the envelope bytes were already cached".  The envelope
-        decrypt is re-done in the worker; it is AES-CTR over a few
-        kilobytes, noise next to the entropy decode the pool exists to
-        parallelize.
-        """
-        from repro.api.pipeline import run_decrypt_task
-
-        clock = time.perf_counter
-        envelope: bytes | None = None
-        secret_hit = False
-        if not request.public_only:
-            t0 = clock()
-            envelope, secret_hit = self._fetch_envelope(request)
-            timing.fetch_secret_s = clock() - t0
-        task = self._decrypt_task(request, public_jpeg, envelope)
-        t0 = clock()
-        pixels = self.executor.run_one(run_decrypt_task, task)
-        timing.reconstruct_s = clock() - t0
-        return pixels, secret_hit
-
-    def _decrypt_task(
-        self, request: ServeRequest, public_jpeg: bytes, envelope: bytes | None
-    ) -> DecryptTask:
-        """The one place a request becomes a picklable ``DecryptTask``
-        (``envelope=None`` for a key-less request)."""
-        from repro.api.pipeline import DecryptTask
-
-        return DecryptTask(
-            key=request.key,
-            public_jpeg=public_jpeg,
-            secret_envelope=envelope,
-            resolution=request.resolution,
-            crop_box=request.crop_box,
-            transform_estimate=self.transform_estimate,
-        )
 
     def _fetch_secret(
         self, request: ServeRequest
@@ -648,7 +545,7 @@ class ServingEngine:
             return cached, True
 
         def fetch() -> SecretPart:
-            envelope, _ = self._fetch_envelope(request)
+            envelope = self._fetch_envelope(request)
             secret_part = P3Decryptor(request.key).open_secret(envelope)
             self.secret_cache.put(key, secret_part)
             return secret_part
@@ -656,20 +553,19 @@ class ServingEngine:
         secret_part, _ = self._secret_flights.do(key, fetch)
         return secret_part, False
 
-    def _fetch_envelope(self, request: ServeRequest) -> tuple[bytes, bool]:
+    def _fetch_envelope(self, request: ServeRequest) -> bytes:
         """Tier-3 lookup: raw secret envelope, single-flighted.
 
-        The one seam every secret-part read goes through —
-        interactive serves (via :meth:`_fetch_secret` or the pooled
-        path) and the batch pipeline's :meth:`fetch_task` alike — so
-        all paths hit and populate the same tier.  A miss is a real
-        ``storage.get`` and therefore still exercises read-repair on
-        replicated stores.
+        The one seam every secret-part read goes through — interactive
+        serves (via :meth:`_fetch_secret`) and the batch pipeline's
+        :meth:`fetch_task` alike — so all paths hit and populate the
+        same tier.  A miss is a real ``storage.get`` and therefore
+        still exercises read-repair on replicated stores.
         """
         key = request.envelope_key()
         cached = self.envelope_cache.get(key)
         if cached is not None:
-            return cached, True
+            return cached
 
         def fetch() -> bytes:
             envelope = self.storage.get(
@@ -679,7 +575,7 @@ class ServingEngine:
             return envelope
 
         envelope, _ = self._envelope_flights.do(key, fetch)
-        return envelope, False
+        return envelope
 
     def snapshot(self) -> dict[str, Any]:
         """One JSON-able view of the engine's health counters.

@@ -32,6 +32,29 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only: importing the
     from repro.system.reverse import TransformEstimate
 
 
+def check_crop(
+    crop_box: tuple[int, int, int, int] | None,
+    resolution: int | None,
+    *,
+    keyed: bool = True,
+) -> Crop | None:
+    """The request's crop as an operator, or ``None`` when uncropped.
+
+    ``crop_box`` is ``(top, left, height, width)``: a negative origin or
+    a non-positive size raises (:class:`~repro.transforms.crop.Crop`'s
+    checks).  Eq. 2 rebuilds the PSP's resize-then-crop from the
+    requested size, so a keyed crop must also name ``resolution``; the
+    public part alone needs none.  A crop that exceeds the served plane
+    can only be caught once that plane is known.
+    """
+    if crop_box is None:
+        return None
+    crop = Crop(*crop_box)
+    if keyed and resolution is None:
+        raise ValueError("cropped downloads must specify the resolution")
+    return crop
+
+
 def build_served_operator(
     public,
     secret_image,
@@ -46,11 +69,10 @@ def build_served_operator(
     URL, so the proxy is able to determine those parameters"
     (Section 4.1) — here they arrive as the request arguments.
     """
-    if crop_box is None:
+    crop = check_crop(crop_box, resolution)
+    if crop is None or resolution is None:  # check_crop: a crop has one
         resize_h, resize_w = public.height, public.width
     else:
-        if resolution is None:
-            raise ValueError("cropped downloads must specify the resolution")
         resize_h, resize_w = fit_within(
             secret_image.height,
             secret_image.width,
@@ -61,9 +83,9 @@ def build_served_operator(
         base = transform_estimate.operator(resize_h, resize_w)
     else:
         base = Resize(resize_h, resize_w, kernel="bilinear")
-    if crop_box is None:
+    if crop is None:
         return base
-    return Compose(operators=(base, Crop(*crop_box)))
+    return Compose(operators=(base, crop))
 
 
 def reconstruct_served(  # taint: sanitizer

@@ -10,7 +10,7 @@ in process): it speaks the same
 HttpResponse` shapes the unmodified apps use, keeps one keyring per
 registered user, and funnels every download through one shared
 :class:`~repro.serve.engine.ServingEngine` — so ten users viewing the
-same shared album hit one cache and coalesce onto one reconstruction,
+same shared album hit one cache and share one reconstruction,
 while users who lack an album key can never be served another tenant's
 pixels (cache keys carry a key digest, and the PSP's access policy is
 enforced per request).
@@ -161,9 +161,11 @@ class P3Gateway:
         self._lock = threading.Lock()
 
     def close(self) -> None:
-        """Release the engine's pooled resources (the cold-serve
-        pool, if configured).  Safe to call repeatedly."""
-        self.engine.close()
+        """Nothing to release: cold serves run on the request thread.
+
+        Kept so a sync gateway closes like the async front end that
+        wraps one (:meth:`~repro.serve.async_gateway.AsyncGateway.close`).
+        """
 
     # -- tenancy --------------------------------------------------------------
 

@@ -44,17 +44,8 @@ class TestConfig:
         for bad_quota in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="cache_partition_quota"):
                 P3Config(cache_partition_quota=bad_quota)
-        with pytest.raises(ValueError, match="serve_executor"):
-            P3Config(serve_executor="async")
-        with pytest.raises(ValueError, match="serve_workers"):
-            P3Config(serve_workers=-1)
-        config = P3Config(
-            envelope_cache=0,
-            cache_partition_quota=1.0,
-            serve_executor="process",
-            serve_workers=4,
-        )
-        assert config.serve_executor == "process"
+        config = P3Config(envelope_cache=0, cache_partition_quota=1.0)
+        assert (config.envelope_cache, config.cache_partition_quota) == (0, 1.0)
 
 
 class TestSerialization:

@@ -1,5 +1,5 @@
 """Tests for the ServingEngine: three-tier cache, coalescing, access,
-pooled cold reconstruction, and partition isolation."""
+and partition isolation."""
 
 import threading
 import time
@@ -10,7 +10,6 @@ import pytest
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.jpeg.codec import encode_rgb
-from repro.api.executors import Executor
 from repro.api.session import P3Session
 from repro.serve.engine import (
     ServeRequest,
@@ -293,22 +292,11 @@ class TestCoalescing:
         reference = results[0].pixels.tobytes()
         assert all(r.pixels.tobytes() == reference for r in results)
 
-    def test_coalescing_can_be_disabled(self, world):
-        psp, storage, keys, photo_id = world
-        engine = ServingEngine(psp, storage, coalesce=False)
-        request = request_for(keys, photo_id, resolution=75)
-        engine.serve(request)
-        assert engine.serve(request).variant_hit  # cache still works
-        assert engine.stats.coalesced == 0
-
 
 class TestTimingHooks:
     def test_every_serve_reports_stage_timings(self, world):
         psp, storage, keys, photo_id = world
-        seen = []
-        engine = ServingEngine(
-            psp, storage, timing_hook=lambda req, res: seen.append((req, res))
-        )
+        engine = ServingEngine(psp, storage)
         request = request_for(keys, photo_id, resolution=130)
         cold = engine.serve(request)
         warm = engine.serve(request)
@@ -317,7 +305,7 @@ class TestTimingHooks:
         assert cold.timing.total_s >= cold.timing.reconstruct_s
         assert warm.timing.total_s > 0
         assert warm.timing.reconstruct_s == 0.0  # served from cache
-        assert [res.source for _, res in seen] == [
+        assert [cold.source, warm.source] == [
             "reconstructed",
             "variant-cache",
         ]
@@ -432,109 +420,6 @@ class TestRequestValidation:
 
     def test_positive_resolution_accepted(self):
         assert ServeRequest(photo_id="x", resolution=1).resolution == 1
-
-
-class TestPooledReconstruction:
-    def test_from_config_builds_persistent_pool(self, world):
-        psp, storage, keys, photo_id = world
-        engine = ServingEngine.from_config(
-            psp, storage, P3Config(serve_executor="thread", serve_workers=2)
-        )
-        try:
-            assert engine.executor is not None
-            assert engine.executor.kind == "thread"
-            assert engine.executor.workers == 2
-        finally:
-            engine.close()
-        serial = ServingEngine.from_config(psp, storage, P3Config())
-        assert serial.executor is None  # default stays inline
-
-    def test_thread_executor_reconstructs_off_the_request_thread(
-        self, world, monkeypatch
-    ):
-        """An executor handed straight to the engine pools cold serves:
-        the reconstruction task runs on a pool thread, not on the
-        thread that called serve()."""
-        from repro.api import pipeline
-
-        psp, storage, keys, photo_id = world
-        real_task = pipeline.run_decrypt_task
-        task_threads = []
-
-        def spy(task):
-            task_threads.append(threading.current_thread().name)
-            return real_task(task)
-
-        monkeypatch.setattr(pipeline, "run_decrypt_task", spy)
-        engine = ServingEngine(psp, storage, executor=Executor("thread", 2))
-        try:
-            result = engine.serve(request_for(keys, photo_id, resolution=130))
-        finally:
-            engine.close()
-        assert result.source == "reconstructed"
-        assert len(task_threads) == 1
-        assert task_threads[0] != threading.current_thread().name
-
-    def test_thread_pool_serves_byte_identical(self, world):
-        psp, storage, keys, photo_id = world
-        serial = ServingEngine(psp, storage)
-        pooled = ServingEngine(
-            psp,
-            storage,
-            executor=Executor("thread", 2),
-        )
-        request = request_for(keys, photo_id, resolution=130)
-        try:
-            assert (
-                pooled.serve(request).pixels.tobytes()
-                == serial.serve(request).pixels.tobytes()
-            )
-            # The pooled cold serve fills the same tiers: warm hits.
-            assert pooled.serve(request).variant_hit
-        finally:
-            pooled.close()
-
-    def test_process_pool_serves_byte_identical(self, world):
-        psp, storage, keys, photo_id = world
-        serial = ServingEngine(psp, storage)
-        pooled = ServingEngine(
-            psp,
-            storage,
-            executor=Executor("process", 1),
-        )
-        keyed = request_for(keys, photo_id, resolution=130)
-        public = ServeRequest(
-            photo_id=photo_id, requester="alice", resolution=130
-        )
-        try:
-            assert (
-                pooled.serve(keyed).pixels.tobytes()
-                == serial.serve(keyed).pixels.tobytes()
-            )
-            assert (
-                pooled.serve(public).pixels.tobytes()
-                == serial.serve(public).pixels.tobytes()
-            )
-        finally:
-            pooled.close()
-
-    def test_close_is_reentrant_and_engine_survives(self, world):
-        psp, storage, keys, photo_id = world
-        engine = ServingEngine(
-            psp,
-            storage,
-            executor=Executor("thread", 2),
-        )
-        request = request_for(keys, photo_id, resolution=75)
-        first = engine.serve(request).pixels.tobytes()
-        engine.close()
-        engine.close()  # idempotent
-        engine.variant_cache.clear()
-        engine.secret_cache.clear()
-        engine.envelope_cache.clear()
-        # A new pool starts: serving after close still works.
-        assert engine.serve(request).pixels.tobytes() == first
-        engine.close()
 
 
 class TestServingStatsSnapshot:

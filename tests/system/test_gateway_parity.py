@@ -8,6 +8,7 @@ indistinguishable to a client, whichever front end answered.
 
 import pytest
 
+from repro.api.fanout import FanoutPSP
 from repro.core.config import P3Config
 from repro.jpeg.codec import encode_rgb
 from repro.serve.async_gateway import AsyncGateway
@@ -19,7 +20,7 @@ from repro.system.gateway import (
     pixels_from_response,
 )
 from repro.system.http import HttpRequest, build_url
-from repro.system.psp import FacebookPSP
+from repro.system.psp import FacebookPSP, FlickrPSP
 from repro.system.storage import CloudStorage
 
 
@@ -213,4 +214,71 @@ class TestErrorParity:
         )
         sync_response, async_response = both(gateway, front, upload)
         assert sync_response.status == async_response.status == 400
+        assert sync_response.body == async_response.body
+
+
+class TestCropGeometry:
+    """A crop the serving tier cannot serve is a 400 before any backend
+    call, on both front ends, whether one provider or a fan-out fleet
+    stands behind the gateway: a fleet must not ask every provider and
+    answer 404 "all 2 providers failed"."""
+
+    CROPS = {
+        "empty": {"crop": "0,0,0,0", "size": "130"},
+        "negative-origin": {"crop": "-5,0,10,10", "size": "130"},
+        "keyed-without-size": {"crop": "0,0,10,10"},
+    }
+
+    @pytest.mark.parametrize("crop", CROPS)
+    @pytest.mark.parametrize("fleet", ["facebook", "fanout"])
+    @pytest.mark.parametrize("front_end", ["sync", "async"])
+    def test_bad_crop_is_400_before_any_backend_call(
+        self, jpeg, front_end, fleet, crop
+    ):
+        providers = (
+            [FacebookPSP()]
+            if fleet == "facebook"
+            else [FacebookPSP(), FlickrPSP()]
+        )
+        psp = providers[0] if fleet == "facebook" else FanoutPSP(providers)
+        gateway = P3Gateway(psp, CloudStorage(), P3Config(quality=85))
+        alice = PhotoSharingClient.for_gateway(gateway, "alice")
+        photo_id = alice.upload_photo(jpeg, "trip").photo_id
+        downloads = []
+        for provider in providers:
+            real_download = provider.download
+
+            def counting_download(*args, _real=real_download, **kwargs):
+                downloads.append(args)
+                return _real(*args, **kwargs)
+
+            provider.download = counting_download
+        gets_before = gateway.storage.get_count
+        request = get_request(
+            "alice",
+            f"/photos/{photo_id}",
+            {"album": "trip", **self.CROPS[crop]},
+        )
+        if front_end == "sync":
+            response = gateway.handle(request)
+        else:
+            front = AsyncGateway(gateway)
+            try:
+                response = front.handle_sync(request)
+            finally:
+                front.close()
+        assert response.status == 400, response.body
+        assert downloads == []
+        assert gateway.storage.get_count == gets_before
+        assert len(gateway.engine.variant_cache) == 0
+
+    def test_keyless_crop_without_size_is_served(self, deployment):
+        """Without the album key only the public part is decoded, so a
+        crop needs no served size: both front ends answer 200."""
+        gateway, front, photo_id = deployment
+        request = get_request(
+            "bob", f"/photos/{photo_id}", {"crop": "0,0,64,64"}
+        )
+        sync_response, async_response = both(gateway, front, request)
+        assert sync_response.status == async_response.status == 200
         assert sync_response.body == async_response.body
