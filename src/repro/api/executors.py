@@ -15,19 +15,18 @@ One :class:`Executor` class covers the three kinds in
 Every kind keeps the same contracts.  :meth:`Executor.map` applies a
 function to a batch and returns one :class:`TaskOutcome` per item, in
 input order, with each item's exception captured instead of aborting
-the batch.  :meth:`Executor.run_one` (blocking) and
-:meth:`Executor.offload` (awaitable) run a single call and let its
+the batch.  :meth:`Executor.offload` awaits a single call and lets its
 exception propagate.
 
 The pool's lifetime follows the call.  ``map`` builds a pool for its
 batch and tears it down before returning: batches are corpus-sized, so
 pool startup is amortized, and a batch executor holds nothing between
-calls.  ``run_one`` and ``offload`` serve the opposite workload, many
-single calls from concurrent threads or coroutines (the async
-gateway's offloaded serves), so they share one pool that starts on
-first use and lives until :meth:`Executor.shutdown`.  Shutting down
-is safe to repeat, and the next call starts a new pool.  The serial
-kind runs every call inline and never has a pool.
+calls.  ``offload`` serves the opposite workload, many single calls
+from concurrent coroutines (the async gateway's offloaded serves), so
+its calls share one pool that starts on first use and lives until
+:meth:`Executor.shutdown`.  Shutting down is safe to repeat, and the
+next call starts a new pool.  The serial kind runs every call inline
+and never has a pool.
 """
 
 from __future__ import annotations
@@ -153,23 +152,13 @@ class Executor:
         with _POOL_CLASSES[self.kind](max_workers=self.workers) as pool:
             return _outcomes([pool.submit(fn, item).result for item in items])
 
-    def run_one(self, fn: Callable[[Any], Any], item: Any) -> Any:
-        """Run one task on the shared pool and return its value.
-
-        Concurrent callers share the pool.  Unlike :meth:`map`, errors
-        are *not* captured — a failed call raises to its caller.
-        """
-        if self.kind == "serial":
-            return fn(item)
-        return self._shared_pool().submit(fn, item).result()
-
     async def offload(self, fn: Callable[[Any], Any], item: Any) -> Any:
         """Await one blocking call on the shared pool.
 
-        The coroutine-side twin of :meth:`run_one`: an async caller
-        (the gateway's event loop) ships ``fn(item)`` to the pool and
-        yields until it lands, without blocking the loop.  Exceptions
-        propagate unchanged.
+        An async caller (the gateway's event loop) ships ``fn(item)`` to
+        the pool and yields until it lands, without blocking the loop.
+        Concurrent callers share the pool.  Unlike :meth:`map`, errors
+        are *not* captured: exceptions propagate unchanged.
         """
         if self.kind == "serial":
             return fn(item)

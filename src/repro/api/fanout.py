@@ -445,9 +445,16 @@ class FanoutPSP:  # relint: implements PSPBackend
         resolution: int | None = None,
         crop_box: tuple[int, int, int, int] | None = None,
     ) -> bytes:
-        """First-success download with provider-by-provider failover."""
+        """First-success download with provider-by-provider failover.
+
+        A request that every provider rejects with ``ValueError`` (a
+        crop outside the served plane, say) is the caller's error, not
+        an outage: the first provider's ``ValueError`` is re-raised, so
+        the fleet answers what a lone provider would.
+        """
         route = self._route(photo_id)
         errors: dict[str, str] = {}
+        rejections: list[ValueError] = []
         for alias, provider_id in route.items():
             try:
                 return self._providers[alias].download(
@@ -458,6 +465,10 @@ class FanoutPSP:  # relint: implements PSPBackend
                 )
             except Exception as error:
                 errors[alias] = describe_error(error)
+                if isinstance(error, ValueError):
+                    rejections.append(error)
+        if rejections and len(rejections) == len(route):
+            raise rejections[0]
         raise FanoutDownloadError(
             f"all {len(route)} providers failed to serve "
             f"{photo_id!r}: {errors}"

@@ -19,32 +19,63 @@ def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     """Convert an ``(h, w, 3)`` uint8/float RGB image to float YCbCr.
 
     Output channels are Y in [0, 255] and Cb/Cr in [0, 255] with a 128
-    offset, per JFIF.
+    offset, per JFIF.  The output buffer doubles as the working space:
+    each channel is overwritten once its input is no longer needed, and
+    every element sees the same float64 operations in the same order as
+    the textbook formulas.
     """
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) image, got {rgb.shape}")
-    rgb = rgb.astype(np.float64)
-    r = rgb[..., 0]
-    g = rgb[..., 1]
-    b = rgb[..., 2]
-    y = _KR * r + _KG * g + _KB * b
-    cb = 128.0 + (b - y) / (2.0 * (1.0 - _KB))
-    cr = 128.0 + (r - y) / (2.0 * (1.0 - _KR))
-    return np.stack([y, cb, cr], axis=-1)
+    out = np.empty(rgb.shape, dtype=np.float64)
+    np.copyto(out, rgb, casting="unsafe")
+    r, g, b = out[..., 0], out[..., 1], out[..., 2]
+    # y = KR r + KG g + KB b; g is needed only here, so it is scaled in place.
+    y = np.multiply(r, _KR)
+    g *= _KG
+    y += g
+    np.multiply(b, _KB, out=g)
+    y += g
+    # Cb lands in the free green channel, then Cr in the spent blue one.
+    cb, cr = g, b
+    np.subtract(b, y, out=cb)
+    cb /= 2.0 * (1.0 - _KB)
+    cb += 128.0
+    np.subtract(r, y, out=cr)
+    cr /= 2.0 * (1.0 - _KR)
+    cr += 128.0
+    r[...] = y
+    return out
 
 
 def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
-    """Convert float YCbCr back to uint8 RGB, clipping to [0, 255]."""
+    """Convert float YCbCr back to uint8 RGB, clipping to [0, 255].
+
+    Works in one float64 ``(h, w, 3)`` buffer (plus one plane of
+    scratch) with round and clip done in place; each element sees the
+    same float64 operations in the same order as the textbook formulas.
+    """
     if ycbcr.ndim != 3 or ycbcr.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) image, got {ycbcr.shape}")
-    y = ycbcr[..., 0].astype(np.float64)
-    cb = ycbcr[..., 1].astype(np.float64) - 128.0
-    cr = ycbcr[..., 2].astype(np.float64) - 128.0
-    r = y + 2.0 * (1.0 - _KR) * cr
-    b = y + 2.0 * (1.0 - _KB) * cb
-    g = (y - _KR * r - _KB * b) / _KG
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
+    out = np.empty(ycbcr.shape, dtype=np.float64)
+    r, g, b = out[..., 0], out[..., 1], out[..., 2]
+    # The green channel holds Y until R and B are done.
+    y = g
+    np.copyto(y, ycbcr[..., 0], casting="unsafe")
+    np.subtract(ycbcr[..., 2], 128.0, out=r, dtype=np.float64)
+    r *= 2.0 * (1.0 - _KR)
+    r += y
+    np.subtract(ycbcr[..., 1], 128.0, out=b, dtype=np.float64)
+    b *= 2.0 * (1.0 - _KB)
+    b += y
+    # g = (y - KR r - KB b) / KG
+    scratch = np.multiply(r, _KR)
+    g -= scratch
+    np.multiply(b, _KB, out=scratch)
+    g -= scratch
+    g /= _KG
+    np.round(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)
 
 
 def subsample_plane(plane: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:

@@ -9,6 +9,7 @@ symbol frequencies (the equivalent of libjpeg's two-pass optimal coding).
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,36 +120,26 @@ def build_optimized_table(frequencies: dict[int, int]) -> HuffmanTable:
     optimal-coding pass, including the reserved all-ones codeword (a
     dummy 256 symbol) and the code-length limiting adjustment.
     """
-    # freq[256] is the dummy symbol guaranteeing no real symbol gets the
-    # all-ones code (T.81 K.2).
-    freq = [0] * 257
+    # Symbol 256 is the dummy guaranteeing no real symbol gets the
+    # all-ones code (T.81 K.2).  libjpeg's scan merges the two smallest
+    # counts, taking the highest symbol on ties (its ``<=``); a heap keyed
+    # ``(count, -symbol)`` pops in exactly that order.
+    heap = [(1, -256)]
     for symbol, count in frequencies.items():
         if not 0 <= symbol <= 255:
             raise ValueError(f"symbol out of range: {symbol}")
-        freq[symbol] = count
-    freq[256] = 1
+        if count > 0:
+            heap.append((count, -symbol))
+    heapq.heapify(heap)
 
     code_size = [0] * 257
     others = [-1] * 257
 
-    while True:
-        # Find the two least-frequent nonzero entries (v1 smallest).
-        v1 = -1
-        least = None
-        for i in range(257):
-            if freq[i] > 0 and (least is None or freq[i] <= least):
-                least = freq[i]
-                v1 = i
-        v2 = -1
-        least = None
-        for i in range(257):
-            if freq[i] > 0 and i != v1 and (least is None or freq[i] <= least):
-                least = freq[i]
-                v2 = i
-        if v2 < 0:
-            break
-        freq[v1] += freq[v2]
-        freq[v2] = 0
+    while len(heap) > 1:
+        count1, v1 = heapq.heappop(heap)
+        count2, v2 = heapq.heappop(heap)
+        v1, v2 = -v1, -v2
+        heapq.heappush(heap, (count1 + count2, -v1))
         code_size[v1] += 1
         while others[v1] >= 0:
             v1 = others[v1]

@@ -129,18 +129,21 @@ def parse_segments(data: bytes) -> list[Segment]:
 
 
 def _find_scan_end(data: bytes, position: int) -> int:
-    """Advance past entropy-coded data to the next true marker."""
-    while position < len(data) - 1:
-        if data[position] == 0xFF:
-            next_byte = data[position + 1]
-            if next_byte == 0x00:
-                position += 2
-                continue
-            if RST0 <= next_byte <= RST7:
-                position += 2
-                continue
+    """Advance past entropy-coded data to the next true marker.
+
+    Jumps from one ``0xFF`` to the next; stuffed ``FF 00`` bytes and
+    restart markers belong to the scan.  A ``0xFF`` in the last byte
+    starts no marker, so the scan then runs to the end of ``data``.
+    """
+    last = len(data) - 1
+    while position < last:
+        position = data.find(b"\xff", position, last)
+        if position < 0:
+            break
+        next_byte = data[position + 1]
+        if next_byte != 0x00 and not RST0 <= next_byte <= RST7:
             return position
-        position += 1
+        position += 2
     return len(data)
 
 

@@ -26,6 +26,11 @@ def _explode_on_three(value):
     return value + 10
 
 
+def _offload(executor, fn, item):
+    """Drive one :meth:`Executor.offload` call from synchronous code."""
+    return asyncio.run(executor.offload(fn, item))
+
+
 class TestMapContract:
     @pytest.mark.parametrize("kind", KINDS)
     def test_results_in_input_order(self, kind):
@@ -133,11 +138,11 @@ class TestAsyncOffloadSeam:
     def test_persistent_pool_lazy_reuse_and_shutdown(self):
         executor = Executor("thread", workers=2)
         assert executor._pool is None
-        assert asyncio.run(executor.offload(_square, 7)) == 49
+        assert _offload(executor, _square, 7) == 49
         pool = executor._pool
         assert pool is not None
-        assert executor.run_one(_square, 3) == 9
-        assert executor._pool is pool  # offload and run_one share it
+        assert _offload(executor, _square, 3) == 9
+        assert executor._pool is pool  # every offload call shares it
         executor.shutdown()
         assert executor._pool is None
 
@@ -196,7 +201,7 @@ class TestConstruction:
             assert all(name in str(raised.value) for name in EXECUTOR_KINDS)
 
     def test_serial_kind_never_starts_a_pool(self):
-        """map, run_one and offload all run on the calling thread."""
+        """map and offload both run on the calling thread."""
         executor = Executor("serial")
         caller = threading.get_ident()
 
@@ -204,7 +209,6 @@ class TestConstruction:
             return threading.get_ident()
 
         assert [o.value for o in executor.map(where, [0, 1])] == [caller] * 2
-        assert executor.run_one(where, 0) == caller
 
         async def driver():
             return await executor.offload(where, 0)
@@ -215,16 +219,16 @@ class TestConstruction:
 
 class TestPersistentPools:
     """The serving tier's shared pool: lazy start, reuse across
-    run_one calls, shutdown, restart on the next call."""
+    offload calls, shutdown, restart on the next call."""
 
-    def test_run_one_propagates_errors(self):
-        # Unlike map(), run_one must raise — a failed serve propagates
+    def test_offload_propagates_errors(self):
+        # Unlike map(), offload must raise — a failed serve propagates
         # to its requester rather than being captured per item.
         for kind in EXECUTOR_KINDS:
             executor = Executor(kind, 1)
             try:
                 with pytest.raises(ValueError, match="three"):
-                    executor.run_one(_explode_on_three, 3)
+                    _offload(executor, _explode_on_three, 3)
             finally:
                 executor.shutdown()
 
@@ -233,10 +237,10 @@ class TestPersistentPools:
         outcomes = executor.map(_square, [1, 2, 3])
         assert [outcome.value for outcome in outcomes] == [1, 4, 9]
         assert executor._pool is None  # map brings its own pool
-        assert executor.run_one(_square, 7) == 49
+        assert _offload(executor, _square, 7) == 49
         pool = executor._pool
         assert pool is not None
-        assert executor.run_one(_square, 8) == 64
+        assert _offload(executor, _square, 8) == 64
         assert executor._pool is pool  # same pool, not one per call
         executor.map(_square, [4])
         assert executor._pool is pool  # map leaves the shared pool be
@@ -245,19 +249,19 @@ class TestPersistentPools:
 
     def test_shutdown_is_idempotent_and_pool_rebuilds(self):
         executor = Executor("thread", 2)
-        executor.run_one(_square, 3)
+        _offload(executor, _square, 3)
         executor.shutdown()
         executor.shutdown()  # second shutdown is a no-op
-        assert executor.run_one(_square, 4) == 16  # a new pool starts
+        assert _offload(executor, _square, 4) == 16  # a new pool starts
         assert executor._pool is not None
         executor.shutdown()
 
     def test_persistent_process_pool_round_trips(self):
         executor = Executor("process", 1)
         try:
-            assert executor.run_one(_square, 6) == 36
+            assert _offload(executor, _square, 6) == 36
             pool = executor._pool
-            assert executor.run_one(_square, 7) == 49
+            assert _offload(executor, _square, 7) == 49
             assert executor._pool is pool
         finally:
             executor.shutdown()

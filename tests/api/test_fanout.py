@@ -239,6 +239,29 @@ class TestFanoutDownload:
             fanout.download(photo_id, "alice")
         assert issubclass(FanoutDownloadError, KeyError)
 
+    @staticmethod
+    def _reject(providers, *indices):
+        """Make the chosen providers refuse every request as malformed."""
+        for index in indices:
+
+            def download(*args, _name=providers[index].name, **kwargs):
+                raise ValueError(f"{_name} rejects the request")
+
+            providers[index].download = download
+
+    def test_request_every_provider_rejects_raises_the_first_rejection(self):
+        fanout, providers, photo_id = self._published()
+        self._reject(providers, 0, 1, 2)
+        with pytest.raises(ValueError, match="a rejects"):
+            fanout.download(photo_id, "alice")
+
+    def test_rejections_mixed_with_outages_still_fail_over(self):
+        fanout, providers, photo_id = self._published()
+        self._reject(providers, 0, 2)
+        providers[1].photos.clear()  # b lost the photo: a KeyError
+        with pytest.raises(FanoutDownloadError, match="a rejects"):
+            fanout.download(photo_id, "alice")
+
     def test_unknown_photo(self):
         fanout, _, _ = self._published()
         with pytest.raises(KeyError, match="no photo"):

@@ -7,6 +7,11 @@ green) but still fail hard when a hot path regresses a tier: the
 native budget trips if the C kernel silently stops being used, the
 default budget trips if the default reroutes to the scalar engine.
 
+The upload path's array-speed layers have relative budgets instead:
+each is timed against its oracle from ``tests/jpeg/oracles.py`` in the
+same process, so the runner's speed cancels out and a regression back
+to einsum or per-byte speed fails on any machine.
+
 Run with ``python -m pytest -m slow tests/jpeg/test_perf_smoke.py``.
 """
 
@@ -17,8 +22,16 @@ import time
 import numpy as np
 import pytest
 
+from repro.jpeg import markers
 from repro.jpeg.codec import decode_coefficients, encode_gray
+from repro.jpeg.dct import forward_dct
 from repro.jpeg.engines import native_available
+from repro.jpeg.huffman import build_optimized_table
+from tests.jpeg.oracles import (
+    bytewise_find_scan_end,
+    einsum_forward_dct,
+    scan_optimized_table,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -33,6 +46,14 @@ ENCODE_BUDGET_SECONDS = 5.0
 #: headroom for CI noise while still far below the numpy engine's
 #: ~140ms — trips when "native" quietly degrades to numpy.
 NATIVE_DECODE_BUDGET_SECONDS = 0.25
+
+#: Minimum speedups over the oracles.  On a 2-vCPU KVM guest the GEMM
+#: FDCT ran 22-24x the einsum on 4096 blocks, the heap builder 7-27x
+#: the scan on 162 symbols (the size of the Annex K AC table) and
+#: ``parse_segments`` 50-60x the byte loop on a 467 KB stream.
+FDCT_SPEEDUP_FLOOR = 4.0
+HUFFMAN_SPEEDUP_FLOOR = 4.0
+MARKER_SPEEDUP_FLOOR = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +97,55 @@ def _timed(thunk) -> float:
     start = time.perf_counter()
     thunk()
     return time.perf_counter() - start
+
+
+def _speedup(fast, slow, repeats: int = 7) -> float:
+    """Best-of-``repeats`` time of ``slow`` over that of ``fast``."""
+    fast()  # warm up
+    return min(_timed(slow) for _ in range(repeats)) / min(
+        _timed(fast) for _ in range(repeats)
+    )
+
+
+def test_gemm_fdct_beats_einsum():
+    blocks = np.random.default_rng(2).uniform(-128, 127, (4096, 8, 8))
+    speedup = _speedup(
+        lambda: forward_dct(blocks), lambda: einsum_forward_dct(blocks)
+    )
+    assert speedup >= FDCT_SPEEDUP_FLOOR, (
+        f"forward_dct is only {speedup:.1f}x the einsum on 4096 blocks "
+        f"(floor {FDCT_SPEEDUP_FLOOR}x) — is it still a GEMM?"
+    )
+
+
+def test_heap_tables_beat_scan():
+    counts = np.random.default_rng(3).integers(1, 5000, 162)
+    frequencies = {symbol: int(count) for symbol, count in enumerate(counts)}
+    speedup = _speedup(
+        lambda: build_optimized_table(frequencies),
+        lambda: scan_optimized_table(frequencies),
+    )
+    assert speedup >= HUFFMAN_SPEEDUP_FLOOR, (
+        f"build_optimized_table is only {speedup:.1f}x the scan on 162 "
+        f"symbols (floor {HUFFMAN_SPEEDUP_FLOOR}x)"
+    )
+
+
+def test_parse_segments_beats_byte_loop(monkeypatch):
+    noise = np.random.default_rng(4).normal(128, 60, (768, 768))
+    data = encode_gray(np.clip(noise, 0, 255), quality=95)
+    assert len(data) >= 300_000
+
+    def parse_byte_by_byte():
+        with monkeypatch.context() as patch:
+            patch.setattr(markers, "_find_scan_end", bytewise_find_scan_end)
+            markers.parse_segments(data)
+
+    speedup = _speedup(lambda: markers.parse_segments(data), parse_byte_by_byte)
+    assert speedup >= MARKER_SPEEDUP_FLOOR, (
+        f"parse_segments is only {speedup:.1f}x the byte loop on a "
+        f"{len(data) // 1000} KB stream (floor {MARKER_SPEEDUP_FLOOR}x)"
+    )
 
 
 def test_encode_512_within_budget():

@@ -218,10 +218,10 @@ class TestErrorParity:
 
 
 class TestCropGeometry:
-    """A crop the serving tier cannot serve is a 400 before any backend
-    call, on both front ends, whether one provider or a fan-out fleet
-    stands behind the gateway: a fleet must not ask every provider and
-    answer 404 "all 2 providers failed"."""
+    """A crop the serving tier cannot serve is a 400 on both front ends,
+    whether one provider or a fan-out fleet stands behind the gateway: a
+    fleet must not ask every provider and answer 404 "all 2 providers
+    failed"."""
 
     CROPS = {
         "empty": {"crop": "0,0,0,0", "size": "130"},
@@ -229,12 +229,10 @@ class TestCropGeometry:
         "keyed-without-size": {"crop": "0,0,10,10"},
     }
 
-    @pytest.mark.parametrize("crop", CROPS)
-    @pytest.mark.parametrize("fleet", ["facebook", "fanout"])
-    @pytest.mark.parametrize("front_end", ["sync", "async"])
-    def test_bad_crop_is_400_before_any_backend_call(
-        self, jpeg, front_end, fleet, crop
-    ):
+    @staticmethod
+    def deploy(jpeg, fleet):
+        """A gateway over ``fleet`` holding one photo of alice's, plus the
+        list that every provider download is appended to."""
         providers = (
             [FacebookPSP()]
             if fleet == "facebook"
@@ -253,23 +251,53 @@ class TestCropGeometry:
                 return _real(*args, **kwargs)
 
             provider.download = counting_download
-        gets_before = gateway.storage.get_count
+        return gateway, photo_id, downloads
+
+    @staticmethod
+    def get(gateway, front_end, photo_id, params):
         request = get_request(
-            "alice",
-            f"/photos/{photo_id}",
-            {"album": "trip", **self.CROPS[crop]},
+            "alice", f"/photos/{photo_id}", {"album": "trip", **params}
         )
         if front_end == "sync":
-            response = gateway.handle(request)
-        else:
-            front = AsyncGateway(gateway)
-            try:
-                response = front.handle_sync(request)
-            finally:
-                front.close()
+            return gateway.handle(request)
+        front = AsyncGateway(gateway)
+        try:
+            return front.handle_sync(request)
+        finally:
+            front.close()
+
+    @pytest.mark.parametrize("crop", CROPS)
+    @pytest.mark.parametrize("fleet", ["facebook", "fanout"])
+    @pytest.mark.parametrize("front_end", ["sync", "async"])
+    def test_bad_crop_is_400_before_any_backend_call(
+        self, jpeg, front_end, fleet, crop
+    ):
+        gateway, photo_id, downloads = self.deploy(jpeg, fleet)
+        gets_before = gateway.storage.get_count
+        response = self.get(gateway, front_end, photo_id, self.CROPS[crop])
         assert response.status == 400, response.body
         assert downloads == []
         assert gateway.storage.get_count == gets_before
+        assert len(gateway.engine.variant_cache) == 0
+
+    @pytest.mark.parametrize("fleet", ["facebook", "fanout"])
+    @pytest.mark.parametrize("front_end", ["sync", "async"])
+    def test_crop_beyond_the_served_plane_is_400(
+        self, jpeg, front_end, fleet
+    ):
+        """Only a provider knows the served plane, so this crop reaches
+        every provider; a fleet that they all reject answers the lone
+        provider's 400, not 404 "all 2 providers failed"."""
+        gateway, photo_id, downloads = self.deploy(jpeg, fleet)
+        response = self.get(
+            gateway,
+            front_end,
+            photo_id,
+            {"crop": "0,0,500,500", "size": "130"},
+        )
+        assert response.status == 400, response.body
+        assert b"exceeds plane" in response.body
+        assert len(downloads) == (1 if fleet == "facebook" else 2)
         assert len(gateway.engine.variant_cache) == 0
 
     def test_keyless_crop_without_size_is_served(self, deployment):
