@@ -1,18 +1,17 @@
-"""Codec throughput trajectory: seed (scalar) -> numpy -> native.
+"""Codec throughput trajectory: seed (scalar) -> native.
 
 Times encode and decode (coefficient-level, the P3 hot path) for
 baseline, progressive (spectral selection) and progressive-sa
-(successive approximation) streams at several image sizes, once per
-available engine, and writes ``BENCH_codec_throughput.json`` with the
-full engine trajectory: per-engine seconds/images-per-sec plus the
-speedup of each engine over the previous tier (numpy vs scalar,
-native vs numpy) and over the scalar seed.  The scalar reference is
-only timed up to ``--reference-max-size`` (default 512 — the per-bit
-decoder needs ~10s per 512px image, minutes at 1024).
+(successive approximation) streams at several image sizes, on both
+engines, and writes ``BENCH_codec_throughput.json`` with the
+trajectory: per-engine seconds plus the native kernel's decode speedup
+over the scalar seed.  The scalar reference is only timed up to
+``--reference-max-size`` (default 512 — the per-bit decoder needs ~10s
+per 512px image, minutes at 1024).
 
-Cross-engine identity is enforced, not assumed: every engine's encode
-must be byte-identical and every engine's decode coefficient-identical
-to the scalar seed's, and the benchmark **hard-fails** (exit 1) on any
+Cross-engine identity is enforced, not assumed: the native encode must
+be byte-identical and the native decode coefficient-identical to the
+scalar seed's, and the benchmark **hard-fails** (exit 1) on any
 mismatch — a perf number for a stream that diverges from the oracle
 would be worthless.
 
@@ -35,7 +34,7 @@ import numpy as np
 from repro.jpeg.codec import gray_to_coefficients
 from repro.jpeg.decoder import decode_to_coefficients
 from repro.jpeg.encoder import encode_baseline, encode_progressive
-from repro.jpeg.engines import engine_info, native_available
+from repro.jpeg.engines import engine_info
 from repro.jpeg.scans import default_sa_script
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -76,7 +75,6 @@ def run(
     repeats: int,
     reference_max_size: int,
 ) -> dict:
-    engines = ["numpy"] + (["native"] if native_available() else [])
     mismatches = 0
     trajectory = []
     for size in sizes:
@@ -113,72 +111,52 @@ def run(
                         1,
                     ),
                 }
-            for engine in engines:
-                data = encode(image, engine=engine)
-                if data != oracle:
-                    mismatches += 1
-                    print(
-                        f"ENCODE MISMATCH {engine} vs scalar: "
-                        f"{size}px {mode}",
-                        file=sys.stderr,
-                    )
-                decoded = _coefficient_bytes(
-                    decode_to_coefficients(data, engine=engine)
+            data = encode(image, engine="native")
+            if data != oracle:
+                mismatches += 1
+                print(
+                    f"ENCODE MISMATCH native vs scalar: {size}px {mode}",
+                    file=sys.stderr,
                 )
-                if decoded != oracle_coefficients:
-                    mismatches += 1
-                    print(
-                        f"DECODE MISMATCH {engine} vs scalar: "
-                        f"{size}px {mode}",
-                        file=sys.stderr,
-                    )
-                entry["engines"][engine] = {
-                    "encode_s": _time_call(
-                        lambda: encode(image, engine=engine), repeats
-                    ),
-                    "decode_s": _time_call(
-                        lambda: decode_to_coefficients(data, engine=engine),
-                        repeats,
-                    ),
-                }
-            # seed -> numpy -> native: each tier's decode speedup over
-            # the previous one, plus total speedup over the seed.
-            tiers = [
-                name
-                for name in ("scalar", "numpy", "native")
-                if name in entry["engines"]
-            ]
-            for previous, current in zip(tiers, tiers[1:]):
-                entry["engines"][current]["decode_speedup_vs_" + previous] = (
-                    entry["engines"][previous]["decode_s"]
-                    / entry["engines"][current]["decode_s"]
+            decoded = _coefficient_bytes(
+                decode_to_coefficients(data, engine="native")
+            )
+            if decoded != oracle_coefficients:
+                mismatches += 1
+                print(
+                    f"DECODE MISMATCH native vs scalar: {size}px {mode}",
+                    file=sys.stderr,
                 )
-            if time_scalar and tiers[-1] != "scalar":
-                entry["engines"][tiers[-1]]["decode_speedup_vs_seed"] = (
+            native = {
+                "encode_s": _time_call(
+                    lambda: encode(image, engine="native"), repeats
+                ),
+                "decode_s": _time_call(
+                    lambda: decode_to_coefficients(data, engine="native"),
+                    repeats,
+                ),
+            }
+            if time_scalar:
+                native["decode_speedup_vs_seed"] = (
                     entry["engines"]["scalar"]["decode_s"]
-                    / entry["engines"][tiers[-1]]["decode_s"]
+                    / native["decode_s"]
                 )
+            entry["engines"]["native"] = native
             trajectory.append(entry)
-            for engine in tiers:
-                timings = entry["engines"][engine]
-                extras = [
-                    f"{value:6.1f}x vs {key.rsplit('_', 1)[-1]}"
-                    for key, value in timings.items()
-                    if key.startswith("decode_speedup_vs_")
-                ]
+            for engine, timings in entry["engines"].items():
+                speedup = timings.get("decode_speedup_vs_seed")
                 print(
                     f"{size:5d}px {mode:14s} {engine:7s} "
                     f"encode {1.0 / timings['encode_s']:8.1f} img/s  "
                     f"decode {1.0 / timings['decode_s']:8.1f} img/s"
-                    + (f"  ({', '.join(extras)})" if extras else "")
+                    + (f"  ({speedup:6.1f}x vs seed)" if speedup else "")
                 )
     return {
         "benchmark": "codec_throughput",
         "description": (
             "JPEG entropy codec throughput trajectory, seed (scalar "
-            "T.81 reference) -> numpy -> native C kernel; every "
-            "engine's streams verified byte/coefficient-identical to "
-            "the seed"
+            "T.81 reference) -> native C kernel; the native streams "
+            "verified byte/coefficient-identical to the seed"
         ),
         "quality": quality,
         "engine_info": engine_info(),

@@ -16,10 +16,10 @@ Inputs may be JPEG (decoded by the built-in codec) or netpbm (P5/P6).
 Reconstructed outputs are written as netpbm, which anything can read.
 The batch commands fan the per-photo work out over the
 :mod:`repro.api` executors (``--executor process`` by default) and
-keep going past per-file failures.  Every command runs the best
-available entropy engine (the cffi-compiled C kernel, else numpy;
-``REPRO_NATIVE=0`` forces numpy) and the ``engines`` subcommand
-reports which kernel actually loaded.  ``--verbose`` on
+keep going past per-file failures.  Every command runs the native
+entropy engine, the cffi-compiled C kernel, which is required; the
+``engines`` subcommand reports whether it loaded, and the build error
+if it did not.  ``--verbose`` on
 encrypt/decrypt prints per-stage wall-clock times (codec vs crypto vs
 split) so you can see where a photo's time actually goes.
 
@@ -408,9 +408,9 @@ def _cmd_engines(args) -> int:
     """Report which entropy codec engines this deployment can run.
 
     The key operational question is whether the native kernel actually
-    compiled and loaded or whether ``native`` silently degrades to
-    numpy — and if it degraded, why (no compiler, ``REPRO_NATIVE=0``,
-    build failure).  ``--json`` emits the raw mapping for scripts.
+    compiled and loaded, and if not, why (no compiler, no cffi, build
+    failure): every codec command fails until it does.  ``--json``
+    emits the raw mapping for scripts.
     """
     import json
 
@@ -424,8 +424,6 @@ def _cmd_engines(args) -> int:
     print(f"engines    {', '.join(info['engines'])}")
     print(f"default    {info['default']}")
     print(f"native     {'loaded' if native['available'] else 'unavailable'}")
-    if native.get("disabled_by_env"):
-        print("           disabled by REPRO_NATIVE=0")
     if native.get("build_error"):
         print(f"           build error: {native['build_error']}")
     if native.get("artifact"):
@@ -585,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     engines = commands.add_parser(
         "engines",
         help="report codec engine availability (did the native kernel "
-        "load, or did it fall back to numpy — and why)",
+        "load, and if not, why)",
     )
     engines.add_argument(
         "--json",

@@ -9,7 +9,7 @@ Design note — scalar reference vs batch engine
 ----------------------------------------------
 This module is the differential-testing oracle for the vectorized
 engine in :mod:`repro.crypto.fastaes`, the same split the JPEG codec
-uses (scalar T.81 reference vs the numpy entropy engine).  Both share
+uses (scalar T.81 reference vs the native C entropy kernel).  Both share
 one key schedule (:func:`expand_key`) and the same GF(2^8) tables; the
 fast engine lifts each round step from a 16-byte state to an
 ``(n_blocks, 16)`` state stack:

@@ -18,31 +18,28 @@ The main entry points are :func:`encode_rgb`, :func:`encode_gray`,
 Codec engines
 -------------
 
-Three interchangeable entropy engines back every encode/decode, each
-serving as the differential oracle for the next:
+Two entropy engines back every encode/decode:
 
+* ``native`` — a small C kernel (compiled on first use via cffi) that
+  runs each scan's entire symbol loop natively and packs the encoder's
+  token arrays.  Every library caller runs it.
 * ``scalar`` — the per-symbol ITU-T T.81 reference implementation
   (:class:`~repro.jpeg.bitstream.BitReader`/``BitWriter`` and the
   per-coefficient scan loops).  Slow (~10s for a dense 512px decode)
-  but the most literal transcription of the standard.
-* ``numpy`` — the vectorized fast path: whole-segment destuffing, flat
-  peek-16 Huffman lookup tables, and batch bit packing.  ~100x the
-  scalar engine, and the oracle the native kernel is fuzzed against.
-* ``native`` — a small C kernel (compiled on first use via cffi) that
-  runs each scan's entire symbol loop natively.  ~10x the numpy engine
-  on the decode hot path.
+  but the most literal transcription of the standard, and the native
+  engine's test oracle.
 
-All three produce byte-identical encodes and coefficient-identical
-decodes.  Selection: every codec entry point takes
-``engine={"scalar","numpy","native"}``, its only engine selector.
-``None`` (the default, and what every library caller uses) means the
-best available engine; ``"scalar"`` is the test oracle.  The native
-kernel needs a C compiler (``cc``/``gcc``) and ``cffi`` at first use;
-the compiled artifact is cached under ``build/`` keyed by a source
-digest.  When the kernel cannot compile or load — or
-``REPRO_NATIVE=0`` is set — engine resolution silently degrades
-``native`` to ``numpy``; import never fails.  :func:`engine_info` reports which engine actually loaded (and
-the build error, if any) for deployment verification.
+Both produce byte-identical encodes and coefficient-identical decodes.
+Selection: every codec entry point takes ``engine={"scalar","native"}``,
+its only engine selector.  ``None`` (the default, and what every
+library caller uses) means ``native``.  The kernel is required: it
+needs a C compiler (``cc``/``gcc``) and ``cffi`` at first use, and the
+compiled artifact is cached under ``build/`` keyed by a source digest.
+When it cannot compile or load, the first codec call that needs it
+raises :class:`~repro.jpeg.native.kernel.NativeUnavailableError` naming
+the build error; ``engine="scalar"`` still works, and import never
+fails.  :func:`engine_info` reports whether the kernel loaded (and the
+build error, if any) for deployment verification.
 """
 
 from repro.jpeg.codec import (

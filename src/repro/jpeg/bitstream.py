@@ -5,23 +5,22 @@ an entropy-coded segment must be followed by a stuffed 0x00 so decoders
 can distinguish data from markers; the reader strips the stuffing and
 stops cleanly at a real marker.
 
-Two engines share this module:
+Both engines share this module:
 
 * the scalar :class:`BitReader`/:class:`BitWriter` pair, the readable
-  T.81 reference implementation retained for differential testing;
-* the bulk primitives used by the fast entropy codec —
-  :func:`split_restart_segments` + :func:`destuff` +
-  :class:`FastBitReader` on the read side (whole-segment destuffing and
-  an O(1) 16-bit peek), and :func:`pack_entropy_bits` /
-  :class:`VectorBitWriter` on the write side (numpy packing of whole
-  symbol arrays).
+  T.81 reference implementation retained as the test oracle;
+* the bulk primitives of the native engine —
+  :func:`split_restart_segments` on the read side (the C kernel
+  destuffs each segment), and :func:`pack_entropy_bits` /
+  :class:`VectorBitWriter` on the write side (whole symbol arrays
+  packed in C).
 """
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
+
+from repro.jpeg.native.encode import pack_entropy_bits_native
 
 
 class BitWriter:
@@ -176,7 +175,7 @@ class EndOfData(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Fast engine: bulk destuffing, O(1) peek reader, vectorized bit packing.
+# Native engine: restart segmentation and whole-array bit packing.
 # ---------------------------------------------------------------------------
 
 
@@ -211,153 +210,18 @@ def split_restart_segments(data: bytes) -> tuple[list[bytes], list[int]]:
     return segments, indices
 
 
-def destuff(data: bytes) -> bytes:
-    """Drop the stuffed 0x00 after each 0xFF in a marker-free segment."""
-    if len(data) < 2:
-        return data
-    array = np.frombuffer(data, dtype=np.uint8)
-    stuffed = (array[:-1] == 0xFF) & (array[1:] == 0x00)
-    if not stuffed.any():
-        return data
-    keep = np.ones(array.size, dtype=bool)
-    keep[1:] &= ~stuffed
-    return array[keep].tobytes()
-
-
-class FastBitReader:
-    """MSB-first bit reader over an already-destuffed segment.
-
-    Precomputes, per byte offset, the 32-bit big-endian window starting
-    there, so :meth:`peek16` is two integer ops regardless of alignment.
-    Reads never block on stuffing or markers — feed it the output of
-    :func:`destuff` on one :func:`split_restart_segments` segment.  The
-    window table lives in an ``array('I')``: plain-int indexing like a
-    list at 4 bytes per input byte instead of ~36.
-    """
-
-    __slots__ = ("_words", "_num_bits", "_bit_position")
-
-    def __init__(self, destuffed: bytes) -> None:
-        self._num_bits = 8 * len(destuffed)
-        padded = np.frombuffer(
-            destuffed + b"\x00\x00\x00\x00", dtype=np.uint8
-        ).astype(np.uint32)
-        words = (
-            (padded[:-3] << 24)
-            | (padded[1:-2] << 16)
-            | (padded[2:-1] << 8)
-            | padded[3:]
-        )
-        self._words = array("I")
-        self._words.frombytes(words.tobytes())
-        self._bit_position = 0
-
-    @property
-    def bit_position(self) -> int:
-        return self._bit_position
-
-    @property
-    def bits_remaining(self) -> int:
-        return self._num_bits - self._bit_position
-
-    def peek16(self) -> int:
-        """Return the next 16 bits without consuming (zero-padded at end)."""
-        position = self._bit_position
-        word = self._words[position >> 3]
-        return (word >> (16 - (position & 7))) & 0xFFFF
-
-    def consume(self, num_bits: int) -> None:
-        """Advance the cursor; raises :class:`EndOfData` past the end."""
-        position = self._bit_position + num_bits
-        if position > self._num_bits:
-            raise EndOfData(self._num_bits >> 3)
-        self._bit_position = position
-
-    def read(self, num_bits: int) -> int:
-        """Read ``num_bits`` bits MSB-first (any size, chunked by 16)."""
-        if num_bits <= 0:
-            return 0
-        value = 0
-        while num_bits > 16:
-            value = (value << 16) | self.read(16)
-            num_bits -= 16
-        chunk = self.peek16() >> (16 - num_bits)
-        self.consume(num_bits)
-        return (value << num_bits) | chunk
-
-    def read_bit(self) -> int:
-        bit = self.peek16() >> 15
-        self.consume(1)
-        return bit
-
-
-#: Tokens expanded per chunk in :func:`pack_entropy_bits` — bounds the
-#: transient int64 repeat arrays to a few MB regardless of scan size.
-_PACK_CHUNK_TOKENS = 1 << 18
-
-
-def pack_entropy_bits(values, lengths, engine: str | None = None) -> bytes:
+def pack_entropy_bits(values, lengths) -> bytes:
     """Pack ``(value, bit_length)`` pairs into a stuffed entropy segment.
 
-    Vectorized equivalent of feeding each pair to :class:`BitWriter` and
+    The batch equivalent of feeding each pair to :class:`BitWriter` and
     flushing: MSB-first packing, final-byte padding with 1-bits, and a
     stuffed 0x00 after every 0xFF output byte (including a 0xFF produced
-    by the padding).  Zero-length entries are skipped.  The bit
-    expansion runs in token chunks so peak transient memory stays
-    bounded (~1 byte per packed bit) even for multi-MB scans.
-
-    All engines produce identical bytes; ``engine`` only selects the
-    implementation.  ``None`` or ``"native"`` use the C kernel when it
-    is available (falling back to this numpy path), ``"numpy"`` and
-    ``"scalar"`` always take the numpy path — scalar encode parity is
-    exercised through :class:`BitWriter` by the scalar encoder drivers,
-    not here.
+    by the padding).  Zero-length entries are skipped.  Runs in the C
+    kernel (:func:`repro.jpeg.native.encode.pack_entropy_bits_native`),
+    so it raises ``NativeUnavailableError`` when the kernel cannot
+    build, and ``ValueError`` for a token wider than 63 bits.
     """
-    if engine in (None, "native"):
-        from repro.jpeg.native.encode import pack_entropy_bits_native
-
-        packed_native = pack_entropy_bits_native(values, lengths)
-        if packed_native is not None:
-            return packed_native
-    lengths = np.asarray(lengths, dtype=np.int64)
-    values = np.asarray(values, dtype=np.uint64)
-    nonzero = lengths > 0
-    if not nonzero.all():
-        lengths = lengths[nonzero]
-        values = values[nonzero]
-    total = int(lengths.sum())
-    if total == 0:
-        return b""
-    # Mask each value to its declared width (BitWriter semantics); not
-    # in place — `values` may alias the caller's array.
-    values = values & (
-        (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1)
-    )
-    pad = (-total) % 8
-    bits = np.empty(total + pad, dtype=np.uint8)
-    position = 0
-    for start in range(0, lengths.size, _PACK_CHUNK_TOKENS):
-        chunk_lengths = lengths[start : start + _PACK_CHUNK_TOKENS]
-        chunk_values = values[start : start + _PACK_CHUNK_TOKENS]
-        chunk_bits = int(chunk_lengths.sum())
-        starts = np.cumsum(chunk_lengths) - chunk_lengths
-        within = np.arange(chunk_bits, dtype=np.int64) - np.repeat(
-            starts, chunk_lengths
-        )
-        shifts = (
-            np.repeat(chunk_lengths, chunk_lengths) - 1 - within
-        ).astype(np.uint64)
-        bits[position : position + chunk_bits] = (
-            np.repeat(chunk_values, chunk_lengths) >> shifts
-        ) & np.uint64(1)
-        position += chunk_bits
-    if pad:
-        bits[total:] = 1
-    packed = np.packbits(bits)
-    ff_positions = np.nonzero(packed == 0xFF)[0]
-    if ff_positions.size:
-        packed = np.insert(packed, ff_positions + 1, 0)
-    return packed.tobytes()
+    return pack_entropy_bits_native(values, lengths)
 
 
 class VectorBitWriter:
@@ -370,10 +234,9 @@ class VectorBitWriter:
     :meth:`getvalue` packs everything with :func:`pack_entropy_bits`.
     """
 
-    def __init__(self, engine: str | None = None) -> None:
+    def __init__(self) -> None:
         self._segments: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
         self._markers: list[int] = []
-        self._engine = engine
 
     def extend(self, values, lengths) -> None:
         self._segments[-1].append(
@@ -397,7 +260,7 @@ class VectorBitWriter:
             if chunks:
                 values = np.concatenate([v for v, _ in chunks])
                 lengths = np.concatenate([l for _, l in chunks])
-                out.extend(pack_entropy_bits(values, lengths, self._engine))
+                out.extend(pack_entropy_bits(values, lengths))
             if number < len(self._markers):
                 out.append(0xFF)
                 out.append(0xD0 + self._markers[number])

@@ -149,9 +149,9 @@ def encode_coefficients(
     (progressive with successive approximation, libjpeg's default
     script).  Every mode keeps the image's APPn and COM segments.
     ``restart_interval`` applies to baseline output only.  ``engine``
-    picks the entropy engine (``"scalar"`` / ``"numpy"`` /
-    ``"native"``; ``None`` = the best available) — output is
-    byte-identical either way.
+    picks the entropy engine (``None`` or ``"native"``, the C kernel;
+    ``"scalar"``, the T.81 oracle) — output is byte-identical either
+    way.
     """
     if progressive is None:
         progressive = image.progressive

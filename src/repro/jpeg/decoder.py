@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.jpeg import markers
-from repro.jpeg.bitstream import (
-    BitReader,
-    EndOfData,
-    FastBitReader,
-    MarkerFound,
-    destuff,
-    split_restart_segments,
-)
+from repro.jpeg.bitstream import BitReader, EndOfData, MarkerFound
 from repro.jpeg.blocks import blocks_to_plane
 from repro.jpeg.color import upsample_plane, ycbcr_to_rgb
 from repro.jpeg.dct import inverse_dct
@@ -31,9 +24,9 @@ from repro.jpeg.huffman import (
     HuffmanTable,
     decode_magnitude_bits,
     interleaved_visit_arrays,
-    lookup_table,
 )
 from repro.jpeg.markers import JpegFormatError, Segment
+from repro.jpeg.native import decode as native_decode
 from repro.jpeg.quantization import dequantize
 from repro.jpeg.structures import CoefficientImage, ComponentInfo
 from repro.jpeg.zigzag import INVERSE_ZIGZAG, ZIGZAG_ORDER
@@ -126,9 +119,9 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
         raise JpegFormatError("truncated SOF payload")
     if precision != 8:
         raise JpegFormatError(f"unsupported sample precision {precision}")
-    # T.81 B.2.2: Nf >= 1, and H and V in 1-4 (they size the MCU grid).
-    # Y = 0 is legal only with a DNL marker, which this decoder does
-    # not read, and X = 0 never is.
+    # T.81 B.2.2: Nf >= 1, unique Ci, and H and V in 1-4 (they size the
+    # MCU grid).  Y = 0 is legal only with a DNL marker, which this
+    # decoder does not read, and X = 0 never is.
     if num_components == 0:
         raise JpegFormatError("invalid frame header: no components")
     if height == 0 or width == 0:
@@ -149,6 +142,10 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
             raise JpegFormatError(
                 f"invalid frame header: component {identifier} sampling "
                 f"{h_sampling}x{v_sampling} outside 1-4"
+            )
+        if any(c.identifier == identifier for c in state.components):
+            raise JpegFormatError(
+                f"invalid frame header: duplicate component id {identifier}"
             )
         state.components.append(
             _FrameComponent(
@@ -208,6 +205,11 @@ def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
         if component is None:
             raise JpegFormatError(
                 f"SOS names unknown component {identifier}"
+            )
+        if any(c.identifier == identifier for c in components):
+            # T.81 B.2.3: a scan names each component once.
+            raise JpegFormatError(
+                f"invalid scan header: component {identifier} named twice"
             )
         components.append(component)
         dc_decoders.append(state.dc_decoders.get(table_ids >> 4))
@@ -539,12 +541,10 @@ def _decode_progressive_ac_scan(
 
 
 # ---------------------------------------------------------------------------
-# Fast engine: table-driven scan decoding over destuffed bulk readers.
-#
-# Same bitstream semantics as the scalar functions above (which remain
-# the differential-testing reference), but each Huffman symbol costs one
-# flat-table probe on a 16-bit peek instead of a per-bit tree walk, and
-# byte-stuffing is stripped once per restart segment up front.
+# Native engine: whole-scan decoding in the C kernel.  The drivers below
+# only gather visit-order arrays and Huffman tables; all bit-level work
+# happens in repro.jpeg.native, which reaches the scalar functions'
+# verdicts on every stream.
 # ---------------------------------------------------------------------------
 
 
@@ -604,333 +604,9 @@ def _mcu_visit_arrays(
     )
 
 
-def _mcu_visit_plan(
-    state: _DecoderState,
-    spec: _ScanSpec,
-    force_interleaved: bool = False,
-) -> tuple[list[tuple[int, np.ndarray, int]], int, int]:
-    """Plan-entry form of :func:`_mcu_visit_arrays` for the numpy engine:
-    each entry is ``(component_slot, component_blocks_2d,
-    flat_block_index)``.
-    """
-    slots, flats, views, total_mcus, blocks_per_mcu = _mcu_visit_arrays(
-        state, spec, force_interleaved
-    )
-    plan = [
-        (slot, views[slot], flat)
-        for slot, flat in zip(slots.tolist(), flats.tolist())
-    ]
-    return plan, total_mcus, blocks_per_mcu
-
-
-def _scan_luts(
-    tables: list[HuffmanTable | None],
-) -> list[list[int] | None]:
-    return [
-        lookup_table(table).entries if table is not None else None
-        for table in tables
-    ]
-
-
-def _decode_baseline_scan_fast(
-    state: _DecoderState, spec: _ScanSpec, data: bytes
-) -> None:
-    segments, _ = split_restart_segments(data)
-    plan, total_mcus, blocks_per_mcu = _mcu_visit_plan(state, spec)
-    dc_luts = _scan_luts(spec.dc_tables)
-    ac_luts = _scan_luts(spec.ac_tables)
-    interval = state.restart_interval
-    num_components = len(spec.components)
-    prev_dc = [0] * num_components
-    reader = FastBitReader(destuff(segments[0]))
-    segment_index = 0
-    position = 0
-    try:
-        for mcu_index in range(total_mcus):
-            if interval and mcu_index and mcu_index % interval == 0:
-                # Parity with the scalar reader: a conforming segment is
-                # fully consumed up to its <8 padding bits when the RSTn
-                # arrives; a full unread byte means the entropy data
-                # desynced and the scalar engine would fail to find the
-                # marker at its cursor.
-                if reader.bits_remaining >= 8:
-                    raise JpegFormatError(
-                        "expected restart marker mid-scan"
-                    )
-                segment_index += 1
-                if segment_index >= len(segments):
-                    raise JpegFormatError(
-                        "expected restart marker mid-scan"
-                    )
-                reader = FastBitReader(destuff(segments[segment_index]))
-                prev_dc = [0] * num_components
-            for _ in range(blocks_per_mcu):
-                slot, view, flat = plan[position]
-                position += 1
-                entry = dc_luts[slot][reader.peek16()]
-                if not entry:
-                    raise JpegFormatError("corrupt Huffman code")
-                reader.consume(entry >> 8)
-                category = entry & 0xFF
-                if category:
-                    bits = reader.read(category)
-                    if bits >> (category - 1):
-                        diff = bits
-                    else:
-                        diff = bits - (1 << category) + 1
-                else:
-                    diff = 0
-                dc = prev_dc[slot] + diff
-                if not -(1 << 20) <= dc <= (1 << 20):
-                    raise JpegFormatError(
-                        "DC prediction out of range (corrupt scan)"
-                    )
-                prev_dc[slot] = dc
-                view[flat, 0] = dc
-                ac_lut = ac_luts[slot]
-                k = 1
-                while k <= 63:
-                    entry = ac_lut[reader.peek16()]
-                    if not entry:
-                        raise JpegFormatError("corrupt Huffman code")
-                    reader.consume(entry >> 8)
-                    symbol = entry & 0xFF
-                    size = symbol & 0x0F
-                    if size == 0:
-                        if symbol == 0xF0:
-                            k += 16  # ZRL
-                            continue
-                        break  # EOB
-                    k += symbol >> 4
-                    if k > 63:
-                        raise JpegFormatError("AC run exceeds block bounds")
-                    bits = reader.read(size)
-                    if bits >> (size - 1):
-                        view[flat, k] = bits
-                    else:
-                        view[flat, k] = bits - (1 << size) + 1
-                    k += 1
-    except EndOfData:
-        raise JpegFormatError("entropy data ended before scan completed")
-    except ValueError as error:
-        raise JpegFormatError(str(error))
-
-
-def _decode_progressive_dc_refinement_fast(
-    state: _DecoderState, spec: _ScanSpec, data: bytes
-) -> None:
-    segments, _ = split_restart_segments(data)
-    plan, _, _ = _mcu_visit_plan(state, spec, force_interleaved=True)
-    reader = FastBitReader(destuff(segments[0]))
-    bit_value = int(1 << spec.approx_low)
-    try:
-        for _, view, flat in plan:
-            if reader.peek16() >> 15:
-                view[flat, 0] |= bit_value
-            reader.consume(1)
-    except EndOfData:
-        raise JpegFormatError(
-            "entropy data ended before DC refinement completed"
-        )
-
-
-def _decode_progressive_dc_scan_fast(
-    state: _DecoderState, spec: _ScanSpec, data: bytes
-) -> None:
-    if spec.approx_high != 0:
-        _decode_progressive_dc_refinement_fast(state, spec, data)
-        return
-    segments, _ = split_restart_segments(data)
-    plan, _, _ = _mcu_visit_plan(state, spec, force_interleaved=True)
-    dc_luts = _scan_luts(spec.dc_tables)
-    reader = FastBitReader(destuff(segments[0]))
-    prev_dc = [0] * len(spec.components)
-    shift = spec.approx_low
-    try:
-        for slot, view, flat in plan:
-            entry = dc_luts[slot][reader.peek16()]
-            if not entry:
-                raise JpegFormatError("corrupt Huffman code")
-            reader.consume(entry >> 8)
-            category = entry & 0xFF
-            if category:
-                bits = reader.read(category)
-                if bits >> (category - 1):
-                    diff = bits
-                else:
-                    diff = bits - (1 << category) + 1
-            else:
-                diff = 0
-            dc = prev_dc[slot] + diff
-            if not -(1 << 20) <= dc <= (1 << 20):
-                raise JpegFormatError(
-                    "DC prediction out of range (corrupt scan)"
-                )
-            prev_dc[slot] = dc
-            view[flat, 0] = dc << shift
-    except EndOfData:
-        raise JpegFormatError("entropy data ended before DC scan completed")
-    except ValueError as error:
-        raise JpegFormatError(str(error))
-
-
-def _decode_progressive_ac_scan_fast(spec: _ScanSpec, data: bytes) -> None:
-    if spec.approx_high != 0:
-        _decode_progressive_ac_refinement_fast(spec, data)
-        return
-    if len(spec.components) != 1:
-        raise JpegFormatError("progressive AC scans must be non-interleaved")
-    component = spec.components[0]
-    ac_lut = lookup_table(spec.ac_tables[0]).entries
-    segments, _ = split_restart_segments(data)
-    reader = FastBitReader(destuff(segments[0]))
-    view = component.coefficients.reshape(-1, 64)
-    padded_x = component.padded_x
-    spectral_start = spec.spectral_start
-    spectral_end = spec.spectral_end
-    shift = spec.approx_low
-    eob_run = 0
-    try:
-        for y in range(component.blocks_y):
-            row = y * padded_x
-            for x in range(component.blocks_x):
-                if eob_run > 0:
-                    eob_run -= 1
-                    continue
-                flat = row + x
-                k = spectral_start
-                while k <= spectral_end:
-                    entry = ac_lut[reader.peek16()]
-                    if not entry:
-                        raise JpegFormatError("corrupt Huffman code")
-                    reader.consume(entry >> 8)
-                    symbol = entry & 0xFF
-                    run = symbol >> 4
-                    size = symbol & 0x0F
-                    if size == 0:
-                        if run == 15:
-                            k += 16
-                            continue
-                        eob_run = (1 << run) - 1
-                        if run:
-                            eob_run += reader.read(run)
-                        break
-                    k += run
-                    if k > spectral_end:
-                        raise JpegFormatError("AC run exceeds spectral band")
-                    bits = reader.read(size)
-                    if bits >> (size - 1):
-                        view[flat, k] = bits << shift
-                    else:
-                        view[flat, k] = (bits - (1 << size) + 1) << shift
-                    k += 1
-    except EndOfData:
-        raise JpegFormatError("entropy data ended before AC scan completed")
-    except ValueError as error:
-        raise JpegFormatError(str(error))
-
-
-def _decode_progressive_ac_refinement_fast(
-    spec: _ScanSpec, data: bytes
-) -> None:
-    """Fast AC refinement (T.81 G.1.2.3), mirroring the scalar port."""
-    component = spec.components[0]
-    ac_lut = lookup_table(spec.ac_tables[0]).entries
-    segments, _ = split_restart_segments(data)
-    reader = FastBitReader(destuff(segments[0]))
-    view = component.coefficients.reshape(-1, 64)
-    padded_x = component.padded_x
-    spectral_start = spec.spectral_start
-    spectral_end = spec.spectral_end
-    positive = 1 << spec.approx_low
-    negative = -positive
-    eob_run = 0
-    try:
-        for y in range(component.blocks_y):
-            row = y * padded_x
-            for x in range(component.blocks_x):
-                flat = row + x
-                block = view[flat]
-                k = spectral_start
-                if eob_run == 0:
-                    while k <= spectral_end:
-                        entry = ac_lut[reader.peek16()]
-                        if not entry:
-                            raise JpegFormatError("corrupt Huffman code")
-                        reader.consume(entry >> 8)
-                        symbol = entry & 0xFF
-                        run = symbol >> 4
-                        size = symbol & 0x0F
-                        new_value = 0
-                        if size == 0:
-                            if run != 15:
-                                eob_run = 1 << run
-                                if run:
-                                    eob_run += reader.read(run)
-                                break
-                            # run == 15 (ZRL): 16 zero-history slots.
-                        else:
-                            if size != 1:
-                                raise JpegFormatError(
-                                    "refinement scan symbol with size > 1"
-                                )
-                            if reader.peek16() >> 15:
-                                new_value = positive
-                            else:
-                                new_value = negative
-                            reader.consume(1)
-                        while k <= spectral_end:
-                            coefficient = int(block[k])
-                            if coefficient != 0:
-                                if reader.peek16() >> 15:
-                                    if (coefficient & positive) == 0:
-                                        if coefficient >= 0:
-                                            block[k] = coefficient + positive
-                                        else:
-                                            block[k] = coefficient + negative
-                                reader.consume(1)
-                            else:
-                                if run == 0:
-                                    break
-                                run -= 1
-                            k += 1
-                        if new_value and k <= spectral_end:
-                            block[k] = new_value
-                        k += 1
-                if eob_run > 0:
-                    while k <= spectral_end:
-                        coefficient = int(block[k])
-                        if coefficient != 0:
-                            if reader.peek16() >> 15:
-                                if (coefficient & positive) == 0:
-                                    if coefficient >= 0:
-                                        block[k] = coefficient + positive
-                                    else:
-                                        block[k] = coefficient + negative
-                            reader.consume(1)
-                        k += 1
-                    eob_run -= 1
-    except EndOfData:
-        raise JpegFormatError(
-            "entropy data ended before AC refinement completed"
-        )
-    except ValueError as error:
-        raise JpegFormatError(str(error))
-
-
-# ---------------------------------------------------------------------------
-# Native engine: whole-scan decoding in the C kernel.  The drivers below
-# only gather visit-order arrays and Huffman tables; all bit-level work
-# (and all T.81 semantics, mirroring the numpy engine exactly) happens in
-# repro.jpeg.native.
-# ---------------------------------------------------------------------------
-
-
 def _decode_baseline_scan_native(
     state: _DecoderState, spec: _ScanSpec, data: bytes
 ) -> None:
-    from repro.jpeg.native import decode as native_decode
-
     slots, flats, views, total_mcus, blocks_per_mcu = _mcu_visit_arrays(
         state, spec
     )
@@ -950,8 +626,6 @@ def _decode_baseline_scan_native(
 def _decode_progressive_dc_scan_native(
     state: _DecoderState, spec: _ScanSpec, data: bytes
 ) -> None:
-    from repro.jpeg.native import decode as native_decode
-
     slots, flats, views, _, _ = _mcu_visit_arrays(
         state, spec, force_interleaved=True
     )
@@ -977,8 +651,6 @@ def _decode_progressive_dc_scan_native(
 def _decode_progressive_ac_scan_native(
     spec: _ScanSpec, data: bytes
 ) -> None:
-    from repro.jpeg.native import decode as native_decode
-
     if len(spec.components) != 1:
         raise JpegFormatError("progressive AC scans must be non-interleaved")
     component = spec.components[0]
@@ -1017,9 +689,9 @@ def decode_to_coefficients(
 
     This is the ``jpegio``-style entry point used by the P3 splitter and
     reconstructor: no dequantization or IDCT is performed.  ``engine``
-    picks the entropy engine (``"scalar"`` — the T.81 reference —
-    ``"numpy"`` or ``"native"``; ``None`` = the best available).  All
-    engines produce bit-identical results.
+    picks the entropy engine (``None`` or ``"native"``, the C kernel;
+    ``"scalar"``, the T.81 reference).  Both produce bit-identical
+    results.
     """
     from repro.jpeg.engines import resolve_engine
 
@@ -1051,19 +723,11 @@ def decode_to_coefficients(
                     _decode_baseline_scan_native(
                         state, spec, segment.entropy_data
                     )
-                elif engine == "numpy":
-                    _decode_baseline_scan_fast(
-                        state, spec, segment.entropy_data
-                    )
                 else:
                     _decode_baseline_scan(state, spec, segment.entropy_data)
             elif spec.spectral_start == 0:
                 if engine == "native":
                     _decode_progressive_dc_scan_native(
-                        state, spec, segment.entropy_data
-                    )
-                elif engine == "numpy":
-                    _decode_progressive_dc_scan_fast(
                         state, spec, segment.entropy_data
                     )
                 else:
@@ -1072,8 +736,6 @@ def decode_to_coefficients(
                     )
             elif engine == "native":
                 _decode_progressive_ac_scan_native(spec, segment.entropy_data)
-            elif engine == "numpy":
-                _decode_progressive_ac_scan_fast(spec, segment.entropy_data)
             else:
                 _decode_progressive_ac_scan(spec, segment.entropy_data)
     if not state.components:

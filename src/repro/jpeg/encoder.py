@@ -320,12 +320,13 @@ def _run_baseline_scan(
 
 
 # ---------------------------------------------------------------------------
-# Fast engine: whole-scan token generation and vectorized packing.
+# Native engine: whole-scan token generation and packing in C.
 #
 # The scalar per-coefficient loops above are the differential-testing
 # reference; the functions below produce bit-identical scans by batching
 # symbol generation with numpy (repro.jpeg.huffman) and packing whole
-# token arrays at once (repro.jpeg.bitstream.pack_entropy_bits).
+# token arrays at once in the C kernel
+# (repro.jpeg.bitstream.pack_entropy_bits).
 # ---------------------------------------------------------------------------
 
 
@@ -461,7 +462,6 @@ def _pack_baseline_tokens(
     table_ids: list[int],
     restart_interval: int,
     total_mcus: int,
-    engine: str | None = None,
 ) -> bytes:
     """Map tokens through their tables, order, and pack the scan."""
     all_g = []
@@ -500,7 +500,7 @@ def _pack_baseline_tokens(
     )
 
     if not restart_interval:
-        return pack_entropy_bits(values, lengths, engine)
+        return pack_entropy_bits(values, lengths)
 
     # Pack each restart segment separately; RSTn between segments.
     mcu_sorted = np.concatenate(all_mcu)[order]
@@ -508,7 +508,7 @@ def _pack_baseline_tokens(
     boundaries = np.searchsorted(
         mcu_sorted, np.arange(1, num_segments) * restart_interval
     ).tolist()
-    writer = VectorBitWriter(engine)
+    writer = VectorBitWriter()
     start = 0
     for index, boundary in enumerate(boundaries + [mcu_sorted.size]):
         writer.extend(
@@ -544,9 +544,9 @@ def encode_baseline(
 
     ``restart_interval`` > 0 emits a DRI segment and RSTn markers every
     that many MCUs (resilience against corrupt scans, at a small size
-    cost).  ``engine`` selects the entropy engine (``None`` = the best
-    available, ``"scalar"`` = the reference encoder) — all engines
-    produce byte-identical streams.
+    cost).  ``engine`` selects the entropy engine (``None`` or
+    ``"native"``, the C packer; ``"scalar"``, the reference encoder) —
+    both produce byte-identical streams.
     """
     from repro.jpeg.engines import resolve_engine
 
@@ -586,7 +586,6 @@ def encode_baseline(
             table_ids,
             restart_interval,
             total_mcus,
-            engine,
         )
     else:
         writer = BitWriter()

@@ -10,13 +10,13 @@ symbol frequencies (the equivalent of libjpeg's two-pass optimal coding).
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from repro.jpeg.bitstream import BitReader, BitWriter
+from repro.jpeg.bitstream import BitReader, BitWriter, pack_entropy_bits
+from repro.jpeg.markers import JpegFormatError
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,9 @@ def build_optimized_table(frequencies: dict[int, int]) -> HuffmanTable:
 
     Implements the Annex K.2 two-step procedure used by libjpeg's
     optimal-coding pass, including the reserved all-ones codeword (a
-    dummy 256 symbol) and the code-length limiting adjustment.
+    dummy 256 symbol) and the code-length limiting adjustment.  Like
+    libjpeg, raises :class:`~repro.jpeg.markers.JpegFormatError` when
+    the unlimited tree is deeper than 32 bits, before limiting.
     """
     # Symbol 256 is the dummy guaranteeing no real symbol gets the
     # all-ones code (T.81 K.2).  libjpeg's scan merges the two smallest
@@ -153,6 +155,10 @@ def build_optimized_table(frequencies: dict[int, int]) -> HuffmanTable:
     bits = [0] * 33
     for i in range(257):
         if code_size[i]:
+            if code_size[i] > 32:
+                # libjpeg's check (jchuff.c): counts shaped like a
+                # Fibonacci sequence can build a tree this deep.
+                raise JpegFormatError("Huffman code size table overflow")
             bits[code_size[i]] += 1
 
     # Limit code lengths to 16 bits (T.81 K.2 figure K.3).
@@ -288,7 +294,8 @@ def decode_magnitude_bits(bits: int, category: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fast engine: flat lookup decoding and batch symbol generation.
+# Native engine: flat lookup tables for the C decoder, and batch symbol
+# generation, the encode front end of the C packer.
 # ---------------------------------------------------------------------------
 
 
@@ -298,16 +305,10 @@ class HuffmanLookupTable:
     ``entries[p]`` for any 16-bit lookahead ``p`` is
     ``(code_length << 8) | symbol`` when the prefix of ``p`` is a valid
     code, else 0 (no code is length 0, and symbol 0 always carries a
-    nonzero length, so 0 is unambiguous).  Decode loop::
-
-        entry = lut.entries[reader.peek16()]
-        if not entry: raise ...
-        reader.consume(entry >> 8)
-        symbol = entry & 0xFF
-
-    Entries are held in an ``array('i')`` (256 KB per table): indexing
-    yields plain Python ints like a list, without a list's ~10x boxing
-    overhead in the :func:`lookup_table` cache.
+    nonzero length, so 0 is unambiguous).  The C kernel's decode loops
+    probe it once per symbol (``p3_huff_symbol``): a zero entry is a
+    corrupt code, else they consume ``entry >> 8`` bits and take
+    ``entry & 0xFF``.  ``entries`` is an int32 array of 256 KB per table.
     """
 
     __slots__ = ("entries",)
@@ -327,8 +328,7 @@ class HuffmanLookupTable:
                 code += 1
                 index += 1
             code <<= 1
-        self.entries = array("i")
-        self.entries.frombytes(entries.tobytes())
+        self.entries = entries
 
 
 @lru_cache(maxsize=64)
@@ -606,11 +606,8 @@ def pack_tokens_with_table(
     extras: np.ndarray,
     extra_lengths: np.ndarray,
     table: HuffmanTable,
-    engine: str | None = None,
 ) -> bytes:
     """Order a single-table token stream by (g, rank) and pack it."""
-    from repro.jpeg.bitstream import pack_entropy_bits
-
     codes, code_lengths = codes_for_symbols(symbols, table)
     order = np.lexsort((rank, g))
     values, lengths = interleave_code_pairs(
@@ -619,7 +616,7 @@ def pack_tokens_with_table(
         extras[order],
         extra_lengths[order],
     )
-    return pack_entropy_bits(values, lengths, engine)
+    return pack_entropy_bits(values, lengths)
 
 
 def dc_scan_token_bundles(
@@ -646,11 +643,8 @@ def dc_scan_token_bundles(
 def pack_dc_scan_tokens(
     bundles: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     tables: list[HuffmanTable],
-    engine: str | None = None,
 ) -> bytes:
     """Map per-component DC bundles through their tables and pack."""
-    from repro.jpeg.bitstream import pack_entropy_bits
-
     all_g = []
     all_codes = []
     all_code_lengths = []
@@ -671,7 +665,7 @@ def pack_dc_scan_tokens(
         np.concatenate(all_extras)[order],
         np.concatenate(all_extra_lengths)[order],
     )
-    return pack_entropy_bits(values, lengths, engine)
+    return pack_entropy_bits(values, lengths)
 
 
 #: Rank offset placing progressive EOB-run tokens before a block's own
@@ -749,7 +743,6 @@ def encode_ac_first_scan(
     spectral_start: int,
     spectral_end: int,
     al: int = 0,
-    engine: str | None = None,
 ) -> tuple[HuffmanTable, bytes]:
     """Encode one progressive AC first scan with an optimized table.
 
@@ -768,7 +761,7 @@ def encode_ac_first_scan(
         if frequencies
         else STANDARD_AC_LUMINANCE
     )
-    return table, pack_tokens_with_table(*token_stream, table, engine)
+    return table, pack_tokens_with_table(*token_stream, table)
 
 
 #: The scalar ``_EobState`` force-flush thresholds (scans.py): an EOB
@@ -1001,7 +994,6 @@ def encode_ac_refinement_scan(
     spectral_start: int,
     spectral_end: int,
     al: int,
-    engine: str | None = None,
 ) -> tuple[HuffmanTable, bytes]:
     """Encode one progressive AC refinement scan with an optimized table.
 
@@ -1011,8 +1003,6 @@ def encode_ac_refinement_scan(
     fallback for an all-raw/empty scan, matching the scalar driver),
     and pack symbols and raw bits in stream order.
     """
-    from repro.jpeg.bitstream import pack_entropy_bits
-
     symbols, raw_values, raw_lengths = refinement_ac_stream(
         blocks, spectral_start, spectral_end, al
     )
@@ -1029,4 +1019,4 @@ def encode_ac_refinement_scan(
         is_symbol, codes_by_symbol[index], raw_values.astype(np.uint64)
     )
     lengths = np.where(is_symbol, lengths_by_symbol[index], raw_lengths)
-    return table, pack_entropy_bits(values, lengths, engine)
+    return table, pack_entropy_bits(values, lengths)

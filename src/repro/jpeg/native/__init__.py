@@ -1,10 +1,11 @@
 """Native (C via cffi) entropy-codec kernel.
 
 The kernel compiles lazily on first use and caches the shared object
-under ``build/`` keyed by a source digest.  Everything here degrades
-silently: no compiler, no cffi, or ``REPRO_NATIVE=0`` simply means
-:func:`repro.jpeg.native.kernel.load` returns ``None`` and callers use
-the numpy engine instead.
+under ``build/`` keyed by a source digest.  It is required:
+:func:`repro.jpeg.native.kernel.require_kernel` raises
+:class:`~repro.jpeg.native.kernel.NativeUnavailableError`, naming the
+build error, when no compiler or cffi is available.  Importing the
+package never fails.
 """
 
 from repro.jpeg.native import kernel

@@ -2,11 +2,14 @@
 
 Each function decodes one scan type end-to-end: the raw (still-stuffed)
 entropy bytes go in, the component coefficient views are mutated in
-place, and kernel error codes come back as the same
-:class:`~repro.jpeg.markers.JpegFormatError` messages the numpy engine
-raises.  The drivers own all the pointer plumbing (destuffed segment
-buffers with zero padding, per-slot LUT and view pointer arrays), so
-``repro.jpeg.decoder`` only has to hand over visit-order arrays.
+place, and kernel error codes come back as the exception the scalar
+engine raises on the same stream
+(:class:`~repro.jpeg.markers.JpegFormatError`, or ``OverflowError``).
+The drivers own all the pointer plumbing (destuffed segment buffers
+with zero padding, per-slot LUT and view pointer arrays), so
+``repro.jpeg.decoder`` only has to hand over visit-order arrays.  Each
+raises :class:`~repro.jpeg.native.kernel.NativeUnavailableError` when
+the kernel cannot build.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 from repro.jpeg.bitstream import split_restart_segments
 from repro.jpeg.huffman import HuffmanTable, lookup_table
 from repro.jpeg.markers import JpegFormatError
-from repro.jpeg.native import kernel as kernel_module
 from repro.jpeg.native.kernel import (
     ERR_AC_BOUNDS,
     ERR_DC_RANGE,
@@ -28,20 +30,8 @@ from repro.jpeg.native.kernel import (
     ERR_REFINE_SIZE,
     KernelHandle,
     OK,
+    require_kernel,
 )
-
-
-class NativeUnavailableError(RuntimeError):
-    """The native kernel is disabled or failed to build."""
-
-
-def require_kernel() -> KernelHandle:
-    handle = kernel_module.load()
-    if handle is None:
-        raise NativeUnavailableError(
-            "native codec kernel is not available"
-        )
-    return handle
 
 
 class SegmentReader:
@@ -49,8 +39,7 @@ class SegmentReader:
 
     The buffer is destuffed in place by the kernel (output never
     outruns input) and padded with 8 zero bytes so the 16-bit peek can
-    read past the end without bounds checks, matching
-    ``FastBitReader``'s zero-padded window semantics.
+    read past the end without bounds checks.
     """
 
     __slots__ = ("handle", "buffer", "nbits", "pos", "data_ptr")
@@ -75,7 +64,7 @@ class SegmentReader:
 
 
 def _raise_for(code: int, scan: str) -> None:
-    """Map a kernel error code to the numpy engine's exception."""
+    """Map a kernel error code to the scalar engine's exception."""
     if code == OK:
         return
     if code == ERR_HUFF:
@@ -161,9 +150,9 @@ def decode_baseline(
         else:
             mcus_now = total_mcus
         if mcus_done:
-            # Parity with the scalar/numpy engines: the previous
-            # segment must be consumed to within its <8 padding bits
-            # when the RSTn arrives.
+            # Parity with the scalar engine: the previous segment must
+            # be consumed to within its <8 padding bits when the RSTn
+            # arrives.
             if reader.bits_remaining >= 8:
                 raise JpegFormatError("expected restart marker mid-scan")
             segment_index += 1

@@ -10,15 +10,16 @@ extension-module machinery, no new dependencies.  Artifacts are cached
 under the repository's ``build/`` directory keyed by a SHA-256 of the C
 source, so a source change recompiles and a warm tree just dlopens.
 
-Failure is never fatal: a missing compiler, a failed compile, or
-``REPRO_NATIVE=0`` in the environment all make :func:`load` return
-``None`` (recording the reason for :func:`status`), and the engine
-selection layer falls back to the numpy engine.
+The native engine requires the kernel.  The build is tried once per
+process; a missing compiler, a failed compile or a failed ``dlopen`` is
+recorded, :func:`status` reports it, and :func:`require_kernel` raises
+:class:`NativeUnavailableError` carrying it.  Importing this module
+never fails.
 
-The C functions mirror the numpy fast engine's bitstream semantics
-exactly — zero-padded 16-bit peeks, EndOfData when a consume passes the
-segment end, the same error conditions in the same order — so the two
-engines are interchangeable oracles for each other.
+Each C decode loop reads a destuffed segment through a zero-padded
+16-bit peek, fails with EndOfData when a consume passes the segment
+end, and checks the scalar decoder's error conditions in its order, so
+both engines reach the same verdict on every stream.
 """
 
 from __future__ import annotations
@@ -419,7 +420,7 @@ class KernelHandle:
 
 def _compile_and_load() -> KernelHandle:
     """Compile (if not cached) and dlopen the kernel.  Raises on any
-    failure; the caller records the error and falls back."""
+    failure; the caller records the error."""
     import cffi
 
     digest = source_digest()
@@ -471,6 +472,10 @@ def _compile_and_load() -> KernelHandle:
     return KernelHandle(ffi, lib, artifact)
 
 
+class NativeUnavailableError(RuntimeError):
+    """The native kernel failed to build or load."""
+
+
 class _KernelState:
     """Once-per-process build/load attempt, behind a lock."""
 
@@ -493,14 +498,9 @@ class _KernelState:
                 try:
                     self._handle = _compile_and_load()
                 except Exception as error:  # noqa: BLE001 - any build
-                    # failure (missing cffi, no compiler, bad dlopen)
-                    # must degrade to the numpy engine, never raise.
+                    # failure (missing cffi, no compiler, bad dlopen) is
+                    # recorded for require_kernel() and status().
                     self._error = f"{type(error).__name__}: {error}"
-            return self._handle, self._error
-
-    def peek(self) -> tuple[KernelHandle | None, str | None]:
-        """Current state without forcing a build attempt."""
-        with self._lock:
             return self._handle, self._error
 
     def reset_for_tests(self) -> None:
@@ -514,30 +514,22 @@ class _KernelState:
 _STATE = _KernelState()
 
 
-def env_disabled() -> bool:
-    """True when ``REPRO_NATIVE=0`` disables the kernel (checked on
-    every call so tests and subprocesses can flip it dynamically)."""
-    return os.environ.get("REPRO_NATIVE", "").strip() == "0"
-
-
-def load() -> KernelHandle | None:
-    """The loaded kernel, or ``None`` (disabled or unbuildable)."""
-    if env_disabled():
-        return None
-    handle, _ = _STATE.get()
+def require_kernel() -> KernelHandle:
+    """The loaded kernel; raises :class:`NativeUnavailableError` with
+    the build error when it cannot build or load."""
+    handle, error = _STATE.get()
+    if handle is None:
+        raise NativeUnavailableError(
+            f"native codec kernel is not available: {error}"
+        )
     return handle
 
 
 def status() -> dict[str, Any]:
     """Build/load status for :func:`repro.jpeg.engine_info`."""
-    disabled = env_disabled()
-    if disabled:
-        handle, error = _STATE.peek()
-    else:
-        handle, error = _STATE.get()
+    handle, error = _STATE.get()
     return {
-        "available": handle is not None and not disabled,
-        "disabled_by_env": disabled,
+        "available": handle is not None,
         "build_error": error,
         "artifact": str(handle.artifact) if handle else None,
         "source_digest": source_digest(),

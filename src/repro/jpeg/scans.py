@@ -280,7 +280,6 @@ def _run_dc_refinement_fast(
     samplings: list[tuple[int, int]],
     mcus: tuple[int, int],
     al: int,
-    engine: str | None = None,
 ) -> bytes:
     """Vectorized DC refinement: gather bit ``al`` of every DC in MCU
     visit order and pack them as raw 1-bit writes."""
@@ -293,7 +292,7 @@ def _run_dc_refinement_fast(
         all_bits.append((dc.astype(np.int64) >> al) & 1)
     order = np.argsort(np.concatenate(all_g), kind="stable")
     bits = np.concatenate(all_bits)[order]
-    return pack_entropy_bits(bits, np.ones(bits.size, dtype=np.int64), engine)
+    return pack_entropy_bits(bits, np.ones(bits.size, dtype=np.int64))
 
 
 # -- scan-level driver --------------------------------------------------------
@@ -354,9 +353,9 @@ def run_scan(
     component with the table of its ``table_ids`` entry, an AC scan
     carries one table under id 0, and a DC refinement scan carries none
     (raw bits only).  Unless ``engine`` is ``"scalar"`` every scan type
-    runs on the batch recipes of :mod:`repro.jpeg.huffman`,
-    byte-identical to the scalar encoders above (which remain the
-    differential reference).
+    runs on the batch recipes of :mod:`repro.jpeg.huffman` and the C
+    packer, byte-identical to the scalar encoders above (which remain
+    the differential reference).
     """
     fast = engine != "scalar"
     padded = [padded_blocks[i] for i in spec.component_indices]
@@ -365,7 +364,7 @@ def run_scan(
     if spec.is_dc and spec.is_refinement:
         if fast:
             return {}, _run_dc_refinement_fast(
-                padded, scan_samplings, mcus, spec.al, engine
+                padded, scan_samplings, mcus, spec.al
             )
         writer = BitWriter()
         encode_dc_refinement(padded, scan_samplings, mcus, spec.al, writer)
@@ -379,7 +378,7 @@ def run_scan(
             else encode_ac_first_scan
         )
         table, entropy = encode(
-            blocks.reshape(-1, 64), spec.ss, spec.se, spec.al, engine
+            blocks.reshape(-1, 64), spec.ss, spec.se, spec.al
         )
         return {0: table}, entropy
 
@@ -392,9 +391,7 @@ def run_scan(
         for (_, categories, _), table_id in zip(bundles, ids):
             merge_frequencies(frequencies[table_id], categories)
         tables = _optimal_tables(frequencies, STANDARD_DC_LUMINANCE)
-        return tables, pack_dc_scan_tokens(
-            bundles, [tables[t] for t in ids], engine
-        )
+        return tables, pack_dc_scan_tokens(bundles, [tables[t] for t in ids])
 
     def code(sinks: list) -> None:
         if spec.is_dc:

@@ -585,8 +585,8 @@ class ServingEngine:
         album for the envelope tier), so a gateway's ``/stats`` shows
         exactly which tenant is hot and who is getting evicted.  The
         ``codec`` key is :func:`repro.jpeg.engine_info`, so deployments
-        can verify which kernel actually loaded (native vs numpy
-        fallback, and the build error text if compilation failed).
+        can verify that the native kernel loaded (and read the build
+        error text if compilation failed).
         """
         from repro.jpeg.engines import engine_info
 

@@ -1,10 +1,10 @@
-"""Differential tests: fast entropy engine vs scalar T.81 reference.
+"""Differential tests: native entropy engine vs scalar T.81 reference.
 
-The vectorized table-driven engine (the default) and the retained
-scalar implementation must be interchangeable at the byte level: the
-encoders produce identical streams, the decoders identical coefficient
-arrays, across baseline, progressive spectral-selection and successive-
-approximation modes, restart markers, and 0xFF byte-stuffing.
+The native engine (the default) and the retained scalar implementation
+must be interchangeable at the byte level: the encoders produce
+identical streams, the decoders identical coefficient arrays, across
+baseline, progressive spectral-selection and successive-approximation
+modes, restart markers, and 0xFF byte-stuffing.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.jpeg.bitstream import (
-    BitReader,
     BitWriter,
-    EndOfData,
-    FastBitReader,
     VectorBitWriter,
-    destuff,
     pack_entropy_bits,
     split_restart_segments,
 )
@@ -89,39 +85,6 @@ class TestBitPacking:
             [7, 2], [3, 2]
         )
 
-    @given(token_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_fast_reader_round_trip(self, tokens):
-        values = np.array([v for v, _ in tokens], dtype=np.uint64)
-        lengths = np.array([l for _, l in tokens], dtype=np.int64)
-        stuffed = pack_entropy_bits(values, lengths)
-        reader = FastBitReader(destuff(stuffed))
-        for value, length in tokens:
-            assert reader.read(length) == value
-
-    @given(st.binary(min_size=0, max_size=120), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_fast_reader_matches_scalar_reader(self, payload, data):
-        # Compare on a destuffed-equivalent stream (no 0xFF marker
-        # ambiguity): stuff the payload the way a writer would.
-        writer = BitWriter()
-        for byte in payload:
-            writer.write(byte, 8)
-        stuffed = writer.getvalue()
-        scalar = BitReader(stuffed)
-        fast = FastBitReader(destuff(stuffed))
-        remaining = 8 * len(payload)
-        while remaining:
-            width = min(data.draw(st.integers(1, 24)), remaining)
-            assert fast.read(width) == scalar.read(width)
-            remaining -= width
-
-    def test_fast_reader_raises_at_end(self):
-        reader = FastBitReader(b"\xab")
-        reader.read(8)
-        with pytest.raises(EndOfData):
-            reader.read_bit()
-
     def test_vector_writer_restart_markers(self):
         scalar = BitWriter()
         scalar.write(0xFFFF, 16)
@@ -144,7 +107,8 @@ class TestBitPacking:
         writer.flush()
         segments, indices = split_restart_segments(writer.getvalue())
         assert indices == [0, 1]
-        assert [destuff(s) for s in segments[:2]] == [b"\xff", b"\xd7"]
+        # Segments stay stuffed: the kernel destuffs each one.
+        assert segments[:2] == [b"\xff\x00", b"\xd7"]
 
 
 # -- Huffman table machinery --------------------------------------------------

@@ -16,6 +16,7 @@ from repro.jpeg.huffman import (
     encode_magnitude_bits,
     magnitude_category,
 )
+from repro.jpeg.markers import JpegFormatError
 
 
 class TestTableValidation:
@@ -113,6 +114,14 @@ class TestOptimizedTables:
         frequencies = {i: 2**i for i in range(30)}
         table = build_optimized_table(frequencies)
         assert max(table.code_lengths().values()) <= 16
+
+    def test_tree_deeper_than_32_is_a_format_error(self):
+        # Doubling counts build a 40-deep unlimited tree, past the
+        # 33-entry BITS count the limiting step works on.
+        with pytest.raises(
+            JpegFormatError, match="Huffman code size table overflow"
+        ):
+            build_optimized_table({s: 2**s for s in range(40)})
 
     def test_single_symbol_table(self):
         table = build_optimized_table({7: 100})

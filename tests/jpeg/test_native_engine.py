@@ -1,18 +1,17 @@
-"""Differential tests: native C kernel vs numpy vs scalar engines.
+"""Differential tests: the native C kernel vs the scalar T.81 engine.
 
 The native kernel (:mod:`repro.jpeg.native`) runs each scan's entire
-symbol loop in C; the numpy engine is its differential oracle (and the
-scalar T.81 reference is numpy's, so agreement here chains back to the
-standard).  These tests fuzz all five scan types — baseline, DC first,
-DC refinement, AC first, AC refinement — over random coefficient
-blocks, and probe the adversarial corners where whole-segment C code
-most plausibly diverges from the per-symbol references: restart
-markers, 0xFF byte-stuffing at segment boundaries, padding-produced
-0xFF bytes, and truncated streams (EndOfData parity).
+symbol loop in C; the scalar T.81 reference is its oracle.  These tests
+fuzz all five scan types — baseline, DC first, DC refinement, AC first,
+AC refinement — over random coefficient blocks, and probe the
+adversarial corners where whole-segment C code most plausibly diverges
+from the per-symbol reference: restart markers, 0xFF byte-stuffing at
+segment boundaries, padding-produced 0xFF bytes, and truncated streams
+(EndOfData parity).
 
-When the kernel is unavailable (no compiler), the differential cases
-skip — the forced-fallback tests still run, because silent degradation
-to numpy is itself the contract under test.
+The kernel is required: :class:`TestKernelRequired` checks that a
+failed build surfaces as a typed error naming it, while the scalar
+oracle keeps working.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import P3Encryptor
-from repro.jpeg.bitstream import BitWriter, pack_entropy_bits
+from repro.jpeg.bitstream import BitWriter
 from repro.jpeg.codec import (
     encode_coefficients,
     gray_to_coefficients,
@@ -30,19 +29,11 @@ from repro.jpeg.codec import (
 )
 from repro.jpeg.decoder import decode_to_coefficients
 from repro.jpeg.encoder import encode_baseline, encode_progressive
-from repro.jpeg.engines import (
-    ENGINES,
-    engine_info,
-    native_available,
-    resolve_engine,
-)
+from repro.jpeg.engines import ENGINES, engine_info, resolve_engine
 from repro.jpeg.markers import JpegFormatError
 from repro.jpeg.native import kernel as native_kernel
 from repro.jpeg.native.encode import pack_entropy_bits_native
-
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="native kernel unavailable"
-)
+from repro.jpeg.native.kernel import NativeUnavailableError
 
 
 def _gray(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
@@ -63,23 +54,16 @@ def _with_p3_parts(image):
 
 
 def _assert_same_coefficients(jpeg: bytes) -> None:
-    """Decode ``jpeg`` with every engine; coefficients must agree."""
-    decoded = {
-        engine: decode_to_coefficients(jpeg, engine=engine)
-        for engine in ENGINES
-    }
-    reference = decoded["scalar"]
-    for engine in ("numpy", "native"):
-        image = decoded[engine]
-        assert len(image.components) == len(reference.components)
-        for ours, theirs in zip(image.components, reference.components):
-            np.testing.assert_array_equal(ours.coefficients,
-                                          theirs.coefficients)
+    """Decode ``jpeg`` with both engines; coefficients must agree."""
+    image = decode_to_coefficients(jpeg, engine="native")
+    reference = decode_to_coefficients(jpeg, engine="scalar")
+    assert len(image.components) == len(reference.components)
+    for ours, theirs in zip(image.components, reference.components):
+        np.testing.assert_array_equal(ours.coefficients, theirs.coefficients)
 
 
-@needs_native
 class TestDifferentialEncodeDecode:
-    """All five scan types, three engines, byte/coefficient identity,
+    """All five scan types, both engines, byte/coefficient identity,
     for each input and the P3 public/secret parts split from it."""
 
     @pytest.mark.parametrize("restart_interval", [0, 2, 5])
@@ -93,7 +77,7 @@ class TestDifferentialEncodeDecode:
                 )
                 for engine in ENGINES
             }
-            assert streams["scalar"] == streams["numpy"] == streams["native"]
+            assert streams["scalar"] == streams["native"]
             _assert_same_coefficients(streams["native"])
 
     @pytest.mark.parametrize("subsampling", ["4:4:4", "4:2:0"])
@@ -107,7 +91,7 @@ class TestDifferentialEncodeDecode:
                 engine: encode_baseline(part, engine=engine)
                 for engine in ENGINES
             }
-            assert streams["scalar"] == streams["numpy"] == streams["native"]
+            assert streams["scalar"] == streams["native"]
             _assert_same_coefficients(streams["native"])
 
     def test_progressive_spectral_selection(self):
@@ -119,7 +103,7 @@ class TestDifferentialEncodeDecode:
                 engine: encode_progressive(part, engine=engine)
                 for engine in ENGINES
             }
-            assert streams["scalar"] == streams["numpy"] == streams["native"]
+            assert streams["scalar"] == streams["native"]
             _assert_same_coefficients(streams["native"])
 
     @pytest.mark.parametrize("channels", ["gray", "rgb"])
@@ -139,7 +123,7 @@ class TestDifferentialEncodeDecode:
                 )
                 for engine in ENGINES
             }
-            assert streams["scalar"] == streams["numpy"] == streams["native"]
+            assert streams["scalar"] == streams["native"]
             _assert_same_coefficients(streams["native"])
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -161,13 +145,10 @@ class TestDifferentialEncodeDecode:
                 ),
             ):
                 streams = {engine: encode(engine) for engine in ENGINES}
-                assert (
-                    streams["scalar"] == streams["numpy"] == streams["native"]
-                )
+                assert streams["scalar"] == streams["native"]
                 _assert_same_coefficients(streams["native"])
 
 
-@needs_native
 class TestAdversarialBitstreams:
     """Corrupt/truncated input parity: same verdict from every engine."""
 
@@ -192,9 +173,7 @@ class TestAdversarialBitstreams:
         same JpegFormatError) and, when decodable, on the bytes."""
         rng = np.random.default_rng(21)
         image = gray_to_coefficients(_gray(rng, 32, 32), quality=65)
-        jpeg = encode_baseline(
-            image, restart_interval=restart_interval, engine="numpy"
-        )
+        jpeg = encode_baseline(image, restart_interval=restart_interval)
         cuts = sorted(
             {len(jpeg) // 3, len(jpeg) // 2, len(jpeg) - 24,
              len(jpeg) - 9, len(jpeg) - 3}
@@ -205,23 +184,17 @@ class TestAdversarialBitstreams:
                 engine: self._outcome(engine, truncated)
                 for engine in ENGINES
             }
-            assert outcomes["native"] == outcomes["numpy"], (
-                f"cut={cut}"
-            )
-            assert outcomes["native"] == outcomes["scalar"], (
-                f"cut={cut}"
-            )
+            assert outcomes["native"] == outcomes["scalar"], f"cut={cut}"
 
     def test_truncated_progressive_parity(self):
         rng = np.random.default_rng(22)
         image = gray_to_coefficients(_gray(rng, 32, 32), quality=65)
-        jpeg = encode_coefficients(image, progressive="sa", engine="numpy")
+        jpeg = encode_coefficients(image, progressive="sa")
         for cut in (len(jpeg) // 2, len(jpeg) - 30, len(jpeg) - 6):
             outcomes = {
                 engine: self._outcome(engine, jpeg[:cut])
                 for engine in ENGINES
             }
-            assert outcomes["native"] == outcomes["numpy"]
             assert outcomes["native"] == outcomes["scalar"]
 
     @given(seed=st.integers(0, 2**32 - 1), flips=st.integers(1, 4))
@@ -232,7 +205,7 @@ class TestAdversarialBitstreams:
         same coefficients when they do decode."""
         rng = np.random.default_rng(seed)
         image = gray_to_coefficients(_gray(rng, 24, 24), quality=55)
-        jpeg = bytearray(encode_baseline(image, engine="numpy"))
+        jpeg = bytearray(encode_baseline(image))
         # Only corrupt the entropy-coded body, not the headers: marker
         # parsing is shared code, the engines are what's under test.
         sos = bytes(jpeg).rfind(b"\xff\xda")
@@ -243,8 +216,8 @@ class TestAdversarialBitstreams:
             jpeg[position] ^= 1 << int(rng.integers(0, 8))
             # Never fabricate a marker prefix (0xFF) or destroy a
             # stuffed zero — those change *segmentation*, which the
-            # scalar reader handles byte-at-a-time and the fast paths
-            # pre-scan; parity for legal streams is the contract.
+            # scalar reader handles byte-at-a-time and the kernel
+            # pre-scans; parity for legal streams is the contract.
             if jpeg[position] == 0xFF:
                 jpeg[position] = 0xFE
             if jpeg[position - 1] == 0xFF:
@@ -254,7 +227,6 @@ class TestAdversarialBitstreams:
             engine: self._outcome(engine, corrupted)
             for engine in ENGINES
         }
-        assert outcomes["native"] == outcomes["numpy"]
         assert outcomes["native"] == outcomes["scalar"]
 
     def test_restart_marker_streams_roundtrip(self):
@@ -269,12 +241,12 @@ class TestAdversarialBitstreams:
             )
             for engine in ENGINES
         }
-        assert streams["scalar"] == streams["numpy"] == streams["native"]
+        assert streams["scalar"] == streams["native"]
         _assert_same_coefficients(streams["native"])
 
 
 class TestNativePacking:
-    """Bit packing: the C packer vs the numpy packer, incl. fallback."""
+    """Bit packing: the C packer vs the scalar :class:`BitWriter`."""
 
     token_lists = st.lists(
         st.integers(1, 16).flatmap(
@@ -285,22 +257,17 @@ class TestNativePacking:
         max_size=160,
     )
 
-    @needs_native
     @given(token_lists)
     @settings(max_examples=120, deadline=None)
-    def test_pack_matches_numpy_and_scalar(self, tokens):
+    def test_pack_matches_bit_writer(self, tokens):
         writer = BitWriter()
         for value, length in tokens:
             writer.write(value, length)
         writer.flush()
         values = np.array([v for v, _ in tokens], dtype=np.uint64)
         lengths = np.array([l for _, l in tokens], dtype=np.int64)
-        native = pack_entropy_bits_native(values, lengths)
-        assert native is not None
-        assert native == writer.getvalue()
-        assert native == pack_entropy_bits(values, lengths, "numpy")
+        assert pack_entropy_bits_native(values, lengths) == writer.getvalue()
 
-    @needs_native
     def test_pack_stuffing_at_boundaries(self):
         # All-ones tokens force 0xFF bytes (and stuffed zeros) at every
         # byte boundary, including a padding-produced trailing 0xFF.
@@ -312,47 +279,69 @@ class TestNativePacking:
         writer.flush()
         assert pack_entropy_bits_native(values, lengths) == writer.getvalue()
 
-    @needs_native
     def test_pack_padding_produces_stuffed_ff(self):
         # A single 1-bit pads with seven 1s -> 0xFF -> stuffed zero.
         assert pack_entropy_bits_native(
             np.array([1], dtype=np.uint64), np.array([1], dtype=np.int64)
         ) == b"\xff\x00"
 
-    @needs_native
-    def test_pack_declines_lengths_over_63(self):
-        # The C packer shifts within 64 bits; wider writes fall back to
-        # the numpy packer rather than risking shift overflow.
+    def test_pack_rejects_lengths_over_63(self):
+        # The C packer shifts within 64 bits.  No encoder emits a wider
+        # token (codes are at most 16 bits, extra bits at most 15).
         values = np.array([0], dtype=np.uint64)
         lengths = np.array([64], dtype=np.int64)
-        assert pack_entropy_bits_native(values, lengths) is None
+        with pytest.raises(ValueError, match="63"):
+            pack_entropy_bits_native(values, lengths)
 
 
-class TestForcedFallback:
-    """REPRO_NATIVE=0 must silently degrade native -> numpy."""
+class TestKernelRequired:
+    """A kernel that cannot build is a typed error naming the build
+    failure, never a silent fall back; the scalar oracle still works."""
+
+    BUILD_ERROR = "no working C compiler for the native kernel: cc: not found"
 
     @pytest.fixture()
-    def native_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "0")
+    def broken_kernel(self, monkeypatch):
+        def fail():
+            raise RuntimeError(self.BUILD_ERROR)
+
+        monkeypatch.setattr(native_kernel, "_compile_and_load", fail)
+        native_kernel._STATE.reset_for_tests()
         yield
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.undo()
+        native_kernel._STATE.reset_for_tests()
 
-    def test_resolution_degrades_to_numpy(self, native_disabled):
-        assert resolve_engine("native") == "numpy"
-        assert resolve_engine(None) == "numpy"
-
-    def test_engine_info_reports_disabled(self, native_disabled):
-        info = engine_info()
-        assert info["default"] == "numpy"
-        assert info["native"]["available"] is False
-        assert info["native"]["disabled_by_env"] is True
-
-    def test_decode_still_works_and_matches(self, native_disabled):
+    @staticmethod
+    def _image():
         rng = np.random.default_rng(31)
-        image = gray_to_coefficients(_gray(rng, 24, 24), quality=70)
-        jpeg = encode_baseline(image, engine="native")  # degrades
-        assert jpeg == encode_baseline(image, engine="numpy")
-        _assert_same_coefficients(jpeg)
+        return gray_to_coefficients(_gray(rng, 24, 24), quality=70)
+
+    def test_default_engine_raises_naming_build_error(self, broken_kernel):
+        image = self._image()
+        jpeg = encode_baseline(image, engine="scalar")
+        with pytest.raises(NativeUnavailableError, match=self.BUILD_ERROR):
+            decode_to_coefficients(jpeg, engine=None)
+        with pytest.raises(NativeUnavailableError, match=self.BUILD_ERROR):
+            encode_baseline(image, engine=None)
+
+    def test_scalar_engine_still_round_trips(self, broken_kernel):
+        image = self._image()
+        jpeg = encode_baseline(image, engine="scalar")
+        decoded = decode_to_coefficients(jpeg, engine="scalar")
+        np.testing.assert_array_equal(
+            decoded.components[0].coefficients,
+            image.components[0].coefficients,
+        )
+
+    def test_engine_info_reports_build_error(self, broken_kernel):
+        native = engine_info()["native"]
+        assert native["available"] is False
+        assert self.BUILD_ERROR in native["build_error"]
+
+    def test_numpy_engine_is_gone(self):
+        assert ENGINES == ("scalar", "native")
+        with pytest.raises(ValueError, match="'scalar', 'native'"):
+            resolve_engine("numpy")
 
     def test_explicit_invalid_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown codec engine"):
@@ -360,9 +349,5 @@ class TestForcedFallback:
 
     def test_status_shape(self):
         status = native_kernel.status()
-        assert set(status) >= {
-            "available",
-            "disabled_by_env",
-            "build_error",
-            "source_digest",
-        }
+        assert status["available"] is True
+        assert set(status) >= {"available", "build_error", "source_digest"}

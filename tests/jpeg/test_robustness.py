@@ -120,6 +120,49 @@ class TestFrameHeaderValidation:
             decode_coefficients(bytes(data), engine=engine)
 
 
+def _rename_component(
+    data: bytearray, old: int, new: int, sof: bytes | None
+) -> None:
+    """Rename component ``old`` to ``new`` in every SOS (FF DA, Ls, Ns,
+    then Cs, Td/Ta per component), and in the frame header that starts
+    with the ``sof`` marker unless it is None."""
+    if sof is not None:
+        nf = data.index(sof) + 9
+        for offset in range(nf + 1, nf + 1 + 3 * data[nf], 3):
+            if data[offset] == old:
+                data[offset] = new
+    sos = data.find(b"\xff\xda")
+    while sos >= 0:
+        for offset in range(sos + 5, sos + 5 + 2 * data[sos + 4], 2):
+            if data[offset] == old:
+                data[offset] = new
+        sos = data.find(b"\xff\xda", sos + 2)
+
+
+class TestComponentIdValidation:
+    """T.81 B.2.2 and B.2.3: component ids are unique in a frame, and a
+    scan names each component once.  A clash would decode one
+    component's data into another and leave the first all zero, so the
+    header checks reject it on every engine before any scan is read."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "progressive", [False, True], ids=["baseline", "progressive"]
+    )
+    @pytest.mark.parametrize("in_frame", [True, False], ids=["sof", "sos"])
+    def test_duplicate_component_id_is_a_format_error(
+        self, rgb_image, in_frame, progressive, engine
+    ):
+        image = rgb_to_coefficients(rgb_image[:32, :32], quality=85)
+        assert [c.identifier for c in image.components] == [1, 2, 3]
+        data = bytearray(encode_coefficients(image, progressive=progressive))
+        sof = b"\xff\xc2" if progressive else b"\xff\xc0"
+        _rename_component(data, 3, 2, sof if in_frame else None)
+        header = "frame" if in_frame else "scan"
+        with pytest.raises(JpegFormatError, match=f"invalid {header} header"):
+            decode_coefficients(bytes(data), engine=engine)
+
+
 class TestFuzzProperties:
     @given(st.binary(min_size=0, max_size=300))
     @settings(max_examples=120, deadline=None)
