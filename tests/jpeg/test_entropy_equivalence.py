@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.jpeg.bitstream import (
+    BitReader,
     BitWriter,
     VectorBitWriter,
     pack_entropy_bits,
@@ -41,6 +42,7 @@ from repro.jpeg.huffman import (
     magnitude_category,
 )
 from repro.jpeg.markers import JpegFormatError
+from repro.jpeg.native.decode import decode_dc_refine
 from repro.jpeg.scans import ScanSpec, run_scan
 
 
@@ -55,6 +57,23 @@ token_lists = st.lists(
     ),
     max_size=200,
 )
+
+
+def _native_read_bits(stuffed: bytes, count: int) -> list[int]:
+    """Read ``count`` bits through the C kernel's destuffing reader.
+
+    A DC refinement scan is one raw bit per block, so decoding it over
+    ``count`` single-block slots yields the bit sequence the kernel read.
+    """
+    view = np.zeros((count, 64), dtype=np.int32)
+    decode_dc_refine(
+        stuffed,
+        slots=np.zeros(count, dtype=np.uint8),
+        flats=np.arange(count, dtype=np.int64),
+        views=[view],
+        bit_value=1,
+    )
+    return view[:, 0].tolist()
 
 
 class TestBitPacking:
@@ -84,6 +103,42 @@ class TestBitPacking:
         assert pack_entropy_bits([7, 0, 2], [3, 0, 2]) == pack_entropy_bits(
             [7, 2], [3, 2]
         )
+
+    @given(token_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_fast_reader_round_trip(self, tokens):
+        values = np.array([v for v, _ in tokens], dtype=np.uint64)
+        lengths = np.array([l for _, l in tokens], dtype=np.int64)
+        stuffed = pack_entropy_bits(values, lengths)
+        bits = _native_read_bits(stuffed, int(lengths.sum()))
+        position = 0
+        for value, length in tokens:
+            word = bits[position : position + length]
+            assert int("".join(map(str, word)), 2) == value
+            position += length
+
+    @given(st.binary(min_size=0, max_size=120), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fast_reader_matches_scalar_reader(self, payload, data):
+        # Stuff the payload the way a writer would, so every 0xFF data
+        # byte reaches both readers as FF 00.
+        writer = BitWriter()
+        for byte in payload:
+            writer.write(byte, 8)
+        stuffed = writer.getvalue()
+        scalar = BitReader(stuffed)
+        bits = _native_read_bits(stuffed, 8 * len(payload))
+        position = 0
+        while position < len(bits):
+            width = min(data.draw(st.integers(1, 24)), len(bits) - position)
+            word = bits[position : position + width]
+            assert int("".join(map(str, word)), 2) == scalar.read(width)
+            position += width
+
+    def test_fast_reader_raises_at_end(self):
+        assert _native_read_bits(b"\xab", 8) == [1, 0, 1, 0, 1, 0, 1, 1]
+        with pytest.raises(JpegFormatError, match="entropy data ended"):
+            _native_read_bits(b"\xab", 9)
 
     def test_vector_writer_restart_markers(self):
         scalar = BitWriter()

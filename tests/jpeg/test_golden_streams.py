@@ -6,7 +6,7 @@ yet it would move the bytes ``FacebookPSP`` (progressive) and
 ``FlickrPSP`` (baseline) store.  These tests pin the SHA-256 of each
 stream, on every engine, for two coefficient images built from
 integers only (no FDCT), so the digests do not depend on floating
-point.
+point, and read each pinned stream back on every engine.
 """
 
 from __future__ import annotations
@@ -90,4 +90,23 @@ def test_stream_digest_is_pinned(kind, mode, engine):
     assert hashlib.sha256(data).hexdigest() == GOLDEN[kind, mode]
     decoded = decode_coefficients(data)
     for ours, theirs in zip(decoded.components, image.components):
+        assert np.array_equal(ours.coefficients, theirs.coefficients)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("kind, mode", list(GOLDEN))
+def test_pinned_stream_decodes_on_every_engine(kind, mode, engine):
+    image = _image(kind)
+    data = encode_coefficients(image, engine="scalar", **MODES[mode])
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[kind, mode]
+    decoded = decode_coefficients(data, engine=engine)
+    assert (decoded.width, decoded.height) == (image.width, image.height)
+    assert len(decoded.components) == len(image.components)
+    for ours, theirs in zip(decoded.components, image.components):
+        assert (ours.identifier, ours.h_sampling, ours.v_sampling) == (
+            theirs.identifier,
+            theirs.h_sampling,
+            theirs.v_sampling,
+        )
+        assert np.array_equal(ours.quant_table, theirs.quant_table)
         assert np.array_equal(ours.coefficients, theirs.coefficients)

@@ -78,6 +78,10 @@ def _mutate_frame_header(data: bytearray, marker: bytes, mutation: str):
         data[luma_sampling] &= 0x0F
     elif mutation == "luma_h5":
         data[luma_sampling] = 0x50 | (data[luma_sampling] & 0x0F)
+    elif mutation == "luma_v0":
+        data[luma_sampling] &= 0xF0
+    elif mutation == "luma_v5":
+        data[luma_sampling] = (data[luma_sampling] & 0xF0) | 0x05
     elif mutation == "height0":
         data[nf - 4 : nf - 2] = b"\x00\x00"
     elif mutation == "width0":
@@ -102,6 +106,8 @@ class TestFrameHeaderValidation:
             "all_sampling_zero",
             "luma_h0",
             "luma_h5",
+            "luma_v0",
+            "luma_v5",
             "nf0",
             "height0",
             "width0",
