@@ -191,7 +191,9 @@ def main() -> None:
         args.sizes, args.quality, args.repeats, args.reference_max_size
     )
     OUTPUT_DIR.mkdir(exist_ok=True)
-    path = OUTPUT_DIR / "BENCH_codec_throughput.json"
+    # A smoke run must not overwrite the committed full run.
+    suffix = ".smoke.json" if args.smoke else ".json"
+    path = OUTPUT_DIR / f"BENCH_codec_throughput{suffix}"
     path.write_text(json.dumps(result, indent=2))
     print(f"wrote {path}")
     if result["mismatches"]:

@@ -241,7 +241,9 @@ def main() -> None:
         "byte_mismatches": mismatches,
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
-    path = OUTPUT_DIR / "BENCH_crypto_throughput.json"
+    # A smoke run must not overwrite the committed full run.
+    suffix = ".smoke.json" if args.smoke else ".json"
+    path = OUTPUT_DIR / f"BENCH_crypto_throughput{suffix}"
     path.write_text(json.dumps(result, indent=2))
     print(f"wrote {path}")
     if mismatches:

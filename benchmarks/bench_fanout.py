@@ -229,7 +229,9 @@ def main() -> None:
     result = run(args.count, args.size, args.quality, args.providers)
     result["smoke"] = args.smoke
     OUTPUT_DIR.mkdir(exist_ok=True)
-    path = OUTPUT_DIR / "BENCH_fanout.json"
+    # A smoke run must not overwrite the committed full run.
+    suffix = ".smoke.json" if args.smoke else ".json"
+    path = OUTPUT_DIR / f"BENCH_fanout{suffix}"
     path.write_text(json.dumps(result, indent=2))
     print(f"wrote {path}")
 

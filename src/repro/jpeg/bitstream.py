@@ -9,18 +9,14 @@ Both engines share this module:
 
 * the scalar :class:`BitReader`/:class:`BitWriter` pair, the readable
   T.81 reference implementation retained as the test oracle;
-* the bulk primitives of the native engine —
-  :func:`split_restart_segments` on the read side (the C kernel
-  destuffs each segment), and :func:`pack_entropy_bits` /
-  :class:`VectorBitWriter` on the write side (whole symbol arrays
-  packed in C).
+* :func:`split_restart_segments`, which cuts a scan at its RSTn markers
+  for the native engine's decoder (the C kernel destuffs each segment;
+  its encode loops write stuffed bytes themselves).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.jpeg.native.encode import pack_entropy_bits_native
 
 
 class BitWriter:
@@ -175,7 +171,7 @@ class EndOfData(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Native engine: restart segmentation and whole-array bit packing.
+# Native engine: restart segmentation.
 # ---------------------------------------------------------------------------
 
 
@@ -208,60 +204,3 @@ def split_restart_segments(data: bytes) -> tuple[list[bytes], list[int]]:
         start = position + 2
     segments.append(data[start:])
     return segments, indices
-
-
-def pack_entropy_bits(values, lengths) -> bytes:
-    """Pack ``(value, bit_length)`` pairs into a stuffed entropy segment.
-
-    The batch equivalent of feeding each pair to :class:`BitWriter` and
-    flushing: MSB-first packing, final-byte padding with 1-bits, and a
-    stuffed 0x00 after every 0xFF output byte (including a 0xFF produced
-    by the padding).  Zero-length entries are skipped.  Runs in the C
-    kernel (:func:`repro.jpeg.native.encode.pack_entropy_bits_native`),
-    so it raises ``NativeUnavailableError`` when the kernel cannot
-    build, and ``ValueError`` for a token wider than 63 bits.
-    """
-    return pack_entropy_bits_native(values, lengths)
-
-
-class VectorBitWriter:
-    """Batch bit writer: collects symbol arrays, packs once per segment.
-
-    The vectorized counterpart of :class:`BitWriter`: callers append
-    whole ``(values, lengths)`` arrays with :meth:`extend`;
-    :meth:`write_restart_marker` closes the current entropy segment
-    (flush-to-byte + RSTn) exactly like the scalar writer, and
-    :meth:`getvalue` packs everything with :func:`pack_entropy_bits`.
-    """
-
-    def __init__(self) -> None:
-        self._segments: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
-        self._markers: list[int] = []
-
-    def extend(self, values, lengths) -> None:
-        self._segments[-1].append(
-            (np.asarray(values), np.asarray(lengths))
-        )
-
-    def write(self, value: int, num_bits: int) -> None:
-        """Scalar convenience append (same signature as BitWriter)."""
-        if num_bits:
-            self.extend([value], [num_bits])
-
-    def write_restart_marker(self, index: int) -> None:
-        if not 0 <= index <= 7:
-            raise ValueError(f"restart index out of range: {index}")
-        self._markers.append(index)
-        self._segments.append([])
-
-    def getvalue(self) -> bytes:
-        out = bytearray()
-        for number, chunks in enumerate(self._segments):
-            if chunks:
-                values = np.concatenate([v for v, _ in chunks])
-                lengths = np.concatenate([l for _, l in chunks])
-                out.extend(pack_entropy_bits(values, lengths))
-            if number < len(self._markers):
-                out.append(0xFF)
-                out.append(0xD0 + self._markers[number])
-        return bytes(out)

@@ -57,3 +57,34 @@ def blocks_to_plane(
 def block_grid_shape(height: int, width: int) -> tuple[int, int]:
     """Number of 8x8 blocks needed to cover a ``height`` x ``width`` plane."""
     return ((height + 7) // 8, (width + 7) // 8)
+
+
+def mcu_visit_plan(
+    samplings: list[tuple[int, int]],
+    mcus: tuple[int, int],
+    grids: list[tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block visit order of an interleaved scan (T.81 A.2.3).
+
+    Component ``slot`` has sampling factors ``samplings[slot] = (h, v)``
+    and a block grid of ``grids[slot] = (rows, cols)``.  Each of the
+    ``mcus = (mcus_y, mcus_x)`` MCUs, in raster order, holds ``v`` rows
+    of ``h`` blocks of every component in turn.  Returns ``(slots,
+    flats)``: the i-th visited block is block ``flats[i]`` (row-major)
+    of component ``slots[i]``.  A grid smaller than its MCU-padded size
+    is clamped at its last row and column, which replicates edge blocks
+    into the padding as an encoder must.
+    """
+    mcus_y, mcus_x = mcus
+    slots = []
+    flats = []
+    for slot, ((h, v), (rows, cols)) in enumerate(zip(samplings, grids)):
+        y = np.minimum(np.arange(mcus_y)[:, None] * v + np.arange(v), rows - 1)
+        x = np.minimum(np.arange(mcus_x)[:, None] * h + np.arange(h), cols - 1)
+        flat = y[:, None, :, None] * cols + x[None, :, None, :]
+        flats.append(flat.reshape(mcus_y, mcus_x, v * h))
+        slots.append(np.full(flats[-1].shape, slot, dtype=np.uint8))
+    return (
+        np.concatenate(slots, axis=2).ravel(),
+        np.concatenate(flats, axis=2).ravel().astype(np.int64),
+    )

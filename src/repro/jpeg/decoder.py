@@ -16,14 +16,13 @@ import numpy as np
 
 from repro.jpeg import markers
 from repro.jpeg.bitstream import BitReader, EndOfData, MarkerFound
-from repro.jpeg.blocks import blocks_to_plane
+from repro.jpeg.blocks import blocks_to_plane, mcu_visit_plan
 from repro.jpeg.color import upsample_plane, ycbcr_to_rgb
 from repro.jpeg.dct import inverse_dct
 from repro.jpeg.huffman import (
     HuffmanDecoder,
     HuffmanTable,
     decode_magnitude_bits,
-    interleaved_visit_arrays,
 )
 from repro.jpeg.markers import JpegFormatError, Segment
 from repro.jpeg.native import decode as native_decode
@@ -68,6 +67,10 @@ def _parse_dqt(state: _DecoderState, payload: bytes) -> None:
         position += 1
         precision = precision_id >> 4
         table_id = precision_id & 0x0F
+        if table_id > 3:  # T.81 B.2.4.1: Tq is 0-3
+            raise JpegFormatError(
+                f"invalid quantization table header: Tq {table_id} outside 0-3"
+            )
         if precision == 0:
             raw = np.frombuffer(
                 payload[position : position + 64], dtype=np.uint8
@@ -119,9 +122,9 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
         raise JpegFormatError("truncated SOF payload")
     if precision != 8:
         raise JpegFormatError(f"unsupported sample precision {precision}")
-    # T.81 B.2.2: Nf >= 1, unique Ci, and H and V in 1-4 (they size the
-    # MCU grid).  Y = 0 is legal only with a DNL marker, which this
-    # decoder does not read, and X = 0 never is.
+    # T.81 B.2.2: Nf >= 1, unique Ci, H and V in 1-4 (they size the
+    # MCU grid) and Tq in 0-3.  Y = 0 is legal only with a DNL marker,
+    # which this decoder does not read, and X = 0 never is.
     if num_components == 0:
         raise JpegFormatError("invalid frame header: no components")
     if height == 0 or width == 0:
@@ -146,6 +149,11 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
         if any(c.identifier == identifier for c in state.components):
             raise JpegFormatError(
                 f"invalid frame header: duplicate component id {identifier}"
+            )
+        if quant_table_id > 3:
+            raise JpegFormatError(
+                f"invalid frame header: component {identifier} quantization "
+                f"table {quant_table_id} outside 0-3"
             )
         state.components.append(
             _FrameComponent(
@@ -185,7 +193,15 @@ class _ScanSpec:
 
 
 def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
+    if not payload:
+        raise JpegFormatError("truncated SOS payload")
     num_components = payload[0]
+    # T.81 B.2.3: Ns in 1-4, each component named once, and at most 10
+    # blocks in the MCU of an interleaved scan.
+    if not 1 <= num_components <= 4:
+        raise JpegFormatError(
+            f"invalid scan header: {num_components} components, not 1-4"
+        )
     components = []
     dc_decoders: list[HuffmanDecoder | None] = []
     ac_decoders: list[HuffmanDecoder | None] = []
@@ -207,7 +223,6 @@ def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
                 f"SOS names unknown component {identifier}"
             )
         if any(c.identifier == identifier for c in components):
-            # T.81 B.2.3: a scan names each component once.
             raise JpegFormatError(
                 f"invalid scan header: component {identifier} named twice"
             )
@@ -216,6 +231,11 @@ def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
         ac_decoders.append(state.ac_decoders.get(table_ids & 0x0F))
         dc_tables.append(state.dc_tables.get(table_ids >> 4))
         ac_tables.append(state.ac_tables.get(table_ids & 0x0F))
+    blocks_per_mcu = sum(c.h_sampling * c.v_sampling for c in components)
+    if num_components > 1 and blocks_per_mcu > 10:
+        raise JpegFormatError(
+            f"invalid scan header: {blocks_per_mcu} blocks per MCU, over 10"
+        )
     spectral_start = payload[position]
     spectral_end = payload[position + 1]
     approx = payload[position + 2]
@@ -580,28 +600,12 @@ def _mcu_visit_arrays(
     mcus_x = -(-state.width // (8 * max_h))
     mcus_y = -(-state.height // (8 * max_v))
     views = [c.coefficients.reshape(-1, 64) for c in spec.components]
-    # One source of truth for the T.81 A.2.3 interleave: merge the
-    # encoder helper's per-component (flat, g) arrays by visit rank g.
-    visits = interleaved_visit_arrays(
+    slots, flats = mcu_visit_plan(
         [(c.h_sampling, c.v_sampling) for c in spec.components],
         (mcus_y, mcus_x),
+        [(c.padded_y, c.padded_x) for c in spec.components],
     )
-    slots = np.concatenate(
-        [np.full(flat.size, slot) for slot, (flat, _, _) in enumerate(visits)]
-    )
-    flats = np.concatenate([flat for flat, _, _ in visits])
-    ranks = np.concatenate([g for _, g, _ in visits])
-    order = np.argsort(ranks)
-    blocks_per_mcu = sum(
-        c.h_sampling * c.v_sampling for c in spec.components
-    )
-    return (
-        slots[order].astype(np.uint8),
-        flats[order].astype(np.int64),
-        views,
-        mcus_x * mcus_y,
-        blocks_per_mcu,
-    )
+    return slots, flats, views, mcus_x * mcus_y, slots.size // (mcus_x * mcus_y)
 
 
 def _decode_baseline_scan_native(

@@ -12,6 +12,13 @@ JPEG byte stream.  Supports:
 
 Both start with the same frame header, so every mode keeps the image's
 APPn and COM segments.
+
+Each scan is coded in two passes by :func:`~repro.jpeg.scans.run_scan`
+on one of two engines.  The native engine (the default) runs each scan
+kind's token generation, symbol counting and bit writing in the C
+kernel (:mod:`repro.jpeg.native.encode`); the scalar engine walks the
+per-symbol T.81 loops below and in :mod:`repro.jpeg.scans`, and is the
+native engine's byte-for-byte oracle.
 """
 
 from __future__ import annotations
@@ -22,36 +29,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.jpeg import markers
-from repro.jpeg.bitstream import (
-    BitWriter,
-    VectorBitWriter,
-    pack_entropy_bits,
-)
+from repro.jpeg.bitstream import BitWriter
 from repro.jpeg.huffman import (
-    AcTokenBatch,
-    HuffmanEncoder,
     HuffmanTable,
     STANDARD_AC_CHROMINANCE,
     STANDARD_AC_LUMINANCE,
     STANDARD_DC_CHROMINANCE,
     STANDARD_DC_LUMINANCE,
-    build_optimized_table,
-    codes_for_symbols,
-    encode_block_symbols,
-    encode_dc_symbols,
     encode_magnitude_bits,
-    interleave_code_pairs,
-    interleaved_visit_arrays,
     magnitude_category,
-    merge_frequencies,
 )
-from repro.jpeg.markers import Segment
+from repro.jpeg.markers import JpegFormatError, Segment
+from repro.jpeg.native import encode as native_encode
 from repro.jpeg.scans import (
+    Scan,
+    ScalarScan,
     ScanSpec,
-    _CountingSink,
-    _WritingSink,
+    pad_blocks_to_mcu,
     run_scan,
+    scalar_scans,
     spectral_selection_script,
+    zigzag_blocks,
 )
 from repro.jpeg.structures import CoefficientImage
 from repro.jpeg.zigzag import ZIGZAG_ORDER
@@ -67,29 +65,6 @@ class _ScanComponent:
     dc_sink: object
     ac_sink: object
     prev_dc: int = 0
-
-
-def _zigzag_blocks(coefficients: np.ndarray) -> np.ndarray:
-    """Flatten (by, bx, 8, 8) raster blocks into (by, bx, 64) zigzag."""
-    by, bx = coefficients.shape[:2]
-    flat = coefficients.reshape(by, bx, 64)
-    return flat[..., ZIGZAG_ORDER]
-
-
-def _pad_blocks_to_mcu(
-    blocks: np.ndarray, mcus_y: int, mcus_x: int, v: int, h: int
-) -> np.ndarray:
-    """Edge-pad a (by, bx, 64) block array to the interleaved-MCU grid."""
-    need_y = mcus_y * v
-    need_x = mcus_x * h
-    by, bx = blocks.shape[:2]
-    pad_y = need_y - by
-    pad_x = need_x - bx
-    if pad_y < 0 or pad_x < 0:
-        raise ValueError("block array larger than MCU grid")
-    if pad_y == 0 and pad_x == 0:
-        return blocks
-    return np.pad(blocks, ((0, pad_y), (0, pad_x), (0, 0)), mode="edge")
 
 
 def _encode_block_sequential(
@@ -118,6 +93,10 @@ def _encode_block_sequential(
             component.ac_sink.symbol(0xF0)  # ZRL: run of 16 zeros
             run -= 16
         category = magnitude_category(value)
+        if category > 15:
+            # The symbol's size field has 4 bits (libjpeg's
+            # JERR_BAD_DCT_COEF).
+            raise JpegFormatError("DCT coefficient out of range")
         component.ac_sink.symbol((run << 4) | category)
         component.ac_sink.bits(
             encode_magnitude_bits(value, category), category
@@ -261,9 +240,9 @@ def _build_scan_components(
     mcus_y, mcus_x = _mcu_grid(image)
     scan_components = []
     for index, component in enumerate(image.components):
-        zigzag = _zigzag_blocks(component.coefficients)
+        zigzag = zigzag_blocks(component.coefficients)
         if pad_to_mcu:
-            zigzag = _pad_blocks_to_mcu(
+            zigzag = pad_blocks_to_mcu(
                 zigzag,
                 mcus_y,
                 mcus_x,
@@ -319,221 +298,6 @@ def _run_baseline_scan(
         )
 
 
-# ---------------------------------------------------------------------------
-# Native engine: whole-scan token generation and packing in C.
-#
-# The scalar per-coefficient loops above are the differential-testing
-# reference; the functions below produce bit-identical scans by batching
-# symbol generation with numpy (repro.jpeg.huffman) and packing whole
-# token arrays at once in the C kernel
-# (repro.jpeg.bitstream.pack_entropy_bits).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ComponentTokens:
-    """One component's baseline-scan tokens, in visit order metadata."""
-
-    g: np.ndarray  # global visit rank of the token's block
-    rank: np.ndarray  # order within the block
-    symbol: np.ndarray  # Huffman symbol (DC category or AC run|size)
-    extra: np.ndarray  # magnitude payload
-    extra_length: np.ndarray  # payload width
-    mcu: np.ndarray  # linear MCU index (restart segmentation)
-    is_dc: np.ndarray  # True -> DC table, False -> AC table
-
-
-def _baseline_component_tokens(
-    image: CoefficientImage, restart_interval: int = 0
-) -> tuple[list[_ComponentTokens], int]:
-    """Batch the full baseline-scan symbol stream, per component.
-
-    Token multisets (and their ``(g, rank)`` order) reproduce exactly
-    what the scalar ``_run_baseline_scan`` feeds its sinks, including
-    restart-boundary DC predictor resets; the same bundles drive both
-    the frequency-counting and the code-writing pass.
-    """
-    if len(image.components) == 1:
-        component = image.components[0]
-        blocks = _zigzag_blocks(component.coefficients).reshape(-1, 64)
-        num_blocks = blocks.shape[0]
-        indices = np.arange(num_blocks)
-        visits = [(indices, indices, indices)]
-        blocks_list = [blocks]
-        total_mcus = num_blocks
-    else:
-        mcus_y, mcus_x = _mcu_grid(image)
-        samplings = [
-            (c.h_sampling, c.v_sampling) for c in image.components
-        ]
-        visits = interleaved_visit_arrays(samplings, (mcus_y, mcus_x))
-        blocks_list = [
-            _pad_blocks_to_mcu(
-                _zigzag_blocks(c.coefficients),
-                mcus_y,
-                mcus_x,
-                c.v_sampling,
-                c.h_sampling,
-            ).reshape(-1, 64)
-            for c in image.components
-        ]
-        total_mcus = mcus_y * mcus_x
-
-    result = []
-    for (flat, g, mcu), blocks in zip(visits, blocks_list):
-        ordered = blocks[flat]
-        reset = None
-        if restart_interval:
-            segment = mcu // restart_interval
-            reset = np.zeros(segment.size, dtype=bool)
-            reset[1:] = segment[1:] != segment[:-1]
-        dc_categories, dc_extras = encode_dc_symbols(ordered[:, 0], reset)
-        batch = encode_block_symbols(ordered)
-        eob_blocks = np.nonzero(
-            batch.last_nonzero < batch.band_length - 1
-        )[0]
-        num_dc = g.size
-        num_eob = eob_blocks.size
-        result.append(
-            _ComponentTokens(
-                g=np.concatenate([g, g[batch.block], g[eob_blocks]]),
-                rank=np.concatenate(
-                    [
-                        np.zeros(num_dc, dtype=np.int64),
-                        batch.rank,
-                        np.full(
-                            num_eob, AcTokenBatch.END_RANK, dtype=np.int64
-                        ),
-                    ]
-                ),
-                symbol=np.concatenate(
-                    [
-                        dc_categories,
-                        batch.symbol,
-                        np.zeros(num_eob, dtype=np.int64),
-                    ]
-                ),
-                extra=np.concatenate(
-                    [
-                        dc_extras,
-                        batch.extra,
-                        np.zeros(num_eob, dtype=np.int64),
-                    ]
-                ),
-                extra_length=np.concatenate(
-                    [
-                        dc_categories,
-                        batch.extra_length,
-                        np.zeros(num_eob, dtype=np.int64),
-                    ]
-                ),
-                mcu=np.concatenate(
-                    [mcu, mcu[batch.block], mcu[eob_blocks]]
-                ),
-                is_dc=np.concatenate(
-                    [
-                        np.ones(num_dc, dtype=bool),
-                        np.zeros(
-                            batch.block.size + num_eob, dtype=bool
-                        ),
-                    ]
-                ),
-            )
-        )
-    return result, total_mcus
-
-
-def _frequencies_from_tokens(
-    tokens: list[_ComponentTokens], table_ids: list[int]
-) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Per-table symbol histograms, matching the scalar counting pass."""
-    dc_freqs: list[dict[int, int]] = [{}, {}]
-    ac_freqs: list[dict[int, int]] = [{}, {}]
-    for bundle, table_id in zip(tokens, table_ids):
-        merge_frequencies(dc_freqs[table_id], bundle.symbol[bundle.is_dc])
-        merge_frequencies(ac_freqs[table_id], bundle.symbol[~bundle.is_dc])
-    return dc_freqs, ac_freqs
-
-
-def _pack_baseline_tokens(
-    tokens: list[_ComponentTokens],
-    dc_tables: list[HuffmanTable],
-    ac_tables: list[HuffmanTable],
-    table_ids: list[int],
-    restart_interval: int,
-    total_mcus: int,
-) -> bytes:
-    """Map tokens through their tables, order, and pack the scan."""
-    all_g = []
-    all_rank = []
-    all_codes = []
-    all_code_lengths = []
-    all_extras = []
-    all_extra_lengths = []
-    all_mcu = []
-    for bundle, table_id in zip(tokens, table_ids):
-        symbols = bundle.symbol
-        dc_mask = bundle.is_dc
-        codes = np.empty(symbols.size, dtype=np.uint64)
-        code_lengths = np.empty(symbols.size, dtype=np.int64)
-        codes[dc_mask], code_lengths[dc_mask] = codes_for_symbols(
-            symbols[dc_mask], dc_tables[table_id]
-        )
-        codes[~dc_mask], code_lengths[~dc_mask] = codes_for_symbols(
-            symbols[~dc_mask], ac_tables[table_id]
-        )
-        all_g.append(bundle.g)
-        all_rank.append(bundle.rank)
-        all_codes.append(codes)
-        all_code_lengths.append(code_lengths)
-        all_extras.append(bundle.extra)
-        all_extra_lengths.append(bundle.extra_length)
-        all_mcu.append(bundle.mcu)
-
-    g = np.concatenate(all_g)
-    order = np.lexsort((np.concatenate(all_rank), g))
-    values, lengths = interleave_code_pairs(
-        np.concatenate(all_codes)[order],
-        np.concatenate(all_code_lengths)[order],
-        np.concatenate(all_extras)[order],
-        np.concatenate(all_extra_lengths)[order],
-    )
-
-    if not restart_interval:
-        return pack_entropy_bits(values, lengths)
-
-    # Pack each restart segment separately; RSTn between segments.
-    mcu_sorted = np.concatenate(all_mcu)[order]
-    num_segments = -(-total_mcus // restart_interval)
-    boundaries = np.searchsorted(
-        mcu_sorted, np.arange(1, num_segments) * restart_interval
-    ).tolist()
-    writer = VectorBitWriter()
-    start = 0
-    for index, boundary in enumerate(boundaries + [mcu_sorted.size]):
-        writer.extend(
-            values[2 * start : 2 * boundary],
-            lengths[2 * start : 2 * boundary],
-        )
-        if index < len(boundaries):
-            writer.write_restart_marker(index % 8)
-        start = boundary
-    return writer.getvalue()
-
-
-def _collect_frequencies_baseline(
-    image: CoefficientImage, restart_interval: int = 0
-) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """First pass of the Huffman-optimizing encoder."""
-    table_ids = _huffman_table_ids(len(image.components))
-    dc_freqs: list[dict[int, int]] = [{}, {}]
-    ac_freqs: list[dict[int, int]] = [{}, {}]
-    dc_sinks = [_CountingSink(dc_freqs[t]) for t in table_ids]
-    ac_sinks = [_CountingSink(ac_freqs[t]) for t in table_ids]
-    _run_baseline_scan(image, dc_sinks, ac_sinks, restart_interval)
-    return dc_freqs, ac_freqs
-
-
 def encode_baseline(
     image: CoefficientImage,
     optimize_huffman: bool = True,
@@ -545,8 +309,10 @@ def encode_baseline(
     ``restart_interval`` > 0 emits a DRI segment and RSTn markers every
     that many MCUs (resilience against corrupt scans, at a small size
     cost).  ``engine`` selects the entropy engine (``None`` or
-    ``"native"``, the C packer; ``"scalar"``, the reference encoder) —
-    both produce byte-identical streams.
+    ``"native"``, the C kernel; ``"scalar"``, the reference encoder) —
+    both produce byte-identical streams, and both raise
+    :class:`~repro.jpeg.markers.JpegFormatError` for an AC value that
+    needs more than 15 magnitude bits.
     """
     from repro.jpeg.engines import resolve_engine
 
@@ -555,53 +321,31 @@ def encode_baseline(
         raise ValueError(f"invalid restart interval {restart_interval}")
     segments = _frame_header(image, progressive=False)
     table_ids = _huffman_table_ids(len(image.components))
-    fast = engine != "scalar"
-    if fast:
-        tokens, total_mcus = _baseline_component_tokens(
-            image, restart_interval
-        )
-    if optimize_huffman:
-        dc_freqs, ac_freqs = (
-            _frequencies_from_tokens(tokens, table_ids)
-            if fast
-            else _collect_frequencies_baseline(image, restart_interval)
-        )
-        dc_tables = [
-            build_optimized_table(freq) if freq else STANDARD_DC_LUMINANCE
-            for freq in dc_freqs
-        ]
-        ac_tables = [
-            build_optimized_table(freq) if freq else STANDARD_AC_LUMINANCE
-            for freq in ac_freqs
-        ]
-    else:
-        dc_tables = [STANDARD_DC_LUMINANCE, STANDARD_DC_CHROMINANCE]
-        ac_tables = [STANDARD_AC_LUMINANCE, STANDARD_AC_CHROMINANCE]
-
-    if fast:
-        entropy = _pack_baseline_tokens(
-            tokens,
-            dc_tables,
-            ac_tables,
-            table_ids,
-            restart_interval,
-            total_mcus,
+    scan: Scan
+    if engine == "scalar":
+        scan = ScalarScan(
+            lambda sinks, writer: _run_baseline_scan(
+                image,
+                [sinks[0, t] for t in table_ids],
+                [sinks[1, t] for t in table_ids],
+                restart_interval,
+                writer,
+            ),
+            [(table_class, t) for t in table_ids for table_class in (0, 1)],
         )
     else:
-        writer = BitWriter()
-        dc_sinks = [
-            _WritingSink(writer, HuffmanEncoder(dc_tables[t]))
-            for t in table_ids
-        ]
-        ac_sinks = [
-            _WritingSink(writer, HuffmanEncoder(ac_tables[t]))
-            for t in table_ids
-        ]
-        _run_baseline_scan(
-            image, dc_sinks, ac_sinks, restart_interval, writer
+        scan = native_encode.baseline_scan(
+            image, table_ids, restart_interval, _mcu_grid(image)
         )
-        writer.flush()
-        entropy = writer.getvalue()
+    standard = None
+    if not optimize_huffman:
+        standard = {
+            (0, 0): STANDARD_DC_LUMINANCE,
+            (1, 0): STANDARD_AC_LUMINANCE,
+            (0, 1): STANDARD_DC_CHROMINANCE,
+            (1, 1): STANDARD_AC_CHROMINANCE,
+        }
+    tables, entropy = run_scan(scan, standard)
 
     if restart_interval:
         segments.append(
@@ -611,8 +355,8 @@ def encode_baseline(
             )
         )
     for table_id in range(max(table_ids) + 1):
-        segments.append(_dht_segment(0, table_id, dc_tables[table_id]))
-        segments.append(_dht_segment(1, table_id, ac_tables[table_id]))
+        segments.append(_dht_segment(0, table_id, tables[0, table_id]))
+        segments.append(_dht_segment(1, table_id, tables[1, table_id]))
     specs = [
         (component.identifier, table_id, table_id)
         for component, table_id in zip(image.components, table_ids)
@@ -644,21 +388,12 @@ def encode_progressive(
         script = spectral_selection_script(len(image.components))
     segments = _frame_header(image, progressive=True)
     table_ids = _huffman_table_ids(len(image.components))
-    mcus = _mcu_grid(image)
-    zigzag = [_zigzag_blocks(c.coefficients) for c in image.components]
-    padded = [
-        _pad_blocks_to_mcu(blocks, *mcus, c.v_sampling, c.h_sampling)
-        for blocks, c in zip(zigzag, image.components)
-    ]
-    samplings = [(c.h_sampling, c.v_sampling) for c in image.components]
+    scans = scalar_scans if engine == "scalar" else native_encode.progressive_scans
+    scan_for = scans(image, table_ids, _mcu_grid(image))
     for spec in script:
-        tables, entropy = run_scan(
-            spec, zigzag, padded, samplings, mcus, table_ids, engine
-        )
-        for table_id, table in tables.items():
-            segments.append(
-                _dht_segment(0 if spec.is_dc else 1, table_id, table)
-            )
+        tables, entropy = run_scan(scan_for(spec))
+        for (table_class, table_id), table in tables.items():
+            segments.append(_dht_segment(table_class, table_id, table))
         # Only a DC first scan uses its DC table field; libjpeg writes 0
         # in every field a scan does not use.
         dc_first = spec.is_dc and not spec.is_refinement

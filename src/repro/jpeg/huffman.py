@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.jpeg.bitstream import BitReader, BitWriter, pack_entropy_bits
+from repro.jpeg.bitstream import BitReader, BitWriter
 from repro.jpeg.markers import JpegFormatError
 
 
@@ -294,8 +294,8 @@ def decode_magnitude_bits(bits: int, category: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Native engine: flat lookup tables for the C decoder, and batch symbol
-# generation, the encode front end of the C packer.
+# Native engine: tables in the flat forms the C kernel's decode and
+# encode loops read.
 # ---------------------------------------------------------------------------
 
 
@@ -342,8 +342,8 @@ def encoder_code_arrays(table: HuffmanTable) -> tuple[np.ndarray, np.ndarray]:
     """Canonical codes as symbol-indexed arrays ``(codes, lengths)``.
 
     ``lengths[s] == 0`` marks a symbol absent from the table; both
-    arrays have 256 entries so any uint8 symbol array can fancy-index
-    them directly.
+    arrays have 256 entries, one per symbol, which is how the C
+    kernel's encode loops look codes up.
     """
     codes = np.zeros(256, dtype=np.uint64)
     lengths = np.zeros(256, dtype=np.int64)
@@ -361,662 +361,3 @@ def encoder_code_arrays(table: HuffmanTable) -> tuple[np.ndarray, np.ndarray]:
     codes.setflags(write=False)
     lengths.setflags(write=False)
     return codes, lengths
-
-
-def magnitude_categories(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`magnitude_category`: bit length of ``|value|``.
-
-    Exact for ``|value| < 2**53`` (frexp on float64); JPEG coefficients
-    and DC differences are far below that.
-    """
-    return np.frexp(np.abs(values).astype(np.float64))[1].astype(np.int64)
-
-
-def encode_magnitude_bits_batch(
-    values: np.ndarray, categories: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`encode_magnitude_bits` (one's complement)."""
-    values = values.astype(np.int64)
-    return np.where(
-        values >= 0,
-        values,
-        values + (np.int64(1) << categories) - 1,
-    )
-
-
-def encode_dc_symbols(
-    dc_values: np.ndarray,
-    reset_before: np.ndarray | None = None,
-    al: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Difference-code a visit-ordered DC sequence.
-
-    ``dc_values`` are the component's DC coefficients in scan visit
-    order; ``reset_before[i]`` True restarts the predictor at block
-    ``i`` (restart-marker boundaries).  Returns ``(categories,
-    extra_bits)`` — the Huffman symbols and their magnitude payloads.
-    ``al`` applies the progressive point transform (arithmetic shift).
-    """
-    shifted = dc_values.astype(np.int64) >> al
-    previous = np.empty_like(shifted)
-    if shifted.size:
-        previous[0] = 0
-        previous[1:] = shifted[:-1]
-        if reset_before is not None:
-            previous[reset_before] = 0
-    diffs = shifted - previous
-    categories = magnitude_categories(diffs)
-    extras = encode_magnitude_bits_batch(diffs, categories)
-    return categories, extras
-
-
-@dataclass
-class AcTokenBatch:
-    """Run-length tokens for a stack of blocks, ready to order and pack.
-
-    Token arrays are parallel; ``rank`` orders tokens *within* a block:
-    the value token for band position ``k`` has rank ``(k + 1) * 8 + 7``
-    and its preceding ZRLs ranks ``(k + 1) * 8 + j`` — so callers can
-    splice in extra tokens (DC pairs at rank 0, EOB markers at rank
-    ``END_RANK``, EOB-runs at negative ranks) and sort once by
-    ``(block, rank)``.  ``last_nonzero`` is per-block, -1 for blocks
-    with no nonzero coefficient in the (point-transformed) band.
-    """
-
-    block: np.ndarray  # token -> block index
-    rank: np.ndarray  # token order within its block
-    symbol: np.ndarray  # (run << 4) | size Huffman symbols
-    extra: np.ndarray  # magnitude payload bits
-    extra_length: np.ndarray  # payload widths (0 for ZRL)
-    last_nonzero: np.ndarray  # per block, band-relative, -1 if empty
-    band_length: int
-    num_blocks: int
-
-    #: Rank placing a token after every in-band token of its block.
-    END_RANK = 10**6
-
-
-def encode_block_symbols(
-    blocks: np.ndarray,
-    spectral_start: int = 1,
-    spectral_end: int = 63,
-    al: int = 0,
-) -> AcTokenBatch:
-    """Batch the AC run-length/magnitude symbols for a block stack.
-
-    ``blocks`` is an (N, 64) array of zigzag blocks.  Computes, for the
-    whole stack at once, the (ZRL*, (run|size), magnitude-bits) token
-    sequences of T.81 F.1.2.2 restricted to the band
-    ``[spectral_start, spectral_end]``, after the progressive point
-    transform ``sign(v) * (|v| >> al)``.  End-of-block/EOB-run tokens
-    are the caller's: baseline and progressive treat them differently.
-    """
-    band = blocks[:, spectral_start : spectral_end + 1].astype(np.int64)
-    if al:
-        band = np.sign(band) * (np.abs(band) >> al)
-    num_blocks, band_length = band.shape
-
-    block_ids, positions = np.nonzero(band)
-    values = band[block_ids, positions]
-
-    # Zero-run before each nonzero: distance to the previous nonzero in
-    # the same block (np.nonzero returns row-major order, so previous
-    # entry is the previous nonzero unless the block changes).
-    previous = np.concatenate(([-1], positions[:-1]))
-    first_in_block = np.empty(block_ids.size, dtype=bool)
-    if block_ids.size:
-        first_in_block[0] = True
-        first_in_block[1:] = block_ids[1:] != block_ids[:-1]
-    previous = np.where(first_in_block, -1, previous)
-    runs = positions - previous - 1
-
-    zrl_counts = runs >> 4
-    final_runs = runs & 15
-    categories = magnitude_categories(values)
-    extras = encode_magnitude_bits_batch(values, categories)
-    value_symbols = (final_runs << 4) | categories
-    value_ranks = (positions + 1) * 8 + 7
-
-    total_zrl = int(zrl_counts.sum())
-    if total_zrl:
-        zrl_blocks = np.repeat(block_ids, zrl_counts)
-        starts = np.cumsum(zrl_counts) - zrl_counts
-        within = np.arange(total_zrl) - np.repeat(starts, zrl_counts)
-        zrl_ranks = np.repeat((positions + 1) * 8, zrl_counts) + within
-        token_block = np.concatenate([block_ids, zrl_blocks])
-        token_rank = np.concatenate([value_ranks, zrl_ranks])
-        token_symbol = np.concatenate(
-            [value_symbols, np.full(total_zrl, 0xF0, dtype=np.int64)]
-        )
-        token_extra = np.concatenate(
-            [extras, np.zeros(total_zrl, dtype=np.int64)]
-        )
-        token_extra_length = np.concatenate(
-            [categories, np.zeros(total_zrl, dtype=np.int64)]
-        )
-    else:
-        token_block = block_ids
-        token_rank = value_ranks
-        token_symbol = value_symbols
-        token_extra = extras
-        token_extra_length = categories
-
-    last_nonzero = np.full(num_blocks, -1, dtype=np.int64)
-    if block_ids.size:
-        np.maximum.at(last_nonzero, block_ids, positions)
-
-    return AcTokenBatch(
-        block=token_block,
-        rank=token_rank,
-        symbol=token_symbol,
-        extra=token_extra,
-        extra_length=token_extra_length,
-        last_nonzero=last_nonzero,
-        band_length=band_length,
-        num_blocks=num_blocks,
-    )
-
-
-def interleaved_visit_arrays(
-    samplings: list[tuple[int, int]], mcus: tuple[int, int]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Vectorized MCU traversal order for an interleaved scan.
-
-    For each component (given as ``(h, v)`` sampling factors) returns
-    ``(flat, g, mcu)`` arrays over that component's blocks in scan visit
-    order: ``flat`` indexes the MCU-padded block grid viewed as
-    ``(num_blocks, 64)``, ``g`` is the global visit rank (shared across
-    components — sorting any token stream by ``g`` reproduces the T.81
-    A.2.3 interleave), and ``mcu`` the linear MCU index (for
-    restart-interval segmentation).
-    """
-    mcus_y, mcus_x = mcus
-    blocks_per_mcu = sum(h * v for h, v in samplings)
-    offset = 0
-    result = []
-    for h, v in samplings:
-        padded_x = mcus_x * h
-        my = np.arange(mcus_y).reshape(-1, 1, 1, 1)
-        mx = np.arange(mcus_x).reshape(1, -1, 1, 1)
-        dy = np.arange(v).reshape(1, 1, -1, 1)
-        dx = np.arange(h).reshape(1, 1, 1, -1)
-        shape = (mcus_y, mcus_x, v, h)
-        flat = ((my * v + dy) * padded_x + mx * h + dx).reshape(-1)
-        mcu = np.broadcast_to(my * mcus_x + mx, shape).reshape(-1)
-        within = np.broadcast_to(dy * h + dx, shape).reshape(-1)
-        g = mcu * blocks_per_mcu + offset + within
-        result.append((flat, g, mcu))
-        offset += h * v
-    return result
-
-
-def bincount_frequencies(symbols: np.ndarray) -> dict[int, int]:
-    """Symbol histogram as the dict :func:`build_optimized_table` takes."""
-    if symbols.size == 0:
-        return {}
-    counts = np.bincount(symbols.astype(np.int64))
-    return {
-        int(symbol): int(count)
-        for symbol, count in enumerate(counts)
-        if count
-    }
-
-
-def merge_frequencies(
-    accumulator: dict[int, int], symbols: np.ndarray
-) -> None:
-    """Add a symbol array's histogram into ``accumulator`` in place."""
-    for symbol, count in bincount_frequencies(symbols).items():
-        accumulator[symbol] = accumulator.get(symbol, 0) + count
-
-
-def interleave_code_pairs(
-    codes: np.ndarray,
-    code_lengths: np.ndarray,
-    extras: np.ndarray,
-    extra_lengths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zip (code, extra-bits) token pairs into one packable sequence."""
-    values = np.empty(2 * codes.size, dtype=np.uint64)
-    lengths = np.empty(2 * codes.size, dtype=np.int64)
-    values[0::2] = codes
-    values[1::2] = extras.astype(np.uint64)
-    lengths[0::2] = code_lengths
-    lengths[1::2] = extra_lengths
-    return values, lengths
-
-
-def codes_for_symbols(
-    symbols: np.ndarray, table: HuffmanTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map a symbol array to ``(codes, code_lengths)``, validating."""
-    codes_by_symbol, lengths_by_symbol = encoder_code_arrays(table)
-    codes = codes_by_symbol[symbols]
-    lengths = lengths_by_symbol[symbols]
-    if symbols.size and not lengths.all():
-        missing = int(symbols[np.nonzero(lengths == 0)[0][0]])
-        raise ValueError(f"symbol {missing:#x} not in Huffman table")
-    return codes, lengths
-
-
-def pack_tokens_with_table(
-    g: np.ndarray,
-    rank: np.ndarray,
-    symbols: np.ndarray,
-    extras: np.ndarray,
-    extra_lengths: np.ndarray,
-    table: HuffmanTable,
-) -> bytes:
-    """Order a single-table token stream by (g, rank) and pack it."""
-    codes, code_lengths = codes_for_symbols(symbols, table)
-    order = np.lexsort((rank, g))
-    values, lengths = interleave_code_pairs(
-        codes[order],
-        code_lengths[order],
-        extras[order],
-        extra_lengths[order],
-    )
-    return pack_entropy_bits(values, lengths)
-
-
-def dc_scan_token_bundles(
-    blocks_per_component: list[np.ndarray],
-    samplings: list[tuple[int, int]],
-    mcus: tuple[int, int],
-    al: int = 0,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Batch-difference-code an interleaved DC scan.
-
-    ``blocks_per_component`` holds the MCU-padded zigzag arrays of the
-    scan's components.  Returns per-component ``(g, categories,
-    extra_bits)`` bundles in visit order.
-    """
-    visits = interleaved_visit_arrays(samplings, mcus)
-    bundles = []
-    for (flat, g, _), blocks in zip(visits, blocks_per_component):
-        flattened = blocks.reshape(-1, 64)
-        categories, extras = encode_dc_symbols(flattened[flat, 0], None, al)
-        bundles.append((g, categories, extras))
-    return bundles
-
-
-def pack_dc_scan_tokens(
-    bundles: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    tables: list[HuffmanTable],
-) -> bytes:
-    """Map per-component DC bundles through their tables and pack."""
-    all_g = []
-    all_codes = []
-    all_code_lengths = []
-    all_extras = []
-    all_extra_lengths = []
-    for (g, categories, extras), table in zip(bundles, tables):
-        codes, code_lengths = codes_for_symbols(categories, table)
-        all_g.append(g)
-        all_codes.append(codes)
-        all_code_lengths.append(code_lengths)
-        all_extras.append(extras)
-        all_extra_lengths.append(categories)
-    g = np.concatenate(all_g)
-    order = np.argsort(g, kind="stable")
-    values, lengths = interleave_code_pairs(
-        np.concatenate(all_codes)[order],
-        np.concatenate(all_code_lengths)[order],
-        np.concatenate(all_extras)[order],
-        np.concatenate(all_extra_lengths)[order],
-    )
-    return pack_entropy_bits(values, lengths)
-
-
-#: Rank offset placing progressive EOB-run tokens before a block's own
-#: in-band tokens (which start at rank 8).
-_EOB_RUN_RANK = -(1 << 30)
-
-#: Largest EOB run one symbol can carry (T.81 G.1.2.2, jcphuff cap).
-MAX_EOB_RUN = 0x7FFF
-
-
-def progressive_ac_tokens(
-    blocks: np.ndarray, spectral_start: int, spectral_end: int, al: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Token stream of one progressive AC first scan, EOB-runs included.
-
-    ``blocks`` is the component's (N, 64) zigzag stack in scan order.
-    Empty bands join end-of-band runs; a block whose last nonzero falls
-    short of ``spectral_end`` contributes its trailing EOB to the run;
-    runs flush before the next non-empty block (or at scan end), split
-    at :data:`MAX_EOB_RUN` exactly like the scalar ``_EobState``
-    (scans.py).
-    Returns ``(g, rank, symbols, extras, extra_lengths)`` ready for
-    :func:`pack_tokens_with_table`.
-    """
-    batch = encode_block_symbols(blocks, spectral_start, spectral_end, al)
-    empty = batch.last_nonzero < 0
-    trailing = (~empty) & (batch.last_nonzero < batch.band_length - 1)
-    contributions = (empty | trailing).astype(np.int64)
-    cumulative = np.concatenate(([0], np.cumsum(contributions)))
-    barriers = np.nonzero(~empty)[0]
-    bounds = np.concatenate([barriers, [batch.num_blocks]])
-    previous = np.concatenate(([0], cumulative[barriers]))
-    runs = cumulative[bounds] - previous
-
-    has_run = runs > 0
-    run_positions = bounds[has_run]
-    run_values = runs[has_run]
-    full_chunks = run_values // MAX_EOB_RUN
-    remainders = run_values % MAX_EOB_RUN
-    chunk_counts = full_chunks + (remainders > 0)
-    total_chunks = int(chunk_counts.sum())
-    if not total_chunks:
-        return (
-            batch.block,
-            batch.rank,
-            batch.symbol,
-            batch.extra,
-            batch.extra_length,
-        )
-
-    positions = np.repeat(run_positions, chunk_counts)
-    starts = np.cumsum(chunk_counts) - chunk_counts
-    within = np.arange(total_chunks) - np.repeat(starts, chunk_counts)
-    chunk_runs = np.where(
-        within < np.repeat(full_chunks, chunk_counts),
-        MAX_EOB_RUN,
-        np.repeat(remainders, chunk_counts),
-    )
-    categories = magnitude_categories(chunk_runs) - 1
-    eob_symbols = categories << 4
-    eob_extras = chunk_runs - (np.int64(1) << categories)
-    eob_ranks = _EOB_RUN_RANK + within
-
-    return (
-        np.concatenate([batch.block, positions]),
-        np.concatenate([batch.rank, eob_ranks]),
-        np.concatenate([batch.symbol, eob_symbols]),
-        np.concatenate([batch.extra, eob_extras]),
-        np.concatenate([batch.extra_length, categories]),
-    )
-
-
-def encode_ac_first_scan(
-    blocks: np.ndarray,
-    spectral_start: int,
-    spectral_end: int,
-    al: int = 0,
-) -> tuple[HuffmanTable, bytes]:
-    """Encode one progressive AC first scan with an optimized table.
-
-    The recipe ``run_scan`` (scans.py) uses for every AC first scan,
-    spectral selection (``al=0``) and successive approximation alike:
-    batch the token stream, pick the optimal table from its histogram
-    (standard-luminance fallback for an empty scan), and pack.  Returns
-    ``(table, entropy_bytes)``.
-    """
-    token_stream = progressive_ac_tokens(
-        blocks, spectral_start, spectral_end, al
-    )
-    frequencies = bincount_frequencies(token_stream[2])
-    table = (
-        build_optimized_table(frequencies)
-        if frequencies
-        else STANDARD_AC_LUMINANCE
-    )
-    return table, pack_tokens_with_table(*token_stream, table)
-
-
-#: The scalar ``_EobState`` force-flush thresholds (scans.py): an EOB
-#: run splits at 0x7FFF, buffered correction bits at > 900.
-MAX_BUFFERED_CORRECTION_BITS = 900
-
-
-def refinement_ac_stream(
-    blocks: np.ndarray, spectral_start: int, spectral_end: int, al: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token stream of one progressive AC *refinement* scan (G.1.2.3).
-
-    Batches, across the whole ``(N, 64)`` zigzag stack, exactly what
-    the scalar ``encode_ac_refinement`` + ``_EobState`` pair emits:
-
-    * newly significant coefficients (``|v| >> al == 1``) produce a
-      ``(run << 4) | 1`` symbol plus a sign bit, with ZRL symbols
-      splitting zero-runs above 15 — but only up to the block's last
-      newly significant coefficient;
-    * already significant coefficients ride along as buffered
-      correction bits, flushed after the *next* emitted symbol;
-    * blocks whose tail holds only zeros/corrections join a global
-      EOB run that flushes before the next emitting block (or at the
-      scalar engine's forced thresholds), carrying the accumulated
-      correction bits.
-
-    Returns ``(symbols, raw_values, raw_lengths)`` in final stream
-    order: ``symbols[i] >= 0`` is a Huffman symbol, ``-1`` marks a raw
-    bit write of ``raw_values[i]`` / ``raw_lengths[i]``.
-    """
-    band = blocks[:, spectral_start : spectral_end + 1].astype(np.int64)
-    num_blocks, length = band.shape
-    t = np.abs(band) >> al
-    is_zero = t == 0
-    is_new = t == 1
-    is_corr = t > 1
-    cols = np.arange(length)
-
-    has_new = is_new.any(axis=1)
-    last_new = np.where(
-        has_new, length - 1 - np.argmax(is_new[:, ::-1], axis=1), -1
-    )
-
-    # excl_cz[b, k] = zeros at positions < k within block b.
-    excl_cz = np.zeros((num_blocks, length + 1), dtype=np.int64)
-    np.cumsum(is_zero, axis=1, out=excl_cz[:, 1:])
-
-    # Last newly-significant position <= k, stored as pos+1 (0 = none);
-    # shifting right gives the segment delimiter strictly before k.
-    last_new_incl = np.maximum.accumulate(
-        np.where(is_new, cols + 1, 0), axis=1
-    )
-    prev_new_plus1 = np.zeros_like(last_new_incl)
-    prev_new_plus1[:, 1:] = last_new_incl[:, :-1]
-
-    # Zeros in the current segment strictly before k: run length on
-    # arrival (corrections do not reset or extend the run).
-    seg_base = np.take_along_axis(excl_cz, prev_new_plus1, axis=1)
-    z_seg = excl_cz[:, :length] - seg_base
-
-    # Arrival points: nonzero positions up to last_new, row-major.
-    main = cols[None, :] <= last_new[:, None]
-    nz_b, nz_k = np.nonzero(~is_zero & main)
-    z_nz = z_seg[nz_b, nz_k]
-    g_nz = z_nz >> 4  # cumulative ZRLs due in this segment on arrival
-
-    # ZRLs actually fired at each arrival: the increment of g over the
-    # previous arrival in the same segment (the newly coefficient that
-    # closed the previous segment resets the baseline to zero).
-    prev_is_same_block = np.zeros(nz_b.size, dtype=bool)
-    prev_is_same_block[1:] = nz_b[1:] == nz_b[:-1]
-    prev_k = np.zeros_like(nz_k)
-    prev_k[1:] = nz_k[:-1]
-    delimiter = prev_new_plus1[nz_b, nz_k] - 1
-    same_segment = prev_is_same_block & (prev_k > delimiter)
-    prev_g = np.zeros_like(g_nz)
-    prev_g[1:] = g_nz[:-1]
-    zrl_count = g_nz - np.where(same_segment, prev_g, 0)
-
-    newly_sel = is_new[nz_b, nz_k]
-    emits = (zrl_count > 0) | newly_sel
-
-    # Sub-rank layout at one arrival position: ZRL #j at 10*j, the
-    # newly symbol at 10*(c+1) and its sign bit right after, buffered
-    # correction bits at 15 — after the first emitted token (ZRL #1
-    # when c >= 1, the sign bit when c == 0), before ZRL #2.
-    total_zrl = int(zrl_count.sum())
-    arrival = np.repeat(np.arange(zrl_count.size), zrl_count)
-    zrl_j = (
-        np.arange(total_zrl)
-        - np.repeat(np.cumsum(zrl_count) - zrl_count, zrl_count)
-        + 1
-    )
-    new_b = nz_b[newly_sel]
-    new_k = nz_k[newly_sel]
-    new_sub = 10 * (zrl_count[newly_sel] + 1)
-    new_symbols = ((z_nz[newly_sel] & 15) << 4) | 1
-    sign_bits = (band[new_b, new_k] >= 0).astype(np.int64)
-
-    # Correction bits in the main region flush after the first token of
-    # the next emitting arrival strictly past their position.
-    cb_b, cb_k = np.nonzero(is_corr & main)
-    cb_val = t[cb_b, cb_k] & 1
-    em_key = nz_b[emits] * (length + 1) + nz_k[emits]
-    flush_index = np.searchsorted(
-        em_key, cb_b * (length + 1) + cb_k, side="right"
-    )
-    flush_p = nz_k[emits][flush_index] if cb_b.size else cb_k
-
-    token_b = np.concatenate([nz_b[arrival], new_b, new_b, cb_b])
-    token_p = np.concatenate([nz_k[arrival], new_k, new_k, flush_p])
-    token_sub = np.concatenate(
-        [10 * zrl_j, new_sub, new_sub + 1, np.full(cb_b.size, 15)]
-    )
-    token_tie = np.concatenate(
-        [
-            np.zeros(total_zrl, dtype=np.int64),
-            np.zeros(2 * new_b.size, dtype=np.int64),
-            cb_k,
-        ]
-    )
-    token_sym = np.concatenate(
-        [
-            np.full(total_zrl, 0xF0, dtype=np.int64),
-            new_symbols,
-            np.full(new_b.size, -1, dtype=np.int64),
-            np.full(cb_b.size, -1, dtype=np.int64),
-        ]
-    )
-    token_raw = np.concatenate(
-        [np.zeros(total_zrl, dtype=np.int64), np.zeros(new_b.size, dtype=np.int64), sign_bits, cb_val]
-    )
-    token_rawlen = np.concatenate(
-        [
-            np.zeros(total_zrl, dtype=np.int64),
-            np.zeros(new_b.size, dtype=np.int64),
-            np.ones(new_b.size, dtype=np.int64),
-            np.ones(cb_b.size, dtype=np.int64),
-        ]
-    )
-    order = np.lexsort((token_tie, token_sub, token_p, token_b))
-    token_b = token_b[order]
-    token_sym = token_sym[order]
-    token_raw = token_raw[order]
-    token_rawlen = token_rawlen[order]
-
-    # Per-block main-token ranges, for splicing EOB flushes between.
-    counts = np.bincount(token_b, minlength=num_blocks)
-    offsets = np.zeros(num_blocks + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-
-    # Tail state per block: zeros/corrections past last_new join the
-    # global EOB run instead of emitting symbols.
-    tail_zero = (
-        excl_cz[:, length]
-        - excl_cz[np.arange(num_blocks), last_new + 1]
-    )
-    tail_cb_b, tail_cb_k = np.nonzero(
-        is_corr & (cols[None, :] > last_new[:, None])
-    )
-    tail_bits = t[tail_cb_b, tail_cb_k] & 1
-    tail_bit_count = np.bincount(tail_cb_b, minlength=num_blocks)
-    account = (tail_zero > 0) | (tail_bit_count > 0)
-
-    # Walk the blocks once for the EOB-run bookkeeping (cheap per-block
-    # scalars; the heavy token math above is already batched).  Each
-    # flush event records where it cuts the main stream and which slice
-    # of the global tail-bit array it carries.
-    flush_events: list[tuple[int, int, int, int]] = []
-    run = 0
-    bit_lo = bit_hi = 0
-    for b in range(num_blocks):
-        if has_new[b] and run > 0:
-            flush_events.append((int(offsets[b]), run, bit_lo, bit_hi))
-            run = 0
-            bit_lo = bit_hi
-        if account[b]:
-            run += 1
-            bit_hi += int(tail_bit_count[b])
-            if (
-                run == MAX_EOB_RUN
-                or bit_hi - bit_lo > MAX_BUFFERED_CORRECTION_BITS
-            ):
-                flush_events.append(
-                    (int(offsets[b + 1]), run, bit_lo, bit_hi)
-                )
-                run = 0
-                bit_lo = bit_hi
-    if run > 0:
-        flush_events.append((int(offsets[num_blocks]), run, bit_lo, bit_hi))
-
-    pieces_sym: list[np.ndarray] = []
-    pieces_raw: list[np.ndarray] = []
-    pieces_rawlen: list[np.ndarray] = []
-
-    def main_slice(lo: int, hi: int) -> None:
-        if hi > lo:
-            pieces_sym.append(token_sym[lo:hi])
-            pieces_raw.append(token_raw[lo:hi])
-            pieces_rawlen.append(token_rawlen[lo:hi])
-
-    cursor = 0
-    for cut, run_value, lo, hi in flush_events:
-        main_slice(cursor, cut)
-        cursor = cut
-        category = run_value.bit_length() - 1
-        pieces_sym.append(np.array([category << 4, -1], dtype=np.int64))
-        pieces_raw.append(
-            np.array([0, run_value - (1 << category)], dtype=np.int64)
-        )
-        pieces_rawlen.append(np.array([0, category], dtype=np.int64))
-        if hi > lo:
-            pieces_sym.append(np.full(hi - lo, -1, dtype=np.int64))
-            pieces_raw.append(tail_bits[lo:hi].astype(np.int64))
-            pieces_rawlen.append(np.ones(hi - lo, dtype=np.int64))
-    main_slice(cursor, int(offsets[num_blocks]))
-
-    if not pieces_sym:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    return (
-        np.concatenate(pieces_sym),
-        np.concatenate(pieces_raw),
-        np.concatenate(pieces_rawlen),
-    )
-
-
-def encode_ac_refinement_scan(
-    blocks: np.ndarray,
-    spectral_start: int,
-    spectral_end: int,
-    al: int,
-) -> tuple[HuffmanTable, bytes]:
-    """Encode one progressive AC refinement scan with an optimized table.
-
-    The refinement counterpart of :func:`encode_ac_first_scan`: batch
-    the token stream via :func:`refinement_ac_stream`, build the
-    optimal table from the Huffman-symbol histogram (standard-luminance
-    fallback for an all-raw/empty scan, matching the scalar driver),
-    and pack symbols and raw bits in stream order.
-    """
-    symbols, raw_values, raw_lengths = refinement_ac_stream(
-        blocks, spectral_start, spectral_end, al
-    )
-    is_symbol = symbols >= 0
-    frequencies = bincount_frequencies(symbols[is_symbol])
-    table = (
-        build_optimized_table(frequencies)
-        if frequencies
-        else STANDARD_AC_LUMINANCE
-    )
-    codes_by_symbol, lengths_by_symbol = encoder_code_arrays(table)
-    index = np.where(is_symbol, symbols, 0)
-    values = np.where(
-        is_symbol, codes_by_symbol[index], raw_values.astype(np.uint64)
-    )
-    lengths = np.where(is_symbol, lengths_by_symbol[index], raw_lengths)
-    return table, pack_entropy_bits(values, lengths)

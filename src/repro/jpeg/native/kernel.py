@@ -20,6 +20,12 @@ Each C decode loop reads a destuffed segment through a zero-padded
 16-bit peek, fails with EndOfData when a consume passes the segment
 end, and checks the scalar decoder's error conditions in its order, so
 both engines reach the same verdict on every stream.
+
+Each C encode loop covers one of the five scan kinds (baseline, DC
+first, DC refinement, AC first, AC refinement) and runs twice, like
+libjpeg's two-pass ``optimize_coding``: a counting pass that fills
+per-table symbol histograms, then a writing pass that codes the scan
+through one shared bit writer (:mod:`repro.jpeg.native.encode`).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ ERR_DC_RANGE = 3
 ERR_AC_BOUNDS = 4
 ERR_REFINE_SIZE = 5
 ERR_OVERFLOW = 6
+ERR_COEF_RANGE = 7
 
 #: ABI declarations handed to ``ffi.cdef`` (must match the C source).
 CDEF = """
@@ -62,13 +69,37 @@ int p3_decode_ac_first(uint8_t *data, int64_t nbits, int64_t *pos,
 int p3_decode_ac_refine(uint8_t *data, int64_t nbits, int64_t *pos,
                         int32_t *ac_lut, int64_t *flats, int64_t nblocks,
                         int ss, int se, int32_t positive, int32_t *view);
-int64_t p3_pack_bits(uint64_t *values, int64_t *lengths, int64_t n,
-                     uint8_t *out);
+typedef struct {
+    int64_t *freq;
+    const uint64_t *code;
+    const int64_t *length;
+} P3Table;
+typedef struct {
+    uint8_t *out;
+    int64_t size;
+    uint64_t acc;
+    int nacc;
+    int missing;
+} P3Writer;
+int p3_encode_baseline(P3Writer *w, int32_t **views, uint8_t *slots,
+                       int64_t *flats, int64_t total_mcus,
+                       int blocks_per_mcu, int64_t restart_interval,
+                       P3Table **dc, P3Table **ac);
+int p3_encode_dc_first(P3Writer *w, int32_t **views, uint8_t *slots,
+                       int64_t *flats, int64_t nblocks, int al,
+                       P3Table **dc);
+int p3_encode_dc_refine(P3Writer *w, int32_t **views, uint8_t *slots,
+                        int64_t *flats, int64_t nblocks, int al);
+int p3_encode_ac_first(P3Writer *w, int32_t *view, int64_t nblocks,
+                       int ss, int se, int al, P3Table **ac);
+int p3_encode_ac_refine(P3Writer *w, int32_t *view, int64_t nblocks,
+                        int ss, int se, int al, P3Table **ac);
 """
 
-#: The kernel itself.  Whole-segment loops over destuffed bytes; the
+#: The kernel itself.  The decode loops run over destuffed bytes; the
 #: caller guarantees at least 8 zero bytes of padding after the data so
-#: the 16-bit peek can always read 4 bytes without a bounds check.
+#: the 16-bit peek can always read 4 bytes without a bounds check.  The
+#: encode loops write into a buffer the caller sizes for the worst case.
 SOURCE = r"""
 #include <stdint.h>
 
@@ -79,6 +110,7 @@ SOURCE = r"""
 #define P3_ERR_AC_BOUNDS 4
 #define P3_ERR_REFINE_SIZE 5
 #define P3_ERR_OVERFLOW 6
+#define P3_ERR_COEF_RANGE 7
 
 /* Next 16 bits at a bit cursor, zero-padded past the end (the Python
  * side allocates the buffer with >= 8 trailing zero bytes). */
@@ -347,43 +379,276 @@ int p3_decode_ac_refine(uint8_t *data, int64_t nbits, int64_t *pos,
     return P3_OK;
 }
 
-/* BitWriter-equivalent packing: skip zero lengths, mask each value to
- * its width, MSB-first, pad the final byte with 1-bits, stuff 0x00
- * after every 0xFF (including one produced by the padding).  The
- * Python wrapper guarantees lengths <= 63. */
-int64_t p3_pack_bits(uint64_t *values, int64_t *lengths, int64_t n,
-                     uint8_t *out) {
-    uint64_t acc = 0;
-    int accbits = 0;  /* invariant between tokens: accbits < 8 */
-    int64_t o = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t len64 = lengths[i];
-        if (len64 <= 0) continue;
-        int remaining = (int)len64;
-        uint64_t v = values[i] & (((((uint64_t)1) << remaining)) - 1);
-        while (remaining > 0) {
-            int take = remaining > 24 ? 24 : remaining;
-            uint32_t chunk = (uint32_t)((v >> (remaining - take))
-                                        & (((((uint64_t)1) << take)) - 1));
-            acc = (acc << take) | chunk;
-            accbits += take;
-            remaining -= take;
-            while (accbits >= 8) {
-                accbits -= 8;
-                uint8_t byte = (uint8_t)((acc >> accbits) & 0xFF);
-                out[o++] = byte;
-                if (byte == 0xFF) out[o++] = 0x00;
+/* ---- Encoding ---------------------------------------------------------
+ *
+ * One loop per scan kind.  Each runs twice, like libjpeg's two-pass
+ * optimize_coding: with w->out == NULL it is the counting pass, where a
+ * symbol only bumps its table's histogram and nothing is written; with
+ * an output buffer it is the writing pass, which codes every symbol
+ * through its table and writes the stuffed, 1-padded segment.  Blocks
+ * are int32 raster blocks read in zigzag order through p3_zigzag; the
+ * caller sizes the output buffer for the worst case. */
+
+/* Zigzag position -> raster index within an 8x8 block (T.81 Figure 5). */
+static const int p3_zigzag[64] = {
+     0,  1,  8, 16,  9,  2,  3, 10, 17, 24, 32, 25, 18, 11,  4,  5,
+    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13,  6,  7, 14, 21, 28,
+    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
+    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
+};
+
+/* One Huffman table as a pass uses it: the counting pass fills freq
+ * (256 counts), the writing pass reads code/length by symbol, where
+ * length 0 marks a symbol absent from the table. */
+typedef struct {
+    int64_t *freq;
+    const uint64_t *code;
+    const int64_t *length;
+} P3Table;
+
+/* The bit writer every encode loop shares.  Between calls fewer than 8
+ * bits are pending, so one call may take up to 56 bits: a code of at
+ * most 16 bits and a payload of at most 32. */
+typedef struct {
+    uint8_t *out;     /* NULL in the counting pass */
+    int64_t size;     /* bytes written */
+    uint64_t acc;
+    int nacc;
+    int missing;      /* first symbol absent from its table, or -1 */
+} P3Writer;
+
+static void p3_put(P3Writer *w, uint64_t value, int n) {
+    if (!w->out || n == 0) return;
+    w->acc = (w->acc << n) | (value & ((((uint64_t)1) << n) - 1));
+    w->nacc += n;
+    while (w->nacc >= 8) {
+        uint8_t byte;
+        w->nacc -= 8;
+        byte = (uint8_t)(w->acc >> w->nacc);
+        w->out[w->size++] = byte;
+        if (byte == 0xFF) w->out[w->size++] = 0x00;
+    }
+}
+
+/* A symbol's code followed by n payload bits, in one write. */
+static void p3_symbol(P3Writer *w, const P3Table *t, int symbol,
+                      uint64_t bits, int n) {
+    if (!w->out) {
+        t->freq[symbol]++;
+    } else if (!t->length[symbol]) {
+        if (w->missing < 0) w->missing = symbol;
+    } else {
+        p3_put(w, (t->code[symbol] << n)
+                  | (bits & ((((uint64_t)1) << n) - 1)),
+               (int)t->length[symbol] + n);
+    }
+}
+
+/* Pad the last byte with 1-bits (T.81 F.1.2.3). */
+static void p3_flush(P3Writer *w) {
+    if (w->nacc) p3_put(w, 0xFF, 8 - w->nacc);
+}
+
+static void p3_restart(P3Writer *w, int index) {
+    if (!w->out) return;
+    p3_flush(w);
+    w->out[w->size++] = 0xFF;
+    w->out[w->size++] = (uint8_t)(0xD0 + index);
+}
+
+static int p3_nbits(uint64_t a) {
+#if defined(__GNUC__)
+    return a ? 64 - __builtin_clzll(a) : 0;
+#else
+    int n = 0;
+    while (a) { a >>= 1; n++; }
+    return n;
+#endif
+}
+
+/* Magnitude category of v, and its payload in *bits: v itself, or the
+ * one's complement v - 1 for a negative v (T.81 F.1.2.1), which
+ * p3_put masks to the category's width. */
+static int p3_magnitude(int64_t v, uint64_t *bits) {
+    *bits = (uint64_t)(v < 0 ? v - 1 : v);
+    return p3_nbits((uint64_t)(v < 0 ? -v : v));
+}
+
+/* Arithmetic shift right: floor(v / 2^al), as Python's >>. */
+static int64_t p3_asr(int64_t v, int al) {
+    return v >= 0 ? v >> al : -((-v - 1) >> al) - 1;
+}
+
+/* The point transform of the progressive AC scans: sign(v)*(|v|>>al). */
+static int64_t p3_point(int64_t v, int al) {
+    return v >= 0 ? v >> al : -((-v) >> al);
+}
+
+/* A DC difference: the category symbol, then the payload bits. */
+static void p3_dc_diff(P3Writer *w, const P3Table *t, int64_t diff) {
+    uint64_t bits;
+    int n = p3_magnitude(diff, &bits);
+    p3_symbol(w, t, n, bits, n);
+}
+
+/* A nonzero AC value after `run` zeros: ZRLs, then (run << 4) | size.
+ * A size past the symbol's 4-bit field is libjpeg's JERR_BAD_DCT_COEF. */
+static int p3_ac_value(P3Writer *w, const P3Table *t, int run, int64_t v) {
+    uint64_t bits;
+    int n = p3_magnitude(v, &bits);
+    while (run > 15) {
+        p3_symbol(w, t, 0xF0, 0, 0);
+        run -= 16;
+    }
+    if (n > 15) return P3_ERR_COEF_RANGE;
+    p3_symbol(w, t, (run << 4) | n, bits, n);
+    return P3_OK;
+}
+
+int p3_encode_baseline(P3Writer *w, int32_t **views, uint8_t *slots,
+                       int64_t *flats, int64_t total_mcus,
+                       int blocks_per_mcu, int64_t restart_interval,
+                       P3Table **dc, P3Table **ac) {
+    int64_t prev[256] = {0};
+    int64_t i = 0;
+    for (int64_t mcu = 0; mcu < total_mcus; mcu++) {
+        if (restart_interval && mcu && mcu % restart_interval == 0) {
+            p3_restart(w, (int)((mcu / restart_interval - 1) & 7));
+            for (int s = 0; s < 256; s++) prev[s] = 0;
+        }
+        for (int b = 0; b < blocks_per_mcu; b++, i++) {
+            int slot = slots[i];
+            const int32_t *block = views[slot] + flats[i] * 64;
+            int run = 0;
+            p3_dc_diff(w, dc[slot], block[0] - prev[slot]);
+            prev[slot] = block[0];
+            for (int k = 1; k < 64; k++) {
+                int32_t v = block[p3_zigzag[k]];
+                if (!v) { run++; continue; }
+                if (p3_ac_value(w, ac[slot], run, v)) return P3_ERR_COEF_RANGE;
+                run = 0;
             }
-            acc &= ((((uint64_t)1) << accbits) - 1);
+            if (run) p3_symbol(w, ac[slot], 0x00, 0, 0);  /* EOB */
         }
     }
-    if (accbits > 0) {
-        int pad = 8 - accbits;
-        uint8_t byte = (uint8_t)(((acc << pad) | ((1u << pad) - 1)) & 0xFF);
-        out[o++] = byte;
-        if (byte == 0xFF) out[o++] = 0x00;
+    p3_flush(w);
+    return P3_OK;
+}
+
+int p3_encode_dc_first(P3Writer *w, int32_t **views, uint8_t *slots,
+                       int64_t *flats, int64_t nblocks, int al,
+                       P3Table **dc) {
+    int64_t prev[256] = {0};
+    for (int64_t i = 0; i < nblocks; i++) {
+        int slot = slots[i];
+        int64_t value = p3_asr(views[slot][flats[i] * 64], al);
+        p3_dc_diff(w, dc[slot], value - prev[slot]);
+        prev[slot] = value;
     }
-    return o;
+    p3_flush(w);
+    return P3_OK;
+}
+
+int p3_encode_dc_refine(P3Writer *w, int32_t **views, uint8_t *slots,
+                        int64_t *flats, int64_t nblocks, int al) {
+    for (int64_t i = 0; i < nblocks; i++)
+        p3_put(w, (uint64_t)p3_asr(views[slots[i]][flats[i] * 64], al), 1);
+    p3_flush(w);
+    return P3_OK;
+}
+
+/* The EOB run of the progressive AC scans (jcphuff's EOBRUN) and the
+ * correction bits buffered behind it.  It flushes before the next
+ * symbol, at a run of 0x7FFF and past 900 buffered bits. */
+typedef struct {
+    int64_t run;
+    int nbits;
+    uint8_t bits[1024];
+} P3EobRun;
+
+static void p3_eob_flush(P3Writer *w, const P3Table *t, P3EobRun *e) {
+    if (e->run) {
+        int n = p3_nbits((uint64_t)e->run) - 1;
+        p3_symbol(w, t, n << 4, (uint64_t)(e->run - (((int64_t)1) << n)), n);
+    }
+    for (int j = 0; j < e->nbits; j++) p3_put(w, e->bits[j], 1);
+    e->run = 0;
+    e->nbits = 0;
+}
+
+static void p3_eob_account(P3Writer *w, const P3Table *t, P3EobRun *e,
+                           const uint8_t *bits, int nbits) {
+    e->run++;
+    for (int j = 0; j < nbits; j++) e->bits[e->nbits++] = bits[j];
+    if (e->run == 0x7FFF || e->nbits > 900) p3_eob_flush(w, t, e);
+}
+
+int p3_encode_ac_first(P3Writer *w, int32_t *view, int64_t nblocks,
+                       int ss, int se, int al, P3Table **ac) {
+    P3EobRun eob;
+    eob.run = 0;
+    eob.nbits = 0;
+    for (int64_t b = 0; b < nblocks; b++) {
+        const int32_t *block = view + b * 64;
+        int run = 0, coded = 0;
+        for (int k = ss; k <= se; k++) {
+            int64_t v = p3_point(block[p3_zigzag[k]], al);
+            if (!v) { run++; continue; }
+            if (!coded) { p3_eob_flush(w, ac[0], &eob); coded = 1; }
+            if (p3_ac_value(w, ac[0], run, v)) return P3_ERR_COEF_RANGE;
+            run = 0;
+        }
+        if (run) p3_eob_account(w, ac[0], &eob, 0, 0);
+    }
+    p3_eob_flush(w, ac[0], &eob);
+    p3_flush(w);
+    return P3_OK;
+}
+
+/* G.1.2.3 / jcphuff encode_mcu_AC_refine: a newly significant
+ * coefficient codes (run << 4) | 1 and its sign bit; one already
+ * significant rides along as a buffered correction bit. */
+int p3_encode_ac_refine(P3Writer *w, int32_t *view, int64_t nblocks,
+                        int ss, int se, int al, P3Table **ac) {
+    P3EobRun eob;
+    int64_t absolute[64];
+    uint8_t buffered[64];
+    eob.run = 0;
+    eob.nbits = 0;
+    for (int64_t b = 0; b < nblocks; b++) {
+        const int32_t *block = view + b * 64;
+        int last_new = -1, run = 0, nbuffered = 0;
+        for (int k = ss; k <= se; k++) {
+            int64_t v = block[p3_zigzag[k]];
+            absolute[k] = (v < 0 ? -v : v) >> al;
+            if (absolute[k] == 1) last_new = k;
+        }
+        for (int k = ss; k <= se; k++) {
+            int64_t a = absolute[k];
+            if (!a) { run++; continue; }
+            while (run > 15 && k <= last_new) {
+                p3_eob_flush(w, ac[0], &eob);
+                p3_symbol(w, ac[0], 0xF0, 0, 0);
+                run -= 16;
+                for (int j = 0; j < nbuffered; j++) p3_put(w, buffered[j], 1);
+                nbuffered = 0;
+            }
+            if (a > 1) {
+                buffered[nbuffered++] = (uint8_t)(a & 1);
+                continue;
+            }
+            p3_eob_flush(w, ac[0], &eob);
+            p3_symbol(w, ac[0], (run << 4) | 1, block[p3_zigzag[k]] > 0, 1);
+            for (int j = 0; j < nbuffered; j++) p3_put(w, buffered[j], 1);
+            nbuffered = 0;
+            run = 0;
+        }
+        if (run || nbuffered)
+            p3_eob_account(w, ac[0], &eob, buffered, nbuffered);
+    }
+    p3_eob_flush(w, ac[0], &eob);
+    p3_flush(w);
+    return P3_OK;
 }
 """
 

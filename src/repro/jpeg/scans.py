@@ -1,4 +1,4 @@
-"""Progressive scan scripts and the scan encoder (T.81 G.1.2).
+"""Progressive scan scripts and the scan encoders (T.81 G.1.2).
 
 A progressive JPEG is a *script* of scans.  Each :class:`ScanSpec`
 names a coefficient band ``Ss..Se``, the components it codes (several
@@ -14,9 +14,13 @@ scripts ship:
   default progressive script: DC and AC bits are sent
   most-significant first across two passes.
 
-:func:`run_scan` encodes one scan of either script.  The scalar
-encoders below follow jcphuff.c and are the differential reference for
-the batch recipes in :mod:`repro.jpeg.huffman`:
+:func:`run_scan` codes one scan, baseline or progressive, in two
+passes: it counts symbols, builds optimal tables and writes.  The scan
+itself comes from either engine: a :class:`ScalarScan` over the
+per-symbol encoders below, which follow jcphuff.c and are the
+differential reference, or a
+:class:`~repro.jpeg.native.encode.NativeScan` over the C kernel.  The
+four progressive scan kinds are:
 
 * DC first scan (Ah=0): difference-code ``dc >> Al``;
 * DC refinement (Ah>0): one raw bit per block — bit ``Al`` of the DC;
@@ -25,30 +29,36 @@ the batch recipes in :mod:`repro.jpeg.huffman`:
 * AC refinement (Ah>0): newly significant coefficients emit
   ``(run << 4) | 1`` plus a sign bit; already-significant ones ride
   along as buffered correction bits (G.1.2.3 figure G.7).
+
+An AC value that needs more than 15 magnitude bits does not fit its
+symbol's size field; both engines raise
+:class:`~repro.jpeg.markers.JpegFormatError` for it, as libjpeg does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.jpeg.bitstream import BitWriter, pack_entropy_bits
+from repro.jpeg.bitstream import BitWriter
 from repro.jpeg.huffman import (
     HuffmanEncoder,
     HuffmanTable,
     STANDARD_AC_LUMINANCE,
     STANDARD_DC_LUMINANCE,
     build_optimized_table,
-    dc_scan_token_bundles,
-    encode_ac_first_scan,
-    encode_ac_refinement_scan,
     encode_magnitude_bits,
-    interleaved_visit_arrays,
     magnitude_category,
-    merge_frequencies,
-    pack_dc_scan_tokens,
 )
+from repro.jpeg.markers import JpegFormatError
+from repro.jpeg.structures import CoefficientImage
+from repro.jpeg.zigzag import ZIGZAG_ORDER
+
+#: A Huffman table's place in the stream, as a DHT segment names it:
+#: ``(table class, table id)`` with class 0 for DC and 1 for AC.
+TableKey = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,29 @@ def default_sa_script(num_components: int) -> list[ScanSpec]:
         script.append(ScanSpec((index,), 1, 5, 1, 0))
         script.append(ScanSpec((index,), 6, 63, 1, 0))
     return script
+
+
+def zigzag_blocks(coefficients: np.ndarray) -> np.ndarray:
+    """Flatten (by, bx, 8, 8) raster blocks into (by, bx, 64) zigzag."""
+    by, bx = coefficients.shape[:2]
+    flat = coefficients.reshape(by, bx, 64)
+    return flat[..., ZIGZAG_ORDER]
+
+
+def pad_blocks_to_mcu(
+    blocks: np.ndarray, mcus_y: int, mcus_x: int, v: int, h: int
+) -> np.ndarray:
+    """Edge-pad a (by, bx, 64) block array to the interleaved-MCU grid."""
+    need_y = mcus_y * v
+    need_x = mcus_x * h
+    by, bx = blocks.shape[:2]
+    pad_y = need_y - by
+    pad_x = need_x - bx
+    if pad_y < 0 or pad_x < 0:
+        raise ValueError("block array larger than MCU grid")
+    if pad_y == 0 and pad_x == 0:
+        return blocks
+    return np.pad(blocks, ((0, pad_y), (0, pad_x), (0, 0)), mode="edge")
 
 
 # -- DC scans -----------------------------------------------------------------
@@ -223,6 +256,8 @@ def encode_ac_first(
                     sink.symbol(0xF0)
                     run -= 16
                 category = magnitude_category(value)
+                if category > 15:
+                    raise JpegFormatError("DCT coefficient out of range")
                 sink.symbol((run << 4) | category)
                 sink.bits(encode_magnitude_bits(value, category), category)
                 run = 0
@@ -275,26 +310,6 @@ def encode_ac_refinement(
     eob.flush()
 
 
-def _run_dc_refinement_fast(
-    blocks_per_component: list[np.ndarray],
-    samplings: list[tuple[int, int]],
-    mcus: tuple[int, int],
-    al: int,
-) -> bytes:
-    """Vectorized DC refinement: gather bit ``al`` of every DC in MCU
-    visit order and pack them as raw 1-bit writes."""
-    visits = interleaved_visit_arrays(samplings, mcus)
-    all_g = []
-    all_bits = []
-    for (flat, g, _), blocks in zip(visits, blocks_per_component):
-        dc = blocks.reshape(-1, 64)[flat, 0]
-        all_g.append(g)
-        all_bits.append((dc.astype(np.int64) >> al) & 1)
-    order = np.argsort(np.concatenate(all_g), kind="stable")
-    bits = np.concatenate(all_bits)[order]
-    return pack_entropy_bits(bits, np.ones(bits.size, dtype=np.int64))
-
-
 # -- scan-level driver --------------------------------------------------------
 
 
@@ -325,88 +340,117 @@ class _WritingSink:
         self._writer.write(value, num_bits)
 
 
-def _optimal_tables(
-    frequencies: dict[int, dict[int, int]], fallback: HuffmanTable
-) -> dict[int, HuffmanTable]:
-    """One optimized table per id; ``fallback`` for an id without
-    symbols."""
-    return {
-        table_id: build_optimized_table(counts) if counts else fallback
-        for table_id, counts in frequencies.items()
-    }
+class Scan(Protocol):
+    """One scan of either engine, coded in two passes."""
+
+    def count(self) -> dict[TableKey, dict[int, int]]: ...
+
+    def write(self, tables: dict[TableKey, HuffmanTable]) -> bytes: ...
+
+
+class ScalarScan:
+    """A scan on the scalar engine.
+
+    ``code(sinks, writer)`` is its per-symbol routine: ``sinks`` maps
+    each table key in ``keys`` to a symbol/bit sink, and ``writer`` is
+    the pass's :class:`BitWriter` (None while counting).
+    """
+
+    def __init__(
+        self,
+        code: Callable[[dict, BitWriter | None], None],
+        keys: list[TableKey],
+    ) -> None:
+        self._code = code
+        self.keys = sorted(set(keys))
+
+    def count(self) -> dict[TableKey, dict[int, int]]:
+        frequencies: dict[TableKey, dict[int, int]] = {
+            key: {} for key in self.keys
+        }
+        if self.keys:
+            sinks = {key: _CountingSink(frequencies[key]) for key in self.keys}
+            self._code(sinks, None)
+        return frequencies
+
+    def write(self, tables: dict[TableKey, HuffmanTable]) -> bytes:
+        writer = BitWriter()
+        sinks = {
+            key: _WritingSink(writer, HuffmanEncoder(tables[key]))
+            for key in self.keys
+        }
+        self._code(sinks, writer)
+        writer.flush()
+        return writer.getvalue()
+
+
+def scalar_scans(
+    image: CoefficientImage, table_ids: list[int], mcus: tuple[int, int]
+) -> Callable[[ScanSpec], ScalarScan]:
+    """The scans of a progressive script on the scalar engine, one
+    :class:`ScalarScan` per :class:`ScanSpec`.
+
+    DC scans walk the components' zigzag blocks edge-padded to the MCU
+    grid, AC scans the one component's own grid.  A DC first scan codes
+    each component with the table of its ``table_ids`` entry, an AC
+    scan carries one table under id 0, and a DC refinement scan none
+    (raw bits only).
+    """
+    zigzag = [zigzag_blocks(c.coefficients) for c in image.components]
+    padded = [
+        pad_blocks_to_mcu(blocks, *mcus, c.v_sampling, c.h_sampling)
+        for blocks, c in zip(zigzag, image.components)
+    ]
+    samplings = [(c.h_sampling, c.v_sampling) for c in image.components]
+
+    def scan(spec: ScanSpec) -> ScalarScan:
+        indices = spec.component_indices
+        scan_padded = [padded[i] for i in indices]
+        scan_samplings = [samplings[i] for i in indices]
+        if spec.is_dc and spec.is_refinement:
+            return ScalarScan(
+                lambda sinks, writer: encode_dc_refinement(
+                    scan_padded, scan_samplings, mcus, spec.al, writer
+                ),
+                [],
+            )
+        if spec.is_dc:
+            keys = [(0, table_ids[i]) for i in indices]
+            return ScalarScan(
+                lambda sinks, writer: encode_dc_first(
+                    scan_padded,
+                    scan_samplings,
+                    mcus,
+                    spec.al,
+                    [sinks[key] for key in keys],
+                ),
+                keys,
+            )
+        encode = encode_ac_refinement if spec.is_refinement else encode_ac_first
+        return ScalarScan(
+            lambda sinks, writer: encode(
+                zigzag[indices[0]], spec.ss, spec.se, spec.al, sinks[1, 0]
+            ),
+            [(1, 0)],
+        )
+
+    return scan
 
 
 def run_scan(
-    spec: ScanSpec,
-    blocks_per_component: list[np.ndarray],
-    padded_blocks: list[np.ndarray],
-    samplings: list[tuple[int, int]],
-    mcus: tuple[int, int],
-    table_ids: list[int],
-    engine: str | None = None,
-) -> tuple[dict[int, HuffmanTable], bytes]:
-    """Encode one scan; returns ``({table_id: table}, entropy_bytes)``.
+    scan: Scan, tables: dict[TableKey, HuffmanTable] | None = None
+) -> tuple[dict[TableKey, HuffmanTable], bytes]:
+    """Code one scan; returns ``(tables, entropy_bytes)``.
 
-    ``blocks_per_component`` are the true (unpadded) zigzag arrays used
-    for AC scans; ``padded_blocks`` the MCU-padded ones for DC scans.
-    Huffman tables are optimized per scan: a DC first scan codes each
-    component with the table of its ``table_ids`` entry, an AC scan
-    carries one table under id 0, and a DC refinement scan carries none
-    (raw bits only).  Unless ``engine`` is ``"scalar"`` every scan type
-    runs on the batch recipes of :mod:`repro.jpeg.huffman` and the C
-    packer, byte-identical to the scalar encoders above (which remain
-    the differential reference).
+    Without ``tables`` this is libjpeg's two-pass ``optimize_coding``:
+    the counting pass's histograms build one optimal table per key (the
+    standard luminance table of its class for a key without symbols),
+    and the writing pass codes with them.
     """
-    fast = engine != "scalar"
-    padded = [padded_blocks[i] for i in spec.component_indices]
-    scan_samplings = [samplings[i] for i in spec.component_indices]
-    blocks = blocks_per_component[spec.component_indices[0]]
-    if spec.is_dc and spec.is_refinement:
-        if fast:
-            return {}, _run_dc_refinement_fast(
-                padded, scan_samplings, mcus, spec.al
-            )
-        writer = BitWriter()
-        encode_dc_refinement(padded, scan_samplings, mcus, spec.al, writer)
-        writer.flush()
-        return {}, writer.getvalue()
-
-    if fast and not spec.is_dc:
-        encode = (
-            encode_ac_refinement_scan
-            if spec.is_refinement
-            else encode_ac_first_scan
-        )
-        table, entropy = encode(
-            blocks.reshape(-1, 64), spec.ss, spec.se, spec.al
-        )
-        return {0: table}, entropy
-
-    ids = [table_ids[i] for i in spec.component_indices] if spec.is_dc else [0]
-    frequencies: dict[int, dict[int, int]] = {
-        table_id: {} for table_id in sorted(set(ids))
-    }
-    if fast:  # a DC first scan; every other fast scan returned above
-        bundles = dc_scan_token_bundles(padded, scan_samplings, mcus, spec.al)
-        for (_, categories, _), table_id in zip(bundles, ids):
-            merge_frequencies(frequencies[table_id], categories)
-        tables = _optimal_tables(frequencies, STANDARD_DC_LUMINANCE)
-        return tables, pack_dc_scan_tokens(bundles, [tables[t] for t in ids])
-
-    def code(sinks: list) -> None:
-        if spec.is_dc:
-            encode_dc_first(padded, scan_samplings, mcus, spec.al, sinks)
-        elif spec.is_refinement:
-            encode_ac_refinement(blocks, spec.ss, spec.se, spec.al, sinks[0])
-        else:
-            encode_ac_first(blocks, spec.ss, spec.se, spec.al, sinks[0])
-
-    code([_CountingSink(frequencies[t]) for t in ids])
-    tables = _optimal_tables(
-        frequencies,
-        STANDARD_DC_LUMINANCE if spec.is_dc else STANDARD_AC_LUMINANCE,
-    )
-    writer = BitWriter()
-    code([_WritingSink(writer, HuffmanEncoder(tables[t])) for t in ids])
-    writer.flush()
-    return tables, writer.getvalue()
+    if tables is None:
+        fallback = {0: STANDARD_DC_LUMINANCE, 1: STANDARD_AC_LUMINANCE}
+        tables = {
+            key: build_optimized_table(counts) if counts else fallback[key[0]]
+            for key, counts in scan.count().items()
+        }
+    return tables, scan.write(tables)

@@ -16,8 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.jpeg.bitstream import (
     BitReader,
     BitWriter,
-    VectorBitWriter,
-    pack_entropy_bits,
     split_restart_segments,
 )
 from repro.jpeg.codec import (
@@ -34,16 +32,14 @@ from repro.jpeg.huffman import (
     STANDARD_DC_CHROMINANCE,
     STANDARD_DC_LUMINANCE,
     build_optimized_table,
-    encode_magnitude_bits,
-    encode_magnitude_bits_batch,
     encoder_code_arrays,
     lookup_table,
-    magnitude_categories,
-    magnitude_category,
 )
 from repro.jpeg.markers import JpegFormatError
 from repro.jpeg.native.decode import decode_dc_refine
-from repro.jpeg.scans import ScanSpec, run_scan
+from repro.jpeg.scans import ScanSpec
+from repro.jpeg.structures import CoefficientImage, ComponentInfo
+from repro.jpeg.zigzag import from_zigzag
 
 
 # -- bit-level primitives -----------------------------------------------------
@@ -78,39 +74,15 @@ def _native_read_bits(stuffed: bytes, count: int) -> list[int]:
 
 class TestBitPacking:
     @given(token_lists)
-    @settings(max_examples=150, deadline=None)
-    def test_pack_matches_scalar_writer(self, tokens):
+    @settings(max_examples=60, deadline=None)
+    def test_fast_reader_round_trip(self, tokens):
         writer = BitWriter()
         for value, length in tokens:
             writer.write(value, length)
         writer.flush()
-        values = np.array([v for v, _ in tokens], dtype=np.uint64)
-        lengths = np.array([l for _, l in tokens], dtype=np.int64)
-        assert pack_entropy_bits(values, lengths) == writer.getvalue()
-
-    def test_pack_stuffs_padding_ff(self):
-        # Seven 1-bits pad to 0xFF, which must get a stuffed zero.
-        assert pack_entropy_bits([1], [1]) == b"\xff\x00"
-
-    def test_pack_does_not_mutate_caller_arrays(self):
-        values = np.array([0xFFFF, 3], dtype=np.uint64)
-        lengths = np.array([4, 2], dtype=np.int64)
-        first = pack_entropy_bits(values, lengths)
-        assert values.tolist() == [0xFFFF, 3]  # width-masking not in place
-        assert pack_entropy_bits(values, lengths) == first
-
-    def test_pack_skips_zero_lengths(self):
-        assert pack_entropy_bits([7, 0, 2], [3, 0, 2]) == pack_entropy_bits(
-            [7, 2], [3, 2]
+        bits = _native_read_bits(
+            writer.getvalue(), sum(length for _, length in tokens)
         )
-
-    @given(token_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_fast_reader_round_trip(self, tokens):
-        values = np.array([v for v, _ in tokens], dtype=np.uint64)
-        lengths = np.array([l for _, l in tokens], dtype=np.int64)
-        stuffed = pack_entropy_bits(values, lengths)
-        bits = _native_read_bits(stuffed, int(lengths.sum()))
         position = 0
         for value, length in tokens:
             word = bits[position : position + length]
@@ -139,18 +111,6 @@ class TestBitPacking:
         assert _native_read_bits(b"\xab", 8) == [1, 0, 1, 0, 1, 0, 1, 1]
         with pytest.raises(JpegFormatError, match="entropy data ended"):
             _native_read_bits(b"\xab", 9)
-
-    def test_vector_writer_restart_markers(self):
-        scalar = BitWriter()
-        scalar.write(0xFFFF, 16)
-        scalar.write_restart_marker(0)
-        scalar.write(0x5, 3)
-        scalar.flush()
-        vector = VectorBitWriter()
-        vector.extend([0xFFFF], [16])
-        vector.write_restart_marker(0)
-        vector.extend([0x5], [3])
-        assert vector.getvalue() == scalar.getvalue()
 
     def test_split_restart_segments_round_trip(self):
         writer = BitWriter()
@@ -208,16 +168,6 @@ class TestLookupTables:
         for symbol in table.values:
             code, length = encoder.code_for(symbol)
             assert entries[code << (16 - length)] == (length << 8) | symbol
-
-    @given(st.lists(st.integers(-32767, 32767), min_size=1, max_size=64))
-    @settings(max_examples=100, deadline=None)
-    def test_magnitude_batch_matches_scalar(self, raw):
-        values = np.array(raw, dtype=np.int64)
-        categories = magnitude_categories(values)
-        extras = encode_magnitude_bits_batch(values, categories)
-        for value, category, extra in zip(raw, categories, extras):
-            assert magnitude_category(value) == category
-            assert encode_magnitude_bits(value, int(category)) == extra
 
 
 # -- whole-codec equivalence --------------------------------------------------
@@ -279,6 +229,24 @@ def _assert_same_coefficients(first, second):
         assert np.array_equal(a.coefficients, b.coefficients)
 
 
+def _one_component_image(zigzag_blocks, columns=1):
+    """A one-component image whose blocks, in raster order, are the rows
+    of ``zigzag_blocks`` (an (N, 64) zigzag stack), ``columns`` wide."""
+    rows = zigzag_blocks.shape[0] // columns
+    assert rows * columns == zigzag_blocks.shape[0]
+    coefficients = from_zigzag(zigzag_blocks).reshape(rows, columns, 8, 8)
+    component = ComponentInfo(
+        identifier=1,
+        h_sampling=1,
+        v_sampling=1,
+        quant_table=np.ones((8, 8), dtype=np.int32),
+        coefficients=coefficients.astype(np.int32),
+    )
+    return CoefficientImage(
+        width=8 * columns, height=8 * rows, components=[component]
+    )
+
+
 class TestEncoderEquivalence:
     def test_baseline_byte_identical(
         self, gray_image, rgb_image, odd_gray_image
@@ -333,6 +301,83 @@ class TestEncoderEquivalence:
         image = gray_to_coefficients(noisy, quality=95)
         data = encode_baseline(image, engine=None)
         assert b"\xff\x00" in data
+
+
+#: Sampling factors per layout, luma first.
+LAYOUTS = {
+    "gray": [(1, 1)],
+    "4:4:4": [(1, 1), (1, 1), (1, 1)],
+    "4:2:0": [(2, 2), (1, 1), (1, 1)],
+    "4:2:2": [(2, 1), (1, 1), (1, 1)],
+}
+
+
+def _raw_image(layout, width, height, seed, density, ac_limit, dc_limit):
+    """A coefficient image straight from a seed: no FDCT, no
+    quantization, so magnitudes reach what a hostile or synthetic
+    source can put in a component."""
+    rng = np.random.default_rng(seed)
+    samplings = LAYOUTS[layout]
+    max_h = max(h for h, _ in samplings)
+    max_v = max(v for _, v in samplings)
+    components = []
+    for index, (h, v) in enumerate(samplings):
+        plane_h = -(-height * v // max_v)
+        plane_w = -(-width * h // max_h)
+        shape = (-(-plane_h // 8), -(-plane_w // 8), 8, 8)
+        coefficients = rng.integers(-ac_limit, ac_limit + 1, size=shape)
+        coefficients[rng.random(shape) >= density] = 0
+        coefficients[:, :, 0, 0] = rng.integers(
+            -dc_limit, dc_limit + 1, size=shape[:2]
+        )
+        components.append(
+            ComponentInfo(
+                identifier=index + 1,
+                h_sampling=h,
+                v_sampling=v,
+                quant_table=np.ones((8, 8), dtype=np.int32),
+                coefficients=coefficients.astype(np.int32),
+            )
+        )
+    return CoefficientImage(width=width, height=height, components=components)
+
+
+class TestRawCoefficientFuzz:
+    """Raw coefficient blocks through all five scan kinds on both
+    engines: AC up to +-32767 (the widest a symbol's 4-bit size field
+    codes), DC up to the decoder's +-2^20 predictor range, sparse and
+    dense blocks, odd block grids, gray and 4:4:4/4:2:0/4:2:2."""
+
+    @given(
+        layout=st.sampled_from(sorted(LAYOUTS)),
+        width=st.integers(1, 40),
+        height=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.02, 0.2, 0.7, 1.0]),
+        ac_limit=st.sampled_from([1, 15, 1023, 32767]),
+        dc_limit=st.sampled_from([0, 2047, 1 << 20]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_scan_kind_byte_identical(
+        self, layout, width, height, seed, density, ac_limit, dc_limit
+    ):
+        image = _raw_image(
+            layout, width, height, seed, density, ac_limit, dc_limit
+        )
+        for options in (
+            {"progressive": False},
+            {"progressive": False, "restart_interval": 2},
+            {"progressive": True},
+            {"progressive": "sa"},
+        ):
+            fast = encode_coefficients(image, engine=None, **options)
+            scalar = encode_coefficients(image, engine="scalar", **options)
+            assert fast == scalar, options
+            decoded = decode_to_coefficients(fast, engine=None)
+            for ours, theirs in zip(decoded.components, image.components):
+                np.testing.assert_array_equal(
+                    ours.coefficients, theirs.coefficients
+                )
 
 
 class TestDecoderEquivalence:
@@ -418,21 +463,18 @@ class TestDecoderEquivalence:
                 pass
 
     def test_ac_refinement_edge_cases_byte_identical(self):
-        # The refinement encoder's nastiest interleavings, hit directly
-        # through run_scan: ZRL emission triggered at an
-        # already-significant coefficient, correction bits buffered
-        # across ZRLs, corr-only/all-zero blocks joining EOB runs, the
-        # scalar _EobState's forced flushes (>900 buffered bits,
-        # 0x7FFF-run split), and random stacks for good measure.
-        def assert_identical(blocks64, ss, se, al):
-            spec = ScanSpec((0,), ss, se, al + 1, al)
-            shaped = blocks64.reshape(blocks64.shape[0], 1, 64)
-            args = ([shaped], [shaped], [(1, 1)], (blocks64.shape[0], 1), [0])
-            tables_fast, fast = run_scan(spec, *args, engine=None)
-            tables_scalar, scalar = run_scan(spec, *args, engine="scalar")
-            assert list(tables_fast) == list(tables_scalar) == [0]
-            assert tables_fast[0].bits == tables_scalar[0].bits
-            assert tables_fast[0].values == tables_scalar[0].values
+        # The refinement encoder's nastiest interleavings, each coded as
+        # a one-scan progressive stream (tables and entropy bytes): ZRL
+        # emission triggered at an already-significant coefficient,
+        # correction bits buffered across ZRLs, corr-only/all-zero
+        # blocks joining EOB runs, the EOB run's forced flushes (>900
+        # buffered bits, 0x7FFF-run split), and random stacks for good
+        # measure.
+        def assert_identical(blocks64, ss, se, al, columns=1):
+            image = _one_component_image(blocks64, columns)
+            script = [ScanSpec((0,), ss, se, al + 1, al)]
+            fast = encode_progressive(image, script, engine=None)
+            scalar = encode_progressive(image, script, engine="scalar")
             assert fast == scalar
 
         engineered = np.zeros((4, 64), dtype=np.int64)
@@ -454,11 +496,11 @@ class TestDecoderEquivalence:
 
         forced_bits = np.zeros((1200, 64), dtype=np.int64)
         forced_bits[:, 7] = 4  # 1200 buffered correction bits: >900 flushes
-        assert_identical(forced_bits, 1, 63, 1)
+        assert_identical(forced_bits, 1, 63, 1, columns=30)
 
         eob_split = np.zeros((70000, 64), dtype=np.int64)
         eob_split[0, 1] = 2  # 69999-block EOB run: splits at 0x7FFF
-        assert_identical(eob_split, 1, 63, 1)
+        assert_identical(eob_split, 1, 63, 1, columns=250)
 
         rng = np.random.default_rng(23)
         for _ in range(8):

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import P3Encryptor
-from repro.jpeg.bitstream import BitWriter
 from repro.jpeg.codec import (
     encode_coefficients,
     gray_to_coefficients,
@@ -30,10 +29,11 @@ from repro.jpeg.codec import (
 from repro.jpeg.decoder import decode_to_coefficients
 from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.engines import ENGINES, engine_info, resolve_engine
+from repro.jpeg import markers
 from repro.jpeg.markers import JpegFormatError
 from repro.jpeg.native import kernel as native_kernel
-from repro.jpeg.native.encode import pack_entropy_bits_native
 from repro.jpeg.native.kernel import NativeUnavailableError
+from repro.jpeg.scans import ScanSpec
 
 
 def _gray(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
@@ -245,53 +245,24 @@ class TestAdversarialBitstreams:
         _assert_same_coefficients(streams["native"])
 
 
-class TestNativePacking:
-    """Bit packing: the C packer vs the scalar :class:`BitWriter`."""
+class TestNativeBitWriter:
+    """The encode loops' shared bit writer pads the last byte with
+    1-bits, and a padding-produced 0xFF still gets its stuffed zero."""
 
-    token_lists = st.lists(
-        st.integers(1, 16).flatmap(
-            lambda length: st.tuples(
-                st.integers(0, (1 << length) - 1), st.just(length)
-            )
-        ),
-        max_size=160,
-    )
-
-    @given(token_lists)
-    @settings(max_examples=120, deadline=None)
-    def test_pack_matches_bit_writer(self, tokens):
-        writer = BitWriter()
-        for value, length in tokens:
-            writer.write(value, length)
-        writer.flush()
-        values = np.array([v for v, _ in tokens], dtype=np.uint64)
-        lengths = np.array([l for _, l in tokens], dtype=np.int64)
-        assert pack_entropy_bits_native(values, lengths) == writer.getvalue()
-
-    def test_pack_stuffing_at_boundaries(self):
-        # All-ones tokens force 0xFF bytes (and stuffed zeros) at every
-        # byte boundary, including a padding-produced trailing 0xFF.
-        values = np.array([0xFFFF] * 9 + [0x7F], dtype=np.uint64)
-        lengths = np.array([16] * 9 + [7], dtype=np.int64)
-        writer = BitWriter()
-        for value, length in zip(values, lengths):
-            writer.write(int(value), int(length))
-        writer.flush()
-        assert pack_entropy_bits_native(values, lengths) == writer.getvalue()
-
-    def test_pack_padding_produces_stuffed_ff(self):
-        # A single 1-bit pads with seven 1s -> 0xFF -> stuffed zero.
-        assert pack_entropy_bits_native(
-            np.array([1], dtype=np.uint64), np.array([1], dtype=np.int64)
-        ) == b"\xff\x00"
-
-    def test_pack_rejects_lengths_over_63(self):
-        # The C packer shifts within 64 bits.  No encoder emits a wider
-        # token (codes are at most 16 bits, extra bits at most 15).
-        values = np.array([0], dtype=np.uint64)
-        lengths = np.array([64], dtype=np.int64)
-        with pytest.raises(ValueError, match="63"):
-            pack_entropy_bits_native(values, lengths)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_padding_produced_ff_is_stuffed(self, engine):
+        # DC = 1 under a point transform of 1: the refinement scan sends
+        # one 1-bit, and the padding makes it 0xFF.
+        image = gray_to_coefficients(np.full((8, 8), 128.0), quality=75)
+        image.components[0].coefficients[0, 0, 0, 0] = 1
+        script = [ScanSpec((0,), 0, 0, 0, 1), ScanSpec((0,), 0, 0, 1, 0)]
+        jpeg = encode_progressive(image, script, engine=engine)
+        scans = [
+            segment.entropy_data
+            for segment in markers.parse_segments(jpeg)
+            if segment.marker == markers.SOS
+        ]
+        assert scans[1] == b"\xff\x00"
 
 
 class TestKernelRequired:

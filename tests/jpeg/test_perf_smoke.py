@@ -9,8 +9,9 @@ the scalar engine.
 
 The upload path's array-speed layers have relative budgets instead:
 each is timed against its oracle from ``tests/jpeg/oracles.py`` in the
-same process, so the runner's speed cancels out and a regression back
-to einsum or per-byte speed fails on any machine.
+same process, and the native encode against the native decode of its
+own output, so the runner's speed cancels out and a regression back to
+einsum, per-byte or numpy-tokenizer speed fails on any machine.
 
 Run with ``python -m pytest -m slow tests/jpeg/test_perf_smoke.py``.
 """
@@ -23,7 +24,11 @@ import numpy as np
 import pytest
 
 from repro.jpeg import markers
-from repro.jpeg.codec import decode_coefficients, encode_gray
+from repro.jpeg.codec import (
+    decode_coefficients,
+    encode_coefficients,
+    encode_gray,
+)
 from repro.jpeg.dct import forward_dct
 from repro.jpeg.huffman import build_optimized_table
 from tests.jpeg.oracles import (
@@ -44,6 +49,13 @@ ENCODE_BUDGET_SECONDS = 5.0
 #: headroom for CI noise while still well below any Python-level decode
 #: loop — trips when the C scan loops stop being used.
 NATIVE_DECODE_BUDGET_SECONDS = 0.25
+
+#: Ceiling for the native encode of a dense 512px image, as a multiple
+#: of the native decode of its own output in the same process.  Both
+#: are one C loop per scan; on a 2-vCPU KVM guest the encode's two
+#: passes took ~2x the decode, where the numpy tokenizers it replaced
+#: took 8-9x.
+ENCODE_OVER_DECODE_CEILING = 3.0
 
 #: Minimum speedups over the oracles.  On a 2-vCPU KVM guest the GEMM
 #: FDCT ran 22-24x the einsum on 4096 blocks, the heap builder 7-27x
@@ -85,6 +97,25 @@ def test_native_decode_512_within_budget(dense_512_jpeg):
         f"native 512x512 decode took {best * 1000:.1f}ms (budget "
         f"{NATIVE_DECODE_BUDGET_SECONDS * 1000:.0f}ms) — is the C "
         "kernel actually being used?"
+    )
+
+
+def test_native_encode_within_decode_budget(dense_512_jpeg):
+    image = decode_coefficients(dense_512_jpeg, engine="native")
+    output = encode_coefficients(image, engine="native")
+    decode_coefficients(output, engine="native")  # warm up
+    encode = min(
+        _timed(lambda: encode_coefficients(image, engine="native"))
+        for _ in range(7)
+    )
+    decode = min(
+        _timed(lambda: decode_coefficients(output, engine="native"))
+        for _ in range(7)
+    )
+    assert encode < ENCODE_OVER_DECODE_CEILING * decode, (
+        f"native 512x512 encode took {encode * 1000:.1f}ms, "
+        f"{encode / decode:.1f}x its decode ({decode * 1000:.1f}ms; ceiling "
+        f"{ENCODE_OVER_DECODE_CEILING}x) — is the scan coded in the C kernel?"
     )
 
 

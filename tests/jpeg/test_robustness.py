@@ -16,8 +16,10 @@ from repro.jpeg.codec import (
     encode_gray,
     rgb_to_coefficients,
 )
+from repro.jpeg.encoder import encode_baseline
 from repro.jpeg.engines import ENGINES
 from repro.jpeg.markers import JpegFormatError
+from repro.jpeg.structures import CoefficientImage, ComponentInfo
 
 
 def _accept(data: bytes) -> None:
@@ -125,6 +127,76 @@ class TestFrameHeaderValidation:
         with pytest.raises(JpegFormatError, match="invalid frame header"):
             decode_coefficients(bytes(data), engine=engine)
 
+    #: T.81 B.2.3: Ns in 1-4 and at most 10 blocks per MCU of an
+    #: interleaved scan; B.2.2 and B.2.4.1: Tq in 0-3.
+    HEADER_CASES = {
+        "ns0": "invalid scan header: 0 components",
+        "ns5": "invalid scan header: 5 components",
+        "blocks_per_mcu_12": "invalid scan header: 12 blocks per MCU",
+        "sof_tq5": "invalid frame header: component 1 quantization table 5",
+        "dqt_tq5": "invalid quantization table header: Tq 5",
+        "sof_and_dqt_tq5": "invalid quantization table header: Tq 5",
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "progressive", [False, True], ids=["baseline", "progressive"]
+    )
+    @pytest.mark.parametrize("case", sorted(HEADER_CASES))
+    def test_invalid_scan_or_table_header_is_a_format_error(
+        self, case, progressive, engine
+    ):
+        data = _header_case(case, progressive)
+        with pytest.raises(JpegFormatError, match=self.HEADER_CASES[case]):
+            decode_coefficients(data, engine=engine)
+
+
+def _synthetic_image(
+    samplings: list[tuple[int, int]], width: int = 16, height: int = 16
+) -> CoefficientImage:
+    """Small random coefficients, one component per sampling pair."""
+    rng = np.random.default_rng(5)
+    max_h = max(h for h, _ in samplings)
+    max_v = max(v for _, v in samplings)
+    components = []
+    for index, (h, v) in enumerate(samplings):
+        plane_h = -(-height * v // max_v)
+        plane_w = -(-width * h // max_h)
+        rows, cols = -(-plane_h // 8), -(-plane_w // 8)
+        components.append(
+            ComponentInfo(
+                identifier=index + 1,
+                h_sampling=h,
+                v_sampling=v,
+                quant_table=np.ones((8, 8), dtype=np.int32),
+                coefficients=rng.integers(
+                    -20, 21, size=(rows, cols, 8, 8)
+                ).astype(np.int32),
+            )
+        )
+    return CoefficientImage(width=width, height=height, components=components)
+
+
+def _header_case(case: str, progressive: bool) -> bytes:
+    """A stream whose scan or table headers break T.81 B.2.3/B.2.4.1
+    (or SOF's Tq range) in one way."""
+    if case == "ns5":
+        image = _synthetic_image([(1, 1)] * 5)
+    elif case == "blocks_per_mcu_12":
+        image = _synthetic_image([(2, 2)] * 3)
+    else:
+        image = _synthetic_image([(2, 2), (1, 1), (1, 1)])
+    data = bytearray(encode_coefficients(image, progressive=progressive))
+    sof = data.index(b"\xff\xc2" if progressive else b"\xff\xc0")
+    dqt = data.index(b"\xff\xdb")
+    if case == "ns0":
+        data[data.index(b"\xff\xda") + 4] = 0
+    if case in ("sof_tq5", "sof_and_dqt_tq5"):
+        data[sof + 12] = 5  # luma Tq: FF Cn, Lf, P, Y, X, Nf, Ci, HiVi
+    if case in ("dqt_tq5", "sof_and_dqt_tq5"):
+        data[dqt + 4] = (data[dqt + 4] & 0xF0) | 5  # Pq/Tq of table 0
+    return bytes(data)
+
 
 def _rename_component(
     data: bytearray, old: int, new: int, sof: bytes | None
@@ -188,3 +260,63 @@ class TestFuzzProperties:
         data = encode_gray(image, quality=80)
         cut = max(2, len(data) * cut_percent // 100)
         _accept(data[:cut])
+
+
+def _one_ac_image(value: int) -> CoefficientImage:
+    """A gray image whose first block carries ``value`` at zigzag
+    position 1 among small coefficients."""
+    image = _synthetic_image([(1, 1)])
+    image.components[0].coefficients[0, 0, 0, 1] = value
+    return image
+
+
+class TestCoefficientRange:
+    """An AC value's symbol has a 4-bit size field, so it carries at
+    most 15 magnitude bits.  Both engines reject a wider one with
+    libjpeg's JERR_BAD_DCT_COEF message instead of writing a symbol
+    whose size overflows into its run nibble (an undecodable baseline
+    stream, or wrong coefficients after a progressive decode)."""
+
+    #: Widest AC value each mode codes: the SA script's first AC scan
+    #: sends ``|v| >> 1``.
+    LIMITS = {False: 32767, True: 32767, "sa": 65535}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("progressive", sorted(LIMITS, key=str))
+    def test_widest_ac_value_round_trips(self, engine, progressive):
+        for value in (self.LIMITS[progressive], -self.LIMITS[progressive]):
+            image = _one_ac_image(value)
+            data = encode_coefficients(
+                image, progressive=progressive, engine=engine
+            )
+            decoded = decode_coefficients(data, engine=engine)
+            np.testing.assert_array_equal(
+                decoded.components[0].coefficients,
+                image.components[0].coefficients,
+            )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("progressive", sorted(LIMITS, key=str))
+    def test_wider_ac_value_is_a_format_error(self, engine, progressive):
+        limit = self.LIMITS[progressive]
+        for value in (limit + 1, -limit - 1):
+            with pytest.raises(
+                JpegFormatError, match="DCT coefficient out of range"
+            ):
+                encode_coefficients(
+                    _one_ac_image(value), progressive=progressive, engine=engine
+                )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "dc, ac, symbol", [(2048, 1, 0x0C), (0, 1024, 0x0B)]
+    )
+    def test_symbol_missing_from_annex_k_tables(self, engine, dc, ac, symbol):
+        # DC category 12 and AC size 11 have no code in the Annex K
+        # tables, which only an unoptimized baseline encode uses.
+        image = _one_ac_image(ac)
+        image.components[0].coefficients[0, 0, 0, 0] = dc
+        with pytest.raises(
+            ValueError, match=f"symbol {symbol:#x} not in Huffman table"
+        ):
+            encode_baseline(image, optimize_huffman=False, engine=engine)

@@ -10,7 +10,9 @@ import pytest
 
 from repro.api.fanout import FanoutPSP
 from repro.core.config import P3Config
-from repro.jpeg.codec import encode_rgb
+from repro.jpeg.codec import decode_coefficients, encode_rgb
+from repro.jpeg.encoder import encode_progressive
+from repro.jpeg.scans import ScanSpec
 from repro.serve.async_gateway import AsyncGateway
 from repro.serve.keys import secret_blob_key
 from repro.system.client import PhotoSharingClient
@@ -203,6 +205,36 @@ class TestErrorParity:
         sync_response, async_response = both(gateway, front, upload)
         assert sync_response.status == async_response.status == 400
         assert sync_response.body == async_response.body
+
+    def test_ac_coefficient_past_15_bits_upload_is_400(self, deployment, jpeg):
+        # A progressive upload whose luma AC first scan has Al = 5 and
+        # carries 32767 decodes to 1048544.  P3's secret part keeps
+        # that magnitude, which no baseline AC symbol can code: the
+        # upload must fail when posted, not store a secret part that
+        # no longer decodes.
+        gateway, front, _ = deployment
+        image = decode_coefficients(jpeg)
+        image.components[0].coefficients[0, 0, 0, 1] = 32767 << 5
+        script = [ScanSpec((0, 1, 2), 0, 0, 0, 0)] + [
+            ScanSpec((index,), 1, 63, 0, 5 if index == 0 else 0)
+            for index in range(3)
+        ]
+        hostile = encode_progressive(image, script)
+        assert decode_coefficients(hostile).components[0].coefficients[
+            0, 0, 0, 1
+        ] == 1048544
+        upload = HttpRequest(
+            method="POST",
+            url=build_url(
+                "https://gw.example", "/photos/upload", {"album": "trip"}
+            ),
+            headers={USER_HEADER: "alice"},
+            body=hostile,
+        )
+        sync_response, async_response = both(gateway, front, upload)
+        assert sync_response.status == async_response.status == 400
+        assert sync_response.body == async_response.body
+        assert b"DCT coefficient out of range" in sync_response.body
 
     def test_missing_album_upload_parity(self, deployment, jpeg):
         gateway, front, _ = deployment
