@@ -24,6 +24,7 @@ native engine's byte-for-byte oracle.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +224,30 @@ def _huffman_table_ids(num_components: int) -> list[int]:
     return [0 if index == 0 else 1 for index in range(num_components)]
 
 
+def _check_interleave(
+    image: CoefficientImage, component_indices: Sequence[int]
+) -> None:
+    """T.81 B.2.3: an interleaved scan names at most 4 components and
+    its MCU holds at most 10 blocks (libjpeg's JERR_COMPONENT_COUNT and
+    JERR_BAD_MCU_SIZE).  The decoder rejects any other scan, so the
+    encoder must not write one."""
+    if len(component_indices) < 2:
+        return
+    if len(component_indices) > 4:
+        raise JpegFormatError(
+            f"interleaved scan of {len(component_indices)} components, over 4"
+        )
+    blocks = sum(
+        image.components[index].h_sampling
+        * image.components[index].v_sampling
+        for index in component_indices
+    )
+    if blocks > 10:
+        raise JpegFormatError(
+            f"interleaved scan of {blocks} blocks per MCU, over 10"
+        )
+
+
 def _mcu_grid(image: CoefficientImage) -> tuple[int, int]:
     max_h = image.max_h_sampling
     max_v = image.max_v_sampling
@@ -312,13 +337,16 @@ def encode_baseline(
     ``"native"``, the C kernel; ``"scalar"``, the reference encoder) —
     both produce byte-identical streams, and both raise
     :class:`~repro.jpeg.markers.JpegFormatError` for an AC value that
-    needs more than 15 magnitude bits.
+    needs more than 15 magnitude bits.  The one scan interleaves every
+    component, so an image of more than 4 components or more than 10
+    blocks per MCU is a ``JpegFormatError`` too.
     """
     from repro.jpeg.engines import resolve_engine
 
     engine = resolve_engine(engine)
     if restart_interval < 0 or restart_interval > 0xFFFF:
         raise ValueError(f"invalid restart interval {restart_interval}")
+    _check_interleave(image, range(len(image.components)))
     segments = _frame_header(image, progressive=False)
     table_ids = _huffman_table_ids(len(image.components))
     scan: Scan
@@ -380,12 +408,17 @@ def encode_progressive(
     approximation.  Each scan's Huffman tables are optimized for it and
     sent just before it (:func:`~repro.jpeg.scans.run_scan`).
     ``engine`` selects the entropy engine as in :func:`encode_baseline`.
+    A DC scan that interleaves more than 4 components or more than 10
+    blocks per MCU is a :class:`~repro.jpeg.markers.JpegFormatError`;
+    a script with one DC scan per component codes such an image.
     """
     from repro.jpeg.engines import resolve_engine
 
     engine = resolve_engine(engine)
     if script is None:
         script = spectral_selection_script(len(image.components))
+    for spec in script:
+        _check_interleave(image, spec.component_indices)
     segments = _frame_header(image, progressive=True)
     table_ids = _huffman_table_ids(len(image.components))
     scans = scalar_scans if engine == "scalar" else native_encode.progressive_scans

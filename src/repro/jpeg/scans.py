@@ -83,6 +83,11 @@ class ScanSpec:
             raise ValueError("DC and AC cannot share a progressive scan")
         if self.ss > 0 and len(self.component_indices) != 1:
             raise ValueError("AC scans must be non-interleaved")
+        if not (0 <= self.ah <= 13 and 0 <= self.al <= 13):
+            # T.81 Table B.3; the SOS byte holds each in 4 bits.
+            raise ValueError(
+                f"point transform out of 0-13 (Ah={self.ah}, Al={self.al})"
+            )
         if self.ah and self.ah != self.al + 1:
             raise ValueError(
                 f"refinement must shift one bit (Ah={self.ah}, Al={self.al})"

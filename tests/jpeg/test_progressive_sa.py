@@ -44,6 +44,18 @@ class TestScanSpec:
         with pytest.raises(ValueError):
             ScanSpec((0,), 5, 3, 0, 0)
 
+    @pytest.mark.parametrize(
+        "ah, al", [(0, 14), (0, 64), (0, -1), (14, 13), (-1, -2)]
+    )
+    def test_point_transform_bounds(self, ah, al):
+        # T.81 Table B.3: Ah and Al in 0-13.
+        with pytest.raises(ValueError, match="point transform"):
+            ScanSpec((0,), 1, 63, ah, al)
+
+    def test_widest_point_transform(self):
+        ScanSpec((0,), 1, 63, 0, 13)
+        ScanSpec((0,), 1, 63, 13, 12)
+
     def test_default_script_structure(self):
         script = default_sa_script(3)
         assert script[0].is_dc and not script[0].is_refinement

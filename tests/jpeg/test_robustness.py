@@ -16,9 +16,11 @@ from repro.jpeg.codec import (
     encode_gray,
     rgb_to_coefficients,
 )
-from repro.jpeg.encoder import encode_baseline
+from repro.jpeg import markers
+from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.engines import ENGINES
 from repro.jpeg.markers import JpegFormatError
+from repro.jpeg.scans import ScanSpec
 from repro.jpeg.structures import CoefficientImage, ComponentInfo
 
 
@@ -177,15 +179,47 @@ def _synthetic_image(
     return CoefficientImage(width=width, height=height, components=components)
 
 
+def _per_component_dc_script(num_components: int) -> list[ScanSpec]:
+    """Full precision with one DC scan per component: codes an image
+    whose components cannot share an interleaved scan."""
+    return [ScanSpec((index,), 0, 0, 0, 0) for index in range(num_components)] + [
+        ScanSpec((index,), 1, 63, 0, 0) for index in range(num_components)
+    ]
+
+
+def _interleaved_first_scan(image: CoefficientImage, progressive: bool) -> bytes:
+    """A stream whose first scan header interleaves every component of
+    ``image``, which the encoder refuses to write past T.81 B.2.3's
+    limits: the image is coded one DC scan per component, then the
+    first scan's header is rewritten to name them all (and the frame
+    made SOF0 unless ``progressive``)."""
+    count = len(image.components)
+    data = encode_progressive(image, _per_component_dc_script(count))
+    segments = markers.parse_segments(data)
+    for segment in segments:
+        if segment.marker == markers.SOF2 and not progressive:
+            segment.marker = markers.SOF0
+    sos = next(s for s in segments if s.marker == markers.SOS)
+    sos.payload = (
+        bytes([count])
+        + b"".join(bytes([c.identifier, 0]) for c in image.components)
+        + bytes([0, 0 if progressive else 63, 0])
+    )
+    return markers.serialize_segments(segments)
+
+
 def _header_case(case: str, progressive: bool) -> bytes:
     """A stream whose scan or table headers break T.81 B.2.3/B.2.4.1
     (or SOF's Tq range) in one way."""
     if case == "ns5":
-        image = _synthetic_image([(1, 1)] * 5)
-    elif case == "blocks_per_mcu_12":
-        image = _synthetic_image([(2, 2)] * 3)
-    else:
-        image = _synthetic_image([(2, 2), (1, 1), (1, 1)])
+        return _interleaved_first_scan(
+            _synthetic_image([(1, 1)] * 5), progressive
+        )
+    if case == "blocks_per_mcu_12":
+        return _interleaved_first_scan(
+            _synthetic_image([(2, 2)] * 3), progressive
+        )
+    image = _synthetic_image([(2, 2), (1, 1), (1, 1)])
     data = bytearray(encode_coefficients(image, progressive=progressive))
     sof = data.index(b"\xff\xc2" if progressive else b"\xff\xc0")
     dqt = data.index(b"\xff\xdb")
@@ -196,6 +230,64 @@ def _header_case(case: str, progressive: bool) -> bytes:
     if case in ("dqt_tq5", "sof_and_dqt_tq5"):
         data[dqt + 4] = (data[dqt + 4] & 0xF0) | 5  # Pq/Tq of table 0
     return bytes(data)
+
+
+class TestInterleaveLimits:
+    """The encoders keep to T.81 B.2.3 as the decoder does: an
+    interleaved scan of more than 4 components or more than 10 blocks
+    per MCU is a JpegFormatError on both engines (libjpeg's
+    JERR_COMPONENT_COUNT and JERR_BAD_MCU_SIZE), not a stream the
+    decoder then refuses.  One DC scan per component still codes such
+    an image progressively."""
+
+    CASES = {
+        "5_components": ([(1, 1)] * 5, "interleaved scan of 5 components"),
+        "3x2x2": ([(2, 2)] * 3, "interleaved scan of 12 blocks per MCU"),
+        "4_components_11_blocks": (
+            [(2, 2), (2, 2), (2, 1), (1, 1)],
+            "interleaved scan of 11 blocks per MCU",
+        ),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("progressive", [False, True, "sa"], ids=str)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_interleaved_scan_past_limits_is_a_format_error(
+        self, case, progressive, engine
+    ):
+        samplings, message = self.CASES[case]
+        with pytest.raises(JpegFormatError, match=message):
+            encode_coefficients(
+                _synthetic_image(samplings),
+                progressive=progressive,
+                engine=engine,
+            )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_widest_interleaved_scan_encodes(self, engine):
+        # 4:2:0 with a 2x2 fourth component: 4 components, 10 blocks.
+        image = _synthetic_image([(2, 2), (1, 1), (1, 1), (2, 2)])
+        for progressive in (False, True):
+            data = encode_coefficients(
+                image, progressive=progressive, engine=engine
+            )
+            decoded = decode_coefficients(data, engine=engine)
+            for got, want in zip(decoded.components, image.components):
+                np.testing.assert_array_equal(
+                    got.coefficients, want.coefficients
+                )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_dc_scan_per_component_encodes(self, case, engine):
+        samplings, _ = self.CASES[case]
+        image = _synthetic_image(samplings)
+        data = encode_progressive(
+            image, _per_component_dc_script(len(samplings)), engine=engine
+        )
+        decoded = decode_coefficients(data, engine=engine)
+        for got, want in zip(decoded.components, image.components):
+            np.testing.assert_array_equal(got.coefficients, want.coefficients)
 
 
 def _rename_component(

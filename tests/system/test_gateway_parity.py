@@ -236,6 +236,42 @@ class TestErrorParity:
         assert sync_response.body == async_response.body
         assert b"DCT coefficient out of range" in sync_response.body
 
+    def test_interleaved_scan_past_10_blocks_upload_is_400(
+        self, deployment, jpeg
+    ):
+        # A progressive upload with every component sampled 2x2 and one
+        # DC scan per component decodes.  P3's parts keep its sampling
+        # and are coded as baseline, one interleaved scan of 12 blocks
+        # per MCU, which T.81 B.2.3 forbids and the decoder refuses:
+        # the encoder must refuse to write the parts, so the upload
+        # fails at the split, before any part reaches a provider.
+        gateway, front, _ = deployment
+        image = decode_coefficients(jpeg)
+        for component in image.components:
+            component.h_sampling = component.v_sampling = 2
+        script = [ScanSpec((index,), 0, 0, 0, 0) for index in range(3)] + [
+            ScanSpec((index,), 1, 63, 0, 0) for index in range(3)
+        ]
+        hostile = encode_progressive(image, script)
+        decoded = decode_coefficients(hostile)
+        assert [(c.h_sampling, c.v_sampling) for c in decoded.components] == [
+            (2, 2)
+        ] * 3
+        upload = HttpRequest(
+            method="POST",
+            url=build_url(
+                "https://gw.example", "/photos/upload", {"album": "trip"}
+            ),
+            headers={USER_HEADER: "alice"},
+            body=hostile,
+        )
+        sync_response, async_response = both(gateway, front, upload)
+        assert sync_response.status == async_response.status == 400
+        assert sync_response.body == async_response.body
+        assert sync_response.body.startswith(
+            b"interleaved scan of 12 blocks per MCU"
+        )
+
     def test_missing_album_upload_parity(self, deployment, jpeg):
         gateway, front, _ = deployment
         upload = HttpRequest(
