@@ -3,10 +3,14 @@
 JPEG divides each component plane into an array of 8x8 blocks (paper
 Section 2.1, "DCT Transformation").  Planes whose dimensions are not a
 multiple of 8 are padded by edge replication, which avoids introducing
-artificial high-frequency energy at the borders.
+artificial high-frequency energy at the borders.  The order in which a
+scan visits those blocks (T.81 A.2), :func:`scan_visit_plan`, is decided
+here once for both codec engines, encode and decode.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -59,32 +63,47 @@ def block_grid_shape(height: int, width: int) -> tuple[int, int]:
     return ((height + 7) // 8, (width + 7) // 8)
 
 
-def mcu_visit_plan(
-    samplings: list[tuple[int, int]],
-    mcus: tuple[int, int],
-    grids: list[tuple[int, int]],
+def scan_visit_plan(
+    samplings: Sequence[tuple[int, int]],
+    grids: Sequence[tuple[int, int]],
+    spill: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Block visit order of an interleaved scan (T.81 A.2.3).
+    """Block visit order of one scan (T.81 A.2).
 
-    Component ``slot`` has sampling factors ``samplings[slot] = (h, v)``
-    and a block grid of ``grids[slot] = (rows, cols)``.  Each of the
-    ``mcus = (mcus_y, mcus_x)`` MCUs, in raster order, holds ``v`` rows
-    of ``h`` blocks of every component in turn.  Returns ``(slots,
-    flats)``: the i-th visited block is block ``flats[i]`` (row-major)
-    of component ``slots[i]``.  A grid smaller than its MCU-padded size
-    is clamped at its last row and column, which replicates edge blocks
-    into the padding as an encoder must.
+    Component ``slot`` of the scan has sampling factors ``samplings[slot]
+    = (h, v)`` and a block grid of ``grids[slot] = (rows, cols)``.
+    Returns ``(slots, flats)``, two arrays with one row per MCU: the
+    scan's i-th block is block ``flats.flat[i]`` (row-major in its grid)
+    of component ``slots.flat[i]``.
+
+    A one-component scan walks its component's grid in raster order,
+    one block per MCU (A.2.2).  A scan of several components walks the
+    frame's MCUs in raster order, each holding ``v`` rows of ``h`` blocks
+    of every component in turn (A.2.3).  Where an MCU reaches past a
+    component's grid, the padding block is the edge block it clamps to,
+    which is what an encoder codes, or with ``spill`` block ``rows *
+    cols``, one past the grid, which a decoder writes and drops.  Every
+    component of a frame gives the same MCU grid, ``ceil(rows / v)`` by
+    ``ceil(cols / h)`` (A.1.1).
     """
-    mcus_y, mcus_x = mcus
+    if len(grids) == 1:
+        rows, cols = grids[0]
+        flats = np.arange(rows * cols, dtype=np.int64)[:, None]
+        return np.zeros(flats.shape, dtype=np.uint8), flats
+    mcus_y = max(-(-rows // v) for (_, v), (rows, _) in zip(samplings, grids))
+    mcus_x = max(-(-cols // h) for (h, _), (_, cols) in zip(samplings, grids))
     slots = []
     flats = []
     for slot, ((h, v), (rows, cols)) in enumerate(zip(samplings, grids)):
-        y = np.minimum(np.arange(mcus_y)[:, None] * v + np.arange(v), rows - 1)
-        x = np.minimum(np.arange(mcus_x)[:, None] * h + np.arange(h), cols - 1)
-        flat = y[:, None, :, None] * cols + x[None, :, None, :]
-        flats.append(flat.reshape(mcus_y, mcus_x, v * h))
+        y = (np.arange(mcus_y)[:, None] * v + np.arange(v))[:, None, :, None]
+        x = (np.arange(mcus_x)[:, None] * h + np.arange(h))[None, :, None, :]
+        if spill:
+            flat = np.where((y < rows) & (x < cols), y * cols + x, rows * cols)
+        else:
+            flat = np.minimum(y, rows - 1) * cols + np.minimum(x, cols - 1)
+        flats.append(flat.reshape(mcus_y * mcus_x, v * h))
         slots.append(np.full(flats[-1].shape, slot, dtype=np.uint8))
     return (
-        np.concatenate(slots, axis=2).ravel(),
-        np.concatenate(flats, axis=2).ravel().astype(np.int64),
+        np.concatenate(slots, axis=1),
+        np.concatenate(flats, axis=1).astype(np.int64),
     )

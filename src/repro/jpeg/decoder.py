@@ -1,7 +1,10 @@
 """JPEG decoding: byte stream -> coefficients -> pixels (T.81 Annex F/G).
 
-Decodes baseline sequential (SOF0) and progressive (SOF2, spectral
-selection with Ah=Al=0) streams.  Decoding stops at the coefficient level
+Decodes baseline sequential (SOF0/SOF1) and progressive (SOF2) streams:
+spectral selection and successive approximation, interleaved or one
+component per scan, with or without restart intervals.  Every scan
+visits its blocks along :func:`~repro.jpeg.blocks.scan_visit_plan`, on
+either engine.  Decoding stops at the coefficient level
 (:func:`decode_to_coefficients`) — which is all P3 needs — and
 :func:`coefficients_to_pixels` performs dequantization, inverse DCT,
 chroma upsampling and color conversion to produce pixel arrays.
@@ -16,7 +19,7 @@ import numpy as np
 
 from repro.jpeg import markers
 from repro.jpeg.bitstream import BitReader, EndOfData, MarkerFound
-from repro.jpeg.blocks import blocks_to_plane, mcu_visit_plan
+from repro.jpeg.blocks import blocks_to_plane, scan_visit_plan
 from repro.jpeg.color import upsample_plane, ycbcr_to_rgb
 from repro.jpeg.dct import inverse_dct
 from repro.jpeg.huffman import (
@@ -37,11 +40,11 @@ class _FrameComponent:
     h_sampling: int
     v_sampling: int
     quant_table_id: int
-    blocks_y: int = 0  # non-interleaved (true) block grid
+    blocks_y: int = 0
     blocks_x: int = 0
-    padded_y: int = 0  # MCU-padded block grid
-    padded_x: int = 0
-    coefficients: np.ndarray | None = None  # (padded_y, padded_x, 64) zigzag
+    # (blocks_y * blocks_x + 1, 64) zigzag rows; the last row takes the
+    # MCU padding of interleaved scans and is dropped.
+    coefficients: np.ndarray | None = None
 
 
 @dataclass
@@ -165,17 +168,13 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
         )
     max_h = max(c.h_sampling for c in state.components)
     max_v = max(c.v_sampling for c in state.components)
-    mcus_x = -(-width // (8 * max_h))
-    mcus_y = -(-height // (8 * max_v))
     for component in state.components:
         plane_w = -(-width * component.h_sampling // max_h)
         plane_h = -(-height * component.v_sampling // max_v)
         component.blocks_x = -(-plane_w // 8)
         component.blocks_y = -(-plane_h // 8)
-        component.padded_x = mcus_x * component.h_sampling
-        component.padded_y = mcus_y * component.v_sampling
         component.coefficients = np.zeros(
-            (component.padded_y, component.padded_x, 64), dtype=np.int32
+            (component.blocks_y * component.blocks_x + 1, 64), dtype=np.int32
         )
 
 
@@ -252,6 +251,19 @@ def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
     )
 
 
+def _decode_dc(
+    reader: BitReader, decoder: HuffmanDecoder, prev_dc: int
+) -> int:
+    """One DC difference added to its predictor (F.2.2.1)."""
+    category = decoder.decode(reader)
+    dc = prev_dc + decode_magnitude_bits(reader.read(category), category)
+    if not -(1 << 20) <= dc <= (1 << 20):
+        # 8-bit baseline DCs fit in 12 bits; runaway predictions mean a
+        # corrupt stream, not a huge image.
+        raise JpegFormatError("DC prediction out of range (corrupt scan)")
+    return dc
+
+
 def _decode_block_sequential(
     reader: BitReader,
     zigzag: np.ndarray,
@@ -259,17 +271,7 @@ def _decode_block_sequential(
     ac_decoder: HuffmanDecoder,
     prev_dc: int,
 ) -> int:
-    category = dc_decoder.decode(reader)
-    if category:
-        bits = reader.read(category)
-        diff = decode_magnitude_bits(bits, category)
-    else:
-        diff = 0
-    dc = prev_dc + diff
-    if not -(1 << 20) <= dc <= (1 << 20):
-        # 8-bit baseline DCs fit in 12 bits; runaway predictions mean a
-        # corrupt stream, not a huge image.
-        raise JpegFormatError("DC prediction out of range (corrupt scan)")
+    dc = _decode_dc(reader, dc_decoder, prev_dc)
     zigzag[0] = dc
     k = 1
     while k <= 63:
@@ -291,7 +293,9 @@ def _decode_block_sequential(
 
 
 def _check_scan_tables(state: _DecoderState, spec: _ScanSpec) -> None:
-    """Verify the Huffman tables a scan references were actually sent."""
+    """Verify the Huffman tables a scan references were actually sent,
+    its spectral band, and that a progressive AC scan names one
+    component."""
     needs_dc = not state.progressive or (
         spec.spectral_start == 0 and spec.approx_high == 0
     )
@@ -305,152 +309,79 @@ def _check_scan_tables(state: _DecoderState, spec: _ScanSpec) -> None:
             f"invalid spectral band ({spec.spectral_start}, "
             f"{spec.spectral_end})"
         )
+    if state.progressive and spec.spectral_start and len(spec.components) > 1:
+        raise JpegFormatError("progressive AC scans must be non-interleaved")
 
 
-def _decode_baseline_scan(
-    state: _DecoderState, spec: _ScanSpec, data: bytes
-) -> None:
-    reader = BitReader(data)
-    prev_dc = {id(c): 0 for c in spec.components}
-    max_h = max(c.h_sampling for c in state.components)
-    max_v = max(c.v_sampling for c in state.components)
-    interleaved = len(spec.components) > 1
-    restart_interval = state.restart_interval
-    mcu_index = 0
-
-    def maybe_restart() -> None:
-        nonlocal mcu_index
-        if (
-            restart_interval
-            and mcu_index
-            and mcu_index % restart_interval == 0
-        ):
-            reader.consume_restart_marker()
-            for component in spec.components:
-                prev_dc[id(component)] = 0
-        mcu_index += 1
-
-    try:
-        if interleaved:
-            mcus_x = -(-state.width // (8 * max_h))
-            mcus_y = -(-state.height // (8 * max_v))
-            for mcu_y in range(mcus_y):
-                for mcu_x in range(mcus_x):
-                    maybe_restart()
-                    for index, component in enumerate(spec.components):
-                        v = component.v_sampling
-                        h = component.h_sampling
-                        for dy in range(v):
-                            for dx in range(h):
-                                block = component.coefficients[
-                                    mcu_y * v + dy, mcu_x * h + dx
-                                ]
-                                prev_dc[id(component)] = (
-                                    _decode_block_sequential(
-                                        reader,
-                                        block,
-                                        spec.dc_decoders[index],
-                                        spec.ac_decoders[index],
-                                        prev_dc[id(component)],
-                                    )
-                                )
-        else:
-            component = spec.components[0]
-            for y in range(component.blocks_y):
-                for x in range(component.blocks_x):
-                    maybe_restart()
-                    prev_dc[id(component)] = _decode_block_sequential(
-                        reader,
-                        component.coefficients[y, x],
-                        spec.dc_decoders[0],
-                        spec.ac_decoders[0],
-                        prev_dc[id(component)],
-                    )
-    except (MarkerFound, EndOfData):
-        raise JpegFormatError("entropy data ended before scan completed")
-    except ValueError as error:
-        raise JpegFormatError(str(error))
+# -- scalar engine ------------------------------------------------------------
+#
+# Each function decodes one restart interval of a scan: the blocks at
+# ``flats[i]`` of ``blocks[slots[i]]``, with the predictors and EOB run
+# starting from zero.
 
 
-def _decode_progressive_dc_refinement(
-    state: _DecoderState, spec: _ScanSpec, data: bytes
-) -> None:
-    """DC refinement: one raw bit per block sets bit Al of each DC."""
-    reader = BitReader(data)
-    max_h = max(c.h_sampling for c in state.components)
-    max_v = max(c.v_sampling for c in state.components)
-    mcus_x = -(-state.width // (8 * max_h))
-    mcus_y = -(-state.height // (8 * max_v))
-    bit_value = np.int32(1 << spec.approx_low)
-    try:
-        for mcu_y in range(mcus_y):
-            for mcu_x in range(mcus_x):
-                for component in spec.components:
-                    v = component.v_sampling
-                    h = component.h_sampling
-                    for dy in range(v):
-                        for dx in range(h):
-                            if reader.read_bit():
-                                component.coefficients[
-                                    mcu_y * v + dy, mcu_x * h + dx, 0
-                                ] |= bit_value
-    except (MarkerFound, EndOfData):
-        raise JpegFormatError(
-            "entropy data ended before DC refinement completed"
+def _decode_baseline_interval(reader, spec, blocks, slots, flats) -> None:
+    prev_dc = [0] * len(blocks)
+    for slot, flat in zip(slots, flats):
+        prev_dc[slot] = _decode_block_sequential(
+            reader,
+            blocks[slot][flat],
+            spec.dc_decoders[slot],
+            spec.ac_decoders[slot],
+            prev_dc[slot],
         )
 
 
-def _decode_progressive_dc_scan(
-    state: _DecoderState, spec: _ScanSpec, data: bytes
-) -> None:
-    if spec.approx_high != 0:
-        _decode_progressive_dc_refinement(state, spec, data)
-        return
-    reader = BitReader(data)
-    prev_dc = {id(c): 0 for c in spec.components}
-    max_h = max(c.h_sampling for c in state.components)
-    max_v = max(c.v_sampling for c in state.components)
-    mcus_x = -(-state.width // (8 * max_h))
-    mcus_y = -(-state.height // (8 * max_v))
-    shift = spec.approx_low
-    try:
-        for mcu_y in range(mcus_y):
-            for mcu_x in range(mcus_x):
-                for index, component in enumerate(spec.components):
-                    v = component.v_sampling
-                    h = component.h_sampling
-                    for dy in range(v):
-                        for dx in range(h):
-                            decoder = spec.dc_decoders[index]
-                            category = decoder.decode(reader)
-                            if category:
-                                bits = reader.read(category)
-                                diff = decode_magnitude_bits(bits, category)
-                            else:
-                                diff = 0
-                            dc = prev_dc[id(component)] + diff
-                            if not -(1 << 20) <= dc <= (1 << 20):
-                                raise JpegFormatError(
-                                    "DC prediction out of range "
-                                    "(corrupt scan)"
-                                )
-                            prev_dc[id(component)] = dc
-                            component.coefficients[
-                                mcu_y * v + dy, mcu_x * h + dx, 0
-                            ] = dc << shift
-    except (MarkerFound, EndOfData):
-        raise JpegFormatError("entropy data ended before DC scan completed")
-    except ValueError as error:
-        raise JpegFormatError(str(error))
+def _decode_dc_first_interval(reader, spec, blocks, slots, flats) -> None:
+    prev_dc = [0] * len(blocks)
+    for slot, flat in zip(slots, flats):
+        prev_dc[slot] = _decode_dc(
+            reader, spec.dc_decoders[slot], prev_dc[slot]
+        )
+        blocks[slot][flat, 0] = prev_dc[slot] << spec.approx_low
 
 
-def _decode_progressive_ac_refinement(
-    spec: _ScanSpec, data: bytes
-) -> None:
-    """AC refinement pass (T.81 G.1.2.3 / jdphuff decode_mcu_AC_refine)."""
-    component = spec.components[0]
+def _decode_dc_refine_interval(reader, spec, blocks, slots, flats) -> None:
+    """DC refinement: one raw bit per block sets bit Al of each DC."""
+    bit_value = np.int32(1 << spec.approx_low)
+    for slot, flat in zip(slots, flats):
+        if reader.read_bit():
+            blocks[slot][flat, 0] |= bit_value
+
+
+def _decode_ac_first_interval(reader, spec, blocks, slots, flats) -> None:
     decoder = spec.ac_decoders[0]
-    reader = BitReader(data)
+    shift = spec.approx_low
+    eob_run = 0
+    for flat in flats:
+        if eob_run > 0:
+            eob_run -= 1
+            continue
+        block = blocks[0][flat]
+        k = spec.spectral_start
+        while k <= spec.spectral_end:
+            symbol = decoder.decode(reader)
+            run = symbol >> 4
+            size = symbol & 0x0F
+            if size == 0:
+                if run == 15:
+                    k += 16
+                    continue
+                eob_run = (1 << run) - 1
+                if run:
+                    eob_run += reader.read(run)
+                break
+            k += run
+            if k > spec.spectral_end:
+                raise JpegFormatError("AC run exceeds spectral band")
+            bits = reader.read(size)
+            block[k] = decode_magnitude_bits(bits, size) << shift
+            k += 1
+
+
+def _decode_ac_refine_interval(reader, spec, blocks, slots, flats) -> None:
+    """AC refinement pass (T.81 G.1.2.3 / jdphuff decode_mcu_AC_refine)."""
+    decoder = spec.ac_decoders[0]
     positive = np.int32(1 << spec.approx_low)
     negative = np.int32(-(1 << spec.approx_low))
     eob_run = 0
@@ -461,229 +392,114 @@ def _decode_progressive_ac_refinement(
             if (int(block[k]) & int(positive)) == 0:
                 block[k] += positive if block[k] >= 0 else negative
 
-    try:
-        for y in range(component.blocks_y):
-            for x in range(component.blocks_x):
-                block = component.coefficients[y, x]
-                k = spec.spectral_start
-                if eob_run == 0:
-                    while k <= spec.spectral_end:
-                        symbol = decoder.decode(reader)
-                        run = symbol >> 4
-                        size = symbol & 0x0F
-                        new_value = 0
-                        if size == 0:
-                            if run != 15:
-                                eob_run = 1 << run
-                                if run:
-                                    eob_run += reader.read(run)
-                                break
-                            # run == 15 (ZRL): skip 16 zero-history slots.
-                        else:
-                            if size != 1:
-                                raise JpegFormatError(
-                                    "refinement scan symbol with size > 1"
-                                )
-                            new_value = (
-                                positive if reader.read_bit() else negative
-                            )
-                        # Advance over coefficients, applying correction
-                        # bits to nonzero-history ones, consuming `run`
-                        # zero-history positions.
-                        while k <= spec.spectral_end:
-                            if block[k] != 0:
-                                correct(block, k)
-                            else:
-                                if run == 0:
-                                    break
-                                run -= 1
-                            k += 1
-                        if new_value and k <= spec.spectral_end:
-                            block[k] = new_value
-                        k += 1
-                if eob_run > 0:
-                    while k <= spec.spectral_end:
-                        if block[k] != 0:
-                            correct(block, k)
-                        k += 1
-                    eob_run -= 1
-    except (MarkerFound, EndOfData):
-        raise JpegFormatError(
-            "entropy data ended before AC refinement completed"
-        )
-    except ValueError as error:
-        raise JpegFormatError(str(error))
-
-
-def _decode_progressive_ac_scan(
-    spec: _ScanSpec, data: bytes
-) -> None:
-    if spec.approx_high != 0:
-        _decode_progressive_ac_refinement(spec, data)
-        return
-    if len(spec.components) != 1:
-        raise JpegFormatError("progressive AC scans must be non-interleaved")
-    component = spec.components[0]
-    decoder = spec.ac_decoders[0]
-    reader = BitReader(data)
-    shift = spec.approx_low
-    eob_run = 0
-    try:
-        for y in range(component.blocks_y):
-            for x in range(component.blocks_x):
-                if eob_run > 0:
-                    eob_run -= 1
-                    continue
-                block = component.coefficients[y, x]
-                k = spec.spectral_start
-                while k <= spec.spectral_end:
-                    symbol = decoder.decode(reader)
-                    run = symbol >> 4
-                    size = symbol & 0x0F
-                    if size == 0:
-                        if run == 15:
-                            k += 16
-                            continue
-                        eob_run = (1 << run) - 1
+    for flat in flats:
+        block = blocks[0][flat]
+        k = spec.spectral_start
+        if eob_run == 0:
+            while k <= spec.spectral_end:
+                symbol = decoder.decode(reader)
+                run = symbol >> 4
+                size = symbol & 0x0F
+                new_value = 0
+                if size == 0:
+                    if run != 15:
+                        eob_run = 1 << run
                         if run:
                             eob_run += reader.read(run)
                         break
-                    k += run
-                    if k > spec.spectral_end:
-                        raise JpegFormatError("AC run exceeds spectral band")
-                    bits = reader.read(size)
-                    block[k] = decode_magnitude_bits(bits, size) << shift
+                    # run == 15 (ZRL): skip 16 zero-history slots.
+                else:
+                    if size != 1:
+                        raise JpegFormatError(
+                            "refinement scan symbol with size > 1"
+                        )
+                    new_value = positive if reader.read_bit() else negative
+                # Advance over coefficients, applying correction bits to
+                # nonzero-history ones, consuming `run` zero-history
+                # positions.
+                while k <= spec.spectral_end:
+                    if block[k] != 0:
+                        correct(block, k)
+                    else:
+                        if run == 0:
+                            break
+                        run -= 1
                     k += 1
+                if new_value and k <= spec.spectral_end:
+                    block[k] = new_value
+                k += 1
+        if eob_run > 0:
+            while k <= spec.spectral_end:
+                if block[k] != 0:
+                    correct(block, k)
+                k += 1
+            eob_run -= 1
+
+
+_SCALAR_INTERVALS = {
+    "baseline": _decode_baseline_interval,
+    "dc_first": _decode_dc_first_interval,
+    "dc_refine": _decode_dc_refine_interval,
+    "ac_first": _decode_ac_first_interval,
+    "ac_refine": _decode_ac_refine_interval,
+}
+
+
+def _decode_scan(
+    state: _DecoderState, spec: _ScanSpec, data: bytes, engine: str
+) -> None:
+    """Decode one scan along its visit plan on ``engine``.
+
+    The plan splits into intervals of ``restart_interval`` MCUs; the
+    scalar engine reads the RSTn between two, which fails unless the
+    previous interval ended within its padding bits.
+    """
+    if not state.progressive:
+        kind = "baseline"
+    else:
+        band = "ac" if spec.spectral_start else "dc"
+        kind = f"{band}_{'refine' if spec.approx_high else 'first'}"
+    slots, flats = scan_visit_plan(
+        [(c.h_sampling, c.v_sampling) for c in spec.components],
+        [(c.blocks_y, c.blocks_x) for c in spec.components],
+        spill=True,
+    )
+    blocks = [c.coefficients for c in spec.components]
+    if engine == "native":
+        native_decode.decode_scan(
+            kind,
+            data,
+            restart_interval=state.restart_interval,
+            slots=slots,
+            flats=flats,
+            views=blocks,
+            dc_tables=spec.dc_tables,
+            ac_tables=spec.ac_tables,
+            spectral=(spec.spectral_start, spec.spectral_end),
+            al=spec.approx_low,
+        )
+        return
+    decode = _SCALAR_INTERVALS[kind]
+    reader = BitReader(data)
+    interval = state.restart_interval or len(flats)
+    try:
+        for start in range(0, len(flats), interval):
+            if start:
+                reader.consume_restart_marker()
+            decode(
+                reader,
+                spec,
+                blocks,
+                slots[start : start + interval].ravel().tolist(),
+                flats[start : start + interval].ravel().tolist(),
+            )
     except (MarkerFound, EndOfData):
-        raise JpegFormatError("entropy data ended before AC scan completed")
+        raise JpegFormatError(
+            f"entropy data ended before {native_decode.SCAN_NAMES[kind]} "
+            "completed"
+        )
     except ValueError as error:
         raise JpegFormatError(str(error))
-
-
-# ---------------------------------------------------------------------------
-# Native engine: whole-scan decoding in the C kernel.  The drivers below
-# only gather visit-order arrays and Huffman tables; all bit-level work
-# happens in repro.jpeg.native, which reaches the scalar functions'
-# verdicts on every stream.
-# ---------------------------------------------------------------------------
-
-
-def _mcu_visit_arrays(
-    state: _DecoderState,
-    spec: _ScanSpec,
-    force_interleaved: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], int, int]:
-    """Flattened block visit order for an (interleaved) MCU traversal.
-
-    Returns ``(slots, flats, views, total_mcus, blocks_per_mcu)`` where
-    ``slots[i]``/``flats[i]`` give the component slot and flat block
-    index of the i-th visited block and ``views[slot]`` is that
-    component's padded coefficient array viewed as (num_blocks, 64).
-    Single-component *baseline* scans are never interleaved and
-    traverse the true block grid, one block per MCU (T.81 A.2.2);
-    progressive DC scans pass ``force_interleaved`` to match the scalar
-    decoder (and both encoders), which always walk the MCU-padded grid
-    for DC scans regardless of component count.
-    """
-    if len(spec.components) == 1 and not force_interleaved:
-        component = spec.components[0]
-        views = [component.coefficients.reshape(-1, 64)]
-        padded_x = component.padded_x
-        flats = (
-            np.arange(component.blocks_y, dtype=np.int64)[:, None] * padded_x
-            + np.arange(component.blocks_x, dtype=np.int64)
-        ).ravel()
-        slots = np.zeros(flats.size, dtype=np.uint8)
-        return slots, flats, views, flats.size, 1
-    max_h = max(c.h_sampling for c in state.components)
-    max_v = max(c.v_sampling for c in state.components)
-    mcus_x = -(-state.width // (8 * max_h))
-    mcus_y = -(-state.height // (8 * max_v))
-    views = [c.coefficients.reshape(-1, 64) for c in spec.components]
-    slots, flats = mcu_visit_plan(
-        [(c.h_sampling, c.v_sampling) for c in spec.components],
-        (mcus_y, mcus_x),
-        [(c.padded_y, c.padded_x) for c in spec.components],
-    )
-    return slots, flats, views, mcus_x * mcus_y, slots.size // (mcus_x * mcus_y)
-
-
-def _decode_baseline_scan_native(
-    state: _DecoderState, spec: _ScanSpec, data: bytes
-) -> None:
-    slots, flats, views, total_mcus, blocks_per_mcu = _mcu_visit_arrays(
-        state, spec
-    )
-    native_decode.decode_baseline(
-        data,
-        restart_interval=state.restart_interval,
-        slots=slots,
-        flats=flats,
-        views=views,
-        dc_tables=spec.dc_tables,
-        ac_tables=spec.ac_tables,
-        total_mcus=total_mcus,
-        blocks_per_mcu=blocks_per_mcu,
-    )
-
-
-def _decode_progressive_dc_scan_native(
-    state: _DecoderState, spec: _ScanSpec, data: bytes
-) -> None:
-    slots, flats, views, _, _ = _mcu_visit_arrays(
-        state, spec, force_interleaved=True
-    )
-    if spec.approx_high != 0:
-        native_decode.decode_dc_refine(
-            data,
-            slots=slots,
-            flats=flats,
-            views=views,
-            bit_value=1 << spec.approx_low,
-        )
-    else:
-        native_decode.decode_dc_first(
-            data,
-            slots=slots,
-            flats=flats,
-            views=views,
-            dc_tables=spec.dc_tables,
-            shift=spec.approx_low,
-        )
-
-
-def _decode_progressive_ac_scan_native(
-    spec: _ScanSpec, data: bytes
-) -> None:
-    if len(spec.components) != 1:
-        raise JpegFormatError("progressive AC scans must be non-interleaved")
-    component = spec.components[0]
-    view = component.coefficients.reshape(-1, 64)
-    flats = (
-        np.arange(component.blocks_y, dtype=np.int64)[:, None]
-        * component.padded_x
-        + np.arange(component.blocks_x, dtype=np.int64)
-    ).ravel()
-    if spec.approx_high != 0:
-        native_decode.decode_ac_refine(
-            data,
-            flats=flats,
-            view=view,
-            ac_table=spec.ac_tables[0],
-            spectral_start=spec.spectral_start,
-            spectral_end=spec.spectral_end,
-            positive=1 << spec.approx_low,
-        )
-    else:
-        native_decode.decode_ac_first(
-            data,
-            flats=flats,
-            view=view,
-            ac_table=spec.ac_tables[0],
-            spectral_start=spec.spectral_start,
-            spectral_end=spec.spectral_end,
-            shift=spec.approx_low,
-        )
 
 
 def decode_to_coefficients(
@@ -722,26 +538,7 @@ def decode_to_coefficients(
                 raise JpegFormatError("SOS before frame header")
             spec = _parse_sos(state, segment.payload)
             _check_scan_tables(state, spec)
-            if not state.progressive:
-                if engine == "native":
-                    _decode_baseline_scan_native(
-                        state, spec, segment.entropy_data
-                    )
-                else:
-                    _decode_baseline_scan(state, spec, segment.entropy_data)
-            elif spec.spectral_start == 0:
-                if engine == "native":
-                    _decode_progressive_dc_scan_native(
-                        state, spec, segment.entropy_data
-                    )
-                else:
-                    _decode_progressive_dc_scan(
-                        state, spec, segment.entropy_data
-                    )
-            elif engine == "native":
-                _decode_progressive_ac_scan_native(spec, segment.entropy_data)
-            else:
-                _decode_progressive_ac_scan(spec, segment.entropy_data)
+            _decode_scan(state, spec, segment.entropy_data, engine)
     if not state.components:
         raise JpegFormatError("no frame header found")
 
@@ -753,12 +550,11 @@ def decode_to_coefficients(
                 f"missing quantization table "
                 f"{frame_component.quant_table_id}"
             )
-        zigzag = frame_component.coefficients[
-            : frame_component.blocks_y, : frame_component.blocks_x
-        ]
-        raster = zigzag[..., INVERSE_ZIGZAG].reshape(
-            frame_component.blocks_y, frame_component.blocks_x, 8, 8
+        blocks_y, blocks_x = frame_component.blocks_y, frame_component.blocks_x
+        zigzag = frame_component.coefficients[:-1].reshape(
+            blocks_y, blocks_x, 64
         )
+        raster = zigzag[..., INVERSE_ZIGZAG].reshape(blocks_y, blocks_x, 8, 8)
         components.append(
             ComponentInfo(
                 identifier=frame_component.identifier,

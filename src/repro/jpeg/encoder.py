@@ -18,19 +18,21 @@ on one of two engines.  The native engine (the default) runs each scan
 kind's token generation, symbol counting and bit writing in the C
 kernel (:mod:`repro.jpeg.native.encode`); the scalar engine walks the
 per-symbol T.81 loops below and in :mod:`repro.jpeg.scans`, and is the
-native engine's byte-for-byte oracle.
+native engine's byte-for-byte oracle.  Both visit each scan's blocks
+along its :func:`~repro.jpeg.blocks.scan_visit_plan`, the order a
+decoder reads them in.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.jpeg import markers
 from repro.jpeg.bitstream import BitWriter
+from repro.jpeg.blocks import block_grid_shape, scan_visit_plan
 from repro.jpeg.huffman import (
     HuffmanTable,
     STANDARD_AC_CHROMINANCE,
@@ -46,7 +48,6 @@ from repro.jpeg.scans import (
     Scan,
     ScalarScan,
     ScanSpec,
-    pad_blocks_to_mcu,
     run_scan,
     scalar_scans,
     spectral_selection_script,
@@ -56,33 +57,21 @@ from repro.jpeg.structures import CoefficientImage
 from repro.jpeg.zigzag import ZIGZAG_ORDER
 
 
-@dataclass
-class _ScanComponent:
-    """Per-component state used while encoding one baseline scan."""
-
-    zigzag_blocks: np.ndarray  # (by, bx, 64) int32, zigzag order
-    h_sampling: int
-    v_sampling: int
-    dc_sink: object
-    ac_sink: object
-    prev_dc: int = 0
-
-
 def _encode_block_sequential(
-    zigzag: np.ndarray, component: _ScanComponent
-) -> None:
-    """Encode one full 64-coefficient block (baseline scan)."""
+    zigzag: np.ndarray, prev_dc: int, dc_sink: object, ac_sink: object
+) -> int:
+    """Encode one full 64-coefficient block (baseline scan); returns
+    its DC, the next block's predictor."""
     dc = int(zigzag[0])
-    diff = dc - component.prev_dc
-    component.prev_dc = dc
+    diff = dc - prev_dc
     category = magnitude_category(diff)
-    component.dc_sink.symbol(category)
-    component.dc_sink.bits(encode_magnitude_bits(diff, category), category)
+    dc_sink.symbol(category)
+    dc_sink.bits(encode_magnitude_bits(diff, category), category)
 
     nonzero = np.nonzero(zigzag[1:])[0]
     if len(nonzero) == 0:
-        component.ac_sink.symbol(0x00)  # EOB
-        return
+        ac_sink.symbol(0x00)  # EOB
+        return dc
     last = int(nonzero[-1]) + 1  # index into zigzag[1..63] space
     run = 0
     for k in range(1, last + 1):
@@ -91,60 +80,19 @@ def _encode_block_sequential(
             run += 1
             continue
         while run > 15:
-            component.ac_sink.symbol(0xF0)  # ZRL: run of 16 zeros
+            ac_sink.symbol(0xF0)  # ZRL: run of 16 zeros
             run -= 16
         category = magnitude_category(value)
         if category > 15:
             # The symbol's size field has 4 bits (libjpeg's
             # JERR_BAD_DCT_COEF).
             raise JpegFormatError("DCT coefficient out of range")
-        component.ac_sink.symbol((run << 4) | category)
-        component.ac_sink.bits(
-            encode_magnitude_bits(value, category), category
-        )
+        ac_sink.symbol((run << 4) | category)
+        ac_sink.bits(encode_magnitude_bits(value, category), category)
         run = 0
     if last < 63:
-        component.ac_sink.symbol(0x00)  # EOB
-
-
-def _encode_interleaved_scan(
-    components: list[_ScanComponent],
-    mcus_y: int,
-    mcus_x: int,
-    restart_interval: int = 0,
-    writer: BitWriter | None = None,
-) -> None:
-    """Encode a baseline interleaved scan over the full MCU grid.
-
-    With ``restart_interval`` > 0, an RSTn marker is emitted (and DC
-    predictors reset) after every interval of MCUs; during the
-    Huffman-counting pass ``writer`` is None and only the predictor
-    resets apply, which is what makes the two passes agree.
-    """
-    mcu_index = 0
-    restart_index = 0
-    for mcu_y in range(mcus_y):
-        for mcu_x in range(mcus_x):
-            if (
-                restart_interval
-                and mcu_index
-                and mcu_index % restart_interval == 0
-            ):
-                if writer is not None:
-                    writer.write_restart_marker(restart_index)
-                restart_index = (restart_index + 1) % 8
-                for component in components:
-                    component.prev_dc = 0
-            mcu_index += 1
-            for component in components:
-                v = component.v_sampling
-                h = component.h_sampling
-                for dy in range(v):
-                    for dx in range(h):
-                        block = component.zigzag_blocks[
-                            mcu_y * v + dy, mcu_x * h + dx
-                        ]
-                        _encode_block_sequential(block, component)
+        ac_sink.symbol(0x00)  # EOB
+    return dc
 
 
 def _dht_segment(table_class: int, table_id: int, table: HuffmanTable) -> Segment:
@@ -177,7 +125,20 @@ def _sos_segment(
 
 def _frame_header(image: CoefficientImage, progressive: bool) -> list[Segment]:
     """The segments every encode starts with: SOI, JFIF APP0, the
-    image's APPn and COM, DQT (8-bit tables in zigzag order) and SOF."""
+    image's APPn and COM, DQT (8-bit tables in zigzag order) and SOF.
+
+    Each component's block grid must be the one the frame gives it
+    (T.81 A.1.1), the grid a decoder fills and every visit plan walks.
+    """
+    for index, component in enumerate(image.components):
+        grid = block_grid_shape(*image.component_plane_size(index))
+        if (component.blocks_y, component.blocks_x) != grid:
+            raise ValueError(
+                f"component {component.identifier} has a "
+                f"{component.blocks_y}x{component.blocks_x} block grid; "
+                f"a {image.width}x{image.height} frame gives it "
+                f"{grid[0]}x{grid[1]}"
+            )
     quant_tables, quant_ids = _assign_quant_tables(image)
     segments = [
         Segment(marker=markers.SOI),
@@ -248,79 +209,50 @@ def _check_interleave(
         )
 
 
-def _mcu_grid(image: CoefficientImage) -> tuple[int, int]:
-    max_h = image.max_h_sampling
-    max_v = image.max_v_sampling
-    mcus_x = -(-image.width // (8 * max_h))
-    mcus_y = -(-image.height // (8 * max_v))
-    return mcus_y, mcus_x
-
-
-def _build_scan_components(
-    image: CoefficientImage,
-    dc_sinks: list[object],
-    ac_sinks: list[object],
-    pad_to_mcu: bool,
-) -> list[_ScanComponent]:
-    mcus_y, mcus_x = _mcu_grid(image)
-    scan_components = []
-    for index, component in enumerate(image.components):
-        zigzag = zigzag_blocks(component.coefficients)
-        if pad_to_mcu:
-            zigzag = pad_blocks_to_mcu(
-                zigzag,
-                mcus_y,
-                mcus_x,
-                component.v_sampling,
-                component.h_sampling,
-            )
-        scan_components.append(
-            _ScanComponent(
-                zigzag_blocks=zigzag,
-                h_sampling=component.h_sampling,
-                v_sampling=component.v_sampling,
-                dc_sink=dc_sinks[index],
-                ac_sink=ac_sinks[index],
-            )
-        )
-    return scan_components
+def _visit_plan(
+    image: CoefficientImage, component_indices: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The visit plan of a scan over ``component_indices``, MCU padding
+    clamped to the edge block."""
+    components = [image.components[index] for index in component_indices]
+    return scan_visit_plan(
+        [(c.h_sampling, c.v_sampling) for c in components],
+        [(c.blocks_y, c.blocks_x) for c in components],
+    )
 
 
 def _run_baseline_scan(
-    image: CoefficientImage,
+    blocks: list[np.ndarray],
+    slots: np.ndarray,
+    flats: np.ndarray,
+    restart_interval: int,
     dc_sinks: list[object],
     ac_sinks: list[object],
-    restart_interval: int = 0,
-    writer: BitWriter | None = None,
+    writer: BitWriter | None,
 ) -> None:
-    mcus_y, mcus_x = _mcu_grid(image)
-    if len(image.components) == 1:
-        # Single-component scans are never interleaved: iterate the
-        # component's own block grid directly (one block per MCU).
-        component = _build_scan_components(image, dc_sinks, ac_sinks, False)[0]
-        by, bx = component.zigzag_blocks.shape[:2]
-        mcu_index = 0
-        restart_index = 0
-        for y in range(by):
-            for x in range(bx):
-                if (
-                    restart_interval
-                    and mcu_index
-                    and mcu_index % restart_interval == 0
-                ):
-                    if writer is not None:
-                        writer.write_restart_marker(restart_index)
-                    restart_index = (restart_index + 1) % 8
-                    component.prev_dc = 0
-                mcu_index += 1
-                _encode_block_sequential(
-                    component.zigzag_blocks[y, x], component
-                )
-    else:
-        components = _build_scan_components(image, dc_sinks, ac_sinks, True)
-        _encode_interleaved_scan(
-            components, mcus_y, mcus_x, restart_interval, writer
-        )
+    """Encode a baseline scan along its visit plan, ``blocks[slot]``
+    holding each component's zigzag rows.
+
+    With ``restart_interval`` > 0, an RSTn marker is emitted (and DC
+    predictors reset) after every interval of MCUs; during the
+    Huffman-counting pass ``writer`` is None and only the predictor
+    resets apply, which is what makes the two passes agree.
+    """
+    predictors = [0] * len(blocks)
+    for mcu, (mcu_slots, mcu_flats) in enumerate(
+        zip(slots.tolist(), flats.tolist())
+    ):
+        if restart_interval and mcu and mcu % restart_interval == 0:
+            if writer is not None:
+                writer.write_restart_marker((mcu // restart_interval - 1) % 8)
+            predictors = [0] * len(blocks)
+        for slot, flat in zip(mcu_slots, mcu_flats):
+            predictors[slot] = _encode_block_sequential(
+                blocks[slot][flat],
+                predictors[slot],
+                dc_sinks[slot],
+                ac_sinks[slot],
+            )
 
 
 def encode_baseline(
@@ -339,7 +271,9 @@ def encode_baseline(
     :class:`~repro.jpeg.markers.JpegFormatError` for an AC value that
     needs more than 15 magnitude bits.  The one scan interleaves every
     component, so an image of more than 4 components or more than 10
-    blocks per MCU is a ``JpegFormatError`` too.
+    blocks per MCU is a ``JpegFormatError`` too.  A component whose
+    block grid is not the one the frame gives it is a ``ValueError``,
+    in both encoders.
     """
     from repro.jpeg.engines import resolve_engine
 
@@ -349,21 +283,25 @@ def encode_baseline(
     _check_interleave(image, range(len(image.components)))
     segments = _frame_header(image, progressive=False)
     table_ids = _huffman_table_ids(len(image.components))
+    slots, flats = _visit_plan(image, range(len(image.components)))
     scan: Scan
     if engine == "scalar":
+        blocks = [zigzag_blocks(c.coefficients) for c in image.components]
         scan = ScalarScan(
             lambda sinks, writer: _run_baseline_scan(
-                image,
+                blocks,
+                slots,
+                flats,
+                restart_interval,
                 [sinks[0, t] for t in table_ids],
                 [sinks[1, t] for t in table_ids],
-                restart_interval,
                 writer,
             ),
             [(table_class, t) for t in table_ids for table_class in (0, 1)],
         )
     else:
         scan = native_encode.baseline_scan(
-            image, table_ids, restart_interval, _mcu_grid(image)
+            image, table_ids, restart_interval, slots, flats
         )
     standard = None
     if not optimize_huffman:
@@ -422,9 +360,10 @@ def encode_progressive(
     segments = _frame_header(image, progressive=True)
     table_ids = _huffman_table_ids(len(image.components))
     scans = scalar_scans if engine == "scalar" else native_encode.progressive_scans
-    scan_for = scans(image, table_ids, _mcu_grid(image))
+    scan_for = scans(image, table_ids)
     for spec in script:
-        tables, entropy = run_scan(scan_for(spec))
+        plan = _visit_plan(image, spec.component_indices)
+        tables, entropy = run_scan(scan_for(spec, *plan))
         for (table_class, table_id), table in tables.items():
             segments.append(_dht_segment(table_class, table_id, table))
         # Only a DC first scan uses its DC table field; libjpeg writes 0

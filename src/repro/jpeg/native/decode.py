@@ -1,13 +1,13 @@
-"""Whole-scan decode drivers over the C kernel.
+"""The whole-scan decode driver over the C kernel.
 
-Each function decodes one scan type end-to-end: the raw (still-stuffed)
-entropy bytes go in, the component coefficient views are mutated in
-place, and kernel error codes come back as the exception the scalar
-engine raises on the same stream
+:func:`decode_scan` decodes one scan of any of the five kinds end to
+end: the raw (still-stuffed) entropy bytes go in, the component
+coefficient views are filled in place, and kernel error codes come
+back as the exception the scalar engine raises on the same stream
 (:class:`~repro.jpeg.markers.JpegFormatError`, or ``OverflowError``).
-The drivers own all the pointer plumbing (destuffed segment buffers
-with zero padding, per-slot LUT and view pointer arrays), so
-``repro.jpeg.decoder`` only has to hand over visit-order arrays.  Each
+It owns all the pointer plumbing (destuffed restart segments with zero
+padding, per-slot LUT and view pointer arrays), so
+``repro.jpeg.decoder`` only hands over the scan's visit plan.  It
 raises :class:`~repro.jpeg.native.kernel.NativeUnavailableError` when
 the kernel cannot build.
 """
@@ -32,6 +32,16 @@ from repro.jpeg.native.kernel import (
     OK,
     require_kernel,
 )
+
+#: What the five scan kinds are called in "entropy data ended before
+#: ... completed", on both engines.
+SCAN_NAMES = {
+    "baseline": "scan",
+    "dc_first": "DC scan",
+    "dc_refine": "DC refinement",
+    "ac_first": "AC scan",
+    "ac_refine": "AC refinement",
+}
 
 
 class SegmentReader:
@@ -63,19 +73,21 @@ class SegmentReader:
         return self.nbits - self.pos[0]
 
 
-def _raise_for(code: int, scan: str) -> None:
+def _raise_for(code: int, kind: str) -> None:
     """Map a kernel error code to the scalar engine's exception."""
     if code == OK:
         return
     if code == ERR_HUFF:
         raise JpegFormatError("corrupt Huffman code")
     if code == ERR_EOD:
-        raise JpegFormatError(f"entropy data ended before {scan} completed")
+        raise JpegFormatError(
+            f"entropy data ended before {SCAN_NAMES[kind]} completed"
+        )
     if code == ERR_DC_RANGE:
         raise JpegFormatError("DC prediction out of range (corrupt scan)")
     if code == ERR_AC_BOUNDS:
         raise JpegFormatError(
-            "AC run exceeds block bounds" if scan == "scan"
+            "AC run exceeds block bounds" if kind == "baseline"
             else "AC run exceeds spectral band"
         )
     if code == ERR_REFINE_SIZE:
@@ -103,21 +115,8 @@ def _lut_pointers(
     return ffi.new("int32_t *[]", buffers), buffers
 
 
-def _view_pointers(
-    handle: KernelHandle, views: list[np.ndarray]
-) -> Any:
-    ffi = handle.ffi
-    return ffi.new(
-        "int32_t *[]",
-        [ffi.cast("int32_t *", view.ctypes.data) for view in views],
-    )
-
-
-def _array_ptr(handle: KernelHandle, ctype: str, array: np.ndarray) -> Any:
-    return handle.ffi.cast(ctype, array.ctypes.data)
-
-
-def decode_baseline(
+def decode_scan(
+    kind: str,
     data: bytes,
     *,
     restart_interval: int,
@@ -126,177 +125,71 @@ def decode_baseline(
     views: list[np.ndarray],
     dc_tables: list[HuffmanTable | None],
     ac_tables: list[HuffmanTable | None],
-    total_mcus: int,
-    blocks_per_mcu: int,
+    spectral: tuple[int, int] = (0, 63),
+    al: int = 0,
 ) -> None:
-    """Baseline sequential scan, restart segment by restart segment."""
+    """Decode one scan of ``kind`` (a :data:`SCAN_NAMES` key) along its
+    visit plan ``(slots, flats)``, one row per MCU, into ``views[slot]``
+    (``(blocks, 64)`` int32 zigzag rows).
+
+    The plan splits into intervals of ``restart_interval`` MCUs (the
+    whole scan when 0), one restart segment each.  Each interval starts
+    with zeroed DC predictors and EOB run, and the previous segment must
+    be consumed to within its padding bits, as the scalar engine
+    requires when it reads the RSTn.
+    """
     handle = require_kernel()
+    ffi, lib = handle.ffi, handle.lib
     segments, _ = split_restart_segments(data)
-    dc_ptrs, dc_keep = _lut_pointers(handle, dc_tables)
-    ac_ptrs, ac_keep = _lut_pointers(handle, ac_tables)
-    view_ptrs = _view_pointers(handle, views)
+    uses_dc = kind in ("baseline", "dc_first")
+    uses_ac = kind in ("baseline", "ac_first", "ac_refine")
+    dc_ptrs, dc_keep = _lut_pointers(handle, dc_tables if uses_dc else [])
+    ac_ptrs, ac_keep = _lut_pointers(handle, ac_tables if uses_ac else [])
+    view_ptrs = ffi.new(
+        "int32_t *[]", [ffi.cast("int32_t *", v.ctypes.data) for v in views]
+    )
+    prev_dc = np.zeros(len(views), dtype=np.int32)
+    prev_ptr = ffi.cast("int32_t *", prev_dc.ctypes.data)
+    ss, se = spectral
+
+    def call(reader: SegmentReader, slot: Any, flat: Any, n: int) -> int:
+        cursor = (reader.data_ptr, reader.nbits, reader.pos)
+        if kind == "baseline":
+            return int(lib.p3_decode_baseline(
+                *cursor, dc_ptrs, ac_ptrs, view_ptrs, slot, flat, n, prev_ptr
+            ))
+        if kind == "dc_first":
+            return int(lib.p3_decode_dc_first(
+                *cursor, dc_ptrs, view_ptrs, slot, flat, n, al, prev_ptr
+            ))
+        if kind == "dc_refine":
+            return int(lib.p3_decode_dc_refine(
+                *cursor, view_ptrs, slot, flat, n, 1 << al
+            ))
+        if kind == "ac_first":
+            return int(lib.p3_decode_ac_first(
+                *cursor, ac_ptrs[0], flat, n, ss, se, al, view_ptrs[0]
+            ))
+        return int(lib.p3_decode_ac_refine(
+            *cursor, ac_ptrs[0], flat, n, ss, se, 1 << al, view_ptrs[0]
+        ))
+
     slots = np.ascontiguousarray(slots, dtype=np.uint8)
     flats = np.ascontiguousarray(flats, dtype=np.int64)
-    prev_dc = np.zeros(len(views), dtype=np.int32)
-    prev_ptr = _array_ptr(handle, "int32_t *", prev_dc)
-    ffi = handle.ffi
-    reader = SegmentReader(handle, segments[0])
-    segment_index = 0
-    position = 0
-    mcus_done = 0
-    while mcus_done < total_mcus:
-        if restart_interval:
-            mcus_now = min(restart_interval, total_mcus - mcus_done)
-        else:
-            mcus_now = total_mcus
-        if mcus_done:
-            # Parity with the scalar engine: the previous segment must
-            # be consumed to within its <8 padding bits when the RSTn
-            # arrives.
-            if reader.bits_remaining >= 8:
+    total_mcus, blocks_per_mcu = flats.shape
+    interval = restart_interval or total_mcus
+    for index, start in enumerate(range(0, total_mcus, interval)):
+        if index:
+            if reader.bits_remaining >= 8 or index >= len(segments):
                 raise JpegFormatError("expected restart marker mid-scan")
-            segment_index += 1
-            if segment_index >= len(segments):
-                raise JpegFormatError("expected restart marker mid-scan")
-            reader = SegmentReader(handle, segments[segment_index])
             prev_dc[:] = 0
-        nblocks = mcus_now * blocks_per_mcu
-        code = handle.lib.p3_decode_baseline(
-            reader.data_ptr,
-            reader.nbits,
-            reader.pos,
-            dc_ptrs,
-            ac_ptrs,
-            view_ptrs,
-            ffi.cast("uint8_t *", slots.ctypes.data + position),
-            ffi.cast("int64_t *", flats.ctypes.data + 8 * position),
-            nblocks,
-            prev_ptr,
+        reader = SegmentReader(handle, segments[index])
+        first = start * blocks_per_mcu
+        code = call(
+            reader,
+            ffi.cast("uint8_t *", slots.ctypes.data + first),
+            ffi.cast("int64_t *", flats.ctypes.data + 8 * first),
+            min(interval, total_mcus - start) * blocks_per_mcu,
         )
-        _raise_for(code, "scan")
-        position += nblocks
-        mcus_done += mcus_now
+        _raise_for(code, kind)
     del dc_keep, ac_keep  # keepalives for the LUT pointer arrays
-
-
-def decode_dc_first(
-    data: bytes,
-    *,
-    slots: np.ndarray,
-    flats: np.ndarray,
-    views: list[np.ndarray],
-    dc_tables: list[HuffmanTable | None],
-    shift: int,
-) -> None:
-    """Progressive DC first scan (Ah=0): DC diffs shifted by Al."""
-    handle = require_kernel()
-    segments, _ = split_restart_segments(data)
-    reader = SegmentReader(handle, segments[0])
-    dc_ptrs, dc_keep = _lut_pointers(handle, dc_tables)
-    view_ptrs = _view_pointers(handle, views)
-    slots = np.ascontiguousarray(slots, dtype=np.uint8)
-    flats = np.ascontiguousarray(flats, dtype=np.int64)
-    prev_dc = np.zeros(len(views), dtype=np.int32)
-    code = handle.lib.p3_decode_dc_first(
-        reader.data_ptr,
-        reader.nbits,
-        reader.pos,
-        dc_ptrs,
-        view_ptrs,
-        _array_ptr(handle, "uint8_t *", slots),
-        _array_ptr(handle, "int64_t *", flats),
-        flats.size,
-        shift,
-        _array_ptr(handle, "int32_t *", prev_dc),
-    )
-    _raise_for(code, "DC scan")
-    del dc_keep
-
-
-def decode_dc_refine(
-    data: bytes,
-    *,
-    slots: np.ndarray,
-    flats: np.ndarray,
-    views: list[np.ndarray],
-    bit_value: int,
-) -> None:
-    """Progressive DC refinement: one raw bit (bit Al) per block."""
-    handle = require_kernel()
-    segments, _ = split_restart_segments(data)
-    reader = SegmentReader(handle, segments[0])
-    slots = np.ascontiguousarray(slots, dtype=np.uint8)
-    flats = np.ascontiguousarray(flats, dtype=np.int64)
-    code = handle.lib.p3_decode_dc_refine(
-        reader.data_ptr,
-        reader.nbits,
-        reader.pos,
-        _view_pointers(handle, views),
-        _array_ptr(handle, "uint8_t *", slots),
-        _array_ptr(handle, "int64_t *", flats),
-        flats.size,
-        bit_value,
-    )
-    _raise_for(code, "DC refinement")
-
-
-def decode_ac_first(
-    data: bytes,
-    *,
-    flats: np.ndarray,
-    view: np.ndarray,
-    ac_table: HuffmanTable,
-    spectral_start: int,
-    spectral_end: int,
-    shift: int,
-) -> None:
-    """Progressive AC first scan (single component, EOB runs)."""
-    handle = require_kernel()
-    segments, _ = split_restart_segments(data)
-    reader = SegmentReader(handle, segments[0])
-    flats = np.ascontiguousarray(flats, dtype=np.int64)
-    lut = handle.ffi.from_buffer("int32_t[]", lookup_table(ac_table).entries)
-    code = handle.lib.p3_decode_ac_first(
-        reader.data_ptr,
-        reader.nbits,
-        reader.pos,
-        lut,
-        _array_ptr(handle, "int64_t *", flats),
-        flats.size,
-        spectral_start,
-        spectral_end,
-        shift,
-        _array_ptr(handle, "int32_t *", view),
-    )
-    _raise_for(code, "AC scan")
-
-
-def decode_ac_refine(
-    data: bytes,
-    *,
-    flats: np.ndarray,
-    view: np.ndarray,
-    ac_table: HuffmanTable,
-    spectral_start: int,
-    spectral_end: int,
-    positive: int,
-) -> None:
-    """Progressive AC refinement (correction bits + new significants)."""
-    handle = require_kernel()
-    segments, _ = split_restart_segments(data)
-    reader = SegmentReader(handle, segments[0])
-    flats = np.ascontiguousarray(flats, dtype=np.int64)
-    lut = handle.ffi.from_buffer("int32_t[]", lookup_table(ac_table).entries)
-    code = handle.lib.p3_decode_ac_refine(
-        reader.data_ptr,
-        reader.nbits,
-        reader.pos,
-        lut,
-        _array_ptr(handle, "int64_t *", flats),
-        flats.size,
-        spectral_start,
-        spectral_end,
-        positive,
-        _array_ptr(handle, "int32_t *", view),
-    )
-    _raise_for(code, "AC refinement")

@@ -7,10 +7,11 @@ loop to its inputs and runs it twice, like libjpeg's two-pass
 symbol histograms :func:`~repro.jpeg.huffman.build_optimized_table`
 takes, and :meth:`~NativeScan.write` codes the scan with the chosen
 tables into a buffer sized for the worst case.  The loops read int32
-raster blocks through the ``(slots, flats)`` visit plan the decode
-drivers use (:func:`~repro.jpeg.blocks.mcu_visit_plan`), so MCU edge
-padding is a clamped block index and zigzag order a table in the
-kernel.
+raster blocks through the scan's ``(slots, flats)`` visit plan
+(:func:`~repro.jpeg.blocks.scan_visit_plan`), so MCU edge padding is a
+clamped block index and zigzag order a table in the kernel.  The AC
+loops walk their one component's blocks in raster order, which is what
+a one-component plan is.
 
 Both passes raise what the scalar encoder raises on the same image:
 :class:`~repro.jpeg.markers.JpegFormatError` for an AC value that needs
@@ -26,7 +27,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.jpeg.blocks import mcu_visit_plan
 from repro.jpeg.huffman import HuffmanTable, encoder_code_arrays
 from repro.jpeg.markers import JpegFormatError
 from repro.jpeg.native.kernel import ERR_COEF_RANGE, require_kernel
@@ -55,24 +55,6 @@ def _raster_view(component: ComponentInfo) -> np.ndarray:
     ):
         raise JpegFormatError("DCT coefficient out of range")
     return np.ascontiguousarray(coefficients, dtype=np.int32).reshape(-1, 64)
-
-
-def _plan(
-    components: list[ComponentInfo], mcus: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interleaved visit plan over the components' own block grids,
-    clamped into the MCU padding."""
-    for component in components:
-        if (
-            component.blocks_y > mcus[0] * component.v_sampling
-            or component.blocks_x > mcus[1] * component.h_sampling
-        ):
-            raise ValueError("block array larger than MCU grid")
-    return mcu_visit_plan(
-        [(c.h_sampling, c.v_sampling) for c in components],
-        mcus,
-        [(c.blocks_y, c.blocks_x) for c in components],
-    )
 
 
 class NativeScan:
@@ -165,26 +147,16 @@ def baseline_scan(
     image: CoefficientImage,
     table_ids: list[int],
     restart_interval: int,
-    mcus: tuple[int, int],
+    slots: np.ndarray,
+    flats: np.ndarray,
 ) -> NativeScan:
-    """The one scan of a baseline image, every component interleaved.
-
-    A one-component scan is never interleaved: it visits the
-    component's own block grid, one block per MCU (T.81 A.2.2).
-    """
+    """The one scan of a baseline image along its visit plan."""
     views = [_raster_view(component) for component in image.components]
-    if len(views) == 1:
-        total_mcus = views[0].shape[0]
-        slots = np.zeros(total_mcus, dtype=np.uint8)
-        flats = np.arange(total_mcus, dtype=np.int64)
-    else:
-        slots, flats = _plan(image.components, mcus)
-        total_mcus = mcus[0] * mcus[1]
+    total_mcus, blocks_per_mcu = flats.shape
     restarts = total_mcus // restart_interval if restart_interval else 0
     return NativeScan(
         "p3_encode_baseline",
-        (views, slots, flats, total_mcus, slots.size // total_mcus,
-         restart_interval),
+        (views, slots, flats, total_mcus, blocks_per_mcu, restart_interval),
         [[(0, t) for t in table_ids], [(1, t) for t in table_ids]],
         slots.size,
         restarts,
@@ -192,20 +164,17 @@ def baseline_scan(
 
 
 def progressive_scans(
-    image: CoefficientImage, table_ids: list[int], mcus: tuple[int, int]
-) -> Callable[[ScanSpec], NativeScan]:
+    image: CoefficientImage, table_ids: list[int]
+) -> Callable[[ScanSpec, np.ndarray, np.ndarray], NativeScan]:
     """The scans of a progressive script, one :class:`NativeScan` per
-    :class:`~repro.jpeg.scans.ScanSpec`.
-
-    DC scans walk the MCU-padded grid of their components, AC scans the
-    one component's own grid in raster order.
-    """
+    :class:`~repro.jpeg.scans.ScanSpec` and its visit plan."""
     views = [_raster_view(component) for component in image.components]
 
-    def scan(spec: ScanSpec) -> NativeScan:
+    def scan(
+        spec: ScanSpec, slots: np.ndarray, flats: np.ndarray
+    ) -> NativeScan:
         indices = spec.component_indices
         if spec.is_dc:
-            slots, flats = _plan([image.components[i] for i in indices], mcus)
             arguments = (
                 [views[i] for i in indices], slots, flats, slots.size, spec.al
             )
@@ -213,12 +182,11 @@ def progressive_scans(
                 return NativeScan("p3_encode_dc_refine", arguments, [], slots.size)
             tables = [[(0, table_ids[i]) for i in indices]]
             return NativeScan("p3_encode_dc_first", arguments, tables, slots.size)
-        view = views[indices[0]]
         return NativeScan(
             "p3_encode_ac_refine" if spec.is_refinement else "p3_encode_ac_first",
-            (view, view.shape[0], spec.ss, spec.se, spec.al),
+            (views[indices[0]], flats.size, spec.ss, spec.se, spec.al),
             [[(1, 0)]],
-            view.shape[0],
+            flats.size,
         )
 
     return scan

@@ -129,80 +129,47 @@ def default_sa_script(num_components: int) -> list[ScanSpec]:
 
 
 def zigzag_blocks(coefficients: np.ndarray) -> np.ndarray:
-    """Flatten (by, bx, 8, 8) raster blocks into (by, bx, 64) zigzag."""
-    by, bx = coefficients.shape[:2]
-    flat = coefficients.reshape(by, bx, 64)
-    return flat[..., ZIGZAG_ORDER]
-
-
-def pad_blocks_to_mcu(
-    blocks: np.ndarray, mcus_y: int, mcus_x: int, v: int, h: int
-) -> np.ndarray:
-    """Edge-pad a (by, bx, 64) block array to the interleaved-MCU grid."""
-    need_y = mcus_y * v
-    need_x = mcus_x * h
-    by, bx = blocks.shape[:2]
-    pad_y = need_y - by
-    pad_x = need_x - bx
-    if pad_y < 0 or pad_x < 0:
-        raise ValueError("block array larger than MCU grid")
-    if pad_y == 0 and pad_x == 0:
-        return blocks
-    return np.pad(blocks, ((0, pad_y), (0, pad_x), (0, 0)), mode="edge")
+    """Flatten (by, bx, 8, 8) raster blocks into (by * bx, 64) zigzag
+    rows, the layout a visit plan's flat indices address."""
+    return coefficients.reshape(-1, 64)[:, ZIGZAG_ORDER]
 
 
 # -- DC scans -----------------------------------------------------------------
 
 
 def encode_dc_first(
-    blocks_per_component: list[np.ndarray],
-    samplings: list[tuple[int, int]],
-    mcus: tuple[int, int],
+    blocks: list[np.ndarray],
+    slots: list[int],
+    flats: list[int],
     al: int,
     sinks: list,
 ) -> None:
     """DC first scan: difference-code the point-transformed DCs.
 
-    ``blocks_per_component`` holds MCU-padded (by, bx, 64) zigzag
-    arrays; ``sinks[index]`` is the symbol/bit sink of that component.
+    The scan visits block ``flats[i]`` of ``blocks[slots[i]]`` (zigzag
+    rows) in turn; ``sinks[slot]`` is the symbol/bit sink of that
+    component.
     """
-    mcus_y, mcus_x = mcus
-    predictors = [0] * len(blocks_per_component)
-    for mcu_y in range(mcus_y):
-        for mcu_x in range(mcus_x):
-            for index, blocks in enumerate(blocks_per_component):
-                h, v = samplings[index]
-                sink = sinks[index]
-                for dy in range(v):
-                    for dx in range(h):
-                        dc = int(blocks[mcu_y * v + dy, mcu_x * h + dx, 0])
-                        value = dc >> al  # arithmetic shift, per G.1.2.1
-                        diff = value - predictors[index]
-                        predictors[index] = value
-                        category = magnitude_category(diff)
-                        sink.symbol(category)
-                        sink.bits(
-                            encode_magnitude_bits(diff, category), category
-                        )
+    predictors = [0] * len(blocks)
+    for slot, flat in zip(slots, flats):
+        value = int(blocks[slot][flat, 0]) >> al  # arithmetic, per G.1.2.1
+        diff = value - predictors[slot]
+        predictors[slot] = value
+        category = magnitude_category(diff)
+        sinks[slot].symbol(category)
+        sinks[slot].bits(encode_magnitude_bits(diff, category), category)
 
 
 def encode_dc_refinement(
-    blocks_per_component: list[np.ndarray],
-    samplings: list[tuple[int, int]],
-    mcus: tuple[int, int],
+    blocks: list[np.ndarray],
+    slots: list[int],
+    flats: list[int],
     al: int,
     writer: BitWriter,
 ) -> None:
     """DC refinement: one raw bit (bit ``al`` of the DC) per block."""
-    mcus_y, mcus_x = mcus
-    for mcu_y in range(mcus_y):
-        for mcu_x in range(mcus_x):
-            for index, blocks in enumerate(blocks_per_component):
-                h, v = samplings[index]
-                for dy in range(v):
-                    for dx in range(h):
-                        dc = int(blocks[mcu_y * v + dy, mcu_x * h + dx, 0])
-                        writer.write((dc >> al) & 1, 1)
+    for slot, flat in zip(slots, flats):
+        writer.write((int(blocks[slot][flat, 0]) >> al) & 1, 1)
 
 
 # -- AC scans -----------------------------------------------------------------
@@ -236,82 +203,79 @@ class _EobState:
 
 
 def encode_ac_first(
-    blocks: np.ndarray, ss: int, se: int, al: int, sink
+    blocks: np.ndarray, flats: list[int], ss: int, se: int, al: int, sink
 ) -> None:
-    """AC first pass with point transform ``al`` and EOB runs."""
-    by, bx = blocks.shape[:2]
+    """AC first pass with point transform ``al`` and EOB runs over
+    blocks ``flats`` of ``blocks`` (zigzag rows)."""
     eob = _EobState(sink)
-    for y in range(by):
-        for x in range(bx):
-            band = blocks[y, x, ss : se + 1].astype(np.int64)
-            shifted = np.sign(band) * (np.abs(band) >> al)
-            nonzero = np.nonzero(shifted)[0]
-            if len(nonzero) == 0:
-                eob.account_block([])
+    for flat in flats:
+        band = blocks[flat, ss : se + 1].astype(np.int64)
+        shifted = np.sign(band) * (np.abs(band) >> al)
+        nonzero = np.nonzero(shifted)[0]
+        if len(nonzero) == 0:
+            eob.account_block([])
+            continue
+        eob.flush()
+        last = int(nonzero[-1])
+        run = 0
+        for k in range(last + 1):
+            value = int(shifted[k])
+            if value == 0:
+                run += 1
                 continue
-            eob.flush()
-            last = int(nonzero[-1])
+            while run > 15:
+                sink.symbol(0xF0)
+                run -= 16
+            category = magnitude_category(value)
+            if category > 15:
+                raise JpegFormatError("DCT coefficient out of range")
+            sink.symbol((run << 4) | category)
+            sink.bits(encode_magnitude_bits(value, category), category)
             run = 0
-            for k in range(last + 1):
-                value = int(shifted[k])
-                if value == 0:
-                    run += 1
-                    continue
-                while run > 15:
-                    sink.symbol(0xF0)
-                    run -= 16
-                category = magnitude_category(value)
-                if category > 15:
-                    raise JpegFormatError("DCT coefficient out of range")
-                sink.symbol((run << 4) | category)
-                sink.bits(encode_magnitude_bits(value, category), category)
-                run = 0
-            if last < len(band) - 1:
-                eob.account_block([])
+        if last < len(band) - 1:
+            eob.account_block([])
     eob.flush()
 
 
 def encode_ac_refinement(
-    blocks: np.ndarray, ss: int, se: int, al: int, sink
+    blocks: np.ndarray, flats: list[int], ss: int, se: int, al: int, sink
 ) -> None:
     """AC refinement pass (G.1.2.3 / jcphuff encode_mcu_AC_refine)."""
-    by, bx = blocks.shape[:2]
     eob = _EobState(sink)
-    for y in range(by):
-        for x in range(bx):
-            band = blocks[y, x, ss : se + 1].astype(np.int64)
-            absolute = np.abs(band) >> al
-            newly = np.nonzero(absolute == 1)[0]
-            last_new = int(newly[-1]) if len(newly) else -1
+    for flat in flats:
+        band = blocks[flat, ss : se + 1].astype(np.int64)
+        absolute = np.abs(band) >> al
+        newly = np.nonzero(absolute == 1)[0]
+        last_new = int(newly[-1]) if len(newly) else -1
 
-            run = 0
-            buffered: list[int] = []
-            for k in range(len(band)):
-                t = int(absolute[k])
-                if t == 0:
-                    run += 1
-                    continue
-                while run > 15 and k <= last_new:
-                    eob.flush()
-                    sink.symbol(0xF0)
-                    run -= 16
-                    for bit in buffered:
-                        sink.bits(bit, 1)
-                    buffered = []
-                if t > 1:
-                    # Already significant: buffer its correction bit.
-                    buffered.append(t & 1)
-                    continue
-                # Newly significant coefficient.
+        run = 0
+        buffered: list[int] = []
+        for k in range(len(band)):
+            t = int(absolute[k])
+            if t == 0:
+                run += 1
+                continue
+            while run > 15 and k <= last_new:
                 eob.flush()
-                sink.symbol((run << 4) | 1)
-                sink.bits(1 if band[k] >= 0 else 0, 1)
+                sink.symbol(0xF0)
+                run -= 16
                 for bit in buffered:
                     sink.bits(bit, 1)
                 buffered = []
-                run = 0
-            if run > 0 or buffered:
-                eob.account_block(buffered)
+            if t > 1:
+                # Already significant: buffer its correction bit.
+                buffered.append(t & 1)
+                continue
+            # Newly significant coefficient.
+            eob.flush()
+            sink.symbol((run << 4) | 1)
+            sink.bits(1 if band[k] >= 0 else 0, 1)
+            for bit in buffered:
+                sink.bits(bit, 1)
+            buffered = []
+            run = 0
+        if run > 0 or buffered:
+            eob.account_block(buffered)
     eob.flush()
 
 
@@ -390,32 +354,28 @@ class ScalarScan:
 
 
 def scalar_scans(
-    image: CoefficientImage, table_ids: list[int], mcus: tuple[int, int]
-) -> Callable[[ScanSpec], ScalarScan]:
-    """The scans of a progressive script on the scalar engine, one
-    :class:`ScalarScan` per :class:`ScanSpec`.
+    image: CoefficientImage, table_ids: list[int]
+) -> Callable[[ScanSpec, np.ndarray, np.ndarray], ScalarScan]:
+    """The scans of a progressive script on the scalar engine: one
+    :class:`ScalarScan` per :class:`ScanSpec` and its visit plan
+    ``(slots, flats)`` (:func:`~repro.jpeg.blocks.scan_visit_plan`).
 
-    DC scans walk the components' zigzag blocks edge-padded to the MCU
-    grid, AC scans the one component's own grid.  A DC first scan codes
-    each component with the table of its ``table_ids`` entry, an AC
-    scan carries one table under id 0, and a DC refinement scan none
-    (raw bits only).
+    A DC first scan codes each component with the table of its
+    ``table_ids`` entry, an AC scan carries one table under id 0, and a
+    DC refinement scan none (raw bits only).
     """
     zigzag = [zigzag_blocks(c.coefficients) for c in image.components]
-    padded = [
-        pad_blocks_to_mcu(blocks, *mcus, c.v_sampling, c.h_sampling)
-        for blocks, c in zip(zigzag, image.components)
-    ]
-    samplings = [(c.h_sampling, c.v_sampling) for c in image.components]
 
-    def scan(spec: ScanSpec) -> ScalarScan:
+    def scan(
+        spec: ScanSpec, slots: np.ndarray, flats: np.ndarray
+    ) -> ScalarScan:
         indices = spec.component_indices
-        scan_padded = [padded[i] for i in indices]
-        scan_samplings = [samplings[i] for i in indices]
+        blocks = [zigzag[i] for i in indices]
+        slot_list, flat_list = slots.ravel().tolist(), flats.ravel().tolist()
         if spec.is_dc and spec.is_refinement:
             return ScalarScan(
                 lambda sinks, writer: encode_dc_refinement(
-                    scan_padded, scan_samplings, mcus, spec.al, writer
+                    blocks, slot_list, flat_list, spec.al, writer
                 ),
                 [],
             )
@@ -423,9 +383,9 @@ def scalar_scans(
             keys = [(0, table_ids[i]) for i in indices]
             return ScalarScan(
                 lambda sinks, writer: encode_dc_first(
-                    scan_padded,
-                    scan_samplings,
-                    mcus,
+                    blocks,
+                    slot_list,
+                    flat_list,
                     spec.al,
                     [sinks[key] for key in keys],
                 ),
@@ -434,7 +394,7 @@ def scalar_scans(
         encode = encode_ac_refinement if spec.is_refinement else encode_ac_first
         return ScalarScan(
             lambda sinks, writer: encode(
-                zigzag[indices[0]], spec.ss, spec.se, spec.al, sinks[1, 0]
+                blocks[0], flat_list, spec.ss, spec.se, spec.al, sinks[1, 0]
             ),
             [(1, 0)],
         )

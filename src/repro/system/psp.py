@@ -55,13 +55,16 @@ class _StoredPhoto:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The PSP's private transformation parameters."""
+    """The PSP's private transformation parameters.
+
+    Every PSP decodes an upload to pixels and re-encodes each variant,
+    so no APPn or COM segment of an upload survives at any provider.
+    """
 
     kernel: str
     sharpen_amount: float
     quality: int
     progressive: bool
-    strip_markers: bool
 
 
 class PhotoSharingProvider:  # relint: implements PSPBackend
@@ -83,7 +86,6 @@ class PhotoSharingProvider:  # relint: implements PSPBackend
         sharpen_amount=0.0,
         quality=82,
         progressive=False,
-        strip_markers=True,
     )
 
     def __init__(self) -> None:
@@ -346,7 +348,6 @@ class FacebookPSP(PhotoSharingProvider):
         sharpen_amount=0.4,
         quality=80,
         progressive=True,
-        strip_markers=True,
     )
 
 
@@ -360,7 +361,6 @@ class FlickrPSP(PhotoSharingProvider):
         sharpen_amount=0.0,
         quality=84,
         progressive=False,
-        strip_markers=True,
     )
 
 
@@ -380,7 +380,6 @@ class PhotoBucketPSP(PhotoSharingProvider):
         sharpen_amount=0.0,
         quality=82,
         progressive=False,
-        strip_markers=False,
     )
 
     def _new_photo_id(self, data: bytes) -> str:  # guarded-by: _lock

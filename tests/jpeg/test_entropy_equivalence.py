@@ -36,7 +36,7 @@ from repro.jpeg.huffman import (
     lookup_table,
 )
 from repro.jpeg.markers import JpegFormatError
-from repro.jpeg.native.decode import decode_dc_refine
+from repro.jpeg.native.decode import decode_scan
 from repro.jpeg.scans import ScanSpec
 from repro.jpeg.structures import CoefficientImage, ComponentInfo
 from repro.jpeg.zigzag import from_zigzag
@@ -61,13 +61,18 @@ def _native_read_bits(stuffed: bytes, count: int) -> list[int]:
     A DC refinement scan is one raw bit per block, so decoding it over
     ``count`` single-block slots yields the bit sequence the kernel read.
     """
+    if not count:
+        return []
     view = np.zeros((count, 64), dtype=np.int32)
-    decode_dc_refine(
+    decode_scan(
+        "dc_refine",
         stuffed,
-        slots=np.zeros(count, dtype=np.uint8),
-        flats=np.arange(count, dtype=np.int64),
+        restart_interval=0,
+        slots=np.zeros((count, 1), dtype=np.uint8),
+        flats=np.arange(count, dtype=np.int64)[:, None],
         views=[view],
-        bit_value=1,
+        dc_tables=[],
+        ac_tables=[],
     )
     return view[:, 0].tolist()
 
@@ -199,8 +204,9 @@ def _spectral_script(num_components, bands):
 
 def _per_component_sa_script(num_components):
     """SA with one DC scan per component: on a subsampled image each
-    DC scan walks one component's MCU-padded grid alone, and a chroma
-    DC scan codes with the chroma table id."""
+    DC scan walks its component's own block grid in raster order, one
+    block per MCU (T.81 A.2.2), and a chroma DC scan codes with the
+    chroma table id."""
     script = []
     for approx_high, approx_low in ((0, 1), (1, 0)):
         for index in range(num_components):
@@ -420,9 +426,8 @@ class TestDecoderEquivalence:
 
     def test_single_component_dc_scans_decode_identical(self, rgb_image):
         # A custom SA script with non-interleaved DC scans: on a
-        # subsampled image the luma padded grid differs from its true
-        # grid, so the fast decoder must walk the MCU-padded grid for
-        # DC scans exactly like the scalar engine (regression test).
+        # subsampled image the luma grid is smaller than its MCU-padded
+        # grid, and both engines must walk the luma's own grid alone.
         image = rgb_to_coefficients(
             rgb_image[:24, :24], quality=75, subsampling="4:2:0"
         )

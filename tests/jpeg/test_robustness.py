@@ -290,6 +290,27 @@ class TestInterleaveLimits:
             np.testing.assert_array_equal(got.coefficients, want.coefficients)
 
 
+class TestComponentGridValidation:
+    """Each component's block grid must be the one its frame gives it
+    (T.81 A.1.1): the decoder fills that grid and every visit plan walks
+    it, so the encoders refuse any other grid instead of writing a
+    stream that decodes to different coefficients."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("progressive", [False, True], ids=str)
+    @pytest.mark.parametrize("rows, cols", [(2, 5), (4, 5), (3, 4), (3, 6)])
+    def test_grid_the_frame_does_not_give_is_an_error(
+        self, rows, cols, progressive, engine
+    ):
+        # 40x24 at 4:2:0: a 3x5 luma grid inside a 4x6 MCU-padded one.
+        image = _synthetic_image([(2, 2), (1, 1), (1, 1)], width=40, height=24)
+        image.components[0].coefficients = np.zeros(
+            (rows, cols, 8, 8), dtype=np.int32
+        )
+        with pytest.raises(ValueError, match="frame gives it 3x5"):
+            encode_coefficients(image, progressive=progressive, engine=engine)
+
+
 def _rename_component(
     data: bytearray, old: int, new: int, sof: bytes | None
 ) -> None:
