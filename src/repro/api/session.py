@@ -398,13 +398,15 @@ class P3Session:
         Every flavour — keyed, public-only, provider-pinned — runs the
         single engine path (three-tier cache, coalescing, timing), so
         outputs are byte-for-byte the same wherever they are served
-        from.
+        from.  The caller owns the returned array: it is a writable
+        copy of the engine's read-only cached pixels, so writing to it
+        cannot change what the next download returns.
         """
         request = self._as_download_request(item, album, resolution, crop_box)
         # _serve_request already ran the PSP access check.
         return self.engine.serve(
             self._serve_request(request), preauthorized=True
-        ).pixels
+        ).pixels.copy()
 
     def download_public_only(
         self, photo_id: str, resolution: int | None = None

@@ -5,18 +5,14 @@ an entropy-coded segment must be followed by a stuffed 0x00 so decoders
 can distinguish data from markers; the reader strips the stuffing and
 stops cleanly at a real marker.
 
-Both engines share this module:
-
-* the scalar :class:`BitReader`/:class:`BitWriter` pair, the readable
-  T.81 reference implementation retained as the test oracle;
-* :func:`split_restart_segments`, which cuts a scan at its RSTn markers
-  for the native engine's decoder (the C kernel destuffs each segment;
-  its encode loops write stuffed bytes themselves).
+The scalar :class:`BitReader`/:class:`BitWriter` pair is the readable
+T.81 reference implementation, retained as the test oracle.  The
+native engine's C kernel does its own bit I/O: it splits each scan at
+its RSTn markers and destuffs the segments when decoding, and writes
+stuffed bytes itself when encoding.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class BitWriter:
@@ -168,39 +164,3 @@ class EndOfData(Exception):
     def __init__(self, position: int) -> None:
         super().__init__(f"end of data at byte offset {position}")
         self.position = position
-
-
-# ---------------------------------------------------------------------------
-# Native engine: restart segmentation.
-# ---------------------------------------------------------------------------
-
-
-def split_restart_segments(data: bytes) -> tuple[list[bytes], list[int]]:
-    """Split raw scan data at RSTn markers.
-
-    Returns ``(segments, restart_indices)`` where ``segments`` holds the
-    still-stuffed entropy bytes between markers (``len(segments) ==
-    len(restart_indices) + 1``) and ``restart_indices`` the n of each
-    RSTn in order.  Inside entropy data every 0xFF is followed by 0x00
-    (stuffing) or 0xD0-0xD7 (restart), so a plain two-byte scan finds
-    exactly the markers.
-    """
-    if len(data) < 2:
-        return [data], []
-    array = np.frombuffer(data, dtype=np.uint8)
-    following = array[1:]
-    is_restart = (
-        (array[:-1] == 0xFF) & (following >= 0xD0) & (following <= 0xD7)
-    )
-    positions = np.nonzero(is_restart)[0]
-    segments: list[bytes] = []
-    indices: list[int] = []
-    start = 0
-    # Matches can never overlap: a byte cannot be both 0xFF and in
-    # 0xD0-0xD7, so consecutive marker positions differ by >= 2.
-    for position in positions.tolist():
-        segments.append(data[start:position])
-        indices.append(data[position + 1] - 0xD0)
-        start = position + 2
-    segments.append(data[start:])
-    return segments, indices

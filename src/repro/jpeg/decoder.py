@@ -33,6 +33,13 @@ from repro.jpeg.quantization import dequantize
 from repro.jpeg.structures import CoefficientImage, ComponentInfo
 from repro.jpeg.zigzag import INVERSE_ZIGZAG, ZIGZAG_ORDER
 
+#: The largest frame the decoder accepts, in pixels: 8192 x 8192
+#: (67.1 MP) admits a 50 MP phone photo (8160 x 6120), whose int32
+#: coefficient arrays stay under 0.8 GiB at 4:4:4.  The frame header
+#: alone sizes those arrays, so without a budget a forged SOF in a
+#: 160-byte stream could ask for 15.7 GiB per component.
+MAX_FRAME_PIXELS = 8192 * 8192
+
 
 @dataclass
 class _FrameComponent:
@@ -133,6 +140,11 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
     if height == 0 or width == 0:
         raise JpegFormatError(
             f"invalid frame header: dimensions {width}x{height}"
+        )
+    if width * height > MAX_FRAME_PIXELS:
+        raise JpegFormatError(
+            f"frame {width}x{height} ({width * height} pixels) is over the "
+            f"{MAX_FRAME_PIXELS}-pixel budget"
         )
     state.height = height
     state.width = width

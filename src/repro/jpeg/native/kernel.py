@@ -16,10 +16,13 @@ recorded, :func:`status` reports it, and :func:`require_kernel` raises
 :class:`NativeUnavailableError` carrying it.  Importing this module
 never fails.
 
-Each C decode loop reads a destuffed segment through a zero-padded
-16-bit peek, fails with EndOfData when a consume passes the segment
-end, and checks the scalar decoder's error conditions in its order, so
-both engines reach the same verdict on every stream.
+One C call decodes a whole scan (``p3_decode_scan``): it finds the
+RSTn markers, destuffs each restart segment into one zero-padded
+buffer, and runs the scan kind's loop once per restart interval.  Each
+loop reads its segment through a zero-padded 16-bit peek, fails with
+EndOfData when a consume passes the segment end, and checks the scalar
+decoder's error conditions in its order, so both engines reach the
+same verdict on every stream.
 
 Each C encode loop covers one of the five scan kinds (baseline, DC
 first, DC refinement, AC first, AC refinement) and runs twice, like
@@ -48,27 +51,16 @@ ERR_AC_BOUNDS = 4
 ERR_REFINE_SIZE = 5
 ERR_OVERFLOW = 6
 ERR_COEF_RANGE = 7
+ERR_RESTART = 8
 
 #: ABI declarations handed to ``ffi.cdef`` (must match the C source).
 CDEF = """
-int64_t p3_destuff(uint8_t *data, int64_t n, uint8_t *out);
-int p3_decode_baseline(uint8_t *data, int64_t nbits, int64_t *pos,
-                       int32_t **dc_luts, int32_t **ac_luts,
-                       int32_t **views, uint8_t *slots, int64_t *flats,
-                       int64_t nblocks, int32_t *prev_dc);
-int p3_decode_dc_first(uint8_t *data, int64_t nbits, int64_t *pos,
-                       int32_t **dc_luts, int32_t **views,
-                       uint8_t *slots, int64_t *flats, int64_t nblocks,
-                       int shift, int32_t *prev_dc);
-int p3_decode_dc_refine(uint8_t *data, int64_t nbits, int64_t *pos,
-                        int32_t **views, uint8_t *slots, int64_t *flats,
-                        int64_t nblocks, int32_t bit_value);
-int p3_decode_ac_first(uint8_t *data, int64_t nbits, int64_t *pos,
-                       int32_t *ac_lut, int64_t *flats, int64_t nblocks,
-                       int ss, int se, int shift, int32_t *view);
-int p3_decode_ac_refine(uint8_t *data, int64_t nbits, int64_t *pos,
-                        int32_t *ac_lut, int64_t *flats, int64_t nblocks,
-                        int ss, int se, int32_t positive, int32_t *view);
+int p3_decode_scan(int kind, const uint8_t *raw, int64_t n, uint8_t *buf,
+                   int64_t total_mcus, int64_t blocks_per_mcu,
+                   int64_t restart_interval, int32_t **dc_luts,
+                   int32_t **ac_luts, int32_t **views, int32_t *prev_dc,
+                   int nviews, uint8_t *slots, int64_t *flats,
+                   int ss, int se, int al);
 typedef struct {
     int64_t *freq;
     const uint64_t *code;
@@ -96,10 +88,11 @@ int p3_encode_ac_refine(P3Writer *w, int32_t *view, int64_t nblocks,
                         int ss, int se, int al, P3Table **ac);
 """
 
-#: The kernel itself.  The decode loops run over destuffed bytes; the
-#: caller guarantees at least 8 zero bytes of padding after the data so
-#: the 16-bit peek can always read 4 bytes without a bounds check.  The
-#: encode loops write into a buffer the caller sizes for the worst case.
+#: The kernel itself.  The decode loops run over destuffed bytes that
+#: ``p3_decode_scan`` pads with 8 zero bytes, so the 16-bit peek can
+#: always read 4 bytes without a bounds check; its caller sizes that
+#: buffer at the scan's raw length plus 8.  The encode loops write into
+#: a buffer the caller sizes for the worst case.
 SOURCE = r"""
 #include <stdint.h>
 
@@ -111,9 +104,10 @@ SOURCE = r"""
 #define P3_ERR_REFINE_SIZE 5
 #define P3_ERR_OVERFLOW 6
 #define P3_ERR_COEF_RANGE 7
+#define P3_ERR_RESTART 8
 
-/* Next 16 bits at a bit cursor, zero-padded past the end (the Python
- * side allocates the buffer with >= 8 trailing zero bytes). */
+/* Next 16 bits at a bit cursor, zero-padded past the end (p3_segment
+ * writes >= 8 trailing zero bytes). */
 static uint32_t p3_peek16(const uint8_t *d, int64_t pos) {
     const uint8_t *b = d + (pos >> 3);
     uint32_t w = ((uint32_t)b[0] << 24) | ((uint32_t)b[1] << 16)
@@ -182,20 +176,11 @@ static int p3_decode_dc_value(const uint8_t *d, int64_t nbits, int64_t *pos,
     return P3_OK;
 }
 
-int64_t p3_destuff(uint8_t *data, int64_t n, uint8_t *out) {
-    int64_t o = 0;
-    for (int64_t i = 0; i < n; i++) {
-        uint8_t b = data[i];
-        out[o++] = b;
-        if (b == 0xFF && i + 1 < n && data[i + 1] == 0x00) i++;
-    }
-    return o;
-}
-
-int p3_decode_baseline(uint8_t *data, int64_t nbits, int64_t *pos,
-                       int32_t **dc_luts, int32_t **ac_luts,
-                       int32_t **views, uint8_t *slots, int64_t *flats,
-                       int64_t nblocks, int32_t *prev_dc) {
+static int p3_decode_baseline(uint8_t *data, int64_t nbits, int64_t *pos,
+                              int32_t **dc_luts, int32_t **ac_luts,
+                              int32_t **views, uint8_t *slots,
+                              int64_t *flats, int64_t nblocks,
+                              int32_t *prev_dc) {
     for (int64_t i = 0; i < nblocks; i++) {
         int slot = slots[i];
         int32_t *block = views[slot] + flats[i] * 64;
@@ -229,10 +214,10 @@ int p3_decode_baseline(uint8_t *data, int64_t nbits, int64_t *pos,
     return P3_OK;
 }
 
-int p3_decode_dc_first(uint8_t *data, int64_t nbits, int64_t *pos,
-                       int32_t **dc_luts, int32_t **views,
-                       uint8_t *slots, int64_t *flats, int64_t nblocks,
-                       int shift, int32_t *prev_dc) {
+static int p3_decode_dc_first(uint8_t *data, int64_t nbits, int64_t *pos,
+                              int32_t **dc_luts, int32_t **views,
+                              uint8_t *slots, int64_t *flats,
+                              int64_t nblocks, int shift, int32_t *prev_dc) {
     for (int64_t i = 0; i < nblocks; i++) {
         int slot = slots[i];
         int64_t dc;
@@ -247,9 +232,10 @@ int p3_decode_dc_first(uint8_t *data, int64_t nbits, int64_t *pos,
     return P3_OK;
 }
 
-int p3_decode_dc_refine(uint8_t *data, int64_t nbits, int64_t *pos,
-                        int32_t **views, uint8_t *slots, int64_t *flats,
-                        int64_t nblocks, int32_t bit_value) {
+static int p3_decode_dc_refine(uint8_t *data, int64_t nbits, int64_t *pos,
+                               int32_t **views, uint8_t *slots,
+                               int64_t *flats, int64_t nblocks,
+                               int32_t bit_value) {
     for (int64_t i = 0; i < nblocks; i++) {
         if (*pos + 1 > nbits) return P3_ERR_EOD;
         uint32_t bit = p3_peek16(data, *pos) >> 15;
@@ -259,9 +245,10 @@ int p3_decode_dc_refine(uint8_t *data, int64_t nbits, int64_t *pos,
     return P3_OK;
 }
 
-int p3_decode_ac_first(uint8_t *data, int64_t nbits, int64_t *pos,
-                       int32_t *ac_lut, int64_t *flats, int64_t nblocks,
-                       int ss, int se, int shift, int32_t *view) {
+static int p3_decode_ac_first(uint8_t *data, int64_t nbits, int64_t *pos,
+                              int32_t *ac_lut, int64_t *flats,
+                              int64_t nblocks, int ss, int se, int shift,
+                              int32_t *view) {
     int64_t eob_run = 0;
     for (int64_t i = 0; i < nblocks; i++) {
         if (eob_run > 0) { eob_run--; continue; }
@@ -300,9 +287,10 @@ int p3_decode_ac_first(uint8_t *data, int64_t nbits, int64_t *pos,
     return P3_OK;
 }
 
-int p3_decode_ac_refine(uint8_t *data, int64_t nbits, int64_t *pos,
-                        int32_t *ac_lut, int64_t *flats, int64_t nblocks,
-                        int ss, int se, int32_t positive, int32_t *view) {
+static int p3_decode_ac_refine(uint8_t *data, int64_t nbits, int64_t *pos,
+                               int32_t *ac_lut, int64_t *flats,
+                               int64_t nblocks, int ss, int se,
+                               int32_t positive, int32_t *view) {
     int32_t negative = -positive;
     int64_t eob_run = 0;
     for (int64_t i = 0; i < nblocks; i++) {
@@ -375,6 +363,84 @@ int p3_decode_ac_refine(uint8_t *data, int64_t nbits, int64_t *pos,
             }
             eob_run--;
         }
+    }
+    return P3_OK;
+}
+
+/* Destuff the entropy segment that starts at raw[start] into out, up to
+ * the next RSTn or the end of the scan, and zero the 8 bytes after it.
+ * Inside entropy data every 0xFF is followed by 0x00 (stuffing) or a
+ * marker, so this finds exactly the RSTn markers.  Sets *len to the
+ * destuffed length; returns the offset just past the RSTn, or -1 when
+ * the segment runs to the end of the scan. */
+static int64_t p3_segment(const uint8_t *raw, int64_t n, int64_t start,
+                          uint8_t *out, int64_t *len) {
+    int64_t i = start, o = 0, next = -1;
+    while (i < n) {
+        uint8_t b = raw[i++];
+        if (b == 0xFF && i < n) {
+            if (raw[i] >= 0xD0 && raw[i] <= 0xD7) { next = i + 1; break; }
+            if (raw[i] == 0x00) i++;
+        }
+        out[o++] = b;
+    }
+    for (int j = 0; j < 8; j++) out[o + j] = 0;
+    *len = o;
+    return next;
+}
+
+/* Decode one scan of the given kind (0 baseline, 1 DC first, 2 DC
+ * refinement, 3 AC first, 4 AC refinement) along its visit plan: the
+ * MCU rows of (slots, flats), blocks_per_mcu blocks each.  The plan
+ * splits into intervals of restart_interval MCUs (the whole scan when
+ * 0), one restart segment of raw each, destuffed in turn into buf
+ * (n + 8 bytes).  Each interval starts with zeroed DC predictors and EOB
+ * run, and the previous segment must be consumed to within its padding
+ * bits, as the scalar engine requires when it reads the RSTn. */
+int p3_decode_scan(int kind, const uint8_t *raw, int64_t n, uint8_t *buf,
+                   int64_t total_mcus, int64_t blocks_per_mcu,
+                   int64_t restart_interval, int32_t **dc_luts,
+                   int32_t **ac_luts, int32_t **views, int32_t *prev_dc,
+                   int nviews, uint8_t *slots, int64_t *flats,
+                   int ss, int se, int al) {
+    int64_t interval = restart_interval ? restart_interval : total_mcus;
+    int64_t next = 0, nbits = 0, pos = 0;
+    for (int64_t mcu = 0; mcu < total_mcus; mcu += interval) {
+        if (mcu && (nbits - pos >= 8 || next < 0)) return P3_ERR_RESTART;
+        int64_t len;
+        next = p3_segment(raw, n, next, buf, &len);
+        nbits = 8 * len;
+        pos = 0;
+        for (int s = 0; s < nviews; s++) prev_dc[s] = 0;
+        int64_t mcus = total_mcus - mcu < interval ? total_mcus - mcu
+                                                   : interval;
+        int64_t first = mcu * blocks_per_mcu, count = mcus * blocks_per_mcu;
+        uint8_t *slot = slots + first;
+        int64_t *flat = flats + first;
+        int err;
+        switch (kind) {
+        case 0:
+            err = p3_decode_baseline(buf, nbits, &pos, dc_luts, ac_luts,
+                                     views, slot, flat, count, prev_dc);
+            break;
+        case 1:
+            err = p3_decode_dc_first(buf, nbits, &pos, dc_luts, views, slot,
+                                     flat, count, al, prev_dc);
+            break;
+        case 2:
+            err = p3_decode_dc_refine(buf, nbits, &pos, views, slot, flat,
+                                      count, (int32_t)1 << al);
+            break;
+        case 3:
+            err = p3_decode_ac_first(buf, nbits, &pos, ac_luts[0], flat,
+                                     count, ss, se, al, views[0]);
+            break;
+        default:
+            err = p3_decode_ac_refine(buf, nbits, &pos, ac_luts[0], flat,
+                                      count, ss, se, (int32_t)1 << al,
+                                      views[0]);
+        }
+        if (err) return err;
     }
     return P3_OK;
 }

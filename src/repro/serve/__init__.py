@@ -145,7 +145,8 @@ Quickstart::
     result = engine.serve(
         ServeRequest(photo_id, album="trip", key=key, requester="bob")
     )
-    result.pixels        # reconstructed image
+    result.pixels        # reconstructed image, the cache's read-only
+                         # array: .copy() it before writing
     result.source        # "reconstructed" | "variant-cache" | "coalesced"
     result.timing        # per-stage wall clock
     engine.snapshot()    # hit rates, p50/p99, per-partition stats

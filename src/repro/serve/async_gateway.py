@@ -6,9 +6,10 @@ event loop over the *same* shared :class:`~repro.serve.engine.
 ServingEngine`:
 
 * **cache hits stay on the loop** — a decoded-variant hit costs an
-  access check plus an array copy
-  (:meth:`~repro.serve.engine.ServingEngine.serve_cached`), so it is
-  answered inline, no thread handoff;
+  access check plus the response body's one pixel copy
+  (:meth:`~repro.serve.engine.ServingEngine.serve_cached`, then
+  :func:`~repro.system.gateway.pixel_response`), so it is answered
+  inline, no thread handoff;
 * **cold serves are offloaded** — reconstructions run on a shared
   thread pool (:meth:`~repro.api.executors.Executor.offload`);
   because they execute in real threads, the engine's single-flight

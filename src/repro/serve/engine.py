@@ -32,7 +32,13 @@ The engine owns everything between "a viewer asked for photo X" and
 * **per-request timing** — every serve returns a
   :class:`ServeResult` with stage timings and cache provenance, and
   rolling :class:`ServingStats` (p50/p99) feed dashboards and
-  benchmarks.
+  benchmarks;
+* **no pixel copies** — a result's pixels are the variant cache's
+  read-only master array, on hits, misses and coalesced waiters
+  alike.  Each front end makes the one copy it needs: the HTTP
+  gateways serialize the array into the response body, and
+  :meth:`~repro.api.session.P3Session.download` hands its caller a
+  writable copy.
 
 The engine is shared state: one engine serves every tenant of a
 :class:`~repro.system.gateway.P3Gateway` and every viewer session of
@@ -151,7 +157,15 @@ class ServeTiming:
 
 @dataclass
 class ServeResult:
-    """Pixels plus the provenance and timing of how they were made."""
+    """Pixels plus the provenance and timing of how they were made.
+
+    ``pixels`` is the variant cache's master array, shared by every
+    serve of the variant and marked read-only, so a write raises
+    ``ValueError`` instead of poisoning the cache.  The flag is
+    advisory: numpy lets an array that owns its memory be made
+    writable again.  No front end does that; each copies what it hands
+    on (the gateways' response body, the session's returned array).
+    """
 
     pixels: np.ndarray
     photo_id: str
@@ -323,8 +337,9 @@ class ServingEngine:
     ) -> ServeResult:
         """Serve one request through access check, caches and coalescing.
 
-        Callers own the returned array (mutating it cannot poison the
-        cache).  The PSP's access policy, when it exposes
+        The returned pixels are the cache's read-only master (see
+        :class:`ServeResult`); a caller that needs to write copies
+        them.  The PSP's access policy, when it exposes
         ``check_access``, is enforced before the caches are consulted,
         so a cached variant never leaks to a viewer the provider would
         have refused.  A caller that already ran
@@ -351,7 +366,7 @@ class ServingEngine:
             variant_key, lambda: self._build_variant(request)
         )
         result = ServeResult(
-            pixels=built.pixels.copy(),
+            pixels=built.pixels,
             photo_id=request.photo_id,
             secret_hit=built.secret_hit,
             coalesced=not leader,
@@ -366,13 +381,13 @@ class ServingEngine:
         """Answer from the variant cache alone, or return ``None``.
 
         The async front end's fast path: a hit costs an access check
-        plus an array copy — no storage round trip, no reconstruction,
-        nothing worth leaving the event loop for.  ``None`` means "not
-        answerable cheaply": either the variant is not cached, or the
-        backend enforces access only inside ``download()`` (no
-        ``check_access`` hook), in which case even a cache hit owes the
-        provider a round trip and belongs on the offload path —
-        :meth:`serve` preserves that guarantee.
+        and a cache lookup — no copy, no storage round trip, no
+        reconstruction, nothing worth leaving the event loop for.
+        ``None`` means "not answerable cheaply": either the variant is
+        not cached, or the backend enforces access only inside
+        ``download()`` (no ``check_access`` hook), in which case even a
+        cache hit owes the provider a round trip and belongs on the
+        offload path — :meth:`serve` preserves that guarantee.
 
         A hit is a full serve as far as accounting goes: it lands in
         :class:`ServingStats` exactly as :meth:`serve` would.
@@ -392,7 +407,7 @@ class ServingEngine:
     ) -> ServeResult:
         """A variant-cache hit as a finished, recorded serve."""
         result = ServeResult(
-            pixels=cached.pixels.copy(),
+            pixels=cached.pixels,
             photo_id=request.photo_id,
             variant_hit=True,
             secret_hit=cached.secret_hit,
@@ -495,7 +510,8 @@ class ServingEngine:
         envelope open.
 
         Returns the *master* result whose pixels live in the cache
-        (frozen read-only); :meth:`serve` hands copies to callers.
+        (frozen read-only); :meth:`serve` hands those same pixels to
+        the leader and every coalesced waiter.
         """
         timing = ServeTiming()
         clock = time.perf_counter

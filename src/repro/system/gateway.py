@@ -103,8 +103,12 @@ def map_exception(error: Exception) -> HttpResponse:
 
 
 def pixel_response(result: ServeResult) -> HttpResponse:
-    """Wrap a serve result as the HTTP response the app receives."""
-    pixels = np.ascontiguousarray(result.pixels)
+    """Wrap a serve result as the HTTP response the app receives.
+
+    The body is the view's one pixel copy: ``tobytes`` writes the
+    engine's shared, read-only array out in C order.
+    """
+    pixels = result.pixels
     return HttpResponse(
         status=200,
         headers={

@@ -179,6 +179,14 @@ class TestUploadDownload:
         )
         assert pixels.ndim == 3
 
+    def test_downloaded_pixels_are_the_callers_own(self, session, jpegs):
+        record = session.upload(jpegs[0], album="trip")
+        first = session.download(record.photo_id, album="trip")
+        reference = first.tobytes()
+        first[:] = 0  # the caller's copy is writable
+        again = session.download(record.photo_id, album="trip")
+        assert again.tobytes() == reference
+
     def test_public_only_request(self, session, jpegs):
         record = session.upload(jpegs[0], album="trip")
         public = session.download(

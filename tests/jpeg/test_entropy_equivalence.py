@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.jpeg.bitstream import (
-    BitReader,
-    BitWriter,
-    split_restart_segments,
-)
+from repro.jpeg.bitstream import BitReader, BitWriter
 from repro.jpeg.codec import (
     encode_coefficients,
     gray_to_coefficients,
@@ -121,14 +117,28 @@ class TestBitPacking:
         writer = BitWriter()
         writer.write(0xFF, 8)  # stuffed data byte, not a marker
         writer.write_restart_marker(0)
-        writer.write(0xD7, 8)
+        writer.write(0x57, 8)
         writer.write_restart_marker(1)
         writer.write(0x1, 2)
         writer.flush()
-        segments, indices = split_restart_segments(writer.getvalue())
-        assert indices == [0, 1]
-        # Segments stay stuffed: the kernel destuffs each one.
-        assert segments[:2] == [b"\xff\x00", b"\xd7"]
+        assert writer.getvalue() == b"\xff\x00\xff\xd0\x57\xff\xd1\x7f"
+        # One DC refinement bit per one-block restart interval reads the
+        # first bit of each segment.  The kernel splits at the two RSTn,
+        # not at the stuffed FF 00, and destuffs each segment: an FF 00
+        # left in the first would leave 15 unread bits at RST0, which
+        # is "expected restart marker mid-scan".
+        view = np.zeros((3, 64), dtype=np.int32)
+        decode_scan(
+            "dc_refine",
+            writer.getvalue(),
+            restart_interval=1,
+            slots=np.zeros((3, 1), dtype=np.uint8),
+            flats=np.arange(3, dtype=np.int64)[:, None],
+            views=[view],
+            dc_tables=[],
+            ac_tables=[],
+        )
+        assert view[:, 0].tolist() == [1, 0, 0]
 
 
 # -- Huffman table machinery --------------------------------------------------

@@ -23,13 +23,16 @@ import time
 import numpy as np
 import pytest
 
+from repro.datasets import usc_sipi_like
 from repro.jpeg import markers
 from repro.jpeg.codec import (
     decode_coefficients,
     encode_coefficients,
     encode_gray,
+    rgb_to_coefficients,
 )
 from repro.jpeg.dct import forward_dct
+from repro.jpeg.encoder import encode_baseline
 from repro.jpeg.huffman import build_optimized_table
 from tests.jpeg.oracles import (
     bytewise_find_scan_end,
@@ -56,6 +59,13 @@ NATIVE_DECODE_BUDGET_SECONDS = 0.25
 #: passes took ~2x the decode, where the numpy tokenizers it replaced
 #: took 8-9x.
 ENCODE_OVER_DECODE_CEILING = 3.0
+
+#: Ceiling for the native decode of a stream with a restart marker
+#: after every MCU, as a multiple of the same image's decode without
+#: restarts.  The kernel walks every restart segment in one call: on a
+#: 2-vCPU KVM guest a 512px 4:2:0 scene took 1.03x, where one kernel
+#: call per segment (each with its own buffer and destuff) took 4.8x.
+RESTART_OVER_PLAIN_CEILING = 2.0
 
 #: Minimum speedups over the oracles.  On a 2-vCPU KVM guest the GEMM
 #: FDCT ran 22-24x the einsum on 4096 blocks, the heap builder 7-27x
@@ -116,6 +126,24 @@ def test_native_encode_within_decode_budget(dense_512_jpeg):
         f"native 512x512 encode took {encode * 1000:.1f}ms, "
         f"{encode / decode:.1f}x its decode ({decode * 1000:.1f}ms; ceiling "
         f"{ENCODE_OVER_DECODE_CEILING}x) — is the scan coded in the C kernel?"
+    )
+
+
+def test_restart_segments_decode_in_one_kernel_call():
+    image = rgb_to_coefficients(
+        usc_sipi_like(count=1, size=512)[0], quality=85, subsampling="4:2:0"
+    )
+    plain = encode_baseline(image)
+    dense = encode_baseline(image, restart_interval=1)
+    decode_coefficients(plain)  # warm up
+    decode_coefficients(dense)
+    plain_s = min(_timed(lambda: decode_coefficients(plain)) for _ in range(5))
+    dense_s = min(_timed(lambda: decode_coefficients(dense)) for _ in range(5))
+    assert dense_s <= RESTART_OVER_PLAIN_CEILING * plain_s, (
+        f"restart interval 1 decoded in {dense_s * 1000:.1f}ms, "
+        f"{dense_s / plain_s:.1f}x the {plain_s * 1000:.1f}ms without "
+        f"restarts (ceiling {RESTART_OVER_PLAIN_CEILING}x) — is each "
+        "restart segment a kernel call of its own?"
     )
 
 

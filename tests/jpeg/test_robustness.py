@@ -6,10 +6,14 @@ decoder's failure mode matters: every malformed input must surface as
 unhandled IndexError/panic.
 """
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.jpeg import decoder
 from repro.jpeg.codec import (
     decode_coefficients,
     encode_coefficients,
@@ -309,6 +313,44 @@ class TestComponentGridValidation:
         )
         with pytest.raises(ValueError, match="frame gives it 3x5"):
             encode_coefficients(image, progressive=progressive, engine=engine)
+
+
+class TestPixelBudget:
+    """A frame over ``decoder.MAX_FRAME_PIXELS`` is refused from its
+    header, before the coefficient arrays it would size exist."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_forged_frame_is_refused_before_allocating(self, engine):
+        # An 8x8 grey JPEG whose SOF claims 65000x65000: the parent
+        # asked for a 15.7 GiB coefficient array before reading a scan.
+        data = bytearray(encode_gray(np.zeros((8, 8)), quality=85))
+        sof = data.index(b"\xff\xc0")
+        data[sof + 5 : sof + 9] = struct.pack(">HH", 65000, 65000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                JpegFormatError,
+                match=r"frame 65000x65000 \(4225000000 pixels\) is over "
+                r"the 67108864-pixel budget",
+            ):
+                decode_coefficients(bytes(data), engine=engine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_budget_admits_its_own_size(self, monkeypatch, engine):
+        monkeypatch.setattr(decoder, "MAX_FRAME_PIXELS", 64 * 64)
+        rng = np.random.default_rng(5)
+        at_budget = encode_gray(rng.uniform(0, 255, (64, 64)), quality=85)
+        image = decode_coefficients(at_budget, engine=engine)
+        assert (image.width, image.height) == (64, 64)
+        over = encode_gray(rng.uniform(0, 255, (65, 64)), quality=85)
+        with pytest.raises(
+            JpegFormatError, match="frame 64x65 .* the 4096-pixel budget"
+        ):
+            decode_coefficients(over, engine=engine)
 
 
 def _rename_component(

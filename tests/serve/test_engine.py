@@ -108,14 +108,18 @@ class TestVariantCache:
         )
 
     def test_callers_own_their_pixels(self, world):
-        """Mutating a served array must not poison the cache."""
+        """A caller's write cannot poison the cache: every serve hands
+        out the cache's read-only master, so the write raises."""
         psp, storage, keys, photo_id = world
         engine = ServingEngine(psp, storage)
         request = request_for(keys, photo_id, resolution=75)
         first = engine.serve(request).pixels
         reference = first.tobytes()
-        first[:] = 0
-        assert engine.serve(request).pixels.tobytes() == reference
+        with pytest.raises(ValueError):
+            first[:] = 0
+        hit = engine.serve(request)
+        assert hit.variant_hit and hit.pixels is first
+        assert hit.pixels.tobytes() == reference
 
     def test_distinct_geometries_are_distinct_variants(self, world):
         psp, storage, keys, photo_id = world

@@ -6,12 +6,19 @@ contract from the outside — every route and every failure mode must be
 indistinguishable to a client, whichever front end answered.
 """
 
+import asyncio
+import struct
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.api.fanout import FanoutPSP
 from repro.core.config import P3Config
-from repro.jpeg.codec import decode_coefficients, encode_rgb
-from repro.jpeg.encoder import encode_progressive
+from repro.datasets import usc_sipi_like
+from repro.jpeg.codec import decode_coefficients, encode_gray, encode_rgb
+from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.scans import ScanSpec
 from repro.serve.async_gateway import AsyncGateway
 from repro.serve.keys import secret_blob_key
@@ -24,6 +31,11 @@ from repro.system.gateway import (
 from repro.system.http import HttpRequest, build_url
 from repro.system.psp import FacebookPSP, FlickrPSP
 from repro.system.storage import CloudStorage
+
+#: libjpeg's progressive script with a restart marker after every MCU.
+LIBJPEG_RESTART_1 = (
+    Path(__file__).parents[1] / "jpeg" / "fixtures" / "progressive_restart_1.jpg"
+)
 
 
 @pytest.fixture()
@@ -111,6 +123,41 @@ class TestPixelParity:
         assert sync_response.status == async_response.status == 200
         assert sync_response.body == async_response.body
 
+    @pytest.mark.parametrize("stream", ["baseline", "libjpeg-progressive"])
+    def test_restart_interval_upload_parity(self, deployment, jpeg, stream):
+        """An upload with a restart marker after every MCU is accepted
+        by both doors, and both serve each upload's view alike."""
+        gateway, front, _ = deployment
+        if stream == "baseline":
+            body = encode_baseline(decode_coefficients(jpeg), restart_interval=1)
+        else:
+            body = LIBJPEG_RESTART_1.read_bytes()
+        upload = HttpRequest(
+            method="POST",
+            url=build_url(
+                "https://gw.example", "/photos/upload", {"album": "trip"}
+            ),
+            headers={USER_HEADER: "alice"},
+            body=body,
+        )
+        created = [gateway.handle(upload), front.handle_sync(upload)]
+        assert [response.status for response in created] == [201, 201]
+        views = []
+        for response in created:
+            views.extend(
+                both(
+                    gateway,
+                    front,
+                    get_request(
+                        "alice",
+                        f"/photos/{response.body.decode()}",
+                        {"album": "trip"},
+                    ),
+                )
+            )
+        assert [view.status for view in views] == [200] * 4
+        assert len({view.body for view in views}) == 1
+
     def test_upload_via_async_viewable_via_sync(self, deployment, jpeg):
         gateway, front, _ = deployment
         upload = HttpRequest(
@@ -128,6 +175,68 @@ class TestPixelParity:
             get_request("alice", f"/photos/{photo_id}", {"album": "trip"})
         )
         assert view.status == 200
+
+
+class TestOnePixelCopyPerHit:
+    """A variant-cache hit copies its pixels once, into the response
+    body, whichever front end answers.  The engine hands out the
+    cache's read-only array and ``pixel_response`` serializes it; a
+    second copy anywhere on the path doubles the traced peak."""
+
+    #: Traced peak of one hit, as a multiple of the view's pixel bytes.
+    #: One copy is 1.0 plus the request's small objects.
+    CEILING = 1.1
+
+    @pytest.fixture()
+    def warm(self):
+        gateway = P3Gateway(FacebookPSP(), CloudStorage(), P3Config(quality=85))
+        alice = PhotoSharingClient.for_gateway(gateway, "alice")
+        photo = encode_rgb(usc_sipi_like(count=1, size=256)[0], quality=85)
+        receipt = alice.upload_photo(photo, "trip")
+        request = get_request(
+            "alice", f"/photos/{receipt.photo_id}", {"album": "trip"}
+        )
+        front = AsyncGateway(gateway)
+        assert gateway.handle(request).headers["x-cache"] == "reconstructed"
+        # One hit through each door first, so one-time set-up (stats
+        # windows, admission state) stays out of the traced hit.
+        assert gateway.handle(request).headers["x-cache"] == "variant-cache"
+        assert front.handle_sync(request).headers["x-cache"] == "variant-cache"
+        yield gateway, front, request
+        front.close()
+
+    @staticmethod
+    def check(response, peak):
+        assert response.status == 200
+        assert response.headers["x-cache"] == "variant-cache"
+        pixel_bytes = len(response.body)
+        assert pixel_bytes == 256 * 256 * 3
+        assert peak <= TestOnePixelCopyPerHit.CEILING * pixel_bytes, (
+            f"one hit allocated {peak / pixel_bytes:.2f}x its pixel bytes"
+        )
+
+    def test_sync_gateway_hit(self, warm):
+        gateway, _, request = warm
+        tracemalloc.start()
+        try:
+            response = gateway.handle(request)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.check(response, peak)
+
+    def test_async_gateway_hit_inside_a_running_loop(self, warm):
+        _, front, request = warm
+
+        async def traced_hit():
+            tracemalloc.start()
+            try:
+                response = await front.handle(request)
+                return response, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        self.check(*asyncio.run(traced_hit()))
 
 
 class TestErrorParity:
@@ -271,6 +380,26 @@ class TestErrorParity:
         assert sync_response.body.startswith(
             b"interleaved scan of 12 blocks per MCU"
         )
+
+    def test_frame_over_the_pixel_budget_upload_is_400(self, deployment):
+        # An 8x8 JPEG whose SOF claims 65000x65000 is refused from its
+        # frame header, before the decoder sizes a coefficient array.
+        gateway, front, _ = deployment
+        forged = bytearray(encode_gray(np.zeros((8, 8)), quality=85))
+        sof = forged.index(b"\xff\xc0")
+        forged[sof + 5 : sof + 9] = struct.pack(">HH", 65000, 65000)
+        upload = HttpRequest(
+            method="POST",
+            url=build_url(
+                "https://gw.example", "/photos/upload", {"album": "trip"}
+            ),
+            headers={USER_HEADER: "alice"},
+            body=bytes(forged),
+        )
+        sync_response, async_response = both(gateway, front, upload)
+        assert sync_response.status == async_response.status == 400
+        assert sync_response.body == async_response.body
+        assert sync_response.body.startswith(b"frame 65000x65000")
 
     def test_missing_album_upload_parity(self, deployment, jpeg):
         gateway, front, _ = deployment
