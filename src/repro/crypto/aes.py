@@ -1,9 +1,10 @@
 """AES block cipher (FIPS-197), pure python — the scalar reference.
 
-Implements AES-128/192/256 encryption and decryption of single 16-byte
-blocks.  The table-driven round function operates on a flat 16-byte state
-in column-major (FIPS) order.  Modes of operation live in
-:mod:`repro.crypto.modes`.
+Implements AES-128/192/256 encryption of single 16-byte blocks.  The
+table-driven round function operates on a flat 16-byte state in
+column-major (FIPS) order.  P3's one mode of operation, CTR, lives in
+:mod:`repro.crypto.modes`; it never runs the inverse cipher, so there
+is none.
 
 Design note — scalar reference vs batch engine
 ----------------------------------------------
@@ -36,8 +37,8 @@ hardened cipher.
 from __future__ import annotations
 
 
-def _build_sbox() -> tuple[list[int], list[int]]:
-    """Construct the AES S-box and its inverse from GF(2^8) arithmetic."""
+def _build_sbox() -> list[int]:
+    """Construct the AES S-box from GF(2^8) arithmetic."""
     # Multiplicative inverse table via exp/log tables over generator 3.
     exp = [0] * 512
     log = [0] * 256
@@ -52,7 +53,6 @@ def _build_sbox() -> tuple[list[int], list[int]]:
         exp[exponent] = exp[exponent - 255]
 
     sbox = [0] * 256
-    inverse_sbox = [0] * 256
     for byte in range(256):
         if byte == 0:
             inv = 0
@@ -64,11 +64,10 @@ def _build_sbox() -> tuple[list[int], list[int]]:
             result ^= ((inv << shift) | (inv >> (8 - shift))) & 0xFF
         result ^= 0x63
         sbox[byte] = result
-        inverse_sbox[result] = byte
-    return sbox, inverse_sbox
+    return sbox
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 
 
 def _xtime(value: int) -> int:
@@ -152,24 +151,11 @@ class AES:
             state[i] = SBOX[state[i]]
 
     @staticmethod
-    def _inv_sub_bytes(state: list[int]) -> None:
-        for i in range(16):
-            state[i] = INV_SBOX[state[i]]
-
-    @staticmethod
     def _shift_rows(state: list[int]) -> None:
         # state[c*4 + r] is row r of column c (column-major layout).
         for row in range(1, 4):
             values = [state[column * 4 + row] for column in range(4)]
             values = values[row:] + values[:row]
-            for column in range(4):
-                state[column * 4 + row] = values[column]
-
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> None:
-        for row in range(1, 4):
-            values = [state[column * 4 + row] for column in range(4)]
-            values = values[-row:] + values[:-row]
             for column in range(4):
                 state[column * 4 + row] = values[column]
 
@@ -182,28 +168,6 @@ class AES:
             state[base + 1] = a[0] ^ _xtime(a[1]) ^ _xtime(a[2]) ^ a[2] ^ a[3]
             state[base + 2] = a[0] ^ a[1] ^ _xtime(a[2]) ^ _xtime(a[3]) ^ a[3]
             state[base + 3] = _xtime(a[0]) ^ a[0] ^ a[1] ^ a[2] ^ _xtime(a[3])
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> None:
-        for column in range(4):
-            base = column * 4
-            a = state[base : base + 4]
-            state[base + 0] = (
-                _gf_multiply(a[0], 14) ^ _gf_multiply(a[1], 11)
-                ^ _gf_multiply(a[2], 13) ^ _gf_multiply(a[3], 9)
-            )
-            state[base + 1] = (
-                _gf_multiply(a[0], 9) ^ _gf_multiply(a[1], 14)
-                ^ _gf_multiply(a[2], 11) ^ _gf_multiply(a[3], 13)
-            )
-            state[base + 2] = (
-                _gf_multiply(a[0], 13) ^ _gf_multiply(a[1], 9)
-                ^ _gf_multiply(a[2], 14) ^ _gf_multiply(a[3], 11)
-            )
-            state[base + 3] = (
-                _gf_multiply(a[0], 11) ^ _gf_multiply(a[1], 13)
-                ^ _gf_multiply(a[2], 9) ^ _gf_multiply(a[3], 14)
-            )
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
@@ -219,20 +183,4 @@ class AES:
         self._sub_bytes(state)
         self._shift_rows(state)
         self._add_round_key(state, self._round_keys[self._rounds])
-        return bytes(state)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        if len(block) != 16:
-            raise ValueError(f"block must be 16 bytes, got {len(block)}")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[self._rounds])
-        for round_index in range(self._rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, self._round_keys[round_index])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, self._round_keys[0])
         return bytes(state)

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.crypto.aes import (
     AES,
-    INV_SBOX,
     ROUNDS_BY_KEY_SIZE,
     SBOX,
     _gf_multiply,
@@ -29,30 +28,16 @@ from repro.crypto.aes import (
 
 BLOCK = AES.BLOCK_SIZE
 
-
-def _gf_table(factor: int) -> np.ndarray:
-    """Byte-indexed multiplication table for one GF(2^8) factor."""
-    return np.array(
-        [_gf_multiply(value, factor) for value in range(256)],
-        dtype=np.uint8,
-    )
-
-
 SBOX_U8 = np.array(SBOX, dtype=np.uint8)
-INV_SBOX_U8 = np.array(INV_SBOX, dtype=np.uint8)
-XTIME_U8 = _gf_table(2)
-MUL9_U8 = _gf_table(9)
-MUL11_U8 = _gf_table(11)
-MUL13_U8 = _gf_table(13)
-MUL14_U8 = _gf_table(14)
+#: Multiplication by {02} in GF(2^8), indexed by byte.
+XTIME_U8 = np.array(
+    [_gf_multiply(value, 2) for value in range(256)], dtype=np.uint8
+)
 
 # ShiftRows as a permutation of the flat column-major state: row r of
 # column c (state[c*4 + r]) takes its value from column (c + r) % 4.
 SHIFT_ROWS = np.array(
     [((c + r) % 4) * 4 + r for c in range(4) for r in range(4)]
-)
-INV_SHIFT_ROWS = np.array(
-    [((c - r) % 4) * 4 + r for c in range(4) for r in range(4)]
 )
 
 _U64_MASK = (1 << 64) - 1
@@ -61,10 +46,10 @@ _U64_MASK = (1 << 64) - 1
 class FastAES:
     """Batch AES over ``(n_blocks, 16)`` uint8 stacks.
 
-    One instance per key; :meth:`encrypt_blocks` / :meth:`decrypt_blocks`
-    run every round step across the whole stack.  Single-block calls
-    work but carry numpy overhead — the scalar engine is the right tool
-    below a handful of blocks.
+    One instance per key; :meth:`encrypt_blocks` runs every round step
+    across the whole stack.  Single-block calls work but carry numpy
+    overhead — the scalar engine is the right tool below a handful of
+    blocks.
     """
 
     BLOCK_SIZE = BLOCK
@@ -87,17 +72,6 @@ class FastAES:
         out[..., 3] = t0 ^ a0 ^ a1 ^ a2 ^ t3
         return out.reshape(-1, BLOCK)
 
-    @staticmethod
-    def _inv_mix_columns(state: np.ndarray) -> np.ndarray:
-        a = state.reshape(-1, 4, 4)
-        a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-        out = np.empty_like(a)
-        out[..., 0] = MUL14_U8[a0] ^ MUL11_U8[a1] ^ MUL13_U8[a2] ^ MUL9_U8[a3]
-        out[..., 1] = MUL9_U8[a0] ^ MUL14_U8[a1] ^ MUL11_U8[a2] ^ MUL13_U8[a3]
-        out[..., 2] = MUL13_U8[a0] ^ MUL9_U8[a1] ^ MUL14_U8[a2] ^ MUL11_U8[a3]
-        out[..., 3] = MUL11_U8[a0] ^ MUL13_U8[a1] ^ MUL9_U8[a2] ^ MUL14_U8[a3]
-        return out.reshape(-1, BLOCK)
-
     # -- the ciphers ----------------------------------------------------------
 
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
@@ -111,19 +85,6 @@ class FastAES:
         state = SBOX_U8[state]
         state = state[:, SHIFT_ROWS]
         state ^= self._round_keys[self._rounds]
-        return state
-
-    def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Decrypt an ``(n, 16)`` uint8 stack; returns a new stack."""
-        state = self._checked(blocks) ^ self._round_keys[self._rounds]
-        for round_index in range(self._rounds - 1, 0, -1):
-            state = state[:, INV_SHIFT_ROWS]
-            state = INV_SBOX_U8[state]
-            state ^= self._round_keys[round_index]
-            state = self._inv_mix_columns(state)
-        state = state[:, INV_SHIFT_ROWS]
-        state = INV_SBOX_U8[state]
-        state ^= self._round_keys[0]
         return state
 
     @staticmethod

@@ -63,6 +63,31 @@ def block_grid_shape(height: int, width: int) -> tuple[int, int]:
     return ((height + 7) // 8, (width + 7) // 8)
 
 
+def _mcu_grid(
+    samplings: Sequence[tuple[int, int]], grids: Sequence[tuple[int, int]]
+) -> tuple[int, int]:
+    """MCU rows and columns of an interleaved scan (T.81 A.2.3).
+
+    Component ``slot`` has sampling ``(h, v)`` and block grid ``(rows,
+    cols)``; the MCU grid is the largest ``ceil(rows / v)`` by
+    ``ceil(cols / h)`` among them.
+    """
+    mcus_y = max(-(-rows // v) for (_, v), (rows, _) in zip(samplings, grids))
+    mcus_x = max(-(-cols // h) for (h, _), (_, cols) in zip(samplings, grids))
+    return mcus_y, mcus_x
+
+
+def scan_block_count(
+    samplings: Sequence[tuple[int, int]], grids: Sequence[tuple[int, int]]
+) -> int:
+    """How many blocks one scan codes, MCU padding blocks included."""
+    if len(grids) == 1:
+        rows, cols = grids[0]
+        return rows * cols
+    mcus_y, mcus_x = _mcu_grid(samplings, grids)
+    return mcus_y * mcus_x * sum(h * v for h, v in samplings)
+
+
 def scan_visit_plan(
     samplings: Sequence[tuple[int, int]],
     grids: Sequence[tuple[int, int]],
@@ -90,8 +115,7 @@ def scan_visit_plan(
         rows, cols = grids[0]
         flats = np.arange(rows * cols, dtype=np.int64)[:, None]
         return np.zeros(flats.shape, dtype=np.uint8), flats
-    mcus_y = max(-(-rows // v) for (_, v), (rows, _) in zip(samplings, grids))
-    mcus_x = max(-(-cols // h) for (h, _), (_, cols) in zip(samplings, grids))
+    mcus_y, mcus_x = _mcu_grid(samplings, grids)
     slots = []
     flats = []
     for slot, ((h, v), (rows, cols)) in enumerate(zip(samplings, grids)):

@@ -19,7 +19,11 @@ import numpy as np
 
 from repro.jpeg import markers
 from repro.jpeg.bitstream import BitReader, EndOfData, MarkerFound
-from repro.jpeg.blocks import blocks_to_plane, scan_visit_plan
+from repro.jpeg.blocks import (
+    blocks_to_plane,
+    scan_block_count,
+    scan_visit_plan,
+)
 from repro.jpeg.color import upsample_plane, ycbcr_to_rgb
 from repro.jpeg.dct import inverse_dct
 from repro.jpeg.huffman import (
@@ -36,8 +40,9 @@ from repro.jpeg.zigzag import INVERSE_ZIGZAG, ZIGZAG_ORDER
 #: The largest frame the decoder accepts, in pixels: 8192 x 8192
 #: (67.1 MP) admits a 50 MP phone photo (8160 x 6120), whose int32
 #: coefficient arrays stay under 0.8 GiB at 4:4:4.  The frame header
-#: alone sizes those arrays, so without a budget a forged SOF in a
-#: 160-byte stream could ask for 15.7 GiB per component.
+#: sizes those arrays, but a component's array waits for its first scan
+#: and that scan's entropy bytes (:func:`_allocate_first_reached`), so
+#: a forged header alone allocates nothing.
 MAX_FRAME_PIXELS = 8192 * 8192
 
 
@@ -50,7 +55,8 @@ class _FrameComponent:
     blocks_y: int = 0
     blocks_x: int = 0
     # (blocks_y * blocks_x + 1, 64) zigzag rows; the last row takes the
-    # MCU padding of interleaved scans and is dropped.
+    # MCU padding of interleaved scans and is dropped.  None until the
+    # first scan that reaches the component.
     coefficients: np.ndarray | None = None
 
 
@@ -185,9 +191,6 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
         plane_h = -(-height * component.v_sampling // max_v)
         component.blocks_x = -(-plane_w // 8)
         component.blocks_y = -(-plane_h // 8)
-        component.coefficients = np.zeros(
-            (component.blocks_y * component.blocks_x + 1, 64), dtype=np.int32
-        )
 
 
 @dataclass
@@ -457,6 +460,40 @@ _SCALAR_INTERVALS = {
 }
 
 
+def _allocate_first_reached(
+    kind: str,
+    spec: _ScanSpec,
+    data: bytes,
+    samplings: list[tuple[int, int]],
+    grids: list[tuple[int, int]],
+) -> None:
+    """Allocate the arrays of the components this scan reaches first.
+
+    The frame header sizes them, so they wait for evidence that the
+    stream can fill them.  A component's first scan must code its DCs
+    (an AC scan first is libjpeg's ``JWRN_BOGUS_PROGRESSION``), and a
+    baseline, DC-first or DC-refinement scan codes at least one bit per
+    block, so a scan whose entropy bytes hold fewer bits than it has
+    blocks is refused before anything is allocated.
+    """
+    first = [c for c in spec.components if c.coefficients is None]
+    if not first:
+        return
+    if kind.startswith("ac"):
+        raise JpegFormatError(
+            f"AC scan of component {first[0].identifier} before its DC scan"
+        )
+    blocks = scan_block_count(samplings, grids)
+    if 8 * len(data) < blocks:
+        raise JpegFormatError(
+            f"scan of {blocks} blocks has only {len(data)} entropy bytes"
+        )
+    for component in first:
+        component.coefficients = np.zeros(
+            (component.blocks_y * component.blocks_x + 1, 64), dtype=np.int32
+        )
+
+
 def _decode_scan(
     state: _DecoderState, spec: _ScanSpec, data: bytes, engine: str
 ) -> None:
@@ -471,11 +508,10 @@ def _decode_scan(
     else:
         band = "ac" if spec.spectral_start else "dc"
         kind = f"{band}_{'refine' if spec.approx_high else 'first'}"
-    slots, flats = scan_visit_plan(
-        [(c.h_sampling, c.v_sampling) for c in spec.components],
-        [(c.blocks_y, c.blocks_x) for c in spec.components],
-        spill=True,
-    )
+    samplings = [(c.h_sampling, c.v_sampling) for c in spec.components]
+    grids = [(c.blocks_y, c.blocks_x) for c in spec.components]
+    _allocate_first_reached(kind, spec, data, samplings, grids)
+    slots, flats = scan_visit_plan(samplings, grids, spill=True)
     blocks = [c.coefficients for c in spec.components]
     if engine == "native":
         native_decode.decode_scan(
@@ -556,6 +592,10 @@ def decode_to_coefficients(
 
     components = []
     for frame_component in state.components:
+        if frame_component.coefficients is None:
+            raise JpegFormatError(
+                f"component {frame_component.identifier} has no scan"
+            )
         table = state.quant_tables.get(frame_component.quant_table_id)
         if table is None:
             raise JpegFormatError(

@@ -23,10 +23,10 @@ from itertools import product
 
 import numpy as np
 
+from repro.metrics import psnr
 from repro.transforms.enhance import adjust_gamma, unsharp_mask
 from repro.transforms.operators import Compose, LinearOperator
 from repro.transforms.resize import KERNELS, Resize, resize_plane
-from repro.vision.metrics import psnr
 
 #: Salient candidate values, mirroring the paper's search dimensions
 #: (colorspace/filter/sharpen/enhance/gamma); kernels come from [28].

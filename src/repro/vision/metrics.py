@@ -1,35 +1,19 @@
 """Objective quality and privacy metrics (paper Section 5.1).
 
-PSNR is the paper's primary degradation metric ("the public images ...
-around 10-15 dB ... quality is so degraded that these images are
-practically useless"; 35-40 dB is "perceptually lossless").  The edge
-matching-pixel ratio quantifies the Figure 8a edge-detection attack.
+PSNR is the paper's primary degradation metric; it and MSE live in
+:mod:`repro.metrics` (numpy only, so the proxy can score without the
+attack suite) and are re-exported here.  The edge matching-pixel ratio
+quantifies the Figure 8a edge-detection attack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.metrics import mse, psnr
 from repro.vision.kernels import gaussian_blur, to_luma
 
-
-def mse(reference: np.ndarray, test: np.ndarray) -> float:
-    """Mean squared error between two images (any channel layout)."""
-    reference = np.asarray(reference, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if reference.shape != test.shape:
-        raise ValueError(
-            f"shape mismatch: {reference.shape} vs {test.shape}"
-        )
-    return float(np.mean((reference - test) ** 2))
-
-
-def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 255.0) -> float:
-    """Peak signal-to-noise ratio in dB; ``inf`` for identical images."""
-    error = mse(reference, test)
-    if error == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(peak * peak / error))
+__all__ = ["edge_matching_ratio", "mse", "psnr", "ssim"]
 
 
 def ssim(

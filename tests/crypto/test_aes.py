@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.aes import AES, SBOX, INV_SBOX, _gf_multiply
+from repro.crypto.aes import AES, SBOX, _gf_multiply
 
 
 class TestSbox:
@@ -12,10 +12,6 @@ class TestSbox:
         assert SBOX[0x01] == 0x7C
         assert SBOX[0x53] == 0xED
         assert SBOX[0xFF] == 0x16
-
-    def test_inverse_sbox(self):
-        for byte in range(256):
-            assert INV_SBOX[SBOX[byte]] == byte
 
     def test_sbox_is_permutation(self):
         assert sorted(SBOX) == list(range(256))
@@ -64,14 +60,7 @@ class TestFips197Vectors:
         assert AES(key).encrypt_block(plaintext) == expected
 
 
-class TestDecryption:
-    @pytest.mark.parametrize("key_size", [16, 24, 32])
-    def test_decrypt_inverts_encrypt(self, key_size):
-        key = bytes(range(key_size))
-        cipher = AES(key)
-        block = bytes(range(100, 116))
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
+class TestKeys:
     def test_different_keys_differ(self):
         block = b"\x00" * 16
         a = AES(b"A" * 16).encrypt_block(block)
@@ -89,4 +78,4 @@ class TestValidation:
         with pytest.raises(ValueError):
             cipher.encrypt_block(b"x" * 15)
         with pytest.raises(ValueError):
-            cipher.decrypt_block(b"x" * 17)
+            cipher.encrypt_block(b"x" * 17)

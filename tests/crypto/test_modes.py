@@ -1,15 +1,9 @@
-"""Modes of operation against NIST SP 800-38A vectors, plus properties."""
+"""AES-CTR against NIST SP 800-38A vectors, plus properties."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_transform,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
+from repro.crypto.modes import ctr_transform
 
 _KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 _PLAINTEXT_BLOCKS = bytes.fromhex(
@@ -43,50 +37,6 @@ class TestCtrNistVectors:
             ctr_transform(_KEY, b"z" * 17, b"data")
 
 
-class TestCbcNistVectors:
-    def test_sp800_38a_f21_first_block(self):
-        iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-        ciphertext = cbc_encrypt(_KEY, iv, _PLAINTEXT_BLOCKS)
-        assert ciphertext[:16] == bytes.fromhex(
-            "7649abac8119b246cee98e9b12e9197d"
-        )
-        assert ciphertext[16:32] == bytes.fromhex(
-            "5086cb9b507219ee95db113a917678b2"
-        )
-
-    def test_roundtrip(self):
-        iv = b"i" * 16
-        data = b"attack at dawn"
-        assert cbc_decrypt(_KEY, iv, cbc_encrypt(_KEY, iv, data)) == data
-
-    def test_bad_iv_length(self):
-        with pytest.raises(ValueError):
-            cbc_encrypt(_KEY, b"short", b"data")
-
-    def test_unaligned_ciphertext_rejected(self):
-        with pytest.raises(ValueError):
-            cbc_decrypt(_KEY, b"i" * 16, b"x" * 17)
-
-
-class TestPkcs7:
-    def test_pad_always_appends(self):
-        assert pkcs7_pad(b"") == b"\x10" * 16
-        assert pkcs7_pad(b"a" * 16)[-1] == 16
-
-    def test_roundtrip(self):
-        for length in range(0, 33):
-            data = bytes(range(length % 256))[:length]
-            assert pkcs7_unpad(pkcs7_pad(data)) == data
-
-    def test_invalid_padding_detected(self):
-        with pytest.raises(ValueError):
-            pkcs7_unpad(b"a" * 15 + b"\x03")
-        with pytest.raises(ValueError):
-            pkcs7_unpad(b"")
-        with pytest.raises(ValueError):
-            pkcs7_unpad(b"a" * 16 + b"\x00" * 16)
-
-
 class TestProperties:
     @given(st.binary(max_size=200), st.binary(min_size=16, max_size=16))
     @settings(max_examples=25, deadline=None)
@@ -95,12 +45,6 @@ class TestProperties:
         assert ctr_transform(
             key, nonce, ctr_transform(key, nonce, data)
         ) == data
-
-    @given(st.binary(max_size=120), st.binary(min_size=16, max_size=16))
-    @settings(max_examples=25, deadline=None)
-    def test_cbc_roundtrip_any_data(self, data, key):
-        iv = b"q" * 16
-        assert cbc_decrypt(key, iv, cbc_encrypt(key, iv, data)) == data
 
     @given(st.binary(min_size=17, max_size=64))
     @settings(max_examples=25, deadline=None)

@@ -18,6 +18,7 @@ from repro.jpeg.codec import (
     decode_coefficients,
     encode_coefficients,
     encode_gray,
+    encode_rgb,
     rgb_to_coefficients,
 )
 from repro.jpeg import markers
@@ -351,6 +352,81 @@ class TestPixelBudget:
             JpegFormatError, match="frame 64x65 .* the 4096-pixel budget"
         ):
             decode_coefficients(over, engine=engine)
+
+
+def _without_scans(data: bytes, unwanted) -> bytes:
+    """``data`` without the scans whose SOS payload (Ns, Cs/Td/Ta per
+    component, Ss, Se, Ah/Al) ``unwanted`` accepts."""
+    segments = [
+        segment
+        for segment in markers.parse_segments(data)
+        if not (segment.marker == markers.SOS and unwanted(segment.payload))
+    ]
+    return markers.serialize_segments(segments)
+
+
+class TestAllocationFollowsEvidence:
+    """The frame header sizes each component's coefficient array, but the
+    array waits for the component's first scan, and that scan must be
+    able to fill it: a DC scan (never an AC one) whose entropy bytes
+    hold at least one bit per block.  A component no scan reaches is an
+    error, not a grey plane."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_forged_frame_header_allocates_nothing(self, engine):
+        # A valid 8x8 4:4:4 encode whose SOF claims 8192x8192, inside
+        # the pixel budget: the parent reserved 846 MiB (three
+        # coefficient arrays and the visit plan) before the first scan
+        # failed on its Huffman codes.
+        rgb = np.random.default_rng(1).integers(0, 256, (8, 8, 3))
+        data = bytearray(encode_rgb(rgb.astype(np.uint8), quality=85))
+        sof = data.index(b"\xff\xc0")
+        data[sof + 5 : sof + 9] = struct.pack(">HH", 8192, 8192)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                JpegFormatError, match=r"scan of 3145728 blocks has only \d+ "
+            ):
+                decode_coefficients(bytes(data), engine=engine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ac_scan_before_dc_scan_is_refused(self, engine):
+        image = _synthetic_image([(1, 1)] * 3)
+        data = encode_progressive(image, _per_component_dc_script(3))
+        # Component 3 keeps its AC scan and loses its DC scan.
+        hostile = _without_scans(data, lambda sos: sos[1] == 3 and sos[-3] == 0)
+        with pytest.raises(
+            JpegFormatError, match="AC scan of component 3 before its DC scan"
+        ):
+            decode_coefficients(hostile, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_component_without_a_scan_is_refused(self, engine):
+        image = _synthetic_image([(1, 1)] * 3)
+        data = encode_progressive(image, _per_component_dc_script(3))
+        hostile = _without_scans(data, lambda sos: sos[1] == 3)
+        with pytest.raises(JpegFormatError, match="component 3 has no scan"):
+            decode_coefficients(hostile, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_bit_per_block_is_enough(self, engine):
+        # A DC-refinement scan codes exactly one bit per block, so the
+        # 64 blocks of a 64x64 grey image fit 8 bytes (more if one is
+        # 0xFF and stuffed).  As a component's first scan it decodes.
+        image = _synthetic_image([(1, 1)], width=64, height=64)
+        script = [
+            ScanSpec((0,), 0, 0, 0, 1),  # DC first, Al = 1: dropped
+            ScanSpec((0,), 0, 0, 1, 0),  # DC refinement
+            ScanSpec((0,), 1, 63, 0, 0),
+        ]
+        data = encode_progressive(image, script)
+        hostile = _without_scans(data, lambda sos: sos[-3:] == b"\x00\x00\x01")
+        decoded = decode_coefficients(hostile, engine=engine)
+        assert decoded.components[0].coefficients.shape == (8, 8, 8, 8)
 
 
 def _rename_component(

@@ -401,6 +401,28 @@ class TestErrorParity:
         assert sync_response.body == async_response.body
         assert sync_response.body.startswith(b"frame 65000x65000")
 
+    def test_header_the_scan_cannot_fill_upload_is_400(self, deployment):
+        # An 8x8 4:4:4 JPEG whose SOF claims 8192x8192 is inside the
+        # pixel budget; its first scan's 3145728 blocks cannot fit its
+        # entropy bytes, so it is refused before any array is sized.
+        gateway, front, _ = deployment
+        rgb = np.random.default_rng(1).integers(0, 256, (8, 8, 3))
+        forged = bytearray(encode_rgb(rgb.astype(np.uint8), quality=85))
+        sof = forged.index(b"\xff\xc0")
+        forged[sof + 5 : sof + 9] = struct.pack(">HH", 8192, 8192)
+        upload = HttpRequest(
+            method="POST",
+            url=build_url(
+                "https://gw.example", "/photos/upload", {"album": "trip"}
+            ),
+            headers={USER_HEADER: "alice"},
+            body=bytes(forged),
+        )
+        sync_response, async_response = both(gateway, front, upload)
+        assert sync_response.status == async_response.status == 400
+        assert sync_response.body == async_response.body
+        assert sync_response.body.startswith(b"scan of 3145728 blocks")
+
     def test_missing_album_upload_parity(self, deployment, jpeg):
         gateway, front, _ = deployment
         upload = HttpRequest(

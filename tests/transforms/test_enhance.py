@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.transforms.enhance import (
     adjust_contrast,
@@ -24,6 +25,47 @@ class TestGaussianBlur:
     def test_sigma_zero_identity(self):
         plane = np.arange(16.0).reshape(4, 4)
         assert np.array_equal(gaussian_blur(plane, 0.0), plane)
+
+
+def _planes(shape, seed):
+    """A random float plane, an integer-valued float plane, a uint8 one."""
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 256, shape)
+    return {
+        "random": rng.normal(128.0, 60.0, shape),
+        "integer": levels.astype(np.float64),
+        "uint8": levels.astype(np.uint8),
+    }
+
+
+class TestNdimageOracle:
+    """The numpy blur is ndimage's ``gaussian_filter`` bit for bit."""
+
+    SIGMAS = (0.5, 1.0, 1.5, 2.5)
+    # 1x1 to 3x3 are smaller than every radius here (2 to 10).
+    SHAPES = ((1, 1), (1, 17), (17, 1), (3, 3), (75, 75), (130, 97), (512, 512))
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_blur_equals_gaussian_filter(self, sigma, shape):
+        for kind, plane in _planes(shape, seed=shape[0] * 1000 + shape[1]).items():
+            expected = ndimage.gaussian_filter(
+                plane.astype(np.float64), sigma=sigma, mode="nearest"
+            )
+            assert np.array_equal(gaussian_blur(plane, sigma), expected), kind
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_unsharp_mask_equals_ndimage_expression(self, sigma, shape):
+        amount = 0.4
+        for kind, plane in _planes(shape, seed=shape[0] + shape[1]).items():
+            as_float = plane.astype(np.float64)
+            blurred = ndimage.gaussian_filter(
+                as_float, sigma=sigma, mode="nearest"
+            )
+            expected = as_float + amount * (plane - blurred)
+            produced = unsharp_mask(plane, radius=sigma, amount=amount)
+            assert np.array_equal(produced, expected), kind
 
 
 class TestUnsharpMask:
