@@ -78,4 +78,4 @@ def planes_to_image(planes: list[np.ndarray]) -> np.ndarray:
     """Convert reconstructed YCbCr (or single luma) planes to pixels."""
     if len(planes) == 1:
         return np.clip(planes[0], 0.0, 255.0)
-    return ycbcr_to_rgb(np.stack(planes, axis=-1))
+    return ycbcr_to_rgb(planes)

@@ -21,8 +21,8 @@ Codec engines
 Two entropy engines back every encode/decode:
 
 * ``native`` — a small C kernel (compiled on first use via cffi) that
-  runs each scan's entire symbol loop natively and packs the encoder's
-  token arrays.  Every library caller runs it.
+  runs each scan's entire symbol loop natively, encode and decode.
+  Every library caller runs it.
 * ``scalar`` — the per-symbol ITU-T T.81 reference implementation
   (:class:`~repro.jpeg.bitstream.BitReader`/``BitWriter`` and the
   per-coefficient scan loops).  Slow (~10s for a dense 512px decode)
@@ -37,7 +37,9 @@ needs a C compiler (``cc``/``gcc``) and ``cffi`` at first use, and the
 compiled artifact is cached under ``build/`` keyed by a source digest.
 When it cannot compile or load, the first codec call that needs it
 raises :class:`~repro.jpeg.native.kernel.NativeUnavailableError` naming
-the build error; ``engine="scalar"`` still works, and import never
+the build error.  The same kernel runs the pixel side of encode and
+decode (:mod:`repro.jpeg.native.pixels`), so without it only the
+coefficient-level calls work, with ``engine="scalar"``; import never
 fails.  :func:`engine_info` reports whether the kernel loaded (and the
 build error, if any) for deployment verification.
 """

@@ -3,9 +3,11 @@
 JPEG divides each component plane into an array of 8x8 blocks (paper
 Section 2.1, "DCT Transformation").  Planes whose dimensions are not a
 multiple of 8 are padded by edge replication, which avoids introducing
-artificial high-frequency energy at the borders.  The order in which a
-scan visits those blocks (T.81 A.2), :func:`scan_visit_plan`, is decided
-here once for both codec engines, encode and decode.
+artificial high-frequency energy at the borders; the encoder tiles a
+plane in one kernel pass (:func:`repro.jpeg.native.pixels.tile_blocks`).
+The order in which a scan visits those blocks (T.81 A.2),
+:func:`scan_visit_plan`, is decided here once for both codec engines,
+encode and decode.
 """
 
 from __future__ import annotations
@@ -13,30 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-
-
-def pad_to_multiple_of_8(plane: np.ndarray) -> np.ndarray:
-    """Edge-pad a 2-D plane so both dimensions are multiples of 8."""
-    height, width = plane.shape
-    pad_y = (-height) % 8
-    pad_x = (-width) % 8
-    if pad_y == 0 and pad_x == 0:
-        return plane
-    return np.pad(plane, ((0, pad_y), (0, pad_x)), mode="edge")
-
-
-def plane_to_blocks(plane: np.ndarray) -> np.ndarray:
-    """Tile a 2-D plane into blocks of shape ``(by, bx, 8, 8)``.
-
-    The plane is edge-padded to a multiple of 8 first.
-    """
-    plane = pad_to_multiple_of_8(plane)
-    height, width = plane.shape
-    by = height // 8
-    bx = width // 8
-    return (
-        plane.reshape(by, 8, bx, 8).swapaxes(1, 2).copy()
-    )
 
 
 def blocks_to_plane(

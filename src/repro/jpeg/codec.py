@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.jpeg import markers
-from repro.jpeg.blocks import plane_to_blocks
 from repro.jpeg.color import rgb_to_ycbcr, subsample_plane
 from repro.jpeg.dct import forward_dct
 from repro.jpeg.decoder import coefficients_to_pixels, decode_to_coefficients
 from repro.jpeg.encoder import encode_baseline, encode_progressive
+from repro.jpeg.native.pixels import tile_blocks
 from repro.jpeg.quantization import (
     chrominance_table,
     luminance_table,
@@ -46,8 +46,12 @@ def _plane_to_component(
     v_sampling: int,
     quant_table: np.ndarray,
 ) -> ComponentInfo:
-    """Level-shift, DCT and quantize one plane into a component."""
-    blocks = plane_to_blocks(plane.astype(np.float64) - 128.0)
+    """Level-shift, DCT and quantize one plane into a component.
+
+    The level shift and the edge-padded 8x8 tiling are one kernel pass
+    over the plane, which may be a strided channel view.
+    """
+    blocks = tile_blocks(plane)
     coefficients = quantize(forward_dct(blocks), quant_table)
     return ComponentInfo(
         identifier=identifier,

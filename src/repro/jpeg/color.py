@@ -2,80 +2,58 @@
 
 The first stage of the JPEG pipeline (paper Section 2.1): RGB is mapped to
 YCbCr and the two chrominance channels are optionally represented at lower
-resolution than luminance.
+resolution than luminance.  Both conversions are one pass of the C kernel
+(:mod:`repro.jpeg.native.pixels`); ``tests/jpeg/oracles.py`` keeps the
+textbook formulas they match bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
+
+from repro.jpeg.native import pixels
 
 # BT.601 full-range coefficients as used by JFIF.
 _KR = 0.299
 _KG = 0.587
 _KB = 0.114
+_WEIGHTS = (_KR, _KG, _KB)
 
 
 def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     """Convert an ``(h, w, 3)`` uint8/float RGB image to float YCbCr.
 
     Output channels are Y in [0, 255] and Cb/Cr in [0, 255] with a 128
-    offset, per JFIF.  The output buffer doubles as the working space:
-    each channel is overwritten once its input is no longer needed, and
-    every element sees the same float64 operations in the same order as
-    the textbook formulas.
+    offset, per JFIF.  One kernel pass reads the samples (uint8 as they
+    are, other dtypes as float64) and writes each pixel's float64
+    ``y = (KR r + KG g) + KB b``, ``cb = (b - y) / (2 (1 - KB)) + 128``
+    and ``cr = (r - y) / (2 (1 - KR)) + 128``: the textbook formulas'
+    operations in their order, so the result is theirs bit for bit.
     """
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) image, got {rgb.shape}")
-    out = np.empty(rgb.shape, dtype=np.float64)
-    np.copyto(out, rgb, casting="unsafe")
-    r, g, b = out[..., 0], out[..., 1], out[..., 2]
-    # y = KR r + KG g + KB b; g is needed only here, so it is scaled in place.
-    y = np.multiply(r, _KR)
-    g *= _KG
-    y += g
-    np.multiply(b, _KB, out=g)
-    y += g
-    # Cb lands in the free green channel, then Cr in the spent blue one.
-    cb, cr = g, b
-    np.subtract(b, y, out=cb)
-    cb /= 2.0 * (1.0 - _KB)
-    cb += 128.0
-    np.subtract(r, y, out=cr)
-    cr /= 2.0 * (1.0 - _KR)
-    cr += 128.0
-    r[...] = y
-    return out
+    return pixels.rgb_to_ycbcr(rgb, _WEIGHTS)
 
 
-def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
+def ycbcr_to_rgb(ycbcr: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     """Convert float YCbCr back to uint8 RGB, clipping to [0, 255].
 
-    Works in one float64 ``(h, w, 3)`` buffer (plus one plane of
-    scratch) with round and clip done in place; each element sees the
-    same float64 operations in the same order as the textbook formulas.
+    ``ycbcr`` is an ``(h, w, 3)`` image or the sequence of its three
+    ``(h, w)`` planes, which go in as they are (strided views included),
+    with no stacking copy.  One kernel pass computes each pixel's
+    ``r = (cr - 128) 2 (1 - KR) + y``, ``b = (cb - 128) 2 (1 - KB) + y``
+    and ``g = ((y - KR r) - KB b) / KG`` in float64, rounds half to even
+    and clips, as the textbook formulas do.
     """
-    if ycbcr.ndim != 3 or ycbcr.shape[2] != 3:
-        raise ValueError(f"expected (h, w, 3) image, got {ycbcr.shape}")
-    out = np.empty(ycbcr.shape, dtype=np.float64)
-    r, g, b = out[..., 0], out[..., 1], out[..., 2]
-    # The green channel holds Y until R and B are done.
-    y = g
-    np.copyto(y, ycbcr[..., 0], casting="unsafe")
-    np.subtract(ycbcr[..., 2], 128.0, out=r, dtype=np.float64)
-    r *= 2.0 * (1.0 - _KR)
-    r += y
-    np.subtract(ycbcr[..., 1], 128.0, out=b, dtype=np.float64)
-    b *= 2.0 * (1.0 - _KB)
-    b += y
-    # g = (y - KR r - KB b) / KG
-    scratch = np.multiply(r, _KR)
-    g -= scratch
-    np.multiply(b, _KB, out=scratch)
-    g -= scratch
-    g /= _KG
-    np.round(out, out=out)
-    np.clip(out, 0, 255, out=out)
-    return out.astype(np.uint8)
+    if isinstance(ycbcr, np.ndarray):
+        if ycbcr.ndim != 3 or ycbcr.shape[2] != 3:
+            raise ValueError(f"expected (h, w, 3) image, got {ycbcr.shape}")
+        planes: Sequence[np.ndarray] = [ycbcr[..., c] for c in range(3)]
+    else:
+        planes = ycbcr
+    return pixels.planes_to_rgb8(planes, _WEIGHTS)
 
 
 def subsample_plane(plane: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:

@@ -613,7 +613,7 @@ def decode_to_coefficients(
                 h_sampling=frame_component.h_sampling,
                 v_sampling=frame_component.v_sampling,
                 quant_table=table.copy(),
-                coefficients=raster.astype(np.int32),
+                coefficients=raster,
             )
         )
     # The first (luma) APP0 JFIF segment is implicit; keep any extras.
@@ -669,5 +669,4 @@ def coefficients_to_pixels(image: CoefficientImage) -> np.ndarray:
     planes = coefficients_to_planes(image, level_shift=True)
     if image.is_grayscale:
         return np.clip(planes[0], 0.0, 255.0)
-    ycbcr = np.stack(planes, axis=-1)
-    return ycbcr_to_rgb(ycbcr)
+    return ycbcr_to_rgb(planes)

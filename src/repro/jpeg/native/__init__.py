@@ -1,4 +1,5 @@
-"""Native (C via cffi) entropy-codec kernel.
+"""Native (C via cffi) codec kernel: the entropy coder and the upload's
+per-sample pixel passes.
 
 The kernel compiles lazily on first use and caches the shared object
 under ``build/`` keyed by a source digest.  It is required:

@@ -1,4 +1,4 @@
-"""Build and load the native entropy-codec kernel (cffi ABI mode).
+"""Build and load the native codec kernel (cffi ABI mode).
 
 The kernel is a single translation unit of portable C99 compiled on
 first use with the host C compiler::
@@ -29,6 +29,16 @@ first, DC refinement, AC first, AC refinement) and runs twice, like
 libjpeg's two-pass ``optimize_coding``: a counting pass that fills
 per-table symbol histograms, then a writing pass that codes the scan
 through one shared bit writer (:mod:`repro.jpeg.native.encode`).
+
+The pixel passes (:mod:`repro.jpeg.native.pixels`) are one loop per
+per-sample stage of the upload: RGB -> YCbCr, YCbCr planes -> uint8
+RGB (or plain float planes -> uint8, the provider's packing), the level
+shift with 8x8 tiling, quantization, and the Gaussian blur with the
+unsharp mask fused into its last pass.  Each does the double
+operations of the numpy form it replaced in the same order; C99 in an
+ISO mode contracts no multiply-add (GCC's ``-std=c99`` implies
+``-ffp-contract=off``), so their outputs are bit-identical to those
+forms, which ``tests/jpeg/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -86,6 +96,19 @@ int p3_encode_ac_first(P3Writer *w, int32_t *view, int64_t nblocks,
                        int ss, int se, int al, P3Table **ac);
 int p3_encode_ac_refine(P3Writer *w, int32_t *view, int64_t nblocks,
                         int ss, int se, int al, P3Table **ac);
+void p3_rgb_to_ycbcr(const uint8_t *u8, const double *f64, int64_t h,
+                     int64_t w, const int64_t *strides, const double *k,
+                     double *out);
+void p3_planes_to_rgb8(const double *p0, const double *p1, const double *p2,
+                       int64_t h, int64_t w, const int64_t *strides,
+                       const double *k, uint8_t *out);
+void p3_tile(const double *plane, int64_t h, int64_t w, int64_t rs,
+             int64_t cs, double shift, double *out);
+void p3_quantize(const double *coefficients, int64_t n, const double *table,
+                 int32_t *out);
+void p3_blur(const double *plane, int64_t h, int64_t w,
+             const double *weights, int radius, double amount,
+             const double **tap, double *row, double *out);
 """
 
 #: The kernel itself.  The decode loops run over destuffed bytes that
@@ -94,6 +117,7 @@ int p3_encode_ac_refine(P3Writer *w, int32_t *view, int64_t nblocks,
 #: buffer at the scan's raw length plus 8.  The encode loops write into
 #: a buffer the caller sizes for the worst case.
 SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 #define P3_OK 0
@@ -715,6 +739,180 @@ int p3_encode_ac_refine(P3Writer *w, int32_t *view, int64_t nblocks,
     p3_eob_flush(w, ac[0], &eob);
     p3_flush(w);
     return P3_OK;
+}
+
+/* ---- Pixel passes -----------------------------------------------------
+ *
+ * One loop per per-sample stage of the upload path: colour conversion
+ * both ways, the level shift and 8x8 tiling, quantization, the Gaussian
+ * blur and unsharp mask, and the provider's float-to-uint8 packing
+ * (repro.jpeg.native.pixels drives them).  Each does the IEEE double
+ * operations of the numpy form it replaced, in the same order, and ISO
+ * C99 contracts no multiply-add, so every output is bit-identical to
+ * those forms (tests/jpeg/oracles.py keeps them).  Strides count
+ * elements.  Nothing here calls libm: fabs is a compiler builtin. */
+
+/* np.clip(np.round(x), 0, 255).astype(np.uint8), without a branch.
+ * Clipping first rounds alike, and then rounding half to even is adding
+ * and subtracting 2^52, past which a double has no fraction bits.  NaN
+ * gives 0, as numpy's cast does on x86-64. */
+static uint8_t p3_sample8(double x) {
+    const double big = 4503599627370496.0;
+    x = x > 0.0 ? x : 0.0;
+    x = x < 255.0 ? x : 255.0;
+    return (uint8_t)((x + big) - big);
+}
+
+/* JFIF RGB -> YCbCr of one pixel, k = (kr, kg, kb). */
+static void p3_ycbcr(double r, double g, double b, const double *k,
+                     double *out) {
+    double y = r * k[0] + g * k[1];
+    y = y + b * k[2];
+    out[0] = y;
+    out[1] = (b - y) / (2.0 * (1.0 - k[2])) + 128.0;
+    out[2] = (r - y) / (2.0 * (1.0 - k[0])) + 128.0;
+}
+
+/* (h, w, 3) RGB samples, uint8 at u8 or float64 at f64 (the other is
+ * NULL), with row, column and channel strides, -> (h, w, 3) float64
+ * YCbCr in out. */
+void p3_rgb_to_ycbcr(const uint8_t *u8, const double *f64, int64_t h,
+                     int64_t w, const int64_t *strides, const double *k,
+                     double *out) {
+    int64_t rs = strides[0], cs = strides[1], ks = strides[2];
+    for (int64_t i = 0; i < h; i++) {
+        for (int64_t j = 0; j < w; j++, out += 3) {
+            int64_t at = i * rs + j * cs;
+            if (u8)
+                p3_ycbcr(u8[at], u8[at + ks], u8[at + 2 * ks], k, out);
+            else
+                p3_ycbcr(f64[at], f64[at + ks], f64[at + 2 * ks], k, out);
+        }
+    }
+}
+
+/* Three float64 h x w planes (row and column strides of each in turn)
+ * -> (h, w, 3) uint8 samples, rounded and clipped.  With k = (kr, kg,
+ * kb) the planes are Y, Cb and Cr and go through JFIF YCbCr -> RGB
+ * first; with k NULL they are packed as they are.  Strides and weights
+ * are read once: a uint8 store may alias anything. */
+void p3_planes_to_rgb8(const double *p0, const double *p1, const double *p2,
+                       int64_t h, int64_t w, const int64_t *strides,
+                       const double *k, uint8_t *out) {
+    const int64_t r0 = strides[0], c0 = strides[1], r1 = strides[2],
+                  c1 = strides[3], r2 = strides[4], c2 = strides[5];
+    const int convert = k != 0;
+    const double kr = convert ? k[0] : 0.0, kg = convert ? k[1] : 1.0,
+                 kb = convert ? k[2] : 0.0;
+    for (int64_t i = 0; i < h; i++) {
+        const double *a = p0 + i * r0, *b = p1 + i * r1, *c = p2 + i * r2;
+        for (int64_t j = 0; j < w; j++, out += 3) {
+            double s0 = a[j * c0], s1 = b[j * c1], s2 = c[j * c2];
+            if (convert) {  /* Y, Cb, Cr -> R, G, B */
+                double y = s0;
+                double red = (s2 - 128.0) * (2.0 * (1.0 - kr)) + y;
+                double blue = (s1 - 128.0) * (2.0 * (1.0 - kb)) + y;
+                s0 = red;
+                s1 = ((y - red * kr) - blue * kb) / kg;
+                s2 = blue;
+            }
+            out[0] = p3_sample8(s0);
+            out[1] = p3_sample8(s1);
+            out[2] = p3_sample8(s2);
+        }
+    }
+}
+
+/* Level shift and 8x8 tiling: an h x w float64 plane (strides rs, cs)
+ * -> (ceil(h / 8), ceil(w / 8), 8, 8) blocks of x - shift.  Rows and
+ * columns past the plane repeat its last ones, as np.pad(mode="edge"). */
+void p3_tile(const double *plane, int64_t h, int64_t w, int64_t rs,
+             int64_t cs, double shift, double *out) {
+    int64_t bx = (w + 7) / 8;
+    for (int64_t r = 0; r < (h + 7) / 8 * 8; r++) {
+        const double *row = plane + (r < h ? r : h - 1) * rs;
+        double *dst = out + (r / 8) * bx * 64 + (r % 8) * 8;
+        for (int64_t c = 0; c < bx * 8; c += 8, dst += 64) {
+            if (c + 8 <= w) {
+                const double *src = row + c * cs;
+                for (int k = 0; k < 8; k++) dst[k] = src[k * cs] - shift;
+            } else {
+                for (int k = 0; k < 8; k++)
+                    dst[k] = row[(c + k < w ? c + k : w - 1) * cs] - shift;
+            }
+        }
+    }
+}
+
+/* Quantize n coefficients, 64 per block against table's 64 entries:
+ * s = c / t rounded half away from zero, sign(s) floor(|s| + 0.5), as
+ * int32.  A magnitude past int32, or NaN, gives INT32_MIN, as numpy's
+ * cast does on x86-64.  The sign is applied without a branch: real
+ * coefficient signs are as good as random. */
+void p3_quantize(const double *coefficients, int64_t n, const double *table,
+                 int32_t *out) {
+    for (int64_t i = 0; i < n; i++) {
+        double s = coefficients[i] / table[i & 63];
+        double a = fabs(s) + 0.5;
+        int32_t negative = -(int32_t)(s < 0.0);
+        if (a < 2147483648.0)
+            out[i] = ((int32_t)a ^ negative) - negative;
+        else
+            out[i] = INT32_MIN;
+    }
+}
+
+/* The blur's taps for outputs at..at+n-1 of one row: tap[radius + d]
+ * points at the samples d away (d = -radius..radius), and each output
+ * is x[0] w[r], then += (x[-j] + x[j]) w[r-j] for j = r..1, as ndimage's
+ * NI_Correlate1D sums it.  Called with n = 8, the inner loops have a
+ * fixed trip count, which -O2 vectorizes. */
+static inline void p3_taps(const double *const *tap, const double *weights,
+                           int radius, int64_t at, int64_t n,
+                           double *restrict out) {
+    for (int64_t k = 0; k < n; k++)
+        out[k] = tap[radius][at + k] * weights[radius];
+    for (int j = radius; j > 0; j--) {
+        const double *restrict lo = tap[radius - j] + at;
+        const double *restrict hi = tap[radius + j] + at;
+        const double wj = weights[radius - j];
+        for (int64_t k = 0; k < n; k++) out[k] += (lo[k] + hi[k]) * wj;
+    }
+}
+
+static void p3_taps_row(const double *const *tap, const double *weights,
+                        int radius, int64_t w, double *out) {
+    int64_t c = 0;
+    for (; c + 8 <= w; c += 8) p3_taps(tap, weights, radius, c, 8, out + c);
+    p3_taps(tap, weights, radius, c, w - c, out + c);
+}
+
+/* Gaussian blur of a C-ordered h x w float64 plane with the 2 radius + 1
+ * symmetric weights, edges replicated: axis 0 into the row buffer, then
+ * axis 1 into out, one row at a time.  With a nonzero amount the row is
+ * then turned into the unsharp mask x + amount (x - blur).  row holds
+ * w + 2 radius doubles and tap 2 radius + 1 pointers. */
+void p3_blur(const double *plane, int64_t h, int64_t w,
+             const double *weights, int radius, double amount,
+             const double **tap, double *row, double *out) {
+    double *mid = row + radius;
+    for (int64_t i = 0; i < h; i++) {
+        const double *x = plane + i * w;
+        double *y = out + i * w;
+        for (int d = -radius; d <= radius; d++) {
+            int64_t at = i + d < 0 ? 0 : (i + d >= h ? h - 1 : i + d);
+            tap[radius + d] = plane + at * w;
+        }
+        p3_taps_row(tap, weights, radius, w, mid);
+        for (int j = 1; j <= radius; j++) {
+            mid[-j] = mid[0];
+            mid[w - 1 + j] = mid[w - 1];
+        }
+        for (int d = -radius; d <= radius; d++) tap[radius + d] = mid + d;
+        p3_taps_row(tap, weights, radius, w, y);
+        if (amount != 0.0)
+            for (int64_t c = 0; c < w; c++) y[c] = x[c] + amount * (x[c] - y[c]);
+    }
 }
 """
 

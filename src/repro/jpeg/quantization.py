@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.jpeg.native import pixels
+
 #: Annex K Table K.1 — luminance quantization table (raster order).
 STANDARD_LUMINANCE_TABLE: np.ndarray = np.array(
     [
@@ -73,13 +75,11 @@ def quantize(coefficients: np.ndarray, table: np.ndarray) -> np.ndarray:
     ``coefficients`` has shape ``(..., 8, 8)``; returns int32 of the same
     shape.  Rounding away from zero matches the reference JPEG behaviour
     and keeps quantization sign-symmetric, which the P3 splitting step
-    relies on.
+    relies on.  One kernel pass computes each ``s = c / t`` in float64
+    and stores ``sign(s) * floor(|s| + 0.5)``, bit for bit what the
+    numpy form in ``tests/jpeg/oracles.py`` computes.
     """
-    table = table.astype(np.float64)
-    scaled = coefficients / table
-    return np.copysign(np.floor(np.abs(scaled) + 0.5), scaled).astype(
-        np.int32
-    )
+    return pixels.quantize(coefficients, table)
 
 
 def dequantize(quantized: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from repro.api.backends import PSPBackend  # noqa: F401  (re-export: the
 # contract every provider here implements; kept importable from this
 # module so backend authors find it next to the reference simulators)
 from repro.jpeg.codec import decode, encode_gray, encode_rgb
+from repro.jpeg.native.pixels import planes_to_rgb8
 from repro.transforms.crop import Crop
 from repro.transforms.enhance import unsharp_mask
 from repro.transforms.resize import fit_within, resize_plane
@@ -132,7 +133,9 @@ class PhotoSharingProvider:  # relint: implements PSPBackend
                 f"{self.name} rejected the upload: {error}"
             ) from error
         if pixels.ndim == 2:
-            rgb = np.stack([np.clip(pixels, 0, 255).astype(np.uint8)] * 3, axis=-1)
+            # Rounded, like every other float-to-uint8 step here; a
+            # truncating cast would bias each variant dark.
+            rgb = planes_to_rgb8([pixels] * 3)
             grayscale = True
         else:
             rgb = pixels
@@ -161,17 +164,14 @@ class PhotoSharingProvider:  # relint: implements PSPBackend
         planes = []
         for channel in range(3):
             plane = resize_plane(
-                rgb[..., channel].astype(np.float64),
-                out_h,
-                out_w,
-                self._pipeline.kernel,
+                rgb[..., channel], out_h, out_w, self._pipeline.kernel
             )
             if self._pipeline.sharpen_amount > 0:
                 plane = unsharp_mask(
                     plane, radius=1.0, amount=self._pipeline.sharpen_amount
                 )
-            planes.append(np.clip(plane, 0, 255))
-        resized = np.stack(planes, axis=-1).round().astype(np.uint8)
+            planes.append(plane)
+        resized = planes_to_rgb8(planes)
         if grayscale:
             luma = resized[..., 0]
             return encode_gray(
@@ -248,15 +248,12 @@ class PhotoSharingProvider:  # relint: implements PSPBackend
         planes = []
         for channel in range(3):
             plane = resize_plane(
-                pixels[..., channel].astype(np.float64),
-                out_h,
-                out_w,
-                self._pipeline.kernel,
+                pixels[..., channel], out_h, out_w, self._pipeline.kernel
             )
             if crop_box is not None:
                 plane = Crop(*crop_box)(plane)
-            planes.append(np.clip(plane, 0, 255))
-        out = np.stack(planes, axis=-1).round().astype(np.uint8)
+            planes.append(plane)
+        out = planes_to_rgb8(planes)
         if grayscale:
             return encode_gray(
                 out[..., 0].astype(np.float64),

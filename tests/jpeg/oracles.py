@@ -2,10 +2,13 @@
 
 Each is the straightforward form a production function replaced: the
 three-operand einsum forward DCT, libjpeg's O(257 n) least-count scan
-for optimal Huffman tables, the byte-at-a-time scan-end search, and the
-textbook colour formulas with one float64 temporary per operation.
-They live here, not in ``src/``, so there is one production path per
-primitive and one oracle to diff it against.
+for optimal Huffman tables, the byte-at-a-time scan-end search, the
+textbook colour formulas with one float64 temporary per operation, and
+the numpy forms of the kernel's other pixel passes (level shift and
+tiling, quantization, the provider's float-to-uint8 packing).  They
+live here, not in ``src/``, so there is one production path per
+primitive and one oracle to diff it against.  The blur's oracle is
+``scipy.ndimage.gaussian_filter``.
 """
 
 from __future__ import annotations
@@ -130,3 +133,43 @@ def textbook_ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
     g = (y - _KR * r - _KB * b) / _KG
     rgb = np.stack([r, g, b], axis=-1)
     return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
+
+
+def pad_to_multiple_of_8(plane: np.ndarray) -> np.ndarray:
+    """Edge-pad a 2-D plane so both dimensions are multiples of 8."""
+    height, width = plane.shape
+    pad_y = (-height) % 8
+    pad_x = (-width) % 8
+    if pad_y == 0 and pad_x == 0:
+        return plane
+    return np.pad(plane, ((0, pad_y), (0, pad_x)), mode="edge")
+
+
+def plane_to_blocks(plane: np.ndarray) -> np.ndarray:
+    """Tile a 2-D plane into ``(by, bx, 8, 8)`` blocks, edge-padded to a
+    multiple of 8 first."""
+    plane = pad_to_multiple_of_8(plane)
+    height, width = plane.shape
+    return plane.reshape(height // 8, 8, width // 8, 8).swapaxes(1, 2).copy()
+
+
+def numpy_level_shift_blocks(plane: np.ndarray) -> np.ndarray:
+    """The encoder's level shift and tiling as whole-plane numpy passes."""
+    return plane_to_blocks(plane.astype(np.float64) - 128.0)
+
+
+def numpy_quantize(coefficients: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Round half away from zero as numpy passes: divide, abs, add,
+    floor, copysign, cast."""
+    table = table.astype(np.float64)
+    scaled = coefficients / table
+    return np.copysign(np.floor(np.abs(scaled) + 0.5), scaled).astype(
+        np.int32
+    )
+
+
+def numpy_pack_rgb8(planes: list[np.ndarray]) -> np.ndarray:
+    """The provider's float planes -> uint8 pixels: clip, stack, round
+    half to even, cast."""
+    clipped = [np.clip(plane, 0, 255) for plane in planes]
+    return np.stack(clipped, axis=-1).round().astype(np.uint8)

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.jpeg.blocks import (
-    block_grid_shape,
-    blocks_to_plane,
-    pad_to_multiple_of_8,
-    plane_to_blocks,
-    scan_visit_plan,
-)
+from repro.jpeg.blocks import block_grid_shape, blocks_to_plane, scan_visit_plan
+from tests.jpeg.oracles import pad_to_multiple_of_8, plane_to_blocks
 
 
 class TestPadding:

@@ -267,12 +267,23 @@ class TestNativeBitWriter:
 
 class TestKernelRequired:
     """A kernel that cannot build is a typed error naming the build
-    failure, never a silent fall back; the scalar oracle still works."""
+    failure, never a silent fall back; the scalar entropy oracle still
+    works on coefficient images.  The pixel passes (colour, tiling,
+    quantization) run in the kernel too, so ``image`` is built before
+    ``broken_kernel`` breaks it."""
 
     BUILD_ERROR = "no working C compiler for the native kernel: cc: not found"
 
     @pytest.fixture()
-    def broken_kernel(self, monkeypatch):
+    def pixels(self):
+        return _gray(np.random.default_rng(31), 24, 24)
+
+    @pytest.fixture()
+    def image(self, pixels):
+        return gray_to_coefficients(pixels, quality=70)
+
+    @pytest.fixture()
+    def broken_kernel(self, monkeypatch, image):
         def fail():
             raise RuntimeError(self.BUILD_ERROR)
 
@@ -282,21 +293,18 @@ class TestKernelRequired:
         monkeypatch.undo()
         native_kernel._STATE.reset_for_tests()
 
-    @staticmethod
-    def _image():
-        rng = np.random.default_rng(31)
-        return gray_to_coefficients(_gray(rng, 24, 24), quality=70)
-
-    def test_default_engine_raises_naming_build_error(self, broken_kernel):
-        image = self._image()
+    def test_default_engine_raises_naming_build_error(
+        self, pixels, image, broken_kernel
+    ):
         jpeg = encode_baseline(image, engine="scalar")
         with pytest.raises(NativeUnavailableError, match=self.BUILD_ERROR):
             decode_to_coefficients(jpeg, engine=None)
         with pytest.raises(NativeUnavailableError, match=self.BUILD_ERROR):
             encode_baseline(image, engine=None)
+        with pytest.raises(NativeUnavailableError, match=self.BUILD_ERROR):
+            gray_to_coefficients(pixels, quality=70)
 
-    def test_scalar_engine_still_round_trips(self, broken_kernel):
-        image = self._image()
+    def test_scalar_engine_still_round_trips(self, image, broken_kernel):
         jpeg = encode_baseline(image, engine="scalar")
         decoded = decode_to_coefficients(jpeg, engine="scalar")
         np.testing.assert_array_equal(

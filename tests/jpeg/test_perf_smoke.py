@@ -8,10 +8,11 @@ stops being used, the default budget trips if the default reroutes to
 the scalar engine.
 
 The upload path's array-speed layers have relative budgets instead:
-each is timed against its oracle from ``tests/jpeg/oracles.py`` in the
-same process, and the native encode against the native decode of its
-own output, so the runner's speed cancels out and a regression back to
-einsum, per-byte or numpy-tokenizer speed fails on any machine.
+each is timed against its oracle from ``tests/jpeg/oracles.py`` (or
+ndimage, for the unsharp mask) in the same process, and the native
+encode against the native decode of its own output, so the runner's
+speed cancels out and a regression back to einsum, per-byte,
+numpy-tokenizer or multi-pass numpy speed fails on any machine.
 
 Run with ``python -m pytest -m slow tests/jpeg/test_perf_smoke.py``.
 """
@@ -23,6 +24,8 @@ import time
 import numpy as np
 import pytest
 
+from scipy import ndimage
+
 from repro.datasets import usc_sipi_like
 from repro.jpeg import markers
 from repro.jpeg.codec import (
@@ -31,13 +34,22 @@ from repro.jpeg.codec import (
     encode_gray,
     rgb_to_coefficients,
 )
+from repro.jpeg.color import rgb_to_ycbcr, ycbcr_to_rgb
 from repro.jpeg.dct import forward_dct
 from repro.jpeg.encoder import encode_baseline
 from repro.jpeg.huffman import build_optimized_table
+from repro.jpeg.native.pixels import planes_to_rgb8, tile_blocks
+from repro.jpeg.quantization import luminance_table, quantize
+from repro.transforms.enhance import unsharp_mask
 from tests.jpeg.oracles import (
     bytewise_find_scan_end,
     einsum_forward_dct,
+    numpy_level_shift_blocks,
+    numpy_pack_rgb8,
+    numpy_quantize,
     scan_optimized_table,
+    textbook_rgb_to_ycbcr,
+    textbook_ycbcr_to_rgb,
 )
 
 pytestmark = pytest.mark.slow
@@ -74,6 +86,23 @@ RESTART_OVER_PLAIN_CEILING = 2.0
 FDCT_SPEEDUP_FLOOR = 4.0
 HUFFMAN_SPEEDUP_FLOOR = 4.0
 MARKER_SPEEDUP_FLOOR = 10.0
+
+#: Minimum speedups of the kernel's pixel passes over their oracles on
+#: one 512px image or plane (4096 blocks for quantization).  On a 2-vCPU
+#: KVM guest, best of 7 over three processes: RGB -> YCbCr 11-12x and
+#: YCbCr -> RGB 8-16x the textbook formulas (the one-buffer numpy forms
+#: they replaced ran 2-3x), quantization 2.2-2.5x, tiling 1.9-5x and
+#: packing 2.1-3.4x the numpy passes, and the unsharp mask 3.3-4.7x
+#: ndimage's filter plus the mask expression (the numpy slab blur it
+#: replaced ran about 1x).  A fall back to numpy reads about 1x.
+PIXEL_PASS_FLOORS = {
+    "rgb_to_ycbcr": 4.0,
+    "ycbcr_to_rgb": 4.0,
+    "quantize": 1.4,
+    "tile": 1.3,
+    "pack": 1.5,
+    "unsharp_mask": 2.0,
+}
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +228,51 @@ def test_parse_segments_beats_byte_loop(monkeypatch):
     assert speedup >= MARKER_SPEEDUP_FLOOR, (
         f"parse_segments is only {speedup:.1f}x the byte loop on a "
         f"{len(data) // 1000} KB stream (floor {MARKER_SPEEDUP_FLOOR}x)"
+    )
+
+
+def _pixel_pass_cases():
+    rng = np.random.default_rng(5)
+    rgb = rng.integers(0, 256, (512, 512, 3)).astype(np.uint8)
+    ycbcr = textbook_rgb_to_ycbcr(rgb)
+    blocks = rng.normal(0, 200, (4096, 8, 8))
+    table = luminance_table(85)
+    plane = rng.normal(128, 60, (512, 512))
+    planes = [rng.normal(128, 90, (512, 512)) for _ in range(3)]
+
+    def ndimage_unsharp_mask():
+        blurred = ndimage.gaussian_filter(plane, 1.0, mode="nearest")
+        return plane + 0.4 * (plane - blurred)
+
+    return {
+        "rgb_to_ycbcr": (
+            lambda: rgb_to_ycbcr(rgb), lambda: textbook_rgb_to_ycbcr(rgb)
+        ),
+        "ycbcr_to_rgb": (
+            lambda: ycbcr_to_rgb(ycbcr), lambda: textbook_ycbcr_to_rgb(ycbcr)
+        ),
+        "quantize": (
+            lambda: quantize(blocks, table), lambda: numpy_quantize(blocks, table)
+        ),
+        "tile": (
+            lambda: tile_blocks(ycbcr[..., 0]),
+            lambda: numpy_level_shift_blocks(ycbcr[..., 0]),
+        ),
+        "pack": (lambda: planes_to_rgb8(planes), lambda: numpy_pack_rgb8(planes)),
+        "unsharp_mask": (
+            lambda: unsharp_mask(plane, 1.0, 0.4), ndimage_unsharp_mask
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PIXEL_PASS_FLOORS))
+def test_pixel_pass_beats_oracle(name):
+    fast, slow = _pixel_pass_cases()[name]
+    speedup = _speedup(fast, slow)
+    floor = PIXEL_PASS_FLOORS[name]
+    assert speedup >= floor, (
+        f"{name} is only {speedup:.1f}x its oracle on a 512px image "
+        f"(floor {floor}x) — is it still one kernel pass?"
     )
 
 

@@ -393,6 +393,22 @@ class TestAllocationFollowsEvidence:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_decode_peaks_at_two_coefficient_arrays(self):
+        # A flat 1024px grey stream holds a 4 MiB int32 coefficient
+        # array.  Its decode needs the frame's zigzag-order array and the
+        # raster array it hands out; the parent copied the raster once
+        # more and peaked at 3.0x (12 MiB).
+        data = encode_gray(np.full((1024, 1024), 128.0), quality=85)
+        tracemalloc.start()
+        try:
+            image = decode_coefficients(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = image.components[0].coefficients.nbytes
+        assert size == 4 << 20
+        assert peak <= 2.2 * size
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_ac_scan_before_dc_scan_is_refused(self, engine):
         image = _synthetic_image([(1, 1)] * 3)

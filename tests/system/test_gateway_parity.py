@@ -17,7 +17,14 @@ import pytest
 from repro.api.fanout import FanoutPSP
 from repro.core.config import P3Config
 from repro.datasets import usc_sipi_like
-from repro.jpeg.codec import decode_coefficients, encode_gray, encode_rgb
+from repro.jpeg import markers
+from repro.jpeg.codec import (
+    decode_coefficients,
+    encode_coefficients,
+    encode_gray,
+    encode_rgb,
+    rgb_to_coefficients,
+)
 from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.scans import ScanSpec
 from repro.serve.async_gateway import AsyncGateway
@@ -175,6 +182,60 @@ class TestPixelParity:
             get_request("alice", f"/photos/{photo_id}", {"album": "trip"})
         )
         assert view.status == 200
+
+
+class RecordingFacebookPSP(FacebookPSP):
+    """A ``FacebookPSP`` that keeps every byte string handed to
+    ``upload``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.uploads: list[bytes] = []
+
+    def upload(self, data, owner, viewers=None):
+        self.uploads.append(data)
+        return super().upload(data, owner, viewers)
+
+
+class TestMarkersStayOffThePSP:
+    """The proxy hands the PSP a public part it encoded itself: an
+    upload's APPn and COM segments (an Exif block can carry a location
+    and a full-size thumbnail) never cross the boundary (paper Section
+    4.1), through either front end."""
+
+    def test_exif_and_comment_never_reach_the_psp(self, scene_corpus):
+        exif = b"Exif\x00\x00GPS 47.6205N 122.3493W; thumbnail follows"
+        comment = b"taken from the kitchen window"
+        image = rgb_to_coefficients(scene_corpus[0], quality=85)
+        image.app_segments.append((markers.APP1, exif))
+        image.comment = comment
+        body = encode_coefficients(image)
+        assert exif in body and comment in body
+        psp = RecordingFacebookPSP()
+        gateway = P3Gateway(psp, CloudStorage(), P3Config(threshold=15, quality=85))
+        PhotoSharingClient.for_gateway(gateway, "alice")
+        front = AsyncGateway(gateway)
+        upload = HttpRequest(
+            method="POST",
+            url=build_url("https://gw.example", "/photos/upload", {"album": "trip"}),
+            headers={USER_HEADER: "alice"},
+            body=body,
+        )
+        try:
+            created = [gateway.handle(upload), front.handle_sync(upload)]
+        finally:
+            front.close()
+        assert [response.status for response in created] == [201, 201]
+        assert len(psp.uploads) == 2
+        for public in psp.uploads:
+            assert exif[6:] not in public and comment not in public
+            segments = markers.parse_segments(public)
+            assert not any(s.marker == markers.COM for s in segments)
+            apps = [
+                s for s in segments if markers.APP0 <= s.marker <= markers.APP15
+            ]
+            assert [s.marker for s in apps] == [markers.APP0]
+            assert apps[0].payload.startswith(b"JFIF\x00")
 
 
 class TestOnePixelCopyPerHit:

@@ -47,6 +47,26 @@ class TestUpload:
             )
 
 
+class TestGrayscaleUpload:
+    def test_variants_are_rounded_not_truncated(self):
+        """A grey upload decodes to float luma; the provider rounds it to
+        uint8.  Flickr's 1024 variant of a 256px photo is a same-size
+        Lanczos resample with no sharpening, so its decode may differ
+        from the upload's only by re-quantization noise, which averages
+        out.  A truncating cast biased it by -0.625 levels."""
+        from repro.datasets.scenes import render_scene
+        from repro.jpeg.codec import encode_gray, rgb_to_ycbcr
+
+        luma = rgb_to_ycbcr(render_scene(7, 256, 256))[..., 0]
+        data = encode_gray(luma, quality=85)
+        psp = FlickrPSP()
+        photo_id = psp.upload(data, owner="alice")
+        variant = decode(psp.stored_variant(photo_id, 1024))
+        assert variant.shape == (256, 256)
+        error = variant - np.clip(decode(data), 0, 255)
+        assert abs(error.mean()) < 0.05
+
+
 class TestFacebookBehaviour:
     def test_serves_progressive(self, photo_bytes):
         psp = FacebookPSP()

@@ -68,6 +68,27 @@ class TestNdimageOracle:
             assert np.array_equal(produced, expected), kind
 
 
+    @pytest.mark.parametrize("shape", ((1, 1), (2, 9), (9, 16), (40, 33)))
+    def test_strided_views(self, shape):
+        """A channel of an interleaved image and reversed or transposed
+        planes blur as their C-ordered copies do."""
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        interleaved = rng.integers(0, 256, (*shape, 3)).astype(np.uint8)
+        transposed = np.ascontiguousarray(rng.normal(128, 60, shape).T).T
+        for plane in (interleaved[..., 1], transposed, transposed[::-1, ::-1]):
+            as_float = plane.astype(np.float64)
+            blurred = ndimage.gaussian_filter(as_float, sigma=1.0, mode="nearest")
+            assert np.array_equal(gaussian_blur(plane, 1.0), blurred)
+            expected = as_float + 0.4 * (plane - blurred)
+            assert np.array_equal(unsharp_mask(plane, 1.0, 0.4), expected)
+
+    def test_unsharp_mask_without_radius(self):
+        """``radius <= 0`` blurs nothing: the mask adds zero."""
+        plane = np.random.default_rng(2).normal(128, 60, (5, 7))
+        expected = plane + 0.4 * (plane - plane.copy())
+        assert np.array_equal(unsharp_mask(plane, radius=0.0, amount=0.4), expected)
+
+
 class TestUnsharpMask:
     def test_amount_zero_identity(self):
         plane = np.arange(64.0).reshape(8, 8)
