@@ -2,12 +2,13 @@
 
 Times encode and decode (coefficient-level, the P3 hot path) for
 baseline, progressive (spectral selection) and progressive-sa
-(successive approximation) streams at several image sizes, on both
-engines, and writes ``BENCH_codec_throughput.json`` with the
-trajectory: per-engine seconds plus the native kernel's decode speedup
-over the scalar seed.  The scalar reference is only timed up to
-``--reference-max-size`` (default 512 — the per-bit decoder needs ~10s
-per 512px image, minutes at 1024).
+(successive approximation) streams at several image sizes, in the
+codec's C kernel and in the scalar T.81 seed it replaced (the test
+oracle ``tests/jpeg/scalar_codec.py``), and writes
+``BENCH_codec_throughput.json`` with the trajectory: per-engine seconds
+plus the native kernel's decode speedup over the scalar seed.  The
+scalar reference is only timed up to ``--reference-max-size`` (default
+512 — the per-bit decoder needs ~10s per 512px image, minutes at 1024).
 
 Cross-engine identity is enforced, not assumed: the native encode must
 be byte-identical and the native decode coefficient-identical to the
@@ -15,10 +16,11 @@ scalar seed's, and the benchmark **hard-fails** (exit 1) on any
 mismatch — a perf number for a stream that diverges from the oracle
 would be worthless.
 
-Run standalone::
+Run standalone from the repository root (the oracle lives under
+``tests/``, so the root goes on the path too)::
 
-    PYTHONPATH=src python benchmarks/bench_codec_throughput.py
-    PYTHONPATH=src python benchmarks/bench_codec_throughput.py --smoke
+    PYTHONPATH=src:. python benchmarks/bench_codec_throughput.py
+    PYTHONPATH=src:. python benchmarks/bench_codec_throughput.py --smoke
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ import time
 import numpy as np
 
 from repro.jpeg.codec import gray_to_coefficients
-from repro.jpeg.decoder import decode_to_coefficients
-from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.engines import engine_info
 from repro.jpeg.scans import default_sa_script
+from tests.jpeg.scalar_codec import CODECS
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -58,9 +59,14 @@ def _time_call(function, repeats: int) -> float:
     return best
 
 
-def _encode_sa(image, engine=None) -> bytes:
-    script = default_sa_script(len(image.components))
-    return encode_progressive(image, script, engine=engine)
+#: Each mode's encode, given the codec to run it on.
+MODES = {
+    "baseline": lambda codec, image: codec.encode_baseline(image),
+    "progressive": lambda codec, image: codec.encode_progressive(image),
+    "progressive-sa": lambda codec, image: codec.encode_progressive(
+        image, default_sa_script(len(image.components))
+    ),
+}
 
 
 def _coefficient_bytes(image) -> tuple[bytes, ...]:
@@ -75,21 +81,18 @@ def run(
     repeats: int,
     reference_max_size: int,
 ) -> dict:
+    scalar, native = CODECS["scalar"], CODECS["native"]
     mismatches = 0
     trajectory = []
     for size in sizes:
         image = gray_to_coefficients(_test_image(size), quality=quality)
         time_scalar = size <= reference_max_size
-        for mode, encode in (
-            ("baseline", encode_baseline),
-            ("progressive", encode_progressive),
-            ("progressive-sa", _encode_sa),
-        ):
+        for mode, encode in MODES.items():
             # The scalar seed's stream is the identity oracle even at
             # sizes where it is too slow to *time* repeatedly.
-            oracle = encode(image, engine="scalar")
+            oracle = encode(scalar, image)
             oracle_coefficients = _coefficient_bytes(
-                decode_to_coefficients(oracle, engine="scalar")
+                scalar.decode_to_coefficients(oracle)
             )
             entry = {
                 "size": size,
@@ -101,47 +104,37 @@ def run(
             }
             if time_scalar:
                 entry["engines"]["scalar"] = {
-                    "encode_s": _time_call(
-                        lambda: encode(image, engine="scalar"), 1
-                    ),
+                    "encode_s": _time_call(lambda: encode(scalar, image), 1),
                     "decode_s": _time_call(
-                        lambda: decode_to_coefficients(
-                            oracle, engine="scalar"
-                        ),
-                        1,
+                        lambda: scalar.decode_to_coefficients(oracle), 1
                     ),
                 }
-            data = encode(image, engine="native")
+            data = encode(native, image)
             if data != oracle:
                 mismatches += 1
                 print(
                     f"ENCODE MISMATCH native vs scalar: {size}px {mode}",
                     file=sys.stderr,
                 )
-            decoded = _coefficient_bytes(
-                decode_to_coefficients(data, engine="native")
-            )
+            decoded = _coefficient_bytes(native.decode_to_coefficients(data))
             if decoded != oracle_coefficients:
                 mismatches += 1
                 print(
                     f"DECODE MISMATCH native vs scalar: {size}px {mode}",
                     file=sys.stderr,
                 )
-            native = {
-                "encode_s": _time_call(
-                    lambda: encode(image, engine="native"), repeats
-                ),
+            native_timings = {
+                "encode_s": _time_call(lambda: encode(native, image), repeats),
                 "decode_s": _time_call(
-                    lambda: decode_to_coefficients(data, engine="native"),
-                    repeats,
+                    lambda: native.decode_to_coefficients(data), repeats
                 ),
             }
             if time_scalar:
-                native["decode_speedup_vs_seed"] = (
+                native_timings["decode_speedup_vs_seed"] = (
                     entry["engines"]["scalar"]["decode_s"]
-                    / native["decode_s"]
+                    / native_timings["decode_s"]
                 )
-            entry["engines"]["native"] = native
+            entry["engines"]["native"] = native_timings
             trajectory.append(entry)
             for engine, timings in entry["engines"].items():
                 speedup = timings.get("decode_speedup_vs_seed")

@@ -1,6 +1,7 @@
-"""AES-CTR crypto throughput: vectorized batch engine vs scalar reference.
+"""AES-CTR crypto throughput: vectorized batch cipher vs scalar reference.
 
-Times :func:`repro.crypto.modes.ctr_transform` under both engines at
+Times :func:`repro.crypto.modes.ctr_transform` and the scalar FIPS-197
+reference it replaced (the test oracle ``tests/crypto/oracles.py``) at
 several payload sizes (the secret part of a P3 photo is CTR-shaped),
 verifies fast-vs-scalar *byte identity* on every measured payload —
 the run fails hard on any mismatch — and measures the end-to-end
@@ -8,26 +9,28 @@ effect: upload (split + encode + seal) and download (open +
 reconstruct) images/sec through the
 :class:`~repro.core.encryptor.P3Encryptor` split and the
 :class:`~repro.core.decryptor.P3Decryptor` reconstruction, with the
-envelope sealed and opened by ``seal_envelope``/``open_envelope``
-under ``fast=True`` vs ``fast=False``.  Results land in
+envelope sealed and opened by production's
+``seal_envelope``/``open_envelope`` vs the oracle's.  Results land in
 ``BENCH_crypto_throughput.json``.
 
-The scalar engine is only timed up to ``--reference-max-bytes``
+The scalar reference is only timed up to ``--reference-max-bytes``
 (default 1 MiB ≈ a few seconds; 8 MiB would take the better part of a
 minute) — byte identity at larger sizes is still checked against a
 scalar-computed prefix, which is valid because a CTR prefix depends
 only on the same leading counter blocks.
 
-Run standalone::
+Run standalone from the repository root (the oracle lives under
+``tests/``, so the root goes on the path too)::
 
-    PYTHONPATH=src python benchmarks/bench_crypto_throughput.py
-    PYTHONPATH=src python benchmarks/bench_crypto_throughput.py --smoke
+    PYTHONPATH=src:. python benchmarks/bench_crypto_throughput.py
+    PYTHONPATH=src:. python benchmarks/bench_crypto_throughput.py --smoke
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import time
@@ -56,6 +59,7 @@ def bench_ctr(
     sizes: list[int], reference_max_bytes: int, repeats: int
 ) -> tuple[list[dict], int]:
     from repro.crypto.modes import ctr_transform
+    from tests.crypto import oracles
 
     rng = np.random.default_rng(38)
     entries = []
@@ -63,7 +67,7 @@ def bench_ctr(
     for size in sizes:
         payload = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
         fast_s = _time_call(
-            lambda: ctr_transform(_KEY, _NONCE, payload, fast=True), repeats
+            lambda: ctr_transform(_KEY, _NONCE, payload), repeats
         )
         entry = {
             "payload_bytes": size,
@@ -73,9 +77,9 @@ def bench_ctr(
         # Byte identity: full payload when the scalar run is affordable,
         # a scalar-computed prefix otherwise (same counters => valid).
         check_bytes = min(size, reference_max_bytes)
-        fast_out = ctr_transform(_KEY, _NONCE, payload, fast=True)
-        scalar_prefix = ctr_transform(
-            _KEY, _NONCE, payload[:check_bytes], fast=False
+        fast_out = ctr_transform(_KEY, _NONCE, payload)
+        scalar_prefix = oracles.ctr_transform(
+            _KEY, _NONCE, payload[:check_bytes]
         )
         identical = fast_out[:check_bytes] == scalar_prefix
         entry["identical_bytes_checked"] = check_bytes
@@ -84,7 +88,7 @@ def bench_ctr(
             mismatches += 1
         if size <= reference_max_bytes:
             scalar_s = _time_call(
-                lambda: ctr_transform(_KEY, _NONCE, payload, fast=False), 1
+                lambda: oracles.ctr_transform(_KEY, _NONCE, payload), 1
             )
             entry["scalar_s"] = scalar_s
             entry["scalar_mb_per_s"] = size / MIB / scalar_s
@@ -108,8 +112,9 @@ def bench_ctr(
 def bench_end_to_end(count: int, size: int, quality: int) -> tuple[dict, int]:
     from repro.core import P3Decryptor, P3Encryptor
     from repro.core.serialization import deserialize_secret, serialize_secret
-    from repro.crypto.envelope import open_envelope, seal_envelope
+    from repro.crypto.envelope import NONCE_SIZE, open_envelope, seal_envelope
     from repro.datasets import iter_corpus_jpegs
+    from tests.crypto import oracles
 
     key = _KEY[:16]
     corpus = list(
@@ -122,51 +127,57 @@ def bench_end_to_end(count: int, size: int, quality: int) -> tuple[dict, int]:
     }
     encryptor = P3Encryptor(key)
     decryptor = P3Decryptor(key)
+    #: Each label's (seal, open): production's envelope, or the
+    #: oracle's, which takes its nonce from the caller.
+    envelopes = {
+        "fast": (seal_envelope, open_envelope),
+        "scalar": (
+            lambda key, plaintext: oracles.seal_envelope(
+                key, plaintext, os.urandom(NONCE_SIZE)
+            ),
+            oracles.open_envelope,
+        ),
+    }
 
-    def upload(jpeg: bytes, fast: bool) -> tuple[bytes, bytes]:
-        # P3Encryptor.encrypt_jpeg, with the AES engine chosen at the
-        # envelope instead of the encryptor's default.
+    def upload(jpeg: bytes, label: str) -> tuple[bytes, bytes]:
+        # P3Encryptor.encrypt_jpeg, with the envelope's AES chosen by
+        # ``label``.
         split = encryptor.split_jpeg(jpeg)
         container = serialize_secret(split.secret, split.threshold)
-        return (
-            encryptor.public_jpeg_bytes(split),
-            seal_envelope(key, container, fast=fast),
-        )
+        seal = envelopes[label][0]
+        return encryptor.public_jpeg_bytes(split), seal(key, container)
 
-    def download(public_jpeg: bytes, envelope: bytes, fast: bool):
-        secret_part = deserialize_secret(
-            open_envelope(key, envelope, fast=fast)
-        )
-        return decryptor.reconstruct(public_jpeg, secret_part)
+    def download(public_jpeg: bytes, envelope: bytes, label: str):
+        opened = envelopes[label][1](key, envelope)
+        return decryptor.reconstruct(public_jpeg, deserialize_secret(opened))
 
     # One untimed round trip, so one-time costs (codec kernel load,
-    # lazy imports) land in neither engine's timing.
-    download(*upload(corpus[0], True), True)
+    # lazy imports) land in neither cipher's timing.
+    download(*upload(corpus[0], "fast"), "fast")
     mismatches = 0
     photos = {}
-    for fast in (True, False):
-        label = "fast" if fast else "scalar"
+    for label in envelopes:
         start = time.perf_counter()
-        photos[label] = [upload(jpeg, fast) for jpeg in corpus]
+        photos[label] = [upload(jpeg, label) for jpeg in corpus]
         elapsed = time.perf_counter() - start
         result[f"upload_{label}_img_per_s"] = len(corpus) / elapsed
         start = time.perf_counter()
         pixel_sets = [
-            download(public_jpeg, envelope, fast)
+            download(public_jpeg, envelope, label)
             for public_jpeg, envelope in photos[label]
         ]
         elapsed = time.perf_counter() - start
         result[f"download_{label}_img_per_s"] = len(corpus) / elapsed
-        if fast:
+        if label == "fast":
             reference_pixels = pixel_sets
         else:
-            # Cross-engine reconstruction must be pixel-identical: open
-            # the scalar-sealed envelopes with the fast engine and
-            # compare against the fast run's output.
+            # Reconstruction must be pixel-identical across the two:
+            # open the scalar-sealed envelopes with production's cipher
+            # and compare against the fast run's output.
             for (public_jpeg, envelope), expected in zip(
                 photos[label], reference_pixels
             ):
-                pixels = download(public_jpeg, envelope, True)
+                pixels = download(public_jpeg, envelope, "fast")
                 if not np.array_equal(pixels, expected):
                     mismatches += 1
     result["upload_speedup"] = (
@@ -201,7 +212,7 @@ def main() -> None:
         "--reference-max-bytes",
         type=int,
         default=MIB,
-        help="largest payload at which the scalar engine is timed",
+        help="largest payload at which the scalar reference is timed",
     )
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--photos", type=int, default=8)
@@ -231,10 +242,10 @@ def main() -> None:
     result = {
         "benchmark": "crypto_throughput",
         "description": (
-            "AES-CTR throughput, vectorized batch engine vs scalar "
+            "AES-CTR throughput, vectorized batch cipher vs scalar "
             "FIPS-197 reference, plus end-to-end P3 upload/download "
-            "images/sec with the envelope sealed and opened under "
-            "fast=True vs fast=False"
+            "images/sec with the envelope sealed and opened by "
+            "production vs the scalar oracle"
         ),
         "ctr": ctr_entries,
         "end_to_end": end_to_end,

@@ -16,10 +16,9 @@ Inputs may be JPEG (decoded by the built-in codec) or netpbm (P5/P6).
 Reconstructed outputs are written as netpbm, which anything can read.
 The batch commands fan the per-photo work out over the
 :mod:`repro.api` executors (``--executor process`` by default) and
-keep going past per-file failures.  Every command runs the native
-entropy engine, the cffi-compiled C kernel, which is required; the
-``engines`` subcommand reports whether it loaded, and the build error
-if it did not.  ``--verbose`` on
+keep going past per-file failures.  Every command runs the codec's
+cffi-compiled C kernel, which is required; the ``engines`` subcommand
+reports whether it loaded, and the build error if it did not.  ``--verbose`` on
 encrypt/decrypt prints per-stage wall-clock times (codec vs crypto vs
 split) so you can see where a photo's time actually goes.
 
@@ -405,7 +404,7 @@ def _cmd_publish(args) -> int:
 
 
 def _cmd_engines(args) -> int:
-    """Report which entropy codec engines this deployment can run.
+    """Report whether this deployment's codec kernel loaded.
 
     The key operational question is whether the native kernel actually
     compiled and loaded, and if not, why (no compiler, no cffi, build
@@ -421,8 +420,6 @@ def _cmd_engines(args) -> int:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
     native = info["native"]
-    print(f"engines    {', '.join(info['engines'])}")
-    print(f"default    {info['default']}")
     print(f"native     {'loaded' if native['available'] else 'unavailable'}")
     if native.get("build_error"):
         print(f"           build error: {native['build_error']}")
@@ -582,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     engines = commands.add_parser(
         "engines",
-        help="report codec engine availability (did the native kernel "
+        help="report codec kernel availability (did the native kernel "
         "load, and if not, why)",
     )
     engines.add_argument(

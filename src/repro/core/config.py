@@ -29,11 +29,11 @@ class P3Config:
     reports that splitting *decreases* entropy in both parts, "resulting
     in better compressibility").
 
-    Engines are not configuration: the codec always runs the best
-    available entropy engine (see :mod:`repro.jpeg`) and the envelope
-    the vectorized AES engine.  The scalar references behind both stay
-    as test oracles (``engine="scalar"`` on the codec, ``fast=False``
-    on :mod:`repro.crypto.modes`).
+    Engines are not configuration: the codec always runs its C kernel
+    (see :mod:`repro.jpeg`) and the envelope the vectorized AES.  The
+    scalar references they replaced are test oracles under ``tests/``
+    (``tests/jpeg/scalar_codec.py``, ``tests/crypto/oracles.py``), not
+    options.
 
     ``executor`` / ``workers`` choose the default
     :class:`~repro.api.executors.Executor` kind for the batch pipeline

@@ -8,14 +8,13 @@ inverse cipher is not needed), and an authenticated envelope format
 (encrypt-then-MAC with HMAC-SHA256 from the standard library) used to
 protect the secret part at the untrusted storage provider.
 
-Two interchangeable AES engines exist: the scalar FIPS-197 reference
-(:class:`AES`) and the vectorized batch engine (:class:`FastAES`,
-default on :func:`ctr_transform`'s ``fast=True`` switch) that runs each
-round across all blocks of a message at once — byte-identical output,
-~2 orders of magnitude faster on the CTR hot path.
+The cipher is vectorized (:class:`FastAES`, what :func:`ctr_transform`
+runs): each round runs across all blocks of a message at once.  The
+scalar FIPS-197 reference it replaced, one block per Python call, is
+its test oracle (``tests/crypto/oracles.py``): byte-identical output,
+~2 orders of magnitude slower on the CTR hot path.
 """
 
-from repro.crypto.aes import AES
 from repro.crypto.envelope import (
     EnvelopeError,
     open_envelope,
@@ -26,7 +25,6 @@ from repro.crypto.keyring import Keyring, generate_key
 from repro.crypto.modes import ctr_transform
 
 __all__ = [
-    "AES",
     "FastAES",
     "ctr_transform",
     "seal_envelope",

@@ -1,19 +1,19 @@
-"""AES block cipher (FIPS-197), pure python — the scalar reference.
+"""AES (FIPS-197) tables and key schedule, for AES-128/192/256.
 
-Implements AES-128/192/256 encryption of single 16-byte blocks.  The
-table-driven round function operates on a flat 16-byte state in
-column-major (FIPS) order.  P3's one mode of operation, CTR, lives in
-:mod:`repro.crypto.modes`; it never runs the inverse cipher, so there
-is none.
+The S-box, the GF(2^8) arithmetic and the key expansion that the
+vectorized cipher :class:`repro.crypto.fastaes.FastAES` runs on.  P3's
+one mode of operation, CTR, lives in :mod:`repro.crypto.modes`; it
+never runs the inverse cipher, so there is none.
 
-Design note — scalar reference vs batch engine
+Design note — scalar reference vs batch cipher
 ----------------------------------------------
-This module is the differential-testing oracle for the vectorized
-engine in :mod:`repro.crypto.fastaes`, the same split the JPEG codec
-uses (scalar T.81 reference vs the native C entropy kernel).  Both share
-one key schedule (:func:`expand_key`) and the same GF(2^8) tables; the
-fast engine lifts each round step from a 16-byte state to an
-``(n_blocks, 16)`` state stack:
+The scalar FIPS-197 round function, one 16-byte block per Python call
+on a flat state in column-major order, is the batch cipher's test
+oracle and lives with the tests (``tests/crypto/oracles.py``), the
+same split the JPEG codec uses (scalar T.81 reference vs the native C
+entropy kernel).  Both share one key schedule (:func:`expand_key`) and
+the same GF(2^8) tables; the batch cipher lifts each round step from a
+16-byte state to an ``(n_blocks, 16)`` state stack:
 
 * SubBytes     -> one S-box fancy-index over the whole stack;
 * ShiftRows    -> a precomputed 16-entry column permutation;
@@ -25,7 +25,7 @@ Ten-ish rounds of whole-stack numpy ops replace ``n_blocks`` trips
 through the Python round function, which is where the ~2 orders of
 magnitude on CTR throughput come from.
 
-Neither engine attempts constant-time operation: the table lookups are
+Neither form attempts constant-time operation: the table lookups are
 data-dependent (classic cache-timing territory), numpy adds its own
 data-dependent allocation behavior, and Python-level timing is
 attacker-observable anyway.  That is out of scope here exactly as it
@@ -100,9 +100,8 @@ ROUNDS_BY_KEY_SIZE = {16: 10, 24: 12, 32: 14}
 def expand_key(key: bytes) -> list[list[int]]:
     """FIPS-197 key expansion; returns (rounds+1) 16-byte round keys.
 
-    Shared by the scalar :class:`AES` and the batch engine in
-    :mod:`repro.crypto.fastaes` so the two can never disagree on the
-    schedule.
+    Shared by the batch cipher in :mod:`repro.crypto.fastaes` and the
+    scalar test oracle, so the two can never disagree on the schedule.
     """
     if len(key) not in ROUNDS_BY_KEY_SIZE:
         raise ValueError(
@@ -129,58 +128,3 @@ def expand_key(key: bytes) -> list[list[int]]:
             key_bytes.extend(word)
         round_keys.append(key_bytes)
     return round_keys
-
-
-class AES:
-    """AES block cipher for 16/24/32-byte keys."""
-
-    BLOCK_SIZE = 16
-
-    def __init__(self, key: bytes) -> None:
-        self._round_keys = expand_key(key)  # validates the key length
-        self._rounds = ROUNDS_BY_KEY_SIZE[len(key)]
-
-    @staticmethod
-    def _add_round_key(state: list[int], round_key: list[int]) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _sub_bytes(state: list[int]) -> None:
-        for i in range(16):
-            state[i] = SBOX[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: list[int]) -> None:
-        # state[c*4 + r] is row r of column c (column-major layout).
-        for row in range(1, 4):
-            values = [state[column * 4 + row] for column in range(4)]
-            values = values[row:] + values[:row]
-            for column in range(4):
-                state[column * 4 + row] = values[column]
-
-    @staticmethod
-    def _mix_columns(state: list[int]) -> None:
-        for column in range(4):
-            base = column * 4
-            a = state[base : base + 4]
-            state[base + 0] = _xtime(a[0]) ^ _xtime(a[1]) ^ a[1] ^ a[2] ^ a[3]
-            state[base + 1] = a[0] ^ _xtime(a[1]) ^ _xtime(a[2]) ^ a[2] ^ a[3]
-            state[base + 2] = a[0] ^ a[1] ^ _xtime(a[2]) ^ _xtime(a[3]) ^ a[3]
-            state[base + 3] = _xtime(a[0]) ^ a[0] ^ a[1] ^ a[2] ^ _xtime(a[3])
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt one 16-byte block."""
-        if len(block) != 16:
-            raise ValueError(f"block must be 16 bytes, got {len(block)}")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for round_index in range(1, self._rounds):
-            self._sub_bytes(state)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[round_index])
-        self._sub_bytes(state)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self._rounds])
-        return bytes(state)

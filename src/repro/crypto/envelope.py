@@ -39,28 +39,24 @@ def seal_envelope(  # taint: sanitizer
     key: bytes,
     plaintext: bytes,
     nonce: bytes | None = None,
-    fast: bool = True,
 ) -> bytes:
     """Encrypt and authenticate ``plaintext`` under the shared ``key``.
 
     ``nonce`` may be supplied for deterministic tests; it must then be
-    unique per key in real use.  ``fast`` selects the vectorized AES
-    engine (byte-identical ciphertext either way).
+    unique per key in real use.
     """
     if nonce is None:
         nonce = os.urandom(NONCE_SIZE)
     if len(nonce) != NONCE_SIZE:
         raise EnvelopeError(f"nonce must be {NONCE_SIZE} bytes")
     cipher_key, mac_key = _derive_keys(key)
-    ciphertext = ctr_transform(cipher_key, nonce, plaintext, fast=fast)
+    ciphertext = ctr_transform(cipher_key, nonce, plaintext)
     body = MAGIC + nonce + ciphertext
     tag = hmac.new(mac_key, body, hashlib.sha256).digest()
     return body + tag
 
 
-def open_envelope(  # taint: source(secret)
-    key: bytes, envelope: bytes, fast: bool = True
-) -> bytes:
+def open_envelope(key: bytes, envelope: bytes) -> bytes:  # taint: source(secret)
     """Authenticate and decrypt an envelope produced by :func:`seal_envelope`."""
     minimum = len(MAGIC) + NONCE_SIZE + TAG_SIZE
     if len(envelope) < minimum:
@@ -75,4 +71,4 @@ def open_envelope(  # taint: source(secret)
         raise EnvelopeError("authentication failed (tampered envelope?)")
     nonce = envelope[len(MAGIC) : len(MAGIC) + NONCE_SIZE]
     ciphertext = body[len(MAGIC) + NONCE_SIZE :]
-    return ctr_transform(cipher_key, nonce, ciphertext, fast=fast)
+    return ctr_transform(cipher_key, nonce, ciphertext)

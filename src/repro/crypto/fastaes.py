@@ -1,32 +1,26 @@
 """Vectorized AES: whole-message batch rounds on an (n, 16) state stack.
 
-The scalar :class:`repro.crypto.aes.AES` runs the FIPS-197 round
-function one 16-byte block at a time in Python; on the P3 hot path
-(CTR over every secret part) that made crypto the dominant cost after
-the codec went vectorized.  :class:`FastAES` keeps the exact same
-table-driven round structure but applies each step to *all* blocks of
-a message at once — see the design note in :mod:`repro.crypto.aes` for
-the step-by-step mapping and why constant-time operation remains out
-of scope.
+The scalar FIPS-197 round function runs one 16-byte block at a time in
+Python; on the P3 hot path (CTR over every secret part) that made
+crypto the dominant cost after the codec went vectorized.
+:class:`FastAES` keeps the exact same table-driven round structure but
+applies each step to *all* blocks of a message at once — see the
+design note in :mod:`repro.crypto.aes` for the step-by-step mapping
+and why constant-time operation remains out of scope.
 
-The two engines share :func:`repro.crypto.aes.expand_key`, the S-box,
-and the GF(2^8) arithmetic, and are held byte-identical by NIST-vector
-and property tests (``tests/crypto/test_fastaes.py``).
+It shares :func:`repro.crypto.aes.expand_key`, the S-box and the
+GF(2^8) arithmetic with the scalar round function, its test oracle
+(``tests/crypto/oracles.py``), and NIST-vector and property tests hold
+the two byte-identical (``tests/crypto/test_fastaes.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.aes import (
-    AES,
-    ROUNDS_BY_KEY_SIZE,
-    SBOX,
-    _gf_multiply,
-    expand_key,
-)
+from repro.crypto.aes import ROUNDS_BY_KEY_SIZE, SBOX, _gf_multiply, expand_key
 
-BLOCK = AES.BLOCK_SIZE
+BLOCK = 16
 
 SBOX_U8 = np.array(SBOX, dtype=np.uint8)
 #: Multiplication by {02} in GF(2^8), indexed by byte.
@@ -48,8 +42,7 @@ class FastAES:
 
     One instance per key; :meth:`encrypt_blocks` runs every round step
     across the whole stack.  Single-block calls work but carry numpy
-    overhead — the scalar engine is the right tool below a handful of
-    blocks.
+    overhead.
     """
 
     BLOCK_SIZE = BLOCK
@@ -110,7 +103,8 @@ def counter_blocks(initial: bytes, count: int) -> np.ndarray:
     ``initial`` is the full 16-byte first counter block; block ``i`` is
     ``(initial + i) mod 2**128`` big-endian — the whole block is the
     counter, so carries propagate into (and past) any nonce prefix and
-    wrap at 2**128, matching the scalar ``_increment_counter`` exactly.
+    wrap at 2**128, matching the scalar oracle's per-block increment
+    exactly.
     Returns a ``(count, 16)`` uint8 array.
     """
     if len(initial) != BLOCK:

@@ -15,33 +15,24 @@ The main entry points are :func:`encode_rgb`, :func:`encode_gray`,
 :func:`decode`, :func:`decode_coefficients` and
 :func:`encode_coefficients` in :mod:`repro.jpeg.codec`.
 
-Codec engines
--------------
+The codec kernel
+----------------
 
-Two entropy engines back every encode/decode:
+A small C kernel (compiled on first use via cffi) runs each scan's
+entire symbol loop, encode and decode, and the upload's per-sample
+pixel passes (:mod:`repro.jpeg.native`).  It is required: it needs a C
+compiler (``cc``/``gcc``) and ``cffi`` at first use, and the compiled
+artifact is cached under ``build/`` keyed by a source digest.  When it
+cannot compile or load, the first codec call that needs it raises
+:class:`~repro.jpeg.native.kernel.NativeUnavailableError` naming the
+build error; import never fails.  :func:`engine_info` reports whether
+the kernel loaded (and the build error, if any) for deployment
+verification.
 
-* ``native`` — a small C kernel (compiled on first use via cffi) that
-  runs each scan's entire symbol loop natively, encode and decode.
-  Every library caller runs it.
-* ``scalar`` — the per-symbol ITU-T T.81 reference implementation
-  (:class:`~repro.jpeg.bitstream.BitReader`/``BitWriter`` and the
-  per-coefficient scan loops).  Slow (~10s for a dense 512px decode)
-  but the most literal transcription of the standard, and the native
-  engine's test oracle.
-
-Both produce byte-identical encodes and coefficient-identical decodes.
-Selection: every codec entry point takes ``engine={"scalar","native"}``,
-its only engine selector.  ``None`` (the default, and what every
-library caller uses) means ``native``.  The kernel is required: it
-needs a C compiler (``cc``/``gcc``) and ``cffi`` at first use, and the
-compiled artifact is cached under ``build/`` keyed by a source digest.
-When it cannot compile or load, the first codec call that needs it
-raises :class:`~repro.jpeg.native.kernel.NativeUnavailableError` naming
-the build error.  The same kernel runs the pixel side of encode and
-decode (:mod:`repro.jpeg.native.pixels`), so without it only the
-coefficient-level calls work, with ``engine="scalar"``; import never
-fails.  :func:`engine_info` reports whether the kernel loaded (and the
-build error, if any) for deployment verification.
+The per-symbol ITU-T T.81 reference the kernel replaced is the
+kernel's test oracle and lives with the tests
+(``tests/jpeg/scalar_codec.py``): byte-identical encodes and
+coefficient-identical decodes.
 """
 
 from repro.jpeg.codec import (
@@ -53,7 +44,7 @@ from repro.jpeg.codec import (
     encode_rgb,
     image_info,
 )
-from repro.jpeg.engines import ENGINES, engine_info, resolve_engine
+from repro.jpeg.engines import engine_info
 from repro.jpeg.structures import ComponentInfo, CoefficientImage
 
 __all__ = [
@@ -66,7 +57,5 @@ __all__ = [
     "image_info",
     "CoefficientImage",
     "ComponentInfo",
-    "ENGINES",
     "engine_info",
-    "resolve_engine",
 ]

@@ -6,8 +6,8 @@ multiple of 8 are padded by edge replication, which avoids introducing
 artificial high-frequency energy at the borders; the encoder tiles a
 plane in one kernel pass (:func:`repro.jpeg.native.pixels.tile_blocks`).
 The order in which a scan visits those blocks (T.81 A.2),
-:func:`scan_visit_plan`, is decided here once for both codec engines,
-encode and decode.
+:func:`scan_visit_plan`, is decided here once for the codec and its
+scalar test oracle, encode and decode.
 """
 
 from __future__ import annotations

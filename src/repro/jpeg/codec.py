@@ -108,15 +108,11 @@ def encode_rgb(
     subsampling: str = "4:4:4",
     progressive: bool = False,
     optimize_huffman: bool = True,
-    engine: str | None = None,
 ) -> bytes:
     """Encode an ``(h, w, 3)`` uint8 RGB image to JPEG bytes."""
     image = rgb_to_coefficients(rgb, quality=quality, subsampling=subsampling)
     return encode_coefficients(
-        image,
-        progressive=progressive,
-        optimize_huffman=optimize_huffman,
-        engine=engine,
+        image, progressive=progressive, optimize_huffman=optimize_huffman
     )
 
 
@@ -125,15 +121,11 @@ def encode_gray(
     quality: int = 85,
     progressive: bool = False,
     optimize_huffman: bool = True,
-    engine: str | None = None,
 ) -> bytes:
     """Encode an ``(h, w)`` grayscale image to JPEG bytes."""
     image = gray_to_coefficients(plane, quality=quality)
     return encode_coefficients(
-        image,
-        progressive=progressive,
-        optimize_huffman=optimize_huffman,
-        engine=engine,
+        image, progressive=progressive, optimize_huffman=optimize_huffman
     )
 
 
@@ -142,7 +134,6 @@ def encode_coefficients(
     progressive: bool | str | None = None,
     optimize_huffman: bool = True,
     restart_interval: int = 0,
-    engine: str | None = None,
 ) -> bytes:
     """Entropy-encode a coefficient image (lossless transcoding step).
 
@@ -152,55 +143,43 @@ def encode_coefficients(
     precision, the layout the simulated Facebook stores) or ``"sa"``
     (progressive with successive approximation, libjpeg's default
     script).  Every mode keeps the image's APPn and COM segments.
-    ``restart_interval`` applies to baseline output only.  ``engine``
-    picks the entropy engine (``None`` or ``"native"``, the C kernel;
-    ``"scalar"``, the T.81 oracle) — output is byte-identical either
-    way.
+    ``restart_interval`` applies to baseline output only.
     """
     if progressive is None:
         progressive = image.progressive
     if progressive == "sa":
         script = default_sa_script(len(image.components))
-        return encode_progressive(image, script, engine=engine)
+        return encode_progressive(image, script)
     if progressive:
-        return encode_progressive(image, engine=engine)
+        return encode_progressive(image)
     return encode_baseline(
         image,
         optimize_huffman=optimize_huffman,
         restart_interval=restart_interval,
-        engine=engine,
     )
 
 
-def decode_coefficients(
-    data: bytes, engine: str | None = None
-) -> CoefficientImage:
+def decode_coefficients(data: bytes) -> CoefficientImage:
     """Decode JPEG bytes to quantized DCT coefficients (no pixel work)."""
-    return decode_to_coefficients(data, engine=engine)
+    return decode_to_coefficients(data)
 
 
-def decode(
-    data: bytes, engine: str | None = None
-) -> np.ndarray:
+def decode(data: bytes) -> np.ndarray:
     """Decode JPEG bytes to pixels.
 
     Returns ``(h, w, 3)`` uint8 RGB for color files and ``(h, w)``
     float64 luma for grayscale files.
     """
-    return coefficients_to_pixels(
-        decode_to_coefficients(data, engine=engine)
-    )
+    return coefficients_to_pixels(decode_to_coefficients(data))
 
 
-def decode_gray(
-    data: bytes, engine: str | None = None
-) -> np.ndarray:
+def decode_gray(data: bytes) -> np.ndarray:
     """Decode JPEG bytes and return the luma plane as float64.
 
     Color images are converted by decoding fully and re-deriving luma;
     grayscale images decode directly.
     """
-    image = decode_to_coefficients(data, engine=engine)
+    image = decode_to_coefficients(data)
     pixels = coefficients_to_pixels(image)
     if pixels.ndim == 2:
         return pixels

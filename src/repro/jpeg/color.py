@@ -61,9 +61,11 @@ def subsample_plane(plane: np.ndarray, factor_y: int, factor_x: int) -> np.ndarr
 
     This is the antialiased averaging used by libjpeg's h2v2 downsampler.
     Odd-sized planes are edge-padded to a multiple of the factor first.
+    At factors of one a float64 plane comes back as it is, a strided
+    channel view included, not copied.
     """
     if factor_y == 1 and factor_x == 1:
-        return plane.astype(np.float64)
+        return np.asarray(plane, dtype=np.float64)
     height, width = plane.shape
     pad_y = (-height) % factor_y
     pad_x = (-width) % factor_x

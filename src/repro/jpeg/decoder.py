@@ -3,8 +3,9 @@
 Decodes baseline sequential (SOF0/SOF1) and progressive (SOF2) streams:
 spectral selection and successive approximation, interleaved or one
 component per scan, with or without restart intervals.  Every scan
-visits its blocks along :func:`~repro.jpeg.blocks.scan_visit_plan`, on
-either engine.  Decoding stops at the coefficient level
+visits its blocks along :func:`~repro.jpeg.blocks.scan_visit_plan` in
+one call of the C kernel (:func:`repro.jpeg.native.decode.decode_scan`).
+Decoding stops at the coefficient level
 (:func:`decode_to_coefficients`) — which is all P3 needs — and
 :func:`coefficients_to_pixels` performs dequantization, inverse DCT,
 chroma upsampling and color conversion to produce pixel arrays.
@@ -14,11 +15,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.jpeg import markers
-from repro.jpeg.bitstream import BitReader, EndOfData, MarkerFound
 from repro.jpeg.blocks import (
     blocks_to_plane,
     scan_block_count,
@@ -26,11 +27,7 @@ from repro.jpeg.blocks import (
 )
 from repro.jpeg.color import upsample_plane, ycbcr_to_rgb
 from repro.jpeg.dct import inverse_dct
-from repro.jpeg.huffman import (
-    HuffmanDecoder,
-    HuffmanTable,
-    decode_magnitude_bits,
-)
+from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.markers import JpegFormatError, Segment
 from repro.jpeg.native import decode as native_decode
 from repro.jpeg.quantization import dequantize
@@ -67,8 +64,6 @@ class _DecoderState:
     progressive: bool = False
     components: list[_FrameComponent] = field(default_factory=list)
     quant_tables: dict[int, np.ndarray] = field(default_factory=dict)
-    dc_decoders: dict[int, HuffmanDecoder] = field(default_factory=dict)
-    ac_decoders: dict[int, HuffmanDecoder] = field(default_factory=dict)
     dc_tables: dict[int, HuffmanTable] = field(default_factory=dict)
     ac_tables: dict[int, HuffmanTable] = field(default_factory=dict)
     restart_interval: int = 0
@@ -118,12 +113,9 @@ def _parse_dht(state: _DecoderState, payload: bytes) -> None:
         values = tuple(payload[position : position + count])
         position += count
         table = HuffmanTable(bits=bits, values=values)
-        decoder = HuffmanDecoder(table)
         if table_class == 0:
-            state.dc_decoders[table_id] = decoder
             state.dc_tables[table_id] = table
         else:
-            state.ac_decoders[table_id] = decoder
             state.ac_tables[table_id] = table
 
 
@@ -196,14 +188,12 @@ def _parse_sof(state: _DecoderState, segment: Segment) -> None:
 @dataclass
 class _ScanSpec:
     components: list[_FrameComponent]
-    dc_decoders: list[HuffmanDecoder | None]
-    ac_decoders: list[HuffmanDecoder | None]
+    dc_tables: list[HuffmanTable | None]
+    ac_tables: list[HuffmanTable | None]
     spectral_start: int
     spectral_end: int
     approx_high: int
     approx_low: int
-    dc_tables: list[HuffmanTable | None] = field(default_factory=list)
-    ac_tables: list[HuffmanTable | None] = field(default_factory=list)
 
 
 def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
@@ -217,8 +207,6 @@ def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
             f"invalid scan header: {num_components} components, not 1-4"
         )
     components = []
-    dc_decoders: list[HuffmanDecoder | None] = []
-    ac_decoders: list[HuffmanDecoder | None] = []
     dc_tables: list[HuffmanTable | None] = []
     ac_tables: list[HuffmanTable | None] = []
     position = 1
@@ -241,8 +229,6 @@ def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
                 f"invalid scan header: component {identifier} named twice"
             )
         components.append(component)
-        dc_decoders.append(state.dc_decoders.get(table_ids >> 4))
-        ac_decoders.append(state.ac_decoders.get(table_ids & 0x0F))
         dc_tables.append(state.dc_tables.get(table_ids >> 4))
         ac_tables.append(state.ac_tables.get(table_ids & 0x0F))
     blocks_per_mcu = sum(c.h_sampling * c.v_sampling for c in components)
@@ -255,56 +241,13 @@ def _parse_sos(state: _DecoderState, payload: bytes) -> _ScanSpec:
     approx = payload[position + 2]
     return _ScanSpec(
         components=components,
-        dc_decoders=dc_decoders,
-        ac_decoders=ac_decoders,
+        dc_tables=dc_tables,
+        ac_tables=ac_tables,
         spectral_start=spectral_start,
         spectral_end=spectral_end,
         approx_high=approx >> 4,
         approx_low=approx & 0x0F,
-        dc_tables=dc_tables,
-        ac_tables=ac_tables,
     )
-
-
-def _decode_dc(
-    reader: BitReader, decoder: HuffmanDecoder, prev_dc: int
-) -> int:
-    """One DC difference added to its predictor (F.2.2.1)."""
-    category = decoder.decode(reader)
-    dc = prev_dc + decode_magnitude_bits(reader.read(category), category)
-    if not -(1 << 20) <= dc <= (1 << 20):
-        # 8-bit baseline DCs fit in 12 bits; runaway predictions mean a
-        # corrupt stream, not a huge image.
-        raise JpegFormatError("DC prediction out of range (corrupt scan)")
-    return dc
-
-
-def _decode_block_sequential(
-    reader: BitReader,
-    zigzag: np.ndarray,
-    dc_decoder: HuffmanDecoder,
-    ac_decoder: HuffmanDecoder,
-    prev_dc: int,
-) -> int:
-    dc = _decode_dc(reader, dc_decoder, prev_dc)
-    zigzag[0] = dc
-    k = 1
-    while k <= 63:
-        symbol = ac_decoder.decode(reader)
-        run = symbol >> 4
-        size = symbol & 0x0F
-        if size == 0:
-            if run == 15:
-                k += 16  # ZRL
-                continue
-            break  # EOB
-        k += run
-        if k > 63:
-            raise JpegFormatError("AC run exceeds block bounds")
-        bits = reader.read(size)
-        zigzag[k] = decode_magnitude_bits(bits, size)
-        k += 1
-    return dc
 
 
 def _check_scan_tables(state: _DecoderState, spec: _ScanSpec) -> None:
@@ -315,9 +258,9 @@ def _check_scan_tables(state: _DecoderState, spec: _ScanSpec) -> None:
         spec.spectral_start == 0 and spec.approx_high == 0
     )
     needs_ac = not state.progressive or spec.spectral_start > 0
-    if needs_dc and any(d is None for d in spec.dc_decoders):
+    if needs_dc and any(t is None for t in spec.dc_tables):
         raise JpegFormatError("scan references a missing DC Huffman table")
-    if needs_ac and any(d is None for d in spec.ac_decoders):
+    if needs_ac and any(t is None for t in spec.ac_tables):
         raise JpegFormatError("scan references a missing AC Huffman table")
     if not 0 <= spec.spectral_start <= spec.spectral_end <= 63:
         raise JpegFormatError(
@@ -326,138 +269,6 @@ def _check_scan_tables(state: _DecoderState, spec: _ScanSpec) -> None:
         )
     if state.progressive and spec.spectral_start and len(spec.components) > 1:
         raise JpegFormatError("progressive AC scans must be non-interleaved")
-
-
-# -- scalar engine ------------------------------------------------------------
-#
-# Each function decodes one restart interval of a scan: the blocks at
-# ``flats[i]`` of ``blocks[slots[i]]``, with the predictors and EOB run
-# starting from zero.
-
-
-def _decode_baseline_interval(reader, spec, blocks, slots, flats) -> None:
-    prev_dc = [0] * len(blocks)
-    for slot, flat in zip(slots, flats):
-        prev_dc[slot] = _decode_block_sequential(
-            reader,
-            blocks[slot][flat],
-            spec.dc_decoders[slot],
-            spec.ac_decoders[slot],
-            prev_dc[slot],
-        )
-
-
-def _decode_dc_first_interval(reader, spec, blocks, slots, flats) -> None:
-    prev_dc = [0] * len(blocks)
-    for slot, flat in zip(slots, flats):
-        prev_dc[slot] = _decode_dc(
-            reader, spec.dc_decoders[slot], prev_dc[slot]
-        )
-        blocks[slot][flat, 0] = prev_dc[slot] << spec.approx_low
-
-
-def _decode_dc_refine_interval(reader, spec, blocks, slots, flats) -> None:
-    """DC refinement: one raw bit per block sets bit Al of each DC."""
-    bit_value = np.int32(1 << spec.approx_low)
-    for slot, flat in zip(slots, flats):
-        if reader.read_bit():
-            blocks[slot][flat, 0] |= bit_value
-
-
-def _decode_ac_first_interval(reader, spec, blocks, slots, flats) -> None:
-    decoder = spec.ac_decoders[0]
-    shift = spec.approx_low
-    eob_run = 0
-    for flat in flats:
-        if eob_run > 0:
-            eob_run -= 1
-            continue
-        block = blocks[0][flat]
-        k = spec.spectral_start
-        while k <= spec.spectral_end:
-            symbol = decoder.decode(reader)
-            run = symbol >> 4
-            size = symbol & 0x0F
-            if size == 0:
-                if run == 15:
-                    k += 16
-                    continue
-                eob_run = (1 << run) - 1
-                if run:
-                    eob_run += reader.read(run)
-                break
-            k += run
-            if k > spec.spectral_end:
-                raise JpegFormatError("AC run exceeds spectral band")
-            bits = reader.read(size)
-            block[k] = decode_magnitude_bits(bits, size) << shift
-            k += 1
-
-
-def _decode_ac_refine_interval(reader, spec, blocks, slots, flats) -> None:
-    """AC refinement pass (T.81 G.1.2.3 / jdphuff decode_mcu_AC_refine)."""
-    decoder = spec.ac_decoders[0]
-    positive = np.int32(1 << spec.approx_low)
-    negative = np.int32(-(1 << spec.approx_low))
-    eob_run = 0
-
-    def correct(block, k) -> None:
-        """Read a correction bit for an already-nonzero coefficient."""
-        if reader.read_bit():
-            if (int(block[k]) & int(positive)) == 0:
-                block[k] += positive if block[k] >= 0 else negative
-
-    for flat in flats:
-        block = blocks[0][flat]
-        k = spec.spectral_start
-        if eob_run == 0:
-            while k <= spec.spectral_end:
-                symbol = decoder.decode(reader)
-                run = symbol >> 4
-                size = symbol & 0x0F
-                new_value = 0
-                if size == 0:
-                    if run != 15:
-                        eob_run = 1 << run
-                        if run:
-                            eob_run += reader.read(run)
-                        break
-                    # run == 15 (ZRL): skip 16 zero-history slots.
-                else:
-                    if size != 1:
-                        raise JpegFormatError(
-                            "refinement scan symbol with size > 1"
-                        )
-                    new_value = positive if reader.read_bit() else negative
-                # Advance over coefficients, applying correction bits to
-                # nonzero-history ones, consuming `run` zero-history
-                # positions.
-                while k <= spec.spectral_end:
-                    if block[k] != 0:
-                        correct(block, k)
-                    else:
-                        if run == 0:
-                            break
-                        run -= 1
-                    k += 1
-                if new_value and k <= spec.spectral_end:
-                    block[k] = new_value
-                k += 1
-        if eob_run > 0:
-            while k <= spec.spectral_end:
-                if block[k] != 0:
-                    correct(block, k)
-                k += 1
-            eob_run -= 1
-
-
-_SCALAR_INTERVALS = {
-    "baseline": _decode_baseline_interval,
-    "dc_first": _decode_dc_first_interval,
-    "dc_refine": _decode_dc_refine_interval,
-    "ac_first": _decode_ac_first_interval,
-    "ac_refine": _decode_ac_refine_interval,
-}
 
 
 def _allocate_first_reached(
@@ -495,13 +306,15 @@ def _allocate_first_reached(
 
 
 def _decode_scan(
-    state: _DecoderState, spec: _ScanSpec, data: bytes, engine: str
+    state: _DecoderState,
+    spec: _ScanSpec,
+    data: bytes,
+    decode_scan: Callable[..., None],
 ) -> None:
-    """Decode one scan along its visit plan on ``engine``.
+    """Decode one scan along its visit plan with ``decode_scan``.
 
-    The plan splits into intervals of ``restart_interval`` MCUs; the
-    scalar engine reads the RSTn between two, which fails unless the
-    previous interval ended within its padding bits.
+    The plan splits into intervals of ``restart_interval`` MCUs, one
+    restart segment each.
     """
     if not state.progressive:
         kind = "baseline"
@@ -512,58 +325,36 @@ def _decode_scan(
     grids = [(c.blocks_y, c.blocks_x) for c in spec.components]
     _allocate_first_reached(kind, spec, data, samplings, grids)
     slots, flats = scan_visit_plan(samplings, grids, spill=True)
-    blocks = [c.coefficients for c in spec.components]
-    if engine == "native":
-        native_decode.decode_scan(
-            kind,
-            data,
-            restart_interval=state.restart_interval,
-            slots=slots,
-            flats=flats,
-            views=blocks,
-            dc_tables=spec.dc_tables,
-            ac_tables=spec.ac_tables,
-            spectral=(spec.spectral_start, spec.spectral_end),
-            al=spec.approx_low,
-        )
-        return
-    decode = _SCALAR_INTERVALS[kind]
-    reader = BitReader(data)
-    interval = state.restart_interval or len(flats)
-    try:
-        for start in range(0, len(flats), interval):
-            if start:
-                reader.consume_restart_marker()
-            decode(
-                reader,
-                spec,
-                blocks,
-                slots[start : start + interval].ravel().tolist(),
-                flats[start : start + interval].ravel().tolist(),
-            )
-    except (MarkerFound, EndOfData):
-        raise JpegFormatError(
-            f"entropy data ended before {native_decode.SCAN_NAMES[kind]} "
-            "completed"
-        )
-    except ValueError as error:
-        raise JpegFormatError(str(error))
+    decode_scan(
+        kind,
+        data,
+        restart_interval=state.restart_interval,
+        slots=slots,
+        flats=flats,
+        views=[c.coefficients for c in spec.components],
+        dc_tables=spec.dc_tables,
+        ac_tables=spec.ac_tables,
+        spectral=(spec.spectral_start, spec.spectral_end),
+        al=spec.approx_low,
+    )
 
 
-def decode_to_coefficients(
-    data: bytes, engine: str | None = None
-) -> CoefficientImage:
+def decode_to_coefficients(data: bytes) -> CoefficientImage:
     """Decode a JPEG byte stream to quantized coefficients.
 
     This is the ``jpegio``-style entry point used by the P3 splitter and
-    reconstructor: no dequantization or IDCT is performed.  ``engine``
-    picks the entropy engine (``None`` or ``"native"``, the C kernel;
-    ``"scalar"``, the T.81 reference).  Both produce bit-identical
-    results.
+    reconstructor: no dequantization or IDCT is performed.
     """
-    from repro.jpeg.engines import resolve_engine
+    return _decode_coefficients(data, native_decode.decode_scan)
 
-    engine = resolve_engine(engine)
+
+def _decode_coefficients(
+    data: bytes, decode_scan: Callable[..., None]
+) -> CoefficientImage:
+    """:func:`decode_to_coefficients` with ``decode_scan``, which has
+    the signature of :func:`repro.jpeg.native.decode.decode_scan`,
+    decoding each scan.  The scalar T.81 oracle in the tests plugs in
+    here."""
     state = _DecoderState()
     segments = markers.parse_segments(data)
     for segment in segments:
@@ -586,7 +377,7 @@ def decode_to_coefficients(
                 raise JpegFormatError("SOS before frame header")
             spec = _parse_sos(state, segment.payload)
             _check_scan_tables(state, spec)
-            _decode_scan(state, spec, segment.entropy_data, engine)
+            _decode_scan(state, spec, segment.entropy_data, decode_scan)
     if not state.components:
         raise JpegFormatError("no frame header found")
 

@@ -13,25 +13,22 @@ JPEG byte stream.  Supports:
 Both start with the same frame header, so every mode keeps the image's
 APPn and COM segments.
 
-Each scan is coded in two passes by :func:`~repro.jpeg.scans.run_scan`
-on one of two engines.  The native engine (the default) runs each scan
-kind's token generation, symbol counting and bit writing in the C
-kernel (:mod:`repro.jpeg.native.encode`); the scalar engine walks the
-per-symbol T.81 loops below and in :mod:`repro.jpeg.scans`, and is the
-native engine's byte-for-byte oracle.  Both visit each scan's blocks
-along its :func:`~repro.jpeg.blocks.scan_visit_plan`, the order a
-decoder reads them in.
+Each scan is coded in two passes by :func:`~repro.jpeg.scans.run_scan`:
+the C kernel (:mod:`repro.jpeg.native.encode`) runs each scan kind's
+token generation, symbol counting and bit writing, visiting the scan's
+blocks along its :func:`~repro.jpeg.blocks.scan_visit_plan`, the order
+a decoder reads them in.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.jpeg import markers
-from repro.jpeg.bitstream import BitWriter
 from repro.jpeg.blocks import block_grid_shape, scan_visit_plan
 from repro.jpeg.huffman import (
     HuffmanTable,
@@ -39,60 +36,17 @@ from repro.jpeg.huffman import (
     STANDARD_AC_LUMINANCE,
     STANDARD_DC_CHROMINANCE,
     STANDARD_DC_LUMINANCE,
-    encode_magnitude_bits,
-    magnitude_category,
 )
 from repro.jpeg.markers import JpegFormatError, Segment
 from repro.jpeg.native import encode as native_encode
 from repro.jpeg.scans import (
     Scan,
-    ScalarScan,
     ScanSpec,
     run_scan,
-    scalar_scans,
     spectral_selection_script,
-    zigzag_blocks,
 )
 from repro.jpeg.structures import CoefficientImage
 from repro.jpeg.zigzag import ZIGZAG_ORDER
-
-
-def _encode_block_sequential(
-    zigzag: np.ndarray, prev_dc: int, dc_sink: object, ac_sink: object
-) -> int:
-    """Encode one full 64-coefficient block (baseline scan); returns
-    its DC, the next block's predictor."""
-    dc = int(zigzag[0])
-    diff = dc - prev_dc
-    category = magnitude_category(diff)
-    dc_sink.symbol(category)
-    dc_sink.bits(encode_magnitude_bits(diff, category), category)
-
-    nonzero = np.nonzero(zigzag[1:])[0]
-    if len(nonzero) == 0:
-        ac_sink.symbol(0x00)  # EOB
-        return dc
-    last = int(nonzero[-1]) + 1  # index into zigzag[1..63] space
-    run = 0
-    for k in range(1, last + 1):
-        value = int(zigzag[k])
-        if value == 0:
-            run += 1
-            continue
-        while run > 15:
-            ac_sink.symbol(0xF0)  # ZRL: run of 16 zeros
-            run -= 16
-        category = magnitude_category(value)
-        if category > 15:
-            # The symbol's size field has 4 bits (libjpeg's
-            # JERR_BAD_DCT_COEF).
-            raise JpegFormatError("DCT coefficient out of range")
-        ac_sink.symbol((run << 4) | category)
-        ac_sink.bits(encode_magnitude_bits(value, category), category)
-        run = 0
-    if last < 63:
-        ac_sink.symbol(0x00)  # EOB
-    return dc
 
 
 def _dht_segment(table_class: int, table_id: int, table: HuffmanTable) -> Segment:
@@ -221,88 +175,44 @@ def _visit_plan(
     )
 
 
-def _run_baseline_scan(
-    blocks: list[np.ndarray],
-    slots: np.ndarray,
-    flats: np.ndarray,
-    restart_interval: int,
-    dc_sinks: list[object],
-    ac_sinks: list[object],
-    writer: BitWriter | None,
-) -> None:
-    """Encode a baseline scan along its visit plan, ``blocks[slot]``
-    holding each component's zigzag rows.
-
-    With ``restart_interval`` > 0, an RSTn marker is emitted (and DC
-    predictors reset) after every interval of MCUs; during the
-    Huffman-counting pass ``writer`` is None and only the predictor
-    resets apply, which is what makes the two passes agree.
-    """
-    predictors = [0] * len(blocks)
-    for mcu, (mcu_slots, mcu_flats) in enumerate(
-        zip(slots.tolist(), flats.tolist())
-    ):
-        if restart_interval and mcu and mcu % restart_interval == 0:
-            if writer is not None:
-                writer.write_restart_marker((mcu // restart_interval - 1) % 8)
-            predictors = [0] * len(blocks)
-        for slot, flat in zip(mcu_slots, mcu_flats):
-            predictors[slot] = _encode_block_sequential(
-                blocks[slot][flat],
-                predictors[slot],
-                dc_sinks[slot],
-                ac_sinks[slot],
-            )
-
-
 def encode_baseline(
     image: CoefficientImage,
     optimize_huffman: bool = True,
     restart_interval: int = 0,
-    engine: str | None = None,
 ) -> bytes:
     """Encode a coefficient image as a baseline sequential JPEG.
 
     ``restart_interval`` > 0 emits a DRI segment and RSTn markers every
     that many MCUs (resilience against corrupt scans, at a small size
-    cost).  ``engine`` selects the entropy engine (``None`` or
-    ``"native"``, the C kernel; ``"scalar"``, the reference encoder) —
-    both produce byte-identical streams, and both raise
-    :class:`~repro.jpeg.markers.JpegFormatError` for an AC value that
-    needs more than 15 magnitude bits.  The one scan interleaves every
-    component, so an image of more than 4 components or more than 10
-    blocks per MCU is a ``JpegFormatError`` too.  A component whose
-    block grid is not the one the frame gives it is a ``ValueError``,
-    in both encoders.
+    cost).  An AC value that needs more than 15 magnitude bits is a
+    :class:`~repro.jpeg.markers.JpegFormatError`.  The one scan
+    interleaves every component, so an image of more than 4 components
+    or more than 10 blocks per MCU is a ``JpegFormatError`` too.  A
+    component whose block grid is not the one the frame gives it is a
+    ``ValueError``.
     """
-    from repro.jpeg.engines import resolve_engine
+    return _encode_baseline(
+        image, optimize_huffman, restart_interval, native_encode.baseline_scan
+    )
 
-    engine = resolve_engine(engine)
+
+def _encode_baseline(
+    image: CoefficientImage,
+    optimize_huffman: bool,
+    restart_interval: int,
+    baseline_scan: Callable[..., Scan],
+) -> bytes:
+    """:func:`encode_baseline` with its one :class:`~repro.jpeg.scans.Scan`
+    built by ``baseline_scan``, which has the signature of
+    :func:`repro.jpeg.native.encode.baseline_scan`.  The scalar T.81
+    oracle in the tests plugs in here."""
     if restart_interval < 0 or restart_interval > 0xFFFF:
         raise ValueError(f"invalid restart interval {restart_interval}")
     _check_interleave(image, range(len(image.components)))
     segments = _frame_header(image, progressive=False)
     table_ids = _huffman_table_ids(len(image.components))
     slots, flats = _visit_plan(image, range(len(image.components)))
-    scan: Scan
-    if engine == "scalar":
-        blocks = [zigzag_blocks(c.coefficients) for c in image.components]
-        scan = ScalarScan(
-            lambda sinks, writer: _run_baseline_scan(
-                blocks,
-                slots,
-                flats,
-                restart_interval,
-                [sinks[0, t] for t in table_ids],
-                [sinks[1, t] for t in table_ids],
-                writer,
-            ),
-            [(table_class, t) for t in table_ids for table_class in (0, 1)],
-        )
-    else:
-        scan = native_encode.baseline_scan(
-            image, table_ids, restart_interval, slots, flats
-        )
+    scan = baseline_scan(image, table_ids, restart_interval, slots, flats)
     standard = None
     if not optimize_huffman:
         standard = {
@@ -335,7 +245,6 @@ def encode_baseline(
 def encode_progressive(
     image: CoefficientImage,
     script: list[ScanSpec] | None = None,
-    engine: str | None = None,
 ) -> bytes:
     """Encode a coefficient image as a progressive JPEG (SOF2).
 
@@ -345,22 +254,29 @@ def encode_progressive(
     :func:`~repro.jpeg.scans.default_sa_script` adds successive
     approximation.  Each scan's Huffman tables are optimized for it and
     sent just before it (:func:`~repro.jpeg.scans.run_scan`).
-    ``engine`` selects the entropy engine as in :func:`encode_baseline`.
     A DC scan that interleaves more than 4 components or more than 10
     blocks per MCU is a :class:`~repro.jpeg.markers.JpegFormatError`;
     a script with one DC scan per component codes such an image.
     """
-    from repro.jpeg.engines import resolve_engine
+    return _encode_progressive(image, script, native_encode.progressive_scans)
 
-    engine = resolve_engine(engine)
+
+def _encode_progressive(
+    image: CoefficientImage,
+    script: list[ScanSpec] | None,
+    progressive_scans: Callable[..., Callable[..., Scan]],
+) -> bytes:
+    """:func:`encode_progressive` with its :class:`~repro.jpeg.scans.Scan`
+    objects built by ``progressive_scans``, which has the signature of
+    :func:`repro.jpeg.native.encode.progressive_scans`.  The scalar T.81
+    oracle in the tests plugs in here."""
     if script is None:
         script = spectral_selection_script(len(image.components))
     for spec in script:
         _check_interleave(image, spec.component_indices)
     segments = _frame_header(image, progressive=True)
     table_ids = _huffman_table_ids(len(image.components))
-    scans = scalar_scans if engine == "scalar" else native_encode.progressive_scans
-    scan_for = scans(image, table_ids)
+    scan_for = progressive_scans(image, table_ids)
     for spec in script:
         plan = _visit_plan(image, spec.component_indices)
         tables, entropy = run_scan(scan_for(spec, *plan))

@@ -1,10 +1,11 @@
-"""Canonical Huffman tables and codecs for JPEG (ITU-T T.81 Annex C/F/K).
+"""Canonical Huffman tables for JPEG (ITU-T T.81 Annex C/K).
 
 A JPEG Huffman table is transmitted as BITS (the number of codes of each
 length 1..16) plus HUFFVAL (the symbol values in code order).  This module
-builds encoder maps and Annex-F decoder tables from that representation,
-ships the Annex-K standard tables, and can derive optimized tables from
-symbol frequencies (the equivalent of libjpeg's two-pass optimal coding).
+builds the C kernel's flat code arrays and decoding table from that
+representation, ships the Annex-K standard tables, and can derive
+optimized tables from symbol frequencies (the equivalent of libjpeg's
+two-pass optimal coding).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.jpeg.bitstream import BitReader, BitWriter
 from repro.jpeg.markers import JpegFormatError
 
 
@@ -44,73 +44,6 @@ class HuffmanTable:
                 lengths[self.values[index]] = length_minus_1 + 1
                 index += 1
         return lengths
-
-
-class HuffmanEncoder:
-    """Encodes symbols with a canonical Huffman table."""
-
-    def __init__(self, table: HuffmanTable) -> None:
-        self._codes: dict[int, tuple[int, int]] = {}
-        code = 0
-        index = 0
-        for length_minus_1, count in enumerate(table.bits):
-            length = length_minus_1 + 1
-            for _ in range(count):
-                symbol = table.values[index]
-                self._codes[symbol] = (code, length)
-                code += 1
-                index += 1
-            code <<= 1
-
-    def encode(self, writer: BitWriter, symbol: int) -> None:
-        """Write the code for ``symbol`` to ``writer``."""
-        try:
-            code, length = self._codes[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol:#x} not in Huffman table")
-        writer.write(code, length)
-
-    def code_for(self, symbol: int) -> tuple[int, int]:
-        """Return ``(code, length)`` for a symbol (for testing)."""
-        return self._codes[symbol]
-
-    def __contains__(self, symbol: int) -> bool:
-        return symbol in self._codes
-
-
-class HuffmanDecoder:
-    """Decodes symbols using the Annex F.2.2.3 MINCODE/MAXCODE procedure."""
-
-    def __init__(self, table: HuffmanTable) -> None:
-        self._min_code = [0] * 17
-        self._max_code = [-1] * 17
-        self._val_pointer = [0] * 17
-        self._values = table.values
-        code = 0
-        index = 0
-        for length in range(1, 17):
-            count = table.bits[length - 1]
-            if count:
-                self._val_pointer[length] = index
-                self._min_code[length] = code
-                code += count
-                index += count
-                self._max_code[length] = code - 1
-            else:
-                self._max_code[length] = -1
-            code <<= 1
-
-    def decode(self, reader: BitReader) -> int:
-        """Read one Huffman-coded symbol from ``reader``."""
-        code = reader.read_bit()
-        length = 1
-        while code > self._max_code[length]:
-            length += 1
-            if length > 16:
-                raise ValueError("corrupt Huffman code (length > 16)")
-            code = (code << 1) | reader.read_bit()
-        offset = code - self._min_code[length]
-        return self._values[self._val_pointer[length] + offset]
 
 
 def build_optimized_table(frequencies: dict[int, int]) -> HuffmanTable:
@@ -261,41 +194,8 @@ STANDARD_AC_CHROMINANCE = _table(
 )
 
 
-def magnitude_category(value: int) -> int:
-    """Return the JPEG magnitude category (SSSS) of a coefficient."""
-    magnitude = abs(int(value))
-    category = 0
-    while magnitude:
-        magnitude >>= 1
-        category += 1
-    return category
-
-
-def encode_magnitude_bits(value: int, category: int) -> int:
-    """Return the 'additional bits' for a value in the given category.
-
-    Positive values are written as-is; negative values use the one's
-    complement convention of T.81 F.1.2.1.
-    """
-    if category == 0:
-        return 0
-    if value >= 0:
-        return value
-    return value + (1 << category) - 1
-
-
-def decode_magnitude_bits(bits: int, category: int) -> int:
-    """Inverse of :func:`encode_magnitude_bits` (T.81 F.2.2.1 EXTEND)."""
-    if category == 0:
-        return 0
-    if bits < (1 << (category - 1)):
-        return bits - (1 << category) + 1
-    return bits
-
-
 # ---------------------------------------------------------------------------
-# Native engine: tables in the flat forms the C kernel's decode and
-# encode loops read.
+# Tables in the flat forms the C kernel's decode and encode loops read.
 # ---------------------------------------------------------------------------
 
 

@@ -4,9 +4,9 @@
 end in one kernel call: the raw (still-stuffed) entropy bytes go in,
 the kernel splits them at their RSTn markers and destuffs each restart
 segment itself, the component coefficient views are filled in place,
-and kernel error codes come back as the exception the scalar engine
-raises on the same stream (:class:`~repro.jpeg.markers.JpegFormatError`,
-or ``OverflowError``).  It owns the pointer plumbing (the segment
+and kernel error codes come back as the exception the scalar T.81
+oracle raises on the same stream
+(:class:`~repro.jpeg.markers.JpegFormatError`, or ``OverflowError``).  It owns the pointer plumbing (the segment
 buffer, per-slot LUT and view pointer arrays), so ``repro.jpeg.decoder``
 only hands over the scan's visit plan.  It raises
 :class:`~repro.jpeg.native.kernel.NativeUnavailableError` when the
@@ -35,7 +35,7 @@ from repro.jpeg.native.kernel import (
 )
 
 #: What the five scan kinds are called in "entropy data ended before
-#: ... completed", on both engines.  The kernel numbers the kinds in
+#: ... completed".  The kernel numbers the kinds in
 #: this order.
 SCAN_NAMES = {
     "baseline": "scan",
@@ -48,7 +48,7 @@ _KIND_CODES = {kind: code for code, kind in enumerate(SCAN_NAMES)}
 
 
 def _raise_for(code: int, kind: str) -> None:
-    """Map a kernel error code to the scalar engine's exception."""
+    """Map a kernel error code to its exception."""
     if code == OK:
         return
     if code == ERR_HUFF:
@@ -111,9 +111,9 @@ def decode_scan(
     The plan splits into intervals of ``restart_interval`` MCUs (the
     whole scan when 0), one restart segment each.  Each interval starts
     with zeroed DC predictors and EOB run, and the previous segment must
-    be consumed to within its padding bits, as the scalar engine
-    requires when it reads the RSTn.  The kernel walks every interval
-    in one call, destuffing each segment into one buffer.
+    be consumed to within its padding bits before its RSTn.  The kernel
+    walks every interval in one call, destuffing each segment into one
+    buffer.
     """
     handle = require_kernel()
     ffi, lib = handle.ffi, handle.lib

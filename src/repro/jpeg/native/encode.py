@@ -13,7 +13,7 @@ clamped block index and zigzag order a table in the kernel.  The AC
 loops walk their one component's blocks in raster order, which is what
 a one-component plan is.
 
-Both passes raise what the scalar encoder raises on the same image:
+Both passes raise what the scalar T.81 oracle raises on the same image:
 :class:`~repro.jpeg.markers.JpegFormatError` for an AC value that needs
 more than 15 magnitude bits, and ``ValueError`` for a symbol missing
 from a given table.  Building a scan raises

@@ -10,7 +10,7 @@ extension-module machinery, no new dependencies.  Artifacts are cached
 under the repository's ``build/`` directory keyed by a SHA-256 of the C
 source, so a source change recompiles and a warm tree just dlopens.
 
-The native engine requires the kernel.  The build is tried once per
+The codec requires the kernel.  The build is tried once per
 process; a missing compiler, a failed compile or a failed ``dlopen`` is
 recorded, :func:`status` reports it, and :func:`require_kernel` raises
 :class:`NativeUnavailableError` carrying it.  Importing this module
@@ -20,9 +20,10 @@ One C call decodes a whole scan (``p3_decode_scan``): it finds the
 RSTn markers, destuffs each restart segment into one zero-padded
 buffer, and runs the scan kind's loop once per restart interval.  Each
 loop reads its segment through a zero-padded 16-bit peek, fails with
-EndOfData when a consume passes the segment end, and checks the scalar
-decoder's error conditions in its order, so both engines reach the
-same verdict on every stream.
+EndOfData when a consume passes the segment end, and checks the T.81
+decoder's error conditions in the order the scalar test oracle
+(``tests/jpeg/scalar_codec.py``) checks them, so both reach the same
+verdict on every stream.
 
 Each C encode loop covers one of the five scan kinds (baseline, DC
 first, DC refinement, AC first, AC refinement) and runs twice, like

@@ -38,6 +38,12 @@ from repro.transforms.enhance import unsharp_mask
 from repro.transforms.resize import fit_within, resize_plane
 
 
+def _round_plane(plane: np.ndarray) -> np.ndarray:
+    """One float plane rounded half to even and clipped to uint8, as
+    :func:`~repro.jpeg.native.pixels.planes_to_rgb8` packs each plane."""
+    return planes_to_rgb8([plane] * 3)[..., 0]
+
+
 class UploadRejectedError(ValueError):
     """The PSP refused an upload (e.g. not a decodable JPEG)."""
 
@@ -135,52 +141,48 @@ class PhotoSharingProvider:  # relint: implements PSPBackend
         if pixels.ndim == 2:
             # Rounded, like every other float-to-uint8 step here; a
             # truncating cast would bias each variant dark.
-            rgb = planes_to_rgb8([pixels] * 3)
-            grayscale = True
+            planes = [_round_plane(pixels)]
         else:
-            rgb = pixels
-            grayscale = False
+            planes = [pixels[..., channel] for channel in range(3)]
         variants = {}
         for resolution in self.static_resolutions:
-            variants[resolution] = self._transcode(
-                rgb, resolution, grayscale
-            )
+            variants[resolution] = self._transcode(planes, resolution)
         with self._lock:
             photo_id = self._new_photo_id(data)
             self._photos[photo_id] = _StoredPhoto(
                 owner=owner,
                 viewers=set(viewers or set()) | {owner},
                 variants=variants,
-                original_size=(rgb.shape[0], rgb.shape[1]),
+                original_size=planes[0].shape,
             )
         return photo_id
 
-    def _transcode(
-        self, rgb: np.ndarray, resolution: int, grayscale: bool
-    ) -> bytes:
-        """Run the private pipeline to one static resolution."""
-        height, width = rgb.shape[:2]
+    def _transcode(self, planes: list[np.ndarray], resolution: int) -> bytes:
+        """Run the private pipeline to one static resolution: the three
+        RGB planes of a colour photo, or the one plane of a grey one."""
+        height, width = planes[0].shape
         out_h, out_w = fit_within(height, width, resolution, resolution)
-        planes = []
-        for channel in range(3):
-            plane = resize_plane(
-                rgb[..., channel], out_h, out_w, self._pipeline.kernel
-            )
+        resized = []
+        for plane in planes:
+            plane = resize_plane(plane, out_h, out_w, self._pipeline.kernel)
             if self._pipeline.sharpen_amount > 0:
                 plane = unsharp_mask(
                     plane, radius=1.0, amount=self._pipeline.sharpen_amount
                 )
-            planes.append(plane)
-        resized = planes_to_rgb8(planes)
-        if grayscale:
-            luma = resized[..., 0]
+            resized.append(plane)
+        return self._encode(resized)
+
+    def _encode(self, planes: list[np.ndarray]) -> bytes:
+        """Round and clip float planes to 8 bits and encode them: one
+        plane as a grey JPEG, three as a 4:4:4 colour one."""
+        if len(planes) == 1:
             return encode_gray(
-                luma.astype(np.float64),
+                _round_plane(planes[0]),
                 quality=self._pipeline.quality,
                 progressive=self._pipeline.progressive,
             )
         return encode_rgb(
-            resized,
+            planes_to_rgb8(planes),
             quality=self._pipeline.quality,
             subsampling="4:4:4",
             progressive=self._pipeline.progressive,
@@ -240,31 +242,19 @@ class PhotoSharingProvider:  # relint: implements PSPBackend
         crop_box: tuple[int, int, int, int] | None,
     ) -> bytes:
         pixels = decode(data)
-        grayscale = pixels.ndim == 2
-        if grayscale:
-            pixels = np.stack([pixels] * 3, axis=-1)
+        if pixels.ndim == 2:
+            planes = [pixels]
+        else:
+            planes = [pixels[..., channel] for channel in range(3)]
         height, width = pixels.shape[:2]
         out_h, out_w = fit_within(height, width, resolution, resolution)
-        planes = []
-        for channel in range(3):
-            plane = resize_plane(
-                pixels[..., channel], out_h, out_w, self._pipeline.kernel
-            )
+        resized = []
+        for plane in planes:
+            plane = resize_plane(plane, out_h, out_w, self._pipeline.kernel)
             if crop_box is not None:
                 plane = Crop(*crop_box)(plane)
-            planes.append(plane)
-        out = planes_to_rgb8(planes)
-        if grayscale:
-            return encode_gray(
-                out[..., 0].astype(np.float64),
-                quality=self._pipeline.quality,
-                progressive=self._pipeline.progressive,
-            )
-        return encode_rgb(
-            out,
-            quality=self._pipeline.quality,
-            progressive=self._pipeline.progressive,
-        )
+            resized.append(plane)
+        return self._encode(resized)
 
     def delete(self, photo_id: str) -> None:
         """Remove a photo and its variants (missing IDs are a no-op).

@@ -1,8 +1,9 @@
-"""AES correctness against FIPS-197 test vectors."""
+"""AES tables, and the scalar oracle against FIPS-197 test vectors."""
 
 import pytest
 
-from repro.crypto.aes import AES, SBOX, _gf_multiply
+from repro.crypto.aes import SBOX, _gf_multiply
+from tests.crypto.oracles import AES
 
 
 class TestSbox:

@@ -4,12 +4,15 @@ Every upload and view passes through the trusted proxy, so whatever its
 doors import is paid at every restart and held for the process's life.
 The doors (``P3Gateway``, ``AsyncGateway``, ``P3Session``) and the
 backends they are wired with must not load scipy, the attack suite
-(``repro.vision``) or the synthetic corpora (``repro.datasets``).
+(``repro.vision``) or the synthetic corpora (``repro.datasets``), nor
+anything under ``tests`` (the scalar codec and AES oracles live there,
+and production reaches them through no option).
 
 The check runs in a fresh interpreter, and it drives an upload, a cold
 view and a repeat view through each door, so a ``from scipy import ...``
 inside a function on a request path fails it as surely as one at module
-level.
+level.  It runs from the repository root, where ``tests`` is
+importable, so an import of an oracle would succeed and be seen.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 
 #: Module-name prefixes the doors must never load.
 FORBIDDEN = ("scipy", "repro.vision", "repro.datasets")
@@ -95,6 +99,7 @@ def test_doors_load_no_scipy_vision_or_datasets():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     completed = subprocess.run(
         [sys.executable, "-c", DOORS_SCRIPT],
+        cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
@@ -104,3 +109,6 @@ def test_doors_load_no_scipy_vision_or_datasets():
     loaded = completed.stdout.split()
     assert "repro.serve.async_gateway" in loaded  # the doors really ran
     assert [name for name in loaded if name.startswith(FORBIDDEN)] == []
+    assert [
+        name for name in loaded if name == "tests" or name.startswith("tests.")
+    ] == []

@@ -1,8 +1,8 @@
-"""Tests for bit-level I/O and byte stuffing."""
+"""Tests for the scalar oracle's bit-level I/O and byte stuffing."""
 
 import pytest
 
-from repro.jpeg.bitstream import BitReader, BitWriter, EndOfData, MarkerFound
+from tests.jpeg.scalar_codec import BitReader, BitWriter, EndOfData, MarkerFound
 
 
 class TestBitWriter:

@@ -48,6 +48,15 @@ class TestSubsampling:
         plane = np.arange(12.0).reshape(3, 4)
         assert np.array_equal(subsample_plane(plane, 1, 1), plane)
 
+    def test_factor_one_keeps_a_float64_channel_view(self):
+        # A 4:4:4 chroma channel goes to the tiling pass, which reads
+        # strided views, without a copy.
+        ycbcr = rgb_to_ycbcr(np.zeros((16, 24, 3), dtype=np.uint8))
+        channel = ycbcr[..., 1]
+        plane = subsample_plane(channel, 1, 1)
+        assert plane.dtype == np.float64
+        assert np.shares_memory(plane, channel)
+
     def test_2x2_box_average(self):
         plane = np.array([[0.0, 2.0], [4.0, 6.0]])
         assert subsample_plane(plane, 2, 2)[0, 0] == pytest.approx(3.0)

@@ -1,10 +1,11 @@
-"""Differential tests: native entropy engine vs scalar T.81 reference.
+"""Differential tests: the codec's C kernel vs the scalar T.81 oracle.
 
-The native engine (the default) and the retained scalar implementation
-must be interchangeable at the byte level: the encoders produce
-identical streams, the decoders identical coefficient arrays, across
-baseline, progressive spectral-selection and successive-approximation
-modes, restart markers, and 0xFF byte-stuffing.
+The production codec and the scalar oracle in
+:mod:`tests.jpeg.scalar_codec` must be interchangeable at the byte
+level: the encoders produce identical streams, the decoders identical
+coefficient arrays, across baseline, progressive spectral-selection
+and successive-approximation modes, restart markers, and 0xFF
+byte-stuffing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.jpeg.bitstream import BitReader, BitWriter
 from repro.jpeg.codec import (
     encode_coefficients,
     gray_to_coefficients,
@@ -22,7 +22,6 @@ from repro.jpeg.codec import (
 from repro.jpeg.decoder import decode_to_coefficients
 from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.huffman import (
-    HuffmanEncoder,
     STANDARD_AC_CHROMINANCE,
     STANDARD_AC_LUMINANCE,
     STANDARD_DC_CHROMINANCE,
@@ -36,6 +35,8 @@ from repro.jpeg.native.decode import decode_scan
 from repro.jpeg.scans import ScanSpec
 from repro.jpeg.structures import CoefficientImage, ComponentInfo
 from repro.jpeg.zigzag import from_zigzag
+from tests.jpeg import scalar_codec
+from tests.jpeg.scalar_codec import BitReader, BitWriter, HuffmanEncoder
 
 
 # -- bit-level primitives -----------------------------------------------------
@@ -276,13 +277,11 @@ class TestEncoderEquivalence:
                         image,
                         optimize_huffman=optimize,
                         restart_interval=interval,
-                        engine=None,
                     )
-                    scalar = encode_baseline(
+                    scalar = scalar_codec.encode_baseline(
                         image,
                         optimize_huffman=optimize,
                         restart_interval=interval,
-                        engine="scalar",
                     )
                     assert fast == scalar
 
@@ -293,8 +292,8 @@ class TestEncoderEquivalence:
             gray_image, rgb_image, odd_gray_image
         ):
             for script in [None] + _custom_scripts(len(image.components)):
-                fast = encode_progressive(image, script, engine=None)
-                scalar = encode_progressive(image, script, engine="scalar")
+                fast = encode_progressive(image, script)
+                scalar = scalar_codec.encode_progressive(image, script)
                 assert fast == scalar
 
     def test_progressive_sa_byte_identical(
@@ -303,10 +302,8 @@ class TestEncoderEquivalence:
         for image in _coefficient_images(
             gray_image, rgb_image, odd_gray_image
         ):
-            fast = encode_coefficients(image, progressive="sa", engine=None)
-            scalar = encode_coefficients(
-                image, progressive="sa", engine="scalar"
-            )
+            fast = encode_coefficients(image, progressive="sa")
+            scalar = scalar_codec.encode_coefficients(image, progressive="sa")
             assert fast == scalar
 
     def test_stuffed_ff_bytes_present(self):
@@ -315,7 +312,7 @@ class TestEncoderEquivalence:
         rng = np.random.default_rng(11)
         noisy = np.clip(rng.normal(128, 64, (48, 40)), 0, 255)
         image = gray_to_coefficients(noisy, quality=95)
-        data = encode_baseline(image, engine=None)
+        data = encode_baseline(image)
         assert b"\xff\x00" in data
 
 
@@ -359,8 +356,8 @@ def _raw_image(layout, width, height, seed, density, ac_limit, dc_limit):
 
 
 class TestRawCoefficientFuzz:
-    """Raw coefficient blocks through all five scan kinds on both
-    engines: AC up to +-32767 (the widest a symbol's 4-bit size field
+    """Raw coefficient blocks through all five scan kinds in the codec
+    and the oracle: AC up to +-32767 (the widest a symbol's 4-bit size field
     codes), DC up to the decoder's +-2^20 predictor range, sparse and
     dense blocks, odd block grids, gray and 4:4:4/4:2:0/4:2:2."""
 
@@ -386,10 +383,10 @@ class TestRawCoefficientFuzz:
             {"progressive": True},
             {"progressive": "sa"},
         ):
-            fast = encode_coefficients(image, engine=None, **options)
-            scalar = encode_coefficients(image, engine="scalar", **options)
+            fast = encode_coefficients(image, **options)
+            scalar = scalar_codec.encode_coefficients(image, **options)
             assert fast == scalar, options
-            decoded = decode_to_coefficients(fast, engine=None)
+            decoded = decode_to_coefficients(fast)
             for ours, theirs in zip(decoded.components, image.components):
                 np.testing.assert_array_equal(
                     ours.coefficients, theirs.coefficients
@@ -406,8 +403,8 @@ class TestDecoderEquivalence:
             for interval in (0, 3):
                 data = encode_baseline(image, restart_interval=interval)
                 _assert_same_coefficients(
-                    decode_to_coefficients(data, engine=None),
-                    decode_to_coefficients(data, engine="scalar"),
+                    decode_to_coefficients(data),
+                    scalar_codec.decode_to_coefficients(data),
                 )
 
     def test_progressive_decodes_identical(
@@ -418,8 +415,8 @@ class TestDecoderEquivalence:
         ):
             data = encode_progressive(image)
             _assert_same_coefficients(
-                decode_to_coefficients(data, engine=None),
-                decode_to_coefficients(data, engine="scalar"),
+                decode_to_coefficients(data),
+                scalar_codec.decode_to_coefficients(data),
             )
 
     def test_progressive_sa_decodes_identical(
@@ -430,27 +427,28 @@ class TestDecoderEquivalence:
         ):
             data = encode_coefficients(image, progressive="sa")
             _assert_same_coefficients(
-                decode_to_coefficients(data, engine=None),
-                decode_to_coefficients(data, engine="scalar"),
+                decode_to_coefficients(data),
+                scalar_codec.decode_to_coefficients(data),
             )
 
     def test_single_component_dc_scans_decode_identical(self, rgb_image):
         # A custom SA script with non-interleaved DC scans: on a
         # subsampled image the luma grid is smaller than its MCU-padded
-        # grid, and both engines must walk the luma's own grid alone.
+        # grid, and the codec and the oracle must walk the luma's own
+        # grid alone.
         image = rgb_to_coefficients(
             rgb_image[:24, :24], quality=75, subsampling="4:2:0"
         )
         data = encode_progressive(image, _per_component_sa_script(3))
-        decoded_fast = decode_to_coefficients(data, engine=None)
-        decoded_scalar = decode_to_coefficients(data, engine="scalar")
+        decoded_fast = decode_to_coefficients(data)
+        decoded_scalar = scalar_codec.decode_to_coefficients(data)
         _assert_same_coefficients(decoded_fast, decoded_scalar)
         for a, b in zip(decoded_fast.components, image.components):
             assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_round_trip_through_fast_engine(self, gray_image):
         image = gray_to_coefficients(gray_image, quality=75)
-        decoded = decode_to_coefficients(encode_baseline(image, engine=None))
+        decoded = decode_to_coefficients(encode_baseline(image))
         _assert_same_coefficients(image, decoded)
 
     def test_corrupt_streams_fail_cleanly_in_both_engines(self, gray_image):
@@ -462,9 +460,12 @@ class TestDecoderEquivalence:
             position = int(rng.integers(2, len(data)))
             original = data[position]
             data[position] ^= int(rng.integers(1, 256))
-            for engine in (None, "scalar"):
+            for decode in (
+                decode_to_coefficients,
+                scalar_codec.decode_to_coefficients,
+            ):
                 try:
-                    decode_to_coefficients(bytes(data), engine=engine)
+                    decode(bytes(data))
                 except (JpegFormatError, ValueError):
                     pass
             data[position] = original
@@ -473,7 +474,7 @@ class TestDecoderEquivalence:
         data = encode_baseline(gray_to_coefficients(gray_image[:32, :32]))
         for cut in range(2, len(data), max(1, len(data) // 40)):
             try:
-                decode_to_coefficients(data[:cut], engine=None)
+                decode_to_coefficients(data[:cut])
             except (JpegFormatError, ValueError):
                 pass
 
@@ -488,8 +489,8 @@ class TestDecoderEquivalence:
         def assert_identical(blocks64, ss, se, al, columns=1):
             image = _one_component_image(blocks64, columns)
             script = [ScanSpec((0,), ss, se, al + 1, al)]
-            fast = encode_progressive(image, script, engine=None)
-            scalar = encode_progressive(image, script, engine="scalar")
+            fast = encode_progressive(image, script)
+            scalar = scalar_codec.encode_progressive(image, script)
             assert fast == scalar
 
         engineered = np.zeros((4, 64), dtype=np.int64)
@@ -528,9 +529,9 @@ class TestDecoderEquivalence:
 
     def test_corrupt_restart_streams_agree_between_engines(self, gray_image):
         # A desynced restart segment must not decode silently in the
-        # fast engine while the scalar engine rejects it (or vice
-        # versa): on every corruption both engines either error or
-        # produce the same coefficients.
+        # kernel while the scalar oracle rejects it (or vice versa): on
+        # every corruption both either error or produce the same
+        # coefficients.
         image = gray_to_coefficients(gray_image[:48, :48], quality=75)
         data = encode_baseline(image, restart_interval=3)
         rng = np.random.default_rng(4)
@@ -539,11 +540,12 @@ class TestDecoderEquivalence:
             position = int(rng.integers(2, len(mutated)))
             mutated[position] ^= int(rng.integers(1, 256))
             outcomes = []
-            for engine in (None, "scalar"):
+            for decode in (
+                decode_to_coefficients,
+                scalar_codec.decode_to_coefficients,
+            ):
                 try:
-                    decoded = decode_to_coefficients(
-                        bytes(mutated), engine=engine
-                    )
+                    decoded = decode(bytes(mutated))
                     outcomes.append(
                         tuple(
                             c.coefficients.tobytes()

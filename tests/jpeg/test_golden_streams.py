@@ -1,12 +1,12 @@
 """Golden streams: pin the bytes the simulated providers store.
 
-The differential tests compare the engines with one another, so a
-change that moved every engine's output the same way would pass them,
-yet it would move the bytes ``FacebookPSP`` (progressive) and
-``FlickrPSP`` (baseline) store.  These tests pin the SHA-256 of each
-stream, on every engine, for two coefficient images built from
+The differential tests compare the codec with its scalar oracle, so a
+change that moved both outputs the same way would pass them, yet it
+would move the bytes ``FacebookPSP`` (progressive) and ``FlickrPSP``
+(baseline) store.  These tests pin the SHA-256 of each stream, from
+the codec and from the oracle, for two coefficient images built from
 integers only (no FDCT), so the digests do not depend on floating
-point, and read each pinned stream back on every engine.
+point, and read each pinned stream back on both.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.jpeg.codec import decode_coefficients, encode_coefficients
-from repro.jpeg.engines import ENGINES
+from repro.jpeg.codec import decode_coefficients
 from repro.jpeg.structures import CoefficientImage, ComponentInfo
+from tests.jpeg import scalar_codec
+from tests.jpeg.scalar_codec import CODECS
 
 MODES = {
     "progressive": {"progressive": True},
@@ -82,24 +83,24 @@ def _image(kind: str) -> CoefficientImage:
     return CoefficientImage(width=40, height=24, components=components)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CODECS)
 @pytest.mark.parametrize("kind, mode", list(GOLDEN))
 def test_stream_digest_is_pinned(kind, mode, engine):
     image = _image(kind)
-    data = encode_coefficients(image, engine=engine, **MODES[mode])
+    data = CODECS[engine].encode_coefficients(image, **MODES[mode])
     assert hashlib.sha256(data).hexdigest() == GOLDEN[kind, mode]
     decoded = decode_coefficients(data)
     for ours, theirs in zip(decoded.components, image.components):
         assert np.array_equal(ours.coefficients, theirs.coefficients)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CODECS)
 @pytest.mark.parametrize("kind, mode", list(GOLDEN))
 def test_pinned_stream_decodes_on_every_engine(kind, mode, engine):
     image = _image(kind)
-    data = encode_coefficients(image, engine="scalar", **MODES[mode])
+    data = scalar_codec.encode_coefficients(image, **MODES[mode])
     assert hashlib.sha256(data).hexdigest() == GOLDEN[kind, mode]
-    decoded = decode_coefficients(data, engine=engine)
+    decoded = CODECS[engine].decode_coefficients(data)
     assert (decoded.width, decoded.height) == (image.width, image.height)
     assert len(decoded.components) == len(image.components)
     for ours, theirs in zip(decoded.components, image.components):

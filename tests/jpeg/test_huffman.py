@@ -2,21 +2,24 @@
 
 import pytest
 
-from repro.jpeg.bitstream import BitReader, BitWriter
 from repro.jpeg.huffman import (
-    HuffmanDecoder,
-    HuffmanEncoder,
     HuffmanTable,
     STANDARD_AC_CHROMINANCE,
     STANDARD_AC_LUMINANCE,
     STANDARD_DC_CHROMINANCE,
     STANDARD_DC_LUMINANCE,
     build_optimized_table,
+)
+from repro.jpeg.markers import JpegFormatError
+from tests.jpeg.scalar_codec import (
+    BitReader,
+    BitWriter,
+    HuffmanDecoder,
+    HuffmanEncoder,
     decode_magnitude_bits,
     encode_magnitude_bits,
     magnitude_category,
 )
-from repro.jpeg.markers import JpegFormatError
 
 
 class TestTableValidation:

@@ -1,8 +1,9 @@
-"""libjpeg as an outside oracle for both codec engines.
+"""libjpeg as an outside oracle for the codec and its scalar oracle.
 
 Decode direction: two progressive 4:2:0 streams written by libjpeg
 (``fixtures/libjpeg_coefficients.c write`` regenerates them) must
-decode, on both engines, to the coefficients libjpeg's own
+decode, in the codec and in the scalar T.81 oracle
+(:mod:`tests.jpeg.scalar_codec`), to the coefficients libjpeg's own
 ``jpeg_read_coefficients`` returns, pinned here by SHA-256, and must
 upload through the gateway.  One splits every DC scan into one scan per
 component, the other has a restart interval of one MCU.
@@ -10,7 +11,7 @@ component, the other has a restart interval of one MCU.
 Encode direction: where a C compiler, ``jpeglib.h`` and ``-ljpeg`` are
 present, the same C file is compiled into a temporary directory and
 libjpeg reads back what the encoders write, for every script at 4:4:4,
-4:2:2 and 4:2:0 on both engines, without a corrupt-data warning.
+4:2:2 and 4:2:0 from both, without a corrupt-data warning.
 Otherwise those tests skip and say why.
 """
 
@@ -27,9 +28,6 @@ import pytest
 
 from repro.api.pipeline import DecryptTask, run_decrypt_task
 from repro.jpeg.codec import rgb_to_coefficients
-from repro.jpeg.decoder import decode_to_coefficients
-from repro.jpeg.encoder import encode_baseline, encode_progressive
-from repro.jpeg.engines import ENGINES
 from repro.jpeg.markers import JpegFormatError
 from repro.jpeg.scans import (
     ScanSpec,
@@ -41,6 +39,7 @@ from repro.system.gateway import USER_HEADER, P3Gateway, pixels_from_response
 from repro.system.http import HttpRequest, build_url
 from repro.system.psp import FacebookPSP
 from repro.system.storage import CloudStorage
+from tests.jpeg.scalar_codec import CODECS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 READER_SOURCE = FIXTURES / "libjpeg_coefficients.c"
@@ -66,10 +65,10 @@ def _coefficient_bytes(image) -> bytes:
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CODECS)
 @pytest.mark.parametrize("name", STREAMS)
 def test_fixture_decodes_to_libjpeg_coefficients(name, engine):
-    image = decode_to_coefficients(_fixture(name), engine=engine)
+    image = CODECS[engine].decode_to_coefficients(_fixture(name))
     assert [(c.h_sampling, c.v_sampling) for c in image.components] == [
         (2, 2),
         (1, 1),
@@ -82,7 +81,8 @@ def test_fixture_decodes_to_libjpeg_coefficients(name, engine):
 @pytest.mark.parametrize("name", STREAMS)
 def test_fixture_corruptions_agree_between_engines(name):
     # Every scan kind crosses restart segments in the restart fixture:
-    # on each corruption both engines fail or decode the same values.
+    # on each corruption the codec and the oracle fail or decode the
+    # same values.
     data = _fixture(name)
     rng = np.random.default_rng(8)
     for _ in range(150):
@@ -90,9 +90,9 @@ def test_fixture_corruptions_agree_between_engines(name):
         position = int(rng.integers(2, len(mutated)))
         mutated[position] ^= int(rng.integers(1, 256))
         outcomes = []
-        for engine in ENGINES:
+        for codec in CODECS.values():
             try:
-                decoded = decode_to_coefficients(bytes(mutated), engine=engine)
+                decoded = codec.decode_to_coefficients(bytes(mutated))
                 outcomes.append(_coefficient_bytes(decoded))
             except (JpegFormatError, ValueError, OverflowError):
                 outcomes.append(None)
@@ -202,28 +202,28 @@ def _libjpeg_reads_back(reader: Path, data: bytes, expected: bytes, tmp_path):
     assert result.stdout == expected
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CODECS)
 @pytest.mark.parametrize("subsampling", ["4:4:4", "4:2:2", "4:2:0"])
 @pytest.mark.parametrize("script", list(SCRIPTS))
 def test_libjpeg_reads_progressive_encodes(
     libjpeg_reader, rgb, tmp_path, script, subsampling, engine
 ):
     image = rgb_to_coefficients(rgb, quality=75, subsampling=subsampling)
-    data = encode_progressive(
-        image, SCRIPTS[script](len(image.components)), engine=engine
+    data = CODECS[engine].encode_progressive(
+        image, SCRIPTS[script](len(image.components))
     )
     _libjpeg_reads_back(
         libjpeg_reader, data, _coefficient_bytes(image), tmp_path
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CODECS)
 @pytest.mark.parametrize("subsampling", ["4:4:4", "4:2:2", "4:2:0"])
 def test_libjpeg_reads_baseline_encodes_with_restarts(
     libjpeg_reader, rgb, tmp_path, subsampling, engine
 ):
     image = rgb_to_coefficients(rgb, quality=75, subsampling=subsampling)
-    data = encode_baseline(image, restart_interval=2, engine=engine)
+    data = CODECS[engine].encode_baseline(image, restart_interval=2)
     _libjpeg_reads_back(
         libjpeg_reader, data, _coefficient_bytes(image), tmp_path
     )

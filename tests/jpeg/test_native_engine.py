@@ -1,7 +1,8 @@
-"""Differential tests: the native C kernel vs the scalar T.81 engine.
+"""Differential tests: the native C kernel vs the scalar T.81 oracle.
 
 The native kernel (:mod:`repro.jpeg.native`) runs each scan's entire
-symbol loop in C; the scalar T.81 reference is its oracle.  These tests
+symbol loop in C; the scalar T.81 reference
+(:mod:`tests.jpeg.scalar_codec`) is its oracle.  These tests
 fuzz all five scan types — baseline, DC first, DC refinement, AC first,
 AC refinement — over random coefficient blocks, and probe the
 adversarial corners where whole-segment C code most plausibly diverges
@@ -11,7 +12,7 @@ segment boundaries, padding-produced 0xFF bytes, and truncated streams
 
 The kernel is required: :class:`TestKernelRequired` checks that a
 failed build surfaces as a typed error naming it, while the scalar
-oracle keeps working.
+oracle keeps working on coefficient images.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from repro.jpeg.codec import (
     rgb_to_coefficients,
 )
 from repro.jpeg.decoder import decode_to_coefficients
-from repro.jpeg.encoder import encode_baseline, encode_progressive
-from repro.jpeg.engines import ENGINES, engine_info, resolve_engine
+from repro.jpeg.encoder import encode_baseline
+from repro.jpeg.engines import engine_info
 from repro.jpeg import markers
 from repro.jpeg.markers import JpegFormatError
 from repro.jpeg.native import kernel as native_kernel
 from repro.jpeg.native.kernel import NativeUnavailableError
 from repro.jpeg.scans import ScanSpec
+from tests.jpeg import scalar_codec
+from tests.jpeg.scalar_codec import CODECS
 
 
 def _gray(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
@@ -54,17 +57,19 @@ def _with_p3_parts(image):
 
 
 def _assert_same_coefficients(jpeg: bytes) -> None:
-    """Decode ``jpeg`` with both engines; coefficients must agree."""
-    image = decode_to_coefficients(jpeg, engine="native")
-    reference = decode_to_coefficients(jpeg, engine="scalar")
+    """Decode ``jpeg`` with the kernel and the oracle; coefficients
+    must agree."""
+    image = decode_to_coefficients(jpeg)
+    reference = scalar_codec.decode_to_coefficients(jpeg)
     assert len(image.components) == len(reference.components)
     for ours, theirs in zip(image.components, reference.components):
         np.testing.assert_array_equal(ours.coefficients, theirs.coefficients)
 
 
 class TestDifferentialEncodeDecode:
-    """All five scan types, both engines, byte/coefficient identity,
-    for each input and the P3 public/secret parts split from it."""
+    """All five scan types, kernel and oracle, byte/coefficient
+    identity, for each input and the P3 public/secret parts split from
+    it."""
 
     @pytest.mark.parametrize("restart_interval", [0, 2, 5])
     def test_baseline_gray(self, restart_interval):
@@ -72,10 +77,10 @@ class TestDifferentialEncodeDecode:
         image = gray_to_coefficients(_gray(rng, 40, 56), quality=70)
         for part in _with_p3_parts(image):
             streams = {
-                engine: encode_baseline(
-                    part, restart_interval=restart_interval, engine=engine
+                engine: codec.encode_baseline(
+                    part, restart_interval=restart_interval
                 )
-                for engine in ENGINES
+                for engine, codec in CODECS.items()
             }
             assert streams["scalar"] == streams["native"]
             _assert_same_coefficients(streams["native"])
@@ -88,8 +93,8 @@ class TestDifferentialEncodeDecode:
         )
         for part in _with_p3_parts(image):
             streams = {
-                engine: encode_baseline(part, engine=engine)
-                for engine in ENGINES
+                engine: codec.encode_baseline(part)
+                for engine, codec in CODECS.items()
             }
             assert streams["scalar"] == streams["native"]
             _assert_same_coefficients(streams["native"])
@@ -100,8 +105,8 @@ class TestDifferentialEncodeDecode:
         image = gray_to_coefficients(_gray(rng, 48, 48), quality=60)
         for part in _with_p3_parts(image):
             streams = {
-                engine: encode_progressive(part, engine=engine)
-                for engine in ENGINES
+                engine: codec.encode_progressive(part)
+                for engine, codec in CODECS.items()
             }
             assert streams["scalar"] == streams["native"]
             _assert_same_coefficients(streams["native"])
@@ -118,10 +123,8 @@ class TestDifferentialEncodeDecode:
             )
         for part in _with_p3_parts(image):
             streams = {
-                engine: encode_coefficients(
-                    part, progressive="sa", engine=engine
-                )
-                for engine in ENGINES
+                engine: codec.encode_coefficients(part, progressive="sa")
+                for engine, codec in CODECS.items()
             }
             assert streams["scalar"] == streams["native"]
             _assert_same_coefficients(streams["native"])
@@ -135,28 +138,29 @@ class TestDifferentialEncodeDecode:
         image = gray_to_coefficients(pixels, quality=50)
         for part in _with_p3_parts(image):
             for encode in (
-                lambda eng: encode_baseline(part, engine=eng),
-                lambda eng: encode_baseline(
-                    part, restart_interval=3, engine=eng
-                ),
-                lambda eng: encode_progressive(part, engine=eng),
-                lambda eng: encode_coefficients(
-                    part, progressive="sa", engine=eng
+                lambda codec: codec.encode_baseline(part),
+                lambda codec: codec.encode_baseline(part, restart_interval=3),
+                lambda codec: codec.encode_progressive(part),
+                lambda codec: codec.encode_coefficients(
+                    part, progressive="sa"
                 ),
             ):
-                streams = {engine: encode(engine) for engine in ENGINES}
+                streams = {
+                    engine: encode(codec) for engine, codec in CODECS.items()
+                }
                 assert streams["scalar"] == streams["native"]
                 _assert_same_coefficients(streams["native"])
 
 
 class TestAdversarialBitstreams:
-    """Corrupt/truncated input parity: same verdict from every engine."""
+    """Corrupt/truncated input parity: same verdict from the kernel and
+    the oracle."""
 
     @staticmethod
     def _outcome(engine: str, jpeg: bytes):
         """(kind, detail) summary of a decode attempt."""
         try:
-            image = decode_to_coefficients(jpeg, engine=engine)
+            image = CODECS[engine].decode_to_coefficients(jpeg)
         except JpegFormatError:
             return ("format-error",)
         except OverflowError:
@@ -168,8 +172,8 @@ class TestAdversarialBitstreams:
 
     @pytest.mark.parametrize("restart_interval", [0, 3])
     def test_truncation_parity(self, restart_interval):
-        """Cut the stream at many offsets; every engine must agree
-        whether the result is decodable (EndOfData surfaces as the
+        """Cut the stream at many offsets; the kernel and the oracle must
+        agree whether the result is decodable (EndOfData surfaces as the
         same JpegFormatError) and, when decodable, on the bytes."""
         rng = np.random.default_rng(21)
         image = gray_to_coefficients(_gray(rng, 32, 32), quality=65)
@@ -182,7 +186,7 @@ class TestAdversarialBitstreams:
             truncated = jpeg[:cut]
             outcomes = {
                 engine: self._outcome(engine, truncated)
-                for engine in ENGINES
+                for engine in CODECS
             }
             assert outcomes["native"] == outcomes["scalar"], f"cut={cut}"
 
@@ -193,21 +197,22 @@ class TestAdversarialBitstreams:
         for cut in (len(jpeg) // 2, len(jpeg) - 30, len(jpeg) - 6):
             outcomes = {
                 engine: self._outcome(engine, jpeg[:cut])
-                for engine in ENGINES
+                for engine in CODECS
             }
             assert outcomes["native"] == outcomes["scalar"]
 
     @given(seed=st.integers(0, 2**32 - 1), flips=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
     def test_bitflip_parity(self, seed, flips):
-        """Random corruption in the entropy segment: all engines must
-        reach the same verdict (ok / format error / overflow) and the
+        """Random corruption in the entropy segment: the kernel and the
+        oracle must reach the same verdict (ok / format error / overflow) and the
         same coefficients when they do decode."""
         rng = np.random.default_rng(seed)
         image = gray_to_coefficients(_gray(rng, 24, 24), quality=55)
         jpeg = bytearray(encode_baseline(image))
         # Only corrupt the entropy-coded body, not the headers: marker
-        # parsing is shared code, the engines are what's under test.
+        # parsing is shared code, the scan decoders are what's under
+        # test.
         sos = bytes(jpeg).rfind(b"\xff\xda")
         body_start = sos + 2 + ((jpeg[sos + 2] << 8) | jpeg[sos + 3])
         body = list(range(body_start, len(jpeg) - 2))
@@ -225,7 +230,7 @@ class TestAdversarialBitstreams:
         corrupted = bytes(jpeg)
         outcomes = {
             engine: self._outcome(engine, corrupted)
-            for engine in ENGINES
+            for engine in CODECS
         }
         assert outcomes["native"] == outcomes["scalar"]
 
@@ -236,10 +241,8 @@ class TestAdversarialBitstreams:
         rng = np.random.default_rng(23)
         image = gray_to_coefficients(_gray(rng, 24, 40), quality=70)
         streams = {
-            engine: encode_baseline(
-                image, restart_interval=1, engine=engine
-            )
-            for engine in ENGINES
+            engine: codec.encode_baseline(image, restart_interval=1)
+            for engine, codec in CODECS.items()
         }
         assert streams["scalar"] == streams["native"]
         _assert_same_coefficients(streams["native"])
@@ -249,14 +252,14 @@ class TestNativeBitWriter:
     """The encode loops' shared bit writer pads the last byte with
     1-bits, and a padding-produced 0xFF still gets its stuffed zero."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     def test_padding_produced_ff_is_stuffed(self, engine):
         # DC = 1 under a point transform of 1: the refinement scan sends
         # one 1-bit, and the padding makes it 0xFF.
         image = gray_to_coefficients(np.full((8, 8), 128.0), quality=75)
         image.components[0].coefficients[0, 0, 0, 0] = 1
         script = [ScanSpec((0,), 0, 0, 0, 1), ScanSpec((0,), 0, 0, 1, 0)]
-        jpeg = encode_progressive(image, script, engine=engine)
+        jpeg = CODECS[engine].encode_progressive(image, script)
         scans = [
             segment.entropy_data
             for segment in markers.parse_segments(jpeg)
@@ -267,7 +270,7 @@ class TestNativeBitWriter:
 
 class TestKernelRequired:
     """A kernel that cannot build is a typed error naming the build
-    failure, never a silent fall back; the scalar entropy oracle still
+    failure, never a silent fall back; the scalar T.81 oracle still
     works on coefficient images.  The pixel passes (colour, tiling,
     quantization) run in the kernel too, so ``image`` is built before
     ``broken_kernel`` breaks it."""
@@ -296,17 +299,17 @@ class TestKernelRequired:
     def test_default_engine_raises_naming_build_error(
         self, pixels, image, broken_kernel
     ):
-        jpeg = encode_baseline(image, engine="scalar")
+        jpeg = scalar_codec.encode_baseline(image)
         with pytest.raises(NativeUnavailableError, match=self.BUILD_ERROR):
-            decode_to_coefficients(jpeg, engine=None)
+            decode_to_coefficients(jpeg)
         with pytest.raises(NativeUnavailableError, match=self.BUILD_ERROR):
-            encode_baseline(image, engine=None)
+            encode_baseline(image)
         with pytest.raises(NativeUnavailableError, match=self.BUILD_ERROR):
             gray_to_coefficients(pixels, quality=70)
 
     def test_scalar_engine_still_round_trips(self, image, broken_kernel):
-        jpeg = encode_baseline(image, engine="scalar")
-        decoded = decode_to_coefficients(jpeg, engine="scalar")
+        jpeg = scalar_codec.encode_baseline(image)
+        decoded = scalar_codec.decode_to_coefficients(jpeg)
         np.testing.assert_array_equal(
             decoded.components[0].coefficients,
             image.components[0].coefficients,
@@ -316,15 +319,6 @@ class TestKernelRequired:
         native = engine_info()["native"]
         assert native["available"] is False
         assert self.BUILD_ERROR in native["build_error"]
-
-    def test_numpy_engine_is_gone(self):
-        assert ENGINES == ("scalar", "native")
-        with pytest.raises(ValueError, match="'scalar', 'native'"):
-            resolve_engine("numpy")
-
-    def test_explicit_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown codec engine"):
-            resolve_engine("turbo")
 
     def test_status_shape(self):
         status = native_kernel.status()

@@ -1,11 +1,11 @@
 """Opt-in perf smoke test: a regression to the per-bit path fails here.
 
 The native kernel decodes a dense 512x512 quality-75 image in ~10 ms,
-the scalar reference in ~10 s.  The budgets below are generous
+the scalar T.81 oracle in ~10 s.  The budgets below are generous
 multiples of those (slow CI boxes must stay green) but still fail hard
 when a hot path regresses: the native budget trips if the C kernel
-stops being used, the default budget trips if the default reroutes to
-the scalar engine.
+stops being used, the coarse budget if decoding falls back to a
+per-bit loop.
 
 The upload path's array-speed layers have relative budgets instead:
 each is timed against its oracle from ``tests/jpeg/oracles.py`` (or
@@ -54,8 +54,8 @@ from tests.jpeg.oracles import (
 
 pytestmark = pytest.mark.slow
 
-#: Wall-clock ceilings (seconds) for the default engine.  Scalar
-#: reference: ~9s.  5s keeps slow CI boxes green while still failing
+#: Wall-clock ceilings (seconds) for the codec.  Scalar T.81 oracle:
+#: ~9s.  5s keeps slow CI boxes green while still failing
 #: hard on a per-bit regression.
 DECODE_BUDGET_SECONDS = 5.0
 ENCODE_BUDGET_SECONDS = 5.0
@@ -127,9 +127,9 @@ def test_decode_512_within_budget(dense_512_jpeg):
 
 
 def test_native_decode_512_within_budget(dense_512_jpeg):
-    decode_coefficients(dense_512_jpeg, engine="native")  # warm up
+    decode_coefficients(dense_512_jpeg)  # warm up
     best = min(
-        _timed(lambda: decode_coefficients(dense_512_jpeg, engine="native"))
+        _timed(lambda: decode_coefficients(dense_512_jpeg))
         for _ in range(3)
     )
     assert best < NATIVE_DECODE_BUDGET_SECONDS, (
@@ -140,15 +140,15 @@ def test_native_decode_512_within_budget(dense_512_jpeg):
 
 
 def test_native_encode_within_decode_budget(dense_512_jpeg):
-    image = decode_coefficients(dense_512_jpeg, engine="native")
-    output = encode_coefficients(image, engine="native")
-    decode_coefficients(output, engine="native")  # warm up
+    image = decode_coefficients(dense_512_jpeg)
+    output = encode_coefficients(image)
+    decode_coefficients(output)  # warm up
     encode = min(
-        _timed(lambda: encode_coefficients(image, engine="native"))
+        _timed(lambda: encode_coefficients(image))
         for _ in range(7)
     )
     decode = min(
-        _timed(lambda: decode_coefficients(output, engine="native"))
+        _timed(lambda: decode_coefficients(output))
         for _ in range(7)
     )
     assert encode < ENCODE_OVER_DECODE_CEILING * decode, (

@@ -4,16 +4,17 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.jpeg import codec
-from repro.jpeg.bitstream import BitReader, BitWriter
-from repro.jpeg.huffman import (
-    build_optimized_table,
+from repro.jpeg.huffman import build_optimized_table
+from repro.jpeg.zigzag import from_zigzag, to_zigzag
+from tests.jpeg.scalar_codec import (
+    BitReader,
+    BitWriter,
+    HuffmanDecoder,
+    HuffmanEncoder,
     decode_magnitude_bits,
     encode_magnitude_bits,
     magnitude_category,
-    HuffmanDecoder,
-    HuffmanEncoder,
 )
-from repro.jpeg.zigzag import from_zigzag, to_zigzag
 
 
 @st.composite

@@ -22,11 +22,11 @@ from repro.jpeg.codec import (
     rgb_to_coefficients,
 )
 from repro.jpeg import markers
-from repro.jpeg.encoder import encode_baseline, encode_progressive
-from repro.jpeg.engines import ENGINES
+from repro.jpeg.encoder import encode_progressive
 from repro.jpeg.markers import JpegFormatError
 from repro.jpeg.scans import ScanSpec
 from repro.jpeg.structures import CoefficientImage, ComponentInfo
+from tests.jpeg.scalar_codec import CODECS
 
 
 def _accept(data: bytes) -> None:
@@ -102,10 +102,10 @@ def _mutate_frame_header(data: bytearray, marker: bytes, mutation: str):
 class TestFrameHeaderValidation:
     """T.81 B.2.2: Nf >= 1, non-zero Y and X (no DNL support), and
     every H, V in 1-4.  The MCU grid is sized from them, so each
-    violation must be rejected by the frame header check on every
-    engine, before any scan is read."""
+    violation must be rejected by the frame header check, in the codec
+    and in its scalar oracle, before any scan is read."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize(
         "progressive", [False, True], ids=["baseline", "progressive"]
     )
@@ -132,7 +132,7 @@ class TestFrameHeaderValidation:
         marker = b"\xff\xc2" if progressive else b"\xff\xc0"
         _mutate_frame_header(data, marker, mutation)
         with pytest.raises(JpegFormatError, match="invalid frame header"):
-            decode_coefficients(bytes(data), engine=engine)
+            CODECS[engine].decode_coefficients(bytes(data))
 
     #: T.81 B.2.3: Ns in 1-4 and at most 10 blocks per MCU of an
     #: interleaved scan; B.2.2 and B.2.4.1: Tq in 0-3.
@@ -145,7 +145,7 @@ class TestFrameHeaderValidation:
         "sof_and_dqt_tq5": "invalid quantization table header: Tq 5",
     }
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize(
         "progressive", [False, True], ids=["baseline", "progressive"]
     )
@@ -155,7 +155,7 @@ class TestFrameHeaderValidation:
     ):
         data = _header_case(case, progressive)
         with pytest.raises(JpegFormatError, match=self.HEADER_CASES[case]):
-            decode_coefficients(data, engine=engine)
+            CODECS[engine].decode_coefficients(data)
 
 
 def _synthetic_image(
@@ -240,7 +240,7 @@ def _header_case(case: str, progressive: bool) -> bytes:
 class TestInterleaveLimits:
     """The encoders keep to T.81 B.2.3 as the decoder does: an
     interleaved scan of more than 4 components or more than 10 blocks
-    per MCU is a JpegFormatError on both engines (libjpeg's
+    per MCU is a JpegFormatError in the codec and the oracle (libjpeg's
     JERR_COMPONENT_COUNT and JERR_BAD_MCU_SIZE), not a stream the
     decoder then refuses.  One DC scan per component still codes such
     an image progressively."""
@@ -254,7 +254,7 @@ class TestInterleaveLimits:
         ),
     }
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize("progressive", [False, True, "sa"], ids=str)
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_interleaved_scan_past_limits_is_a_format_error(
@@ -262,35 +262,34 @@ class TestInterleaveLimits:
     ):
         samplings, message = self.CASES[case]
         with pytest.raises(JpegFormatError, match=message):
-            encode_coefficients(
+            CODECS[engine].encode_coefficients(
                 _synthetic_image(samplings),
-                progressive=progressive,
-                engine=engine,
+                progressive=progressive
             )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     def test_widest_interleaved_scan_encodes(self, engine):
         # 4:2:0 with a 2x2 fourth component: 4 components, 10 blocks.
         image = _synthetic_image([(2, 2), (1, 1), (1, 1), (2, 2)])
         for progressive in (False, True):
-            data = encode_coefficients(
-                image, progressive=progressive, engine=engine
+            data = CODECS[engine].encode_coefficients(
+                image, progressive=progressive
             )
-            decoded = decode_coefficients(data, engine=engine)
+            decoded = CODECS[engine].decode_coefficients(data)
             for got, want in zip(decoded.components, image.components):
                 np.testing.assert_array_equal(
                     got.coefficients, want.coefficients
                 )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_one_dc_scan_per_component_encodes(self, case, engine):
         samplings, _ = self.CASES[case]
         image = _synthetic_image(samplings)
-        data = encode_progressive(
-            image, _per_component_dc_script(len(samplings)), engine=engine
+        data = CODECS[engine].encode_progressive(
+            image, _per_component_dc_script(len(samplings))
         )
-        decoded = decode_coefficients(data, engine=engine)
+        decoded = CODECS[engine].decode_coefficients(data)
         for got, want in zip(decoded.components, image.components):
             np.testing.assert_array_equal(got.coefficients, want.coefficients)
 
@@ -301,7 +300,7 @@ class TestComponentGridValidation:
     it, so the encoders refuse any other grid instead of writing a
     stream that decodes to different coefficients."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize("progressive", [False, True], ids=str)
     @pytest.mark.parametrize("rows, cols", [(2, 5), (4, 5), (3, 4), (3, 6)])
     def test_grid_the_frame_does_not_give_is_an_error(
@@ -313,14 +312,14 @@ class TestComponentGridValidation:
             (rows, cols, 8, 8), dtype=np.int32
         )
         with pytest.raises(ValueError, match="frame gives it 3x5"):
-            encode_coefficients(image, progressive=progressive, engine=engine)
+            CODECS[engine].encode_coefficients(image, progressive=progressive)
 
 
 class TestPixelBudget:
     """A frame over ``decoder.MAX_FRAME_PIXELS`` is refused from its
     header, before the coefficient arrays it would size exist."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     def test_forged_frame_is_refused_before_allocating(self, engine):
         # An 8x8 grey JPEG whose SOF claims 65000x65000: the parent
         # asked for a 15.7 GiB coefficient array before reading a scan.
@@ -334,24 +333,24 @@ class TestPixelBudget:
                 match=r"frame 65000x65000 \(4225000000 pixels\) is over "
                 r"the 67108864-pixel budget",
             ):
-                decode_coefficients(bytes(data), engine=engine)
+                CODECS[engine].decode_coefficients(bytes(data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     def test_budget_admits_its_own_size(self, monkeypatch, engine):
         monkeypatch.setattr(decoder, "MAX_FRAME_PIXELS", 64 * 64)
         rng = np.random.default_rng(5)
         at_budget = encode_gray(rng.uniform(0, 255, (64, 64)), quality=85)
-        image = decode_coefficients(at_budget, engine=engine)
+        image = CODECS[engine].decode_coefficients(at_budget)
         assert (image.width, image.height) == (64, 64)
         over = encode_gray(rng.uniform(0, 255, (65, 64)), quality=85)
         with pytest.raises(
             JpegFormatError, match="frame 64x65 .* the 4096-pixel budget"
         ):
-            decode_coefficients(over, engine=engine)
+            CODECS[engine].decode_coefficients(over)
 
 
 def _without_scans(data: bytes, unwanted) -> bytes:
@@ -372,7 +371,7 @@ class TestAllocationFollowsEvidence:
     hold at least one bit per block.  A component no scan reaches is an
     error, not a grey plane."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     def test_forged_frame_header_allocates_nothing(self, engine):
         # A valid 8x8 4:4:4 encode whose SOF claims 8192x8192, inside
         # the pixel budget: the parent reserved 846 MiB (three
@@ -387,7 +386,7 @@ class TestAllocationFollowsEvidence:
             with pytest.raises(
                 JpegFormatError, match=r"scan of 3145728 blocks has only \d+ "
             ):
-                decode_coefficients(bytes(data), engine=engine)
+                CODECS[engine].decode_coefficients(bytes(data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -409,7 +408,7 @@ class TestAllocationFollowsEvidence:
         assert size == 4 << 20
         assert peak <= 2.2 * size
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     def test_ac_scan_before_dc_scan_is_refused(self, engine):
         image = _synthetic_image([(1, 1)] * 3)
         data = encode_progressive(image, _per_component_dc_script(3))
@@ -418,17 +417,17 @@ class TestAllocationFollowsEvidence:
         with pytest.raises(
             JpegFormatError, match="AC scan of component 3 before its DC scan"
         ):
-            decode_coefficients(hostile, engine=engine)
+            CODECS[engine].decode_coefficients(hostile)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     def test_component_without_a_scan_is_refused(self, engine):
         image = _synthetic_image([(1, 1)] * 3)
         data = encode_progressive(image, _per_component_dc_script(3))
         hostile = _without_scans(data, lambda sos: sos[1] == 3)
         with pytest.raises(JpegFormatError, match="component 3 has no scan"):
-            decode_coefficients(hostile, engine=engine)
+            CODECS[engine].decode_coefficients(hostile)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     def test_one_bit_per_block_is_enough(self, engine):
         # A DC-refinement scan codes exactly one bit per block, so the
         # 64 blocks of a 64x64 grey image fit 8 bytes (more if one is
@@ -441,7 +440,7 @@ class TestAllocationFollowsEvidence:
         ]
         data = encode_progressive(image, script)
         hostile = _without_scans(data, lambda sos: sos[-3:] == b"\x00\x00\x01")
-        decoded = decode_coefficients(hostile, engine=engine)
+        decoded = CODECS[engine].decode_coefficients(hostile)
         assert decoded.components[0].coefficients.shape == (8, 8, 8, 8)
 
 
@@ -468,9 +467,10 @@ class TestComponentIdValidation:
     """T.81 B.2.2 and B.2.3: component ids are unique in a frame, and a
     scan names each component once.  A clash would decode one
     component's data into another and leave the first all zero, so the
-    header checks reject it on every engine before any scan is read."""
+    header checks reject it, in the codec and the oracle, before any
+    scan is read."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize(
         "progressive", [False, True], ids=["baseline", "progressive"]
     )
@@ -485,7 +485,7 @@ class TestComponentIdValidation:
         _rename_component(data, 3, 2, sof if in_frame else None)
         header = "frame" if in_frame else "scan"
         with pytest.raises(JpegFormatError, match=f"invalid {header} header"):
-            decode_coefficients(bytes(data), engine=engine)
+            CODECS[engine].decode_coefficients(bytes(data))
 
 
 class TestFuzzProperties:
@@ -519,30 +519,31 @@ def _one_ac_image(value: int) -> CoefficientImage:
 
 class TestCoefficientRange:
     """An AC value's symbol has a 4-bit size field, so it carries at
-    most 15 magnitude bits.  Both engines reject a wider one with
-    libjpeg's JERR_BAD_DCT_COEF message instead of writing a symbol
-    whose size overflows into its run nibble (an undecodable baseline
-    stream, or wrong coefficients after a progressive decode)."""
+    most 15 magnitude bits.  The codec and the oracle reject a wider
+    one with libjpeg's JERR_BAD_DCT_COEF message instead of writing a
+    symbol whose size overflows into its run nibble (an undecodable
+    baseline stream, or wrong coefficients after a progressive
+    decode)."""
 
     #: Widest AC value each mode codes: the SA script's first AC scan
     #: sends ``|v| >> 1``.
     LIMITS = {False: 32767, True: 32767, "sa": 65535}
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize("progressive", sorted(LIMITS, key=str))
     def test_widest_ac_value_round_trips(self, engine, progressive):
         for value in (self.LIMITS[progressive], -self.LIMITS[progressive]):
             image = _one_ac_image(value)
-            data = encode_coefficients(
-                image, progressive=progressive, engine=engine
+            data = CODECS[engine].encode_coefficients(
+                image, progressive=progressive
             )
-            decoded = decode_coefficients(data, engine=engine)
+            decoded = CODECS[engine].decode_coefficients(data)
             np.testing.assert_array_equal(
                 decoded.components[0].coefficients,
                 image.components[0].coefficients,
             )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize("progressive", sorted(LIMITS, key=str))
     def test_wider_ac_value_is_a_format_error(self, engine, progressive):
         limit = self.LIMITS[progressive]
@@ -550,11 +551,11 @@ class TestCoefficientRange:
             with pytest.raises(
                 JpegFormatError, match="DCT coefficient out of range"
             ):
-                encode_coefficients(
-                    _one_ac_image(value), progressive=progressive, engine=engine
+                CODECS[engine].encode_coefficients(
+                    _one_ac_image(value), progressive=progressive
                 )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", CODECS)
     @pytest.mark.parametrize(
         "dc, ac, symbol", [(2048, 1, 0x0C), (0, 1024, 0x0B)]
     )
@@ -566,4 +567,4 @@ class TestCoefficientRange:
         with pytest.raises(
             ValueError, match=f"symbol {symbol:#x} not in Huffman table"
         ):
-            encode_baseline(image, optimize_huffman=False, engine=engine)
+            CODECS[engine].encode_baseline(image, optimize_huffman=False)

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import P3Session
 from repro.api.fanout import FanoutPSP
 from repro.core.config import P3Config
+from repro.crypto.keyring import Keyring
 from repro.datasets import usc_sipi_like
 from repro.jpeg import markers
 from repro.jpeg.codec import (
@@ -184,51 +186,63 @@ class TestPixelParity:
         assert view.status == 200
 
 
-class RecordingFacebookPSP(FacebookPSP):
-    """A ``FacebookPSP`` that keeps every byte string handed to
+def recording(provider: type) -> type:
+    """``provider`` subclassed to keep every byte string handed to its
     ``upload``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.uploads: list[bytes] = []
+    class Recording(provider):
+        def __init__(self) -> None:
+            super().__init__()
+            self.uploads: list[bytes] = []
 
-    def upload(self, data, owner, viewers=None):
-        self.uploads.append(data)
-        return super().upload(data, owner, viewers)
+        def upload(self, data, owner, viewers=None):
+            self.uploads.append(data)
+            return super().upload(data, owner, viewers)
+
+    Recording.__name__ = f"Recording{provider.__name__}"
+    return Recording
+
+
+RecordingFacebookPSP = recording(FacebookPSP)
+RecordingFlickrPSP = recording(FlickrPSP)
 
 
 class TestMarkersStayOffThePSP:
     """The proxy hands the PSP a public part it encoded itself: an
     upload's APPn and COM segments (an Exif block can carry a location
     and a full-size thumbnail) never cross the boundary (paper Section
-    4.1), through either front end."""
+    4.1), through any door (either front end, ``P3Session.upload`` and
+    ``batch_upload``) to any provider (Facebook, Flickr, or both behind
+    a ``FanoutPSP``)."""
 
-    def test_exif_and_comment_never_reach_the_psp(self, scene_corpus):
-        exif = b"Exif\x00\x00GPS 47.6205N 122.3493W; thumbnail follows"
-        comment = b"taken from the kitchen window"
+    EXIF = b"Exif\x00\x00GPS 47.6205N 122.3493W; thumbnail follows"
+    COMMENT = b"taken from the kitchen window"
+    CONFIG = P3Config(threshold=15, quality=85)
+
+    @pytest.fixture()
+    def body(self, scene_corpus):
         image = rgb_to_coefficients(scene_corpus[0], quality=85)
-        image.app_segments.append((markers.APP1, exif))
-        image.comment = comment
+        image.app_segments.append((markers.APP1, self.EXIF))
+        image.comment = self.COMMENT
         body = encode_coefficients(image)
-        assert exif in body and comment in body
-        psp = RecordingFacebookPSP()
-        gateway = P3Gateway(psp, CloudStorage(), P3Config(threshold=15, quality=85))
-        PhotoSharingClient.for_gateway(gateway, "alice")
-        front = AsyncGateway(gateway)
-        upload = HttpRequest(
+        assert self.EXIF in body and self.COMMENT in body
+        return body
+
+    @staticmethod
+    def upload_request(body):
+        return HttpRequest(
             method="POST",
             url=build_url("https://gw.example", "/photos/upload", {"album": "trip"}),
             headers={USER_HEADER: "alice"},
             body=body,
         )
-        try:
-            created = [gateway.handle(upload), front.handle_sync(upload)]
-        finally:
-            front.close()
-        assert [response.status for response in created] == [201, 201]
-        assert len(psp.uploads) == 2
-        for public in psp.uploads:
-            assert exif[6:] not in public and comment not in public
+
+    def check(self, uploads, count):
+        """``count`` uploads, none carrying the input's APP1 or COM
+        payload, each with the encoder's JFIF APP0 as its only APPn."""
+        assert len(uploads) == count
+        for public in uploads:
+            assert self.EXIF[6:] not in public and self.COMMENT not in public
             segments = markers.parse_segments(public)
             assert not any(s.marker == markers.COM for s in segments)
             apps = [
@@ -236,6 +250,37 @@ class TestMarkersStayOffThePSP:
             ]
             assert [s.marker for s in apps] == [markers.APP0]
             assert apps[0].payload.startswith(b"JFIF\x00")
+
+    def test_exif_and_comment_never_reach_the_psp(self, body):
+        psp = RecordingFacebookPSP()
+        gateway = P3Gateway(psp, CloudStorage(), self.CONFIG)
+        PhotoSharingClient.for_gateway(gateway, "alice")
+        front = AsyncGateway(gateway)
+        upload = self.upload_request(body)
+        try:
+            created = [gateway.handle(upload), front.handle_sync(upload)]
+        finally:
+            front.close()
+        assert [response.status for response in created] == [201, 201]
+        self.check(psp.uploads, 2)
+
+    def test_flickr_and_fanout_behind_the_gateway(self, body):
+        flickr = RecordingFlickrPSP()
+        fanned = [RecordingFacebookPSP(), RecordingFlickrPSP()]
+        for psp in (flickr, FanoutPSP(fanned)):
+            gateway = P3Gateway(psp, CloudStorage(), self.CONFIG)
+            gateway.add_user("alice")
+            assert gateway.handle(self.upload_request(body)).status == 201
+        for psp in (flickr, *fanned):
+            self.check(psp.uploads, 1)
+
+    def test_session_upload_and_batch_upload(self, body):
+        psp = RecordingFacebookPSP()
+        session = P3Session(Keyring("alice"), psp, CloudStorage(), self.CONFIG)
+        session.upload(body, album="trip")
+        report = session.batch_upload([body, body], album="trip", executor="serial")
+        assert report.ok and report.total == 2
+        self.check(psp.uploads, 3)
 
 
 class TestOnePixelCopyPerHit:

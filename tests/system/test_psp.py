@@ -66,6 +66,74 @@ class TestGrayscaleUpload:
         error = variant - np.clip(decode(data), 0, 255)
         assert abs(error.mean()) < 0.05
 
+    @staticmethod
+    def _three_channel_form(psp, pixels, resolution, crop_box=None):
+        """A grey photo's variant as the provider once made it: the
+        float luma as three equal channels, each resized (sharpened
+        when stored, cropped when served) and packed, channel 0
+        encoded."""
+        from repro.jpeg.codec import encode_gray
+        from repro.jpeg.native.pixels import planes_to_rgb8
+        from repro.transforms.crop import Crop
+        from repro.transforms.enhance import unsharp_mask
+        from repro.transforms.resize import fit_within, resize_plane
+
+        pipeline = psp._pipeline
+        stored = crop_box is None and resolution in psp.static_resolutions
+        rgb = planes_to_rgb8([pixels] * 3) if stored else np.stack([pixels] * 3, -1)
+        out_h, out_w = fit_within(*pixels.shape, resolution, resolution)
+        planes = []
+        for channel in range(3):
+            plane = resize_plane(rgb[..., channel], out_h, out_w, pipeline.kernel)
+            if stored and pipeline.sharpen_amount > 0:
+                plane = unsharp_mask(plane, radius=1.0, amount=pipeline.sharpen_amount)
+            if crop_box is not None:
+                plane = Crop(*crop_box)(plane)
+            planes.append(plane)
+        return encode_gray(
+            planes_to_rgb8(planes)[..., 0].astype(np.float64),
+            quality=pipeline.quality,
+            progressive=pipeline.progressive,
+        )
+
+    @pytest.mark.parametrize("provider", [FacebookPSP, FlickrPSP])
+    def test_one_plane_variants_match_the_three_channel_form(
+        self, provider, gray_image
+    ):
+        from repro.jpeg.codec import encode_gray
+
+        data = encode_gray(gray_image, quality=85)
+        psp = provider()
+        photo_id = psp.upload(data, owner="alice")
+        for resolution in psp.static_resolutions:
+            assert psp.stored_variant(photo_id, resolution) == (
+                self._three_channel_form(psp, decode(data), resolution)
+            )
+        source = decode(psp.stored_variant(photo_id, min(psp.static_resolutions)))
+        for resolution, crop_box in ((50, None), (60, (4, 6, 30, 40))):
+            served = psp.download(photo_id, "alice", resolution, crop_box)
+            assert served == self._three_channel_form(
+                psp, source, resolution, crop_box
+            )
+
+    def test_resizes_one_plane_per_grey_variant(self, gray_image, monkeypatch):
+        from repro.jpeg.codec import encode_gray
+        from repro.system import psp as psp_module
+
+        calls = []
+        resize = psp_module.resize_plane
+
+        def counting_resize(*args, **kwargs):
+            calls.append(args[0].shape)
+            return resize(*args, **kwargs)
+
+        monkeypatch.setattr(psp_module, "resize_plane", counting_resize)
+        psp = FacebookPSP()
+        photo_id = psp.upload(encode_gray(gray_image, quality=85), owner="alice")
+        assert len(calls) == len(psp.static_resolutions) == 3
+        psp.download(photo_id, "alice", resolution=50)
+        assert len(calls) == 4
+
 
 class TestFacebookBehaviour:
     def test_serves_progressive(self, photo_bytes):
