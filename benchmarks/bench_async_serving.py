@@ -142,7 +142,7 @@ class Deployment:
         is the keyed reconstruction, ``public`` the public-part-only
         pixels a shed viewer's degraded preview must match.
         """
-        reference = ServingEngine.from_config(
+        reference = ServingEngine(
             self.psp, self.storage, P3Config(quality=quality)
         )
         key = self.gateway.keyring_for("owner").key_for(ALBUM)
@@ -265,7 +265,7 @@ def bench_throughput(
             )
         )
         async_report.scenario = "warm_zipfian"
-        frontend = deployment.front.frontend.snapshot()
+        frontend = deployment.front.stats_payload()["frontend"]
         failures = deployment.verify(sync_report)
         failures += deployment.verify(async_report)
     finally:
@@ -345,7 +345,7 @@ def bench_flash_crowd(
             )
         )
         report.scenario = "flash_crowd"
-        frontend = deployment.front.frontend.snapshot()
+        frontend = deployment.front.stats_payload()["frontend"]
         admission = deployment.front.controller.snapshot()
         failures = deployment.verify(report)
     finally:
@@ -420,7 +420,7 @@ def bench_thundering_herd(
     )
     try:
         engine = deployment.gateway.engine
-        reconstructions_before = engine.stats.reconstructions
+        reconstructions_before = engine.stats.count("reconstructions")
         report = run_async(
             replay_async(
                 deployment.front.handle, events, deployment.make_request
@@ -428,9 +428,9 @@ def bench_thundering_herd(
         )
         report.scenario = "thundering_herd"
         reconstructions = (
-            engine.stats.reconstructions - reconstructions_before
+            engine.stats.count("reconstructions") - reconstructions_before
         )
-        coalesced = engine.stats.coalesced
+        coalesced = engine.stats.count("coalesced")
         failures = deployment.verify(report)
     finally:
         deployment.close()
@@ -493,7 +493,7 @@ def bench_diurnal(
             )
         )
         report.scenario = "diurnal"
-        frontend = deployment.front.frontend.snapshot()
+        frontend = deployment.front.stats_payload()["frontend"]
         failures = deployment.verify(report)
     finally:
         deployment.close()

@@ -266,8 +266,8 @@ def bench_coalescing(gateway: P3Gateway, receipts: list) -> tuple[dict, int]:
         key=keyring.key_for(ALBUM),
         requester="owner",
     )
-    reconstructions_before = engine.stats.reconstructions
-    coalesced_before = engine.stats.coalesced
+    reconstructions_before = engine.stats.count("reconstructions")
+    coalesced_before = engine.stats.count("coalesced")
     results: list[bytes] = []
     errors: list[Exception] = []
     lock = threading.Lock()
@@ -286,8 +286,8 @@ def bench_coalescing(gateway: P3Gateway, receipts: list) -> tuple[dict, int]:
     for thread in threads:
         thread.join(timeout=120)
     mismatch = 0 if len(set(results)) <= 1 else 1
-    reconstructions = engine.stats.reconstructions - reconstructions_before
-    coalesced = engine.stats.coalesced - coalesced_before
+    reconstructions = engine.stats.count("reconstructions") - reconstructions_before
+    coalesced = engine.stats.count("coalesced") - coalesced_before
     print(
         f"coalescing: 8 concurrent viewers -> {reconstructions} "
         f"reconstruction(s), {coalesced} coalesced, "

@@ -96,14 +96,14 @@ async def main() -> None:
     wall = time.perf_counter() - start
     full = [r for r in responses if r.ok and DEGRADED_HEADER not in r.headers]
     degraded = [r for r in responses if DEGRADED_HEADER in r.headers]
-    stats = gateway.engine.stats
+    reconstructions = gateway.engine.stats.count("reconstructions")
     print(
         f"herd of {len(herd)}: {len(full)} full serves + "
         f"{len(degraded)} degraded previews in {wall * 1000:.0f} ms "
         f"(one at a time would be ~{len(herd) * 80} ms)"
     )
     print(
-        f"  engine did {stats.reconstructions} reconstruction(s) total — "
+        f"  engine did {reconstructions} reconstruction(s) total — "
         f"single-flight coalesced the admitted herd, the previews "
         f"coalesced too"
     )

@@ -66,11 +66,11 @@ def main() -> None:
     # --- Bob browses: thumbnail, then full size -------------------------
     thumbnail = bob.view_photo(receipt.photo_id, "vacation-2013", resolution=75)
     full = bob.view_photo(receipt.photo_id, "vacation-2013", resolution=720)
-    stats = bob.gateway.engine.secret_cache.stats
+    stats = bob.gateway.engine.secret_cache.snapshot()
     print(
         f"bob viewed {thumbnail.shape[1]}x{thumbnail.shape[0]} thumb and "
         f"{full.shape[1]}x{full.shape[0]} photo; secret fetched "
-        f"{stats.misses} time(s), cache hits {stats.hits}"
+        f"{stats['misses']} time(s), cache hits {stats['hits']}"
     )
     original = decode(jpeg)
     print(

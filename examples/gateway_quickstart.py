@@ -84,11 +84,11 @@ def main() -> None:
         thread.start()
     for thread in threads:
         thread.join()
-    stats = gateway.engine.stats
+    coalesced = gateway.engine.stats.count("coalesced")
     assert len({pixels.tobytes() for pixels in results}) == 1
     print(
         f"burst of {len(threads)} concurrent viewers: "
-        f"{stats.coalesced} coalesced onto the leader's reconstruction, "
+        f"{coalesced} coalesced onto the leader's reconstruction, "
         "all byte-identical"
     )
 

@@ -38,11 +38,7 @@ from repro.api.registry import DEFAULT_REGISTRY, BackendRegistry
 from repro.core.config import P3Config
 from repro.core.encryptor import EncryptedPhoto
 from repro.crypto.keyring import Keyring
-from repro.serve.engine import (
-    DEFAULT_SECRET_CACHE_LIMIT,
-    ServeRequest,
-    ServingEngine,
-)
+from repro.serve.engine import ServeRequest, ServingEngine
 from repro.system.proxy import publish_encrypted
 from repro.system.reverse import TransformEstimate
 
@@ -283,24 +279,19 @@ class P3Session:
         storage: BlobStore,
         config: P3Config | None = None,
         transform_estimate: TransformEstimate | None = None,
-        cache_limit: int | None = DEFAULT_SECRET_CACHE_LIMIT,
         engine: ServingEngine | None = None,
     ) -> None:
         self.keyring = keyring
         self.psp = psp
         self.storage = storage
         self.config = config or P3Config()
-        self.cache_limit = cache_limit
         # The session's whole read path — single downloads, provider-
         # pinned fetches, the batch pipeline's fetch stage — runs on
-        # one ServingEngine.  Viewer sessions share it (shared caches,
-        # shared coalescing), which is exactly the multi-user story.
-        self.engine = engine or ServingEngine.from_config(
-            psp,
-            storage,
-            self.config,
-            transform_estimate=transform_estimate,
-            secret_cache_limit=cache_limit,
+        # one ServingEngine, its caches sized by the config.  Viewer
+        # sessions share it (shared caches, shared coalescing), which
+        # is exactly the multi-user story.
+        self.engine = engine or ServingEngine(
+            psp, storage, self.config, transform_estimate=transform_estimate
         )
         self.transform_estimate = self.engine.transform_estimate
 
@@ -315,7 +306,6 @@ class P3Session:
         keyring: Keyring | None = None,
         registry: BackendRegistry | None = None,
         transform_estimate: TransformEstimate | None = None,
-        cache_limit: int | None = DEFAULT_SECRET_CACHE_LIMIT,
     ) -> "P3Session":
         """Build a session from backend *names* (or ready instances).
 
@@ -338,7 +328,6 @@ class P3Session:
             _resolve_blob_store(storage, config, registry, ingest),
             config=config,
             transform_estimate=transform_estimate,
-            cache_limit=cache_limit,
         )
 
     @property
@@ -358,7 +347,6 @@ class P3Session:
             self.storage,
             config=self.config,
             transform_estimate=self.transform_estimate,
-            cache_limit=self.cache_limit,
             engine=self.engine,
         )
 

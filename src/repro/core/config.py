@@ -43,15 +43,15 @@ class P3Config:
     a frozen, picklable value object, so worker processes receive it
     verbatim.
 
-    ``variant_cache`` / ``variant_ttl_s`` size the serving tier's
-    decoded-variant cache (:class:`~repro.serve.engine.ServingEngine`
-    tier 1): finished reconstructions are kept for ``variant_ttl_s``
-    seconds, at most ``variant_cache`` entries (0 disables the tier;
-    ``variant_ttl_s=0`` means no expiry).  The secret-part cache
-    (tier 2) is sized by the session's ``cache_limit`` argument as
-    before, and ``envelope_cache`` bounds the raw secret-*envelope*
-    cache (tier 3, shared by interactive serves and
-    ``batch_download``'s fetch stage; 0 disables it).
+    ``variant_cache`` / ``variant_ttl_s`` / ``secret_cache`` /
+    ``envelope_cache`` size the three caches of the serving tier
+    (:class:`~repro.serve.engine.ServingEngine`), the only place they
+    are set.  Tier 1 keeps finished reconstructions for
+    ``variant_ttl_s`` seconds, at most ``variant_cache`` entries
+    (``variant_ttl_s=0`` means no expiry); tier 2 keeps at most
+    ``secret_cache`` decrypted secret parts; tier 3 keeps at most
+    ``envelope_cache`` raw secret *envelopes* (shared by interactive
+    serves and ``batch_download``'s fetch stage).  0 disables a tier.
 
     ``cache_partition_quota`` is the eviction-isolation knob: every
     engine cache is partitioned by album-key digest (tenant key) and
@@ -106,6 +106,7 @@ class P3Config:
     replication: int = 1
     variant_cache: int = 256
     variant_ttl_s: float = 300.0
+    secret_cache: int = 128
     envelope_cache: int = 512
     cache_partition_quota: float = 0.5
     ingest_executor: str = "serial"
@@ -158,20 +159,16 @@ class P3Config:
             raise ValueError(
                 f"replication must be >= 1, got {self.replication}"
             )
-        if self.variant_cache < 0:
-            raise ValueError(
-                f"variant_cache must be >= 0 (0 disables the tier), "
-                f"got {self.variant_cache}"
-            )
+        for tier in ("variant_cache", "secret_cache", "envelope_cache"):
+            if getattr(self, tier) < 0:
+                raise ValueError(
+                    f"{tier} must be >= 0 (0 disables the tier), "
+                    f"got {getattr(self, tier)}"
+                )
         if self.variant_ttl_s < 0:
             raise ValueError(
                 f"variant_ttl_s must be >= 0 (0 = no expiry), "
                 f"got {self.variant_ttl_s}"
-            )
-        if self.envelope_cache < 0:
-            raise ValueError(
-                f"envelope_cache must be >= 0 (0 disables the tier), "
-                f"got {self.envelope_cache}"
             )
         if not 0.0 < self.cache_partition_quota <= 1.0:
             raise ValueError(

@@ -14,9 +14,13 @@ Everything a download needs lives here, shared by every caller:
   :func:`secret_blob_key` (where an envelope lives in storage) and
   :func:`key_digest` (the album-key fingerprint that namespaces and
   *partitions* every cache);
-* :class:`LRUCache` / :class:`PartitionedLRUCache` /
-  :class:`CacheStats` / :class:`SingleFlight` — the building blocks,
-  reusable on their own;
+* :class:`PartitionedLRUCache` / :class:`SingleFlight` — the building
+  blocks, reusable on their own;
+* :class:`StatsRecorder` (:mod:`repro.serve.stats`) — the one stats
+  store: named counters and bounded latency windows behind one lock.
+  The engine, the async front end and each cache tier keep one and
+  build their part of ``/stats`` from it, with one nearest-rank
+  :func:`~repro.serve.stats.percentile`;
 * :mod:`repro.serve.trace` — workload traces: the flat zipfian draw
   for cache benchmarks plus *timed* scenarios (diurnal day curve,
   flash-crowd spike, thundering herd) drawn from million-user tenant
@@ -44,9 +48,11 @@ The three cache tiers, top to bottom:
    tier the serve path does.  A true miss still reaches storage and
    exercises read-repair on replicated stores.
 
-Every tier is partitioned — by tenant-key digest for tiers 1-2, by
-album for tier 3 — with a protected per-partition quota
-(``P3Config.cache_partition_quota``, default half the cache): a
+All three tiers are sized by :class:`~repro.core.config.P3Config`
+(``variant_cache``/``variant_ttl_s``, ``secret_cache``,
+``envelope_cache``).  Every tier is partitioned — by tenant-key digest
+for tiers 1-2, by album for tier 3 — with a protected per-partition
+quota (``P3Config.cache_partition_quota``, default half the cache): a
 partition within its quota can never be evicted by another partition's
 inserts, so one viral photo cannot flush every other tenant's working
 set.  Per-partition hit/miss/eviction stats surface in
@@ -139,9 +145,11 @@ gate, ``--rule taint``):
 
 Quickstart::
 
+    from repro.core.config import P3Config
     from repro.serve import ServeRequest, ServingEngine
 
-    engine = ServingEngine(psp, storage)        # shared by all viewers
+    # Shared by all viewers; the config sizes its three cache tiers.
+    engine = ServingEngine(psp, storage, P3Config(secret_cache=256))
     result = engine.serve(
         ServeRequest(photo_id, album="trip", key=key, requester="bob")
     )
@@ -155,47 +163,33 @@ Quickstart::
 from repro.serve.admission import (
     AdmissionController,
     DeadlineQueue,
-    FrontendStats,
     TenantRateLimiter,
     TokenBucket,
 )
-from repro.serve.cache import CacheStats, LRUCache, PartitionedLRUCache
+from repro.serve.cache import PartitionedLRUCache
 from repro.serve.engine import (
-    DEFAULT_CACHE_PARTITION_QUOTA,
-    DEFAULT_ENVELOPE_CACHE_LIMIT,
-    DEFAULT_SECRET_CACHE_LIMIT,
-    DEFAULT_VARIANT_CACHE_LIMIT,
-    DEFAULT_VARIANT_TTL_S,
     ServeRequest,
     ServeResult,
     ServeTiming,
     ServingEngine,
-    ServingStats,
 )
 from repro.serve.keys import key_digest, secret_blob_key
 from repro.serve.reconstruct import build_served_operator, reconstruct_served
 from repro.serve.singleflight import SingleFlight
+from repro.serve.stats import StatsRecorder
 
 __all__ = [
     "AdmissionController",
     "DeadlineQueue",
-    "FrontendStats",
     "TenantRateLimiter",
     "TokenBucket",
-    "CacheStats",
-    "LRUCache",
     "PartitionedLRUCache",
     "SingleFlight",
+    "StatsRecorder",
     "ServeRequest",
     "ServeResult",
     "ServeTiming",
     "ServingEngine",
-    "ServingStats",
-    "DEFAULT_CACHE_PARTITION_QUOTA",
-    "DEFAULT_ENVELOPE_CACHE_LIMIT",
-    "DEFAULT_SECRET_CACHE_LIMIT",
-    "DEFAULT_VARIANT_CACHE_LIMIT",
-    "DEFAULT_VARIANT_TTL_S",
     "key_digest",
     "secret_blob_key",
     "build_served_operator",

@@ -22,9 +22,11 @@ accounting are testable without an event loop or a sleep:
   decision runs under one small lock so it can be driven from any
   thread (the async gateway drives it from its event loop; tests
   drive it directly).
-* :class:`FrontendStats` — admitted/shed/degraded counters plus a
-  rolling latency window deep enough for p999, the front end's
-  contribution to ``/stats``.
+
+What the front end admitted, shed and degraded is counted by the async
+gateway itself (:class:`~repro.serve.async_gateway.AsyncGateway`, in a
+:class:`~repro.serve.stats.StatsRecorder`), next to the calls it
+makes here.
 
 Nothing here knows about asyncio: the controller hands back
 :class:`Ticket` objects and the async layer decides how to wait on
@@ -38,8 +40,6 @@ import threading
 import time
 from collections import deque
 from typing import Any, Callable
-
-from repro.serve.trace import percentile
 
 #: Queue capacity as a multiple of ``max_inflight``: the waiting room
 #: is bounded at four times the number of reconstruction slots, so
@@ -397,94 +397,3 @@ class AdmissionController:
             f"AdmissionController(max_inflight={self.max_inflight}, "
             f"inflight={self.inflight}, queued={self.queue_depth()})"
         )
-
-
-class FrontendStats:
-    """Admitted/shed/degraded accounting for the async front end.
-
-    Latency windows are kept separately for admitted serves and for
-    degraded fallbacks — mixing them would let cheap previews mask an
-    admitted-path tail.  The admitted window defaults to 16384 samples
-    so a p999 actually has mass behind it.
-    """
-
-    _GUARDED_BY = {
-        "admitted": "_lock:writes",
-        "loop_hits": "_lock:writes",
-        "degraded": "_lock:writes",
-        "rejected": "_lock:writes",
-        "queue_depth_max": "_lock:writes",
-        "_shed": "_lock",
-        "_latencies": "_lock",
-        "_degraded_latencies": "_lock",
-    }
-
-    def __init__(self, window: int = 16384) -> None:
-        self._lock = threading.Lock()
-        self.admitted = 0
-        self.loop_hits = 0  # admitted serves answered on the event loop
-        self.degraded = 0
-        self.rejected = 0  # shed with a 503 (degrade_mode="reject")
-        self.queue_depth_max = 0
-        self._shed: dict[str, int] = {}
-        self._latencies: deque[float] = deque(maxlen=window)
-        self._degraded_latencies: deque[float] = deque(maxlen=window)
-
-    def record_admitted(
-        self, latency_s: float, *, on_loop: bool = False
-    ) -> None:
-        with self._lock:
-            self.admitted += 1
-            if on_loop:
-                self.loop_hits += 1
-            self._latencies.append(latency_s)
-
-    def record_shed(self, reason: str, *, degraded: bool) -> None:
-        with self._lock:
-            self._shed[reason] = self._shed.get(reason, 0) + 1
-            if degraded:
-                self.degraded += 1
-            else:
-                self.rejected += 1
-
-    def record_degraded_latency(self, latency_s: float) -> None:
-        with self._lock:
-            self._degraded_latencies.append(latency_s)
-
-    def observe_queue_depth(self, depth: int) -> None:
-        with self._lock:
-            if depth > self.queue_depth_max:
-                self.queue_depth_max = depth
-
-    @property
-    def shed(self) -> int:
-        with self._lock:
-            return sum(self._shed.values())
-
-    def snapshot(self) -> dict[str, Any]:
-        """One consistent view (single lock acquisition), mirroring
-        :meth:`~repro.serve.engine.ServingStats.snapshot`."""
-        with self._lock:
-            admitted = self.admitted
-            loop_hits = self.loop_hits
-            degraded = self.degraded
-            rejected = self.rejected
-            shed = dict(self._shed)
-            depth_max = self.queue_depth_max
-            latencies = list(self._latencies)
-            degraded_latencies = list(self._degraded_latencies)
-        return {
-            "admitted": admitted,
-            "loop_hits": loop_hits,
-            "shed": shed,
-            "shed_total": sum(shed.values()),
-            "degraded": degraded,
-            "rejected": rejected,
-            "queue_depth_max": depth_max,
-            "p50_ms": round(percentile(latencies, 50) * 1000, 3),
-            "p99_ms": round(percentile(latencies, 99) * 1000, 3),
-            "p999_ms": round(percentile(latencies, 99.9) * 1000, 3),
-            "degraded_p99_ms": round(
-                percentile(degraded_latencies, 99) * 1000, 3
-            ),
-        }

@@ -28,7 +28,8 @@ Every knob comes from :class:`~repro.core.config.P3Config`
 (``max_inflight``, ``tenant_rps``, ``queue_deadline_ms``,
 ``degrade_mode``) and every outcome is visible through ``/stats``
 (admitted/shed/degraded counters, queue depth high-water mark,
-p99/p999 latency).
+p99/p999 latency), counted in the front end's
+:class:`~repro.serve.stats.StatsRecorder`.
 
 Parity with the sync gateway is by construction, not by convention:
 authentication, view parsing and error mapping are *shared code*
@@ -57,13 +58,9 @@ from typing import Any, Callable
 
 from repro.api.executors import Executor, run_async
 from repro.core.config import P3Config
-from repro.serve.admission import (
-    SHED_DEADLINE,
-    AdmissionController,
-    FrontendStats,
-    Ticket,
-)
+from repro.serve.admission import SHED_DEADLINE, AdmissionController, Ticket
 from repro.serve.engine import ServeRequest, ServeResult
+from repro.serve.stats import StatsRecorder, percentile_ms
 from repro.system.gateway import (
     USER_HEADER,
     P3Gateway,
@@ -79,6 +76,10 @@ DEGRADED_HEADER = "x-p3-degraded"
 #: previews (which bypass admission) never deadlock behind a full
 #: complement of admitted serves.
 OFFLOAD_HEADROOM = 4
+
+#: Latency samples kept per front-end window, deep enough that a p999
+#: has mass behind it.
+FRONTEND_WINDOW = 16384
 
 
 def _unavailable(reason: str) -> HttpResponse:
@@ -101,8 +102,9 @@ class AsyncGateway:
     offload pool.  Call :meth:`close` when done.
     """
 
-    # Admission state synchronizes inside AdmissionController /
-    # FrontendStats; everything here is set once in __init__.
+    # Admission state and counters synchronize inside the
+    # AdmissionController and the StatsRecorder; everything here is
+    # set once in __init__.
     _GUARDED_BY: dict[str, str] = {}
 
     def __init__(
@@ -119,7 +121,12 @@ class AsyncGateway:
             tenant_rps=self.config.tenant_rps,
             queue_deadline_s=self.config.queue_deadline_ms / 1000.0,
         )
-        self.frontend = FrontendStats()
+        # Admitted serves and degraded previews keep separate latency
+        # windows: mixing them would let cheap previews mask an
+        # admitted-path tail.
+        self.frontend = StatsRecorder(
+            admitted=FRONTEND_WINDOW, degraded=FRONTEND_WINDOW
+        )
         self.offload = Executor(
             "thread", self.controller.max_inflight + OFFLOAD_HEADROOM
         )
@@ -174,8 +181,11 @@ class AsyncGateway:
         serve_request = self.gateway.view_request(request, photo_id)
         cached = self.engine.serve_cached(serve_request)
         if cached is not None:
-            self.frontend.record_admitted(
-                time.perf_counter() - arrival, on_loop=True
+            self.frontend.record(
+                "admitted",
+                "loop_hits",
+                window="admitted",
+                sample=time.perf_counter() - arrival,
             )
             return pixel_response(cached)
         reason = await self._admit(request)
@@ -201,7 +211,9 @@ class AsyncGateway:
         if verdict != "queued":
             return verdict[len("shed-") :]
         assert ticket is not None
-        self.frontend.observe_queue_depth(self.controller.queue_depth())
+        self.frontend.high_water(
+            "queue_depth_max", self.controller.queue_depth()
+        )
         return None if await self._await_grant(ticket) else SHED_DEADLINE
 
     async def _run_admitted(
@@ -213,7 +225,9 @@ class AsyncGateway:
             result = await self.offload.offload(fn, item)
         finally:
             self._release()
-        self.frontend.record_admitted(time.perf_counter() - arrival)
+        self.frontend.record(
+            "admitted", window="admitted", sample=time.perf_counter() - arrival
+        )
         return result
 
     async def _await_grant(self, ticket: Ticket) -> bool:
@@ -264,9 +278,9 @@ class AsyncGateway:
         viewers costs one public decode, not thousands.
         """
         if self.config.degrade_mode != "preview":
-            self.frontend.record_shed(reason, degraded=False)
+            self.frontend.record(("shed", reason), "rejected")
             return _unavailable(reason)
-        self.frontend.record_shed(reason, degraded=True)
+        self.frontend.record(("shed", reason), "degraded")
         preview = ServeRequest(
             photo_id=serve_request.photo_id,
             album=None,
@@ -279,7 +293,9 @@ class AsyncGateway:
         result = self.engine.serve_cached(preview)
         if result is None:
             result = await self.offload.offload(self.engine.serve, preview)
-        self.frontend.record_degraded_latency(time.perf_counter() - arrival)
+        self.frontend.record(
+            window="degraded", sample=time.perf_counter() - arrival
+        )
         response = pixel_response(result)
         response.headers[DEGRADED_HEADER] = reason
         return response
@@ -300,7 +316,7 @@ class AsyncGateway:
         self.gateway.authenticate(request)  # 401 before spending budget
         reason = await self._admit(request)
         if reason is not None:
-            self.frontend.record_shed(reason, degraded=False)
+            self.frontend.record(("shed", reason), "rejected")
             return _unavailable(reason)
         response: HttpResponse = await self._run_admitted(
             self.gateway.handle, request, arrival
@@ -310,9 +326,32 @@ class AsyncGateway:
     # -- observability --------------------------------------------------------
 
     def stats_payload(self) -> dict[str, Any]:
-        """The engine's snapshot plus the front end's own counters."""
+        """The engine's snapshot plus the front end's own counters.
+
+        ``frontend`` comes from one recorder read, so its percentiles
+        describe exactly the requests its counters count.
+        """
+        counts, windows = self.frontend.snapshot()
+        shed = {
+            name[1]: value
+            for name, value in counts.items()
+            if isinstance(name, tuple)
+        }
+        admitted = windows["admitted"]
         payload = self.engine.snapshot()
-        payload["frontend"] = self.frontend.snapshot()
+        payload["frontend"] = {
+            "admitted": counts.get("admitted", 0),
+            "loop_hits": counts.get("loop_hits", 0),
+            "shed": shed,
+            "shed_total": sum(shed.values()),
+            "degraded": counts.get("degraded", 0),
+            "rejected": counts.get("rejected", 0),
+            "queue_depth_max": counts.get("queue_depth_max", 0),
+            "p50_ms": percentile_ms(admitted, 50),
+            "p99_ms": percentile_ms(admitted, 99),
+            "p999_ms": percentile_ms(admitted, 99.9),
+            "degraded_p99_ms": percentile_ms(windows["degraded"], 99),
+        }
         payload["admission"] = self.controller.snapshot()
         return payload
 

@@ -31,8 +31,9 @@ The engine owns everything between "a viewer asked for photo X" and
   thread per request on the sync gateway);
 * **per-request timing** — every serve returns a
   :class:`ServeResult` with stage timings and cache provenance, and
-  rolling :class:`ServingStats` (p50/p99) feed dashboards and
-  benchmarks;
+  the engine's :class:`~repro.serve.stats.StatsRecorder` (request
+  counters, p50/p99 over the last :data:`SERVE_WINDOW` serves) feeds
+  dashboards and benchmarks;
 * **no pixel copies** — a result's pixels are the variant cache's
   read-only master array, on hits, misses and coalesced waiters
   alike.  Each front end makes the one copy it needs: the HTTP
@@ -52,22 +53,21 @@ and batch fetches included.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.api.backends import BlobStore, PSPBackend
+from repro.core.config import P3Config
 from repro.core.decryptor import P3Decryptor
 from repro.core.serialization import SecretPart
-from repro.serve.cache import CacheStats, PartitionedLRUCache
+from repro.serve.cache import PartitionedLRUCache
 from repro.serve.keys import key_digest, secret_blob_key
 from repro.serve.reconstruct import check_crop, reconstruct_served
 from repro.serve.singleflight import SingleFlight
-from repro.serve.trace import percentile
+from repro.serve.stats import StatsRecorder, percentile_ms
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only: importing the
     # system package here would close an import cycle back onto the
@@ -75,16 +75,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only: importing the
     from repro.api.pipeline import DecryptTask
     from repro.system.reverse import TransformEstimate
 
-#: Default bound on the secret-part cache (tier 2).
-DEFAULT_SECRET_CACHE_LIMIT = 128
-#: Default bound on the decoded-variant cache (tier 1).
-DEFAULT_VARIANT_CACHE_LIMIT = 256
-#: Default TTL on decoded variants, seconds (PSPs may reprocess photos).
-DEFAULT_VARIANT_TTL_S = 300.0
-#: Default bound on the secret-envelope cache (tier 3).
-DEFAULT_ENVELOPE_CACHE_LIMIT = 512
-#: Default protected share of each cache one tenant partition gets.
-DEFAULT_CACHE_PARTITION_QUOTA = 0.5
+#: Serve latencies the engine keeps for its ``/stats`` p50/p99.
+SERVE_WINDOW = 4096
+
+#: The engine's ``/stats`` counters; every serve counts ``requests``
+#: and exactly one of the other three.
+SERVE_COUNTERS = ("requests", "reconstructions", "coalesced", "variant_hits")
 
 
 @dataclass(frozen=True)
@@ -184,61 +180,6 @@ class ServeResult:
         return "reconstructed"
 
 
-class ServingStats:
-    """Rolling request statistics for one engine (thread-safe)."""
-
-    # Counters are written under the lock, read plain (atomic int
-    # replacement); the latency window is a deque and needs the lock
-    # for every access.
-    _GUARDED_BY = {
-        "requests": "_lock:writes",
-        "reconstructions": "_lock:writes",
-        "coalesced": "_lock:writes",
-        "variant_hits": "_lock:writes",
-        "_latencies": "_lock",
-    }
-
-    def __init__(self, window: int = 4096) -> None:
-        self._lock = threading.Lock()
-        self.requests = 0
-        self.reconstructions = 0
-        self.coalesced = 0
-        self.variant_hits = 0
-        self._latencies: deque[float] = deque(maxlen=window)
-
-    def record(self, result: ServeResult) -> None:
-        with self._lock:
-            self.requests += 1
-            if result.variant_hit:
-                self.variant_hits += 1
-            elif result.coalesced:
-                self.coalesced += 1
-            else:
-                self.reconstructions += 1
-            self._latencies.append(result.timing.total_s)
-
-    def snapshot(self) -> dict[str, Any]:
-        """One *consistent* view: counters and percentiles are read
-        under a single lock acquisition, so the reported p50/p99 come
-        from exactly the requests the counters describe (re-acquiring
-        per field could interleave with concurrent serves and mix
-        instants)."""
-        with self._lock:
-            requests = self.requests
-            reconstructions = self.reconstructions
-            coalesced = self.coalesced
-            variant_hits = self.variant_hits
-            latencies = list(self._latencies)
-        return {
-            "requests": requests,
-            "reconstructions": reconstructions,
-            "coalesced": coalesced,
-            "variant_hits": variant_hits,
-            "p50_ms": round(percentile(latencies, 50) * 1000, 3),
-            "p99_ms": round(percentile(latencies, 99) * 1000, 3),
-        }
-
-
 class ServingEngine:
     """The shared, concurrent core of the P3 read path.
 
@@ -259,45 +200,43 @@ class ServingEngine:
         self,
         psp: PSPBackend,
         storage: BlobStore,
+        config: P3Config | None = None,
         *,
         transform_estimate: TransformEstimate | None = None,
-        secret_cache_limit: int | None = DEFAULT_SECRET_CACHE_LIMIT,
-        variant_cache_limit: int | None = DEFAULT_VARIANT_CACHE_LIMIT,
-        variant_ttl_s: float | None = DEFAULT_VARIANT_TTL_S,
-        envelope_cache_limit: int | None = DEFAULT_ENVELOPE_CACHE_LIMIT,
-        cache_partition_quota: float = DEFAULT_CACHE_PARTITION_QUOTA,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        """Sizes all three cache tiers from ``config`` (see
+        :class:`~repro.core.config.P3Config`); ``clock`` drives the
+        variant tier's TTL."""
+        config = config or P3Config()
         self.psp = psp
         self.storage = storage
         self.transform_estimate = transform_estimate
         # Tier partitioning: variant and secret-part keys carry the
         # album-key digest (one partition per tenant key); the envelope
         # tier holds key-independent ciphertext and partitions by album.
+        quota = config.cache_partition_quota
         self.secret_cache = PartitionedLRUCache(
-            secret_cache_limit,
+            config.secret_cache,
             partition=lambda key: key[2],
-            quota_fraction=cache_partition_quota,
-            stats=CacheStats(),
+            quota_fraction=quota,
             name="secret-part",
         )
         self.variant_cache = PartitionedLRUCache(
-            variant_cache_limit,
+            config.variant_cache,
             partition=lambda key: key[2],
-            quota_fraction=cache_partition_quota,
-            ttl=variant_ttl_s or None,
+            quota_fraction=quota,
+            ttl=config.variant_ttl_s or None,
             clock=clock,
-            stats=CacheStats(),
             name="decoded-variant",
         )
         self.envelope_cache = PartitionedLRUCache(
-            envelope_cache_limit,
+            config.envelope_cache,
             partition=lambda key: key[0],
-            quota_fraction=cache_partition_quota,
-            stats=CacheStats(),
+            quota_fraction=quota,
             name="secret-envelope",
         )
-        self.stats = ServingStats()
+        self.stats = StatsRecorder(serve=SERVE_WINDOW)
         self._variant_flights = SingleFlight()
         self._secret_flights = SingleFlight()
         self._envelope_flights = SingleFlight()
@@ -306,28 +245,6 @@ class ServingEngine:
         # so the provider's in-band access enforcement keeps running.
         self._has_access_hook = (
             getattr(psp, "check_access", None) is not None
-        )
-
-    @classmethod
-    def from_config(
-        cls,
-        psp: PSPBackend,
-        storage: BlobStore,
-        config,
-        *,
-        transform_estimate: TransformEstimate | None = None,
-        secret_cache_limit: int | None = DEFAULT_SECRET_CACHE_LIMIT,
-    ) -> "ServingEngine":
-        """Build an engine from a :class:`~repro.core.config.P3Config`."""
-        return cls(
-            psp,
-            storage,
-            transform_estimate=transform_estimate,
-            secret_cache_limit=secret_cache_limit,
-            variant_cache_limit=config.variant_cache,
-            variant_ttl_s=config.variant_ttl_s,
-            envelope_cache_limit=config.envelope_cache,
-            cache_partition_quota=config.cache_partition_quota,
         )
 
     # -- the serve path -------------------------------------------------------
@@ -390,7 +307,7 @@ class ServingEngine:
         offload path — :meth:`serve` preserves that guarantee.
 
         A hit is a full serve as far as accounting goes: it lands in
-        :class:`ServingStats` exactly as :meth:`serve` would.
+        the engine's stats exactly as :meth:`serve` would.
         """
         if not self._has_access_hook:
             return None
@@ -416,8 +333,15 @@ class ServingEngine:
         return self._record(result, start)
 
     def _record(self, result: ServeResult, start: float) -> ServeResult:
-        result.timing.total_s = time.perf_counter() - start
-        self.stats.record(result)
+        total_s = time.perf_counter() - start
+        result.timing.total_s = total_s
+        if result.variant_hit:
+            kind = "variant_hits"
+        elif result.coalesced:
+            kind = "coalesced"
+        else:
+            kind = "reconstructions"
+        self.stats.record("requests", kind, window="serve", sample=total_s)
         return result
 
     # -- the batch-pipeline seam ----------------------------------------------
@@ -606,12 +530,20 @@ class ServingEngine:
         """
         from repro.jpeg.engines import engine_info
 
+        # One recorder read: the percentiles come from exactly the
+        # serves the counters describe.
+        counts, windows = self.stats.snapshot()
+        serving: dict[str, int | float] = {
+            name: counts.get(name, 0) for name in SERVE_COUNTERS
+        }
+        serving["p50_ms"] = percentile_ms(windows["serve"], 50)
+        serving["p99_ms"] = percentile_ms(windows["serve"], 99)
         return {
-            "serving": self.stats.snapshot(),
+            "serving": serving,
             "codec": engine_info(),
-            "variant_cache": self.variant_cache.stats.snapshot(),
-            "secret_cache": self.secret_cache.stats.snapshot(),
-            "envelope_cache": self.envelope_cache.stats.snapshot(),
+            "variant_cache": self.variant_cache.snapshot(),
+            "secret_cache": self.secret_cache.snapshot(),
+            "envelope_cache": self.envelope_cache.snapshot(),
             "variant_entries": len(self.variant_cache),
             "secret_entries": len(self.secret_cache),
             "envelope_entries": len(self.envelope_cache),
@@ -627,5 +559,5 @@ class ServingEngine:
             f"ServingEngine(psp={getattr(self.psp, 'name', '?')!r}, "
             f"variants={len(self.variant_cache)}, "
             f"secrets={len(self.secret_cache)}, "
-            f"requests={self.stats.requests})"
+            f"requests={self.stats.count('requests')})"
         )

@@ -39,26 +39,17 @@ class SingleFlight:
     retries.
     """
 
-    _GUARDED_BY = {
-        "_flights": "_lock",
-        # Bumped under the lock; read plain by stats endpoints.
-        "coalesced": "_lock:writes",
-    }
+    _GUARDED_BY = {"_flights": "_lock"}
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._flights: dict[Hashable, _Flight] = {}
-        self.coalesced = 0  # calls served by another caller's flight
 
     def waiters(self, key: Hashable) -> int:
         """How many callers are currently waiting on ``key``'s flight."""
         with self._lock:
             flight = self._flights.get(key)
             return flight.waiters if flight is not None else 0
-
-    def in_flight(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._flights
 
     def do(
         self, key: Hashable, fn: Callable[[], Any]
@@ -71,7 +62,6 @@ class SingleFlight:
                 leader = True
             else:
                 flight.waiters += 1
-                self.coalesced += 1
                 leader = False
         if not leader:
             flight.done.wait()

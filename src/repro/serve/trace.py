@@ -30,9 +30,11 @@ sorted by arrival time, ready for the replayers in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
+
+# Re-exported: the benchmarks and replayers import it from here.
+from repro.serve.stats import percentile  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -206,20 +208,3 @@ def zipf_trace(
     items with zipfian popularity (rank 0 most popular)."""
     rng = np.random.default_rng(seed)
     return rng.choice(count, size=requests, p=zipf_weights(count, s)).tolist()
-
-
-def percentile(values: Iterable[float], p: float) -> float:
-    """Nearest-rank percentile in the input's own units (0 if empty).
-
-    The single percentile definition for the serving tier: the
-    engine's rolling :class:`~repro.serve.engine.ServingStats`, the
-    async front end's :class:`~repro.serve.admission.FrontendStats`
-    and the benchmark/CLI trace replays all report through this, so
-    their figures are directly comparable.
-    """
-    values = list(values)
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100 * (len(ordered) - 1))))
-    return ordered[index]

@@ -156,7 +156,7 @@ class P3Gateway:
         transform_estimate: TransformEstimate | None = None,
     ) -> None:
         self.config = config or P3Config()
-        self.engine = engine or ServingEngine.from_config(
+        self.engine = engine or ServingEngine(
             psp, storage, self.config, transform_estimate=transform_estimate
         )
         self.psp = self.engine.psp
@@ -347,5 +347,5 @@ class P3Gateway:
         return (
             f"P3Gateway(users={users}, "
             f"psp={getattr(self.psp, 'name', '?')!r}, "
-            f"requests={self.engine.stats.requests})"
+            f"requests={self.engine.stats.count('requests')})"
         )

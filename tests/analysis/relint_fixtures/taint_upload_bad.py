@@ -12,7 +12,7 @@ def publish(psp: PSPBackend):  # noqa: F821 (annotation names the type)
     psp.upload(key, owner="alice")
 
 
-def cache_by_raw_key(cache: LRUCache):  # noqa: F821
+def cache_by_raw_key(cache: PartitionedLRUCache):  # noqa: F821
     key = make_key()
     cache.put(key, b"payload")
 

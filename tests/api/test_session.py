@@ -119,19 +119,21 @@ class TestSinglePhotoParity:
         )
         assert not np.array_equal(single, default_recon)
 
-    def test_viewer_inherits_estimate_and_cache_limit(self, jpegs):
+    def test_viewer_inherits_estimate_and_secret_cache(self, jpegs):
         from repro.system.reverse import TransformEstimate
 
         estimate = TransformEstimate(
             kernel="lanczos", sharpen_amount=0.0, gamma=1.0, score_db=35.0
         )
         session = P3Session.create(
-            psp="flickr", transform_estimate=estimate, cache_limit=7
+            psp="flickr",
+            transform_estimate=estimate,
+            config=P3Config(secret_cache=7),
         )
         bob = session.viewer("bob")
         assert bob.engine is session.engine
         assert bob.transform_estimate is estimate
-        assert bob.cache_limit == bob.engine.secret_cache.maxsize == 7
+        assert bob.engine.secret_cache.maxsize == 7
 
     def test_batch_download_matches_single_download(self, jpegs):
         """The executor path reconstructs exactly like single downloads."""
@@ -599,14 +601,14 @@ class TestBatchCacheSharing:
             ids, album="trip", resolution=75, executor=executor
         )
         assert cold.ok, cold.failures
-        misses_after_cold = session.engine.envelope_cache.stats.misses
+        misses_after_cold = session.engine.envelope_cache.stats.count("misses")
         warm = session.batch_download(
             ids, album="trip", resolution=75, executor=executor
         )
         assert warm.ok, warm.failures
         # The second batch ran entirely off the shared envelope tier.
-        assert session.engine.envelope_cache.stats.hits >= len(ids)
-        assert session.engine.envelope_cache.stats.misses == misses_after_cold
+        assert session.engine.envelope_cache.stats.count("hits") >= len(ids)
+        assert session.engine.envelope_cache.stats.count("misses") == misses_after_cold
 
         # A session with every cache disabled: the reference bytes.
         bare = P3Session(
@@ -617,9 +619,9 @@ class TestBatchCacheSharing:
                 threshold=15,
                 quality=85,
                 variant_cache=0,
+                secret_cache=0,
                 envelope_cache=0,
             ),
-            cache_limit=0,
         )
         bypassed = bare.batch_download(
             ids, album="trip", resolution=75, executor=executor

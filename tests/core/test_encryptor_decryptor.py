@@ -39,8 +39,11 @@ class TestConfig:
             P3Config(ingest_executor="async")
 
     def test_serving_tier_knobs_validated(self):
-        with pytest.raises(ValueError, match="envelope_cache"):
-            P3Config(envelope_cache=-1)
+        for tier in ("variant_cache", "secret_cache", "envelope_cache"):
+            with pytest.raises(ValueError, match=tier):
+                P3Config(**{tier: -1})
+        with pytest.raises(ValueError, match="variant_ttl_s"):
+            P3Config(variant_ttl_s=-1.0)
         for bad_quota in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="cache_partition_quota"):
                 P3Config(cache_partition_quota=bad_quota)

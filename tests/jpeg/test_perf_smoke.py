@@ -1,11 +1,10 @@
 """Opt-in perf smoke test: a regression to the per-bit path fails here.
 
 The native kernel decodes a dense 512x512 quality-75 image in ~10 ms,
-the scalar T.81 oracle in ~10 s.  The budgets below are generous
-multiples of those (slow CI boxes must stay green) but still fail hard
-when a hot path regresses: the native budget trips if the C kernel
-stops being used, the coarse budget if decoding falls back to a
-per-bit loop.
+the scalar T.81 oracle in ~10 s.  The decode budget below is a
+generous multiple of the first (slow CI boxes must stay green) but
+still fails hard when the hot path regresses: it trips if the C kernel
+stops being used, and so also if decoding falls back to a per-bit loop.
 
 The upload path's array-speed layers have relative budgets instead:
 each is timed against its oracle from ``tests/jpeg/oracles.py`` (or
@@ -54,10 +53,9 @@ from tests.jpeg.oracles import (
 
 pytestmark = pytest.mark.slow
 
-#: Wall-clock ceilings (seconds) for the codec.  Scalar T.81 oracle:
+#: Wall-clock ceiling (seconds) for the encode.  Scalar T.81 oracle:
 #: ~9s.  5s keeps slow CI boxes green while still failing
 #: hard on a per-bit regression.
-DECODE_BUDGET_SECONDS = 5.0
 ENCODE_BUDGET_SECONDS = 5.0
 
 #: Ceiling for the native kernel specifically: ~11ms on a dev box, 25x
@@ -114,20 +112,9 @@ def dense_512_jpeg() -> bytes:
     return encode_gray(image, quality=75)
 
 
-def test_decode_512_within_budget(dense_512_jpeg):
-    start = time.perf_counter()
-    image = decode_coefficients(dense_512_jpeg)
-    elapsed = time.perf_counter() - start
-    assert image.width == 512 and image.height == 512
-    assert elapsed < DECODE_BUDGET_SECONDS, (
-        f"512x512 decode took {elapsed:.2f}s (budget "
-        f"{DECODE_BUDGET_SECONDS}s) — did the entropy hot path regress "
-        "to the per-bit reference?"
-    )
-
-
 def test_native_decode_512_within_budget(dense_512_jpeg):
-    decode_coefficients(dense_512_jpeg)  # warm up
+    image = decode_coefficients(dense_512_jpeg)  # warm up
+    assert image.width == 512 and image.height == 512
     best = min(
         _timed(lambda: decode_coefficients(dense_512_jpeg))
         for _ in range(3)

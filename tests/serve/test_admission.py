@@ -1,6 +1,7 @@
 """Isolated tests for the overload-protection building blocks:
 token-bucket refill math under a fake clock, deadline-queue shedding
-order, and the admission controller's slot accounting."""
+order, the admission controller's slot accounting, and the front
+end's part of ``/stats``."""
 
 import threading
 
@@ -9,13 +10,16 @@ import pytest
 from repro.serve.admission import (
     AdmissionController,
     DeadlineQueue,
-    FrontendStats,
     QUEUE_CAPACITY_FACTOR,
     TenantRateLimiter,
     Ticket,
     TokenBucket,
 )
+from repro.serve.async_gateway import AsyncGateway
 from repro.serve.trace import percentile
+from repro.system.gateway import P3Gateway
+from repro.system.psp import FacebookPSP
+from repro.system.storage import CloudStorage
 
 
 class FakeClock:
@@ -271,19 +275,30 @@ class TestAdmissionController:
         assert snap["queue_deadline_ms"] == 1000.0
 
 
+@pytest.fixture()
+def front():
+    """An async front end whose recorder the tests drive directly."""
+    front = AsyncGateway(P3Gateway(FacebookPSP(), CloudStorage()))
+    yield front
+    front.close()
+
+
 class TestFrontendStats:
-    def test_counters_and_percentiles(self):
-        stats = FrontendStats()
+    """The front end's events, as :class:`AsyncGateway` records them,
+    and the ``frontend`` part of ``/stats`` it builds from them."""
+
+    def test_counters_and_percentiles(self, front):
+        stats = front.frontend
         for ms in (1, 2, 3, 4, 100):
-            stats.record_admitted(ms / 1000.0)
-        stats.record_admitted(0.001, on_loop=True)
-        stats.record_shed("rate", degraded=True)
-        stats.record_shed("rate", degraded=True)
-        stats.record_shed("deadline", degraded=False)
-        stats.record_degraded_latency(0.005)
-        stats.observe_queue_depth(3)
-        stats.observe_queue_depth(1)
-        snap = stats.snapshot()
+            stats.record("admitted", window="admitted", sample=ms / 1000.0)
+        stats.record("admitted", "loop_hits", window="admitted", sample=0.001)
+        stats.record(("shed", "rate"), "degraded")
+        stats.record(("shed", "rate"), "degraded")
+        stats.record(("shed", "deadline"), "rejected")
+        stats.record(window="degraded", sample=0.005)
+        stats.high_water("queue_depth_max", 3)
+        stats.high_water("queue_depth_max", 1)
+        snap = front.stats_payload()["frontend"]
         assert snap["admitted"] == 6
         assert snap["loop_hits"] == 1
         assert snap["shed"] == {"rate": 2, "deadline": 1}
@@ -293,22 +308,20 @@ class TestFrontendStats:
         assert snap["queue_depth_max"] == 3
         assert snap["p99_ms"] == 100.0
         assert snap["degraded_p99_ms"] == 5.0
-        assert stats.shed == 3
 
-    def test_empty_windows_report_zero(self):
-        snap = FrontendStats().snapshot()
+    def test_empty_windows_report_zero(self, front):
+        snap = front.stats_payload()["frontend"]
         assert snap["p50_ms"] == 0.0
         assert snap["p999_ms"] == 0.0
         assert snap["p99_ms"] == 0.0
         assert snap["degraded_p99_ms"] == 0.0
 
-    def test_percentile_ms_matches_snapshot(self):
+    def test_percentile_ms_matches_snapshot(self, front):
         """The snapshot's latencies are the shared nearest-rank
         percentile of the window, in milliseconds."""
-        stats = FrontendStats()
         latencies = [value / 1000.0 for value in range(1, 101)]
         for latency in latencies:
-            stats.record_admitted(latency)
-        snap = stats.snapshot()
+            front.frontend.record("admitted", window="admitted", sample=latency)
+        snap = front.stats_payload()["frontend"]
         for key, p in (("p50_ms", 50), ("p99_ms", 99), ("p999_ms", 99.9)):
             assert snap[key] == round(percentile(latencies, p) * 1000, 3)

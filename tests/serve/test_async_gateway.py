@@ -79,10 +79,10 @@ class TestServeCached:
             photo_id=photo_id, requester="alice", resolution=130
         )
         gateway.engine.serve(request)
-        before = gateway.engine.stats.requests
+        before = gateway.engine.stats.count("requests")
         gateway.engine.serve_cached(request)
-        assert gateway.engine.stats.requests == before + 1
-        assert gateway.engine.stats.variant_hits == 1
+        assert gateway.engine.stats.count("requests") == before + 1
+        assert gateway.engine.stats.count("variant_hits") == 1
 
     def test_no_access_hook_means_no_fast_path(self, gateway_and_photo):
         """A backend enforcing access only inside download() owes the
@@ -166,7 +166,7 @@ class TestAsyncViews:
         warm = front.handle_sync(request)
         assert cold.body == warm.body
         assert warm.headers["x-cache"] == "variant-cache"
-        snap = front.frontend.snapshot()
+        snap = front.stats_payload()["frontend"]
         assert snap["admitted"] == 2
         assert snap["loop_hits"] == 1
 
@@ -199,7 +199,7 @@ class TestAsyncViews:
             front.close()
         assert [r.status for r in responses] == [200] * 6
         assert len({r.body for r in responses}) == 1
-        assert gateway.engine.stats.reconstructions == 1
+        assert gateway.engine.stats.count("reconstructions") == 1
 
     def test_error_statuses_on_the_loop(self, async_gateway):
         front, photo_id = async_gateway
@@ -240,7 +240,7 @@ class TestAsyncViews:
         )
         assert response.status == 502
         assert front.controller.inflight == 0
-        assert front.frontend.snapshot()["admitted"] == 0
+        assert front.stats_payload()["frontend"]["admitted"] == 0
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_non_positive_size_is_400_before_any_work(
@@ -310,7 +310,7 @@ class TestOverload:
                 r.headers.get(DEGRADED_HEADER) == "deadline"
                 for r in degraded
             )
-            snap = front.frontend.snapshot()
+            snap = front.stats_payload()["frontend"]
             assert snap["degraded"] == len(degraded)
             assert snap["shed"].get("deadline", 0) >= 1
             # The preview is byte-identical to the public-only serve.
@@ -355,7 +355,7 @@ class TestOverload:
         assert 503 in statuses
         rejected = [r for r in responses if r.status == 503]
         assert all(b"overloaded" in r.body for r in rejected)
-        assert front.frontend.snapshot()["rejected"] == len(rejected)
+        assert front.stats_payload()["frontend"]["rejected"] == len(rejected)
 
     def test_rate_limited_tenant_degrades(self, jpeg):
         gateway, photo_ids = self.overloaded_front(
@@ -380,7 +380,7 @@ class TestOverload:
             assert DEGRADED_HEADER not in first.headers
             assert second.status == 200
             assert second.headers[DEGRADED_HEADER] == "rate"
-            assert front.frontend.snapshot()["shed"] == {"rate": 1}
+            assert front.stats_payload()["frontend"]["shed"] == {"rate": 1}
         finally:
             front.close()
 
@@ -400,7 +400,7 @@ class TestOverload:
                 warm = front.handle_sync(request)
                 assert warm.status == 200
                 assert DEGRADED_HEADER not in warm.headers
-            assert front.frontend.snapshot()["loop_hits"] == 5
+            assert front.stats_payload()["frontend"]["loop_hits"] == 5
         finally:
             front.close()
 
@@ -424,7 +424,7 @@ class TestOverload:
                 )
 
             asyncio.run(storm())
-            snap = front.frontend.snapshot()
+            snap = front.stats_payload()["frontend"]
             capacity = front.controller.queue_capacity
             assert snap["queue_depth_max"] <= capacity
             admission = front.controller.snapshot()

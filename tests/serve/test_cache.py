@@ -1,10 +1,17 @@
 """Tests for the serving tier's LRU+TTL cache and its stats."""
 
+import sys
 import threading
 
 import pytest
 
-from repro.serve.cache import CacheStats, LRUCache, PartitionedLRUCache
+from repro.serve.cache import PartitionedLRUCache
+from repro.serve.stats import StatsRecorder
+
+
+def lru(maxsize, **kwargs):
+    """A one-partition cache: a plain LRU."""
+    return PartitionedLRUCache(maxsize, partition=lambda key: "all", **kwargs)
 
 
 class FakeClock:
@@ -20,16 +27,16 @@ class FakeClock:
 
 class TestEviction:
     def test_lru_eviction_order(self):
-        cache = LRUCache(2)
+        cache = lru(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("c", 3)  # evicts "a", the least recently used
         assert "a" not in cache
         assert "b" in cache and "c" in cache
-        assert cache.stats.evictions == 1
+        assert cache.stats.count("evictions") == 1
 
     def test_get_refreshes_recency(self):
-        cache = LRUCache(2)
+        cache = lru(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # "a" is now the most recent
@@ -38,7 +45,7 @@ class TestEviction:
         assert "b" not in cache
 
     def test_put_refreshes_recency(self):
-        cache = LRUCache(2)
+        cache = lru(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # refresh, not insert
@@ -47,39 +54,39 @@ class TestEviction:
         assert "b" not in cache
 
     def test_unbounded_and_disabled(self):
-        unbounded = LRUCache(None)
+        unbounded = lru(None)
         for index in range(500):
             unbounded.put(index, index)
         assert len(unbounded) == 500
 
-        disabled = LRUCache(0)
+        disabled = lru(0)
         disabled.put("a", 1)
         assert len(disabled) == 0
         assert disabled.get("a") is None
-        assert disabled.stats.misses == 1
+        assert disabled.stats.count("misses") == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="maxsize"):
-            LRUCache(-1)
+            lru(-1)
         with pytest.raises(ValueError, match="ttl"):
-            LRUCache(4, ttl=0)
+            lru(4, ttl=0)
 
 
 class TestTTL:
     def test_entries_expire_lazily(self):
         clock = FakeClock()
-        cache = LRUCache(8, ttl=10.0, clock=clock)
+        cache = lru(8, ttl=10.0, clock=clock)
         cache.put("a", 1)
         clock.advance(9.9)
         assert cache.get("a") == 1  # still fresh
         clock.advance(0.2)  # now 10.1s old
         assert cache.get("a") is None
-        assert cache.stats.expirations == 1
-        assert cache.stats.evictions == 0  # expiry is not an eviction
+        assert cache.stats.count("expirations") == 1
+        assert cache.stats.count("evictions") == 0  # expiry is not an eviction
 
     def test_put_resets_the_clock(self):
         clock = FakeClock()
-        cache = LRUCache(8, ttl=10.0, clock=clock)
+        cache = lru(8, ttl=10.0, clock=clock)
         cache.put("a", 1)
         clock.advance(8.0)
         cache.put("a", 2)  # re-stamped
@@ -88,18 +95,18 @@ class TestTTL:
 
     def test_contains_is_ttl_aware_and_silent(self):
         clock = FakeClock()
-        cache = LRUCache(8, ttl=10.0, clock=clock)
+        cache = lru(8, ttl=10.0, clock=clock)
         cache.put("a", 1)
         assert "a" in cache
         clock.advance(11.0)
         assert "a" not in cache
         # Membership checks never touch the counters.
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 0
+        assert cache.stats.count("hits") == 0
+        assert cache.stats.count("misses") == 0
 
     def test_no_ttl_never_expires(self):
         clock = FakeClock()
-        cache = LRUCache(8, ttl=None, clock=clock)
+        cache = lru(8, ttl=None, clock=clock)
         cache.put("a", 1)
         clock.advance(1e9)
         assert cache.get("a") == 1
@@ -107,43 +114,45 @@ class TestTTL:
 
 class TestStats:
     def test_hit_miss_accounting(self):
-        cache = LRUCache(4)
+        cache = lru(4)
         cache.put("a", 1)
         cache.get("a")
         cache.get("a")
         cache.get("missing")
-        assert cache.stats.hits == 2
-        assert cache.stats.misses == 1
-        assert cache.stats.requests == 3
-        assert cache.stats.hit_rate == pytest.approx(2 / 3)
+        snapshot = cache.snapshot()
+        assert snapshot["hits"] == 2
+        assert snapshot["misses"] == 1
+        assert snapshot["hits"] + snapshot["misses"] == 3
+        assert snapshot["hit_rate"] == pytest.approx(2 / 3, abs=1e-4)
 
     def test_snapshot_is_json_shaped(self):
-        stats = CacheStats()
-        stats._add("hits", 3)
-        stats._add("misses")
-        snapshot = stats.snapshot()
+        cache = lru(4)
+        for _ in range(3):
+            cache.stats.record("hits")
+        cache.stats.record("misses")
+        snapshot = cache.snapshot()
         assert snapshot["hits"] == 3
         assert snapshot["misses"] == 1
         assert 0.0 <= snapshot["hit_rate"] <= 1.0
 
     def test_concurrent_increments_are_exact(self):
-        stats = CacheStats()
+        stats = StatsRecorder()
 
         def bump():
             for _ in range(1000):
-                stats._add("hits")
+                stats.record("hits")
 
         threads = [threading.Thread(target=bump) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert stats.hits == 8000
+        assert stats.count("hits") == 8000
 
 
 class TestConcurrency:
     def test_hammer_put_get_never_corrupts(self):
-        cache = LRUCache(32)
+        cache = lru(32)
         errors = []
 
         def worker(seed: int) -> None:
@@ -167,6 +176,43 @@ class TestConcurrency:
         assert not errors
         assert len(cache) <= 32
 
+    def test_counts_are_exact_under_contention(self):
+        """Every lookup is counted exactly once, globally and in its
+        partition, although the counting shares the cache's lock: eight
+        threads on two cores with a 1 us switch interval would lose
+        updates to an unguarded count."""
+        cache = PartitionedLRUCache(
+            16, partition=lambda key: key[0], quota_fraction=0.5
+        )
+        lookups = 2000
+
+        def worker(part: str) -> None:
+            for index in range(lookups):
+                cache.put((part, index % 12), index)
+                cache.get((part, (index * 7) % 12))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(part,))
+                for part in "abcdefgh"
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = cache.snapshot()
+        assert total["hits"] + total["misses"] == 8 * lookups
+        report = cache.partitions()
+        for event in ("hits", "misses", "evictions"):
+            assert sum(part[event] for part in report.values()) == total[event]
+        for part in report.values():
+            assert part["hits"] + part["misses"] == lookups
+
 
 class TestPartitionedCache:
     @staticmethod
@@ -185,8 +231,8 @@ class TestPartitionedCache:
 
     def test_single_partition_degrades_to_plain_lru(self):
         """One tenant (the paper's one-user-one-proxy deploy) must see
-        exactly the LRUCache eviction order, quota or no quota."""
-        plain = LRUCache(3)
+        exactly the plain LRU eviction order, quota or no quota."""
+        plain = lru(3)
         partitioned = self.build(3, quota_fraction=0.5)
         for index in range(6):
             plain.put(("a", index), index)
@@ -196,7 +242,12 @@ class TestPartitionedCache:
         plain.put(("a", 6), 6)
         partitioned.put(("a", 6), 6)
         assert partitioned.keys() == plain.keys()
-        assert partitioned.stats.evictions == plain.stats.evictions
+        assert plain.keys() == [("a", 5), ("a", 3), ("a", 6)]
+        assert (
+            partitioned.stats.count("evictions")
+            == plain.stats.count("evictions")
+            == 4
+        )
 
     def test_hot_partition_cannot_evict_protected_tenant(self):
         """The flood scenario: tenant b's within-quota working set

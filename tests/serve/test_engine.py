@@ -11,12 +11,7 @@ from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.jpeg.codec import encode_rgb
 from repro.api.session import P3Session
-from repro.serve.engine import (
-    ServeRequest,
-    ServeResult,
-    ServingEngine,
-    ServingStats,
-)
+from repro.serve.engine import ServeRequest, ServeResult, ServingEngine
 from repro.serve.keys import key_digest
 from repro.serve.trace import percentile
 from repro.system.psp import AccessDeniedError, FacebookPSP
@@ -94,12 +89,12 @@ class TestVariantCache:
         assert psp.downloads == downloads_after_cold  # no second fetch
         assert warm.variant_hit and not cold.variant_hit
         assert warm.pixels.tobytes() == cold.pixels.tobytes()
-        assert engine.variant_cache.stats.hits == 1
+        assert engine.variant_cache.stats.count("hits") == 1
 
     def test_cached_serve_is_byte_identical_to_uncached(self, world):
         psp, storage, keys, photo_id = world
         cached = ServingEngine(psp, storage)
-        uncached = ServingEngine(psp, storage, variant_cache_limit=0)
+        uncached = ServingEngine(psp, storage, P3Config(variant_cache=0))
         request = request_for(keys, photo_id, resolution=130)
         cached.serve(request)  # warm it
         assert (
@@ -132,7 +127,9 @@ class TestVariantCache:
     def test_ttl_expiry_reconstructs_again(self, world):
         psp, storage, keys, photo_id = world
         clock = FakeClock()
-        engine = ServingEngine(psp, storage, variant_ttl_s=60.0, clock=clock)
+        engine = ServingEngine(
+            psp, storage, P3Config(variant_ttl_s=60.0), clock=clock
+        )
         request = request_for(keys, photo_id, resolution=130)
         cold = engine.serve(request)
         clock.now = 59.0
@@ -142,7 +139,7 @@ class TestVariantCache:
         stale = engine.serve(request)
         assert not stale.variant_hit  # expired -> reconstructed afresh
         assert psp.downloads == downloads_before + 1
-        assert engine.variant_cache.stats.expirations == 1
+        assert engine.variant_cache.stats.count("expirations") == 1
         assert stale.pixels.tobytes() == cold.pixels.tobytes()
 
 
@@ -154,7 +151,7 @@ class TestSecretCacheTier:
         for resolution in (75, 130, 720):
             engine.serve(request_for(keys, photo_id, resolution=resolution))
         assert storage.get_count == before + 1
-        assert engine.secret_cache.stats.hits == 2
+        assert engine.secret_cache.stats.count("hits") == 2
 
     def test_public_only_never_touches_storage(self, world):
         psp, storage, keys, photo_id = world
@@ -291,8 +288,8 @@ class TestCoalescing:
         assert not errors
         assert len(results) == 4
         assert psp.downloads == 1  # one fetch, one reconstruction
-        assert engine.stats.reconstructions == 1
-        assert engine.stats.coalesced == 3
+        assert engine.stats.count("reconstructions") == 1
+        assert engine.stats.count("coalesced") == 3
         reference = results[0].pixels.tobytes()
         assert all(r.pixels.tobytes() == reference for r in results)
 
@@ -425,30 +422,35 @@ class TestRequestValidation:
 
 
 class TestServingStatsSnapshot:
+    """The engine's ``serving`` part of ``/stats``, built from its
+    recorder."""
+
+    @staticmethod
+    def engine():
+        return ServingEngine(FacebookPSP(), CloudStorage())
+
     def test_empty_window_percentile_is_zero(self):
-        snapshot = ServingStats().snapshot()
+        snapshot = self.engine().snapshot()["serving"]
         assert snapshot["p50_ms"] == 0.0
         assert snapshot["p99_ms"] == 0.0
         assert snapshot["requests"] == 0
 
     def test_snapshot_percentiles_use_the_shared_percentile(self):
-        stats = ServingStats()
+        engine = self.engine()
         latencies = [ms / 1000.0 for ms in (5, 1, 4, 2, 3, 100)]
         for latency in latencies:
-            result = ServeResult(
-                pixels=np.zeros((1, 1, 3), dtype=np.uint8), photo_id="x"
+            engine.stats.record(
+                "requests", "reconstructions", window="serve", sample=latency
             )
-            result.timing.total_s = latency
-            stats.record(result)
-        snapshot = stats.snapshot()
+        snapshot = engine.snapshot()["serving"]
         assert snapshot["p50_ms"] == round(percentile(latencies, 50) * 1000, 3)
         assert snapshot["p99_ms"] == 100.0
 
     def test_snapshot_is_internally_consistent_under_load(self):
         """Counters and percentiles must describe the same instant:
-        hammer record() while snapshotting and check every snapshot's
-        counters sum up exactly."""
-        stats = ServingStats()
+        hammer the engine's recording while snapshotting and check
+        every snapshot's counters sum up exactly."""
+        engine = self.engine()
         stop = threading.Event()
         bad: list[dict] = []
 
@@ -456,11 +458,11 @@ class TestServingStatsSnapshot:
             pixels = np.zeros((1, 1, 3), dtype=np.uint8)
             while not stop.is_set():
                 result = ServeResult(pixels=pixels, photo_id="x")
-                stats.record(result)
+                engine._record(result, time.perf_counter())
 
         def snapshotter():
             while not stop.is_set():
-                snap = stats.snapshot()
+                snap = engine.snapshot()["serving"]
                 total = (
                     snap["reconstructions"]
                     + snap["coalesced"]
@@ -497,8 +499,8 @@ class TestPartitionIsolation:
         engine = ServingEngine(
             psp,
             storage,
-            variant_cache_limit=4,
-            cache_partition_quota=0.5,  # 2 protected entries each
+            # 2 protected entries each
+            P3Config(variant_cache=4, cache_partition_quota=0.5),
         )
         for resolution in (75, 130):
             engine.serve(request_for(keys, photo_id, resolution=resolution))

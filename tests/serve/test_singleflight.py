@@ -17,7 +17,6 @@ class TestSerial:
             assert leader
             assert value == index
         assert calls == [0, 1, 2]
-        assert flights.coalesced == 0
 
     def test_leader_error_propagates_and_is_not_cached(self):
         flights = SingleFlight()
@@ -26,7 +25,7 @@ class TestSerial:
         # The failed flight is gone; the next call executes fresh.
         value, leader = flights.do("k", lambda: 42)
         assert (value, leader) == (42, True)
-        assert not flights.in_flight("k")
+        assert flights.waiters("k") == 0
 
 
 class TestConcurrent:
@@ -73,7 +72,8 @@ class TestConcurrent:
         assert len(results) == 6
         assert all(value == "pixels" for value, _ in results)
         assert sum(1 for _, leader in results if leader) == 1
-        assert flights.coalesced == 5
+        assert [leader for _, leader in results].count(False) == 5
+        assert flights.waiters("k") == 0  # the flight has landed
 
     def test_waiters_share_the_leaders_exception(self):
         flights = SingleFlight()
@@ -89,6 +89,7 @@ class TestConcurrent:
     def test_distinct_keys_do_not_coalesce(self):
         flights = SingleFlight()
         calls = []
+        leaders = []
         barrier = threading.Barrier(3)
 
         def build(tag):
@@ -97,7 +98,7 @@ class TestConcurrent:
             return tag
 
         def call(tag):
-            flights.do(tag, lambda: build(tag))
+            leaders.append(flights.do(tag, lambda: build(tag))[1])
 
         threads = [
             threading.Thread(target=call, args=(tag,)) for tag in "abc"
@@ -107,4 +108,4 @@ class TestConcurrent:
         for thread in threads:
             thread.join(timeout=10)
         assert sorted(calls) == ["a", "b", "c"]
-        assert flights.coalesced == 0
+        assert leaders == [True, True, True]

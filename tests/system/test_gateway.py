@@ -235,8 +235,8 @@ class TestSharedEngine:
         second = carol.view_photo(receipt.photo_id, "trip", resolution=130)
         assert first.tobytes() == second.tobytes()
         # Carol's view was served from the variant Bob warmed.
-        assert gateway.engine.variant_cache.stats.hits == 1
-        assert gateway.engine.stats.reconstructions == 1
+        assert gateway.engine.variant_cache.stats.count("hits") == 1
+        assert gateway.engine.stats.count("reconstructions") == 1
 
     def test_concurrent_first_uploads_to_new_album_all_succeed(
         self, gateway, jpeg

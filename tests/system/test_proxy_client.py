@@ -11,7 +11,7 @@ from repro.api.session import P3Session
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
 from repro.jpeg.codec import decode, encode_rgb
-from repro.serve.engine import DEFAULT_SECRET_CACHE_LIMIT, ServingEngine
+from repro.serve.engine import ServingEngine
 from repro.serve.keys import secret_blob_key
 from repro.system.client import PhotoSharingClient
 from repro.system.gateway import P3Gateway
@@ -61,8 +61,7 @@ def with_secret_cache_limit(client, limit):
         engine=ServingEngine(
             gateway.psp,
             gateway.storage,
-            secret_cache_limit=limit,
-            variant_cache_limit=0,
+            P3Config(secret_cache=limit, variant_cache=0),
         ),
     )
 
@@ -135,7 +134,7 @@ class TestDownloadPath:
         bob.view_photo(receipt.photo_id, "trip", resolution=130)
         bob.view_photo(receipt.photo_id, "trip", resolution=720)
         assert storage.get_count == before + 1  # one secret fetch only
-        assert bob.gateway.engine.secret_cache.stats.hits == 2
+        assert bob.gateway.engine.secret_cache.stats.count("hits") == 2
 
     def test_stranger_cannot_download(self, world):
         alice, _, psp, storage, jpeg = world
@@ -177,11 +176,11 @@ class TestSecretCacheBound:
         for receipt in receipts:
             bob.view_photo(receipt.photo_id, "trip", resolution=75)
         assert len(bob.gateway.engine.secret_cache) == 2
-        assert stats.evictions == 1
+        assert stats.count("evictions") == 1
         # The oldest entry (receipts[0]) was evicted; re-viewing it is a miss.
-        before = stats.misses
+        before = stats.count("misses")
         bob.view_photo(receipts[0].photo_id, "trip", resolution=75)
-        assert stats.misses == before + 1
+        assert stats.count("misses") == before + 1
 
     def test_hit_refreshes_recency(self, world):
         alice, bob, _, _, jpeg = world
@@ -201,7 +200,7 @@ class TestSecretCacheBound:
     def test_default_limit(self, world):
         _, bob, psp, storage, _ = world
         session = P3Session(bob.gateway.keyring_for("bob"), psp, storage)
-        assert DEFAULT_SECRET_CACHE_LIMIT == 128
+        assert P3Config().secret_cache == 128
         assert bob.gateway.engine.secret_cache.maxsize == 128
         assert session.engine.secret_cache.maxsize == 128
 

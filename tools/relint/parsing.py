@@ -197,8 +197,8 @@ def _value_type(node: ast.expr) -> str | None:
         if isinstance(func, ast.Attribute):
             return func.attr
     if isinstance(node, ast.BoolOp):
-        # ``self.stats = stats or CacheStats()``: any operand that is a
-        # constructor call names the type.
+        # ``self._lock = lock or threading.Lock()``: any operand that is
+        # a constructor call names the type.
         for operand in node.values:
             inferred = _value_type(operand)
             if inferred is not None:

@@ -28,9 +28,8 @@ forward taint analysis over the parsed codebase:
   taint-format    ``print``/logging calls, exception messages,
                   ``__repr__``/``__str__`` returns, dataclass
                   implicit reprs of secret fields
-  taint-cache-key the *key* argument of ``LRUCache``/
-                  ``PartitionedLRUCache`` ``put``/``get`` and
-                  ``SingleFlight.do``
+  taint-cache-key the *key* argument of ``PartitionedLRUCache``
+                  ``put``/``get`` and ``SingleFlight.do``
   taint-stats     ``json.dumps``/``json.dump`` arguments, returns of
                   ``snapshot()``/``to_json()``
   taint-flow      functions annotated ``# taint: sink(public)`` and
@@ -132,7 +131,7 @@ PSP_SINK_METHODS = {"upload"}
 
 #: Cache types whose first ``put``/``get`` argument is the cache key —
 #: visible in stats/partition labels, so it must never be raw secret.
-CACHE_TYPES = {"LRUCache", "PartitionedLRUCache"}
+CACHE_TYPES = {"PartitionedLRUCache"}
 CACHE_KEY_METHODS = {"put", "get"}
 FLIGHT_TYPES = {"SingleFlight"}
 FLIGHT_KEY_METHODS = {"do"}
