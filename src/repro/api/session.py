@@ -513,10 +513,8 @@ class P3Session:
     def _encrypt_task(self, request: UploadRequest) -> EncryptTask:
         """The encode/split/seal task for one upload; creates the album
         key on first use."""
-        if request.album not in self.keyring:
-            self.keyring.create_album(request.album)
         return EncryptTask(
-            key=self.keyring.key_for(request.album),
+            key=self.keyring.ensure_album(request.album),
             config=self.config,
             jpeg=request.jpeg,
             pixels=request.pixels,

@@ -8,6 +8,9 @@
   has applied a linear transform to the public part (Eq. 2).
 * :class:`P3Encryptor` / :class:`P3Decryptor` — the end-to-end sender
   and recipient operations including serialization and AES encryption.
+
+The split, the recombination and the correction term take one threshold
+T, or per-block maps: one ``(blocks_y, blocks_x)`` array per component.
 """
 
 from repro.core.config import P3Config
@@ -17,14 +20,13 @@ from repro.core.reconstruction import (
     correction_image,
     recombine,
 )
-from repro.core.splitting import SplitResult, split_coefficients, split_image
+from repro.core.splitting import SplitResult, split_image
 
 __all__ = [
     "P3Config",
     "P3Encryptor",
     "P3Decryptor",
     "SplitResult",
-    "split_coefficients",
     "split_image",
     "recombine",
     "correction_image",

@@ -12,6 +12,13 @@ low-energy blocks keep a tight one.  The per-block threshold map is
 carried alongside the secret part (container version "P3S2"); the
 public part remains a standard JPEG.
 
+Only what is adaptive lives here: the threshold maps and the P3S2
+container.  Eq. 1 itself — the split, the recombination and the
+correction term — lives in the core (:mod:`repro.core.splitting`,
+:mod:`repro.core.reconstruction`), whose functions take the maps in
+place of one T: ``recombine(public, split.secret, split.threshold_maps)``
+inverts :func:`split_image_adaptive` exactly.
+
 ``benchmarks/bench_ablation_adaptive.py`` compares fixed and adaptive
 splitting at matched secret-part size.
 """
@@ -24,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.serialization import SecretFormatError
+from repro.core.splitting import split_image
 from repro.jpeg.codec import decode_coefficients, encode_coefficients
-from repro.jpeg.structures import CoefficientImage, ComponentInfo
+from repro.jpeg.structures import CoefficientImage
 
 ADAPTIVE_MAGIC = b"P3S2"
 
@@ -56,44 +64,6 @@ def block_energy_thresholds(
     return np.clip(thresholds, floor, _MAX_THRESHOLD)
 
 
-def split_block_array_mapped(
-    coefficients: np.ndarray, thresholds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold split with a per-block threshold map."""
-    if thresholds.shape != coefficients.shape[:2]:
-        raise ValueError(
-            f"threshold map {thresholds.shape} does not match block grid "
-            f"{coefficients.shape[:2]}"
-        )
-    coefficients = coefficients.astype(np.int32)
-    threshold_grid = thresholds.astype(np.int32)[:, :, None, None]
-    magnitude = np.abs(coefficients)
-    above = magnitude > threshold_grid
-    public = np.where(above, threshold_grid, coefficients).astype(np.int32)
-    secret = np.where(
-        above,
-        np.sign(coefficients) * (magnitude - threshold_grid),
-        np.int32(0),
-    ).astype(np.int32)
-    public[..., 0, 0] = 0
-    secret[..., 0, 0] = coefficients[..., 0, 0]
-    return public, secret
-
-
-def recombine_block_arrays_mapped(
-    public: np.ndarray, secret: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    """Exact inverse of :func:`split_block_array_mapped`."""
-    public = public.astype(np.int64)
-    secret = secret.astype(np.int64)
-    threshold_grid = thresholds.astype(np.int64)[:, :, None, None]
-    combined = public + secret
-    negative_residual = secret < 0
-    negative_residual[..., 0, 0] = False
-    correction = np.where(negative_residual, 2 * threshold_grid, 0)
-    return (combined - correction).astype(np.int32)
-
-
 @dataclass
 class AdaptiveSplitResult:
     """Adaptive split: two coefficient images plus the threshold maps."""
@@ -110,75 +80,16 @@ def split_image_adaptive(
     """Split every component with energy-adaptive per-block thresholds."""
     if base_threshold < 1:
         raise ValueError(f"base_threshold must be >= 1, got {base_threshold}")
-    public_components = []
-    secret_components = []
-    maps = []
-    for component in image.components:
-        thresholds = block_energy_thresholds(
-            component.coefficients, base_threshold
-        )
-        public_coefficients, secret_coefficients = split_block_array_mapped(
-            component.coefficients, thresholds
-        )
-        maps.append(thresholds)
-        public_components.append(
-            ComponentInfo(
-                identifier=component.identifier,
-                h_sampling=component.h_sampling,
-                v_sampling=component.v_sampling,
-                quant_table=component.quant_table.copy(),
-                coefficients=public_coefficients,
-            )
-        )
-        secret_components.append(
-            ComponentInfo(
-                identifier=component.identifier,
-                h_sampling=component.h_sampling,
-                v_sampling=component.v_sampling,
-                quant_table=component.quant_table.copy(),
-                coefficients=secret_coefficients,
-            )
-        )
-    public = CoefficientImage(
-        width=image.width, height=image.height, components=public_components
-    )
-    secret = CoefficientImage(
-        width=image.width, height=image.height, components=secret_components
-    )
+    maps = [
+        block_energy_thresholds(component.coefficients, base_threshold)
+        for component in image.components
+    ]
+    split = split_image(image, maps)
     return AdaptiveSplitResult(
-        public=public,
-        secret=secret,
+        public=split.public,
+        secret=split.secret,
         threshold_maps=maps,
         base_threshold=base_threshold,
-    )
-
-
-def recombine_adaptive(
-    public: CoefficientImage, split: AdaptiveSplitResult
-) -> CoefficientImage:
-    """Exact recombination using the stored threshold maps."""
-    if not public.same_geometry(split.secret):
-        raise ValueError("geometry mismatch; adaptive Eq. 2 not implemented")
-    components = []
-    for public_component, secret_component, thresholds in zip(
-        public.components, split.secret.components, split.threshold_maps
-    ):
-        coefficients = recombine_block_arrays_mapped(
-            public_component.coefficients,
-            secret_component.coefficients,
-            thresholds,
-        )
-        components.append(
-            ComponentInfo(
-                identifier=public_component.identifier,
-                h_sampling=public_component.h_sampling,
-                v_sampling=public_component.v_sampling,
-                quant_table=public_component.quant_table.copy(),
-                coefficients=coefficients,
-            )
-        )
-    return CoefficientImage(
-        width=public.width, height=public.height, components=components
     )
 
 

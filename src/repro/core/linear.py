@@ -24,14 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.reconstruction import correction_image
-from repro.jpeg.color import ycbcr_to_rgb
 from repro.jpeg.decoder import coefficients_to_planes
 from repro.jpeg.structures import CoefficientImage
 from repro.transforms.operators import LinearOperator
 
 
 def secret_difference_planes(
-    secret: CoefficientImage, threshold: int
+    secret: CoefficientImage, threshold: int | list[np.ndarray]
 ) -> list[np.ndarray]:
     """Render ``secret + correction`` as zero-centred difference planes.
 
@@ -52,7 +51,7 @@ def secret_difference_planes(
 def reconstruct_transformed_planes(
     public_planes: list[np.ndarray],
     secret: CoefficientImage,
-    threshold: int,
+    threshold: int | list[np.ndarray],
     operator: LinearOperator,
 ) -> list[np.ndarray]:
     """Apply Eq. 2: add the transformed secret difference to the public.
@@ -73,9 +72,3 @@ def reconstruct_transformed_planes(
         reconstructed.append(public_plane + transformed)
     return reconstructed
 
-
-def planes_to_image(planes: list[np.ndarray]) -> np.ndarray:
-    """Convert reconstructed YCbCr (or single luma) planes to pixels."""
-    if len(planes) == 1:
-        return np.clip(planes[0], 0.0, 255.0)
-    return ycbcr_to_rgb(planes)

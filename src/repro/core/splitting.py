@@ -15,6 +15,9 @@ Note the public value for clipped coefficients is ``+T`` regardless of
 the true sign: sign information of significant coefficients lives only
 in the secret part, which the paper identifies as crucial for privacy
 (Section 3.4).
+
+``T`` is one threshold, or per-block threshold maps: one ``(blocks_y,
+blocks_x)`` array per component (:mod:`repro.core.adaptive`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.jpeg.structures import CoefficientImage, ComponentInfo
+from repro.jpeg.structures import CoefficientImage
 
 
 @dataclass
@@ -37,7 +40,7 @@ class SplitResult:
 
     public: CoefficientImage
     secret: CoefficientImage = field(repr=False)  # taint: source(secret)
-    threshold: int
+    threshold: int | list[np.ndarray]
 
     def storage_fractions(self) -> tuple[float, float]:
         """(public, secret) nonzero-coefficient fractions of the original.
@@ -54,27 +57,56 @@ class SplitResult:
         )
 
 
+def block_thresholds(
+    threshold: int | np.ndarray, blocks: tuple[int, ...], dtype
+) -> np.ndarray:
+    """``threshold`` as a ``dtype`` array that broadcasts over a block
+    array on the grid ``blocks``: 0-d for one T, ``(by, bx, 1, 1)`` for
+    a per-block map, which must match the grid."""
+    grid = np.asarray(threshold, dtype=dtype)
+    if grid.ndim == 0:
+        return grid
+    if grid.shape != blocks:
+        raise ValueError(
+            f"threshold map {grid.shape} does not match block grid {blocks}"
+        )
+    return grid[:, :, None, None]
+
+
+def component_thresholds(
+    threshold: int | list[np.ndarray], image: CoefficientImage
+) -> list:
+    """``threshold`` for each component of ``image``: the one T, or
+    the component's own ``(blocks_y, blocks_x)`` map."""
+    if isinstance(threshold, (int, np.integer)):
+        return [threshold] * image.num_components
+    return threshold
+
+
 def split_block_array(
-    coefficients: np.ndarray, threshold: int
+    coefficients: np.ndarray, threshold: int | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a ``(by, bx, 8, 8)`` quantized coefficient array.
 
-    Returns ``(public, secret)`` int32 arrays of the same shape.
+    ``threshold`` is one T of at least 1, or a ``(by, bx)`` map of
+    per-block thresholds.  Returns ``(public, secret)`` int32 arrays of
+    the same shape.
     """
-    if threshold < 1:
+    if np.ndim(threshold) == 0 and threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
+    grid = block_thresholds(threshold, coefficients.shape[:2], np.int32)
     coefficients = coefficients.astype(np.int32)
     magnitude = np.abs(coefficients)
-    above = magnitude > threshold
+    above = magnitude > grid
 
     public = np.where(
         above,
-        np.int32(threshold),  # clipped, sign deliberately lost
+        grid,  # clipped, sign deliberately lost
         coefficients,
     ).astype(np.int32)
     secret = np.where(
         above,
-        np.sign(coefficients) * (magnitude - threshold),
+        np.sign(coefficients) * (magnitude - grid),
         np.int32(0),
     ).astype(np.int32)
 
@@ -84,59 +116,27 @@ def split_block_array(
     return public, secret
 
 
-def split_component(
-    component: ComponentInfo, threshold: int
-) -> tuple[ComponentInfo, ComponentInfo]:
-    """Split one color component; both halves share its quant table."""
-    public_coefficients, secret_coefficients = split_block_array(
-        component.coefficients, threshold
-    )
-    public = ComponentInfo(
-        identifier=component.identifier,
-        h_sampling=component.h_sampling,
-        v_sampling=component.v_sampling,
-        quant_table=component.quant_table.copy(),
-        coefficients=public_coefficients,
-    )
-    secret = ComponentInfo(
-        identifier=component.identifier,
-        h_sampling=component.h_sampling,
-        v_sampling=component.v_sampling,
-        quant_table=component.quant_table.copy(),
-        coefficients=secret_coefficients,
-    )
-    return public, secret
-
-
 def split_image(
-    image: CoefficientImage, threshold: int
+    image: CoefficientImage, threshold: int | list[np.ndarray]
 ) -> SplitResult:
-    """Split a full coefficient image into public and secret halves."""
+    """Split a full coefficient image into public and secret halves.
+
+    ``threshold`` is one T for every component, or one per-block map
+    per component.
+    """
     public_components = []
     secret_components = []
-    for component in image.components:
-        public_component, secret_component = split_component(
-            component, threshold
-        )
-        public_components.append(public_component)
-        secret_components.append(secret_component)
-    public = CoefficientImage(
-        width=image.width,
-        height=image.height,
-        components=public_components,
-        progressive=image.progressive,
+    thresholds = component_thresholds(threshold, image)
+    for c, t in zip(image.components, thresholds, strict=True):
+        public, secret = split_block_array(c.coefficients, t)
+        public_components.append(c.with_coefficients(public))
+        secret_components.append(c.with_coefficients(secret))
+    return SplitResult(
+        public=image.with_components(public_components, image.progressive),
+        # The secret part is never served scaled, so never progressive.
+        secret=image.with_components(secret_components),
+        threshold=threshold,
     )
-    secret = CoefficientImage(
-        width=image.width,
-        height=image.height,
-        components=secret_components,
-        progressive=False,  # the secret part is never served scaled
-    )
-    return SplitResult(public=public, secret=secret, threshold=threshold)
-
-
-# Alias matching the paper's terminology for the whole sender-side step.
-split_coefficients = split_image
 
 
 def guess_threshold(public: CoefficientImage) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 
 
 def generate_key(size: int = 16) -> bytes:  # taint: source(secret)
@@ -35,25 +36,39 @@ def derive_key(  # taint: source(secret)
 
 
 class Keyring:
-    """A participant's local store of shared album keys."""
+    """A participant's local store of shared album keys: installed under
+    a lock, so :meth:`ensure_album` is atomic, and read without it."""
+
+    _GUARDED_BY = {"_keys": "_lock:writes"}
 
     def __init__(self, owner: str) -> None:
         self.owner = owner
         self._keys: dict[str, bytes] = {}
+        self._lock = threading.Lock()
 
     def add_key(self, album: str, key: bytes) -> None:
         """Install a key for an album (the out-of-band share)."""
         if len(key) not in (16, 24, 32):
             raise ValueError("invalid AES key length")
-        self._keys[album] = key
+        with self._lock:
+            self._keys[album] = key
 
     def create_album(self, album: str) -> bytes:  # taint: source(secret)
         """Create a fresh key for a new album and install it."""
-        if album in self._keys:
-            raise ValueError(f"album {album!r} already has a key")
-        key = generate_key()
-        self._keys[album] = key
-        return key
+        with self._lock:
+            if album in self._keys:
+                raise ValueError(f"album {album!r} already has a key")
+            key = generate_key()
+            self._keys[album] = key
+            return key
+
+    def ensure_album(self, album: str) -> bytes:  # taint: source(secret)
+        """The album's key, created on first use: concurrent first
+        uploads to a new album all get one key."""
+        with self._lock:
+            if album not in self._keys:
+                self._keys[album] = generate_key()
+            return self._keys[album]
 
     def key_for(self, album: str) -> bytes:  # taint: source(secret)
         """Look up the key for an album; raises KeyError when missing."""

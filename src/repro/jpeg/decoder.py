@@ -451,13 +451,18 @@ def coefficients_to_planes(
     return planes
 
 
+def planes_to_pixels(planes: list[np.ndarray]) -> np.ndarray:
+    """Level-shifted planes to pixels: one luma plane clipped to 0..255,
+    or YCbCr planes as an ``(h, w, 3)`` uint8 RGB array."""
+    if len(planes) == 1:
+        return np.clip(planes[0], 0.0, 255.0)
+    return ycbcr_to_rgb(planes)
+
+
 def coefficients_to_pixels(image: CoefficientImage) -> np.ndarray:
     """Render a coefficient image to pixels.
 
     Returns a ``(h, w)`` float64 luma plane for grayscale images or an
     ``(h, w, 3)`` uint8 RGB array for color images.
     """
-    planes = coefficients_to_planes(image, level_shift=True)
-    if image.is_grayscale:
-        return np.clip(planes[0], 0.0, 255.0)
-    return ycbcr_to_rgb(planes)
+    return planes_to_pixels(coefficients_to_planes(image, level_shift=True))

@@ -44,6 +44,7 @@ forms, which ``tests/jpeg/oracles.py`` keeps.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -918,8 +919,9 @@ void p3_blur(const double *plane, int64_t h, int64_t w,
 """
 
 
+@functools.cache
 def source_digest() -> str:
-    """Cache key of the generated C (ABI + source)."""
+    """Cache key of the generated C (ABI + source), hashed once."""
     return hashlib.sha256((CDEF + SOURCE).encode()).hexdigest()[:16]
 
 

@@ -50,14 +50,19 @@ class ComponentInfo:
     def num_blocks(self) -> int:
         return self.blocks_y * self.blocks_x
 
-    def copy(self) -> "ComponentInfo":
+    def with_coefficients(self, coefficients: np.ndarray) -> "ComponentInfo":
+        """This component's geometry and a copy of its quantization
+        table, around ``coefficients``."""
         return ComponentInfo(
             identifier=self.identifier,
             h_sampling=self.h_sampling,
             v_sampling=self.v_sampling,
             quant_table=self.quant_table.copy(),
-            coefficients=self.coefficients.copy(),
+            coefficients=coefficients,
         )
+
+    def copy(self) -> "ComponentInfo":
+        return self.with_coefficients(self.coefficients.copy())
 
 
 @dataclass
@@ -112,6 +117,17 @@ class CoefficientImage:
         height = -(-self.height * component.v_sampling // self.max_v_sampling)
         width = -(-self.width * component.h_sampling // self.max_h_sampling)
         return height, width
+
+    def with_components(
+        self, components: list[ComponentInfo], progressive: bool = False
+    ) -> "CoefficientImage":
+        """An image of this one's size around ``components``."""
+        return CoefficientImage(
+            width=self.width,
+            height=self.height,
+            components=components,
+            progressive=progressive,
+        )
 
     def copy(self) -> "CoefficientImage":
         return CoefficientImage(

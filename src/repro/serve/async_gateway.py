@@ -54,6 +54,8 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from dataclasses import replace
+from functools import partial
 from typing import Any, Callable
 
 from repro.api.executors import Executor, run_async
@@ -179,6 +181,7 @@ class AsyncGateway:
         # Shared parsing: 401/400/404 verdicts are decided on the loop,
         # before any admission budget is spent.
         serve_request = self.gateway.view_request(request, photo_id)
+        # The view's one access check: serves after a miss skip theirs.
         cached = self.engine.serve_cached(serve_request)
         if cached is not None:
             self.frontend.record(
@@ -192,7 +195,9 @@ class AsyncGateway:
         if reason is not None:
             return await self._shed(serve_request, reason, arrival)
         result: ServeResult = await self._run_admitted(
-            self.engine.serve, serve_request, arrival
+            partial(self.engine.serve, preauthorized=True),
+            serve_request,
+            arrival,
         )
         return pixel_response(result)
 
@@ -281,18 +286,13 @@ class AsyncGateway:
             self.frontend.record(("shed", reason), "rejected")
             return _unavailable(reason)
         self.frontend.record(("shed", reason), "degraded")
-        preview = ServeRequest(
-            photo_id=serve_request.photo_id,
-            album=None,
-            key=None,
-            requester=serve_request.requester,
-            resolution=serve_request.resolution,
-            crop_box=serve_request.crop_box,
-            provider=serve_request.provider,
-        )
-        result = self.engine.serve_cached(preview)
+        # Same photo, same requester: the view's access check holds.
+        preview = replace(serve_request, album=None, key=None)
+        result = self.engine.serve_cached(preview, preauthorized=True)
         if result is None:
-            result = await self.offload.offload(self.engine.serve, preview)
+            result = await self.offload.offload(
+                partial(self.engine.serve, preauthorized=True), preview
+            )
         self.frontend.record(
             window="degraded", sample=time.perf_counter() - arrival
         )

@@ -126,8 +126,11 @@ class PartitionedLRUCache:
             return None
         return max(1, int(self._maxsize * self.quota_fraction))
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up a key, refreshing its recency; counts hit/miss."""
+    def get(
+        self, key: Hashable, default: Any = None, *, count_miss: bool = True
+    ) -> Any:
+        """Look up a key, refreshing its recency; counts the hit, or
+        the miss unless ``count_miss`` is false."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -139,7 +142,8 @@ class PartitionedLRUCache:
                     self._entries.move_to_end(key)
                     self._count("hits", key)
                     return value
-            self._count("misses", key)
+            if count_miss:
+                self._count("misses", key)
             return default
 
     def put(self, key: Hashable, value: Any) -> None:

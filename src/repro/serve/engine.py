@@ -307,14 +307,18 @@ class ServingEngine:
         offload path — :meth:`serve` preserves that guarantee.
 
         A hit is a full serve as far as accounting goes: it lands in
-        the engine's stats exactly as :meth:`serve` would.
+        the engine's stats exactly as :meth:`serve` would.  A miss is
+        not: the :meth:`serve` that follows counts it, and may pass
+        ``preauthorized=True``, as this call took the access verdict.
         """
         if not self._has_access_hook:
             return None
         start = time.perf_counter()
         if not preauthorized:
             self._check_access(request)
-        cached = self.variant_cache.get(request.variant_key())
+        cached = self.variant_cache.get(
+            request.variant_key(), count_miss=False
+        )
         if cached is None:
             return None
         return self._hit(request, cached, start)

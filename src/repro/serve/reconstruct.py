@@ -17,11 +17,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.linear import planes_to_image, reconstruct_transformed_planes
+from repro.core.linear import reconstruct_transformed_planes
 from repro.core.reconstruction import recombine
 from repro.core.serialization import SecretPart
 from repro.jpeg.codec import decode_coefficients
-from repro.jpeg.decoder import coefficients_to_pixels, coefficients_to_planes
+from repro.jpeg.decoder import (
+    coefficients_to_pixels,
+    coefficients_to_planes,
+    planes_to_pixels,
+)
 from repro.transforms.crop import Crop
 from repro.transforms.operators import Compose, LinearOperator
 from repro.transforms.resize import Resize, fit_within
@@ -131,4 +135,4 @@ def reconstruct_served(  # taint: sanitizer
     planes = reconstruct_transformed_planes(
         public_planes, secret, secret_part.threshold, operator
     )
-    return planes_to_image(planes)
+    return planes_to_pixels(planes)

@@ -265,13 +265,7 @@ class P3Gateway:
             for name in query.get("viewers", "").split(",")
             if name.strip()
         } or None
-        with self._lock:
-            # Atomic get-or-create: two concurrent first uploads to a
-            # new album must not race create_album (the loser would
-            # get a spurious 400).
-            if album not in keyring:
-                keyring.create_album(album)
-        encryptor = P3Encryptor(keyring.key_for(album), self.config)
+        encryptor = P3Encryptor(keyring.ensure_album(album), self.config)
         photo = encryptor.encrypt_jpeg(request.body)
         receipt = publish_encrypted(
             self.psp,

@@ -13,6 +13,7 @@ from repro.api.fanout import (
     FanoutUploadError,
     ReplicatedBlobStore,
 )
+import repro.crypto.keyring as keyring_module
 from repro.api.session import P3Session
 from repro.core.config import P3Config
 from repro.crypto.keyring import Keyring
@@ -340,3 +341,43 @@ class TestBackendHammer:
         assert storage.bytes_stored == sum(
             len(storage.snoop(key)) for key in storage.keys()
         )
+
+
+class TestConcurrentFirstUploads:
+    def test_first_uploads_to_a_new_album_share_one_key(
+        self, monkeypatch, scene_corpus
+    ):
+        """Two threads' first uploads to a new album through one
+        session both stay viewable: neither thread's album key replaces
+        the other's."""
+        generate_key = keyring_module.generate_key
+
+        def slow_generate_key(size=16):
+            time.sleep(0.05)
+            return generate_key(size)
+
+        monkeypatch.setattr(keyring_module, "generate_key", slow_generate_key)
+        session = P3Session(
+            Keyring("alice"),
+            FacebookPSP(),
+            CloudStorage(),
+            P3Config(threshold=15, quality=85),
+        )
+        jpegs = [encode_rgb(image, quality=85) for image in scene_corpus[:2]]
+        barrier = threading.Barrier(2)
+        records = [None, None]
+
+        def upload(index):
+            barrier.wait(timeout=10)
+            records[index] = session.upload(jpegs[index], album="trip")
+
+        threads = [
+            threading.Thread(target=upload, args=(index,)) for index in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert all(record is not None for record in records)
+        for record in records:
+            assert session.download(record.photo_id, album="trip").size

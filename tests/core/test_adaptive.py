@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import (
-    AdaptiveSplitResult,
     block_energy_thresholds,
     deserialize_adaptive_secret,
-    recombine_adaptive,
-    recombine_block_arrays_mapped,
     serialize_adaptive_secret,
-    split_block_array_mapped,
     split_image_adaptive,
 )
-from repro.core.splitting import split_image
+from repro.core.reconstruction import recombine, recombine_block_arrays
+from repro.core.splitting import split_block_array, split_image
 from repro.jpeg.codec import decode_coefficients, encode_gray
 
 
@@ -59,22 +56,22 @@ class TestMappedSplit:
         rng = np.random.default_rng(0)
         blocks = rng.integers(-800, 800, (4, 5, 8, 8)).astype(np.int32)
         thresholds = rng.integers(1, 60, (4, 5)).astype(np.int32)
-        public, secret = split_block_array_mapped(blocks, thresholds)
-        recovered = recombine_block_arrays_mapped(public, secret, thresholds)
+        public, secret = split_block_array(blocks, thresholds)
+        recovered = recombine_block_arrays(public, secret, thresholds)
         assert np.array_equal(recovered, blocks)
 
     def test_public_bounded_by_block_threshold(self):
         rng = np.random.default_rng(1)
         blocks = rng.integers(-800, 800, (3, 3, 8, 8)).astype(np.int32)
         thresholds = rng.integers(1, 40, (3, 3)).astype(np.int32)
-        public, _ = split_block_array_mapped(blocks, thresholds)
+        public, _ = split_block_array(blocks, thresholds)
         ac = public.copy()
         ac[..., 0, 0] = 0
         assert np.all(np.abs(ac) <= thresholds[:, :, None, None])
 
     def test_map_shape_validated(self):
         with pytest.raises(ValueError):
-            split_block_array_mapped(
+            split_block_array(
                 np.zeros((2, 2, 8, 8), dtype=np.int32),
                 np.zeros((3, 2), dtype=np.int32),
             )
@@ -83,7 +80,7 @@ class TestMappedSplit:
 class TestImageLevel:
     def test_split_recombine_exact(self, coefficients):
         split = split_image_adaptive(coefficients, 15)
-        recovered = recombine_adaptive(split.public, split)
+        recovered = recombine(split.public, split.secret, split.threshold_maps)
         assert np.array_equal(
             recovered.luma.coefficients, coefficients.luma.coefficients
         )
@@ -127,14 +124,8 @@ class TestSerialization:
         restored = deserialize_adaptive_secret(
             serialize_adaptive_secret(split)
         )
-        recombined = recombine_adaptive(
-            split.public,
-            AdaptiveSplitResult(
-                public=split.public,
-                secret=restored.secret,
-                threshold_maps=restored.threshold_maps,
-                base_threshold=restored.base_threshold,
-            ),
+        recombined = recombine(
+            split.public, restored.secret, restored.threshold_maps
         )
         assert np.array_equal(
             recombined.luma.coefficients, coefficients.luma.coefficients

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.linear import (
-    planes_to_image,
     reconstruct_transformed_planes,
     secret_difference_planes,
 )
@@ -16,7 +15,7 @@ from repro.jpeg.codec import (
     gray_to_coefficients,
     rgb_to_coefficients,
 )
-from repro.jpeg.decoder import coefficients_to_planes
+from repro.jpeg.decoder import coefficients_to_planes, planes_to_pixels
 from repro.transforms.crop import Crop
 from repro.transforms.operators import Compose, FunctionOperator, Identity
 from repro.transforms.resize import Resize
@@ -133,9 +132,9 @@ class TestSecretDifferencePlanes:
         # Difference images are roughly zero-mean apart from DC content.
         assert planes[0].shape == (image.height, image.width)
 
-    def test_planes_to_image_gray(self, split_setup):
+    def test_planes_to_pixels_gray(self, split_setup):
         image, split, threshold, original_planes, _ = split_setup
-        out = planes_to_image([original_planes[0]])
+        out = planes_to_pixels([original_planes[0]])
         assert out.ndim == 2
         assert out.min() >= 0.0 and out.max() <= 255.0
 

@@ -40,6 +40,11 @@ class TestKeyring:
         assert ring.key_for("trip") == key
         assert "trip" in ring
 
+    def test_ensure_album_creates_the_key_once(self):
+        ring = Keyring("alice")
+        key = ring.ensure_album("trip")
+        assert ring.ensure_album("trip") == key == ring.key_for("trip")
+
     def test_duplicate_album_rejected(self):
         ring = Keyring("alice")
         ring.create_album("trip")

@@ -324,3 +324,19 @@ class TestKernelRequired:
         status = native_kernel.status()
         assert status["available"] is True
         assert set(status) >= {"available", "build_error", "source_digest"}
+
+    def test_source_hashed_once_per_process(self, monkeypatch):
+        """``/stats`` reads the digest on every call; the constant
+        source is hashed once."""
+        hashed = []
+        sha256 = native_kernel.hashlib.sha256
+
+        def counting(data=b"", **kwargs):
+            hashed.append(len(data))
+            return sha256(data, **kwargs)
+
+        native_kernel.source_digest.cache_clear()
+        monkeypatch.setattr(native_kernel.hashlib, "sha256", counting)
+        first = engine_info()["native"]["source_digest"]
+        assert engine_info()["native"]["source_digest"] == first
+        assert len(hashed) == 1

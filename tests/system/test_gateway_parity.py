@@ -29,7 +29,8 @@ from repro.jpeg.codec import (
 )
 from repro.jpeg.encoder import encode_baseline, encode_progressive
 from repro.jpeg.scans import ScanSpec
-from repro.serve.async_gateway import AsyncGateway
+from repro.serve.admission import AdmissionController
+from repro.serve.async_gateway import DEGRADED_HEADER, AsyncGateway
 from repro.serve.keys import secret_blob_key
 from repro.system.client import PhotoSharingClient
 from repro.system.gateway import (
@@ -343,6 +344,68 @@ class TestOnePixelCopyPerHit:
                 tracemalloc.stop()
 
         self.check(*asyncio.run(traced_hit()))
+
+
+class CountingPSP(FacebookPSP):
+    """A provider that counts its access checks."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.checks = 0
+
+    def check_access(self, photo_id: str, requester: str) -> None:
+        self.checks += 1
+        super().check_access(photo_id, requester)
+
+
+class TestOneAccessCheckPerView:
+    """Each view asks the provider once, cold, hit or shed, whichever
+    front end serves it."""
+
+    @pytest.fixture()
+    def deploy(self, jpeg):
+        psp = CountingPSP()
+        gateway = P3Gateway(
+            psp, CloudStorage(), P3Config(threshold=15, quality=85)
+        )
+        alice = PhotoSharingClient.for_gateway(gateway, "alice")
+        photo_id = alice.upload_photo(jpeg, "trip").photo_id
+        controller = AdmissionController(max_inflight=1)
+        front = AsyncGateway(gateway, controller=controller)
+        yield psp, gateway, front, controller, photo_id
+        front.close()
+
+    @staticmethod
+    def view(psp, handle, photo_id, size):
+        """One keyed view: its response and the checks it made."""
+        before = psp.checks
+        response = handle(
+            get_request(
+                "alice", f"/photos/{photo_id}", {"album": "trip", "size": size}
+            )
+        )
+        assert response.status == 200
+        return response, psp.checks - before
+
+    @pytest.mark.parametrize("door", ["sync", "async"])
+    def test_cold_and_hit(self, deploy, door):
+        psp, gateway, front, _, photo_id = deploy
+        handle = gateway.handle if door == "sync" else front.handle_sync
+        cold, checks = self.view(psp, handle, photo_id, "130")
+        assert (cold.headers["x-cache"], checks) == ("reconstructed", 1)
+        hit, checks = self.view(psp, handle, photo_id, "130")
+        assert (hit.headers["x-cache"], checks) == ("variant-cache", 1)
+
+    def test_shed(self, deploy):
+        psp, _, front, controller, photo_id = deploy
+        assert controller.try_admit("holder") == ("admitted", None)
+        for _ in range(controller.queue_capacity):
+            assert controller.try_admit("filler")[0] == "queued"
+        # A cold preview, then a preview the variant cache answers.
+        for source in ("reconstructed", "variant-cache"):
+            shed, checks = self.view(psp, front.handle_sync, photo_id, "96")
+            assert shed.headers[DEGRADED_HEADER] == "queue-full"
+            assert (shed.headers["x-cache"], checks) == (source, 1)
 
 
 class TestErrorParity:
