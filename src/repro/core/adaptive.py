@@ -8,16 +8,15 @@ the secret part, we can identify non-trivial block effects."
 This module implements the natural fix the observation suggests: scale
 the threshold per block with the block's AC energy, so high-energy
 blocks (edges, texture) get a proportionally higher clip level and
-low-energy blocks keep a tight one.  The per-block threshold map is
-carried alongside the secret part (container version "P3S2"); the
-public part remains a standard JPEG.
+low-energy blocks keep a tight one.  The public part remains a
+standard JPEG.
 
-Only what is adaptive lives here: the threshold maps and the P3S2
-container.  Eq. 1 itself — the split, the recombination and the
-correction term — lives in the core (:mod:`repro.core.splitting`,
-:mod:`repro.core.reconstruction`), whose functions take the maps in
-place of one T: ``recombine(public, split.secret, split.threshold_maps)``
-inverts :func:`split_image_adaptive` exactly.
+Only what is adaptive lives here: the threshold maps.  Eq. 1 itself —
+the split, the recombination and the correction term — lives in the
+core (:mod:`repro.core.splitting`, :mod:`repro.core.reconstruction`),
+whose functions take the maps in place of one T:
+``recombine(public, split.secret, split.threshold_maps)`` inverts
+:func:`split_image_adaptive` exactly.
 
 ``benchmarks/bench_ablation_adaptive.py`` compares fixed and adaptive
 splitting at matched secret-part size.
@@ -25,19 +24,14 @@ splitting at matched secret-part size.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.serialization import SecretFormatError
 from repro.core.splitting import split_image
-from repro.jpeg.codec import decode_coefficients, encode_coefficients
 from repro.jpeg.structures import CoefficientImage
 
-ADAPTIVE_MAGIC = b"P3S2"
-
-#: Per-block thresholds are stored as uint8; clamp accordingly.
+#: Largest per-block threshold: a block's T stays within 8 bits.
 _MAX_THRESHOLD = 255
 
 
@@ -92,65 +86,3 @@ def split_image_adaptive(
         base_threshold=base_threshold,
     )
 
-
-# -- serialization (container version 2) -------------------------------------
-
-
-def serialize_adaptive_secret(split: AdaptiveSplitResult) -> bytes:
-    """Pack secret JPEG + per-component threshold maps."""
-    jpeg_bytes = encode_coefficients(split.secret, progressive=False)
-    out = bytearray(ADAPTIVE_MAGIC)
-    out.extend(
-        struct.pack(
-            ">HHHB",
-            split.base_threshold,
-            split.secret.width,
-            split.secret.height,
-            len(split.threshold_maps),
-        )
-    )
-    for thresholds in split.threshold_maps:
-        by, bx = thresholds.shape
-        out.extend(struct.pack(">HH", by, bx))
-        out.extend(np.clip(thresholds, 0, 255).astype(np.uint8).tobytes())
-    out.extend(struct.pack(">I", len(jpeg_bytes)))
-    out.extend(jpeg_bytes)
-    return bytes(out)
-
-
-def deserialize_adaptive_secret(data: bytes) -> AdaptiveSplitResult:
-    """Inverse of :func:`serialize_adaptive_secret`.
-
-    The returned result's ``public`` field is a placeholder (the
-    recipient supplies the real public part); only ``secret`` and
-    ``threshold_maps`` are meaningful.
-    """
-    if data[:4] != ADAPTIVE_MAGIC:
-        raise SecretFormatError("bad adaptive container magic")
-    base_threshold, width, height, num_components = struct.unpack(
-        ">HHHB", data[4:11]
-    )
-    position = 11
-    maps = []
-    for _ in range(num_components):
-        by, bx = struct.unpack(">HH", data[position : position + 4])
-        position += 4
-        raw = np.frombuffer(
-            data[position : position + by * bx], dtype=np.uint8
-        )
-        if raw.size != by * bx:
-            raise SecretFormatError("truncated threshold map")
-        maps.append(raw.reshape(by, bx).astype(np.int32))
-        position += by * bx
-    (jpeg_length,) = struct.unpack(">I", data[position : position + 4])
-    position += 4
-    jpeg_bytes = data[position : position + jpeg_length]
-    if len(jpeg_bytes) != jpeg_length:
-        raise SecretFormatError("truncated adaptive secret payload")
-    secret = decode_coefficients(jpeg_bytes)
-    return AdaptiveSplitResult(
-        public=secret,  # placeholder; see docstring
-        secret=secret,
-        threshold_maps=maps,
-        base_threshold=base_threshold,
-    )

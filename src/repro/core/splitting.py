@@ -62,13 +62,21 @@ def block_thresholds(
 ) -> np.ndarray:
     """``threshold`` as a ``dtype`` array that broadcasts over a block
     array on the grid ``blocks``: 0-d for one T, ``(by, bx, 1, 1)`` for
-    a per-block map, which must match the grid."""
+    a per-block map, which must match the grid and hold no entry below
+    0 (a negative entry would not invert)."""
     grid = np.asarray(threshold, dtype=dtype)
     if grid.ndim == 0:
         return grid
     if grid.shape != blocks:
         raise ValueError(
             f"threshold map {grid.shape} does not match block grid {blocks}"
+        )
+    negative = np.argwhere(grid < 0)
+    if len(negative):
+        by, bx = negative[0]
+        raise ValueError(
+            f"threshold map entry {grid[by, bx]} at block ({by}, {bx}) "
+            "is below 0"
         )
     return grid[:, :, None, None]
 

@@ -153,8 +153,9 @@ Quickstart::
     result = engine.serve(
         ServeRequest(photo_id, album="trip", key=key, requester="bob")
     )
-    result.pixels        # reconstructed image, the cache's read-only
-                         # array: .copy() it before writing
+    result.body          # the view's C-order bytes, the cache's own
+    result.pixels        # a read-only array over them: .copy() it
+                         # before writing
     result.source        # "reconstructed" | "variant-cache" | "coalesced"
     result.timing        # per-stage wall clock
     engine.snapshot()    # hit rates, p50/p99, per-partition stats

@@ -6,7 +6,8 @@ event loop over the *same* shared :class:`~repro.serve.engine.
 ServingEngine`:
 
 * **cache hits stay on the loop** — a decoded-variant hit costs an
-  access check plus the response body's one pixel copy
+  access check and a cache lookup, and its body is the cached view's
+  own bytes, with no pixel copy
   (:meth:`~repro.serve.engine.ServingEngine.serve_cached`, then
   :func:`~repro.system.gateway.pixel_response`), so it is answered
   inline, no thread handoff;

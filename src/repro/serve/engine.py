@@ -34,12 +34,12 @@ The engine owns everything between "a viewer asked for photo X" and
   the engine's :class:`~repro.serve.stats.StatsRecorder` (request
   counters, p50/p99 over the last :data:`SERVE_WINDOW` serves) feeds
   dashboards and benchmarks;
-* **no pixel copies** — a result's pixels are the variant cache's
-  read-only master array, on hits, misses and coalesced waiters
-  alike.  Each front end makes the one copy it needs: the HTTP
-  gateways serialize the array into the response body, and
-  :meth:`~repro.api.session.P3Session.download` hands its caller a
-  writable copy.
+* **no pixel copies on a hit** — a miss writes the view out once, as
+  the immutable C-order ``bytes`` the variant cache holds; hits,
+  coalesced waiters and shed previews share that object.  The HTTP
+  gateways put it in the response body as it is, and
+  :meth:`~repro.api.session.P3Session.download` makes the one
+  writable copy its caller gets.
 
 The engine is shared state: one engine serves every tenant of a
 :class:`~repro.system.gateway.P3Gateway` and every viewer session of
@@ -155,14 +155,15 @@ class ServeTiming:
 class ServeResult:
     """Pixels plus the provenance and timing of how they were made.
 
-    ``pixels`` is the variant cache's master array, shared by every
-    serve of the variant and marked read-only, so a write raises
-    ``ValueError`` instead of poisoning the cache.  The flag is
-    advisory: numpy lets an array that owns its memory be made
-    writable again.  No front end does that; each copies what it hands
-    on (the gateways' response body, the session's returned array).
+    ``body`` is the view's C-order bytes, the variant cache's one form
+    of it, shared by every serve of the variant; the HTTP gateways send
+    this same object.  ``pixels`` is a read-only ``np.frombuffer`` view
+    over ``body``: a write raises ``ValueError``, and so does
+    ``setflags(write=True)``, because ``bytes`` is immutable.  A caller
+    that needs to write copies it.
     """
 
+    body: bytes = field(repr=False)
     pixels: np.ndarray
     photo_id: str
     variant_hit: bool = False
@@ -254,9 +255,9 @@ class ServingEngine:
     ) -> ServeResult:
         """Serve one request through access check, caches and coalescing.
 
-        The returned pixels are the cache's read-only master (see
+        The returned body and pixels are the cache's own (see
         :class:`ServeResult`); a caller that needs to write copies
-        them.  The PSP's access policy, when it exposes
+        the pixels.  The PSP's access policy, when it exposes
         ``check_access``, is enforced before the caches are consulted,
         so a cached variant never leaks to a viewer the provider would
         have refused.  A caller that already ran
@@ -283,6 +284,7 @@ class ServingEngine:
             variant_key, lambda: self._build_variant(request)
         )
         result = ServeResult(
+            body=built.body,
             pixels=built.pixels,
             photo_id=request.photo_id,
             secret_hit=built.secret_hit,
@@ -328,6 +330,7 @@ class ServingEngine:
     ) -> ServeResult:
         """A variant-cache hit as a finished, recorded serve."""
         result = ServeResult(
+            body=cached.body,
             pixels=cached.pixels,
             photo_id=request.photo_id,
             variant_hit=True,
@@ -437,9 +440,9 @@ class ServingEngine:
         so a second size of a photo skips the storage fetch and the
         envelope open.
 
-        Returns the *master* result whose pixels live in the cache
-        (frozen read-only); :meth:`serve` hands those same pixels to
-        the leader and every coalesced waiter.
+        Returns the *master* result, whose ``body`` is the view's one
+        copy and the form the cache keeps; :meth:`serve` hands that
+        same object to the leader and every coalesced waiter.
         """
         timing = ServeTiming()
         clock = time.perf_counter
@@ -461,9 +464,10 @@ class ServingEngine:
             transform_estimate=self.transform_estimate,
         )
         timing.reconstruct_s = clock() - t0
-        pixels.setflags(write=False)
+        body = pixels.tobytes()
         result = ServeResult(
-            pixels=pixels,
+            body=body,
+            pixels=np.frombuffer(body, pixels.dtype).reshape(pixels.shape),
             photo_id=request.photo_id,
             secret_hit=secret_hit,
             public_only=request.public_only,

@@ -105,8 +105,8 @@ def map_exception(error: Exception) -> HttpResponse:
 def pixel_response(result: ServeResult) -> HttpResponse:
     """Wrap a serve result as the HTTP response the app receives.
 
-    The body is the view's one pixel copy: ``tobytes`` writes the
-    engine's shared, read-only array out in C order.
+    The body is the result's own ``bytes``, the variant cache's form of
+    the view, so a cache hit copies no pixels.
     """
     pixels = result.pixels
     return HttpResponse(
@@ -119,7 +119,7 @@ def pixel_response(result: ServeResult) -> HttpResponse:
             "x-cache": result.source,
             "x-serve-ms": f"{result.timing.total_s * 1000:.3f}",
         },
-        body=pixels.tobytes(),
+        body=result.body,
     )
 
 

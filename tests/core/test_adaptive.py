@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import (
-    block_energy_thresholds,
-    deserialize_adaptive_secret,
-    serialize_adaptive_secret,
-    split_image_adaptive,
-)
+from repro.core.adaptive import block_energy_thresholds, split_image_adaptive
 from repro.core.reconstruction import recombine, recombine_block_arrays
 from repro.core.splitting import split_block_array, split_image
 from repro.jpeg.codec import decode_coefficients, encode_gray
@@ -85,15 +80,11 @@ class TestImageLevel:
             recovered.luma.coefficients, coefficients.luma.coefficients
         )
 
-    def test_adaptive_reduces_block_effects_in_secret(self, coefficients):
-        """The motivation: the adaptive secret part should render with
-        fewer block artifacts than the fixed-threshold secret at a
-        comparable size (measured here by luma-gradient smoothness)."""
-        from repro.jpeg.decoder import coefficients_to_pixels
-
+    def test_adaptive_secret_under_2_5x_fixed_nonzeros(self, coefficients):
+        """The adaptive secret part is not wildly bigger than the
+        fixed-threshold secret at the same base T."""
         fixed = split_image(coefficients, 15)
         adaptive = split_image_adaptive(coefficients, 15)
-        # Sanity: adaptive secret is not wildly bigger.
         assert (
             adaptive.secret.total_nonzero()
             < 2.5 * fixed.secret.total_nonzero()
@@ -103,39 +94,3 @@ class TestImageLevel:
         with pytest.raises(ValueError):
             split_image_adaptive(coefficients, 0)
 
-
-class TestSerialization:
-    def test_roundtrip(self, coefficients):
-        split = split_image_adaptive(coefficients, 12)
-        container = serialize_adaptive_secret(split)
-        restored = deserialize_adaptive_secret(container)
-        assert restored.base_threshold == 12
-        assert len(restored.threshold_maps) == 1
-        assert np.array_equal(
-            restored.threshold_maps[0], split.threshold_maps[0]
-        )
-        assert np.array_equal(
-            restored.secret.luma.coefficients,
-            split.secret.luma.coefficients,
-        )
-
-    def test_recombine_from_container(self, coefficients):
-        split = split_image_adaptive(coefficients, 12)
-        restored = deserialize_adaptive_secret(
-            serialize_adaptive_secret(split)
-        )
-        recombined = recombine(
-            split.public, restored.secret, restored.threshold_maps
-        )
-        assert np.array_equal(
-            recombined.luma.coefficients, coefficients.luma.coefficients
-        )
-
-    def test_bad_magic(self, coefficients):
-        split = split_image_adaptive(coefficients, 12)
-        container = bytearray(serialize_adaptive_secret(split))
-        container[0] ^= 0xFF
-        from repro.core.serialization import SecretFormatError
-
-        with pytest.raises(SecretFormatError):
-            deserialize_adaptive_secret(bytes(container))

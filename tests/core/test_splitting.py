@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.reconstruction import recombine_block_arrays
 from repro.core.splitting import (
     guess_threshold,
     split_block_array,
@@ -76,6 +77,23 @@ class TestSplitBlockArray:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             split_block_array(np.zeros((1, 1, 8, 8), dtype=np.int32), 0)
+
+    def test_negative_map_entry_refused(self):
+        """A negative entry would not invert: recombination would turn
+        every zero AC of its block into that entry."""
+        coefficients = np.zeros((2, 2, 8, 8), dtype=np.int32)
+        thresholds = np.array([[4, 4], [-3, 4]])
+        with pytest.raises(ValueError, match=r"entry -3 at block \(1, 0\)"):
+            split_block_array(coefficients, thresholds)
+
+    def test_zero_map_entry_inverts(self):
+        rng = np.random.default_rng(3)
+        coefficients = rng.integers(-40, 40, (2, 2, 8, 8)).astype(np.int32)
+        thresholds = np.array([[0, 4], [9, 0]])
+        public, secret = split_block_array(coefficients, thresholds)
+        assert np.array_equal(
+            recombine_block_arrays(public, secret, thresholds), coefficients
+        )
 
 
 class TestSplitImage:

@@ -290,8 +290,9 @@ class TestCoalescing:
         assert psp.downloads == 1  # one fetch, one reconstruction
         assert engine.stats.count("reconstructions") == 1
         assert engine.stats.count("coalesced") == 3
-        reference = results[0].pixels.tobytes()
-        assert all(r.pixels.tobytes() == reference for r in results)
+        # The leader and every waiter hold the one body the miss wrote.
+        assert all(r.body is results[0].body for r in results)
+        assert results[0].pixels.tobytes() == results[0].body
 
 
 class TestTimingHooks:
@@ -457,7 +458,9 @@ class TestServingStatsSnapshot:
         def recorder():
             pixels = np.zeros((1, 1, 3), dtype=np.uint8)
             while not stop.is_set():
-                result = ServeResult(pixels=pixels, photo_id="x")
+                result = ServeResult(
+                    body=pixels.tobytes(), pixels=pixels, photo_id="x"
+                )
                 engine._record(result, time.perf_counter())
 
         def snapshotter():

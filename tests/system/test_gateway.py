@@ -308,7 +308,7 @@ class TestPixelCodec:
 
         pixels = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
         response = pixel_response(
-            ServeResult(pixels=pixels, photo_id="p")
+            ServeResult(body=pixels.tobytes(), pixels=pixels, photo_id="p")
         )
         decoded = pixels_from_response(response)
         assert decoded.shape == pixels.shape
